@@ -30,16 +30,17 @@ print(f"d(sum(v) + sum(v*v))/dv = {v.grad}  (expected 1 + 2v)")
 
 print("\n== cosine similarity is scale-invariant and differentiable ==")
 a = ad.param(rng.normal(size=5))
-b = ad.param(rng.normal(size=5))
-s = ad.cosine_sim(a, b)
-print(f"cos(a, b) = {s.item():+.5f}")
-print(f"cos(3a, b) = {ad.cosine_sim(ad.mul(a, 3.0), b).item():+.5f} (same)")
+rows = ad.param(rng.normal(size=(3, 5)))
+s = ad.cosine_rows(a, rows)  # one op scores a against every row
+print(f"cos(a, rows) = {np.array2string(s.data, precision=5)}")
+print(f"cos(3a, rows) = {np.array2string(ad.cosine_rows(ad.mul(a, 3.0), rows).data, precision=5)}"
+      " (same)")
 
 print("\n== finite-difference audit ==")
 reports = [
     finite_diff_check(lambda t: ad.sum_all(ad.softmax_rows(t)), ad.param(rng.normal(size=(2, 5))),
                       name="softmax_rows"),
-    finite_diff_check(lambda t: ad.cosine_sim(t, b), a, name="cosine_sim"),
+    finite_diff_check(lambda t: ad.sum_all(ad.cosine_rows(t, rows)), a, name="cosine_rows"),
     finite_diff_check(lambda t: ad.sum_all(ad.rms_norm(t, ad.tensor(np.ones(4)), 1e-6)),
                       ad.param(rng.normal(size=(3, 4))), name="rms_norm"),
 ]

@@ -7,7 +7,7 @@ term-frequency scoring, and measures BM25 against a random ordering.
 import numpy as np
 
 from embrank.evaluation import mean_ndcg
-from embrank.retrieval import InvertedIndex, bm25_search
+from embrank.retrieval import InvertedIndex
 from embrank.runs import RunEntry, RunList
 from embrank.synthetic import generate_synthetic
 
@@ -28,7 +28,7 @@ doc_text = {d.doc_id: d.text for d in ds.documents}
 print(f"its grade-3 source doc ({source}): {doc_text[source][:70]}...")
 
 index = InvertedIndex.build(ds.documents)
-run = bm25_search(index, ds.vocab.encode(q.text), 10, query_id=q.query_id)
+run = index.search(ds.vocab.encode(q.text), 10, query_id=q.query_id)
 print("\nBM25 top 10 (grade | kind | doc):")
 for e in run.entries:
     grade = ds.qrels.grade(q.query_id, e.doc_id)
@@ -37,7 +37,7 @@ print("note the grade-0 decoys: stuffed with query words, lexically strong, irre
 
 bm25_runs, random_runs = [], []
 for qi, query in enumerate(ds.eval_queries):
-    r = bm25_search(index, ds.vocab.encode(query.text), 100, query_id=query.query_id)
+    r = index.search(ds.vocab.encode(query.text), 100, query_id=query.query_id)
     bm25_runs.append(r)
     rng = np.random.default_rng([SEED, qi])
     perm = rng.permutation(len(r.entries))

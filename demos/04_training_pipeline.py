@@ -12,7 +12,7 @@ import time
 
 from embrank.evaluation import (EvalItem, evaluate_reranker, mean_ndcg,
                                 ordering_experiment)
-from embrank.retrieval import InvertedIndex, bm25_search
+from embrank.retrieval import InvertedIndex
 from embrank.reranker import build_model_pair
 from embrank.synthetic import generate_synthetic
 from embrank.training import LossConfig, OptimConfig, StageConfig, run_dual_stage
@@ -24,7 +24,7 @@ index = InvertedIndex.build(ds.documents)
 
 items, bm25_runs = [], []
 for q in ds.eval_queries:
-    run = bm25_search(index, ds.vocab.encode(q.text), 100, query_id=q.query_id)
+    run = index.search(ds.vocab.encode(q.text), 100, query_id=q.query_id)
     bm25_runs.append(run)
     items.append(EvalItem(query=q, candidates=[(e.doc_id, doc_tokens[e.doc_id])
                                                for e in run.entries]))

@@ -11,7 +11,7 @@ evaluation utilities complete the pipeline.
 
 __version__ = "0.1.0"
 
-from .autodiff import (Tensor, backward, cosine_sim, set_default_dtype,
+from .autodiff import (Tensor, backward, cosine_rows, set_default_dtype,
                        set_strict_finite, tensor)
 from .data import (Document, Qrels, Query, RankingSample, Vocabulary,
                    load_corpus, load_qrels, load_queries)
@@ -22,9 +22,9 @@ from .evaluation import (EvalItem, ablation_suite, efficiency_report, mean_ndcg,
                          ndcg_at_k, ordering_experiment)
 from .gradcheck import finite_diff_check, finite_diff_check_many
 from .reranker import (ModelPair, RerankerModel, build_model_pair, fuse_residual,
-                       rerank, rerank_detailed)
-from .retrieval import (DenseIndex, InvertedIndex, bm25_search, dense_search,
-                        end_to_end, rrf_fuse, sliding_window_rerank)
+                       rerank_detailed)
+from .retrieval import (DenseIndex, InvertedIndex, end_to_end, rrf_fuse,
+                        sliding_window_rerank)
 from .runs import RunList, TokenCounter, read_trec_run, write_trec_run
 from .synthetic import SyntheticDataset, generate_synthetic
 from .training import (Adam, LossConfig, OptimConfig, StageConfig, combined_loss,

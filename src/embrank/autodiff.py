@@ -356,20 +356,36 @@ def dot(a: Tensor, b: Tensor) -> Tensor:
     return _result(np.asarray(a.data @ b.data), "dot", (a, b), bw)
 
 
-def cosine_sim(a: Tensor, b: Tensor) -> Tensor:
-    """Cosine similarity of two nonzero vectors, differentiable in both.
+def cosine_rows(v: Tensor, m: Tensor) -> Tensor:
+    """Cosine similarity of a nonzero vector ``v`` [d] against each row of ``m`` [n, d].
 
-    Composed as dot(a, b) / (sqrt(dot(a, a)) * sqrt(dot(b, b))) so external
-    recomputations of the same expression match bit for bit.
+    Entry i equals dot(v, m_i) / (sqrt(dot(v, v)) * sqrt(dot(m_i, m_i))) bit
+    for bit, with ``np.dot`` and ``np.sqrt`` (``np.linalg.norm`` gives the
+    same norms), so external recomputations of that expression match exactly.
+    A zero-norm ``v`` or row raises ``DegenerateInputError`` naming it.
+    The dots are batched [1, d] @ [d, 1] products: unlike ``m @ v`` (gemv),
+    those round each entry exactly as one ``np.dot`` does.
     """
-    a, b = _as_tensor(a), _as_tensor(b)
-    if a.ndim != 1 or b.ndim != 1 or a.shape != b.shape:
-        raise ShapeError(f"cosine_sim: expected equal-length vectors, got {a.shape} and {b.shape}")
-    if float(a.data @ a.data) == 0.0:
-        raise DegenerateInputError("cosine_sim: first argument has zero norm")
-    if float(b.data @ b.data) == 0.0:
-        raise DegenerateInputError("cosine_sim: second argument has zero norm")
-    return div(dot(a, b), mul(sqrt(dot(a, a)), sqrt(dot(b, b))))
+    v, m = _as_tensor(v), _as_tensor(m)
+    if v.ndim != 1 or m.ndim != 2 or m.shape[1] != v.shape[0]:
+        raise ShapeError(f"cosine_rows: expected a [d] vector and [n, d] rows, "
+                         f"got {v.shape} and {m.shape}")
+    vv = float(np.dot(v.data, v.data))
+    if vv == 0.0:
+        raise DegenerateInputError("cosine_rows: vector has zero norm")
+    rows = m.data[:, None, :]
+    mm = np.matmul(rows, m.data[:, :, None])[:, 0, 0]
+    zero = np.flatnonzero(mm == 0.0)
+    if zero.size:
+        raise DegenerateInputError(f"cosine_rows: row {zero[0]} has zero norm")
+    denom = np.sqrt(vv) * np.sqrt(mm)
+    out_data = np.matmul(rows, v.data[:, None])[:, 0, 0] / denom
+
+    def bw(g):
+        gd = g / denom
+        _accumulate(v, gd @ m.data - (g @ out_data / vv) * v.data)
+        _accumulate(m, np.outer(gd, v.data) - (g * out_data / mm)[:, None] * m.data)
+    return _result(out_data, "cosine_rows", (v, m), bw)
 
 
 # ---------------------------------------------------------------------------
@@ -377,10 +393,11 @@ def cosine_sim(a: Tensor, b: Tensor) -> Tensor:
 # ---------------------------------------------------------------------------
 
 def take_rows(a: Tensor, indices) -> Tensor:
-    """Row gather (embedding-table lookup); backward scatter-adds."""
+    """Row gather (embedding-table lookup), or element gather from a vector;
+    backward scatter-adds."""
     a = _as_tensor(a)
-    if a.ndim != 2:
-        raise ShapeError(f"take_rows: expected 2-D table, got {a.shape}")
+    if a.ndim not in (1, 2):
+        raise ShapeError(f"take_rows: expected a 1-D or 2-D table, got {a.shape}")
     idx = np.asarray(indices, dtype=np.intp)
     if idx.ndim != 1:
         raise ShapeError(f"take_rows: expected 1-D index list, got shape {idx.shape}")

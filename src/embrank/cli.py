@@ -23,13 +23,12 @@ from .errors import ConfigError, EmbrankError
 from .evaluation import (EvalItem, ablation_suite, efficiency_report,
                          format_ablation_table, mean_ndcg, ndcg_at_k,
                          ordering_experiment, rerank_eval_set)
-from .retrieval import (DenseIndex, InvertedIndex, bm25_search, end_to_end,
-                        sliding_window_rerank)
+from .retrieval import DenseIndex, InvertedIndex, end_to_end, sliding_window_rerank
 from .reranker import build_model_pair, rerank_detailed
 from .runs import RunList, TokenCounter, read_trec_run, write_trec_run
 from .serialization import sha256_file
 from .synthetic import generate_synthetic
-from .training import TrainReport, train_stage
+from .training import TrainReport, train_stages
 
 
 def _path(value: str) -> Path:
@@ -143,16 +142,12 @@ def cmd_train(args) -> int:
     stage2 = load_samples(data_dir / "stage2.jsonl")
     models = build_model_pair(vocab, cfg.seed, **cfg.model.build_kwargs())
 
-    stage_cfgs = cfg.stage_configs()
-    stage_samples = [stage1, stage2][:len(stage_cfgs)]
     ckpt_dir = out / "checkpoints"
     ckpt_dir.mkdir(exist_ok=True)
     report = TrainReport()
-    step = 0
-    for i, (stage_cfg, samples) in enumerate(zip(stage_cfgs, stage_samples)):
-        report = train_stage(models, samples, doc_tokens, stage_cfg, cfg.optim,
-                             cfg.loss, seed=cfg.seed + i, report=report, start_step=step)
-        step += report.stages[-1]["steps"]
+    stages = list(zip(cfg.stage_configs(), [stage1, stage2]))
+    for stage_cfg in train_stages(models, stages, doc_tokens, cfg.optim, cfg.loss,
+                                  cfg.seed, report):
         save_checkpoint(ckpt_dir / f"{stage_cfg.name}.ckpt", models,
                         {"stage": stage_cfg.name})
     save_checkpoint(ckpt_dir / "final.ckpt", models, {"stage": "final"})
@@ -273,7 +268,7 @@ def cmd_ablate(args) -> int:
     index = InvertedIndex.build(docs, k1=cfg.retrieval.k1, b=cfg.retrieval.b)
     items = []
     for q in eval_queries:
-        run = bm25_search(index, vocab.encode(q.text), cfg.retrieval.top_k, query_id=q.query_id)
+        run = index.search(vocab.encode(q.text), cfg.retrieval.top_k, query_id=q.query_id)
         items.append(EvalItem(query=q, candidates=[(e.doc_id, doc_tokens[e.doc_id])
                                                    for e in run.entries]))
     stage_cfgs = cfg.stage_configs()
@@ -328,8 +323,8 @@ def cmd_order_exp(args) -> int:
     index = InvertedIndex.build(docs, k1=cfg.retrieval.k1, b=cfg.retrieval.b)
     items = []
     for q in queries:
-        run = bm25_search(index, models.vocab.encode(q.text), cfg.retrieval.top_k,
-                          query_id=q.query_id)
+        run = index.search(models.vocab.encode(q.text), cfg.retrieval.top_k,
+                           query_id=q.query_id)
         items.append(EvalItem(query=q, candidates=[(e.doc_id, doc_tokens[e.doc_id])
                                                    for e in run.entries]))
     report = ordering_experiment(models, items, qrels, seed=cfg.seed)

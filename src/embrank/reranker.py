@@ -35,9 +35,9 @@ class RerankInput:
 
 @dataclass
 class RerankOutput:
-    fused: list[Tensor]          # r_i, each [d]
+    fused: Tensor                # [n, d], row i is r_i
     h_eos: Tensor
-    score_tensors: list[Tensor]  # graph-connected scalars, for training
+    score_tensor: Tensor         # [n] graph-connected scores, for training
     scores: list[float]
     permutation: list[int]       # doc indices by descending score, ties -> earlier input
 
@@ -117,27 +117,25 @@ class RerankerModel:
         """Causal forward pass; returns the final-layer hidden state per position."""
         return self.transformer.forward_embedded(rerank_input.x)
 
-    def score(self, h_eos: Tensor, fused: list[Tensor]) -> tuple[list[float], list[Tensor], list[int]]:
-        """Cosine of the EOS aggregation state against each fused representation.
+    def score(self, h_eos: Tensor, fused: Tensor) -> tuple[list[float], Tensor, list[int]]:
+        """Cosine of the EOS aggregation state against each fused row of ``fused`` [n, d].
 
         The permutation is a stable descending argsort: score ties resolve to
         the earlier input position.
         """
-        score_tensors = [ad.cosine_sim(h_eos, r) for r in fused]
-        scores = [t.item() for t in score_tensors]
-        permutation = [int(i) for i in np.argsort(-np.asarray(scores), kind="stable")]
-        return scores, score_tensors, permutation
+        score_tensor = ad.cosine_rows(h_eos, fused)
+        permutation = [int(i) for i in np.argsort(-score_tensor.data, kind="stable")]
+        return score_tensor.data.tolist(), score_tensor, permutation
 
     def forward(self, instruction_ids, query_ids, embeddings) -> RerankOutput:
         rin = self.assemble_input(instruction_ids, query_ids, embeddings)
         hidden = self.contextualize(rin)
         h_eos = ad.pick(hidden, rin.eos_position)
-        fused = [fuse_residual(ad.pick(hidden, p), e,
-                               residual=self.residual_enabled,
-                               hidden_state=self.hidden_state_enabled)
-                 for p, e in zip(rin.passage_positions, embeddings)]
-        scores, score_tensors, permutation = self.score(h_eos, fused)
-        return RerankOutput(fused=fused, h_eos=h_eos, score_tensors=score_tensors,
+        fused = fuse_residual(ad.take_rows(hidden, rin.passage_positions), ad.stack(embeddings),
+                              residual=self.residual_enabled,
+                              hidden_state=self.hidden_state_enabled)
+        scores, score_tensor, permutation = self.score(h_eos, fused)
+        return RerankOutput(fused=fused, h_eos=h_eos, score_tensor=score_tensor,
                             scores=scores, permutation=permutation)
 
 
@@ -190,7 +188,7 @@ def rerank_detailed(query_ids, documents, models: ModelPair, *,
                     query_id: str = "q0", tag: str = "embrank",
                     counter: TokenCounter | None = None,
                     count_candidates: bool = True) -> RerankResult:
-    """Encode, assemble, contextualize, fuse and score one candidate list.
+    """Single-pass listwise rerank of one candidate list; ``.run`` is the ordered run.
 
     ``documents`` is a list of (doc_id, token_ids). Exactly two forward passes
     happen per candidate set: the encoder over each passage and the reranker
@@ -211,10 +209,3 @@ def rerank_detailed(query_ids, documents, models: ModelPair, *,
     run = RunList(query_id=query_id, entries=entries, tag=tag, counters=counter)
     return RerankResult(run=run, output=output, embeddings=embeddings)
 
-
-def rerank(query_ids, documents, models: ModelPair, *,
-           query_id: str = "q0", tag: str = "embrank",
-           counter: TokenCounter | None = None) -> RunList:
-    """Single-pass listwise rerank; returns the ordered run with counters attached."""
-    return rerank_detailed(query_ids, documents, models, query_id=query_id,
-                           tag=tag, counter=counter).run

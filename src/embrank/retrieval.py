@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import autodiff as ad
 from .data import Document
 from .errors import ConfigError, DataFormatError, DegenerateInputError, ShapeError
 from .reranker import ModelPair, rerank_detailed
@@ -123,10 +124,6 @@ class InvertedIndex:
         return index
 
 
-def bm25_search(index: InvertedIndex, query_tokens, k: int, query_id: str = "q0") -> RunList:
-    return index.search(query_tokens, k, query_id=query_id)
-
-
 @dataclass
 class DenseIndex:
     """Exact full-scan index of passage embeddings from a specific encoder state."""
@@ -148,18 +145,14 @@ class DenseIndex:
                              "encoder_checkpoint_id": encoder_checkpoint_id})
 
     def search(self, query_embedding: np.ndarray, k: int, query_id: str = "q0") -> RunList:
-        """Cosine similarity against every row; ties break by doc id ascending."""
+        """Cosine similarity against every row; ties break by doc id ascending.
+        A zero-norm query or row (from a damaged file) raises ``DegenerateInputError``."""
         if len(self.doc_ids) == 0:
             raise DegenerateInputError("dense index is empty")
         if k < 1:
             raise ConfigError("dense search: k must be >= 1")
-        q = np.asarray(query_embedding, dtype=self.matrix.dtype).reshape(-1)
-        qnorm = float(np.linalg.norm(q))
-        if qnorm == 0.0:
-            raise DegenerateInputError("dense search: query embedding has zero norm")
-        # per-row dots: the full scan is the definition, kept reproducible bitwise
-        scored = {doc_id: float(np.dot(q, row) / (qnorm * np.linalg.norm(row)))
-                  for doc_id, row in zip(self.doc_ids, self.matrix)}
+        sims = ad.cosine_rows(ad.tensor(np.reshape(query_embedding, -1)), ad.tensor(self.matrix))
+        scored = dict(zip(self.doc_ids, sims.data.tolist()))
         return RunList(query_id=query_id, entries=sorted_entries(scored)[:k], tag="dense")
 
     def save(self, path) -> None:
@@ -174,10 +167,6 @@ class DenseIndex:
             raise DataFormatError(f"{path}: not a dense index file")
         return cls(matrix=arrays["matrix"], doc_ids=list(meta["doc_ids"]),
                    metadata=meta.get("metadata", {}))
-
-
-def dense_search(index: DenseIndex, query_embedding, k: int, query_id: str = "q0") -> RunList:
-    return index.search(query_embedding, k, query_id=query_id)
 
 
 def rrf_fuse(run_a: RunList, run_b: RunList, k_const: int = RRF_K_DEFAULT) -> RunList:
@@ -269,14 +258,14 @@ def end_to_end(query_text: str, models: ModelPair, doc_tokens: dict[str, list[in
     query_tokens = models.vocab.encode(query_text)
 
     if mode == "bm25":
-        first = bm25_search(bm25_index, query_tokens, k, query_id=query_id)
+        first = bm25_index.search(query_tokens, k, query_id=query_id)
     elif mode == "dense":
         q_emb = models.encoder.encode_query(query_tokens).data
-        first = dense_search(dense_index, q_emb, k, query_id=query_id)
+        first = dense_index.search(q_emb, k, query_id=query_id)
     else:
-        bm25_run = bm25_search(bm25_index, query_tokens, k, query_id=query_id)
+        bm25_run = bm25_index.search(query_tokens, k, query_id=query_id)
         q_emb = models.encoder.encode_query(query_tokens).data
-        dense_run = dense_search(dense_index, q_emb, k, query_id=query_id)
+        dense_run = dense_index.search(q_emb, k, query_id=query_id)
         fused = rrf_fuse(bm25_run, dense_run, rrf_k)
         first = RunList(query_id=query_id, entries=fused.entries[:k], tag="rrf")
 

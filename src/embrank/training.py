@@ -88,9 +88,7 @@ def infonce_loss(query_embs, positive_embs, negative_embs, tau1: float = 0.05) -
     inv_tau = 1.0 / tau1
     total = None
     for q, pos, negs in zip(query_embs, positive_embs, negative_embs):
-        logits = [ad.mul(ad.cosine_sim(q, pos), inv_tau)]
-        logits.extend(ad.mul(ad.cosine_sim(q, neg), inv_tau) for neg in negs)
-        vec = ad.stack(logits)
+        vec = ad.mul(ad.cosine_rows(q, ad.stack([pos, *negs])), inv_tau)
         term = ad.sub(ad.logsumexp(vec), ad.pick(vec, 0))
         total = term if total is None else ad.add(total, term)
     return ad.mul(total, 1.0 / n)
@@ -99,23 +97,20 @@ def infonce_loss(query_embs, positive_embs, negative_embs, tau1: float = 0.05) -
 def ranknet_loss(scores, rank_labels, tau2: float = 0.05) -> Tensor:
     """Pairwise logistic loss for one query: sum over label-ordered pairs
     (j ranked above k) of log(1 + exp((s_k - s_j)/tau)). Tied labels
-    contribute no pair."""
+    contribute no pair. ``scores`` is an [n] tensor or a sequence of floats."""
     if tau2 <= 0:
         raise ConfigError("ranknet_loss: tau2 must be positive")
-    if len(scores) != len(rank_labels):
+    s = _lift(scores)
+    labels = np.asarray(rank_labels)
+    if s.ndim != 1 or labels.shape != s.shape:
         raise ConfigError("ranknet_loss: scores and labels must align")
-    if len(scores) < 2:
+    if s.shape[0] < 2:
         raise DegenerateInputError("ranknet_loss: need at least two candidates")
-    pairs = [(j, k)
-             for j in range(len(scores))
-             for k in range(len(scores))
-             if rank_labels[j] < rank_labels[k]]
-    if not pairs:
+    j, k = np.nonzero(labels[:, None] < labels[None, :])
+    if not j.size:
         raise DegenerateInputError("ranknet_loss: no strictly ordered pair under these labels")
-    ts = [_lift(s) for s in scores]
-    inv_tau = 1.0 / tau2
-    diffs = [ad.mul(ad.sub(ts[k], ts[j]), inv_tau) for j, k in pairs]
-    return ad.sum_all(ad.softplus(ad.stack(diffs)))
+    diffs = ad.mul(ad.sub(ad.take_rows(s, k), ad.take_rows(s, j)), 1.0 / tau2)
+    return ad.sum_all(ad.softplus(diffs))
 
 
 def combined_loss(infonce: Tensor, ranknet: Tensor, lam: float = 0.1) -> Tensor:
@@ -146,11 +141,7 @@ class Adam:
 
     def clip_gradients(self) -> float:
         """Scale all gradients so their global norm is at most clip_norm; returns the pre-clip norm."""
-        total = 0.0
-        for t in self.params.values():
-            if t.grad is not None:
-                total += float((t.grad * t.grad).sum())
-        norm = float(np.sqrt(total))
+        norm = ad.global_grad_norm(self.params.values())
         limit = self.config.clip_norm
         if limit > 0 and norm > limit:
             factor = limit / norm
@@ -219,7 +210,7 @@ def _sample_forward(models: ModelPair, sample: RankingSample, doc_tokens, loss_c
     positive = embeddings[sample.positive_index]
     negatives = [embeddings[i] for i in sample.negative_indices]
     labels = [c.rank_label for c in sample.candidates]
-    return query_emb, positive, negatives, output.score_tensors, labels
+    return query_emb, positive, negatives, output.score_tensor, labels
 
 
 def train_step(models: ModelPair, batch: list[RankingSample], doc_tokens,
@@ -228,12 +219,12 @@ def train_step(models: ModelPair, batch: list[RankingSample], doc_tokens,
     optimizer.zero_grad()
     q_embs, pos_embs, neg_embs, ranknet_terms = [], [], [], []
     for sample in batch:
-        q, pos, negs, score_tensors, labels = _sample_forward(
+        q, pos, negs, score_tensor, labels = _sample_forward(
             models, sample, doc_tokens, loss_cfg)
         q_embs.append(q)
         pos_embs.append(pos)
         neg_embs.append(negs)
-        ranknet_terms.append(ranknet_loss(score_tensors, labels, loss_cfg.tau2))
+        ranknet_terms.append(ranknet_loss(score_tensor, labels, loss_cfg.tau2))
     infonce = infonce_loss(q_embs, pos_embs, neg_embs, loss_cfg.tau1)
     ranknet_total = ranknet_terms[0]
     for term in ranknet_terms[1:]:
@@ -308,6 +299,17 @@ def train_stage(models: ModelPair, samples: list[RankingSample], doc_tokens,
     return report
 
 
+def train_stages(models: ModelPair, stages, doc_tokens, optim: OptimConfig,
+                 loss_cfg: LossConfig, seed: int, report: TrainReport):
+    """Run (StageConfig, samples) pairs in order into an empty ``report``; stage i
+    is seeded with ``seed + i`` and continues the step count. Yields each stage
+    as it finishes, so a caller can checkpoint between stages."""
+    for i, (stage, samples) in enumerate(stages):
+        train_stage(models, samples, doc_tokens, stage, optim, loss_cfg,
+                    seed=seed + i, report=report, start_step=len(report.records))
+        yield stage
+
+
 def run_dual_stage(models: ModelPair, stage1_samples, stage2_samples, doc_tokens,
                    stage1: StageConfig, stage2: StageConfig,
                    optim: OptimConfig, loss_cfg: LossConfig, seed: int,
@@ -315,19 +317,15 @@ def run_dual_stage(models: ModelPair, stage1_samples, stage2_samples, doc_tokens
     """Stage 1 (coarse) then stage 2 (fine), same combined objective throughout.
 
     The skip flags implement the two stage-removal ablations; skipping both
-    leaves the models bit-identical to initialization.
+    leaves the models bit-identical to initialization. Stage 2 is seeded with
+    ``seed + 1`` whether or not stage 1 runs.
     """
+    first = int(skip_stage1)
+    plan = [(stage1, stage1_samples), (stage2, stage2_samples)][first:2 - int(skip_stage2)]
+    for n, (_, samples) in enumerate(plan, start=first + 1):
+        if samples is None:
+            raise ConfigError(f"run_dual_stage: stage {n} requested but no samples given")
     report = TrainReport()
-    step = 0
-    if not skip_stage1:
-        if stage1_samples is None:
-            raise ConfigError("run_dual_stage: stage 1 requested but no samples given")
-        report = train_stage(models, stage1_samples, doc_tokens, stage1, optim,
-                             loss_cfg, seed=seed, report=report, start_step=step)
-        step += report.stages[-1]["steps"]
-    if not skip_stage2:
-        if stage2_samples is None:
-            raise ConfigError("run_dual_stage: stage 2 requested but no samples given")
-        report = train_stage(models, stage2_samples, doc_tokens, stage2, optim,
-                             loss_cfg, seed=seed + 1, report=report, start_step=step)
+    for _ in train_stages(models, plan, doc_tokens, optim, loss_cfg, seed + first, report):
+        pass
     return report

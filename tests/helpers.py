@@ -233,16 +233,24 @@ def op_gradcheck_cases(ad):
         a, b = ad.param(rng.normal(size=5)), ad.param(rng.normal(size=5))
         return lambda: ad.dot(a, b), {"a": a, "b": b}
 
-    def make_cosine_sim(rng):
-        a = ad.param(rng.normal(size=5) + np.sign(rng.normal()) * 0.5)
-        b = ad.param(rng.normal(size=5) + np.sign(rng.normal()) * 0.5)
-        return lambda: ad.cosine_sim(a, b), {"a": a, "b": b}
+    def make_cosine_rows(rng):
+        n = int(rng.integers(3, 6))
+        v = ad.param(rng.normal(size=5) + np.sign(rng.normal()) * 0.5)
+        m = ad.param(rng.normal(size=(n, 5)) + np.sign(rng.normal(size=(n, 1))) * 0.5)
+        red = _reducer(ad, (n,), rng)
+        return lambda: red(ad.cosine_rows(v, m)), {"v": v, "m": m}
 
     def make_take_rows(rng):
         table = ad.param(rng.normal(size=(6, 3)))
         idx = rng.integers(0, 6, size=5)  # repeats exercise scatter-add
         red = _reducer(ad, (5, 3), rng)
         return lambda: red(ad.take_rows(table, idx)), {"table": table}
+
+    def make_take_rows_vector(rng):
+        vec = ad.param(rng.normal(size=6))
+        idx = rng.integers(0, 6, size=5)
+        red = _reducer(ad, (5,), rng)
+        return lambda: red(ad.take_rows(vec, idx)), {"vec": vec}
 
     def make_pick(rng):
         a = ad.param(rng.normal(size=(4, 3)))
@@ -303,7 +311,8 @@ def op_gradcheck_cases(ad):
     makers = (make_add_same, make_add_scalar, make_add_row_bias, make_sub, make_mul,
               make_mul_scalar, make_div, make_neg, make_sqrt, make_exp, make_log,
               make_silu, make_softplus, make_sum, make_mean, make_matmul,
-              make_transpose, make_dot, make_cosine_sim, make_take_rows, make_pick,
+              make_transpose, make_dot, make_cosine_rows, make_take_rows,
+              make_take_rows_vector, make_pick,
               make_cols, make_concat_rows, make_concat_cols, make_stack,
               make_softmax_rows, make_logsumexp, make_rms_norm, make_causal_attention)
     return [(fn.__name__.removeprefix("make_"), fn) for fn in makers]

@@ -21,7 +21,7 @@ from embrank.evaluation import (EvalItem, efficiency_report, evaluate_reranker,
                                 mean_ndcg, ndcg_at_k)
 from embrank.gradcheck import finite_diff_check_many
 from embrank.reranker import build_model_pair, rerank_detailed
-from embrank.retrieval import InvertedIndex, bm25_search, rrf_fuse
+from embrank.retrieval import InvertedIndex, rrf_fuse
 from embrank.runs import RunEntry, RunList
 from embrank.synthetic import generate_synthetic
 from embrank.training import (Adam, LossConfig, OptimConfig, StageConfig,
@@ -63,7 +63,7 @@ def test_criterion_1_gradient_suite():
         q = models.encoder.encode_query(query_ids)
         out = models.reranker.forward(vocab.instruction_ids(), query_ids, embs)
         inf = infonce_loss([q], [embs[0]], [[embs[1], embs[2]]], 0.05)
-        rk = ranknet_loss(out.score_tensors, [0, 1, 2], 0.05)
+        rk = ranknet_loss(out.score_tensor, [0, 1, 2], 0.05)
         return combined_loss(inf, rk, 0.1)
 
     named = {f"enc.{k}": t for k, t in models.encoder.parameters().items()}
@@ -100,7 +100,7 @@ def test_criterion_2_loss_closed_forms():
         q = models.encoder.encode_query(query)
         out = models.reranker.forward(vocab.instruction_ids(), query, embs)
         inf = infonce_loss([q], [embs[0]], [[embs[1], embs[2]]], 0.05)
-        rk = ranknet_loss(out.score_tensors, [0, 1, 2], 0.05)
+        rk = ranknet_loss(out.score_tensor, [0, 1, 2], 0.05)
         return inf, rk
 
     params = _trainable_params(models)
@@ -211,7 +211,7 @@ def test_criterion_5_synthetic_end_to_end_gain():
     index = InvertedIndex.build(ds.documents)
     items, bm25_runs = [], []
     for q in ds.eval_queries:
-        run = bm25_search(index, ds.vocab.encode(q.text), 100, query_id=q.query_id)
+        run = index.search(ds.vocab.encode(q.text), 100, query_id=q.query_id)
         bm25_runs.append(run)
         items.append(EvalItem(query=q, candidates=[
             (e.doc_id, doc_tokens[e.doc_id]) for e in run.entries]))
@@ -239,7 +239,7 @@ def test_criterion_6_structural_ablations(small_dataset, small_doc_tokens):
     q = ds.eval_queries[0]
     qt = ds.vocab.encode(q.text)
     cands = [(e.doc_id, small_doc_tokens[e.doc_id])
-             for e in bm25_search(index, qt, 12, query_id=q.query_id).entries]
+             for e in index.search(qt, 12, query_id=q.query_id).entries]
 
     # W/O Hidden State: score_i == cosine(h_eos, e_i), recomputed externally
     m1 = build_model_pair(ds.vocab, seed=600, d_model=16, n_layers=1, n_heads=2,

@@ -100,34 +100,76 @@ class TestRmsNorm:
             ad.rms_norm(ad.tensor([1.0]), ad.tensor([1.0]), -1e-9)
 
 
+def cos(v, m):
+    """Cosine of a vector against each row of a matrix, as a one-row tensor op."""
+    return ad.cosine_rows(ad.tensor(v), ad.tensor(np.atleast_2d(m))).data
+
+
 class TestCosineSim:
+    """Cosine similarity, computed by ``cosine_rows``."""
+
     def test_self_similarity_is_one(self):
         rng = np.random.default_rng(5)
         for _ in range(10):
-            v = ad.tensor(rng.normal(size=6))
-            assert ad.cosine_sim(v, v).item() == pytest.approx(1.0, abs=1e-12)
+            v = rng.normal(size=6)
+            assert cos(v, v)[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_orthogonal_is_zero(self):
-        assert ad.cosine_sim(ad.tensor([1.0, 0.0]), ad.tensor([0.0, 1.0])).item() == 0.0
+        assert cos([1.0, 0.0], [0.0, 1.0])[0] == 0.0
 
     def test_closed_form_diagonal(self):
-        out = ad.cosine_sim(ad.tensor([1.0, 0.0]), ad.tensor([1.0, 1.0]))
-        assert out.item() == pytest.approx(1.0 / math.sqrt(2.0), abs=1e-15)
+        assert cos([1.0, 0.0], [1.0, 1.0])[0] == pytest.approx(1.0 / math.sqrt(2.0), abs=1e-15)
 
     def test_scale_invariance(self):
         rng = np.random.default_rng(6)
         a = rng.normal(size=5)
         b = rng.normal(size=5)
-        base = ad.cosine_sim(ad.tensor(a), ad.tensor(b)).item()
+        base = cos(a, b)[0]
         for alpha, beta in [(2.0, 3.0), (0.125, 8.0), (1e3, 1e-3)]:
-            scaled = ad.cosine_sim(ad.tensor(alpha * a), ad.tensor(beta * b)).item()
+            scaled = cos(alpha * a, beta * b)[0]
             assert scaled == pytest.approx(base, abs=1e-12)
 
     def test_zero_norm_raises(self):
         with pytest.raises(DegenerateInputError):
-            ad.cosine_sim(ad.tensor([0.0, 0.0]), ad.tensor([1.0, 0.0]))
+            cos([0.0, 0.0], [1.0, 0.0])
         with pytest.raises(DegenerateInputError):
-            ad.cosine_sim(ad.tensor([1.0, 0.0]), ad.tensor([0.0, 0.0]))
+            cos([1.0, 0.0], [0.0, 0.0])
+
+    def test_zero_norm_error_names_the_row(self):
+        with pytest.raises(DegenerateInputError, match="row 1"):
+            cos([1.0, 0.0], [[1.0, 1.0], [0.0, 0.0], [2.0, 0.0]])
+
+    def test_shape_mismatch_rejected(self):
+        with pytest.raises(ShapeError):
+            cos([1.0, 0.0, 0.0], [[1.0, 0.0]])
+        with pytest.raises(ShapeError):
+            ad.cosine_rows(ad.tensor([1.0, 0.0]), ad.tensor([1.0, 0.0]))
+
+    @pytest.mark.parametrize("n", [1, 7, 100])
+    def test_bitwise_equal_to_per_row_formula(self, n):
+        rng = np.random.default_rng(n)
+        for d in (8, 16, 64):
+            v = rng.normal(size=d)
+            m = rng.normal(size=(n, d))
+            expected = [float(np.dot(v, r) / (np.sqrt(np.dot(v, v)) * np.sqrt(np.dot(r, r))))
+                        for r in m]
+            assert cos(v, m).tolist() == expected
+
+    def test_backward_matches_composed_reference_graph(self):
+        rng = np.random.default_rng(7)
+        v_data, m_data, g = rng.normal(size=5), rng.normal(size=(4, 5)), rng.normal(size=4)
+        v, m = ad.param(v_data), ad.param(m_data)
+        backward(ad.sum_all(ad.mul(ad.cosine_rows(v, m), ad.tensor(g))))
+
+        rv, rows = ad.param(v_data), [ad.param(r) for r in m_data]
+        total = None
+        for gi, r in zip(g, rows):
+            c = ad.div(ad.dot(rv, r), ad.mul(ad.sqrt(ad.dot(rv, rv)), ad.sqrt(ad.dot(r, r))))
+            term = ad.mul(c, float(gi))
+            total = term if total is None else ad.add(total, term)
+        backward(total)
+        np.testing.assert_allclose(v.grad, rv.grad, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(m.grad, np.stack([r.grad for r in rows]), rtol=0, atol=1e-12)
 
 
 class TestBackward:
@@ -138,7 +180,7 @@ class TestBackward:
 
     def test_cosine_self_gradient_is_zero(self):
         x = ad.param([0.3, -1.2, 2.0])
-        backward(ad.cosine_sim(x, x))
+        backward(ad.sum_all(ad.cosine_rows(x, ad.stack([x]))))
         np.testing.assert_allclose(x.grad, np.zeros(3), atol=1e-12)
 
     def test_fanout_gradients_add(self):
@@ -234,6 +276,13 @@ class TestGatherConcatStack:
         out = ad.take_rows(table, [1, 1, 0])
         backward(ad.sum_all(out))
         np.testing.assert_array_equal(table.grad, [[1, 1], [2, 2], [0, 0]])
+
+    def test_take_rows_gathers_vector_elements(self):
+        vec = ad.param([1.0, 2.0, 3.0])
+        out = ad.take_rows(vec, [2, 0, 2])
+        np.testing.assert_array_equal(out.data, [3.0, 1.0, 3.0])
+        backward(ad.sum_all(out))
+        np.testing.assert_array_equal(vec.grad, [1.0, 0.0, 2.0])
 
     def test_take_rows_out_of_range(self):
         with pytest.raises(ShapeError):

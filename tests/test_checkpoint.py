@@ -5,7 +5,7 @@ import pytest
 
 from embrank.checkpoint import load_checkpoint, parameter_checksum, save_checkpoint
 from embrank.errors import DataFormatError
-from embrank.reranker import build_model_pair, rerank
+from embrank.reranker import build_model_pair, rerank_detailed
 from embrank.serialization import (read_record_file, sha256_arrays, sha256_file,
                                    write_record_file)
 
@@ -55,8 +55,8 @@ class TestCheckpoint:
         docs = [("d0", tiny_vocab.encode("alpha beta")),
                 ("d1", tiny_vocab.encode("epsilon zeta"))]
         q = tiny_vocab.encode("alpha")
-        original = rerank(q, docs, tiny_models)
-        reloaded = rerank(q, docs, loaded)
+        original = rerank_detailed(q, docs, tiny_models).run
+        reloaded = rerank_detailed(q, docs, loaded).run
         assert [(e.doc_id, e.score) for e in original.entries] == \
                [(e.doc_id, e.score) for e in reloaded.entries]
 

@@ -6,8 +6,13 @@ import shutil
 
 import pytest
 
+from embrank.checkpoint import load_checkpoint, parameter_checksum
 from embrank.cli import main
+from embrank.config import load_config
+from embrank.data import load_corpus, load_samples
+from embrank.reranker import build_model_pair
 from embrank.runs import read_trec_run
+from embrank.training import run_dual_stage
 
 MICRO_CONFIG = {
     "seed": 3,
@@ -78,6 +83,32 @@ class TestTrain:
                      "--out", str(again)]) == 0
         assert sha(again / "checkpoints/final.ckpt") == sha(train / "checkpoints/final.ckpt")
         assert sha(again / "metrics.jsonl") == sha(train / "metrics.jsonl")
+
+    @pytest.mark.parametrize("n_stages", [2, 1])
+    def test_same_training_as_run_dual_stage(self, workdir, tmp_path, n_stages):
+        """train runs run_dual_stage's stage loop: same seeds, steps and weights;
+        a one-stage config trains stage 1 only."""
+        root, config, data, train, index = workdir
+        if n_stages == 1:
+            config = tmp_path / "one_stage.json"
+            config.write_text(json.dumps({**MICRO_CONFIG, "stages": MICRO_CONFIG["stages"][:1]}))
+            train = tmp_path / "train1"
+            assert main(["train", "--config", str(config), "--data", str(data),
+                         "--out", str(train)]) == 0
+            assert not (train / "checkpoints/stage2.ckpt").exists()
+        cfg = load_config(config)
+        docs, vocab = load_corpus(data / "corpus.jsonl")
+        models = build_model_pair(vocab, cfg.seed, **cfg.model.build_kwargs())
+        stage_cfgs = cfg.stage_configs()
+        report = run_dual_stage(models, load_samples(data / "stage1.jsonl"),
+                                load_samples(data / "stage2.jsonl"),
+                                {d.doc_id: d.tokens for d in docs},
+                                stage_cfgs[0], stage_cfgs[-1], cfg.optim, cfg.loss,
+                                seed=cfg.seed, skip_stage2=n_stages == 1)
+        final = load_checkpoint(train / "checkpoints/final.ckpt")
+        assert parameter_checksum(final) == parameter_checksum(models)
+        records = [json.loads(line) for line in (train / "metrics.jsonl").read_text().splitlines()]
+        assert records == json.loads(json.dumps(report.records))
 
 
 class TestEndToEndAndEvaluate:

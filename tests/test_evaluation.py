@@ -12,7 +12,7 @@ from embrank.evaluation import (ABLATION_VARIANTS, EvalItem, ablation_suite,
                                 format_ablation_table, mean_ndcg, ndcg_at_k,
                                 ordering_experiment, rerank_eval_set)
 from embrank.reranker import build_model_pair, rerank_detailed
-from embrank.retrieval import InvertedIndex, bm25_search
+from embrank.retrieval import InvertedIndex
 from embrank.runs import (RunEntry, RunList, TokenCounter, read_trec_run,
                           write_trec_run)
 from embrank.training import LossConfig, OptimConfig, StageConfig
@@ -181,8 +181,8 @@ def eval_setup(small_dataset, small_doc_tokens):
     index = InvertedIndex.build(small_dataset.documents)
     items = []
     for q in small_dataset.eval_queries:
-        run = bm25_search(index, small_dataset.vocab.encode(q.text), 20,
-                          query_id=q.query_id)
+        run = index.search(small_dataset.vocab.encode(q.text), 20,
+                           query_id=q.query_id)
         items.append(EvalItem(query=q, candidates=[
             (e.doc_id, small_doc_tokens[e.doc_id]) for e in run.entries]))
     return small_dataset, models, items

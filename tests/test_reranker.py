@@ -6,8 +6,7 @@ import pytest
 import embrank.autodiff as ad
 from embrank.autodiff import backward
 from embrank.errors import ConfigError, DegenerateInputError, ShapeError
-from embrank.reranker import (build_model_pair, fuse_residual, rerank,
-                              rerank_detailed)
+from embrank.reranker import build_model_pair, fuse_residual, rerank_detailed
 
 
 @pytest.fixture
@@ -113,8 +112,8 @@ class TestCausality:
             assert np.max(np.abs(h_eos - h_eos2)) > 0.0
 
     def test_single_candidate_runs_end_to_end(self, tiny_models, vocab):
-        run = rerank(vocab.encode("alpha"), docs_from(vocab, ["epsilon zeta"]),
-                     tiny_models)
+        run = rerank_detailed(vocab.encode("alpha"), docs_from(vocab, ["epsilon zeta"]),
+                              tiny_models).run
         assert run.doc_ids() == ["d0"]
 
 
@@ -158,21 +157,21 @@ class TestFuseResidual:
         h_p = ad.pick(hidden, rin.passage_positions[0]).detach()
         h_eos = ad.pick(hidden, rin.eos_position).detach()
         r = fuse_residual(h_p, e)
-        backward(ad.cosine_sim(h_eos, r))
+        backward(ad.sum_all(ad.cosine_rows(h_eos, ad.stack([r]))))
         assert e.grad is not None and np.any(e.grad != 0.0)
 
 
 class TestScore:
     def test_parallel_scores_one_and_ranks_first(self, tiny_models):
         h_eos = ad.tensor([1.0, 2.0, 3.0, 0.0])
-        fused = [ad.tensor([-3.0, 1.0, 0.0, 2.0]), ad.tensor([2.0, 4.0, 6.0, 0.0])]
+        fused = ad.tensor([[-3.0, 1.0, 0.0, 2.0], [2.0, 4.0, 6.0, 0.0]])
         scores, _, perm = tiny_models.reranker.score(h_eos, fused)
         assert scores[1] == pytest.approx(1.0, abs=1e-12)
         assert perm[0] == 1
 
     def test_antiparallel_scores_minus_one_and_ranks_last(self, tiny_models):
         h_eos = ad.tensor([1.0, 0.0])
-        fused = [ad.tensor([-1.0, 0.0]), ad.tensor([0.5, 0.5])]
+        fused = ad.tensor([[-1.0, 0.0], [0.5, 0.5]])
         scores, _, perm = tiny_models.reranker.score(h_eos, fused)
         assert scores[0] == pytest.approx(-1.0, abs=1e-12)
         assert perm[-1] == 0
@@ -180,51 +179,51 @@ class TestScore:
     def test_permutation_invariant_to_eos_rescaling(self, tiny_models):
         rng = np.random.default_rng(14)
         h = rng.normal(size=6)
-        fused = [ad.tensor(rng.normal(size=6)) for _ in range(5)]
+        fused = ad.tensor(rng.normal(size=(5, 6)))
         _, _, perm1 = tiny_models.reranker.score(ad.tensor(h), fused)
         _, _, perm5 = tiny_models.reranker.score(ad.tensor(5.0 * h), fused)
         assert perm1 == perm5
 
     def test_ties_break_by_input_position(self, tiny_models):
         h_eos = ad.tensor([1.0, 0.0])
-        same = [ad.tensor([2.0, 0.0]), ad.tensor([3.0, 0.0]), ad.tensor([0.0, 1.0])]
+        same = ad.tensor([[2.0, 0.0], [3.0, 0.0], [0.0, 1.0]])
         scores, _, perm = tiny_models.reranker.score(h_eos, same)
         assert scores[0] == scores[1] == pytest.approx(1.0, abs=1e-12)
         assert perm == [0, 1, 2]
 
     def test_zero_norm_fused_rejected(self, tiny_models):
         with pytest.raises(DegenerateInputError):
-            tiny_models.reranker.score(ad.tensor([1.0, 0.0]),
-                                       [ad.tensor([0.0, 0.0])])
+            tiny_models.reranker.score(ad.tensor([1.0, 0.0]), ad.tensor([[0.0, 0.0]]))
 
 
 class TestRerank:
     def test_counters_measure_single_pass(self, tiny_models, vocab):
         docs = docs_from(vocab, ["alpha beta", "epsilon zeta", "theta iota"])
-        run = rerank(vocab.encode("alpha"), docs, tiny_models)
+        run = rerank_detailed(vocab.encode("alpha"), docs, tiny_models).run
         assert run.counters.processed_passage_tokens == 3
         assert run.counters.candidates == 3
         assert run.counters.generated_tokens == 0
 
     def test_output_is_permutation_of_inputs(self, tiny_models, vocab):
         texts = ["alpha beta", "epsilon zeta", "theta", "beta delta", "gamma mu"]
-        run = rerank(vocab.encode("alpha beta"), docs_from(vocab, texts), tiny_models)
+        run = rerank_detailed(vocab.encode("alpha beta"), docs_from(vocab, texts),
+                              tiny_models).run
         assert sorted(run.doc_ids()) == [f"d{i}" for i in range(5)]
 
     def test_scores_sorted_descending_resort_is_noop(self, tiny_models, vocab):
         texts = ["alpha beta", "epsilon zeta", "theta iota kappa", "beta delta"]
-        run = rerank(vocab.encode("alpha"), docs_from(vocab, texts), tiny_models)
+        run = rerank_detailed(vocab.encode("alpha"), docs_from(vocab, texts), tiny_models).run
         resorted = sorted(run.entries, key=lambda e: -e.score)
         assert [e.doc_id for e in resorted] == run.doc_ids()
 
     def test_empty_documents_rejected(self, tiny_models, vocab):
         with pytest.raises(DegenerateInputError):
-            rerank(vocab.encode("alpha"), [], tiny_models)
+            rerank_detailed(vocab.encode("alpha"), [], tiny_models)
 
     def test_detailed_exposes_graph_tensors(self, tiny_models, vocab):
         docs = docs_from(vocab, ["alpha beta", "epsilon zeta"])
         result = rerank_detailed(vocab.encode("alpha"), docs, tiny_models)
-        assert len(result.output.score_tensors) == 2
+        assert result.output.score_tensor.shape == (2,)
         assert len(result.embeddings) == 2
         assert result.output.h_eos.shape == (tiny_models.reranker.config.d_model,)
 
@@ -236,5 +235,5 @@ class TestRerank:
         for _ in range(5):
             perm = rng.permutation(len(docs))
             shuffled = [docs[i] for i in perm]
-            run = rerank(vocab.encode("alpha"), shuffled, tiny_models)
+            run = rerank_detailed(vocab.encode("alpha"), shuffled, tiny_models).run
             assert sorted(run.doc_ids()) == sorted(d for d, _ in docs)

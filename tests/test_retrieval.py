@@ -7,8 +7,7 @@ import pytest
 
 from embrank.data import Document, Vocabulary
 from embrank.errors import ConfigError, DegenerateInputError, ShapeError
-from embrank.retrieval import (DenseIndex, InvertedIndex, bm25_search,
-                               dense_search, end_to_end, rrf_fuse,
+from embrank.retrieval import (DenseIndex, InvertedIndex, end_to_end, rrf_fuse,
                                sliding_window_rerank)
 from embrank.reranker import build_model_pair, rerank_detailed
 from embrank.runs import RunEntry, RunList
@@ -147,6 +146,20 @@ class TestDenseSearch:
         assert loaded.doc_ids == index.doc_ids
         assert loaded.metadata == index.metadata
 
+    def test_loaded_zero_row_rejected_not_ranked_nan(self, tmp_path):
+        index = self.make_index()
+        index.matrix[2] = 0.0  # DenseIndex.build refuses this; a file can still hold it
+        index.save(tmp_path / "dense.idx")
+        loaded = DenseIndex.load(tmp_path / "dense.idx")
+        with pytest.raises(DegenerateInputError, match="row 2"):
+            loaded.search(np.ones(8), k=6)
+
+    def test_loaded_index_rejects_wrong_length_query(self, tmp_path):
+        self.make_index().save(tmp_path / "dense.idx")
+        loaded = DenseIndex.load(tmp_path / "dense.idx")
+        with pytest.raises(ShapeError):
+            loaded.search(np.ones(7), k=2)
+
 
 def run_of(qid, doc_ids, start=100.0):
     return RunList(query_id=qid,
@@ -278,7 +291,7 @@ class TestEndToEnd:
         q = ds.eval_queries[0]
         result = end_to_end(q.text, models, doc_tokens, bm25, None, "bm25", k=30,
                             query_id=q.query_id)
-        manual_first = bm25_search(bm25, ds.vocab.encode(q.text), 30, query_id=q.query_id)
+        manual_first = bm25.search(ds.vocab.encode(q.text), 30, query_id=q.query_id)
         assert result.first_stage.doc_ids() == manual_first.doc_ids()
         manual_rerank = rerank_detailed(
             ds.vocab.encode(q.text),
@@ -297,8 +310,8 @@ class TestEndToEnd:
         ds, models, doc_tokens, bm25, dense = pipeline
         q = ds.eval_queries[2]
         qt = ds.vocab.encode(q.text)
-        bm25_ids = set(bm25_search(bm25, qt, 25).doc_ids())
-        dense_ids = set(dense_search(dense, models.encoder.encode_query(qt).data, 25).doc_ids())
+        bm25_ids = set(bm25.search(qt, 25).doc_ids())
+        dense_ids = set(dense.search(models.encoder.encode_query(qt).data, 25).doc_ids())
         result = end_to_end(q.text, models, doc_tokens, bm25, dense, "rrf", k=25,
                             query_id=q.query_id)
         assert set(result.first_stage.doc_ids()) <= (bm25_ids | dense_ids)

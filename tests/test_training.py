@@ -148,7 +148,7 @@ class TestCombined:
             q = tiny_models.encoder.encode_query(query)
             out = tiny_models.reranker.forward(tiny_models.instruction_ids(), query, embs)
             inf = infonce_loss([q], [embs[0]], [[embs[1], embs[2]]], 0.05)
-            rk = ranknet_loss(out.score_tensors, [0, 1, 2], 0.05)
+            rk = ranknet_loss(out.score_tensor, [0, 1, 2], 0.05)
             return inf, rk
 
         params = _trainable_params(tiny_models)
@@ -266,7 +266,7 @@ class TestTrainingLoops:
         query = vocab.encode("alpha")
         embs = tiny_models.encoder.batch_encode(docs)
         out = tiny_models.reranker.forward(tiny_models.instruction_ids(), query, embs)
-        backward(ranknet_loss(out.score_tensors, [0, 1, 2], 0.05))
+        backward(ranknet_loss(out.score_tensor, [0, 1, 2], 0.05))
         grads = [t.grad for t in tiny_models.encoder.parameters().values()]
         assert any(g is not None and np.any(g != 0.0) for g in grads)
 
