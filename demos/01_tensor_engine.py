@@ -37,9 +37,10 @@ print(f"cos(3a, rows) = {np.array2string(ad.cosine_rows(ad.mul(a, 3.0), rows).da
       " (same)")
 
 print("\n== finite-difference audit ==")
+mix = ad.tensor(rng.normal(size=(3, 4)))  # fixed weights, so the attention sum is not constant
 reports = [
-    finite_diff_check(lambda t: ad.sum_all(ad.softmax_rows(t)), ad.param(rng.normal(size=(2, 5))),
-                      name="softmax_rows"),
+    finite_diff_check(lambda t: ad.sum_all(ad.mul(ad.causal_attention(t, t, t, n_heads=2), mix)),
+                      ad.param(rng.normal(size=(3, 4))), name="causal_attention"),
     finite_diff_check(lambda t: ad.sum_all(ad.cosine_rows(t, rows)), a, name="cosine_rows"),
     finite_diff_check(lambda t: ad.sum_all(ad.rms_norm(t, ad.tensor(np.ones(4)), 1e-6)),
                       ad.param(rng.normal(size=(3, 4))), name="rms_norm"),

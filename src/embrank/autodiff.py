@@ -16,6 +16,7 @@ Conventions:
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -428,22 +429,6 @@ def pick(a: Tensor, i: int) -> Tensor:
     return _result(np.asarray(a.data[i]), "pick", (a,), bw)
 
 
-def cols(a: Tensor, start: int, stop: int) -> Tensor:
-    """Contiguous column slice of a matrix (used to split attention heads)."""
-    a = _as_tensor(a)
-    if a.ndim != 2:
-        raise ShapeError(f"cols: expected 2-D operand, got {a.shape}")
-    if not 0 <= start < stop <= a.shape[1]:
-        raise ShapeError(f"cols: invalid slice [{start}:{stop}] for width {a.shape[1]}")
-
-    def bw(g):
-        if a.requires_grad:
-            if a.grad is None:
-                a.grad = np.zeros_like(a.data)
-            a.grad[:, start:stop] += g
-    return _result(a.data[:, start:stop].copy(), "cols", (a,), bw)
-
-
 def concat_rows(tensors: Sequence[Tensor]) -> Tensor:
     """Concatenate 2-D blocks along the sequence (row) axis."""
     ts = [_as_tensor(t) for t in tensors]
@@ -463,25 +448,6 @@ def concat_rows(tensors: Sequence[Tensor]) -> Tensor:
     return _result(np.concatenate([t.data for t in ts], axis=0), "concat_rows", tuple(ts), bw)
 
 
-def concat_cols(tensors: Sequence[Tensor]) -> Tensor:
-    """Concatenate 2-D blocks along the feature (column) axis."""
-    ts = [_as_tensor(t) for t in tensors]
-    if not ts:
-        raise ShapeError("concat_cols: need at least one tensor")
-    height = ts[0].shape[0] if ts[0].ndim == 2 else None
-    for t in ts:
-        if t.ndim != 2 or t.shape[0] != height:
-            raise ShapeError(f"concat_cols: blocks must be 2-D with equal height, got {[t.shape for t in ts]}")
-    widths = [t.shape[1] for t in ts]
-
-    def bw(g):
-        offset = 0
-        for t, w in zip(ts, widths):
-            _accumulate(t, g[:, offset:offset + w])
-            offset += w
-    return _result(np.concatenate([t.data for t in ts], axis=1), "concat_cols", tuple(ts), bw)
-
-
 def stack(tensors: Sequence[Tensor]) -> Tensor:
     """Stack same-shaped tensors along a new leading axis (scalars become a vector)."""
     ts = [_as_tensor(t) for t in tensors]
@@ -499,23 +465,57 @@ def stack(tensors: Sequence[Tensor]) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# normalization and softmax-family ops
+# attention, normalization and softmax-family ops
 # ---------------------------------------------------------------------------
 
-def softmax_rows(x: Tensor) -> Tensor:
-    """Row-wise softmax of a matrix, stabilized by row-max subtraction."""
-    x = _as_tensor(x)
-    if x.ndim != 2:
-        raise ShapeError(f"softmax_rows: expected 2-D operand, got {x.shape}")
-    if _strict_finite and np.isnan(x.data).any():
-        raise NumericError("softmax_rows received NaN input")
-    shifted = x.data - x.data.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    y = e / e.sum(axis=1, keepdims=True)
+MASK_VALUE = -1e9
+
+
+def causal_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int) -> Tensor:
+    """Multi-head causal self-attention over [T, d] query/key/value projections.
+
+    Head h owns columns [h*hd, (h+1)*hd) with hd = d / n_heads and computes
+    softmax(q_h k_hᵀ / sqrt(hd) + M) v_h; the heads come back side by side as
+    [T, d]. The causal mask M is additive: ``MASK_VALUE`` (-1e9) on the
+    strictly-upper triangle, 0 elsewhere, and the row softmax subtracts the
+    row max first. In double precision the masked weights underflow to exactly
+    zero, so output row i is bitwise independent of every position after i.
+
+    Forward and backward equal the per-head 2-D composition (column slices,
+    matmul, scale, mask, row softmax, matmul, concatenation) bit for bit. That
+    holds because the heads are contiguous [H, T, hd] copies of q and v and a
+    contiguous [H, hd, T] copy of kᵀ, the same arrays the 2-D slices make, and
+    because the backward multiplies by transposed views of those copies, as
+    ``matmul``'s backward does. Strided views in place of the copies round
+    differently in BLAS.
+    """
+    q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
+    if q.ndim != 2 or k.shape != q.shape or v.shape != q.shape:
+        raise ShapeError(f"causal_attention: expected equal [T, d] q, k and v, "
+                         f"got {q.shape}, {k.shape} and {v.shape}")
+    t, d = q.shape
+    if n_heads < 1 or d % n_heads:
+        raise ShapeError(f"causal_attention: width {d} not divisible by n_heads={n_heads}")
+    hd = d // n_heads
+    scale = 1.0 / math.sqrt(hd)
+    qh = q.data.reshape(t, n_heads, hd).transpose(1, 0, 2).copy()
+    kt = k.data.reshape(t, n_heads, hd).transpose(1, 2, 0).copy()
+    vh = v.data.reshape(t, n_heads, hd).transpose(1, 0, 2).copy()
+    logits = np.matmul(qh, kt) * scale + np.triu(np.full((t, t), MASK_VALUE, q.data.dtype), k=1)
+    e = np.exp(logits - logits.max(axis=2, keepdims=True))
+    w = e / e.sum(axis=2, keepdims=True)
+
+    def merge(x):  # [H, T, hd] -> [T, d]
+        return x.transpose(1, 0, 2).reshape(t, d)
 
     def bw(g):
-        _accumulate(x, y * (g - (g * y).sum(axis=1, keepdims=True)))
-    return _result(y, "softmax_rows", (x,), bw)
+        gh = g.reshape(t, n_heads, hd).transpose(1, 0, 2)
+        gw = np.matmul(gh, vh.transpose(0, 2, 1))
+        gl = w * (gw - (gw * w).sum(axis=2, keepdims=True)) * scale
+        _accumulate(q, merge(np.matmul(gl, kt.transpose(0, 2, 1))))
+        _accumulate(k, merge(np.matmul(qh.transpose(0, 2, 1), gl).transpose(0, 2, 1)))
+        _accumulate(v, merge(np.matmul(w.transpose(0, 2, 1), gh)))
+    return _result(merge(np.matmul(w, vh)), "causal_attention", (q, k, v), bw)
 
 
 def logsumexp(x: Tensor) -> Tensor:

@@ -46,13 +46,21 @@ def save_checkpoint(path, models: ModelPair, extra_meta: dict | None = None) -> 
     write_record_file(path, meta, arrays)
 
 
+def _model_config(path, meta: dict, key: str) -> ModelConfig:
+    try:
+        return ModelConfig(**meta[key])
+    except (KeyError, TypeError) as exc:
+        raise DataFormatError(f"{path}: checkpoint {key} is missing or has an unknown "
+                              f"or missing field: {exc}") from None
+
+
 def load_checkpoint(path) -> ModelPair:
     meta, arrays = read_record_file(path)
     if meta.get("kind") != CHECKPOINT_KIND:
         raise DataFormatError(f"{path}: not a model checkpoint")
     vocab = Vocabulary(meta["vocab"])
-    enc_cfg = ModelConfig(**meta["encoder_config"])
-    rer_cfg = ModelConfig(**meta["reranker_config"])
+    enc_cfg = _model_config(path, meta, "encoder_config")
+    rer_cfg = _model_config(path, meta, "reranker_config")
     rng = np.random.default_rng(0)  # placeholder weights, overwritten below
     encoder = EncoderModel(enc_cfg, rng, normalize_output=meta["normalize_embeddings"])
     reranker = RerankerModel(rer_cfg, rng, eos_id=meta["eos_id"],

@@ -83,6 +83,38 @@ def _load_candidate_lists(run_path: Path, doc_tokens: dict, k: int) -> dict[str,
     return lists
 
 
+def _load_model_and_corpus(args):
+    """The ``--checkpoint`` model pair, the ``--corpus`` documents tokenized with
+    its vocabulary, and their tokens by doc id."""
+    models = load_checkpoint(_path(args.checkpoint))
+    docs, _ = load_corpus(_path(args.corpus), vocab=models.vocab)
+    return models, docs, {d.doc_id: d.tokens for d in docs}
+
+
+def _bm25_eval_items(cfg: ExperimentConfig, docs, doc_tokens: dict, vocab,
+                     queries) -> list[EvalItem]:
+    """Each query with its BM25 top-k candidates from an index over ``docs``."""
+    index = InvertedIndex.build(docs, k1=cfg.retrieval.k1, b=cfg.retrieval.b)
+    items = []
+    for q in queries:
+        run = index.search(vocab.encode(q.text), cfg.retrieval.top_k, query_id=q.query_id)
+        items.append(EvalItem(query=q, candidates=[(e.doc_id, doc_tokens[e.doc_id])
+                                                   for e in run.entries]))
+    return items
+
+
+def _check_dense_provenance(dense: DenseIndex, args, models) -> None:
+    """Refuse a dense index recorded as built from another checkpoint or corpus.
+    An index built through the library without ids records empty values."""
+    actual = {"encoder_checkpoint_id": ("--checkpoint", parameter_checksum(models)),
+              "corpus_checksum": ("--corpus", sha256_file(_path(args.corpus)))}
+    for key, (flag, value) in actual.items():
+        recorded = dense.metadata.get(key, "")
+        if recorded and recorded != value:
+            raise ConfigError(f"{args.dense_index}: dense index {key} is {recorded}, "
+                              f"but {flag} gives {value}")
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -164,9 +196,7 @@ def cmd_train(args) -> int:
 def cmd_rerank(args) -> int:
     cfg = _effective_config(args)
     out = _outdir(args.out)
-    models = load_checkpoint(_path(args.checkpoint))
-    docs, _ = load_corpus(_path(args.corpus), vocab=models.vocab)
-    doc_tokens = {d.doc_id: d.tokens for d in docs}
+    models, _, doc_tokens = _load_model_and_corpus(args)
     queries = {q.query_id: q for q in load_queries(_path(args.queries))}
     lists = _load_candidate_lists(_path(args.candidates), doc_tokens, cfg.retrieval.top_k)
 
@@ -220,12 +250,12 @@ def cmd_evaluate(args) -> int:
 def cmd_end_to_end(args) -> int:
     cfg = _effective_config(args)
     out = _outdir(args.out)
-    models = load_checkpoint(_path(args.checkpoint))
-    docs, _ = load_corpus(_path(args.corpus), vocab=models.vocab)
-    doc_tokens = {d.doc_id: d.tokens for d in docs}
+    models, _, doc_tokens = _load_model_and_corpus(args)
     queries = load_queries(_path(args.queries))
     bm25 = InvertedIndex.load(_path(args.bm25_index))
     dense = DenseIndex.load(_path(args.dense_index)) if args.dense_index else None
+    if dense is not None:
+        _check_dense_provenance(dense, args, models)
 
     first_runs, reranked_runs = [], []
     for q in queries:
@@ -265,12 +295,7 @@ def cmd_ablate(args) -> int:
     qrels = load_qrels(data_dir / "qrels.txt")
     eval_queries = load_queries(data_dir / "queries_eval.tsv")
 
-    index = InvertedIndex.build(docs, k1=cfg.retrieval.k1, b=cfg.retrieval.b)
-    items = []
-    for q in eval_queries:
-        run = index.search(vocab.encode(q.text), cfg.retrieval.top_k, query_id=q.query_id)
-        items.append(EvalItem(query=q, candidates=[(e.doc_id, doc_tokens[e.doc_id])
-                                                   for e in run.entries]))
+    items = _bm25_eval_items(cfg, docs, doc_tokens, vocab, eval_queries)
     stage_cfgs = cfg.stage_configs()
     if len(stage_cfgs) != 2:
         raise ConfigError("ablate requires a two-stage config")
@@ -315,18 +340,10 @@ def cmd_efficiency(args) -> int:
 def cmd_order_exp(args) -> int:
     cfg = _effective_config(args)
     out = _outdir(args.out)
-    models = load_checkpoint(_path(args.checkpoint))
-    docs, _ = load_corpus(_path(args.corpus), vocab=models.vocab)
-    doc_tokens = {d.doc_id: d.tokens for d in docs}
+    models, docs, doc_tokens = _load_model_and_corpus(args)
     queries = load_queries(_path(args.queries))
     qrels = load_qrels(_path(args.qrels))
-    index = InvertedIndex.build(docs, k1=cfg.retrieval.k1, b=cfg.retrieval.b)
-    items = []
-    for q in queries:
-        run = index.search(models.vocab.encode(q.text), cfg.retrieval.top_k,
-                           query_id=q.query_id)
-        items.append(EvalItem(query=q, candidates=[(e.doc_id, doc_tokens[e.doc_id])
-                                                   for e in run.entries]))
+    items = _bm25_eval_items(cfg, docs, doc_tokens, models.vocab, queries)
     report = ordering_experiment(models, items, qrels, seed=cfg.seed)
     text = "\n".join(report.rows()) + f"\nseed: {report.seed}\n"
     (out / "report.txt").write_text(text, encoding="utf-8")

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
+import os
 import struct
 from pathlib import Path
 
@@ -56,30 +58,59 @@ def write_record_file(path, meta: dict, arrays: dict[str, np.ndarray]) -> None:
 
 
 def read_record_file(path) -> tuple[dict, dict[str, np.ndarray]]:
+    """Read a file written by ``write_record_file``.
+
+    Every length field is checked against the bytes left in the file before
+    anything is read or allocated, so a truncated or damaged file raises
+    ``DataFormatError`` naming the path and the byte offset of the bad field.
+    """
     path = Path(path)
     with path.open("rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+
+        def read(n: int, what: str, decode=bytes):
+            offset = fh.tell()
+            if n > size - offset:
+                raise DataFormatError(f"{path}: truncated at byte {offset}: {what} needs "
+                                      f"{n} bytes, {size - offset} left")
+            try:
+                return decode(fh.read(n))
+            except (ValueError, TypeError) as exc:
+                raise DataFormatError(f"{path}: bad {what} at byte {offset}: {exc}") from None
+
+        def number(fmt: str, what: str) -> int:
+            return read(struct.calcsize(fmt), what, lambda b: struct.unpack(fmt, b)[0])
+
         if fh.read(4) != MAGIC:
             raise DataFormatError(f"{path}: not a record file (bad magic)")
-        (version,) = struct.unpack("<I", fh.read(4))
+        version = number("<I", "format version")
         if version != FORMAT_VERSION:
             raise DataFormatError(f"{path}: unsupported format version {version}")
-        (meta_len,) = struct.unpack("<Q", fh.read(8))
-        meta = json.loads(fh.read(meta_len).decode("utf-8"))
-        (n_arrays,) = struct.unpack("<I", fh.read(4))
+        meta = read(number("<Q", "metadata length"), "metadata",
+                    lambda b: json.loads(b.decode("utf-8")))
+        if not isinstance(meta, dict):
+            raise DataFormatError(f"{path}: metadata is not a JSON object")
         arrays: dict[str, np.ndarray] = {}
-        for _ in range(n_arrays):
-            (name_len,) = struct.unpack("<I", fh.read(4))
-            name = fh.read(name_len).decode("utf-8")
-            (dtype_len,) = struct.unpack("<I", fh.read(4))
-            dtype = np.dtype(fh.read(dtype_len).decode("ascii"))
-            (ndim,) = struct.unpack("<B", fh.read(1))
-            shape = tuple(struct.unpack("<Q", fh.read(8))[0] for _ in range(ndim))
-            (nbytes,) = struct.unpack("<Q", fh.read(8))
-            raw = fh.read(nbytes)
-            if len(raw) != nbytes:
-                raise DataFormatError(f"{path}: truncated array {name!r}")
+        for _ in range(number("<I", "array count")):
+            name = read(number("<I", "name length"), "array name", lambda b: b.decode("utf-8"))
+            dtype = read(number("<I", f"{name!r} dtype length"), f"{name!r} dtype", _dtype)
+            shape = tuple(number("<Q", f"{name!r} shape")
+                          for _ in range(number("<B", f"{name!r} ndim")))
+            offset = fh.tell()
+            nbytes = number("<Q", f"{name!r} byte count")
+            if nbytes != math.prod(shape) * dtype.itemsize:
+                raise DataFormatError(f"{path}: bad {name!r} byte count at byte {offset}: "
+                                      f"{nbytes} bytes cannot hold shape {shape} of {dtype.str}")
+            raw = read(nbytes, f"{name!r} data")
             arrays[name] = np.frombuffer(raw, dtype=dtype).reshape(shape).copy()
     return meta, arrays
+
+
+def _dtype(raw: bytes) -> np.dtype:
+    name = raw.decode("ascii")
+    if name not in _ALLOWED_DTYPES:
+        raise ValueError(f"unsupported dtype {name!r}")
+    return np.dtype(name)
 
 
 def sha256_file(path) -> str:

@@ -1,15 +1,13 @@
 """Toy causal transformer shared by the passage encoder and the listwise reranker.
 
 Pre-norm blocks with RMS normalization, multi-head causal self-attention and a
-SiLU feed-forward, learned absolute positions, no biases. The causal mask is
-additive: -1e9 on the strictly-upper triangle before the row softmax, which in
-double precision underflows masked attention weights to exactly zero, so hidden
-states are bitwise independent of later positions.
+SiLU feed-forward, learned absolute positions, no biases. Attention is the one
+``autodiff.causal_attention`` op, whose docstring states the additive -1e9 mask
+and the bitwise-causality contract it gives the hidden states.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,8 +15,6 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import ConfigError, ShapeError
-
-MASK_VALUE = -1e9
 
 
 @dataclass
@@ -65,7 +61,6 @@ class CausalTransformer:
             p[f"layers.{i}.mlp.w2"] = ad.param(rng.normal(0.0, s, (f, d)))
         p["final_norm.weight"] = ad.param(np.ones(d))
         self.params = p
-        self._masks: dict[int, Tensor] = {}
 
     def parameters(self) -> dict[str, Tensor]:
         return self.params
@@ -76,13 +71,6 @@ class CausalTransformer:
     def set_trainable(self, trainable: bool) -> None:
         for t in self.params.values():
             t.requires_grad = bool(trainable)
-
-    def _mask(self, t: int) -> Tensor:
-        cached = self._masks.get(t)
-        if cached is None:
-            cached = ad.tensor(np.triu(np.full((t, t), MASK_VALUE), k=1))
-            self._masks[t] = cached
-        return cached
 
     def embed_tokens(self, token_ids) -> Tensor:
         """Token embeddings plus learned absolute positions, shape [T, d]."""
@@ -96,20 +84,11 @@ class CausalTransformer:
         return ad.add(x, pos)
 
     def _attention(self, x: Tensor, layer: int) -> Tensor:
-        cfg = self.config
-        head_dim = cfg.d_model // cfg.n_heads
-        scale = 1.0 / math.sqrt(head_dim)
         q = ad.matmul(x, self.params[f"layers.{layer}.attn.wq"])
         k = ad.matmul(x, self.params[f"layers.{layer}.attn.wk"])
         v = ad.matmul(x, self.params[f"layers.{layer}.attn.wv"])
-        mask = self._mask(x.shape[0])
-        heads = []
-        for h in range(cfg.n_heads):
-            lo, hi = h * head_dim, (h + 1) * head_dim
-            logits = ad.mul(ad.matmul(ad.cols(q, lo, hi), ad.transpose(ad.cols(k, lo, hi))), scale)
-            weights = ad.softmax_rows(ad.add(logits, mask))
-            heads.append(ad.matmul(weights, ad.cols(v, lo, hi)))
-        return ad.matmul(ad.concat_cols(heads), self.params[f"layers.{layer}.attn.wo"])
+        heads = ad.causal_attention(q, k, v, self.config.n_heads)
+        return ad.matmul(heads, self.params[f"layers.{layer}.attn.wo"])
 
     def _block(self, x: Tensor, layer: int) -> Tensor:
         cfg = self.config

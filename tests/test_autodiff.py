@@ -9,7 +9,7 @@ import embrank.autodiff as ad
 from embrank.autodiff import Tensor, backward
 from embrank.errors import DegenerateInputError, NumericError, ShapeError
 
-from helpers import highprec_softmax_row, naive_matmul
+from helpers import highprec_softmax_row, naive_matmul, reference_causal_attention
 
 
 class TestMatmul:
@@ -45,39 +45,94 @@ class TestMatmul:
         assert "(2, 3)" in str(err.value) and "(4, 2)" in str(err.value)
 
 
+def softmax_via_attention(rows):
+    """Row softmax of each length-T row (T <= 16) through ``causal_attention``.
+
+    With one head of width 16 the scale is exactly 0.25, so ``q = 4 L`` and
+    ``k = v = I[:T]`` make the logits of the last position exactly ``L[T-1]``,
+    none of them masked, and the first T output columns of that position are
+    exactly its softmax weights.
+    """
+    rows = np.atleast_2d(np.asarray(rows, dtype=np.float64))
+    t = rows.shape[1]
+    eye = ad.tensor(np.eye(16)[:t])
+    out = []
+    for row in rows:
+        lifted = np.zeros((t, 16))
+        lifted[t - 1, :t] = row
+        attn = ad.causal_attention(ad.tensor(4.0 * lifted), eye, eye, n_heads=1)
+        out.append(attn.data[t - 1, :t])
+    return np.array(out)
+
+
 class TestSoftmaxRows:
     def test_uniform_row(self):
-        out = ad.softmax_rows(ad.tensor([[2.5, 2.5, 2.5]]))
-        np.testing.assert_allclose(out.data, [[1 / 3, 1 / 3, 1 / 3]], atol=1e-15)
+        out = softmax_via_attention([[2.5, 2.5, 2.5]])
+        np.testing.assert_allclose(out, [[1 / 3, 1 / 3, 1 / 3]], atol=1e-15)
 
     def test_closed_form_log_two(self):
-        out = ad.softmax_rows(ad.tensor([[0.0, math.log(2.0)]]))
-        np.testing.assert_allclose(out.data, [[1 / 3, 2 / 3]], atol=1e-15)
+        out = softmax_via_attention([[0.0, math.log(2.0)]])
+        np.testing.assert_allclose(out, [[1 / 3, 2 / 3]], atol=1e-15)
 
     def test_spike_is_one_hot(self):
         row = np.array([1.0, 41.0, 0.5, -2.0])
-        out = ad.softmax_rows(ad.tensor(row[None, :]))
-        np.testing.assert_allclose(out.data[0], [0.0, 1.0, 0.0, 0.0], atol=1e-12)
+        out = softmax_via_attention(row[None, :])
+        np.testing.assert_allclose(out[0], [0.0, 1.0, 0.0, 0.0], atol=1e-12)
 
     def test_matches_high_precision_reference(self):
         rng = np.random.default_rng(3)
         for _ in range(10):
             row = rng.normal(size=6) * 5.0
-            out = ad.softmax_rows(ad.tensor(row[None, :]))
-            np.testing.assert_allclose(out.data[0], highprec_softmax_row(row), atol=1e-14)
+            out = softmax_via_attention(row[None, :])
+            np.testing.assert_allclose(out[0], highprec_softmax_row(row), atol=1e-14)
 
     def test_rows_sum_to_one_and_positive(self):
         rng = np.random.default_rng(4)
         x = rng.normal(size=(50, 7)) * 10.0
-        out = ad.softmax_rows(ad.tensor(x))
-        np.testing.assert_allclose(out.data.sum(axis=1), np.ones(50), atol=1e-9)
-        assert np.all(out.data > 0.0)
+        out = softmax_via_attention(x)
+        np.testing.assert_allclose(out.sum(axis=1), np.ones(50), atol=1e-9)
+        assert np.all(out > 0.0)
 
     def test_nan_input_rejected_in_strict_mode(self):
         x = np.zeros((2, 2))
         x[0, 1] = np.nan
         with pytest.raises(NumericError):
-            ad.softmax_rows(ad.tensor(x))
+            softmax_via_attention(x)
+
+
+class TestCausalAttention:
+    @pytest.mark.parametrize("n_heads,d", [(1, 8), (2, 16), (4, 64)])
+    @pytest.mark.parametrize("t", [1, 2, 35, 64, 130])
+    def test_bitwise_equal_to_per_head_reference(self, n_heads, d, t):
+        rng = np.random.default_rng(1000 * d + t)
+        q, k, v = (ad.param(rng.normal(size=(t, d))) for _ in range(3))
+        g = rng.normal(size=(t, d))
+        out = ad.causal_attention(q, k, v, n_heads)
+        backward(ad.sum_all(ad.mul(out, ad.tensor(g))))
+        ref_out, ref_dq, ref_dk, ref_dv = reference_causal_attention(q.data, k.data, v.data,
+                                                                     n_heads, g)
+        np.testing.assert_array_equal(out.data, ref_out)
+        np.testing.assert_array_equal(q.grad, ref_dq)
+        np.testing.assert_array_equal(k.grad, ref_dk)
+        np.testing.assert_array_equal(v.grad, ref_dv)
+
+    def test_width_not_divisible_by_heads_rejected(self):
+        x = ad.tensor(np.zeros((3, 6)))
+        with pytest.raises(ShapeError):
+            ad.causal_attention(x, x, x, n_heads=4)
+
+    def test_mismatched_shapes_rejected(self):
+        a, b = ad.tensor(np.zeros((3, 8))), ad.tensor(np.zeros((4, 8)))
+        with pytest.raises(ShapeError) as err:
+            ad.causal_attention(a, b, a, n_heads=2)
+        assert "(3, 8)" in str(err.value) and "(4, 8)" in str(err.value)
+
+    def test_nan_input_rejected_in_strict_mode(self):
+        x = np.zeros((3, 4))
+        x[1, 2] = np.nan
+        with pytest.raises(NumericError):
+            ad.causal_attention(ad.tensor(x), ad.tensor(np.zeros((3, 4))),
+                                ad.tensor(np.zeros((3, 4))), n_heads=2)
 
 
 class TestRmsNorm:
@@ -245,8 +300,8 @@ class TestDeterminismAndGuards:
         rng = np.random.default_rng(7)
         x = rng.normal(size=(4, 4))
         w = rng.normal(size=(4, 4))
-        first = ad.matmul(ad.softmax_rows(ad.tensor(x)), ad.tensor(w)).data
-        second = ad.matmul(ad.softmax_rows(ad.tensor(x)), ad.tensor(w)).data
+        first = ad.matmul(ad.causal_attention(x, x, x, 2), ad.tensor(w)).data
+        second = ad.matmul(ad.causal_attention(x, x, x, 2), ad.tensor(w)).data
         np.testing.assert_array_equal(first, second)
 
     def test_overflow_guarded(self):
@@ -297,14 +352,6 @@ class TestGatherConcatStack:
     def test_stack_scalars_to_vector(self):
         out = ad.stack([ad.tensor(1.0), ad.tensor(2.0), ad.tensor(3.0)])
         np.testing.assert_array_equal(out.data, [1.0, 2.0, 3.0])
-
-    def test_cols_slices_and_backward_pads(self):
-        a = ad.param(np.arange(12.0).reshape(3, 4))
-        out = ad.cols(a, 1, 3)
-        backward(ad.sum_all(out))
-        expected = np.zeros((3, 4))
-        expected[:, 1:3] = 1.0
-        np.testing.assert_array_equal(a.grad, expected)
 
 
 class TestScalarHelpers:

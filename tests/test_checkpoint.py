@@ -37,6 +37,18 @@ class TestRecordContainer:
         with pytest.raises(DataFormatError):
             read_record_file(path)
 
+    def test_every_truncation_raises_data_format_error(self, tmp_path):
+        path = tmp_path / "file.bin"
+        write_record_file(path, {"kind": "test", "tokens": [1, 2]},
+                          {"a": np.arange(6.0).reshape(2, 3), "b": np.array([7], dtype=np.int64)})
+        data = path.read_bytes()
+        cut = tmp_path / "cut.bin"
+        for n in range(len(data)):
+            cut.write_bytes(data[:n])
+            with pytest.raises(DataFormatError) as err:
+                read_record_file(cut)
+            assert str(cut) in str(err.value)
+
     def test_array_checksum_order_independent(self):
         a = {"x": np.ones(3), "y": np.zeros(2)}
         b = {"y": np.zeros(2), "x": np.ones(3)}
@@ -77,6 +89,16 @@ class TestCheckpoint:
         save_checkpoint(p1, tiny_models)
         save_checkpoint(p2, tiny_models)
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_unknown_config_key_rejected(self, tiny_models, tmp_path):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, tiny_models)
+        meta, arrays = read_record_file(path)
+        meta["encoder_config"]["attention_window"] = 8
+        write_record_file(path, meta, arrays)
+        with pytest.raises(DataFormatError) as err:
+            load_checkpoint(path)
+        assert "encoder_config" in str(err.value) and "attention_window" in str(err.value)
 
     def test_non_checkpoint_rejected(self, tmp_path):
         path = tmp_path / "other.bin"

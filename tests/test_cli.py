@@ -143,6 +143,32 @@ class TestEndToEndAndEvaluate:
         runs = read_trec_run(out / "run.trec")
         assert len(runs) == 3
 
+    @pytest.mark.parametrize("mismatch", ["checkpoint", "corpus"])
+    def test_dense_index_provenance_mismatch_rejected(self, workdir, tmp_path, capsys, mismatch):
+        root, config, data, train, index = workdir
+        final, corpus = train / "checkpoints/final.ckpt", data / "corpus.jsonl"
+        built_ckpt, built_corpus = final, corpus
+        if mismatch == "checkpoint":
+            built_ckpt = train / "checkpoints/stage1.ckpt"
+            recorded = parameter_checksum(load_checkpoint(built_ckpt))
+            actual = parameter_checksum(load_checkpoint(final))
+        else:
+            built_corpus = tmp_path / "fewer_docs.jsonl"
+            built_corpus.write_text("".join(corpus.read_text().splitlines(keepends=True)[:-1]))
+            recorded, actual = sha(built_corpus), sha(corpus)
+        other = tmp_path / "other_index"
+        assert main(["build-index", "--config", str(config), "--corpus", str(built_corpus),
+                     "--out", str(other), "--dense", "--checkpoint", str(built_ckpt)]) == 0
+        capsys.readouterr()
+        code = main(["end-to-end", "--config", str(config), "--checkpoint", str(final),
+                     "--corpus", str(corpus), "--queries", str(data / "queries_eval.tsv"),
+                     "--bm25-index", str(index / "bm25.idx"),
+                     "--dense-index", str(other / "dense.idx"),
+                     "--mode", "rrf", "--out", str(tmp_path / "e2e")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert recorded != actual and recorded in err and actual in err
+
     def test_evaluate_perfect_run_scores_one(self, tmp_path):
         qrels = tmp_path / "qrels.txt"
         qrels.write_text("q1 0 d1 3\nq1 0 d2 1\n")
