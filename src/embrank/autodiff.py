@@ -8,14 +8,25 @@ and then frees it, so graphs never outlive one forward/backward cycle.
 Conventions:
   - double precision by default (``set_default_dtype`` switches builds
     to float32 for speed at the cost of the tight test tolerances);
-  - no broadcasting beyond scalar-with-tensor and matrix-plus-row-bias;
-    anything else raises ``ShapeError`` naming both shapes;
+  - the transformer ops (``matmul``, ``rms_norm``, ``causal_attention``,
+    ``take_rows`` with a 2-D index array, ``add``) take an optional leading
+    batch axis: [B, T, d] runs B same-length sequences at once, and each
+    sequence's values equal its own [T, d] run bit for bit, because the
+    batched products are 3-D ``np.matmul`` calls (one BLAS product per
+    sequence) and every reduction runs along the last axis;
+  - no broadcasting beyond scalar-with-tensor and a trailing-shape bias
+    (a [d] row bias on [T, d], or a [T, d] table on [B, T, d]); anything
+    else raises ``ShapeError`` naming both shapes;
+  - inside ``with no_grad():`` no op records a tape node, so inference
+    holds no closures and no references to intermediate results;
   - under strict mode (default) any op producing NaN/Inf raises
-    ``NumericError`` immediately instead of letting the values spread.
+    ``NumericError`` immediately instead of letting the values spread,
+    with or without ``no_grad``.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 from typing import Callable, Iterable, Sequence
 
@@ -25,6 +36,7 @@ from .errors import DegenerateInputError, NumericError, ShapeError
 
 _default_dtype = np.float64
 _strict_finite = True
+_grad_enabled = True
 
 
 def set_default_dtype(dtype) -> None:
@@ -47,6 +59,21 @@ def set_strict_finite(enabled: bool) -> None:
 
 def strict_finite() -> bool:
     return _strict_finite
+
+
+@contextlib.contextmanager
+def no_grad():
+    """Run ops without recording the tape: results never require grad.
+
+    Nests, and restores the previous state on exit, also after an exception.
+    """
+    global _grad_enabled
+    previous = _grad_enabled
+    _grad_enabled = False
+    try:
+        yield
+    finally:
+        _grad_enabled = previous
 
 
 class Tensor:
@@ -149,7 +176,10 @@ def _as_tensor(x) -> Tensor:
 
 
 def _guard(data: np.ndarray, op: str) -> np.ndarray:
-    if _strict_finite and not np.all(np.isfinite(data)):
+    """Raise on any NaN/Inf. Any of them makes the sum non-finite, so a finite
+    sum clears the array; a non-finite one is confirmed by the full scan,
+    which rules out a sum that merely overflowed."""
+    if _strict_finite and not math.isfinite(data.sum()) and not np.all(np.isfinite(data)):
         raise NumericError(f"{op} produced non-finite values")
     return data
 
@@ -157,7 +187,7 @@ def _guard(data: np.ndarray, op: str) -> np.ndarray:
 def _result(data: np.ndarray, op: str, inputs: tuple[Tensor, ...],
             backward: Callable[[np.ndarray], None]) -> Tensor:
     out = Tensor(_guard(data, op))
-    if any(t.requires_grad for t in inputs):
+    if _grad_enabled and any(t.requires_grad for t in inputs):
         out.requires_grad = True
         out._parents = inputs
         out._backward = backward
@@ -177,7 +207,8 @@ def _accumulate(t: Tensor, g: np.ndarray) -> None:
 # ---------------------------------------------------------------------------
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise sum; also scalar+tensor and matrix+row-bias."""
+    """Elementwise sum; also scalar+tensor and a bias ``b`` whose shape ends ``a``'s
+    ([T, d] + [d], [B, T, d] + [T, d])."""
     a, b = _as_tensor(a), _as_tensor(b)
     if a.shape == b.shape:
         def bw(g):
@@ -191,10 +222,10 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         def bw(g):
             _accumulate(a, g)
             _accumulate(b, g.sum())
-    elif a.ndim == 2 and b.ndim == 1 and a.shape[1] == b.shape[0]:
+    elif 0 < b.ndim < a.ndim and a.shape[a.ndim - b.ndim:] == b.shape:
         def bw(g):
             _accumulate(a, g)
-            _accumulate(b, g.sum(axis=0))
+            _accumulate(b, g.reshape(-1, *b.shape).sum(axis=0))
     else:
         raise ShapeError(f"add: incompatible shapes {a.shape} and {b.shape}")
     return _result(a.data + b.data, "add", (a, b), bw)
@@ -323,16 +354,20 @@ def mean_all(a: Tensor) -> Tensor:
 # ---------------------------------------------------------------------------
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Strict 2-D matrix product with the standard transpose backward rules."""
+    """[T, k] @ [k, n], or [B, T, k] @ [k, n] as one ``np.matmul`` with the
+    standard transpose backward rules. The batched product runs one BLAS call
+    per sequence, so it equals the 2-D product bit for bit; flattening to
+    [B*T, k] does not. The weight gradient sums over all B*T rows at once."""
     a, b = _as_tensor(a), _as_tensor(b)
-    if a.ndim != 2 or b.ndim != 2:
-        raise ShapeError(f"matmul: expected 2-D operands, got {a.shape} and {b.shape}")
-    if a.shape[1] != b.shape[0]:
+    if a.ndim not in (2, 3) or b.ndim != 2:
+        raise ShapeError(f"matmul: expected [T, k] or [B, T, k] times [k, n], "
+                         f"got {a.shape} and {b.shape}")
+    if a.shape[-1] != b.shape[0]:
         raise ShapeError(f"matmul: inner dimensions disagree: {a.shape} vs {b.shape}")
 
     def bw(g):
         _accumulate(a, g @ b.data.T)
-        _accumulate(b, a.data.T @ g)
+        _accumulate(b, a.data.reshape(-1, b.shape[0]).T @ g.reshape(-1, b.shape[1]))
     return _result(a.data @ b.data, "matmul", (a, b), bw)
 
 
@@ -395,13 +430,13 @@ def cosine_rows(v: Tensor, m: Tensor) -> Tensor:
 
 def take_rows(a: Tensor, indices) -> Tensor:
     """Row gather (embedding-table lookup), or element gather from a vector;
-    backward scatter-adds."""
+    backward scatter-adds. A [B, T] index array gathers [B, T, ...]."""
     a = _as_tensor(a)
     if a.ndim not in (1, 2):
         raise ShapeError(f"take_rows: expected a 1-D or 2-D table, got {a.shape}")
     idx = np.asarray(indices, dtype=np.intp)
-    if idx.ndim != 1:
-        raise ShapeError(f"take_rows: expected 1-D index list, got shape {idx.shape}")
+    if idx.ndim not in (1, 2):
+        raise ShapeError(f"take_rows: expected a 1-D or 2-D index array, got shape {idx.shape}")
     if idx.size and (idx.min() < 0 or idx.max() >= a.shape[0]):
         raise ShapeError(f"take_rows: index out of range for table with {a.shape[0]} rows")
 
@@ -413,20 +448,23 @@ def take_rows(a: Tensor, indices) -> Tensor:
     return _result(a.data[idx], "take_rows", (a,), bw)
 
 
-def pick(a: Tensor, i: int) -> Tensor:
-    """Select position ``i`` along axis 0: a row of a matrix, or an element of a vector."""
+def pick(a: Tensor, i: int, axis: int = 0) -> Tensor:
+    """Select position ``i`` along ``axis``: a row of a matrix, an element of a
+    vector, or (axis 1) position i of every sequence in a [B, T, d] batch.
+    The result is a copy, so it does not keep ``a``'s whole buffer alive."""
     a = _as_tensor(a)
-    if a.ndim == 0:
-        raise ShapeError("pick: cannot index a scalar")
-    if not 0 <= i < a.shape[0]:
-        raise ShapeError(f"pick: index {i} out of range for axis of length {a.shape[0]}")
+    if not 0 <= axis < a.ndim:
+        raise ShapeError(f"pick: no axis {axis} in shape {a.shape}")
+    if not 0 <= i < a.shape[axis]:
+        raise ShapeError(f"pick: index {i} out of range for axis of length {a.shape[axis]}")
+    where = (slice(None),) * axis + (i,)
 
     def bw(g):
         if a.requires_grad:
             if a.grad is None:
                 a.grad = np.zeros_like(a.data)
-            a.grad[i] += g
-    return _result(np.asarray(a.data[i]), "pick", (a,), bw)
+            a.grad[where] += g
+    return _result(np.array(a.data[where]), "pick", (a,), bw)
 
 
 def concat_rows(tensors: Sequence[Tensor]) -> Tensor:
@@ -472,49 +510,58 @@ MASK_VALUE = -1e9
 
 
 def causal_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int) -> Tensor:
-    """Multi-head causal self-attention over [T, d] query/key/value projections.
+    """Multi-head causal self-attention over [T, d] or [B, T, d] query/key/value
+    projections.
 
     Head h owns columns [h*hd, (h+1)*hd) with hd = d / n_heads and computes
     softmax(q_h k_hᵀ / sqrt(hd) + M) v_h; the heads come back side by side as
-    [T, d]. The causal mask M is additive: ``MASK_VALUE`` (-1e9) on the
-    strictly-upper triangle, 0 elsewhere, and the row softmax subtracts the
-    row max first. In double precision the masked weights underflow to exactly
-    zero, so output row i is bitwise independent of every position after i.
+    [T, d] (per sequence of a batch). The causal mask M is additive:
+    ``MASK_VALUE`` (-1e9) on the strictly-upper triangle, 0 elsewhere, and the
+    row softmax subtracts the row max first. In double precision the masked
+    weights underflow to exactly zero, so output row i is bitwise independent
+    of every position after i.
 
     Forward and backward equal the per-head 2-D composition (column slices,
-    matmul, scale, mask, row softmax, matmul, concatenation) bit for bit. That
-    holds because the heads are contiguous [H, T, hd] copies of q and v and a
-    contiguous [H, hd, T] copy of kᵀ, the same arrays the 2-D slices make, and
-    because the backward multiplies by transposed views of those copies, as
-    ``matmul``'s backward does. Strided views in place of the copies round
-    differently in BLAS.
+    matmul, scale, mask, row softmax, matmul, concatenation) bit for bit, and
+    a batch equals its sequences run one at a time. That holds because the
+    heads are contiguous [..., H, T, hd] copies of q and v and a contiguous
+    [..., H, hd, T] copy of kᵀ, the same arrays the 2-D slices make, because
+    ``np.matmul`` runs one BLAS product per (sequence, head), and because the
+    backward multiplies by transposed views of those copies, as ``matmul``'s
+    backward does. Strided views in place of the copies round differently in
+    BLAS.
     """
     q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
-    if q.ndim != 2 or k.shape != q.shape or v.shape != q.shape:
-        raise ShapeError(f"causal_attention: expected equal [T, d] q, k and v, "
+    if q.ndim not in (2, 3) or k.shape != q.shape or v.shape != q.shape:
+        raise ShapeError(f"causal_attention: expected equal [T, d] or [B, T, d] q, k and v, "
                          f"got {q.shape}, {k.shape} and {v.shape}")
-    t, d = q.shape
+    *lead, t, d = q.shape
     if n_heads < 1 or d % n_heads:
         raise ShapeError(f"causal_attention: width {d} not divisible by n_heads={n_heads}")
     hd = d // n_heads
     scale = 1.0 / math.sqrt(hd)
-    qh = q.data.reshape(t, n_heads, hd).transpose(1, 0, 2).copy()
-    kt = k.data.reshape(t, n_heads, hd).transpose(1, 2, 0).copy()
-    vh = v.data.reshape(t, n_heads, hd).transpose(1, 0, 2).copy()
-    logits = np.matmul(qh, kt) * scale + np.triu(np.full((t, t), MASK_VALUE, q.data.dtype), k=1)
-    e = np.exp(logits - logits.max(axis=2, keepdims=True))
-    w = e / e.sum(axis=2, keepdims=True)
 
-    def merge(x):  # [H, T, hd] -> [T, d]
-        return x.transpose(1, 0, 2).reshape(t, d)
+    def heads(x):  # [..., T, d] -> [..., H, T, hd] view
+        return np.swapaxes(x.reshape(*lead, t, n_heads, hd), -3, -2)
+
+    def merge(x):  # [..., H, T, hd] -> [..., T, d]
+        return np.swapaxes(x, -3, -2).reshape(*lead, t, d)
+
+    def tr(x):  # transposed view of the last two axes
+        return np.swapaxes(x, -1, -2)
+
+    qh, kt, vh = heads(q.data).copy(), tr(heads(k.data)).copy(), heads(v.data).copy()
+    logits = np.matmul(qh, kt) * scale + np.triu(np.full((t, t), MASK_VALUE, q.data.dtype), k=1)
+    e = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    w = e / e.sum(axis=-1, keepdims=True)
 
     def bw(g):
-        gh = g.reshape(t, n_heads, hd).transpose(1, 0, 2)
-        gw = np.matmul(gh, vh.transpose(0, 2, 1))
-        gl = w * (gw - (gw * w).sum(axis=2, keepdims=True)) * scale
-        _accumulate(q, merge(np.matmul(gl, kt.transpose(0, 2, 1))))
-        _accumulate(k, merge(np.matmul(qh.transpose(0, 2, 1), gl).transpose(0, 2, 1)))
-        _accumulate(v, merge(np.matmul(w.transpose(0, 2, 1), gh)))
+        gh = heads(g)
+        gw = np.matmul(gh, tr(vh))
+        gl = w * (gw - (gw * w).sum(axis=-1, keepdims=True)) * scale
+        _accumulate(q, merge(np.matmul(gl, tr(kt))))
+        _accumulate(k, merge(tr(np.matmul(tr(qh), gl))))
+        _accumulate(v, merge(np.matmul(tr(w), gh)))
     return _result(merge(np.matmul(w, vh)), "causal_attention", (q, k, v), bw)
 
 
@@ -533,7 +580,8 @@ def logsumexp(x: Tensor) -> Tensor:
 
 
 def rms_norm(x: Tensor, weight: Tensor, eps: float = 1e-6) -> Tensor:
-    """Scale each length-d slice by 1/sqrt(mean(x^2) + eps), then by ``weight``.
+    """Scale each length-d slice of a [d], [T, d] or [B, T, d] input by
+    1/sqrt(mean(x^2) + eps), then by ``weight``.
 
     ``eps`` may be zero (exact root-mean-square) but not negative.
     """
@@ -542,7 +590,7 @@ def rms_norm(x: Tensor, weight: Tensor, eps: float = 1e-6) -> Tensor:
         raise ValueError(f"rms_norm: eps must be >= 0, got {eps}")
     if weight.ndim != 1:
         raise ShapeError(f"rms_norm: weight must be 1-D, got {weight.shape}")
-    if x.ndim not in (1, 2) or x.shape[-1] != weight.shape[0]:
+    if x.ndim not in (1, 2, 3) or x.shape[-1] != weight.shape[0]:
         raise ShapeError(f"rms_norm: input {x.shape} does not end in weight length {weight.shape}")
     d = x.shape[-1]
     ms = (x.data * x.data).mean(axis=-1, keepdims=True)
@@ -553,8 +601,8 @@ def rms_norm(x: Tensor, weight: Tensor, eps: float = 1e-6) -> Tensor:
         gw = g * weight.data
         _accumulate(x, gw * r - x.data * (r ** 3 / d) * (gw * x.data).sum(axis=-1, keepdims=True))
         gweight = g * x.data * r
-        if gweight.ndim == 2:
-            gweight = gweight.sum(axis=0)
+        if gweight.ndim > 1:
+            gweight = gweight.reshape(-1, d).sum(axis=0)
         _accumulate(weight, gweight)
     return _result(y, "rms_norm", (x, weight), bw)
 

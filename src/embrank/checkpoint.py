@@ -16,7 +16,7 @@ from .data import Vocabulary
 from .encoder import EncoderModel
 from .errors import DataFormatError
 from .reranker import ModelPair, RerankerModel
-from .serialization import read_record_file, sha256_arrays, write_record_file
+from .serialization import read_record_file, require_keys, sha256_arrays, write_record_file
 from .transformer import ModelConfig
 
 CHECKPOINT_KIND = "embrank-model-pair"
@@ -58,6 +58,9 @@ def load_checkpoint(path) -> ModelPair:
     meta, arrays = read_record_file(path)
     if meta.get("kind") != CHECKPOINT_KIND:
         raise DataFormatError(f"{path}: not a model checkpoint")
+    require_keys(path, meta, arrays, ("vocab", "eos_id", "normalize_embeddings",
+                                      "residual_enabled", "hidden_state_enabled",
+                                      "passage_position_embeddings"))
     vocab = Vocabulary(meta["vocab"])
     enc_cfg = _model_config(path, meta, "encoder_config")
     rer_cfg = _model_config(path, meta, "reranker_config")

@@ -103,16 +103,14 @@ def _bm25_eval_items(cfg: ExperimentConfig, docs, doc_tokens: dict, vocab,
     return items
 
 
-def _check_dense_provenance(dense: DenseIndex, args, models) -> None:
-    """Refuse a dense index recorded as built from another checkpoint or corpus.
-    An index built through the library without ids records empty values."""
-    actual = {"encoder_checkpoint_id": ("--checkpoint", parameter_checksum(models)),
-              "corpus_checksum": ("--corpus", sha256_file(_path(args.corpus)))}
+def _check_provenance(index_path, recorded: dict, actual: dict) -> None:
+    """Refuse an index recorded as built from another checkpoint or corpus.
+    ``actual`` maps a recorded key to (flag, value); an index built through
+    the library without ids records empty values, which are not checked."""
     for key, (flag, value) in actual.items():
-        recorded = dense.metadata.get(key, "")
-        if recorded and recorded != value:
-            raise ConfigError(f"{args.dense_index}: dense index {key} is {recorded}, "
-                              f"but {flag} gives {value}")
+        got = recorded.get(key, "")
+        if got and got != value:
+            raise ConfigError(f"{index_path}: index {key} is {got}, but {flag} gives {value}")
 
 
 # ---------------------------------------------------------------------------
@@ -254,8 +252,13 @@ def cmd_end_to_end(args) -> int:
     queries = load_queries(_path(args.queries))
     bm25 = InvertedIndex.load(_path(args.bm25_index))
     dense = DenseIndex.load(_path(args.dense_index)) if args.dense_index else None
+    corpus = ("--corpus", sha256_file(_path(args.corpus)))
+    _check_provenance(args.bm25_index, {"corpus_checksum": bm25.corpus_checksum},
+                      {"corpus_checksum": corpus})
     if dense is not None:
-        _check_dense_provenance(dense, args, models)
+        _check_provenance(args.dense_index, dense.metadata,
+                          {"encoder_checkpoint_id": ("--checkpoint", parameter_checksum(models)),
+                           "corpus_checksum": corpus})
 
     first_runs, reranked_runs = [], []
     for q in queries:

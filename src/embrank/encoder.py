@@ -15,6 +15,10 @@ from .autodiff import Tensor
 from .errors import EmbrankError, ShapeError
 from .transformer import CausalTransformer, ModelConfig
 
+# Passages per batched forward. A larger chunk holds more activations at once:
+# with 64, a 5000-passage dense index build peaked at about 87 MB against 70 MB.
+CHUNK_SIZE = 16
+
 
 class EncoderModel:
     """``normalize_output`` rescales embeddings to unit norm before use; the
@@ -36,29 +40,43 @@ class EncoderModel:
         self.transformer.set_trainable(trainable)
 
     def encode_passage(self, token_ids) -> Tensor:
-        """Compress one token sequence to a single [d] embedding (last-token pooling)."""
-        n = len(token_ids)
-        if n == 0:
-            raise ShapeError("encode_passage: empty token sequence")
-        if n > self.config.max_seq_len:
-            raise ShapeError(f"encode_passage: length {n} exceeds "
-                             f"max_seq_len={self.config.max_seq_len} (no silent truncation)")
-        hidden = self.transformer.forward_tokens(token_ids)
-        e = ad.pick(hidden, n - 1)
-        if self.normalize_output:
-            e = ad.div(e, ad.sqrt(ad.dot(e, e)))
-        return e
+        """Compress one token sequence to a single [d] embedding (last-token
+        pooling): the one-passage case of ``batch_encode``."""
+        return self.batch_encode([token_ids])[0]
 
     def encode_query(self, token_ids) -> Tensor:
         """Queries run through the identical network and pooling as passages."""
         return self.encode_passage(token_ids)
 
     def batch_encode(self, passages) -> list[Tensor]:
-        """Element i equals encode_passage(passages[i]) bit for bit; order preserved."""
-        out = []
+        """Element i equals encode_passage(passages[i]) bit for bit; order preserved.
+
+        Passages are grouped by exact token length, so no padding enters, and
+        each group runs as [B, T] forwards of at most ``CHUNK_SIZE`` passages.
+        Every op treats the B sequences independently (see ``autodiff``), which
+        is what keeps each row's bits. Gradients flow back to every passage.
+        """
+        limit = self.config.max_seq_len
+        buckets: dict[int, list[int]] = {}
         for i, tokens in enumerate(passages):
-            try:
-                out.append(self.encode_passage(tokens))
-            except EmbrankError as exc:
-                raise type(exc)(f"passage {i}: {exc}") from exc
+            if len(tokens) == 0:
+                raise ShapeError(f"passage {i}: empty token sequence")
+            if len(tokens) > limit:
+                raise ShapeError(f"passage {i}: length {len(tokens)} exceeds "
+                                 f"max_seq_len={limit} (no silent truncation)")
+            buckets.setdefault(len(tokens), []).append(i)
+        out: list[Tensor] = [None] * len(passages)
+        for members in buckets.values():
+            for lo in range(0, len(members), CHUNK_SIZE):
+                chunk = members[lo:lo + CHUNK_SIZE]
+                try:
+                    hidden = self.transformer.forward_tokens([passages[i] for i in chunk])
+                    last = ad.pick(hidden, hidden.shape[1] - 1, axis=1)
+                    for b, i in enumerate(chunk):
+                        e = ad.pick(last, b)
+                        if self.normalize_output:
+                            e = ad.div(e, ad.sqrt(ad.dot(e, e)))
+                        out[i] = e
+                except EmbrankError as exc:
+                    raise type(exc)(f"passages {chunk}: {exc}") from exc
         return out

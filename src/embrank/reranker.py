@@ -192,15 +192,17 @@ def rerank_detailed(query_ids, documents, models: ModelPair, *,
 
     ``documents`` is a list of (doc_id, token_ids). Exactly two forward passes
     happen per candidate set: the encoder over each passage and the reranker
-    over the assembled sequence. The counter records one processed passage
-    token per injected embedding and never sees a generated token.
+    over the assembled sequence, both under ``no_grad`` (no tape is recorded).
+    The counter records one processed passage token per injected embedding and
+    never sees a generated token.
     """
     if not documents:
         raise DegenerateInputError("rerank: documents must be nonempty")
     if counter is None:
         counter = TokenCounter()
-    embeddings = models.encoder.batch_encode([tokens for _, tokens in documents])
-    output = models.reranker.forward(models.instruction_ids(), query_ids, embeddings)
+    with ad.no_grad():
+        embeddings = models.encoder.batch_encode([tokens for _, tokens in documents])
+        output = models.reranker.forward(models.instruction_ids(), query_ids, embeddings)
     counter.count_processed(len(documents))
     if count_candidates:
         counter.candidates += len(documents)

@@ -21,7 +21,7 @@ from .data import Document
 from .errors import ConfigError, DataFormatError, DegenerateInputError, ShapeError
 from .reranker import ModelPair, rerank_detailed
 from .runs import RunEntry, RunList, TokenCounter, sorted_entries
-from .serialization import read_record_file, write_record_file
+from .serialization import read_record_file, require_keys, write_record_file
 
 RRF_K_DEFAULT = 60
 
@@ -34,6 +34,7 @@ class InvertedIndex:
             raise ConfigError(f"invalid BM25 parameters k1={k1}, b={b}")
         self.k1 = k1
         self.b = b
+        self.corpus_checksum = ""  # as recorded in a loaded index file; "" when unknown
         self.doc_ids: list[str] = []
         self.doc_lengths: list[int] = []
         self.postings: dict[int, list[tuple[int, int]]] = {}
@@ -110,7 +111,10 @@ class InvertedIndex:
         meta, arrays = read_record_file(path)
         if meta.get("kind") != "embrank-bm25-index":
             raise DataFormatError(f"{path}: not a BM25 index file")
+        require_keys(path, meta, arrays, ("k1", "b", "doc_ids", "tokens"),
+                     ("offsets", "doc_idx", "tf", "doc_lengths"))
         index = cls(k1=meta["k1"], b=meta["b"])
+        index.corpus_checksum = meta.get("corpus_checksum", "")
         index.doc_ids = list(meta["doc_ids"])
         index.doc_lengths = [int(x) for x in arrays["doc_lengths"]]
         offsets = arrays["offsets"]
@@ -135,7 +139,8 @@ class DenseIndex:
     @classmethod
     def build(cls, documents: list[Document], encoder, *,
               corpus_checksum: str = "", encoder_checkpoint_id: str = "") -> "DenseIndex":
-        embeddings = [encoder.encode_passage(d.tokens).data.copy() for d in documents]
+        with ad.no_grad():
+            embeddings = [e.data for e in encoder.batch_encode([d.tokens for d in documents])]
         matrix = np.stack(embeddings, axis=0) if embeddings else np.zeros((0, 1))
         norms = np.linalg.norm(matrix, axis=1)
         if embeddings and np.any(norms == 0.0):
@@ -165,6 +170,7 @@ class DenseIndex:
         meta, arrays = read_record_file(path)
         if meta.get("kind") != "embrank-dense-index":
             raise DataFormatError(f"{path}: not a dense index file")
+        require_keys(path, meta, arrays, ("doc_ids",), ("matrix",))
         return cls(matrix=arrays["matrix"], doc_ids=list(meta["doc_ids"]),
                    metadata=meta.get("metadata", {}))
 
@@ -256,15 +262,16 @@ def end_to_end(query_text: str, models: ModelPair, doc_tokens: dict[str, list[in
     if mode in ("dense", "rrf") and dense_index is None:
         raise ConfigError(f"retrieval mode {mode!r} requires a dense index")
     query_tokens = models.vocab.encode(query_text)
+    if mode != "bm25":
+        with ad.no_grad():
+            q_emb = models.encoder.encode_query(query_tokens).data
 
     if mode == "bm25":
         first = bm25_index.search(query_tokens, k, query_id=query_id)
     elif mode == "dense":
-        q_emb = models.encoder.encode_query(query_tokens).data
         first = dense_index.search(q_emb, k, query_id=query_id)
     else:
         bm25_run = bm25_index.search(query_tokens, k, query_id=query_id)
-        q_emb = models.encoder.encode_query(query_tokens).data
         dense_run = dense_index.search(q_emb, k, query_id=query_id)
         fused = rrf_fuse(bm25_run, dense_run, rrf_k)
         first = RunList(query_id=query_id, entries=fused.entries[:k], tag="rrf")

@@ -106,6 +106,15 @@ def read_record_file(path) -> tuple[dict, dict[str, np.ndarray]]:
     return meta, arrays
 
 
+def require_keys(path, meta: dict, arrays: dict, meta_keys=(), array_keys=()) -> None:
+    """Raise ``DataFormatError`` naming the file and the first listed key that
+    the record file's header or arrays lack."""
+    for what, found, keys in (("header", meta, meta_keys), ("array", arrays, array_keys)):
+        for key in keys:
+            if key not in found:
+                raise DataFormatError(f"{path}: record file has no {what} entry {key!r}")
+
+
 def _dtype(raw: bytes) -> np.dtype:
     name = raw.decode("ascii")
     if name not in _ALLOWED_DTYPES:

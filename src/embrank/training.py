@@ -198,33 +198,31 @@ def _trainable_params(models: ModelPair) -> dict[str, Tensor]:
     return out
 
 
-def _sample_forward(models: ModelPair, sample: RankingSample, doc_tokens, loss_cfg: LossConfig):
-    """One sample's encoder+reranker forward; returns the pieces both losses need."""
-    query_ids = models.vocab.encode(sample.query_text)
-    if not query_ids:
-        raise TrainingError(f"sample {sample.query_id}: empty query")
-    embeddings = models.encoder.batch_encode(
-        [doc_tokens[c.doc_id] for c in sample.candidates])
-    query_emb = models.encoder.encode_query(query_ids)
-    output = models.reranker.forward(models.instruction_ids(), query_ids, embeddings)
-    positive = embeddings[sample.positive_index]
-    negatives = [embeddings[i] for i in sample.negative_indices]
-    labels = [c.rank_label for c in sample.candidates]
-    return query_emb, positive, negatives, output.score_tensor, labels
-
-
 def train_step(models: ModelPair, batch: list[RankingSample], doc_tokens,
                optimizer: Adam, loss_cfg: LossConfig, step: int, stage_name: str) -> dict:
-    """Forward, backward, clip, and update over one batch; returns the trace record."""
+    """Forward, backward, clip, and update over one batch; returns the trace record.
+
+    Every candidate passage and query of the batch goes through one
+    ``batch_encode`` call, so its length buckets fill across samples.
+    """
     optimizer.zero_grad()
-    q_embs, pos_embs, neg_embs, ranknet_terms = [], [], [], []
-    for sample in batch:
-        q, pos, negs, score_tensor, labels = _sample_forward(
-            models, sample, doc_tokens, loss_cfg)
-        q_embs.append(q)
-        pos_embs.append(pos)
-        neg_embs.append(negs)
-        ranknet_terms.append(ranknet_loss(score_tensor, labels, loss_cfg.tau2))
+    query_ids = [models.vocab.encode(sample.query_text) for sample in batch]
+    for sample, ids in zip(batch, query_ids):
+        if not ids:
+            raise TrainingError(f"sample {sample.query_id}: empty query")
+    passages = [doc_tokens[c.doc_id] for sample in batch for c in sample.candidates]
+    embeddings = models.encoder.batch_encode(passages + query_ids)
+    q_embs = embeddings[len(passages):]
+    pos_embs, neg_embs, ranknet_terms = [], [], []
+    lo = 0
+    for sample, ids in zip(batch, query_ids):
+        embs = embeddings[lo:lo + len(sample.candidates)]
+        lo += len(sample.candidates)
+        output = models.reranker.forward(models.instruction_ids(), ids, embs)
+        pos_embs.append(embs[sample.positive_index])
+        neg_embs.append([embs[i] for i in sample.negative_indices])
+        labels = [c.rank_label for c in sample.candidates]
+        ranknet_terms.append(ranknet_loss(output.score_tensor, labels, loss_cfg.tau2))
     infonce = infonce_loss(q_embs, pos_embs, neg_embs, loss_cfg.tau1)
     ranknet_total = ranknet_terms[0]
     for term in ranknet_terms[1:]:

@@ -73,13 +73,15 @@ class CausalTransformer:
             t.requires_grad = bool(trainable)
 
     def embed_tokens(self, token_ids) -> Tensor:
-        """Token embeddings plus learned absolute positions, shape [T, d]."""
-        t = len(token_ids)
+        """Token embeddings plus learned absolute positions: [T] ids give [T, d],
+        a [B, T] array of same-length sequences gives [B, T, d]."""
+        ids = np.asarray(token_ids, dtype=np.intp)
+        t = ids.shape[-1] if ids.ndim else 0
         if t == 0:
             raise ShapeError("empty token sequence")
         if t > self.config.max_seq_len:
             raise ShapeError(f"sequence length {t} exceeds max_seq_len={self.config.max_seq_len}")
-        x = ad.take_rows(self.params["tok_emb"], token_ids)
+        x = ad.take_rows(self.params["tok_emb"], ids)
         pos = ad.take_rows(self.params["pos_emb"], np.arange(t))
         return ad.add(x, pos)
 
@@ -99,11 +101,13 @@ class CausalTransformer:
         return ad.add(x, ad.matmul(h, self.params[f"layers.{layer}.mlp.w2"]))
 
     def forward_embedded(self, x: Tensor) -> Tensor:
-        """Run the blocks over an already-embedded [T, d] sequence; post-norm output."""
-        if x.ndim != 2 or x.shape[1] != self.config.d_model:
-            raise ShapeError(f"expected [T, {self.config.d_model}] input, got {x.shape}")
-        if x.shape[0] > self.config.max_seq_len:
-            raise ShapeError(f"sequence length {x.shape[0]} exceeds max_seq_len={self.config.max_seq_len}")
+        """Run the blocks over an already-embedded [T, d] sequence, or a [B, T, d]
+        batch of same-length sequences; post-norm output of the same shape."""
+        if x.ndim not in (2, 3) or x.shape[-1] != self.config.d_model:
+            raise ShapeError(f"expected [T, {self.config.d_model}] or "
+                             f"[B, T, {self.config.d_model}] input, got {x.shape}")
+        if x.shape[-2] > self.config.max_seq_len:
+            raise ShapeError(f"sequence length {x.shape[-2]} exceeds max_seq_len={self.config.max_seq_len}")
         for i in range(self.config.n_layers):
             x = self._block(x, i)
         return ad.rms_norm(x, self.params["final_norm.weight"], self.config.norm_eps)

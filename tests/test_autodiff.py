@@ -13,6 +13,19 @@ from helpers import highprec_softmax_row, naive_matmul, reference_causal_attenti
 
 
 class TestMatmul:
+    @pytest.mark.parametrize("t", [1, 2, 13, 39])
+    def test_batched_equals_2d_products_bitwise(self, t):
+        rng = np.random.default_rng(t)
+        a, w = rng.normal(size=(7, t, 64)), rng.normal(size=(64, 256))
+        out = ad.matmul(ad.tensor(a), ad.tensor(w)).data
+        for i in range(7):
+            np.testing.assert_array_equal(out[i], ad.matmul(ad.tensor(a[i]), ad.tensor(w)).data)
+
+    def test_batched_rejects_a_batched_right_operand(self):
+        x = ad.tensor(np.zeros((2, 3, 4)))
+        with pytest.raises(ShapeError):
+            ad.matmul(x, x)
+
     def test_identity(self):
         rng = np.random.default_rng(0)
         a = ad.tensor(rng.normal(size=(3, 3)))
@@ -101,6 +114,20 @@ class TestSoftmaxRows:
 
 
 class TestCausalAttention:
+    @pytest.mark.parametrize("t", [1, 2, 35])
+    def test_batch_equals_each_sequence_alone(self, t):
+        """[B, T, d] inputs give each sequence's [T, d] output and gradients bit for bit."""
+        rng = np.random.default_rng(t)
+        b, d, n_heads = 5, 64, 4
+        q, k, v = (ad.param(rng.normal(size=(b, t, d))) for _ in range(3))
+        g = rng.normal(size=(b, t, d))
+        out = ad.causal_attention(q, k, v, n_heads)
+        backward(ad.sum_all(ad.mul(out, ad.tensor(g))))
+        for i in range(b):
+            ref = reference_causal_attention(q.data[i], k.data[i], v.data[i], n_heads, g[i])
+            for got, want in zip((out.data[i], q.grad[i], k.grad[i], v.grad[i]), ref):
+                np.testing.assert_array_equal(got, want)
+
     @pytest.mark.parametrize("n_heads,d", [(1, 8), (2, 16), (4, 64)])
     @pytest.mark.parametrize("t", [1, 2, 35, 64, 130])
     def test_bitwise_equal_to_per_head_reference(self, n_heads, d, t):
@@ -318,6 +345,48 @@ class TestDeterminismAndGuards:
     def test_division_by_zero_guarded(self):
         with np.errstate(divide="ignore"), pytest.raises(NumericError):
             ad.div(ad.tensor([1.0]), ad.tensor(0.0))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_one_non_finite_value_raises_naming_the_op(self, bad):
+        x = np.zeros((16, 28, 256))
+        x[3, 5, 7] = bad
+        with pytest.raises(NumericError) as err:
+            ad.neg(ad.tensor(x))
+        assert "neg" in str(err.value)
+
+    def test_finite_values_whose_sum_overflows_pass(self):
+        with np.errstate(over="ignore"):
+            out = ad.neg(ad.tensor([1e308, 1e308]))
+        np.testing.assert_array_equal(out.data, [-1e308, -1e308])
+
+
+class TestNoGrad:
+    def test_results_record_no_closure(self):
+        w = ad.param(np.ones((3, 3)))
+        with ad.no_grad():
+            out = ad.matmul(ad.tensor(np.eye(3)), w)
+        assert not out.requires_grad
+        assert out._backward is None and out._parents == ()
+        np.testing.assert_array_equal(out.data, np.ones((3, 3)))
+
+    def test_flag_restored_after_exception(self):
+        w = ad.param(np.ones(2))
+        with pytest.raises(RuntimeError):
+            with ad.no_grad():
+                raise RuntimeError("inside")
+        assert ad.mul(w, w).requires_grad
+
+    def test_nesting_restores_the_outer_state(self):
+        w = ad.param(np.ones(2))
+        with ad.no_grad():
+            with ad.no_grad():
+                assert not ad.mul(w, w).requires_grad
+            assert not ad.mul(w, w).requires_grad
+        assert ad.mul(w, w).requires_grad
+
+    def test_strict_finite_guard_still_runs(self):
+        with ad.no_grad(), np.errstate(divide="ignore"), pytest.raises(NumericError):
+            ad.div(ad.param([1.0]), ad.tensor(0.0))
 
 
 class TestGatherConcatStack:

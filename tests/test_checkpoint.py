@@ -6,6 +6,7 @@ import pytest
 from embrank.checkpoint import load_checkpoint, parameter_checksum, save_checkpoint
 from embrank.errors import DataFormatError
 from embrank.reranker import build_model_pair, rerank_detailed
+from embrank.retrieval import DenseIndex, InvertedIndex
 from embrank.serialization import (read_record_file, sha256_arrays, sha256_file,
                                    write_record_file)
 
@@ -105,3 +106,33 @@ class TestCheckpoint:
         write_record_file(path, {"kind": "something-else"}, {"x": np.ones(1)})
         with pytest.raises(DataFormatError):
             load_checkpoint(path)
+
+
+def _save_dense(path, models, docs):
+    DenseIndex.build(docs, models.encoder).save(path)
+
+
+def _save_bm25(path, models, docs):
+    InvertedIndex.build(docs).save(path)
+
+
+@pytest.mark.parametrize("save,load,key", [
+    (_save_dense, DenseIndex.load, "matrix"),
+    (_save_dense, DenseIndex.load, "doc_ids"),
+    (_save_bm25, InvertedIndex.load, "offsets"),
+    (_save_bm25, InvertedIndex.load, "tokens"),
+    (lambda path, models, docs: save_checkpoint(path, models), load_checkpoint, "vocab"),
+    (lambda path, models, docs: save_checkpoint(path, models), load_checkpoint, "eos_id"),
+], ids=["dense-matrix", "dense-doc_ids", "bm25-offsets", "bm25-tokens",
+        "checkpoint-vocab", "checkpoint-eos_id"])
+def test_record_file_without_an_expected_key_names_file_and_key(
+        tmp_path, small_dataset, save, load, key):
+    models = build_model_pair(small_dataset.vocab, seed=0, d_model=8, n_layers=1, n_heads=2)
+    path = tmp_path / "file.bin"
+    save(path, models, small_dataset.documents[:5])
+    meta, arrays = read_record_file(path)
+    (arrays if key in arrays else meta).pop(key)
+    write_record_file(path, meta, arrays)
+    with pytest.raises(DataFormatError) as err:
+        load(path)
+    assert str(path) in str(err.value) and repr(key) in str(err.value)

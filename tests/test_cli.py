@@ -169,6 +169,20 @@ class TestEndToEndAndEvaluate:
         assert code == 1
         assert recorded != actual and recorded in err and actual in err
 
+    def test_bm25_index_over_another_corpus_rejected(self, workdir, tmp_path, capsys):
+        root, config, data, train, index = workdir
+        corpus = data / "corpus.jsonl"
+        fewer = tmp_path / "fewer_docs.jsonl"
+        fewer.write_text("".join(corpus.read_text().splitlines(keepends=True)[:40]))
+        code = main(["end-to-end", "--config", str(config),
+                     "--checkpoint", str(train / "checkpoints/final.ckpt"),
+                     "--corpus", str(fewer), "--queries", str(data / "queries_eval.tsv"),
+                     "--bm25-index", str(index / "bm25.idx"),
+                     "--mode", "bm25", "--out", str(tmp_path / "e2e")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert sha(corpus) in err and sha(fewer) in err
+
     def test_evaluate_perfect_run_scores_one(self, tmp_path):
         qrels = tmp_path / "qrels.txt"
         qrels.write_text("q1 0 d1 3\nq1 0 d2 1\n")

@@ -5,7 +5,8 @@ import pytest
 
 import embrank.autodiff as ad
 from embrank.autodiff import backward
-from embrank.errors import ShapeError
+from embrank.encoder import CHUNK_SIZE
+from embrank.errors import NumericError, ShapeError
 from embrank.reranker import build_model_pair
 
 from helpers import reference_transformer_forward
@@ -94,6 +95,45 @@ class TestBatchEncode:
         batched = encoder.batch_encode(passages)
         for ids, e in zip(passages, batched):
             np.testing.assert_array_equal(e.data, encoder.encode_passage(ids).data)
+
+    def test_length_buckets_bit_identical_in_input_order(self, encoder, vocab):
+        """Mixed lengths, one length bucket longer than two chunks, shuffled:
+        row i is encode_passage(passages[i]) bit for bit."""
+        rng = np.random.default_rng(11)
+        words = ["alpha", "beta", "gamma", "delta", "epsilon", "zeta", "eta", "theta"]
+        same = [vocab.encode(" ".join(rng.choice(words, size=4)))
+                for _ in range(2 * CHUNK_SIZE + 8)]
+        mixed = [vocab.encode(" ".join(rng.choice(words, size=rng.integers(1, 9))))
+                 for _ in range(20)]
+        passages = same + mixed
+        passages = [passages[i] for i in rng.permutation(len(passages))]
+        batched = encoder.batch_encode(passages)
+        assert len(batched) == len(passages)
+        for ids, e in zip(passages, batched):
+            np.testing.assert_array_equal(e.data, encoder.encode_passage(ids).data)
+
+    def test_gradients_flow_to_every_passage(self, tiny_models, vocab):
+        """One backward through a bucketed batch gives the sum of the gradients
+        of the passages encoded one at a time."""
+        enc = tiny_models.encoder
+        passages = [vocab.encode(t) for t in ("alpha beta", "gamma delta", "zeta eta theta")]
+        backward(ad.sum_all(ad.stack(enc.batch_encode(passages))))
+        batched = {k: t.grad.copy() for k, t in enc.parameters().items()}
+        for t in enc.parameters().values():
+            t.zero_grad()
+        for ids in passages:
+            backward(ad.sum_all(enc.encode_passage(ids)))
+        for k, t in enc.parameters().items():
+            np.testing.assert_allclose(batched[k], t.grad, rtol=1e-12, atol=1e-15, err_msg=k)
+
+    def test_numeric_error_names_the_passages_of_its_chunk(self, tiny_models, vocab):
+        enc = tiny_models.encoder
+        enc.parameters()["tok_emb"].data[vocab.encode("zeta")[0]] = np.nan
+        passages = [vocab.encode("alpha beta"), vocab.encode("gamma delta epsilon"),
+                    vocab.encode("eta zeta")]
+        with pytest.raises(NumericError) as err:
+            enc.batch_encode(passages)
+        assert "passages [0, 2]" in str(err.value)
 
     def test_passage_independence(self, encoder, vocab):
         """Changing one batch element never changes another's embedding bits."""
