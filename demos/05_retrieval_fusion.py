@@ -29,7 +29,7 @@ print(f"trained in {time.time() - t0:.0f}s")
 
 bm25 = InvertedIndex.build(ds.documents)
 dense = DenseIndex.build(ds.documents, models.encoder)
-print(f"indexes: BM25 over {bm25.n_docs} docs, dense matrix {dense.matrix.shape}")
+print(f"indexes: BM25 over {len(bm25.doc_ids)} docs, dense matrix {dense.matrix.shape}")
 
 print("\n== retrieval mode comparison (first stage -> reranked, nDCG@10) ==")
 for mode in ("bm25", "dense", "rrf"):

@@ -23,9 +23,7 @@ CHECKPOINT_KIND = "embrank-model-pair"
 
 
 def parameter_checksum(models: ModelPair) -> str:
-    arrays = {f"encoder.{k}": t.data for k, t in models.encoder.parameters().items()}
-    arrays.update({f"reranker.{k}": t.data for k, t in models.reranker.parameters().items()})
-    return sha256_arrays(arrays)
+    return sha256_arrays({k: t.data for k, t in models.parameters().items()})
 
 
 def save_checkpoint(path, models: ModelPair, extra_meta: dict | None = None) -> None:
@@ -41,9 +39,7 @@ def save_checkpoint(path, models: ModelPair, extra_meta: dict | None = None) -> 
         "vocab": models.vocab.id_to_token,
         "extra": extra_meta or {},
     }
-    arrays = {f"encoder.{k}": t.data for k, t in models.encoder.parameters().items()}
-    arrays.update({f"reranker.{k}": t.data for k, t in models.reranker.parameters().items()})
-    write_record_file(path, meta, arrays)
+    write_record_file(path, meta, {k: t.data for k, t in models.parameters().items()})
 
 
 def _model_config(path, meta: dict, key: str) -> ModelConfig:
@@ -70,13 +66,12 @@ def load_checkpoint(path) -> ModelPair:
                              residual_enabled=meta["residual_enabled"],
                              hidden_state_enabled=meta["hidden_state_enabled"],
                              passage_position_embeddings=meta["passage_position_embeddings"])
-    for prefix, model in (("encoder", encoder), ("reranker", reranker)):
-        for name, tensor in model.parameters().items():
-            key = f"{prefix}.{name}"
-            if key not in arrays:
-                raise DataFormatError(f"{path}: checkpoint missing parameter {key}")
-            if arrays[key].shape != tensor.data.shape:
-                raise DataFormatError(f"{path}: shape mismatch for {key}: "
-                                      f"{arrays[key].shape} vs {tensor.data.shape}")
-            tensor.data = arrays[key].astype(tensor.data.dtype)
-    return ModelPair(encoder=encoder, reranker=reranker, vocab=vocab)
+    models = ModelPair(encoder=encoder, reranker=reranker, vocab=vocab)
+    for key, tensor in models.parameters().items():
+        if key not in arrays:
+            raise DataFormatError(f"{path}: checkpoint missing parameter {key}")
+        if arrays[key].shape != tensor.data.shape:
+            raise DataFormatError(f"{path}: shape mismatch for {key}: "
+                                  f"{arrays[key].shape} vs {tensor.data.shape}")
+        tensor.data = arrays[key].astype(tensor.data.dtype)
+    return models

@@ -53,34 +53,9 @@ def finite_diff_check(f: Callable[[Tensor], Tensor], x: Tensor,
     ``f`` must return a scalar tensor and must not cache state between calls;
     ``x.data`` is perturbed in place and restored.
     """
-    if step <= 0.0:
-        raise ValueError(f"step must be positive, got {step}")
     if not x.requires_grad:
         raise ValueError("finite_diff_check: x must have requires_grad=True")
-
-    x.grad = None
-    out = f(x)
-    if out.shape != ():
-        raise ShapeError(f"finite_diff_check: f must be scalar-valued, got shape {out.shape}")
-    backward(out)
-    analytic = np.zeros_like(x.data) if x.grad is None else x.grad.copy()
-
-    numeric = np.zeros_like(x.data)
-    flat = x.data.reshape(-1)
-    num_flat = numeric.reshape(-1)
-    for i in range(flat.size):
-        orig = flat[i]
-        flat[i] = orig + step
-        f_plus = f(x).item()
-        flat[i] = orig - step
-        f_minus = f(x).item()
-        flat[i] = orig
-        num_flat[i] = (f_plus - f_minus) / (2.0 * step)
-
-    max_err = float(relative_errors(analytic, numeric).max()) if flat.size else 0.0
-    return GradCheckReport(name=name, n_coords=int(flat.size),
-                           max_rel_error=max_err, step=step, tol=tol,
-                           passed=max_err < tol)
+    return finite_diff_check_many(lambda: f(x), {name: x}, step=step, tol=tol)[0]
 
 
 def finite_diff_check_many(f: Callable[[], Tensor],
@@ -91,6 +66,8 @@ def finite_diff_check_many(f: Callable[[], Tensor],
     One analytic backward pass supplies all gradients; the numeric side then
     sweeps every coordinate of every named tensor.
     """
+    if step <= 0.0:
+        raise ValueError(f"step must be positive, got {step}")
     for t in named.values():
         t.grad = None
     out = f()

@@ -154,6 +154,13 @@ class ModelPair:
     def instruction_ids(self) -> list[int]:
         return self.vocab.instruction_ids()
 
+    def parameters(self) -> dict[str, Tensor]:
+        """Both models' parameters under their checkpoint names, ``encoder.*``
+        then ``reranker.*``; gradient norms and checksums follow this order."""
+        return {f"{prefix}.{name}": t
+                for prefix, model in (("encoder", self.encoder), ("reranker", self.reranker))
+                for name, t in model.parameters().items()}
+
 
 def build_model_pair(vocab: Vocabulary, seed: int, *,
                      d_model: int = 64, n_layers: int = 2, n_heads: int = 4,

@@ -1,16 +1,18 @@
 """First-stage retrieval, rank fusion, and the sliding-window protocol.
 
-BM25 runs over an inverted index of token ids with the ln(1 + .) idf form,
-so scores are non-negative. Dense retrieval is an exact full scan of the
-encoder's passage embeddings (no approximate structures at this scale).
-Reciprocal rank fusion combines two runs with 1/(K + rank), K defaulting
-to 60. The sliding-window protocol reranks fixed-size overlapping slices
-from the tail of the candidate list toward the head so strong candidates
-bubble upward across windows.
+BM25 runs over CSR postings of token ids, one layout in memory and on
+disk, with the ln(1 + .) idf form, so scores are non-negative; a query sums
+its terms with one bit-exact ``np.bincount``. Dense retrieval is an exact
+full scan of the encoder's passage embeddings (no approximate structures at
+this scale). Reciprocal rank fusion combines two runs with 1/(K + rank), K
+defaulting to 60. The sliding-window protocol reranks fixed-size
+overlapping slices from the tail of the candidate list toward the head so
+strong candidates bubble upward across windows.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -26,44 +28,59 @@ from .serialization import read_record_file, require_keys, write_record_file
 RRF_K_DEFAULT = 60
 
 
-class InvertedIndex:
-    """Token-id postings with document length statistics for BM25 scoring."""
+@dataclass(eq=False)
+class Postings:
+    """BM25 postings as CSR int64 arrays, the layout of the index file: the
+    postings of ``tokens[i]`` (strictly increasing) are rows
+    ``offsets[i]:offsets[i + 1]`` of ``doc_idx`` (ascending) and ``tf``."""
 
-    def __init__(self, k1: float = 1.2, b: float = 0.75):
+    tokens: np.ndarray
+    offsets: np.ndarray
+    doc_idx: np.ndarray
+    tf: np.ndarray
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Postings) and all(np.array_equal(a, b) for a, b in (
+            (self.tokens, other.tokens), (self.offsets, other.offsets),
+            (self.doc_idx, other.doc_idx), (self.tf, other.tf)))
+
+
+class InvertedIndex:
+    """BM25 over ``Postings``, held in memory as the index file stores them.
+
+    Scores are bit-identical to the definitional per-document sum, from 0.0
+    in query order, of ``idf * tf * (k1 + 1) / (tf + k1 * (1 - b + b * |d| / avgdl))``
+    with ``idf = math.log(1 + (N - df + 0.5) / (df + 0.5))``.
+    """
+
+    def __init__(self, doc_ids: list[str], doc_lengths: list[int], postings: Postings,
+                 k1: float = 1.2, b: float = 0.75, corpus_checksum: str = ""):
         if k1 < 0 or not 0.0 <= b <= 1.0:
             raise ConfigError(f"invalid BM25 parameters k1={k1}, b={b}")
-        self.k1 = k1
-        self.b = b
-        self.corpus_checksum = ""  # as recorded in a loaded index file; "" when unknown
-        self.doc_ids: list[str] = []
-        self.doc_lengths: list[int] = []
-        self.postings: dict[int, list[tuple[int, int]]] = {}
-        self.avgdl = 0.0
+        self.k1, self.b = k1, b
+        self.corpus_checksum = corpus_checksum  # as recorded in a loaded index file; "" when unknown
+        self.doc_ids = doc_ids
+        self.doc_lengths = doc_lengths
+        self.postings = postings
+        self.avgdl = sum(doc_lengths) / len(doc_lengths)
+        self._norm = k1 * (1.0 - b + b * np.asarray(doc_lengths, dtype=np.int64) / self.avgdl)
 
     @classmethod
     def build(cls, documents: list[Document], k1: float = 1.2, b: float = 0.75) -> "InvertedIndex":
-        index = cls(k1=k1, b=b)
         ordered = sorted(documents, key=lambda d: d.doc_id)
-        index.doc_ids = [d.doc_id for d in ordered]
-        index.doc_lengths = [len(d.tokens) for d in ordered]
-        if any(n == 0 for n in index.doc_lengths):
+        lengths = [len(d.tokens) for d in ordered]
+        if any(n == 0 for n in lengths):
             raise DataFormatError("cannot index a document with no tokens")
-        for i, doc in enumerate(ordered):
-            counts: dict[int, int] = {}
-            for token in doc.tokens:
-                counts[token] = counts.get(token, 0) + 1
-            for token, tf in counts.items():
-                index.postings.setdefault(token, []).append((i, tf))
-        index.avgdl = sum(index.doc_lengths) / len(index.doc_lengths)
-        return index
-
-    @property
-    def n_docs(self) -> int:
-        return len(self.doc_ids)
-
-    def idf(self, token: int) -> float:
-        df = len(self.postings.get(token, ()))
-        return math.log(1.0 + (self.n_docs - df + 0.5) / (df + 0.5))
+        n = len(ordered)
+        token = np.fromiter(itertools.chain.from_iterable(d.tokens for d in ordered),
+                            dtype=np.int64, count=sum(lengths))
+        # Sorting the (token, doc) pairs once gives the postings in CSR order.
+        keys, tf = np.unique(token * n + np.repeat(np.arange(n), lengths), return_counts=True)
+        posting_token, doc_idx = np.divmod(keys, n)
+        tokens, starts = np.unique(posting_token, return_index=True)
+        postings = Postings(tokens, np.append(starts, len(keys)).astype(np.int64),
+                            doc_idx, tf.astype(np.int64))
+        return cls([d.doc_id for d in ordered], lengths, postings, k1=k1, b=b)
 
     def search(self, query_tokens, k: int, query_id: str = "q0") -> RunList:
         """Top-k by BM25; each query-token occurrence contributes its own term.
@@ -72,38 +89,30 @@ class InvertedIndex:
         """
         if k < 1:
             raise ConfigError("bm25 search: k must be >= 1")
-        if not query_tokens:
-            return RunList(query_id=query_id, entries=[], tag="bm25")
-        scores: dict[int, float] = {}
+        p, n = self.postings, len(self.doc_ids)
+        docs, terms = [np.zeros(0, np.int64)], [np.zeros(0)]
         for token in query_tokens:
-            plist = self.postings.get(token)
-            if not plist:
+            row = int(np.searchsorted(p.tokens, token))
+            if row == len(p.tokens) or p.tokens[row] != token:
                 continue
-            idf = self.idf(token)
-            for doc_idx, tf in plist:
-                norm = self.k1 * (1.0 - self.b + self.b * self.doc_lengths[doc_idx] / self.avgdl)
-                scores[doc_idx] = scores.get(doc_idx, 0.0) + idf * tf * (self.k1 + 1.0) / (tf + norm)
-        scored = {self.doc_ids[i]: s for i, s in scores.items()}
+            lo, hi = int(p.offsets[row]), int(p.offsets[row + 1])
+            idf = math.log(1.0 + (n - (hi - lo) + 0.5) / (hi - lo + 0.5))
+            tf = p.tf[lo:hi]
+            docs.append(p.doc_idx[lo:hi])
+            terms.append(idf * tf * (self.k1 + 1.0) / (tf + self._norm[docs[-1]]))
+        # bincount adds each document's terms in input order from 0.0.
+        hit_docs = np.concatenate(docs)
+        scores = np.bincount(hit_docs, np.concatenate(terms), minlength=n)
+        scored = {self.doc_ids[i]: float(scores[i]) for i in np.unique(hit_docs).tolist()}
         return RunList(query_id=query_id, entries=sorted_entries(scored)[:k], tag="bm25")
 
     def save(self, path, corpus_checksum: str = "") -> None:
-        tokens = sorted(self.postings)
-        offsets = np.zeros(len(tokens) + 1, dtype=np.int64)
-        doc_idx_parts, tf_parts = [], []
-        for i, token in enumerate(tokens):
-            plist = self.postings[token]
-            offsets[i + 1] = offsets[i] + len(plist)
-            doc_idx_parts.extend(p[0] for p in plist)
-            tf_parts.extend(p[1] for p in plist)
+        p = self.postings
         meta = {"kind": "embrank-bm25-index", "k1": self.k1, "b": self.b,
-                "doc_ids": self.doc_ids, "tokens": tokens,
+                "doc_ids": self.doc_ids, "tokens": p.tokens.tolist(),
                 "corpus_checksum": corpus_checksum}
-        arrays = {
-            "offsets": offsets,
-            "doc_idx": np.asarray(doc_idx_parts, dtype=np.int64),
-            "tf": np.asarray(tf_parts, dtype=np.int64),
-            "doc_lengths": np.asarray(self.doc_lengths, dtype=np.int64),
-        }
+        arrays = {"offsets": p.offsets, "doc_idx": p.doc_idx, "tf": p.tf,
+                  "doc_lengths": np.asarray(self.doc_lengths, dtype=np.int64)}
         write_record_file(path, meta, arrays)
 
     @classmethod
@@ -113,19 +122,51 @@ class InvertedIndex:
             raise DataFormatError(f"{path}: not a BM25 index file")
         require_keys(path, meta, arrays, ("k1", "b", "doc_ids", "tokens"),
                      ("offsets", "doc_idx", "tf", "doc_lengths"))
-        index = cls(k1=meta["k1"], b=meta["b"])
-        index.corpus_checksum = meta.get("corpus_checksum", "")
-        index.doc_ids = list(meta["doc_ids"])
-        index.doc_lengths = [int(x) for x in arrays["doc_lengths"]]
-        offsets = arrays["offsets"]
-        doc_idx = arrays["doc_idx"]
-        tf = arrays["tf"]
-        for i, token in enumerate(meta["tokens"]):
-            lo, hi = int(offsets[i]), int(offsets[i + 1])
-            index.postings[int(token)] = [(int(d), int(t))
-                                          for d, t in zip(doc_idx[lo:hi], tf[lo:hi])]
-        index.avgdl = sum(index.doc_lengths) / len(index.doc_lengths)
-        return index
+        doc_ids = meta["doc_ids"]
+        doc_lengths = _int_array(path, "doc_lengths", arrays["doc_lengths"])
+        postings = Postings(_int_array(path, "tokens", meta["tokens"]),
+                            *(_int_array(path, name, arrays[name])
+                              for name in ("offsets", "doc_idx", "tf")))
+        _check_index(path, doc_ids, doc_lengths, postings)
+        return cls(doc_ids, doc_lengths.tolist(), postings, k1=meta["k1"], b=meta["b"],
+                   corpus_checksum=meta.get("corpus_checksum", ""))
+
+
+def _int_array(path, name: str, values) -> np.ndarray:
+    """``values`` as a 1-D int64 array, or ``DataFormatError`` naming the file and ``name``."""
+    try:
+        arr = np.asarray(values)
+    except (ValueError, TypeError):
+        arr = None
+    if arr is None or arr.ndim != 1 or (arr.size and arr.dtype.kind != "i"):
+        raise DataFormatError(f"{path}: BM25 index {name!r} is not a 1-D integer array")
+    return arr.astype(np.int64, copy=False)
+
+
+def _check_index(path, doc_ids, doc_lengths: np.ndarray, p: Postings) -> None:
+    """Raise ``DataFormatError`` naming the file and the array unless the loaded
+    index is consistent; ``search`` relies on every one of these."""
+    def check(ok, name: str, what: str) -> None:
+        if not ok:
+            raise DataFormatError(f"{path}: BM25 index {name!r} {what}")
+
+    check(isinstance(doc_ids, list) and doc_ids and all(isinstance(d, str) for d in doc_ids),
+          "doc_ids", "is not a nonempty list of document ids")
+    check(len(doc_lengths) == len(doc_ids), "doc_lengths",
+          f"holds {len(doc_lengths)} lengths for {len(doc_ids)} documents")
+    check(np.all(doc_lengths >= 1), "doc_lengths", "holds a length below 1")
+    check(np.all(np.diff(p.tokens) > 0), "tokens", "is not strictly increasing")
+    check(len(p.offsets) == len(p.tokens) + 1, "offsets",
+          f"holds {len(p.offsets)} entries for {len(p.tokens)} tokens")
+    check(p.offsets[0] == 0 and np.all(np.diff(p.offsets) >= 0), "offsets",
+          "must start at 0 and never decrease")
+    check(p.offsets[-1] == len(p.doc_idx), "offsets",
+          f"ends at {p.offsets[-1]}, not at the {len(p.doc_idx)} postings in 'doc_idx'")
+    check(len(p.tf) == len(p.doc_idx), "tf",
+          f"holds {len(p.tf)} entries for {len(p.doc_idx)} postings")
+    check(np.all((p.doc_idx >= 0) & (p.doc_idx < len(doc_ids))), "doc_idx",
+          f"holds an index outside the {len(doc_ids)} documents")
+    check(np.all(p.tf >= 1), "tf", "holds a term frequency below 1")
 
 
 @dataclass

@@ -188,14 +188,7 @@ def _ensure_finite_loss(value: float, step: int) -> None:
 
 
 def _trainable_params(models: ModelPair) -> dict[str, Tensor]:
-    out = {}
-    for k, t in models.encoder.parameters().items():
-        if t.requires_grad:
-            out[f"encoder.{k}"] = t
-    for k, t in models.reranker.parameters().items():
-        if t.requires_grad:
-            out[f"reranker.{k}"] = t
-    return out
+    return {k: t for k, t in models.parameters().items() if t.requires_grad}
 
 
 def train_step(models: ModelPair, batch: list[RankingSample], doc_tokens,

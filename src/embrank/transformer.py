@@ -65,9 +65,6 @@ class CausalTransformer:
     def parameters(self) -> dict[str, Tensor]:
         return self.params
 
-    def trainable_parameters(self) -> dict[str, Tensor]:
-        return {k: v for k, v in self.params.items() if v.requires_grad}
-
     def set_trainable(self, trainable: bool) -> None:
         for t in self.params.values():
             t.requires_grad = bool(trainable)

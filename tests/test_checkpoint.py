@@ -136,3 +136,49 @@ def test_record_file_without_an_expected_key_names_file_and_key(
     with pytest.raises(DataFormatError) as err:
         load(path)
     assert str(path) in str(err.value) and repr(key) in str(err.value)
+
+
+
+def _set(name, value):
+    """A damage that replaces one header entry or array with ``value(meta, arrays)``."""
+    def damage(meta, arrays):
+        (arrays if name in arrays else meta)[name] = value(meta, arrays)
+    return damage
+
+
+def _with(arr, i, value):
+    out = np.array(arr)
+    out[i] = value
+    return out
+
+
+@pytest.mark.parametrize("damage,key", [
+    (_set("offsets", lambda m, a: a["offsets"][:-2]), "offsets"),
+    (_set("offsets", lambda m, a: a["offsets"] + 1), "offsets"),
+    (_set("offsets", lambda m, a: _with(a["offsets"], 1, a["offsets"][2] + 1)), "offsets"),
+    (_set("offsets", lambda m, a: _with(a["offsets"], -1, a["offsets"][-1] - 1)), "offsets"),
+    (_set("doc_idx", lambda m, a: _with(a["doc_idx"], 0, len(m["doc_ids"]))), "doc_idx"),
+    (_set("doc_idx", lambda m, a: _with(a["doc_idx"], 0, -1)), "doc_idx"),
+    (_set("doc_idx", lambda m, a: a["doc_idx"].astype(np.float64)), "doc_idx"),
+    (_set("tf", lambda m, a: np.zeros_like(a["tf"])), "tf"),
+    (_set("tf", lambda m, a: a["tf"][:-1]), "tf"),
+    (_set("tokens", lambda m, a: m["tokens"][::-1]), "tokens"),
+    (_set("tokens", lambda m, a: ["a"] + m["tokens"][1:]), "tokens"),
+    (_set("doc_lengths", lambda m, a: a["doc_lengths"][:-1]), "doc_lengths"),
+    (_set("doc_lengths", lambda m, a: _with(a["doc_lengths"], 0, 0)), "doc_lengths"),
+    (_set("doc_ids", lambda m, a: []), "doc_ids"),
+], ids=["offsets-short", "offsets-not-from-zero", "offsets-falling", "offsets-end-short",
+        "doc_idx-past-last-doc", "doc_idx-negative", "doc_idx-float", "tf-zero", "tf-short",
+        "tokens-reordered", "tokens-not-integers", "doc_lengths-short", "doc_lengths-zero",
+        "no-documents"])
+def test_damaged_bm25_index_names_file_and_array(tmp_path, small_dataset, damage, key):
+    """Each damage once ended in a raw IndexError or ZeroDivisionError, or in
+    an index that loaded and then ranked silently wrong."""
+    path = tmp_path / "bm25.idx"
+    InvertedIndex.build(small_dataset.documents[:5]).save(path)
+    meta, arrays = read_record_file(path)
+    damage(meta, arrays)
+    write_record_file(path, meta, arrays)
+    with pytest.raises(DataFormatError) as err:
+        InvertedIndex.load(path)
+    assert str(path) in str(err.value) and repr(key) in str(err.value)

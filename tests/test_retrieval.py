@@ -11,6 +11,7 @@ from embrank.retrieval import (DenseIndex, InvertedIndex, end_to_end, rrf_fuse,
                                sliding_window_rerank)
 from embrank.reranker import build_model_pair, rerank_detailed
 from embrank.runs import RunEntry, RunList
+from embrank.synthetic import generate_synthetic
 
 from helpers import naive_bm25_scores, naive_rrf
 
@@ -87,14 +88,32 @@ class TestBM25:
         small = InvertedIndex.build(docs)
         extra = Document("d9", "zzz unrelated", vocab.encode("zzz unrelated"))
         big = InvertedIndex.build(docs + [extra])
-        for token, plist in small.postings.items():
-            old = {small.doc_ids[i]: tf for i, tf in plist}
-            new = {big.doc_ids[i]: tf for i, tf in big.postings[token]}
-            assert all(new[doc] == tf for doc, tf in old.items())
+
+        def term_frequencies(index):
+            p = index.postings
+            posting_tokens = np.repeat(p.tokens, np.diff(p.offsets))
+            return {(token, index.doc_ids[d]): tf for token, d, tf
+                    in zip(posting_tokens.tolist(), p.doc_idx.tolist(), p.tf.tolist())}
+
+        old, new = term_frequencies(small), term_frequencies(big)
+        assert all(new[key] == tf for key, tf in old.items())
 
     def test_empty_query_empty_run(self, corpus):
         docs, vocab = corpus
         assert len(InvertedIndex.build(docs).search([], k=3)) == 0
+
+    def test_scores_bitwise_equal_to_definitional_reference(self, tmp_path):
+        """Built, saved and loaded, the index scores the first 10 seed-0
+        queries exactly as the definitional formula does, compared with ==."""
+        ds = generate_synthetic(seed=0)
+        InvertedIndex.build(ds.documents).save(tmp_path / "bm25.idx")
+        index = InvertedIndex.load(tmp_path / "bm25.idx")
+        doc_tokens = [d.tokens for d in ds.documents]
+        for query in ds.queries[:10]:
+            tokens = ds.vocab.encode(query.text)
+            got = {e.doc_id: e.score for e in index.search(tokens, k=len(doc_tokens)).entries}
+            ref = naive_bm25_scores(doc_tokens, tokens, k1=index.k1, b=index.b)
+            assert got == {d.doc_id: s for d, s in zip(ds.documents, ref) if s > 0.0}
 
     def test_save_load_round_trip(self, corpus, tmp_path):
         docs, vocab = corpus
