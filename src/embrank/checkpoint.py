@@ -3,7 +3,8 @@
 A checkpoint stores both models' parameters plus the vocabulary and the
 model/flag configuration needed to rebuild the pair without the original
 corpus. The parameter checksum identifies a weight state independently of
-where it is stored.
+where it is stored; the encoder checksum identifies the encoder's alone,
+which is all a dense index depends on.
 """
 
 from __future__ import annotations
@@ -24,6 +25,12 @@ CHECKPOINT_KIND = "embrank-model-pair"
 
 def parameter_checksum(models: ModelPair) -> str:
     return sha256_arrays({k: t.data for k, t in models.parameters().items()})
+
+
+def encoder_checksum(encoder: EncoderModel) -> str:
+    """Fingerprint of the encoder's weights only, so training the reranker
+    alone leaves it, and the dense indexes that record it, valid."""
+    return sha256_arrays({k: t.data for k, t in encoder.parameters().items()})
 
 
 def save_checkpoint(path, models: ModelPair, extra_meta: dict | None = None) -> None:

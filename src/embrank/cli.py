@@ -15,7 +15,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .checkpoint import load_checkpoint, parameter_checksum, save_checkpoint
+from .checkpoint import encoder_checksum, load_checkpoint, parameter_checksum, save_checkpoint
 from .config import ExperimentConfig, config_to_dict, load_config, save_config
 from .data import (load_corpus, load_qrels, load_queries, load_samples,
                    write_corpus, write_qrels, write_queries, write_samples)
@@ -152,8 +152,7 @@ def cmd_build_index(args) -> int:
         if not args.checkpoint:
             raise ConfigError("--dense requires --checkpoint for the encoder")
         models = load_checkpoint(_path(args.checkpoint))
-        dense = DenseIndex.build(docs, models.encoder, corpus_checksum=checksum,
-                                 encoder_checkpoint_id=parameter_checksum(models))
+        dense = DenseIndex.build(docs, models.encoder, corpus_checksum=checksum)
         dense.save(out / "dense.idx")
         built.append("dense.idx")
     _echo_config(out, cfg, "build-index", {"corpus": str(corpus_path),
@@ -256,8 +255,11 @@ def cmd_end_to_end(args) -> int:
     _check_provenance(args.bm25_index, {"corpus_checksum": bm25.corpus_checksum},
                       {"corpus_checksum": corpus})
     if dense is not None:
+        # Indexes written before the encoder fingerprint recorded the whole
+        # pair's checksum as encoder_checkpoint_id; they are still checked.
         _check_provenance(args.dense_index, dense.metadata,
-                          {"encoder_checkpoint_id": ("--checkpoint", parameter_checksum(models)),
+                          {"encoder_sha256": ("--checkpoint", encoder_checksum(models.encoder)),
+                           "encoder_checkpoint_id": ("--checkpoint", parameter_checksum(models)),
                            "corpus_checksum": corpus})
 
     first_runs, reranked_runs = [], []

@@ -197,24 +197,39 @@ def rerank_detailed(query_ids, documents, models: ModelPair, *,
                     count_candidates: bool = True) -> RerankResult:
     """Single-pass listwise rerank of one candidate list; ``.run`` is the ordered run.
 
-    ``documents`` is a list of (doc_id, token_ids). Exactly two forward passes
-    happen per candidate set: the encoder over each passage and the reranker
-    over the assembled sequence, both under ``no_grad`` (no tape is recorded).
-    The counter records one processed passage token per injected embedding and
-    never sees a generated token.
+    ``documents`` is a list of (doc_id, token_ids). The encoder compresses each
+    passage in one ``batch_encode`` under ``no_grad``, and ``rerank_embeddings``
+    scores the result, so the reranker sees exactly what a caller holding the
+    same embeddings (a dense index's rows) would give it.
     """
-    if not documents:
+    with ad.no_grad():
+        embeddings = models.encoder.batch_encode([tokens for _, tokens in documents])
+    return rerank_embeddings(query_ids, [doc_id for doc_id, _ in documents], embeddings,
+                             models, query_id=query_id, tag=tag, counter=counter,
+                             count_candidates=count_candidates)
+
+
+def rerank_embeddings(query_ids, doc_ids: list[str], embeddings: list[Tensor],
+                      models: ModelPair, *, query_id: str = "q0", tag: str = "embrank",
+                      counter: TokenCounter | None = None,
+                      count_candidates: bool = True) -> RerankResult:
+    """Single-pass listwise rerank of candidates given as their encoder embeddings.
+
+    ``embeddings[i]`` is the [d] encoder output of ``doc_ids[i]``. One reranker
+    forward pass over the assembled sequence scores them all, under ``no_grad``
+    (no tape is recorded). The counter records one processed passage token per
+    injected embedding and never sees a generated token.
+    """
+    if not doc_ids:
         raise DegenerateInputError("rerank: documents must be nonempty")
     if counter is None:
         counter = TokenCounter()
     with ad.no_grad():
-        embeddings = models.encoder.batch_encode([tokens for _, tokens in documents])
         output = models.reranker.forward(models.instruction_ids(), query_ids, embeddings)
-    counter.count_processed(len(documents))
+    counter.count_processed(len(doc_ids))
     if count_candidates:
-        counter.candidates += len(documents)
-    entries = [RunEntry(doc_id=documents[i][0], score=output.scores[i])
+        counter.candidates += len(doc_ids)
+    entries = [RunEntry(doc_id=doc_ids[i], score=output.scores[i])
                for i in output.permutation]
     run = RunList(query_id=query_id, entries=entries, tag=tag, counters=counter)
     return RerankResult(run=run, output=output, embeddings=embeddings)
-

@@ -4,24 +4,30 @@ BM25 runs over CSR postings of token ids, one layout in memory and on
 disk, with the ln(1 + .) idf form, so scores are non-negative; a query sums
 its terms with one bit-exact ``np.bincount``. Dense retrieval is an exact
 full scan of the encoder's passage embeddings (no approximate structures at
-this scale). Reciprocal rank fusion combines two runs with 1/(K + rank), K
-defaulting to 60. The sliding-window protocol reranks fixed-size
-overlapping slices from the tail of the candidate list toward the head so
-strong candidates bubble upward across windows.
+this scale). The index records the fingerprint of the encoder that built it,
+and ``end_to_end`` feeds the reranker those same stored embeddings while the
+live encoder still matches it, so a query encodes only itself. Reciprocal
+rank fusion combines two runs with 1/(K + rank), K defaulting to 60. The
+sliding-window protocol reranks fixed-size overlapping slices from the tail
+of the candidate list toward the head so strong candidates bubble upward
+across windows.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import autodiff as ad
+from .checkpoint import encoder_checksum
 from .data import Document
 from .errors import ConfigError, DataFormatError, DegenerateInputError, ShapeError
-from .reranker import ModelPair, rerank_detailed
+from .reranker import ModelPair, rerank_detailed, rerank_embeddings
 from .runs import RunEntry, RunList, TokenCounter, sorted_entries
 from .serialization import read_record_file, require_keys, write_record_file
 
@@ -127,7 +133,7 @@ class InvertedIndex:
         postings = Postings(_int_array(path, "tokens", meta["tokens"]),
                             *(_int_array(path, name, arrays[name])
                               for name in ("offsets", "doc_idx", "tf")))
-        _check_index(path, doc_ids, doc_lengths, postings)
+        _check_index(path, meta["k1"], meta["b"], doc_ids, doc_lengths, postings)
         return cls(doc_ids, doc_lengths.tolist(), postings, k1=meta["k1"], b=meta["b"],
                    corpus_checksum=meta.get("corpus_checksum", ""))
 
@@ -143,13 +149,26 @@ def _int_array(path, name: str, values) -> np.ndarray:
     return arr.astype(np.int64, copy=False)
 
 
-def _check_index(path, doc_ids, doc_lengths: np.ndarray, p: Postings) -> None:
-    """Raise ``DataFormatError`` naming the file and the array unless the loaded
-    index is consistent; ``search`` relies on every one of these."""
+def _checker(path, kind: str):
+    """``check(ok, name, what)``, which raises ``DataFormatError`` naming the
+    file and the field ``name`` unless ``ok``."""
     def check(ok, name: str, what: str) -> None:
         if not ok:
-            raise DataFormatError(f"{path}: BM25 index {name!r} {what}")
+            raise DataFormatError(f"{path}: {kind} index {name!r} {what}")
+    return check
 
+
+def _is_number(value) -> bool:
+    """A finite JSON number: not a bool, NaN, an infinity or an int past float range."""
+    return type(value) in (int, float) and abs(value) <= sys.float_info.max
+
+
+def _check_index(path, k1, b, doc_ids, doc_lengths: np.ndarray, p: Postings) -> None:
+    """Raise ``DataFormatError`` naming the file and the field unless the loaded
+    index is consistent; ``search`` relies on every one of these."""
+    check = _checker(path, "BM25")
+    check(_is_number(k1) and k1 >= 0, "k1", f"is {k1!r}, not a finite number >= 0")
+    check(_is_number(b) and 0 <= b <= 1, "b", f"is {b!r}, not a number in [0, 1]")
     check(isinstance(doc_ids, list) and doc_ids and all(isinstance(d, str) for d in doc_ids),
           "doc_ids", "is not a nonempty list of document ids")
     check(len(doc_lengths) == len(doc_ids), "doc_lengths",
@@ -171,7 +190,12 @@ def _check_index(path, doc_ids, doc_lengths: np.ndarray, p: Postings) -> None:
 
 @dataclass
 class DenseIndex:
-    """Exact full-scan index of passage embeddings from a specific encoder state."""
+    """Exact full-scan index of passage embeddings from a specific encoder state.
+
+    ``metadata["encoder_sha256"]`` is that state's ``encoder_checksum``;
+    ``build`` always records it, and an index without it (built by hand, or
+    written by an older version) never lends its rows to the reranker.
+    """
 
     matrix: np.ndarray                       # [n_docs, d]
     doc_ids: list[str]
@@ -179,7 +203,7 @@ class DenseIndex:
 
     @classmethod
     def build(cls, documents: list[Document], encoder, *,
-              corpus_checksum: str = "", encoder_checkpoint_id: str = "") -> "DenseIndex":
+              corpus_checksum: str = "") -> "DenseIndex":
         with ad.no_grad():
             embeddings = [e.data for e in encoder.batch_encode([d.tokens for d in documents])]
         matrix = np.stack(embeddings, axis=0) if embeddings else np.zeros((0, 1))
@@ -188,7 +212,12 @@ class DenseIndex:
             raise DegenerateInputError("dense index: a passage embedding has zero norm")
         return cls(matrix=matrix, doc_ids=[d.doc_id for d in documents],
                    metadata={"corpus_checksum": corpus_checksum,
-                             "encoder_checkpoint_id": encoder_checkpoint_id})
+                             "encoder_sha256": encoder_checksum(encoder)})
+
+    @functools.cached_property
+    def row_of(self) -> dict[str, int]:
+        """The matrix row of each doc id, built on first use."""
+        return {doc_id: i for i, doc_id in enumerate(self.doc_ids)}
 
     def search(self, query_embedding: np.ndarray, k: int, query_id: str = "q0") -> RunList:
         """Cosine similarity against every row; ties break by doc id ascending.
@@ -212,8 +241,18 @@ class DenseIndex:
         if meta.get("kind") != "embrank-dense-index":
             raise DataFormatError(f"{path}: not a dense index file")
         require_keys(path, meta, arrays, ("doc_ids",), ("matrix",))
-        return cls(matrix=arrays["matrix"], doc_ids=list(meta["doc_ids"]),
-                   metadata=meta.get("metadata", {}))
+        doc_ids, matrix, metadata = meta["doc_ids"], arrays["matrix"], meta.get("metadata", {})
+        # search and the reranker both take row i as the embedding of doc_ids[i].
+        check = _checker(path, "dense")
+        check(isinstance(doc_ids, list) and doc_ids and all(isinstance(d, str) for d in doc_ids),
+              "doc_ids", "is not a nonempty list of document ids")
+        check(len(set(doc_ids)) == len(doc_ids), "doc_ids", "repeats a document id")
+        check(matrix.ndim == 2 and matrix.dtype.kind == "f" and matrix.shape[1] >= 1, "matrix",
+              f"has shape {matrix.shape} and dtype {matrix.dtype}, not [documents, d >= 1] floats")
+        check(len(matrix) == len(doc_ids), "matrix",
+              f"holds {len(matrix)} rows for {len(doc_ids)} documents")
+        check(isinstance(metadata, dict), "metadata", "is not a JSON object")
+        return cls(matrix=matrix, doc_ids=doc_ids, metadata=metadata)
 
 
 def rrf_fuse(run_a: RunList, run_b: RunList, k_const: int = RRF_K_DEFAULT) -> RunList:
@@ -297,11 +336,22 @@ def end_to_end(query_text: str, models: ModelPair, doc_tokens: dict[str, list[in
 
     Mode "rrf" fuses the BM25 and dense top-k lists first and takes the top-k
     of the fusion, so the candidate set is a subset of the union of the two.
+
+    When ``dense_index`` records the live encoder's fingerprint, the reranker
+    takes each candidate's embedding from its stored row and only the query is
+    encoded; a row holds the bits a fresh encode would give, so the run is the
+    same. A recorded fingerprint of another encoder state raises
+    ``ConfigError`` in every mode: the rows, and in "dense" or "rrf" mode the
+    retrieval too, are stale. An index recording no fingerprint, or one
+    missing a candidate, leaves every candidate to be encoded from
+    ``doc_tokens``. Either way ``doc_tokens`` must be the indexed corpus (the
+    CLI checks the indexes' recorded ``corpus_checksum``).
     """
     if mode not in RETRIEVAL_MODES:
         raise ConfigError(f"unknown retrieval mode {mode!r}; choose from {RETRIEVAL_MODES}")
     if mode in ("dense", "rrf") and dense_index is None:
         raise ConfigError(f"retrieval mode {mode!r} requires a dense index")
+    rows = _live_rows(dense_index, models.encoder)
     query_tokens = models.vocab.encode(query_text)
     if mode != "bm25":
         with ad.no_grad():
@@ -317,11 +367,33 @@ def end_to_end(query_text: str, models: ModelPair, doc_tokens: dict[str, list[in
         fused = rrf_fuse(bm25_run, dense_run, rrf_k)
         first = RunList(query_id=query_id, entries=fused.entries[:k], tag="rrf")
 
-    if not first.entries:
+    tag = f"embrank-{mode}"
+    ids = first.doc_ids()
+    if not ids:
         return EndToEndResult(first_stage=first,
-                              reranked=RunList(query_id=query_id, entries=[],
-                                               tag=f"embrank-{mode}"))
-    candidates = [(e.doc_id, doc_tokens[e.doc_id]) for e in first.entries]
-    reranked = rerank_detailed(query_tokens, candidates, models,
-                               query_id=query_id, tag=f"embrank-{mode}").run
+                              reranked=RunList(query_id=query_id, entries=[], tag=tag))
+    if rows is not None and all(doc_id in rows for doc_id in ids):
+        embeddings = [ad.tensor(dense_index.matrix[rows[doc_id]]) for doc_id in ids]
+        reranked = rerank_embeddings(query_tokens, ids, embeddings, models,
+                                     query_id=query_id, tag=tag).run
+    else:
+        reranked = rerank_detailed(query_tokens, [(doc_id, doc_tokens[doc_id]) for doc_id in ids],
+                                   models, query_id=query_id, tag=tag).run
     return EndToEndResult(first_stage=first, reranked=reranked)
+
+
+def _live_rows(dense_index: DenseIndex | None, encoder) -> dict[str, int] | None:
+    """``dense_index.row_of`` when the index records the live encoder's
+    fingerprint; None when there is no index or it records none.
+
+    The encoder is hashed on every call: training and tests update weights in
+    place, so no cheaper check proves the bytes unchanged.
+    """
+    recorded = dense_index.metadata.get("encoder_sha256") if dense_index is not None else None
+    if not recorded:
+        return None
+    live = encoder_checksum(encoder)
+    if recorded != live:
+        raise ConfigError(f"dense index was built by encoder {recorded}, but the live "
+                          f"encoder is {live}; rebuild the index")
+    return dense_index.row_of

@@ -167,13 +167,18 @@ def _with(arr, i, value):
     (_set("doc_lengths", lambda m, a: a["doc_lengths"][:-1]), "doc_lengths"),
     (_set("doc_lengths", lambda m, a: _with(a["doc_lengths"], 0, 0)), "doc_lengths"),
     (_set("doc_ids", lambda m, a: []), "doc_ids"),
+    (_set("k1", lambda m, a: "x"), "k1"),
+    (_set("b", lambda m, a: None), "b"),
+    (_set("k1", lambda m, a: -1), "k1"),
+    (_set("b", lambda m, a: 2), "b"),
 ], ids=["offsets-short", "offsets-not-from-zero", "offsets-falling", "offsets-end-short",
         "doc_idx-past-last-doc", "doc_idx-negative", "doc_idx-float", "tf-zero", "tf-short",
         "tokens-reordered", "tokens-not-integers", "doc_lengths-short", "doc_lengths-zero",
-        "no-documents"])
+        "no-documents", "k1-not-a-number", "b-null", "k1-negative", "b-above-one"])
 def test_damaged_bm25_index_names_file_and_array(tmp_path, small_dataset, damage, key):
-    """Each damage once ended in a raw IndexError or ZeroDivisionError, or in
-    an index that loaded and then ranked silently wrong."""
+    """Each damage once ended in a raw IndexError, TypeError or
+    ZeroDivisionError, in a ConfigError that named no file, or in an index
+    that loaded and then ranked silently wrong."""
     path = tmp_path / "bm25.idx"
     InvertedIndex.build(small_dataset.documents[:5]).save(path)
     meta, arrays = read_record_file(path)
@@ -181,4 +186,32 @@ def test_damaged_bm25_index_names_file_and_array(tmp_path, small_dataset, damage
     write_record_file(path, meta, arrays)
     with pytest.raises(DataFormatError) as err:
         InvertedIndex.load(path)
+    assert str(path) in str(err.value) and repr(key) in str(err.value)
+
+
+@pytest.mark.parametrize("damage,key", [
+    (_set("matrix", lambda m, a: a["matrix"][:3]), "matrix"),
+    (_set("matrix", lambda m, a: np.vstack([a["matrix"], a["matrix"][:1]])), "matrix"),
+    (_set("matrix", lambda m, a: a["matrix"].ravel()), "matrix"),
+    (_set("matrix", lambda m, a: a["matrix"][:, :0]), "matrix"),
+    (_set("matrix", lambda m, a: np.ones(a["matrix"].shape, dtype=np.int64)), "matrix"),
+    (_set("doc_ids", lambda m, a: m["doc_ids"][:1] * len(m["doc_ids"])), "doc_ids"),
+    (_set("doc_ids", lambda m, a: list(range(len(m["doc_ids"])))), "doc_ids"),
+    (_set("doc_ids", lambda m, a: "d0001"), "doc_ids"),
+    (_set("doc_ids", lambda m, a: []), "doc_ids"),
+    (_set("metadata", lambda m, a: ["encoder_sha256"]), "metadata"),
+], ids=["matrix-fewer-rows", "matrix-more-rows", "matrix-1d", "matrix-no-columns",
+        "matrix-integers", "doc_ids-repeated", "doc_ids-not-strings", "doc_ids-not-a-list",
+        "no-documents", "metadata-not-an-object"])
+def test_damaged_dense_index_names_file_and_field(tmp_path, small_dataset, damage, key):
+    """Each damage once loaded: search then ranked fewer documents, or one
+    document for many, or failed later naming no file."""
+    path = tmp_path / "dense.idx"
+    models = build_model_pair(small_dataset.vocab, seed=0, d_model=8, n_layers=1, n_heads=2)
+    _save_dense(path, models, small_dataset.documents[:5])
+    meta, arrays = read_record_file(path)
+    damage(meta, arrays)
+    write_record_file(path, meta, arrays)
+    with pytest.raises(DataFormatError) as err:
+        DenseIndex.load(path)
     assert str(path) in str(err.value) and repr(key) in str(err.value)

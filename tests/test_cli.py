@@ -6,12 +6,14 @@ import shutil
 
 import pytest
 
-from embrank.checkpoint import load_checkpoint, parameter_checksum
+from embrank.checkpoint import (encoder_checksum, load_checkpoint, parameter_checksum,
+                                save_checkpoint)
 from embrank.cli import main
 from embrank.config import load_config
 from embrank.data import load_corpus, load_samples
 from embrank.reranker import build_model_pair
 from embrank.runs import read_trec_run
+from embrank.serialization import read_record_file, write_record_file
 from embrank.training import run_dual_stage
 
 MICRO_CONFIG = {
@@ -150,8 +152,8 @@ class TestEndToEndAndEvaluate:
         built_ckpt, built_corpus = final, corpus
         if mismatch == "checkpoint":
             built_ckpt = train / "checkpoints/stage1.ckpt"
-            recorded = parameter_checksum(load_checkpoint(built_ckpt))
-            actual = parameter_checksum(load_checkpoint(final))
+            recorded = encoder_checksum(load_checkpoint(built_ckpt).encoder)
+            actual = encoder_checksum(load_checkpoint(final).encoder)
         else:
             built_corpus = tmp_path / "fewer_docs.jsonl"
             built_corpus.write_text("".join(corpus.read_text().splitlines(keepends=True)[:-1]))
@@ -168,6 +170,59 @@ class TestEndToEndAndEvaluate:
         err = capsys.readouterr().err
         assert code == 1
         assert recorded != actual and recorded in err and actual in err
+
+    def run_rrf(self, workdir, tmp_path, checkpoint, dense_index):
+        root, config, data, train, index = workdir
+        return main(["end-to-end", "--config", str(config), "--checkpoint", str(checkpoint),
+                     "--corpus", str(data / "corpus.jsonl"),
+                     "--queries", str(data / "queries_eval.tsv"),
+                     "--bm25-index", str(index / "bm25.idx"),
+                     "--dense-index", str(dense_index),
+                     "--mode", "rrf", "--out", str(tmp_path / "e2e")])
+
+    @pytest.mark.parametrize("changed", ["encoder", "reranker"])
+    def test_dense_index_checked_against_the_encoder_only(self, workdir, tmp_path, capsys,
+                                                          changed):
+        """The index was built from final.ckpt; a checkpoint differing from it
+        in one weight is refused only when that weight is the encoder's."""
+        root, config, data, train, index = workdir
+        models = load_checkpoint(train / "checkpoints/final.ckpt")
+        getattr(models, changed).parameters()["tok_emb"].data[0, 0] += 1e-3
+        changed_ckpt = tmp_path / "changed.ckpt"
+        save_checkpoint(changed_ckpt, models)
+        capsys.readouterr()
+        code = self.run_rrf(workdir, tmp_path, changed_ckpt, index / "dense.idx")
+        err = capsys.readouterr().err
+        if changed == "reranker":
+            assert code == 0, err
+            assert len(read_trec_run(tmp_path / "e2e" / "run.trec")) == 3
+        else:
+            recorded = read_record_file(index / "dense.idx")[0]["metadata"]["encoder_sha256"]
+            assert code == 1
+            assert str(index / "dense.idx") in err
+            assert recorded in err and encoder_checksum(models.encoder) in err
+
+    @pytest.mark.parametrize("built_from", ["final", "stage1"])
+    def test_index_recording_only_a_pair_checksum_still_checked(self, workdir, tmp_path,
+                                                                capsys, built_from):
+        """Indexes written before the encoder fingerprint record the whole
+        pair's ``parameter_checksum`` as ``encoder_checkpoint_id``."""
+        root, config, data, train, index = workdir
+        final = train / "checkpoints/final.ckpt"
+        recorded = parameter_checksum(load_checkpoint(train / f"checkpoints/{built_from}.ckpt"))
+        meta, arrays = read_record_file(index / "dense.idx")
+        meta["metadata"] = {"corpus_checksum": meta["metadata"]["corpus_checksum"],
+                            "encoder_checkpoint_id": recorded}
+        old_index = tmp_path / "old_dense.idx"
+        write_record_file(old_index, meta, arrays)
+        capsys.readouterr()
+        code = self.run_rrf(workdir, tmp_path, final, old_index)
+        err = capsys.readouterr().err
+        if built_from == "final":
+            assert code == 0, err
+        else:
+            assert code == 1
+            assert recorded in err and parameter_checksum(load_checkpoint(final)) in err
 
     def test_bm25_index_over_another_corpus_rejected(self, workdir, tmp_path, capsys):
         root, config, data, train, index = workdir

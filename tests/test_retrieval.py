@@ -5,10 +5,12 @@ import math
 import numpy as np
 import pytest
 
+from embrank.checkpoint import encoder_checksum
 from embrank.data import Document, Vocabulary
+from embrank.encoder import EncoderModel
 from embrank.errors import ConfigError, DegenerateInputError, ShapeError
-from embrank.retrieval import (DenseIndex, InvertedIndex, end_to_end, rrf_fuse,
-                               sliding_window_rerank)
+from embrank.retrieval import (RETRIEVAL_MODES, DenseIndex, InvertedIndex, end_to_end,
+                               rrf_fuse, sliding_window_rerank)
 from embrank.reranker import build_model_pair, rerank_detailed
 from embrank.runs import RunEntry, RunList
 from embrank.synthetic import generate_synthetic
@@ -292,15 +294,44 @@ class TestSlidingWindow:
             sliding_window_rerank(query, docs * 4, models, window=120, stride=10)
 
 
+def fresh_pipeline(dataset, **model_kwargs):
+    """A model pair, doc tokens and both indexes; tests that change weights
+    call it for a private copy."""
+    models = build_model_pair(dataset.vocab, seed=42, d_model=16, n_layers=1, n_heads=2,
+                              reranker_max_len=96, **model_kwargs)
+    docs = dataset.documents
+    return (models, {d.doc_id: d.tokens for d in docs}, InvertedIndex.build(docs),
+            DenseIndex.build(docs, models.encoder))
+
+
 @pytest.fixture(scope="module")
 def pipeline(small_dataset):
-    models = build_model_pair(small_dataset.vocab, seed=42, d_model=16,
-                              n_layers=1, n_heads=2, reranker_max_len=96)
-    docs = small_dataset.documents
-    doc_tokens = {d.doc_id: d.tokens for d in docs}
-    bm25 = InvertedIndex.build(docs)
-    dense = DenseIndex.build(docs, models.encoder)
-    return small_dataset, models, doc_tokens, bm25, dense
+    return (small_dataset, *fresh_pipeline(small_dataset))
+
+
+def unfingerprinted(index):
+    """The same rows and ids recording no encoder fingerprint: ``end_to_end``
+    then encodes the candidates."""
+    return DenseIndex(matrix=index.matrix, doc_ids=index.doc_ids,
+                      metadata={k: v for k, v in index.metadata.items()
+                                if k != "encoder_sha256"})
+
+
+def hex_run(result):
+    return [(e.doc_id, e.score.hex()) for e in result.reranked.entries]
+
+
+@pytest.fixture
+def encoded_sizes(monkeypatch):
+    """The number of passages of every ``batch_encode`` call made in the test."""
+    sizes = []
+    original = EncoderModel.batch_encode
+
+    def spy(self, passages):
+        sizes.append(len(passages))
+        return original(self, passages)
+    monkeypatch.setattr(EncoderModel, "batch_encode", spy)
+    return sizes
 
 
 class TestEndToEnd:
@@ -352,3 +383,70 @@ class TestEndToEnd:
         ds, models, doc_tokens, bm25, dense = pipeline
         with pytest.raises(ConfigError):
             end_to_end("anything", models, doc_tokens, bm25, None, "dense", k=5)
+
+    @pytest.mark.parametrize("normalize", [False, True], ids=["raw", "normalized"])
+    @pytest.mark.parametrize("reload", [False, True], ids=["built", "loaded"])
+    @pytest.mark.parametrize("mode", RETRIEVAL_MODES)
+    def test_stored_rows_rerank_bit_for_bit_like_encoding(self, small_dataset, tmp_path,
+                                                          mode, reload, normalize):
+        models, doc_tokens, bm25, dense = fresh_pipeline(small_dataset,
+                                                         normalize_embeddings=normalize)
+        if reload:
+            dense.save(tmp_path / "dense.idx")
+            dense = DenseIndex.load(tmp_path / "dense.idx")
+        encoding = unfingerprinted(dense)
+        for q in small_dataset.eval_queries:
+            rows = end_to_end(q.text, models, doc_tokens, bm25, dense, mode, k=30,
+                              query_id=q.query_id)
+            encoded = end_to_end(q.text, models, doc_tokens, bm25, encoding, mode, k=30,
+                                 query_id=q.query_id)
+            assert rows.first_stage.doc_ids() == encoded.first_stage.doc_ids()
+            assert hex_run(rows) == hex_run(encoded)
+
+    @pytest.mark.parametrize("mode", RETRIEVAL_MODES)
+    def test_only_the_query_is_encoded(self, pipeline, encoded_sizes, mode):
+        ds, models, doc_tokens, bm25, dense = pipeline
+        q = ds.eval_queries[0]
+        result = end_to_end(q.text, models, doc_tokens, bm25, dense, mode, k=30,
+                            query_id=q.query_id)
+        n = len(result.first_stage)
+        assert n > 0
+        assert encoded_sizes == ([] if mode == "bm25" else [1])
+        counters = result.reranked.counters
+        assert counters.processed_passage_tokens == counters.candidates == n
+        assert counters.generated_tokens == 0
+
+    @pytest.mark.parametrize("mode", RETRIEVAL_MODES)
+    def test_index_from_another_encoder_state_rejected(self, small_dataset, mode):
+        models, doc_tokens, bm25, dense = fresh_pipeline(small_dataset)
+        recorded = dense.metadata["encoder_sha256"]
+        models.encoder.parameters()["tok_emb"].data[0, 0] += 1e-3
+        live = encoder_checksum(models.encoder)
+        with pytest.raises(ConfigError) as err:
+            end_to_end(small_dataset.eval_queries[0].text, models, doc_tokens, bm25, dense,
+                       mode, k=30)
+        assert recorded != live and recorded in str(err.value) and live in str(err.value)
+
+    def test_reranker_update_keeps_stored_rows(self, small_dataset, encoded_sizes):
+        models, doc_tokens, bm25, dense = fresh_pipeline(small_dataset)
+        models.reranker.parameters()["tok_emb"].data[0, 0] += 1e-3
+        encoded_sizes.clear()
+        q = small_dataset.eval_queries[0]
+        rows = end_to_end(q.text, models, doc_tokens, bm25, dense, "rrf", k=30)
+        assert encoded_sizes == [1]
+        encoded = end_to_end(q.text, models, doc_tokens, bm25, unfingerprinted(dense),
+                             "rrf", k=30)
+        assert hex_run(rows) == hex_run(encoded)
+
+    def test_candidate_missing_from_index_encodes_all(self, small_dataset, encoded_sizes):
+        models, doc_tokens, bm25, dense = fresh_pipeline(small_dataset)
+        q = small_dataset.eval_queries[0]
+        full = end_to_end(q.text, models, doc_tokens, bm25, dense, "bm25", k=30)
+        missing = full.first_stage.doc_ids()[3]
+        keep = [i for i, d in enumerate(dense.doc_ids) if d != missing]
+        partial = DenseIndex(matrix=dense.matrix[keep], doc_ids=[dense.doc_ids[i] for i in keep],
+                             metadata=dense.metadata)
+        encoded_sizes.clear()
+        result = end_to_end(q.text, models, doc_tokens, bm25, partial, "bm25", k=30)
+        assert encoded_sizes == [len(full.first_stage)]
+        assert hex_run(result) == hex_run(full)
