@@ -17,6 +17,10 @@ Conventions:
   - no broadcasting beyond scalar-with-tensor and a trailing-shape bias
     (a [d] row bias on [T, d], or a [T, d] table on [B, T, d]); anything
     else raises ``ShapeError`` naming both shapes;
+  - each tensor owns its gradient array: the first contribution is stored
+    as a C-ordered copy and later ones are added into it in place, so no two
+    tensors share one (``add`` hands one array to both inputs) and every
+    gradient has a fresh array's layout, whatever view an op passed back;
   - inside ``with no_grad():`` no op records a tape node, so inference
     holds no closures and no references to intermediate results;
   - under strict mode (default) any op producing NaN/Inf raises
@@ -81,7 +85,8 @@ class Tensor:
 
     ``grad`` is populated by ``backward`` for every tensor with
     ``requires_grad`` reachable from the loss; contributions from
-    multiple uses of the same tensor accumulate additively.
+    multiple uses of the same tensor accumulate additively, into a
+    C-contiguous array that this tensor alone owns.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
@@ -195,11 +200,15 @@ def _result(data: np.ndarray, op: str, inputs: tuple[Tensor, ...],
 
 
 def _accumulate(t: Tensor, g: np.ndarray) -> None:
+    """Add ``g`` into ``t.grad``; the first contribution is copied in C order,
+    since a strided ``g`` (``causal_attention``'s merged heads) would round the
+    next GEMM differently. Unlike zeros + g, an exact -0.0 stays -0.0."""
     if not t.requires_grad:
         return
     if t.grad is None:
-        t.grad = np.zeros_like(t.data)
-    t.grad += g
+        t.grad = np.array(g, dtype=t.data.dtype, order="C")
+    else:
+        t.grad += g
 
 
 # ---------------------------------------------------------------------------
@@ -316,8 +325,13 @@ def silu(a: Tensor) -> Tensor:
     a = _as_tensor(a)
     sig = 1.0 / (1.0 + np.exp(-a.data))
 
-    def bw(g):
-        _accumulate(a, g * sig * (1.0 + a.data * (1.0 - sig)))
+    def bw(g):  # g * sig * (1 + x * (1 - sig)), in that rounding order, in place
+        slope = 1.0 - sig
+        slope *= a.data
+        slope += 1.0
+        ga = g * sig
+        ga *= slope
+        _accumulate(a, ga)
     return _result(a.data * sig, "silu", (a,), bw)
 
 
@@ -598,9 +612,17 @@ def rms_norm(x: Tensor, weight: Tensor, eps: float = 1e-6) -> Tensor:
     y = x.data * r * weight.data
 
     def bw(g):
+        # gw * r - x * (r^3 / d) * sum(gw * x), in that rounding order, in place
         gw = g * weight.data
-        _accumulate(x, gw * r - x.data * (r ** 3 / d) * (gw * x.data).sum(axis=-1, keepdims=True))
-        gweight = g * x.data * r
+        gx = gw * x.data
+        dot = gx.sum(axis=-1, keepdims=True)
+        np.multiply(x.data, r ** 3 / d, out=gx)
+        gx *= dot
+        gw *= r
+        np.subtract(gw, gx, out=gx)
+        _accumulate(x, gx)
+        gweight = g * x.data
+        gweight *= r
         if gweight.ndim > 1:
             gweight = gweight.reshape(-1, d).sum(axis=0)
         _accumulate(weight, gweight)

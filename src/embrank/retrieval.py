@@ -251,6 +251,9 @@ class DenseIndex:
               f"has shape {matrix.shape} and dtype {matrix.dtype}, not [documents, d >= 1] floats")
         check(len(matrix) == len(doc_ids), "matrix",
               f"holds {len(matrix)} rows for {len(doc_ids)} documents")
+        bad = np.flatnonzero(~np.isfinite(matrix).all(axis=1))
+        if bad.size:
+            check(False, "matrix", f"row {bad[0]} ({doc_ids[bad[0]]!r}) holds NaN or an infinity")
         check(isinstance(metadata, dict), "metadata", "is not a JSON object")
         return cls(matrix=matrix, doc_ids=doc_ids, metadata=metadata)
 

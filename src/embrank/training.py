@@ -195,8 +195,11 @@ def train_step(models: ModelPair, batch: list[RankingSample], doc_tokens,
                optimizer: Adam, loss_cfg: LossConfig, step: int, stage_name: str) -> dict:
     """Forward, backward, clip, and update over one batch; returns the trace record.
 
-    Every candidate passage and query of the batch goes through one
-    ``batch_encode`` call, so its length buckets fill across samples.
+    Each unique token sequence of the batch, candidate passage or query, is
+    encoded once, in one ``batch_encode`` call whose length buckets fill
+    across samples. Every use of a sequence gets the same ``Tensor``, so its
+    gradient sums over all of them; the losses equal those from encoding
+    every use separately bit for bit (``batch_encode`` keeps each row's bits).
     """
     optimizer.zero_grad()
     query_ids = [models.vocab.encode(sample.query_text) for sample in batch]
@@ -204,7 +207,10 @@ def train_step(models: ModelPair, batch: list[RankingSample], doc_tokens,
         if not ids:
             raise TrainingError(f"sample {sample.query_id}: empty query")
     passages = [doc_tokens[c.doc_id] for sample in batch for c in sample.candidates]
-    embeddings = models.encoder.batch_encode(passages + query_ids)
+    uses = [tuple(tokens) for tokens in passages + query_ids]
+    unique = list(dict.fromkeys(uses))
+    encoded = dict(zip(unique, models.encoder.batch_encode(unique)))
+    embeddings = [encoded[key] for key in uses]
     q_embs = embeddings[len(passages):]
     pos_embs, neg_embs, ranknet_terms = [], [], []
     lo = 0

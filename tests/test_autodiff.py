@@ -304,6 +304,28 @@ class TestBackward:
         assert x.grad is None
         np.testing.assert_allclose(y.grad, x.data, atol=1e-15)
 
+    def test_tensors_never_share_a_gradient_array(self):
+        """z's backward hands one array to y and to a. Had a kept it, a's
+        second contribution would add into y's gradient too, and so into b's."""
+        a, b = ad.param([1.0, 2.0]), ad.param([3.0, 4.0])
+        y = ad.add(a, b)
+        z = ad.add(y, a)
+        backward(ad.sum_all(z))
+        np.testing.assert_array_equal(b.grad, [1.0, 1.0])
+        np.testing.assert_array_equal(a.grad, [2.0, 2.0])
+        assert not np.shares_memory(a.grad, b.grad)
+
+    def test_leaf_gradients_are_owned_c_ordered_arrays(self):
+        """causal_attention's key gradient arrives as a strided view of its
+        merged heads, and concat_rows hands each block a slice of its own."""
+        rng = np.random.default_rng(5)
+        q, k, v = (ad.param(rng.normal(size=(6, 8))) for _ in range(3))
+        extra = ad.param(rng.normal(size=(3, 8)))
+        out = ad.concat_rows([ad.causal_attention(q, k, v, n_heads=2), extra])
+        backward(ad.sum_all(ad.mul(out, ad.tensor(rng.normal(size=(9, 8))))))
+        for t in (q, k, v, extra):
+            assert t.grad.flags.c_contiguous and t.grad.flags.owndata
+
 
 class TestShapePolicy:
     """Only scalar-with-tensor and matrix+row-bias mix shapes; the rest are loud errors."""

@@ -200,12 +200,18 @@ def test_damaged_bm25_index_names_file_and_array(tmp_path, small_dataset, damage
     (_set("doc_ids", lambda m, a: "d0001"), "doc_ids"),
     (_set("doc_ids", lambda m, a: []), "doc_ids"),
     (_set("metadata", lambda m, a: ["encoder_sha256"]), "metadata"),
+    (_set("matrix", lambda m, a: _with(a["matrix"], (2, 3), np.nan)), ("matrix", "row 2")),
+    (_set("matrix", lambda m, a: _with(a["matrix"], (2, 0), np.inf)), ("matrix", "row 2")),
+    (_set("matrix", lambda m, a: _with(a["matrix"], (2, 7), -np.inf)), ("matrix", "row 2")),
 ], ids=["matrix-fewer-rows", "matrix-more-rows", "matrix-1d", "matrix-no-columns",
         "matrix-integers", "doc_ids-repeated", "doc_ids-not-strings", "doc_ids-not-a-list",
-        "no-documents", "metadata-not-an-object"])
+        "no-documents", "metadata-not-an-object", "matrix-nan", "matrix-inf",
+        "matrix-minus-inf"])
 def test_damaged_dense_index_names_file_and_field(tmp_path, small_dataset, damage, key):
     """Each damage once loaded: search then ranked fewer documents, or one
-    document for many, or failed later naming no file."""
+    document for many, or failed later naming no file (a NaN or infinite row
+    failed at the first search with a ``NumericError`` naming neither the file
+    nor the row). A key may carry more text the message must hold."""
     path = tmp_path / "dense.idx"
     models = build_model_pair(small_dataset.vocab, seed=0, d_model=8, n_layers=1, n_heads=2)
     _save_dense(path, models, small_dataset.documents[:5])
@@ -214,4 +220,7 @@ def test_damaged_dense_index_names_file_and_field(tmp_path, small_dataset, damag
     write_record_file(path, meta, arrays)
     with pytest.raises(DataFormatError) as err:
         DenseIndex.load(path)
-    assert str(path) in str(err.value) and repr(key) in str(err.value)
+    field, *details = key if isinstance(key, tuple) else (key,)
+    message = str(err.value)
+    assert str(path) in message and repr(field) in message
+    assert all(detail in message for detail in details)

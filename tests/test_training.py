@@ -15,6 +15,8 @@ from embrank.training import (Adam, LossConfig, OptimConfig, StageConfig,
                               combined_loss, infonce_loss, ranknet_loss,
                               run_dual_stage, train_stage, train_step)
 
+RECORD_KEYS = ("infonce", "ranknet", "combined", "grad_norm")
+
 
 def unit(v):
     v = np.asarray(v, dtype=np.float64)
@@ -297,3 +299,70 @@ class TestTrainingLoops:
             train_stage(models, degenerate, small_doc_tokens,
                         StageConfig("stage2", epochs=1), OptimConfig(), LossConfig(),
                         seed=0)
+
+
+def every_use_step(models, batch, doc_tokens, loss_cfg):
+    """``train_step``'s losses and backward with every candidate and query use
+    encoded as its own ``batch_encode`` row; returns the four record values."""
+    query_ids = [models.vocab.encode(sample.query_text) for sample in batch]
+    passages = [doc_tokens[c.doc_id] for sample in batch for c in sample.candidates]
+    embeddings = models.encoder.batch_encode(passages + query_ids)
+    pos_embs, neg_embs, ranknet_terms, lo = [], [], [], 0
+    for sample, ids in zip(batch, query_ids):
+        embs = embeddings[lo:lo + len(sample.candidates)]
+        lo += len(sample.candidates)
+        output = models.reranker.forward(models.instruction_ids(), ids, embs)
+        pos_embs.append(embs[sample.positive_index])
+        neg_embs.append([embs[i] for i in sample.negative_indices])
+        ranknet_terms.append(ranknet_loss(output.score_tensor,
+                                          [c.rank_label for c in sample.candidates],
+                                          loss_cfg.tau2))
+    infonce = infonce_loss(embeddings[len(passages):], pos_embs, neg_embs, loss_cfg.tau1)
+    ranknet = ranknet_terms[0]
+    for term in ranknet_terms[1:]:
+        ranknet = ad.add(ranknet, term)
+    ranknet = ad.mul(ranknet, 1.0 / len(batch))
+    combined = combined_loss(infonce, ranknet, loss_cfg.effective_lambda())
+    backward(combined)
+    norm = ad.global_grad_norm(_trainable_params(models).values())
+    return dict(zip(RECORD_KEYS, (infonce.item(), ranknet.item(), combined.item(), norm)))
+
+
+def test_each_unique_sequence_encoded_once(small_dataset, small_doc_tokens, monkeypatch):
+    """Two lists of one query that share candidates, and a third sample that
+    shares some of them: the step encodes each token sequence once, its losses
+    and gradient norm equal those of encoding every use bit for bit, and its
+    gradients, which now sum over the uses inside the backward, are within
+    1e-12 of that reference."""
+    first = small_dataset.stage2_samples[0]
+    again = next(s for s in small_dataset.stage1_samples if s.query_id == first.query_id)
+    batch = [first, again, small_dataset.stage2_samples[1]]
+    uses = [tuple(small_doc_tokens[c.doc_id]) for s in batch for c in s.candidates]
+    queries = [tuple(small_dataset.vocab.encode(s.query_text)) for s in batch]
+    assert len(set(uses)) < len(uses) and len(set(queries)) < len(queries)
+
+    def fresh():
+        return build_model_pair(small_dataset.vocab, seed=4, d_model=16, n_layers=1,
+                                n_heads=2, reranker_max_len=64)
+
+    cfg = LossConfig()
+    reference_models = fresh()
+    want = every_use_step(reference_models, batch, small_doc_tokens, cfg)
+    want_grads = {k: t.grad for k, t in _trainable_params(reference_models).items()}
+
+    models = fresh()
+    encoded = []
+    real = models.encoder.batch_encode
+
+    def spy(passages):
+        encoded.extend(tuple(p) for p in passages)
+        return real(passages)
+    monkeypatch.setattr(models.encoder, "batch_encode", spy)
+    params = _trainable_params(models)
+    opt = Adam(params, lr=0.0, config=OptimConfig(clip_norm=0.0))
+    record = train_step(models, batch, small_doc_tokens, opt, cfg, 0, "s")
+
+    assert sorted(encoded) == sorted(set(uses + queries))
+    assert [record[k].hex() for k in RECORD_KEYS] == [want[k].hex() for k in RECORD_KEYS]
+    for k, t in params.items():
+        np.testing.assert_allclose(t.grad, want_grads[k], rtol=0, atol=1e-12, err_msg=k)
