@@ -2,10 +2,13 @@
 
 BM25 runs over CSR postings of token ids, one layout in memory and on
 disk, with the ln(1 + .) idf form, so scores are non-negative; a query sums
-its terms with one bit-exact ``np.bincount``. Dense retrieval is an exact
-full scan of the encoder's passage embeddings (no approximate structures at
-this scale). The index records the fingerprint of the encoder that built it,
-and ``end_to_end`` feeds the reranker those same stored embeddings while the
+its terms with one bit-exact ``np.bincount``. Dense retrieval scores every
+one of the encoder's passage embeddings (no approximate structures at this
+scale). Scoring in both is an exact full scan; selecting the top k is
+partial and exact: ``top_entries`` sorts only the rows that score at least
+the k-th largest score, so the run equals a full sort's first k. The dense
+index records the fingerprint of the encoder that built it, and
+``end_to_end`` feeds the reranker those same stored embeddings while the
 live encoder still matches it, so a query encodes only itself. Reciprocal
 rank fusion combines two runs with 1/(K + rank), K defaulting to 60. The
 sliding-window protocol reranks fixed-size overlapping slices from the tail
@@ -28,7 +31,7 @@ from .checkpoint import encoder_checksum
 from .data import Document
 from .errors import ConfigError, DataFormatError, DegenerateInputError, ShapeError
 from .reranker import ModelPair, rerank_detailed, rerank_embeddings
-from .runs import RunEntry, RunList, TokenCounter, sorted_entries
+from .runs import RunEntry, RunList, TokenCounter, sorted_entries, top_entries
 from .serialization import read_record_file, require_keys, write_record_file
 
 RRF_K_DEFAULT = 60
@@ -74,6 +77,7 @@ class InvertedIndex:
     @classmethod
     def build(cls, documents: list[Document], k1: float = 1.2, b: float = 0.75) -> "InvertedIndex":
         ordered = sorted(documents, key=lambda d: d.doc_id)
+        doc_ids = _distinct_ids(ordered)
         lengths = [len(d.tokens) for d in ordered]
         if any(n == 0 for n in lengths):
             raise DataFormatError("cannot index a document with no tokens")
@@ -86,12 +90,14 @@ class InvertedIndex:
         tokens, starts = np.unique(posting_token, return_index=True)
         postings = Postings(tokens, np.append(starts, len(keys)).astype(np.int64),
                             doc_idx, tf.astype(np.int64))
-        return cls([d.doc_id for d in ordered], lengths, postings, k1=k1, b=b)
+        return cls(doc_ids, lengths, postings, k1=k1, b=b)
 
     def search(self, query_tokens, k: int, query_id: str = "q0") -> RunList:
         """Top-k by BM25; each query-token occurrence contributes its own term.
 
-        Ties break by doc id ascending. An empty query yields an empty run.
+        Every document a query token hits is scored; the top k of them are
+        selected partially, with the same result as sorting them all. Ties
+        break by doc id ascending. An empty query yields an empty run.
         """
         if k < 1:
             raise ConfigError("bm25 search: k must be >= 1")
@@ -109,8 +115,8 @@ class InvertedIndex:
         # bincount adds each document's terms in input order from 0.0.
         hit_docs = np.concatenate(docs)
         scores = np.bincount(hit_docs, np.concatenate(terms), minlength=n)
-        scored = {self.doc_ids[i]: float(scores[i]) for i in np.unique(hit_docs).tolist()}
-        return RunList(query_id=query_id, entries=sorted_entries(scored)[:k], tag="bm25")
+        return RunList(query_id=query_id, tag="bm25",
+                       entries=top_entries(self.doc_ids, scores, k, rows=np.unique(hit_docs)))
 
     def save(self, path, corpus_checksum: str = "") -> None:
         p = self.postings
@@ -163,14 +169,41 @@ def _is_number(value) -> bool:
     return type(value) in (int, float) and abs(value) <= sys.float_info.max
 
 
+def _repeated_id(doc_ids: list[str]) -> str | None:
+    """The first id that occurs twice in ``doc_ids``, or None."""
+    seen: set[str] = set()
+    for doc_id in doc_ids:
+        if doc_id in seen:
+            return doc_id
+        seen.add(doc_id)
+    return None
+
+
+def _distinct_ids(documents: list[Document]) -> list[str]:
+    """The documents' ids, or ``DataFormatError`` naming one that repeats:
+    each index holds one row per document, and search ranks one entry each."""
+    doc_ids = [d.doc_id for d in documents]
+    repeated = _repeated_id(doc_ids)
+    if repeated is not None:
+        raise DataFormatError(f"cannot index two documents with the id {repeated!r}")
+    return doc_ids
+
+
+def _check_doc_ids(check, doc_ids) -> None:
+    """Both loaders' check that ``doc_ids`` is a nonempty list of distinct strings."""
+    check(isinstance(doc_ids, list) and doc_ids and all(isinstance(d, str) for d in doc_ids),
+          "doc_ids", "is not a nonempty list of document ids")
+    repeated = _repeated_id(doc_ids)
+    check(repeated is None, "doc_ids", f"repeats the document id {repeated!r}")
+
+
 def _check_index(path, k1, b, doc_ids, doc_lengths: np.ndarray, p: Postings) -> None:
     """Raise ``DataFormatError`` naming the file and the field unless the loaded
     index is consistent; ``search`` relies on every one of these."""
     check = _checker(path, "BM25")
     check(_is_number(k1) and k1 >= 0, "k1", f"is {k1!r}, not a finite number >= 0")
     check(_is_number(b) and 0 <= b <= 1, "b", f"is {b!r}, not a number in [0, 1]")
-    check(isinstance(doc_ids, list) and doc_ids and all(isinstance(d, str) for d in doc_ids),
-          "doc_ids", "is not a nonempty list of document ids")
+    _check_doc_ids(check, doc_ids)
     check(len(doc_lengths) == len(doc_ids), "doc_lengths",
           f"holds {len(doc_lengths)} lengths for {len(doc_ids)} documents")
     check(np.all(doc_lengths >= 1), "doc_lengths", "holds a length below 1")
@@ -204,13 +237,14 @@ class DenseIndex:
     @classmethod
     def build(cls, documents: list[Document], encoder, *,
               corpus_checksum: str = "") -> "DenseIndex":
+        doc_ids = _distinct_ids(documents)
         with ad.no_grad():
             embeddings = [e.data for e in encoder.batch_encode([d.tokens for d in documents])]
         matrix = np.stack(embeddings, axis=0) if embeddings else np.zeros((0, 1))
         norms = np.linalg.norm(matrix, axis=1)
         if embeddings and np.any(norms == 0.0):
             raise DegenerateInputError("dense index: a passage embedding has zero norm")
-        return cls(matrix=matrix, doc_ids=[d.doc_id for d in documents],
+        return cls(matrix=matrix, doc_ids=doc_ids,
                    metadata={"corpus_checksum": corpus_checksum,
                              "encoder_sha256": encoder_checksum(encoder)})
 
@@ -220,15 +254,17 @@ class DenseIndex:
         return {doc_id: i for i, doc_id in enumerate(self.doc_ids)}
 
     def search(self, query_embedding: np.ndarray, k: int, query_id: str = "q0") -> RunList:
-        """Cosine similarity against every row; ties break by doc id ascending.
-        A zero-norm query or row (from a damaged file) raises ``DegenerateInputError``."""
+        """Cosine similarity against every row, then a partial selection of the
+        top k with the same result as sorting every row; ties break by doc id
+        ascending. A zero-norm query or row (from a damaged file) raises
+        ``DegenerateInputError``."""
         if len(self.doc_ids) == 0:
             raise DegenerateInputError("dense index is empty")
         if k < 1:
             raise ConfigError("dense search: k must be >= 1")
         sims = ad.cosine_rows(ad.tensor(np.reshape(query_embedding, -1)), ad.tensor(self.matrix))
-        scored = dict(zip(self.doc_ids, sims.data.tolist()))
-        return RunList(query_id=query_id, entries=sorted_entries(scored)[:k], tag="dense")
+        return RunList(query_id=query_id, entries=top_entries(self.doc_ids, sims.data, k),
+                       tag="dense")
 
     def save(self, path) -> None:
         meta = {"kind": "embrank-dense-index", "doc_ids": self.doc_ids,
@@ -244,9 +280,7 @@ class DenseIndex:
         doc_ids, matrix, metadata = meta["doc_ids"], arrays["matrix"], meta.get("metadata", {})
         # search and the reranker both take row i as the embedding of doc_ids[i].
         check = _checker(path, "dense")
-        check(isinstance(doc_ids, list) and doc_ids and all(isinstance(d, str) for d in doc_ids),
-              "doc_ids", "is not a nonempty list of document ids")
-        check(len(set(doc_ids)) == len(doc_ids), "doc_ids", "repeats a document id")
+        _check_doc_ids(check, doc_ids)
         check(matrix.ndim == 2 and matrix.dtype.kind == "f" and matrix.shape[1] >= 1, "matrix",
               f"has shape {matrix.shape} and dtype {matrix.dtype}, not [documents, d >= 1] floats")
         check(len(matrix) == len(doc_ids), "matrix",

@@ -1,9 +1,11 @@
-"""Ranked run lists, token-accounting counters, and TREC run-file I/O."""
+"""Ranked run lists, exact top-k selection, token counters, and TREC run-file I/O."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
+
+import numpy as np
 
 from .errors import DataFormatError
 
@@ -61,6 +63,24 @@ def sorted_entries(scored: dict[str, float]) -> list[RunEntry]:
     """Descending by score, ties broken by doc id ascending."""
     return [RunEntry(doc_id, score)
             for doc_id, score in sorted(scored.items(), key=lambda kv: (-kv[1], kv[0]))]
+
+
+def top_entries(doc_ids: list[str], scores: np.ndarray, k: int,
+                rows: np.ndarray | None = None) -> list[RunEntry]:
+    """``sorted_entries({doc_ids[i]: scores[i] for i in rows})[:k]``, over every
+    row when ``rows`` is None, for distinct ``doc_ids``.
+
+    One ``np.partition`` finds the k-th largest score and only the rows scoring
+    at least that much are sorted, so every tie at the boundary survives to be
+    broken by doc id exactly as the full sort breaks it.
+    """
+    rows = np.arange(len(scores)) if rows is None else rows
+    candidates = scores[rows]
+    if k < len(candidates):
+        kth = np.partition(candidates, len(candidates) - k)[len(candidates) - k]
+        rows = rows[candidates >= kth]
+    return sorted_entries(dict(zip([doc_ids[i] for i in rows.tolist()],
+                                   scores[rows].tolist())))[:k]
 
 
 def write_trec_run(path, runs: list[RunList]) -> None:

@@ -167,6 +167,7 @@ def _with(arr, i, value):
     (_set("doc_lengths", lambda m, a: a["doc_lengths"][:-1]), "doc_lengths"),
     (_set("doc_lengths", lambda m, a: _with(a["doc_lengths"], 0, 0)), "doc_lengths"),
     (_set("doc_ids", lambda m, a: []), "doc_ids"),
+    (_set("doc_ids", lambda m, a: ["d1", "d1"] + m["doc_ids"][2:]), ("doc_ids", "'d1'")),
     (_set("k1", lambda m, a: "x"), "k1"),
     (_set("b", lambda m, a: None), "b"),
     (_set("k1", lambda m, a: -1), "k1"),
@@ -174,11 +175,13 @@ def _with(arr, i, value):
 ], ids=["offsets-short", "offsets-not-from-zero", "offsets-falling", "offsets-end-short",
         "doc_idx-past-last-doc", "doc_idx-negative", "doc_idx-float", "tf-zero", "tf-short",
         "tokens-reordered", "tokens-not-integers", "doc_lengths-short", "doc_lengths-zero",
-        "no-documents", "k1-not-a-number", "b-null", "k1-negative", "b-above-one"])
+        "no-documents", "doc_ids-repeated", "k1-not-a-number", "b-null", "k1-negative",
+        "b-above-one"])
 def test_damaged_bm25_index_names_file_and_array(tmp_path, small_dataset, damage, key):
     """Each damage once ended in a raw IndexError, TypeError or
     ZeroDivisionError, in a ConfigError that named no file, or in an index
-    that loaded and then ranked silently wrong."""
+    that loaded and then ranked silently wrong (a repeated id ranked one
+    entry for two documents). A key may carry more text the message must hold."""
     path = tmp_path / "bm25.idx"
     InvertedIndex.build(small_dataset.documents[:5]).save(path)
     meta, arrays = read_record_file(path)
@@ -186,7 +189,10 @@ def test_damaged_bm25_index_names_file_and_array(tmp_path, small_dataset, damage
     write_record_file(path, meta, arrays)
     with pytest.raises(DataFormatError) as err:
         InvertedIndex.load(path)
-    assert str(path) in str(err.value) and repr(key) in str(err.value)
+    field, *details = key if isinstance(key, tuple) else (key,)
+    message = str(err.value)
+    assert str(path) in message and repr(field) in message
+    assert all(detail in message for detail in details)
 
 
 @pytest.mark.parametrize("damage,key", [

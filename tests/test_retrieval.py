@@ -5,14 +5,15 @@ import math
 import numpy as np
 import pytest
 
+import embrank.autodiff as ad
 from embrank.checkpoint import encoder_checksum
 from embrank.data import Document, Vocabulary
 from embrank.encoder import EncoderModel
-from embrank.errors import ConfigError, DegenerateInputError, ShapeError
+from embrank.errors import ConfigError, DataFormatError, DegenerateInputError, ShapeError
 from embrank.retrieval import (RETRIEVAL_MODES, DenseIndex, InvertedIndex, end_to_end,
                                rrf_fuse, sliding_window_rerank)
 from embrank.reranker import build_model_pair, rerank_detailed
-from embrank.runs import RunEntry, RunList
+from embrank.runs import RunEntry, RunList, sorted_entries
 from embrank.synthetic import generate_synthetic
 
 from helpers import naive_bm25_scores, naive_rrf
@@ -101,8 +102,18 @@ class TestBM25:
         assert all(new[key] == tf for key, tf in old.items())
 
     def test_empty_query_empty_run(self, corpus):
+        """So does a query of unknown tokens only, whatever k."""
         docs, vocab = corpus
-        assert len(InvertedIndex.build(docs).search([], k=3)) == 0
+        index = InvertedIndex.build(docs)
+        for tokens in ([], vocab.encode("zebra"), vocab.encode("zebra yak")):
+            for k in (1, 3, 100):
+                assert len(index.search(tokens, k=k)) == 0
+
+    @pytest.mark.parametrize("k", [2, 3, 100])
+    def test_k_at_or_above_the_hits_returns_every_hit(self, corpus, k):
+        docs, vocab = corpus
+        run = InvertedIndex.build(docs).search(vocab.encode("cat"), k=k)
+        assert run.doc_ids() == ["d2", "d1"]
 
     def test_scores_bitwise_equal_to_definitional_reference(self, tmp_path):
         """Built, saved and loaded, the index scores the first 10 seed-0
@@ -180,6 +191,102 @@ class TestDenseSearch:
         loaded = DenseIndex.load(tmp_path / "dense.idx")
         with pytest.raises(ShapeError):
             loaded.search(np.ones(7), k=2)
+
+
+@pytest.mark.parametrize("which", ["bm25", "dense"])
+def test_build_rejects_a_repeated_doc_id(which, tiny_models):
+    """Each build once kept both documents: BM25 ranked one of them, the dense
+    index held a row no search could name."""
+    vocab = tiny_models.vocab
+    docs = [Document(doc_id, text, vocab.encode(text)) for doc_id, text
+            in [("d1", "alpha beta"), ("d1", "gamma delta"), ("d3", "epsilon zeta")]]
+    with pytest.raises(DataFormatError, match="'d1'"):
+        if which == "bm25":
+            InvertedIndex.build(docs)
+        else:
+            DenseIndex.build(docs, tiny_models.encoder)
+
+
+def hex_entries(entries):
+    return [(e.doc_id, e.score.hex()) for e in entries]
+
+
+def reloaded(index, path):
+    index.save(path)
+    return type(index).load(path)
+
+
+class TestTopKSelection:
+    """``search`` selects its top k partially; the run must be a full sort's
+    first k, scores to the bit and ties by doc id included."""
+
+    @pytest.fixture(scope="class")
+    def seed0(self):
+        ds = generate_synthetic(seed=0)
+        models = build_model_pair(ds.vocab, seed=0, d_model=8, n_layers=1, n_heads=2)
+        return ds, models, DenseIndex.build(ds.documents, models.encoder)
+
+    @staticmethod
+    def ks(n):
+        return [1, 7, 100, n - 1, n, n + 5]
+
+    @staticmethod
+    def full_sort_dense(index, q):
+        sims = ad.cosine_rows(ad.tensor(q), ad.tensor(index.matrix)).data
+        return sorted_entries(dict(zip(index.doc_ids, sims.tolist())))
+
+    def check_dense(self, index, queries):
+        for q in queries:
+            full = self.full_sort_dense(index, q)
+            for k in self.ks(len(index.doc_ids)):
+                assert hex_entries(index.search(q, k).entries) == hex_entries(full[:k])
+
+    def check_bm25(self, index, documents, queries):
+        doc_tokens = [d.tokens for d in documents]
+        for tokens in queries:
+            ref = naive_bm25_scores(doc_tokens, tokens, k1=index.k1, b=index.b)
+            full = sorted_entries({d.doc_id: s for d, s in zip(documents, ref) if s > 0.0})
+            for k in self.ks(len(documents)):
+                assert hex_entries(index.search(tokens, k).entries) == hex_entries(full[:k])
+
+    def test_dense_seed0_queries(self, seed0, tmp_path):
+        ds, models, index = seed0
+        with ad.no_grad():
+            queries = [models.encoder.encode_query(ds.vocab.encode(q.text)).data
+                       for q in ds.queries[:10]]
+        for searched in (index, reloaded(index, tmp_path / "dense.idx")):
+            self.check_dense(searched, queries)
+
+    def test_bm25_seed0_queries(self, seed0, tmp_path):
+        ds = seed0[0]
+        index = InvertedIndex.build(ds.documents)
+        queries = [ds.vocab.encode(q.text) for q in ds.queries[:10]]
+        for searched in (index, reloaded(index, tmp_path / "bm25.idx")):
+            self.check_bm25(searched, ds.documents, queries)
+
+    def test_dense_ties_straddle_the_boundary(self, tmp_path):
+        """A few distinct rows, each repeated, under shuffled doc ids: the
+        k-th place falls inside a run of equal scores."""
+        rng = np.random.default_rng(33)
+        matrix = rng.normal(size=(4, 6))[rng.integers(0, 4, size=60)]
+        doc_ids = [f"d{i:02d}" for i in rng.permutation(60)]
+        index = DenseIndex(matrix=matrix, doc_ids=doc_ids)
+        queries = list(rng.normal(size=(5, 6))) + [matrix[0]]
+        for searched in (index, reloaded(index, tmp_path / "dense.idx")):
+            self.check_dense(searched, queries)
+
+    def test_bm25_ties_straddle_the_boundary(self, tmp_path):
+        """Documents with identical texts score alike; their ids are shuffled
+        against the texts so ties break by id across the k-th place."""
+        rng = np.random.default_rng(34)
+        texts = ["cat sat mat", "cat cat dog", "dog runs far away", "mat dog"]
+        vocab = Vocabulary.build(texts)
+        docs = [Document(f"d{i:02d}", texts[t], vocab.encode(texts[t]))
+                for i, t in zip(rng.permutation(48), rng.integers(0, 4, size=48))]
+        index = InvertedIndex.build(docs)
+        queries = [vocab.encode(q) for q in ("cat", "dog", "cat dog mat", "far away cat")]
+        for searched in (index, reloaded(index, tmp_path / "bm25.idx")):
+            self.check_bm25(searched, docs, queries)
 
 
 def run_of(qid, doc_ids, start=100.0):
