@@ -8,15 +8,15 @@ and then frees it, so graphs never outlive one forward/backward cycle.
 Conventions:
   - double precision by default (``set_default_dtype`` switches builds
     to float32 for speed at the cost of the tight test tolerances);
-  - the transformer ops (``matmul``, ``rms_norm``, ``causal_attention``,
-    ``take_rows`` with a 2-D index array, ``add``) take an optional leading
-    batch axis: [B, T, d] runs B same-length sequences at once, and each
-    sequence's values equal its own [T, d] run bit for bit, because the
-    batched products are 3-D ``np.matmul`` calls (one BLAS product per
-    sequence) and every reduction runs along the last axis;
-  - no broadcasting beyond scalar-with-tensor and a trailing-shape bias
-    (a [d] row bias on [T, d], or a [T, d] table on [B, T, d]); anything
-    else raises ``ShapeError`` naming both shapes;
+  - the transformer ops are 2-D: several sequences run as one packed
+    [ΣT, d] matrix, their rows end to end (the varlen layout of
+    FlashAttention-2), and only ``causal_attention`` is told the sequence
+    lengths. Each sequence's values equal its own [T, d] run bit for bit,
+    because every reduction runs along the last axis, attention keeps to
+    each sequence's rows, and row i of a ``matmul`` product has the same bits
+    whatever the row count;
+  - no broadcasting beyond scalar-with-tensor and a [d] row bias on [T, d];
+    anything else raises ``ShapeError`` naming both shapes;
   - each tensor owns its gradient array: the first contribution is stored
     as a C-ordered copy and later ones are added into it in place, so no two
     tensors share one (``add`` hands one array to both inputs) and every
@@ -31,6 +31,7 @@ Conventions:
 from __future__ import annotations
 
 import contextlib
+import itertools
 import math
 from typing import Callable, Iterable, Sequence
 
@@ -201,8 +202,8 @@ def _result(data: np.ndarray, op: str, inputs: tuple[Tensor, ...],
 
 def _accumulate(t: Tensor, g: np.ndarray) -> None:
     """Add ``g`` into ``t.grad``; the first contribution is copied in C order,
-    since a strided ``g`` (``causal_attention``'s merged heads) would round the
-    next GEMM differently. Unlike zeros + g, an exact -0.0 stays -0.0."""
+    since a strided ``g`` (``transpose``'s) would round the next GEMM
+    differently. Unlike zeros + g, an exact -0.0 stays -0.0."""
     if not t.requires_grad:
         return
     if t.grad is None:
@@ -216,8 +217,7 @@ def _accumulate(t: Tensor, g: np.ndarray) -> None:
 # ---------------------------------------------------------------------------
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise sum; also scalar+tensor and a bias ``b`` whose shape ends ``a``'s
-    ([T, d] + [d], [B, T, d] + [T, d])."""
+    """Elementwise sum; also scalar+tensor and a [d] row bias ``b`` on [T, d]."""
     a, b = _as_tensor(a), _as_tensor(b)
     if a.shape == b.shape:
         def bw(g):
@@ -231,10 +231,10 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         def bw(g):
             _accumulate(a, g)
             _accumulate(b, g.sum())
-    elif 0 < b.ndim < a.ndim and a.shape[a.ndim - b.ndim:] == b.shape:
+    elif a.ndim == 2 and b.shape == a.shape[1:]:
         def bw(g):
             _accumulate(a, g)
-            _accumulate(b, g.reshape(-1, *b.shape).sum(axis=0))
+            _accumulate(b, g.sum(axis=0))
     else:
         raise ShapeError(f"add: incompatible shapes {a.shape} and {b.shape}")
     return _result(a.data + b.data, "add", (a, b), bw)
@@ -368,21 +368,23 @@ def mean_all(a: Tensor) -> Tensor:
 # ---------------------------------------------------------------------------
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """[T, k] @ [k, n], or [B, T, k] @ [k, n] as one ``np.matmul`` with the
-    standard transpose backward rules. The batched product runs one BLAS call
-    per sequence, so it equals the 2-D product bit for bit; flattening to
-    [B*T, k] does not. The weight gradient sums over all B*T rows at once."""
+    """[T, k] @ [k, n] with the standard transpose backward rules. Row i of the
+    product has the same bits whatever T is, so a packed operand gives each
+    sequence's rows the bits of that sequence's own product (with OpenBLAS and
+    a C-ordered ``b``; small row counts round differently with a transposed one)."""
     a, b = _as_tensor(a), _as_tensor(b)
-    if a.ndim not in (2, 3) or b.ndim != 2:
-        raise ShapeError(f"matmul: expected [T, k] or [B, T, k] times [k, n], "
-                         f"got {a.shape} and {b.shape}")
-    if a.shape[-1] != b.shape[0]:
+    if a.ndim != 2 or b.ndim != 2:
+        raise ShapeError(f"matmul: expected [T, k] times [k, n], got {a.shape} and {b.shape}")
+    if a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul: inner dimensions disagree: {a.shape} vs {b.shape}")
 
     def bw(g):
         _accumulate(a, g @ b.data.T)
-        _accumulate(b, a.data.reshape(-1, b.shape[0]).T @ g.reshape(-1, b.shape[1]))
-    return _result(a.data @ b.data, "matmul", (a, b), bw)
+        _accumulate(b, a.data.T @ g)
+    # numpy hands a one-row product to gemv, which rounds unlike the GEMM of
+    # every other row count, so one row runs as two.
+    out = (a.data[[0, 0]] @ b.data)[:1] if a.shape[0] == 1 else a.data @ b.data
+    return _result(out, "matmul", (a, b), bw)
 
 
 def transpose(a: Tensor) -> Tensor:
@@ -444,13 +446,13 @@ def cosine_rows(v: Tensor, m: Tensor) -> Tensor:
 
 def take_rows(a: Tensor, indices) -> Tensor:
     """Row gather (embedding-table lookup), or element gather from a vector;
-    backward scatter-adds. A [B, T] index array gathers [B, T, ...]."""
+    backward scatter-adds."""
     a = _as_tensor(a)
     if a.ndim not in (1, 2):
         raise ShapeError(f"take_rows: expected a 1-D or 2-D table, got {a.shape}")
     idx = np.asarray(indices, dtype=np.intp)
-    if idx.ndim not in (1, 2):
-        raise ShapeError(f"take_rows: expected a 1-D or 2-D index array, got shape {idx.shape}")
+    if idx.ndim != 1:
+        raise ShapeError(f"take_rows: expected a 1-D index array, got shape {idx.shape}")
     if idx.size and (idx.min() < 0 or idx.max() >= a.shape[0]):
         raise ShapeError(f"take_rows: index out of range for table with {a.shape[0]} rows")
 
@@ -462,23 +464,19 @@ def take_rows(a: Tensor, indices) -> Tensor:
     return _result(a.data[idx], "take_rows", (a,), bw)
 
 
-def pick(a: Tensor, i: int, axis: int = 0) -> Tensor:
-    """Select position ``i`` along ``axis``: a row of a matrix, an element of a
-    vector, or (axis 1) position i of every sequence in a [B, T, d] batch.
-    The result is a copy, so it does not keep ``a``'s whole buffer alive."""
+def pick(a: Tensor, i: int) -> Tensor:
+    """Row ``i`` of a matrix or element ``i`` of a vector. The result is a copy,
+    so it does not keep ``a``'s whole buffer alive."""
     a = _as_tensor(a)
-    if not 0 <= axis < a.ndim:
-        raise ShapeError(f"pick: no axis {axis} in shape {a.shape}")
-    if not 0 <= i < a.shape[axis]:
-        raise ShapeError(f"pick: index {i} out of range for axis of length {a.shape[axis]}")
-    where = (slice(None),) * axis + (i,)
+    if a.ndim == 0 or not 0 <= i < a.shape[0]:
+        raise ShapeError(f"pick: index {i} out of range for shape {a.shape}")
 
     def bw(g):
         if a.requires_grad:
             if a.grad is None:
                 a.grad = np.zeros_like(a.data)
-            a.grad[where] += g
-    return _result(np.array(a.data[where]), "pick", (a,), bw)
+            a.grad[i] += g
+    return _result(np.array(a.data[i]), "pick", (a,), bw)
 
 
 def concat_rows(tensors: Sequence[Tensor]) -> Tensor:
@@ -523,60 +521,78 @@ def stack(tensors: Sequence[Tensor]) -> Tensor:
 MASK_VALUE = -1e9
 
 
-def causal_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int) -> Tensor:
-    """Multi-head causal self-attention over [T, d] or [B, T, d] query/key/value
-    projections.
+def causal_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int,
+                     lengths: Sequence[int] | None = None) -> Tensor:
+    """Multi-head causal self-attention over packed [N, d] query/key/value
+    projections: the rows hold sequences of ``lengths`` end to end (by
+    default one sequence of all N rows), and no row attends outside its own
+    sequence.
 
     Head h owns columns [h*hd, (h+1)*hd) with hd = d / n_heads and computes
     softmax(q_h k_hᵀ / sqrt(hd) + M) v_h; the heads come back side by side as
-    [T, d] (per sequence of a batch). The causal mask M is additive:
-    ``MASK_VALUE`` (-1e9) on the strictly-upper triangle, 0 elsewhere, and the
-    row softmax subtracts the row max first. In double precision the masked
-    weights underflow to exactly zero, so output row i is bitwise independent
-    of every position after i.
+    [T, d] per sequence. The causal mask M is additive: ``MASK_VALUE`` (-1e9)
+    on the strictly-upper triangle, 0 elsewhere, and the row softmax subtracts
+    the row max first. In double precision the masked weights underflow to
+    exactly zero, so output row i is bitwise independent of every position
+    after i.
 
     Forward and backward equal the per-head 2-D composition (column slices,
-    matmul, scale, mask, row softmax, matmul, concatenation) bit for bit, and
-    a batch equals its sequences run one at a time. That holds because the
-    heads are contiguous [..., H, T, hd] copies of q and v and a contiguous
-    [..., H, hd, T] copy of kᵀ, the same arrays the 2-D slices make, because
-    ``np.matmul`` runs one BLAS product per (sequence, head), and because the
-    backward multiplies by transposed views of those copies, as ``matmul``'s
-    backward does. Strided views in place of the copies round differently in
-    BLAS.
+    matmul, scale, mask, row softmax, matmul, concatenation) of each sequence
+    alone, bit for bit. Consecutive sequences of one length T run as one
+    [c, T, d] view of their rows, whose heads are contiguous [c, H, T, hd]
+    copies of q and v and a contiguous [c, H, hd, T] copy of kᵀ, the same
+    arrays the 2-D slices make; ``np.matmul`` runs one BLAS product per
+    (sequence, head), and the backward multiplies by transposed views of those
+    copies, as ``matmul``'s backward does. Strided views in place of the copies
+    round differently in BLAS.
     """
     q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
-    if q.ndim not in (2, 3) or k.shape != q.shape or v.shape != q.shape:
-        raise ShapeError(f"causal_attention: expected equal [T, d] or [B, T, d] q, k and v, "
+    if q.ndim != 2 or k.shape != q.shape or v.shape != q.shape:
+        raise ShapeError(f"causal_attention: expected equal [N, d] q, k and v, "
                          f"got {q.shape}, {k.shape} and {v.shape}")
-    *lead, t, d = q.shape
+    n, d = q.shape
     if n_heads < 1 or d % n_heads:
         raise ShapeError(f"causal_attention: width {d} not divisible by n_heads={n_heads}")
+    lengths = [n] if lengths is None else list(lengths)
+    if not lengths or min(lengths) < 1 or sum(lengths) != n:
+        raise ShapeError(f"causal_attention: sequence lengths {lengths} do not split {n} rows")
     hd = d // n_heads
     scale = 1.0 / math.sqrt(hd)
 
-    def heads(x):  # [..., T, d] -> [..., H, T, hd] view
-        return np.swapaxes(x.reshape(*lead, t, n_heads, hd), -3, -2)
-
-    def merge(x):  # [..., H, T, hd] -> [..., T, d]
-        return np.swapaxes(x, -3, -2).reshape(*lead, t, d)
+    def heads(x, t):  # rows of sequences of length T [c*T, d] -> [c, H, T, hd] view
+        return np.swapaxes(x.reshape(-1, t, n_heads, hd), 1, 2)
 
     def tr(x):  # transposed view of the last two axes
         return np.swapaxes(x, -1, -2)
 
-    qh, kt, vh = heads(q.data).copy(), tr(heads(k.data)).copy(), heads(v.data).copy()
-    logits = np.matmul(qh, kt) * scale + np.triu(np.full((t, t), MASK_VALUE, q.data.dtype), k=1)
-    e = np.exp(logits - logits.max(axis=-1, keepdims=True))
-    w = e / e.sum(axis=-1, keepdims=True)
+    out, runs, hi = np.empty(q.shape, q.data.dtype), [], 0
+    for t, group in itertools.groupby(lengths):
+        rows = slice(hi, hi + t * len(list(group)))
+        hi = rows.stop
+        qh, kt = heads(q.data[rows], t).copy(), tr(heads(k.data[rows], t)).copy()
+        vh = heads(v.data[rows], t).copy()
+        w = np.matmul(qh, kt)  # the masked row softmax, in place, in the usual rounding order
+        w *= scale
+        w += np.triu(np.full((t, t), MASK_VALUE, q.data.dtype), k=1)
+        w -= w.max(axis=-1, keepdims=True)
+        np.exp(w, out=w)
+        w /= w.sum(axis=-1, keepdims=True)
+        heads(out[rows], t)[...] = np.matmul(w, vh)
+        runs.append((rows, t, qh, kt, vh, w))
 
     def bw(g):
-        gh = heads(g)
-        gw = np.matmul(gh, tr(vh))
-        gl = w * (gw - (gw * w).sum(axis=-1, keepdims=True)) * scale
-        _accumulate(q, merge(np.matmul(gl, tr(kt))))
-        _accumulate(k, merge(tr(np.matmul(tr(qh), gl))))
-        _accumulate(v, merge(np.matmul(tr(w), gh)))
-    return _result(merge(np.matmul(w, vh)), "causal_attention", (q, k, v), bw)
+        gq, gk, gv = (np.empty(g.shape, g.dtype) for _ in range(3))
+        for rows, t, qh, kt, vh, w in runs:
+            gh = heads(g[rows], t)
+            gw = np.matmul(gh, tr(vh))
+            gl = w * (gw - (gw * w).sum(axis=-1, keepdims=True)) * scale
+            heads(gq[rows], t)[...] = np.matmul(gl, tr(kt))
+            heads(gk[rows], t)[...] = tr(np.matmul(tr(qh), gl))
+            heads(gv[rows], t)[...] = np.matmul(tr(w), gh)
+        _accumulate(q, gq)
+        _accumulate(k, gk)
+        _accumulate(v, gv)
+    return _result(out, "causal_attention", (q, k, v), bw)
 
 
 def logsumexp(x: Tensor) -> Tensor:
@@ -594,7 +610,7 @@ def logsumexp(x: Tensor) -> Tensor:
 
 
 def rms_norm(x: Tensor, weight: Tensor, eps: float = 1e-6) -> Tensor:
-    """Scale each length-d slice of a [d], [T, d] or [B, T, d] input by
+    """Scale a [d] input, or each row of a [T, d] one, by
     1/sqrt(mean(x^2) + eps), then by ``weight``.
 
     ``eps`` may be zero (exact root-mean-square) but not negative.
@@ -604,7 +620,7 @@ def rms_norm(x: Tensor, weight: Tensor, eps: float = 1e-6) -> Tensor:
         raise ValueError(f"rms_norm: eps must be >= 0, got {eps}")
     if weight.ndim != 1:
         raise ShapeError(f"rms_norm: weight must be 1-D, got {weight.shape}")
-    if x.ndim not in (1, 2, 3) or x.shape[-1] != weight.shape[0]:
+    if x.ndim not in (1, 2) or x.shape[-1] != weight.shape[0]:
         raise ShapeError(f"rms_norm: input {x.shape} does not end in weight length {weight.shape}")
     d = x.shape[-1]
     ms = (x.data * x.data).mean(axis=-1, keepdims=True)
@@ -623,8 +639,8 @@ def rms_norm(x: Tensor, weight: Tensor, eps: float = 1e-6) -> Tensor:
         _accumulate(x, gx)
         gweight = g * x.data
         gweight *= r
-        if gweight.ndim > 1:
-            gweight = gweight.reshape(-1, d).sum(axis=0)
+        if gweight.ndim == 2:
+            gweight = gweight.sum(axis=0)
         _accumulate(weight, gweight)
     return _result(y, "rms_norm", (x, weight), bw)
 
@@ -638,7 +654,8 @@ def backward(loss: Tensor) -> None:
 
     The loss must be scalar. The recorded tape is traversed exactly once in
     reverse execution order and then freed; a second backward through the
-    same graph is not possible.
+    same graph is not possible. Each node is let go once it has passed its
+    gradient on, so intermediate results nothing else holds free early.
     """
     if not isinstance(loss, Tensor):
         raise TypeError("backward expects a Tensor")
@@ -662,7 +679,8 @@ def backward(loss: Tensor) -> None:
                 stack.append((parent, False))
 
     loss.grad = np.ones_like(loss.data)
-    for node in reversed(topo):
+    while topo:
+        node = topo.pop()
         if node._backward is not None:
             node._backward(node.grad)
             node._backward = None

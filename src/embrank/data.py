@@ -173,7 +173,7 @@ def rank_labels_from_grades(grades: Sequence[int]) -> list[int]:
 # ---------------------------------------------------------------------------
 
 def load_corpus(path, vocab: Vocabulary | None = None) -> tuple[list[Document], Vocabulary]:
-    """Read a JSONL corpus; builds the vocabulary from it unless one is given."""
+    """Read a nonempty JSONL corpus; builds the vocabulary from it unless one is given."""
     path = Path(path)
     raw: list[tuple[str, str]] = []
     seen_ids: set[str] = set()
@@ -193,6 +193,8 @@ def load_corpus(path, vocab: Vocabulary | None = None) -> tuple[list[Document], 
                 raise DataFormatError(f"{path}:{lineno}: duplicate doc id {doc_id!r}")
             seen_ids.add(doc_id)
             raw.append((doc_id, str(record["text"])))
+    if not raw:
+        raise DataFormatError(f"{path}: corpus holds no documents")
     if vocab is None:
         vocab = Vocabulary.build(text for _, text in raw)
     docs = []

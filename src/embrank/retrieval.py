@@ -180,8 +180,11 @@ def _repeated_id(doc_ids: list[str]) -> str | None:
 
 
 def _distinct_ids(documents: list[Document]) -> list[str]:
-    """The documents' ids, or ``DataFormatError`` naming one that repeats:
-    each index holds one row per document, and search ranks one entry each."""
+    """The documents' ids, or ``DataFormatError`` for no documents or naming
+    one that repeats: each index holds one row per document, and search ranks
+    one entry each."""
+    if not documents:
+        raise DataFormatError("cannot index an empty corpus")
     doc_ids = [d.doc_id for d in documents]
     repeated = _repeated_id(doc_ids)
     if repeated is not None:
@@ -240,9 +243,8 @@ class DenseIndex:
         doc_ids = _distinct_ids(documents)
         with ad.no_grad():
             embeddings = [e.data for e in encoder.batch_encode([d.tokens for d in documents])]
-        matrix = np.stack(embeddings, axis=0) if embeddings else np.zeros((0, 1))
-        norms = np.linalg.norm(matrix, axis=1)
-        if embeddings and np.any(norms == 0.0):
+        matrix = np.stack(embeddings, axis=0)
+        if np.any(np.linalg.norm(matrix, axis=1) == 0.0):
             raise DegenerateInputError("dense index: a passage embedding has zero norm")
         return cls(matrix=matrix, doc_ids=doc_ids,
                    metadata={"corpus_checksum": corpus_checksum,

@@ -196,10 +196,10 @@ def train_step(models: ModelPair, batch: list[RankingSample], doc_tokens,
     """Forward, backward, clip, and update over one batch; returns the trace record.
 
     Each unique token sequence of the batch, candidate passage or query, is
-    encoded once, in one ``batch_encode`` call whose length buckets fill
+    encoded once, in one ``batch_encode`` call whose token-budget packs fill
     across samples. Every use of a sequence gets the same ``Tensor``, so its
     gradient sums over all of them; the losses equal those from encoding
-    every use separately bit for bit (``batch_encode`` keeps each row's bits).
+    every use separately bit for bit (``batch_encode`` keeps each passage's bits).
     """
     optimizer.zero_grad()
     query_ids = [models.vocab.encode(sample.query_text) for sample in batch]

@@ -1,13 +1,16 @@
 """Toy causal transformer shared by the passage encoder and the listwise reranker.
 
 Pre-norm blocks with RMS normalization, multi-head causal self-attention and a
-SiLU feed-forward, learned absolute positions, no biases. Attention is the one
-``autodiff.causal_attention`` op, whose docstring states the additive -1e9 mask
-and the bitwise-causality contract it gives the hidden states.
+SiLU feed-forward, learned absolute positions, no biases. Sequences run packed
+end to end as the rows of one [ΣT, d] matrix; attention, the one
+``autodiff.causal_attention`` op, is told their lengths, and its docstring
+states the additive -1e9 mask and the bitwise-causality contract it gives the
+hidden states.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,45 +72,39 @@ class CausalTransformer:
         for t in self.params.values():
             t.requires_grad = bool(trainable)
 
-    def embed_tokens(self, token_ids) -> Tensor:
-        """Token embeddings plus learned absolute positions: [T] ids give [T, d],
-        a [B, T] array of same-length sequences gives [B, T, d]."""
-        ids = np.asarray(token_ids, dtype=np.intp)
-        t = ids.shape[-1] if ids.ndim else 0
-        if t == 0:
-            raise ShapeError("empty token sequence")
-        if t > self.config.max_seq_len:
-            raise ShapeError(f"sequence length {t} exceeds max_seq_len={self.config.max_seq_len}")
-        x = ad.take_rows(self.params["tok_emb"], ids)
-        pos = ad.take_rows(self.params["pos_emb"], np.arange(t))
-        return ad.add(x, pos)
+    def embed_tokens(self, sequences) -> Tensor:
+        """Token embeddings plus learned absolute positions of ``sequences``,
+        packed end to end as the rows of one [ΣT, d] matrix."""
+        lengths = [len(s) for s in sequences]
+        ids = np.fromiter(itertools.chain.from_iterable(sequences), np.intp, sum(lengths))
+        positions = np.arange(len(ids)) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+        return ad.add(ad.take_rows(self.params["tok_emb"], ids),
+                      ad.take_rows(self.params["pos_emb"], positions))
 
-    def _attention(self, x: Tensor, layer: int) -> Tensor:
+    def _attention(self, x: Tensor, layer: int, lengths: list[int]) -> Tensor:
         q = ad.matmul(x, self.params[f"layers.{layer}.attn.wq"])
         k = ad.matmul(x, self.params[f"layers.{layer}.attn.wk"])
         v = ad.matmul(x, self.params[f"layers.{layer}.attn.wv"])
-        heads = ad.causal_attention(q, k, v, self.config.n_heads)
+        heads = ad.causal_attention(q, k, v, self.config.n_heads, lengths)
         return ad.matmul(heads, self.params[f"layers.{layer}.attn.wo"])
 
-    def _block(self, x: Tensor, layer: int) -> Tensor:
+    def _block(self, x: Tensor, layer: int, lengths: list[int]) -> Tensor:
         cfg = self.config
         a = ad.rms_norm(x, self.params[f"layers.{layer}.attn_norm.weight"], cfg.norm_eps)
-        x = ad.add(x, self._attention(a, layer))
+        x = ad.add(x, self._attention(a, layer, lengths))
         m = ad.rms_norm(x, self.params[f"layers.{layer}.mlp_norm.weight"], cfg.norm_eps)
         h = ad.silu(ad.matmul(m, self.params[f"layers.{layer}.mlp.w1"]))
         return ad.add(x, ad.matmul(h, self.params[f"layers.{layer}.mlp.w2"]))
 
-    def forward_embedded(self, x: Tensor) -> Tensor:
-        """Run the blocks over an already-embedded [T, d] sequence, or a [B, T, d]
-        batch of same-length sequences; post-norm output of the same shape."""
-        if x.ndim not in (2, 3) or x.shape[-1] != self.config.d_model:
-            raise ShapeError(f"expected [T, {self.config.d_model}] or "
-                             f"[B, T, {self.config.d_model}] input, got {x.shape}")
-        if x.shape[-2] > self.config.max_seq_len:
-            raise ShapeError(f"sequence length {x.shape[-2]} exceeds max_seq_len={self.config.max_seq_len}")
+    def forward_embedded(self, x: Tensor, lengths=None) -> Tensor:
+        """Run the blocks over already-embedded sequences of ``lengths``, packed
+        end to end as the rows of ``x`` [ΣT, d] (by default one sequence of
+        all rows); post-norm output of the same shape."""
+        if x.ndim != 2 or x.shape[1] != self.config.d_model:
+            raise ShapeError(f"expected [T, {self.config.d_model}] input, got {x.shape}")
+        lengths = [x.shape[0]] if lengths is None else list(lengths)
+        if max(lengths, default=0) > self.config.max_seq_len:
+            raise ShapeError(f"sequence length {max(lengths)} exceeds max_seq_len={self.config.max_seq_len}")
         for i in range(self.config.n_layers):
-            x = self._block(x, i)
+            x = self._block(x, i, lengths)
         return ad.rms_norm(x, self.params["final_norm.weight"], self.config.norm_eps)
-
-    def forward_tokens(self, token_ids) -> Tensor:
-        return self.forward_embedded(self.embed_tokens(token_ids))

@@ -316,41 +316,19 @@ def op_gradcheck_cases(ad):
         red = _reducer(ad, (t, 4), rng)
         return lambda: red(ad.causal_attention(q, k, v, n_heads)), {"q": q, "k": k, "v": v}
 
-    # Leading batch axis: [B, T, d] inputs as the bucketed encoder runs them.
+    # Packed rows: several sequences end to end, as the encoder runs them.
 
-    def make_add_batch_bias(rng):
-        a, b = ad.param(rng.normal(size=(2, 3, 4))), ad.param(rng.normal(size=(3, 4)))
-        red = _reducer(ad, (2, 3, 4), rng)
-        return lambda: red(ad.add(a, b)), {"a": a, "b": b}
-
-    def make_matmul_batched(rng):
-        a, b = ad.param(rng.normal(size=(2, 3, 4))), ad.param(rng.normal(size=(4, 2)))
-        red = _reducer(ad, (2, 3, 2), rng)
+    def make_matmul_one_row(rng):
+        a, b = ad.param(rng.normal(size=(1, 4))), ad.param(rng.normal(size=(4, 2)))
+        red = _reducer(ad, (1, 2), rng)
         return lambda: red(ad.matmul(a, b)), {"a": a, "b": b}
 
-    def make_take_rows_batched(rng):
-        table = ad.param(rng.normal(size=(6, 3)))
-        idx = rng.integers(0, 6, size=(2, 4))
-        red = _reducer(ad, (2, 4, 3), rng)
-        return lambda: red(ad.take_rows(table, idx)), {"table": table}
-
-    def make_pick_batched(rng):
-        a = ad.param(rng.normal(size=(3, 4, 2)))
-        i = int(rng.integers(0, 4))
-        red = _reducer(ad, (3, 2), rng)
-        return lambda: red(ad.pick(a, i, axis=1)), {"a": a}
-
-    def make_rms_norm_batched(rng):
-        x = ad.param(rng.normal(size=(2, 3, 4)) + 0.1)
-        w = ad.param(rng.normal(size=4))
-        red = _reducer(ad, (2, 3, 4), rng)
-        return lambda: red(ad.rms_norm(x, w, 1e-6)), {"x": x, "w": w}
-
-    def make_causal_attention_batched(rng):
-        t, n_heads = int(rng.integers(3, 6)), 2
-        q, k, v = (ad.param(rng.normal(size=(2, t, 4))) for _ in range(3))
-        red = _reducer(ad, (2, t, 4), rng)
-        return lambda: red(ad.causal_attention(q, k, v, n_heads)), {"q": q, "k": k, "v": v}
+    def make_causal_attention_packed(rng):
+        lengths, n_heads = [1, 3, 3, 2, 3], 2
+        q, k, v = (ad.param(rng.normal(size=(sum(lengths), 4))) for _ in range(3))
+        red = _reducer(ad, (sum(lengths), 4), rng)
+        return (lambda: red(ad.causal_attention(q, k, v, n_heads, lengths)),
+                {"q": q, "k": k, "v": v})
 
     makers = (make_add_same, make_add_scalar, make_add_row_bias, make_sub, make_mul,
               make_mul_scalar, make_div, make_neg, make_sqrt, make_exp, make_log,
@@ -358,6 +336,5 @@ def op_gradcheck_cases(ad):
               make_transpose, make_dot, make_cosine_rows, make_take_rows,
               make_take_rows_vector, make_pick, make_concat_rows, make_stack,
               make_logsumexp, make_rms_norm, make_causal_attention,
-              make_add_batch_bias, make_matmul_batched, make_take_rows_batched,
-              make_pick_batched, make_rms_norm_batched, make_causal_attention_batched)
+              make_matmul_one_row, make_causal_attention_packed)
     return [(fn.__name__.removeprefix("make_"), fn) for fn in makers]

@@ -1,6 +1,7 @@
 """Forward/backward correctness of the tensor engine."""
 
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -15,16 +16,24 @@ from helpers import highprec_softmax_row, naive_matmul, reference_causal_attenti
 class TestMatmul:
     @pytest.mark.parametrize("t", [1, 2, 13, 39])
     def test_batched_equals_2d_products_bitwise(self, t):
+        """Sequences packed end to end as the rows of one operand get the bits
+        of each sequence's own product, one-row sequences included."""
         rng = np.random.default_rng(t)
-        a, w = rng.normal(size=(7, t, 64)), rng.normal(size=(64, 256))
-        out = ad.matmul(ad.tensor(a), ad.tensor(w)).data
-        for i in range(7):
-            np.testing.assert_array_equal(out[i], ad.matmul(ad.tensor(a[i]), ad.tensor(w)).data)
+        lengths = [t, 1, 3, t, 1, 7, 2]
+        w = ad.tensor(rng.normal(size=(64, 256)))
+        a = rng.normal(size=(sum(lengths), 64))
+        out = ad.matmul(ad.tensor(a), w).data
+        lo = 0
+        for n in lengths:
+            np.testing.assert_array_equal(out[lo:lo + n], ad.matmul(ad.tensor(a[lo:lo + n]), w).data)
+            lo += n
 
     def test_batched_rejects_a_batched_right_operand(self):
-        x = ad.tensor(np.zeros((2, 3, 4)))
-        with pytest.raises(ShapeError):
-            ad.matmul(x, x)
+        """No operand takes a batch axis: several sequences run as packed rows."""
+        x, w = ad.tensor(np.zeros((2, 3, 4))), ad.tensor(np.zeros((4, 4)))
+        for left, right in ((x, x), (w, x), (x, w)):
+            with pytest.raises(ShapeError):
+                ad.matmul(left, right)
 
     def test_identity(self):
         rng = np.random.default_rng(0)
@@ -116,17 +125,28 @@ class TestSoftmaxRows:
 class TestCausalAttention:
     @pytest.mark.parametrize("t", [1, 2, 35])
     def test_batch_equals_each_sequence_alone(self, t):
-        """[B, T, d] inputs give each sequence's [T, d] output and gradients bit for bit."""
+        """Sequences packed end to end as [ΣT, d] rows, with equal lengths apart
+        and side by side and one-token sequences, give each sequence's [T, d]
+        output and gradients bit for bit."""
         rng = np.random.default_rng(t)
-        b, d, n_heads = 5, 64, 4
-        q, k, v = (ad.param(rng.normal(size=(b, t, d))) for _ in range(3))
-        g = rng.normal(size=(b, t, d))
-        out = ad.causal_attention(q, k, v, n_heads)
+        lengths, d, n_heads = [1, 3, 3, 5, 3, 1, t], 64, 4
+        q, k, v = (ad.param(rng.normal(size=(sum(lengths), d))) for _ in range(3))
+        g = rng.normal(size=(sum(lengths), d))
+        out = ad.causal_attention(q, k, v, n_heads, lengths)
         backward(ad.sum_all(ad.mul(out, ad.tensor(g))))
-        for i in range(b):
-            ref = reference_causal_attention(q.data[i], k.data[i], v.data[i], n_heads, g[i])
-            for got, want in zip((out.data[i], q.grad[i], k.grad[i], v.grad[i]), ref):
+        lo = 0
+        for n in lengths:
+            rows = slice(lo, lo + n)
+            ref = reference_causal_attention(q.data[rows], k.data[rows], v.data[rows], n_heads, g[rows])
+            for got, want in zip((out.data[rows], q.grad[rows], k.grad[rows], v.grad[rows]), ref):
                 np.testing.assert_array_equal(got, want)
+            lo += n
+
+    @pytest.mark.parametrize("lengths", [[], [0, 4], [2, 1], [2, 3]])
+    def test_lengths_must_split_the_rows(self, lengths):
+        q = ad.tensor(np.zeros((4, 8)))
+        with pytest.raises(ShapeError):
+            ad.causal_attention(q, q, q, 2, lengths)
 
     @pytest.mark.parametrize("n_heads,d", [(1, 8), (2, 16), (4, 64)])
     @pytest.mark.parametrize("t", [1, 2, 35, 64, 130])
@@ -315,9 +335,28 @@ class TestBackward:
         np.testing.assert_array_equal(a.grad, [2.0, 2.0])
         assert not np.shares_memory(a.grad, b.grad)
 
+    def test_sweep_lets_go_of_results_it_is_done_with(self):
+        """By the time y1 passes its gradient on, y2 (held by no caller) and its
+        values are freed; the whole tape used to live until the sweep ended."""
+        x = ad.param([1.0, 2.0])
+        y1 = ad.exp(x)
+        y2 = ad.exp(y1)
+        loss = ad.sum_all(y2)
+        y2_values = weakref.ref(y2.data)
+        del y2
+        inner, freed = y1._backward, []
+
+        def spy(g):
+            freed.append(y2_values() is None)
+            inner(g)
+        y1._backward = spy
+        backward(loss)
+        assert freed == [True]
+        np.testing.assert_allclose(x.grad, np.exp(np.exp([1.0, 2.0])) * np.exp([1.0, 2.0]))
+
     def test_leaf_gradients_are_owned_c_ordered_arrays(self):
-        """causal_attention's key gradient arrives as a strided view of its
-        merged heads, and concat_rows hands each block a slice of its own."""
+        """concat_rows hands each block a slice of its own gradient, and
+        causal_attention's gradients are written head by head."""
         rng = np.random.default_rng(5)
         q, k, v = (ad.param(rng.normal(size=(6, 8))) for _ in range(3))
         extra = ad.param(rng.normal(size=(3, 8)))

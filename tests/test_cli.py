@@ -343,6 +343,13 @@ class TestErrors:
         assert code == 1
         assert "missing.trec" in capsys.readouterr().err
 
+    def test_build_index_on_an_empty_corpus_names_the_file(self, tmp_path, capsys):
+        corpus = tmp_path / "empty_corpus.jsonl"
+        corpus.write_text("\n")
+        code = main(["build-index", "--corpus", str(corpus), "--out", str(tmp_path / "index")])
+        assert code == 1
+        assert "empty_corpus.jsonl: corpus holds no documents" in capsys.readouterr().err
+
     def test_seed_flag_overrides_config(self, tmp_path):
         config = tmp_path / "config.json"
         config.write_text(json.dumps(MICRO_CONFIG))

@@ -5,7 +5,7 @@ import pytest
 
 import embrank.autodiff as ad
 from embrank.autodiff import backward
-from embrank.encoder import CHUNK_SIZE
+import embrank.encoder as encoder_module
 from embrank.errors import NumericError, ShapeError
 from embrank.reranker import build_model_pair
 
@@ -97,12 +97,13 @@ class TestBatchEncode:
             np.testing.assert_array_equal(e.data, encoder.encode_passage(ids).data)
 
     def test_length_buckets_bit_identical_in_input_order(self, encoder, vocab):
-        """Mixed lengths, one length bucket longer than two chunks, shuffled:
-        row i is encode_passage(passages[i]) bit for bit."""
+        """Mixed lengths, one length's passages filling more than two packs,
+        shuffled: row i is encode_passage(passages[i]) bit for bit."""
         rng = np.random.default_rng(11)
         words = ["alpha", "beta", "gamma", "delta", "epsilon", "zeta", "eta", "theta"]
         same = [vocab.encode(" ".join(rng.choice(words, size=4)))
-                for _ in range(2 * CHUNK_SIZE + 8)]
+                for _ in range(2 * encoder_module.TOKEN_BUDGET // 4 + 8)]
+        assert all(len(ids) == 4 for ids in same)
         mixed = [vocab.encode(" ".join(rng.choice(words, size=rng.integers(1, 9))))
                  for _ in range(20)]
         passages = same + mixed
@@ -112,8 +113,17 @@ class TestBatchEncode:
         for ids, e in zip(passages, batched):
             np.testing.assert_array_equal(e.data, encoder.encode_passage(ids).data)
 
+    def test_passages_longer_than_the_token_budget_run_alone(self, encoder, vocab, monkeypatch):
+        """With a budget of 4 rows, packs hold one to four passages, and the
+        passages of 5 and more tokens each run in a pack of their own."""
+        monkeypatch.setattr(encoder_module, "TOKEN_BUDGET", 4)
+        words = "alpha beta gamma delta epsilon zeta eta theta".split()
+        passages = [vocab.encode(" ".join(words[:n])) for n in (6, 1, 3, 1, 8, 2, 5, 1)]
+        for ids, e in zip(passages, encoder.batch_encode(passages)):
+            np.testing.assert_array_equal(e.data, encoder.encode_passage(ids).data)
+
     def test_gradients_flow_to_every_passage(self, tiny_models, vocab):
-        """One backward through a bucketed batch gives the sum of the gradients
+        """One backward through a packed batch gives the sum of the gradients
         of the passages encoded one at a time."""
         enc = tiny_models.encoder
         passages = [vocab.encode(t) for t in ("alpha beta", "gamma delta", "zeta eta theta")]
@@ -133,7 +143,7 @@ class TestBatchEncode:
                     vocab.encode("eta zeta")]
         with pytest.raises(NumericError) as err:
             enc.batch_encode(passages)
-        assert "passages [0, 2]" in str(err.value)
+        assert "passages [0, 1, 2]:" in str(err.value)
 
     def test_passage_independence(self, encoder, vocab):
         """Changing one batch element never changes another's embedding bits."""

@@ -207,6 +207,17 @@ def test_build_rejects_a_repeated_doc_id(which, tiny_models):
             DenseIndex.build(docs, tiny_models.encoder)
 
 
+@pytest.mark.parametrize("which", ["bm25", "dense"])
+def test_build_rejects_an_empty_corpus(which, tiny_models):
+    """BM25 once raised a raw ZeroDivisionError; the dense build wrote a file
+    that its own load rejected."""
+    with pytest.raises(DataFormatError, match="empty corpus"):
+        if which == "bm25":
+            InvertedIndex.build([])
+        else:
+            DenseIndex.build([], tiny_models.encoder)
+
+
 def hex_entries(entries):
     return [(e.doc_id, e.score.hex()) for e in entries]
 
