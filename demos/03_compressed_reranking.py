@@ -22,8 +22,8 @@ docs = [(d.doc_id, d.tokens) for d in ds.documents[:8]]
 print(f"query {query.query_id}: {query.text!r}; {len(docs)} candidates")
 
 print("\n== step 1: each passage compresses to one embedding ==")
-embeddings = enc.batch_encode([tokens for _, tokens in docs])
-print(f"{len(embeddings)} embeddings, each shape {embeddings[0].shape} "
+embeddings = enc.batch_encode([tokens for _, tokens in docs])  # [n, d], row i is passage i
+print(f"{embeddings.shape[0]} embeddings, each shape {embeddings.shape[1:]} "
       f"(one token each, instead of {sum(len(t) for _, t in docs)} text tokens)")
 
 print("\n== step 2: assembly [instruction; query; e_1..e_n; query anchor; EOS] ==")
@@ -34,17 +34,19 @@ print(f"sequence length {rin.x.shape[0]}, passage slots {rin.passage_positions[0
 print("\n== step 3: causal contextualization ==")
 hidden = rer.contextualize(rin)
 h_first = hidden.data[rin.passage_positions[0]].copy()
-changed = list(embeddings)
-changed[-1] = ad.tensor(np.random.default_rng(9).normal(size=32))
-hidden2 = rer.contextualize(rer.assemble_input(models.instruction_ids(), query_ids, changed))
+changed = embeddings.data.copy()
+changed[-1] = np.random.default_rng(9).normal(size=32)
+hidden2 = rer.contextualize(rer.assemble_input(models.instruction_ids(), query_ids,
+                                               ad.tensor(changed)))
 same = np.array_equal(h_first, hidden2.data[rin.passage_positions[0]])
 print(f"changing the LAST passage leaves the FIRST passage's hidden state "
       f"bit-identical: {same} (causal mask)")
 
 print("\n== step 4: residual fusion r_i = h_i + e_i ==")
 h0 = ad.pick(hidden, rin.passage_positions[0])
-r0 = fuse_residual(h0, embeddings[0])
-print(f"|h_0| = {np.linalg.norm(h0.data):.3f}, |e_0| = {np.linalg.norm(embeddings[0].data):.3f}, "
+e0 = ad.pick(embeddings, 0)
+r0 = fuse_residual(h0, e0)
+print(f"|h_0| = {np.linalg.norm(h0.data):.3f}, |e_0| = {np.linalg.norm(e0.data):.3f}, "
       f"|r_0| = {np.linalg.norm(r0.data):.3f}")
 
 print("\n== step 5: cosine scoring against the EOS aggregation state ==")

@@ -441,7 +441,7 @@ def cosine_rows(v: Tensor, m: Tensor) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# shape manipulation: gather / slice / concat / stack
+# shape manipulation: gather / pick / concat
 # ---------------------------------------------------------------------------
 
 def take_rows(a: Tensor, indices) -> Tensor:
@@ -496,22 +496,6 @@ def concat_rows(tensors: Sequence[Tensor]) -> Tensor:
             _accumulate(t, g[offset:offset + n])
             offset += n
     return _result(np.concatenate([t.data for t in ts], axis=0), "concat_rows", tuple(ts), bw)
-
-
-def stack(tensors: Sequence[Tensor]) -> Tensor:
-    """Stack same-shaped tensors along a new leading axis (scalars become a vector)."""
-    ts = [_as_tensor(t) for t in tensors]
-    if not ts:
-        raise ShapeError("stack: need at least one tensor")
-    shape = ts[0].shape
-    for t in ts:
-        if t.shape != shape:
-            raise ShapeError(f"stack: mismatched element shapes {[t.shape for t in ts]}")
-
-    def bw(g):
-        for i, t in enumerate(ts):
-            _accumulate(t, g[i])
-    return _result(np.stack([t.data for t in ts], axis=0), "stack", tuple(ts), bw)
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ seed produce byte-identical checkpoints, run files, and metric reports.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -120,12 +121,7 @@ def _check_provenance(index_path, recorded: dict, actual: dict) -> None:
 def cmd_gen_data(args) -> int:
     cfg = _effective_config(args)
     out = _outdir(args.out)
-    d = cfg.data
-    dataset = generate_synthetic(
-        seed=cfg.seed, n_topics=d.n_topics, n_docs=d.n_docs, n_queries=d.n_queries,
-        grade_noise=d.grade_noise, n_eval_queries=d.n_eval_queries,
-        stage1_candidates=d.stage1_candidates, stage1_per_query=d.stage1_per_query,
-        n_negatives=d.n_negatives)
+    dataset = generate_synthetic(seed=cfg.seed, **dataclasses.asdict(cfg.data))
     write_corpus(out / "corpus.jsonl", dataset.documents)
     write_queries(out / "queries_train.tsv", dataset.train_queries)
     write_queries(out / "queries_eval.tsv", dataset.eval_queries)
@@ -455,10 +451,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except EmbrankError as exc:
-        print(f"embrank {args.command}: error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (EmbrankError, OSError) as exc:
         print(f"embrank {args.command}: error: {exc}", file=sys.stderr)
         return 1
 

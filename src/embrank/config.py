@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import ConfigError
+from .serialization import read_text
 from .training import LossConfig, OptimConfig, StageConfig
 
 
@@ -29,12 +30,8 @@ class ModelSettings:
     passage_position_embeddings: bool = True
 
     def build_kwargs(self) -> dict:
-        return {
-            "d_model": self.d_model, "n_layers": self.n_layers, "n_heads": self.n_heads,
-            "encoder_max_len": self.encoder_max_len, "reranker_max_len": self.reranker_max_len,
-            "ffn_mult": self.ffn_mult, "normalize_embeddings": self.normalize_embeddings,
-            "passage_position_embeddings": self.passage_position_embeddings,
-        }
+        """Every field, as the keyword arguments of ``build_model_pair``."""
+        return dataclasses.asdict(self)
 
 
 @dataclass
@@ -147,7 +144,7 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
 def load_config(path) -> ExperimentConfig:
     path = Path(path)
     try:
-        data = json.loads(path.read_text(encoding="utf-8"))
+        data = json.loads(read_text(path, ConfigError))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON ({exc.msg} at line {exc.lineno})") from exc
     return config_from_dict(data)

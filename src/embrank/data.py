@@ -16,6 +16,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from .errors import DataFormatError
+from .serialization import text_lines
 
 PAD_TOKEN = "<pad>"
 UNK_TOKEN = "<unk>"
@@ -177,22 +178,21 @@ def load_corpus(path, vocab: Vocabulary | None = None) -> tuple[list[Document], 
     path = Path(path)
     raw: list[tuple[str, str]] = []
     seen_ids: set[str] = set()
-    with path.open("r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DataFormatError(f"{path}:{lineno}: invalid JSON ({exc.msg})") from exc
-            if not isinstance(record, dict) or "id" not in record or "text" not in record:
-                raise DataFormatError(f"{path}:{lineno}: record must have 'id' and 'text' fields")
-            doc_id = str(record["id"])
-            if doc_id in seen_ids:
-                raise DataFormatError(f"{path}:{lineno}: duplicate doc id {doc_id!r}")
-            seen_ids.add(doc_id)
-            raw.append((doc_id, str(record["text"])))
+    for lineno, line in text_lines(path):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            record = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise DataFormatError(f"{path}:{lineno}: invalid JSON ({exc.msg})") from exc
+        if not isinstance(record, dict) or "id" not in record or "text" not in record:
+            raise DataFormatError(f"{path}:{lineno}: record must have 'id' and 'text' fields")
+        doc_id = str(record["id"])
+        if doc_id in seen_ids:
+            raise DataFormatError(f"{path}:{lineno}: duplicate doc id {doc_id!r}")
+        seen_ids.add(doc_id)
+        raw.append((doc_id, str(record["text"])))
     if not raw:
         raise DataFormatError(f"{path}: corpus holds no documents")
     if vocab is None:
@@ -213,18 +213,20 @@ def write_corpus(path, documents: Iterable[Document]) -> None:
 
 
 def load_queries(path) -> list[Query]:
+    """Queries in file order; a repeated query id raises ``DataFormatError``."""
     path = Path(path)
-    queries = []
-    with path.open("r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line.strip():
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise DataFormatError(f"{path}:{lineno}: expected 'qid<TAB>text'")
-            queries.append(Query(query_id=parts[0], text=parts[1]))
-    return queries
+    queries: dict[str, Query] = {}
+    for lineno, line in text_lines(path):
+        line = line.rstrip("\n")
+        if not line.strip():
+            continue
+        parts = line.split("\t")
+        if len(parts) != 2:
+            raise DataFormatError(f"{path}:{lineno}: expected 'qid<TAB>text'")
+        if parts[0] in queries:
+            raise DataFormatError(f"{path}:{lineno}: duplicate query id {parts[0]!r}")
+        queries[parts[0]] = Query(query_id=parts[0], text=parts[1])
+    return list(queries.values())
 
 
 def write_queries(path, queries: Iterable[Query]) -> None:
@@ -237,24 +239,23 @@ def load_qrels(path) -> Qrels:
     path = Path(path)
     qrels = Qrels()
     seen: set[tuple[str, str]] = set()
-    with path.open("r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            parts = line.split()
-            if len(parts) != 4:
-                raise DataFormatError(f"{path}:{lineno}: expected 'qid 0 docid grade'")
-            qid, _, doc_id, grade_str = parts
-            try:
-                grade = int(grade_str)
-            except ValueError as exc:
-                raise DataFormatError(f"{path}:{lineno}: grade must be an integer") from exc
-            if grade < 0:
-                raise DataFormatError(f"{path}:{lineno}: grade must be >= 0")
-            if (qid, doc_id) in seen:
-                raise DataFormatError(f"{path}:{lineno}: duplicate pair ({qid}, {doc_id})")
-            seen.add((qid, doc_id))
-            qrels.set(qid, doc_id, grade)
+    for lineno, line in text_lines(path):
+        if not line.strip():
+            continue
+        parts = line.split()
+        if len(parts) != 4:
+            raise DataFormatError(f"{path}:{lineno}: expected 'qid 0 docid grade'")
+        qid, _, doc_id, grade_str = parts
+        try:
+            grade = int(grade_str)
+        except ValueError as exc:
+            raise DataFormatError(f"{path}:{lineno}: grade must be an integer") from exc
+        if grade < 0:
+            raise DataFormatError(f"{path}:{lineno}: grade must be >= 0")
+        if (qid, doc_id) in seen:
+            raise DataFormatError(f"{path}:{lineno}: duplicate pair ({qid}, {doc_id})")
+        seen.add((qid, doc_id))
+        qrels.set(qid, doc_id, grade)
     return qrels
 
 
@@ -284,26 +285,28 @@ def write_samples(path, samples: Iterable[RankingSample]) -> None:
 def load_samples(path) -> list[RankingSample]:
     path = Path(path)
     samples = []
-    with path.open("r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DataFormatError(f"{path}:{lineno}: invalid JSON ({exc.msg})") from exc
-            try:
-                sample = RankingSample(
-                    query_id=record["query_id"],
-                    query_text=record["query"],
-                    candidates=[Candidate(c["doc_id"], int(c["grade"]), int(c["rank_label"]))
-                                for c in record["candidates"]],
-                    positive_index=int(record["positive_index"]),
-                    negative_indices=[int(i) for i in record["negative_indices"]],
-                )
-            except (KeyError, TypeError, ValueError) as exc:
-                raise DataFormatError(f"{path}:{lineno}: malformed sample record ({exc})") from exc
+    for lineno, line in text_lines(path):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            record = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise DataFormatError(f"{path}:{lineno}: invalid JSON ({exc.msg})") from exc
+        try:
+            sample = RankingSample(
+                query_id=record["query_id"],
+                query_text=record["query"],
+                candidates=[Candidate(c["doc_id"], int(c["grade"]), int(c["rank_label"]))
+                            for c in record["candidates"]],
+                positive_index=int(record["positive_index"]),
+                negative_indices=[int(i) for i in record["negative_indices"]],
+            )
+            if not all(isinstance(v, str) for v in (sample.query_id, sample.query_text,
+                                                     *(c.doc_id for c in sample.candidates))):
+                raise TypeError("query_id, query and every doc_id must be strings")
             validate_sample(sample)
-            samples.append(sample)
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            raise DataFormatError(f"{path}:{lineno}: malformed sample record ({exc})") from exc
+        samples.append(sample)
     return samples

@@ -43,25 +43,29 @@ class EncoderModel:
 
     def encode_passage(self, token_ids) -> Tensor:
         """Compress one token sequence to a single [d] embedding (last-token
-        pooling): the one-passage case of ``batch_encode``."""
-        return self.batch_encode([token_ids])[0]
+        pooling): row 0 of the one-passage ``batch_encode``."""
+        return ad.pick(self.batch_encode([token_ids]), 0)
 
     def encode_query(self, token_ids) -> Tensor:
         """Queries run through the identical network and pooling as passages."""
         return self.encode_passage(token_ids)
 
-    def batch_encode(self, passages) -> list[Tensor]:
-        """Element i equals encode_passage(passages[i]) bit for bit; order preserved.
+    def batch_encode(self, passages) -> Tensor:
+        """The [n, d] matrix whose row i equals encode_passage(passages[i]) bit
+        for bit; ``[]`` gives a [0, d] matrix.
 
         The passages, stably sorted by length, run packed end to end as the
         rows of [ΣT, d] forwards of at most ``TOKEN_BUDGET`` rows (a longer
         passage runs alone), with no padding. Every op is row-wise but
         attention, which keeps to each passage's rows (see ``autodiff``): that
-        keeps each passage's bits. Gradients flow back to every passage.
+        keeps each passage's bits. Each pack's last rows are pooled by one
+        ``take_rows``, joined by one ``concat_rows`` and put back in input order
+        by one ``take_rows``; gradients flow back to every passage.
         """
-        limit = self.config.max_seq_len
+        limit, d = self.config.max_seq_len, self.config.d_model
+        order = sorted(range(len(passages)), key=lambda i: len(passages[i]))
         packs, rows = [], TOKEN_BUDGET
-        for i in sorted(range(len(passages)), key=lambda i: len(passages[i])):
+        for i in order:
             n = len(passages[i])
             if n == 0:
                 raise ShapeError(f"passage {i}: empty token sequence")
@@ -73,18 +77,20 @@ class EncoderModel:
                 rows = 0
             packs[-1].append(i)
             rows += n
-        out: list[Tensor] = [None] * len(passages)
+        if not packs:
+            return ad.tensor(np.zeros((0, d)))
+        pooled = []
         for pack in packs:
             lengths = [len(passages[i]) for i in pack]
             try:
                 x = self.transformer.embed_tokens([passages[i] for i in pack])
                 hidden = self.transformer.forward_embedded(x, lengths)
-                last = ad.take_rows(hidden, np.cumsum(lengths) - 1)
-                for b, i in enumerate(pack):
-                    e = ad.pick(last, b)
-                    if self.normalize_output:
-                        e = ad.div(e, ad.sqrt(ad.dot(e, e)))
-                    out[i] = e
+                pooled.append(ad.take_rows(hidden, np.cumsum(lengths) - 1))
             except EmbrankError as exc:
                 raise type(exc)(f"passages {sorted(pack)}: {exc}") from exc
+        out = ad.concat_rows(pooled)
+        if order != list(range(len(order))):
+            out = ad.take_rows(out, np.argsort(order))
+        if self.normalize_output:  # x / sqrt(mean(x^2)) / sqrt(d) is x / |x|
+            out = ad.rms_norm(out, ad.tensor(np.full(d, d ** -0.5)), eps=0.0)
         return out

@@ -7,6 +7,7 @@ mean and counted separately, matching common trec-eval behavior.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass, field
 
@@ -189,6 +190,9 @@ def ordering_experiment(models: ModelPair, items: list[EvalItem], qrels: Qrels,
 
 ABLATION_VARIANTS = ("full", "wo_stage1", "wo_stage2", "wo_hidden_state",
                      "wo_residual", "wo_encoder_sft", "wo_encoder_loss")
+# The ``LossConfig`` flag each component-removal variant turns off.
+_ABLATION_FLAGS = {"wo_hidden_state": "hidden_state_enabled", "wo_residual": "residual_enabled",
+                   "wo_encoder_sft": "encoder_trainable", "wo_encoder_loss": "encoder_loss_enabled"}
 
 
 @dataclass
@@ -213,24 +217,13 @@ def ablation_suite(vocab, doc_tokens, stage1_samples, stage2_samples,
     for variant in variants:
         if variant not in ABLATION_VARIANTS:
             raise ConfigError(f"unknown ablation variant {variant!r}")
-        loss_cfg = LossConfig(**vars(base_loss))
-        skip1 = skip2 = False
-        if variant == "wo_stage1":
-            skip1 = True
-        elif variant == "wo_stage2":
-            skip2 = True
-        elif variant == "wo_hidden_state":
-            loss_cfg.hidden_state_enabled = False
-        elif variant == "wo_residual":
-            loss_cfg.residual_enabled = False
-        elif variant == "wo_encoder_sft":
-            loss_cfg.encoder_trainable = False
-        elif variant == "wo_encoder_loss":
-            loss_cfg.encoder_loss_enabled = False
+        flag = _ABLATION_FLAGS.get(variant)
+        loss_cfg = dataclasses.replace(base_loss, **({flag: False} if flag else {}))
         models = build_model_pair(vocab, seed, **model_kwargs)
         report = run_dual_stage(models, stage1_samples, stage2_samples, doc_tokens,
                                 stage1, stage2, optim, loss_cfg, seed=seed,
-                                skip_stage1=skip1, skip_stage2=skip2)
+                                skip_stage1=variant == "wo_stage1",
+                                skip_stage2=variant == "wo_stage2")
         result = evaluate_reranker(models, items, qrels, k)
         rows.append(AblationRow(variant=variant, ndcg=result.mean,
                                 is_baseline=(variant == "full"), train_report=report))

@@ -30,7 +30,6 @@ class RerankInput:
     x: Tensor                    # [T, d] embedded sequence, positions added
     passage_positions: list[int]  # contiguous block holding the injected embeddings
     eos_position: int
-    n: int
 
 
 @dataclass
@@ -77,20 +76,21 @@ class RerankerModel:
     def set_trainable(self, trainable: bool) -> None:
         self.transformer.set_trainable(trainable)
 
-    def assemble_input(self, instruction_ids, query_ids, embeddings) -> RerankInput:
+    def assemble_input(self, instruction_ids, query_ids, embeddings: Tensor) -> RerankInput:
         """Lay out [instruction; query; e_1..e_n; query anchor; EOS] and add positions.
 
         Vocabulary tokens pass through the reranker's own embedding table; the
-        passage slots hold the encoder outputs verbatim (plus the positional
-        embedding unless ``passage_position_embeddings`` is off).
+        passage slots hold the rows of the [n, d] encoder output ``embeddings``
+        verbatim (plus the positional embedding unless
+        ``passage_position_embeddings`` is off).
         """
-        n = len(embeddings)
+        d = self.config.d_model
+        if embeddings.ndim != 2 or embeddings.shape[1] != d:
+            raise ShapeError(f"assemble_input: embeddings have shape {embeddings.shape}, "
+                             f"expected [n, {d}]")
+        n = embeddings.shape[0]
         if n < 1:
             raise ShapeError("assemble_input: need at least one passage embedding")
-        d = self.config.d_model
-        for i, e in enumerate(embeddings):
-            if e.shape != (d,):
-                raise ShapeError(f"assemble_input: embedding {i} has shape {e.shape}, expected ({d},)")
         prefix_ids = list(instruction_ids) + list(query_ids)
         suffix_ids = list(query_ids) + [self.eos_id]
         total = len(prefix_ids) + n + len(suffix_ids)
@@ -98,9 +98,8 @@ class RerankerModel:
             raise ShapeError(f"assemble_input: sequence of {total} exceeds "
                              f"max_seq_len={self.config.max_seq_len}")
         tok = self.transformer.params["tok_emb"]
-        blocks = [ad.take_rows(tok, prefix_ids), ad.stack(embeddings),
-                  ad.take_rows(tok, suffix_ids)]
-        x = ad.concat_rows(blocks)
+        x = ad.concat_rows([ad.take_rows(tok, prefix_ids), embeddings,
+                            ad.take_rows(tok, suffix_ids)])
         pos = ad.take_rows(self.transformer.params["pos_emb"], np.arange(total))
         if not self.passage_position_embeddings:
             keep = np.ones((total, d))
@@ -110,7 +109,6 @@ class RerankerModel:
             x=ad.add(x, pos),
             passage_positions=list(range(len(prefix_ids), len(prefix_ids) + n)),
             eos_position=total - 1,
-            n=n,
         )
 
     def contextualize(self, rerank_input: RerankInput) -> Tensor:
@@ -127,11 +125,12 @@ class RerankerModel:
         permutation = [int(i) for i in np.argsort(-score_tensor.data, kind="stable")]
         return score_tensor.data.tolist(), score_tensor, permutation
 
-    def forward(self, instruction_ids, query_ids, embeddings) -> RerankOutput:
+    def forward(self, instruction_ids, query_ids, embeddings: Tensor) -> RerankOutput:
+        """Score the candidates whose encoder embeddings are the rows of ``embeddings`` [n, d]."""
         rin = self.assemble_input(instruction_ids, query_ids, embeddings)
         hidden = self.contextualize(rin)
         h_eos = ad.pick(hidden, rin.eos_position)
-        fused = fuse_residual(ad.take_rows(hidden, rin.passage_positions), ad.stack(embeddings),
+        fused = fuse_residual(ad.take_rows(hidden, rin.passage_positions), embeddings,
                               residual=self.residual_enabled,
                               hidden_state=self.hidden_state_enabled)
         scores, score_tensor, permutation = self.score(h_eos, fused)
@@ -188,7 +187,7 @@ def build_model_pair(vocab: Vocabulary, seed: int, *,
 class RerankResult:
     run: RunList
     output: RerankOutput
-    embeddings: list[Tensor]
+    embeddings: Tensor           # [n, d], row i is the encoder output of candidate i
 
 
 def rerank_detailed(query_ids, documents, models: ModelPair, *,
@@ -197,10 +196,10 @@ def rerank_detailed(query_ids, documents, models: ModelPair, *,
                     count_candidates: bool = True) -> RerankResult:
     """Single-pass listwise rerank of one candidate list; ``.run`` is the ordered run.
 
-    ``documents`` is a list of (doc_id, token_ids). The encoder compresses each
-    passage in one ``batch_encode`` under ``no_grad``, and ``rerank_embeddings``
-    scores the result, so the reranker sees exactly what a caller holding the
-    same embeddings (a dense index's rows) would give it.
+    ``documents`` is a list of (doc_id, token_ids). The encoder compresses the
+    passages into one [n, d] matrix in one ``batch_encode`` under ``no_grad``,
+    and ``rerank_embeddings`` scores its rows, so the reranker sees exactly what
+    a caller holding the same rows (a dense index's) would give it.
     """
     with ad.no_grad():
         embeddings = models.encoder.batch_encode([tokens for _, tokens in documents])
@@ -209,16 +208,16 @@ def rerank_detailed(query_ids, documents, models: ModelPair, *,
                              count_candidates=count_candidates)
 
 
-def rerank_embeddings(query_ids, doc_ids: list[str], embeddings: list[Tensor],
+def rerank_embeddings(query_ids, doc_ids: list[str], embeddings: Tensor,
                       models: ModelPair, *, query_id: str = "q0", tag: str = "embrank",
                       counter: TokenCounter | None = None,
                       count_candidates: bool = True) -> RerankResult:
     """Single-pass listwise rerank of candidates given as their encoder embeddings.
 
-    ``embeddings[i]`` is the [d] encoder output of ``doc_ids[i]``. One reranker
-    forward pass over the assembled sequence scores them all, under ``no_grad``
-    (no tape is recorded). The counter records one processed passage token per
-    injected embedding and never sees a generated token.
+    Row i of ``embeddings`` [n, d] is the encoder output of ``doc_ids[i]``. One
+    reranker forward pass over the assembled sequence scores them all, under
+    ``no_grad`` (no tape is recorded). The counter records one processed passage
+    token per injected embedding and never sees a generated token.
     """
     if not doc_ids:
         raise DegenerateInputError("rerank: documents must be nonempty")

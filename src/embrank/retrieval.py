@@ -242,8 +242,7 @@ class DenseIndex:
               corpus_checksum: str = "") -> "DenseIndex":
         doc_ids = _distinct_ids(documents)
         with ad.no_grad():
-            embeddings = [e.data for e in encoder.batch_encode([d.tokens for d in documents])]
-        matrix = np.stack(embeddings, axis=0)
+            matrix = encoder.batch_encode([d.tokens for d in documents]).data
         if np.any(np.linalg.norm(matrix, axis=1) == 0.0):
             raise DegenerateInputError("dense index: a passage embedding has zero norm")
         return cls(matrix=matrix, doc_ids=doc_ids,
@@ -318,7 +317,8 @@ def sliding_window_rerank(query_tokens, candidates, models: ModelPair, *,
                           query_id: str = "q0", tag: str = "embrank-sw") -> RunList:
     """Rerank overlapping windows from the tail of the list toward the head.
 
-    Each window's reranked order replaces that slice in place, so documents
+    One ``batch_encode`` encodes each candidate once; a window reranks its
+    candidates' rows, and its order replaces that slice in place, so documents
     promoted in a later (earlier-positioned) window can keep climbing. When
     the whole list fits one window this is bit-identical to the single-pass
     rerank, cosine scores included; with several windows the emitted scores
@@ -336,25 +336,26 @@ def sliding_window_rerank(query_tokens, candidates, models: ModelPair, *,
         raise ShapeError(f"window {window} exceeds the reranker sequence budget {budget}")
 
     m = len(candidates)
-    if m <= window:
-        return rerank_detailed(query_tokens, candidates, models,
-                               query_id=query_id, tag=tag).run
-
+    doc_ids = [doc_id for doc_id, _ in candidates]
+    with ad.no_grad():
+        embeddings = models.encoder.batch_encode([tokens for _, tokens in candidates])
     counter = TokenCounter()
-    work = list(candidates)
-    start = m - window
+    work = list(range(m))  # candidate indices, in the current order
+    start = max(0, m - window)
     while True:
-        stop = start + window
-        piece = work[start:stop]
-        result = rerank_detailed(query_tokens, piece, models, query_id=query_id,
-                                 tag=tag, counter=counter, count_candidates=False)
-        work[start:stop] = [piece[i] for i in result.output.permutation]
+        piece = work[start:start + window]
+        result = rerank_embeddings(query_tokens, [doc_ids[i] for i in piece],
+                                   ad.take_rows(embeddings, piece), models,
+                                   query_id=query_id, tag=tag, counter=counter,
+                                   count_candidates=False)
+        work[start:start + window] = [piece[i] for i in result.output.permutation]
         if start == 0:
             break
         start = max(0, start - stride)
     counter.candidates = m
-    entries = [RunEntry(doc_id=doc_id, score=float(m - i))
-               for i, (doc_id, _) in enumerate(work)]
+    if m <= window:  # one window: the single-pass run, cosine scores included
+        return result.run
+    entries = [RunEntry(doc_id=doc_ids[j], score=float(m - i)) for i, j in enumerate(work)]
     return RunList(query_id=query_id, entries=entries, tag=tag, counters=counter)
 
 
@@ -412,7 +413,7 @@ def end_to_end(query_text: str, models: ModelPair, doc_tokens: dict[str, list[in
         return EndToEndResult(first_stage=first,
                               reranked=RunList(query_id=query_id, entries=[], tag=tag))
     if rows is not None and all(doc_id in rows for doc_id in ids):
-        embeddings = [ad.tensor(dense_index.matrix[rows[doc_id]]) for doc_id in ids]
+        embeddings = ad.tensor(dense_index.matrix[[rows[doc_id] for doc_id in ids]])
         reranked = rerank_embeddings(query_tokens, ids, embeddings, models,
                                      query_id=query_id, tag=tag).run
     else:

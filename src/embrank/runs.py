@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .errors import DataFormatError
+from .serialization import text_lines
 
 SCORE_DECIMALS = 6
 
@@ -93,28 +95,30 @@ def write_trec_run(path, runs: list[RunList]) -> None:
 
 
 def read_trec_run(path) -> list[RunList]:
+    """Runs in query order of first appearance; each query's ranks must run
+    1, 2, ... over distinct documents with finite scores (else ``DataFormatError``)."""
     path = Path(path)
-    runs: list[RunList] = []
-    index: dict[str, RunList] = {}
-    with path.open("r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            parts = line.split()
-            if len(parts) != 6:
-                raise DataFormatError(f"{path}:{lineno}: expected 6 columns, got {len(parts)}")
-            qid, _, doc_id, rank_str, score_str, tag = parts
-            try:
-                rank = int(rank_str)
-                score = float(score_str)
-            except ValueError as exc:
-                raise DataFormatError(f"{path}:{lineno}: bad rank/score") from exc
-            run = index.get(qid)
-            if run is None:
-                run = RunList(query_id=qid, tag=tag)
-                index[qid] = run
-                runs.append(run)
-            if rank != len(run.entries) + 1:
-                raise DataFormatError(f"{path}:{lineno}: ranks for {qid} must be 1,2,... in order")
-            run.entries.append(RunEntry(doc_id=doc_id, score=score))
-    return runs
+    runs: dict[str, RunList] = {}
+    seen: set[tuple[str, str]] = set()
+    for lineno, line in text_lines(path):
+        if not line.strip():
+            continue
+        parts = line.split()
+        if len(parts) != 6:
+            raise DataFormatError(f"{path}:{lineno}: expected 6 columns, got {len(parts)}")
+        qid, _, doc_id, rank_str, score_str, tag = parts
+        try:
+            rank = int(rank_str)
+            score = float(score_str)
+        except ValueError as exc:
+            raise DataFormatError(f"{path}:{lineno}: bad rank/score") from exc
+        if not math.isfinite(score):
+            raise DataFormatError(f"{path}:{lineno}: score {score_str!r} is not finite")
+        run = runs.setdefault(qid, RunList(query_id=qid, tag=tag))
+        if rank != len(run.entries) + 1:
+            raise DataFormatError(f"{path}:{lineno}: ranks for {qid} must be 1,2,... in order")
+        if (qid, doc_id) in seen:
+            raise DataFormatError(f"{path}:{lineno}: {qid} ranks {doc_id} twice")
+        seen.add((qid, doc_id))
+        run.entries.append(RunEntry(doc_id=doc_id, score=score))
+    return list(runs.values())

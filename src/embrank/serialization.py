@@ -4,12 +4,14 @@ Layout: magic, format version, length-prefixed JSON metadata, then each
 array as (name, dtype, shape, raw little-endian C-order bytes) in sorted
 name order. The bytes written depend only on the content, never on wall
 time, so identical states produce identical files (unlike zip-based
-formats, whose embedded timestamps differ run to run).
+formats, whose embedded timestamps differ run to run). The UTF-8 text
+reader that every line-oriented loader shares lives here too.
 """
 
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import math
 import os
@@ -18,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataFormatError
+from .errors import DataFormatError, EmbrankError
 
 MAGIC = b"EMBR"
 FORMAT_VERSION = 1
@@ -104,6 +106,23 @@ def read_record_file(path) -> tuple[dict, dict[str, np.ndarray]]:
             raw = read(nbytes, f"{name!r} data")
             arrays[name] = np.frombuffer(raw, dtype=dtype).reshape(shape).copy()
     return meta, arrays
+
+
+def read_text(path, error: type[EmbrankError] = DataFormatError) -> str:
+    """The UTF-8 text of the file ``path``; a byte that is not UTF-8 raises
+    ``error`` naming the file, the line and the byte offset."""
+    data = Path(path).read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise error(f"{path}:{line}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+
+
+def text_lines(path):
+    """(line number from 1, line) for each line of the UTF-8 text file ``path``,
+    split as reading it in text mode splits it (at \\n, \\r\\n and \\r)."""
+    return enumerate(io.StringIO(read_text(path), newline=None), start=1)
 
 
 def require_keys(path, meta: dict, arrays: dict, meta_keys=(), array_keys=()) -> None:

@@ -14,6 +14,7 @@ so the toy default is lr 3e-4 with per-step batches of 8.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -74,24 +75,25 @@ def _lift(x) -> Tensor:
     return x if isinstance(x, Tensor) else ad.tensor(x)
 
 
-def infonce_loss(query_embs, positive_embs, negative_embs, tau1: float = 0.05) -> Tensor:
+def infonce_loss(query_embs, candidate_embs, tau1: float = 0.05) -> Tensor:
     """Contrastive loss over encoder cosine similarities, averaged over the batch.
 
-    Per sample: -log( exp(s+/tau) / (exp(s+/tau) + sum_j exp(s-_j/tau)) ).
+    Row i of ``query_embs`` [B, d] is sample i's query, ``candidate_embs[i]``
+    [1 + n_neg, d] its positive then its negatives. Per sample:
+    -log( exp(s+/tau) / (exp(s+/tau) + sum_j exp(s-_j/tau)) ).
     With zero negatives the ratio is 1 and the sample contributes exactly 0.
     """
-    n = len(query_embs)
-    if n < 1 or len(positive_embs) != n or len(negative_embs) != n:
-        raise ConfigError("infonce_loss: batch lists must be nonempty and equal-length")
+    n = len(candidate_embs)
+    if n < 1 or query_embs.ndim != 2 or query_embs.shape[0] != n:
+        raise ConfigError(f"infonce_loss: {n} candidate matrices for queries {query_embs.shape}")
     if tau1 <= 0:
         raise ConfigError("infonce_loss: tau1 must be positive")
     inv_tau = 1.0 / tau1
-    total = None
-    for q, pos, negs in zip(query_embs, positive_embs, negative_embs):
-        vec = ad.mul(ad.cosine_rows(q, ad.stack([pos, *negs])), inv_tau)
-        term = ad.sub(ad.logsumexp(vec), ad.pick(vec, 0))
-        total = term if total is None else ad.add(total, term)
-    return ad.mul(total, 1.0 / n)
+    terms = []
+    for i, candidates in enumerate(candidate_embs):
+        vec = ad.mul(ad.cosine_rows(ad.pick(query_embs, i), candidates), inv_tau)
+        terms.append(ad.sub(ad.logsumexp(vec), ad.pick(vec, 0)))
+    return ad.mul(functools.reduce(ad.add, terms), 1.0 / n)
 
 
 def ranknet_loss(scores, rank_labels, tau2: float = 0.05) -> Tensor:
@@ -196,10 +198,11 @@ def train_step(models: ModelPair, batch: list[RankingSample], doc_tokens,
     """Forward, backward, clip, and update over one batch; returns the trace record.
 
     Each unique token sequence of the batch, candidate passage or query, is
-    encoded once, in one ``batch_encode`` call whose token-budget packs fill
-    across samples. Every use of a sequence gets the same ``Tensor``, so its
-    gradient sums over all of them; the losses equal those from encoding
-    every use separately bit for bit (``batch_encode`` keeps each passage's bits).
+    one row of a single ``batch_encode`` matrix, whose packs fill across
+    samples. ``take_rows`` gathers each sample's candidate rows, its InfoNCE
+    rows (positive first) and the B query rows, so a sequence's gradient sums
+    over its uses; the losses equal those from encoding every use separately
+    bit for bit (``batch_encode`` keeps each passage's bits).
     """
     optimizer.zero_grad()
     query_ids = [models.vocab.encode(sample.query_text) for sample in batch]
@@ -207,26 +210,23 @@ def train_step(models: ModelPair, batch: list[RankingSample], doc_tokens,
         if not ids:
             raise TrainingError(f"sample {sample.query_id}: empty query")
     passages = [doc_tokens[c.doc_id] for sample in batch for c in sample.candidates]
-    uses = [tuple(tokens) for tokens in passages + query_ids]
-    unique = list(dict.fromkeys(uses))
-    encoded = dict(zip(unique, models.encoder.batch_encode(unique)))
-    embeddings = [encoded[key] for key in uses]
-    q_embs = embeddings[len(passages):]
-    pos_embs, neg_embs, ranknet_terms = [], [], []
+    row_of: dict[tuple, int] = {}
+    rows = np.array([row_of.setdefault(tuple(tokens), len(row_of))
+                     for tokens in passages + query_ids])
+    embeddings = models.encoder.batch_encode(list(row_of))
+    candidate_embs, ranknet_terms = [], []
     lo = 0
     for sample, ids in zip(batch, query_ids):
-        embs = embeddings[lo:lo + len(sample.candidates)]
+        sample_rows = rows[lo:lo + len(sample.candidates)]
         lo += len(sample.candidates)
-        output = models.reranker.forward(models.instruction_ids(), ids, embs)
-        pos_embs.append(embs[sample.positive_index])
-        neg_embs.append([embs[i] for i in sample.negative_indices])
+        output = models.reranker.forward(models.instruction_ids(), ids,
+                                         ad.take_rows(embeddings, sample_rows))
+        contrast = [sample.positive_index, *sample.negative_indices]
+        candidate_embs.append(ad.take_rows(embeddings, sample_rows[contrast]))
         labels = [c.rank_label for c in sample.candidates]
         ranknet_terms.append(ranknet_loss(output.score_tensor, labels, loss_cfg.tau2))
-    infonce = infonce_loss(q_embs, pos_embs, neg_embs, loss_cfg.tau1)
-    ranknet_total = ranknet_terms[0]
-    for term in ranknet_terms[1:]:
-        ranknet_total = ad.add(ranknet_total, term)
-    ranknet = ad.mul(ranknet_total, 1.0 / len(batch))
+    infonce = infonce_loss(ad.take_rows(embeddings, rows[lo:]), candidate_embs, loss_cfg.tau1)
+    ranknet = ad.mul(functools.reduce(ad.add, ranknet_terms), 1.0 / len(batch))
     lam_eff = loss_cfg.effective_lambda()
     combined = combined_loss(infonce, ranknet, lam_eff)
     _ensure_finite_loss(combined.item(), step)

@@ -294,12 +294,6 @@ def op_gradcheck_cases(ad):
         red = _reducer(ad, (5, 3), rng)
         return lambda: red(ad.concat_rows([a, b])), {"a": a, "b": b}
 
-    def make_stack(rng):
-        vs = [ad.param(rng.normal(size=4)) for _ in range(3)]
-        red = _reducer(ad, (3, 4), rng)
-        named = {f"v{i}": v for i, v in enumerate(vs)}
-        return lambda: red(ad.stack(vs)), named
-
     def make_logsumexp(rng):
         x = ad.param(rng.normal(size=6) * 3.0)
         return lambda: ad.logsumexp(x), {"x": x}
@@ -334,7 +328,7 @@ def op_gradcheck_cases(ad):
               make_mul_scalar, make_div, make_neg, make_sqrt, make_exp, make_log,
               make_silu, make_softplus, make_sum, make_mean, make_matmul,
               make_transpose, make_dot, make_cosine_rows, make_take_rows,
-              make_take_rows_vector, make_pick, make_concat_rows, make_stack,
+              make_take_rows_vector, make_pick, make_concat_rows,
               make_logsumexp, make_rms_norm, make_causal_attention,
               make_matmul_one_row, make_causal_attention_packed)
     return [(fn.__name__.removeprefix("make_"), fn) for fn in makers]

@@ -60,9 +60,9 @@ def test_criterion_1_gradient_suite():
 
     def full_loss():
         embs = models.encoder.batch_encode(doc_tokens)
-        q = models.encoder.encode_query(query_ids)
+        q = models.encoder.batch_encode([query_ids])
         out = models.reranker.forward(vocab.instruction_ids(), query_ids, embs)
-        inf = infonce_loss([q], [embs[0]], [[embs[1], embs[2]]], 0.05)
+        inf = infonce_loss(q, [embs], 0.05)
         rk = ranknet_loss(out.score_tensor, [0, 1, 2], 0.05)
         return combined_loss(inf, rk, 0.1)
 
@@ -82,9 +82,9 @@ def test_criterion_1_gradient_suite():
 def test_criterion_2_loss_closed_forms():
     """InfoNCE uniform = ln(1+|negatives|); RankNet equal scores = pairs*ln2;
     combined gradient is lambda-linear, all within 1e-10 at tau=0.05, lambda=0.1."""
-    v = ad.tensor([1.0, 0.0])
+    v = ad.tensor([[1.0, 0.0]])
     for n_neg in (1, 3, 7):
-        loss = infonce_loss([v], [v], [[v] * n_neg], tau1=0.05)
+        loss = infonce_loss(v, [ad.tensor([[1.0, 0.0]] * (1 + n_neg))], tau1=0.05)
         assert abs(loss.item() - math.log(1.0 + n_neg)) < 1e-10
 
     for labels, pairs in (([0, 1, 2], 3), ([0, 1, 1, 2], 5), ([0, 1], 1)):
@@ -97,9 +97,9 @@ def test_criterion_2_loss_closed_forms():
 
     def parts():
         embs = models.encoder.batch_encode(docs)
-        q = models.encoder.encode_query(query)
+        q = models.encoder.batch_encode([query])
         out = models.reranker.forward(vocab.instruction_ids(), query, embs)
-        inf = infonce_loss([q], [embs[0]], [[embs[1], embs[2]]], 0.05)
+        inf = infonce_loss(q, [embs], 0.05)
         rk = ranknet_loss(out.score_tensor, [0, 1, 2], 0.05)
         return inf, rk
 
@@ -246,9 +246,9 @@ def test_criterion_6_structural_ablations(small_dataset, small_doc_tokens):
                           reranker_max_len=96, hidden_state_enabled=False)
     r1 = rerank_detailed(qt, cands, m1, query_id=q.query_id)
     h = r1.output.h_eos.data
-    for score, e in zip(r1.output.scores, r1.embeddings):
-        ext = float(np.dot(h, e.data) /
-                    (np.sqrt(np.dot(h, h)) * np.sqrt(np.dot(e.data, e.data))))
+    for score, e in zip(r1.output.scores, r1.embeddings.data):
+        ext = float(np.dot(h, e) /
+                    (np.sqrt(np.dot(h, h)) * np.sqrt(np.dot(e, e))))
         assert score == ext
 
     # W/O Residual: score_i == cosine(h_eos, h_i^p), recomputed externally
@@ -298,14 +298,14 @@ def test_criterion_7_causality_and_permutation_invariants():
 
     for _ in range(100):
         n = int(rng.integers(2, 6))
-        base = [ad.tensor(rng.normal(size=d)) for _ in range(n)]
+        base = ad.tensor(rng.normal(size=(n, d)))
         rin = rer.assemble_input(inst, query, base)
         h = rer.contextualize(rin)
         j = int(rng.integers(1, n))  # change embeddings from position j onward
-        changed = list(base)
+        changed = base.data.copy()
         for t in range(j, n):
-            changed[t] = ad.tensor(rng.normal(size=d))
-        h2 = rer.contextualize(rer.assemble_input(inst, query, changed))
+            changed[t] = rng.normal(size=d)
+        h2 = rer.contextualize(rer.assemble_input(inst, query, ad.tensor(changed)))
         for p in rin.passage_positions[:j]:
             assert np.array_equal(h.data[p], h2.data[p])
 

@@ -350,6 +350,35 @@ class TestErrors:
         assert code == 1
         assert "empty_corpus.jsonl: corpus holds no documents" in capsys.readouterr().err
 
+    def test_non_utf8_qrels_names_the_file(self, workdir, tmp_path, capsys):
+        root, config, data, train, index = workdir
+        qrels = tmp_path / "qrels.txt"
+        qrels.write_bytes((data / "qrels.txt").read_bytes() + b"q9 0 d\xff 1\n")
+        run = tmp_path / "run.trec"
+        run.write_text("q1 Q0 d1 1 0.5 t\n")
+        assert main(["evaluate", "--run", str(run), "--qrels", str(qrels)]) == 1
+        assert f"{qrels}:" in capsys.readouterr().err
+
+    def test_non_utf8_config_names_the_file(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_bytes(b'{"seed": "\xff"}')
+        assert main(["gen-data", "--config", str(config), "--out", str(tmp_path / "x")]) == 1
+        assert f"{config}:1: not UTF-8 text" in capsys.readouterr().err
+
+    def test_end_to_end_rejects_a_repeated_query_id(self, workdir, tmp_path, capsys):
+        """Otherwise it would write a run.trec that ``evaluate`` cannot read."""
+        root, config, data, train, index = workdir
+        queries = tmp_path / "queries.tsv"
+        first = (data / "queries_eval.tsv").read_text().splitlines()[0]
+        queries.write_text(f"{first}\n{first}\n")
+        code = main(["end-to-end", "--config", str(config),
+                     "--checkpoint", str(train / "checkpoints/final.ckpt"),
+                     "--corpus", str(data / "corpus.jsonl"), "--queries", str(queries),
+                     "--bm25-index", str(index / "bm25.idx"), "--mode", "bm25",
+                     "--out", str(tmp_path / "e2e")])
+        assert code == 1
+        assert f"{queries}:2: duplicate query id" in capsys.readouterr().err
+
     def test_seed_flag_overrides_config(self, tmp_path):
         config = tmp_path / "config.json"
         config.write_text(json.dumps(MICRO_CONFIG))

@@ -1,10 +1,13 @@
 """Experiment config: defaults, strict keys, JSON round trip."""
 
+import dataclasses
+
 import pytest
 
-from embrank.config import (ExperimentConfig, config_from_dict, config_to_dict,
-                            load_config, save_config)
+from embrank.config import (ExperimentConfig, ModelSettings, config_from_dict,
+                            config_to_dict, load_config, save_config)
 from embrank.errors import ConfigError
+from embrank.reranker import build_model_pair
 
 
 def test_defaults_validate():
@@ -58,3 +61,20 @@ def test_stage_configs_named_in_order():
     cfg = ExperimentConfig()
     names = [s.name for s in cfg.stage_configs()]
     assert names == ["stage1", "stage2"]
+
+
+def test_non_utf8_config_names_the_file(tmp_path):
+    path = tmp_path / "config.json"
+    path.write_bytes(b'{"seed": 1,\n "model": "\xff"}\n')
+    with pytest.raises(ConfigError) as err:
+        load_config(path)
+    assert str(err.value) == f"{path}:2: not UTF-8 text (invalid start byte at byte 23)"
+
+
+def test_every_model_setting_reaches_build_model_pair(tiny_vocab):
+    settings = ModelSettings(d_model=8, n_layers=1, n_heads=2, encoder_max_len=16,
+                             reranker_max_len=32, ffn_mult=2)
+    kwargs = settings.build_kwargs()
+    assert list(kwargs) == [f.name for f in dataclasses.fields(ModelSettings)]
+    models = build_model_pair(tiny_vocab, 0, **kwargs)
+    assert models.encoder.config.max_seq_len == 16 and models.reranker.config.ffn_mult == 2

@@ -11,6 +11,7 @@ from embrank.data import (Candidate, Qrels, Query, RankingSample, Vocabulary,
                           write_qrels, write_queries, write_samples,
                           INSTRUCTION_TEXT)
 from embrank.errors import DataFormatError
+from embrank.runs import read_trec_run
 
 
 @pytest.fixture
@@ -110,6 +111,13 @@ class TestQueriesIO:
             load_queries(path)
         assert ":1:" in str(err.value)
 
+    def test_duplicate_query_id_rejected(self, tmp_path):
+        path = tmp_path / "queries.tsv"
+        path.write_text("q1\tfirst\nq2\tsecond\nq1\tagain\n")
+        with pytest.raises(DataFormatError) as err:
+            load_queries(path)
+        assert f"{path}:3: duplicate query id 'q1'" in str(err.value)
+
 
 class TestQrels:
     def test_parse_line(self, tmp_path):
@@ -189,6 +197,27 @@ class TestSamples:
         assert loaded[0].positive_index == 2
         assert [c.doc_id for c in loaded[0].candidates] == [c.doc_id for c in samples[0].candidates]
 
+    def test_infinite_index_rejected(self, tmp_path):
+        path = tmp_path / "samples.jsonl"
+        write_samples(path, [make_sample(3)])
+        path.write_text(path.read_text().replace('"positive_index": 0', '"positive_index": Infinity'))
+        with pytest.raises(DataFormatError) as err:
+            load_samples(path)
+        assert f"{path}:1: malformed sample record" in str(err.value)
+
+    @pytest.mark.parametrize("field,value", [("query", 5), ("query_id", None),
+                                             ("doc_id", ["d0"])])
+    def test_non_string_text_fields_rejected(self, tmp_path, field, value):
+        record = {"query_id": "q0", "query": "x", "positive_index": 0, "negative_indices": [1],
+                  "candidates": [{"doc_id": "d0", "grade": 1, "rank_label": 0},
+                                 {"doc_id": "d1", "grade": 0, "rank_label": 1}]}
+        (record["candidates"][0] if field == "doc_id" else record)[field] = value
+        path = tmp_path / "samples.jsonl"
+        path.write_text(json.dumps(record) + "\n")
+        with pytest.raises(DataFormatError) as err:
+            load_samples(path)
+        assert f"{path}:1: malformed sample record" in str(err.value)
+
     def test_invalid_sample_file_rejected(self, tmp_path):
         path = tmp_path / "samples.jsonl"
         record = {"query_id": "q0", "query": "x", "positive_index": 0,
@@ -197,3 +226,27 @@ class TestSamples:
         path.write_text(json.dumps(record) + "\n")
         with pytest.raises(DataFormatError):
             load_samples(path)
+
+
+VALID_FILES = {
+    "corpus": (load_corpus, '{"id": "d1", "text": "the dog barks"}\n'),
+    "queries": (load_queries, "q1\tthe dog\n"),
+    "qrels": (load_qrels, "q1 0 d1 1\n"),
+    "samples": (load_samples, json.dumps({
+        "query_id": "q1", "query": "dog", "positive_index": 0, "negative_indices": [],
+        "candidates": [{"doc_id": "d1", "grade": 1, "rank_label": 0}]}) + "\n"),
+    "run": (read_trec_run, "q1 Q0 d1 1 0.500000 t\n"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(VALID_FILES))
+def test_non_utf8_byte_names_the_file_line_and_offset(kind, tmp_path):
+    """A byte that is not UTF-8, on line 2 at byte offset len(line 1) + 3,
+    raises ``DataFormatError`` instead of ``UnicodeDecodeError``."""
+    load, text = VALID_FILES[kind]
+    path = tmp_path / f"{kind}.txt"
+    path.write_bytes(text.encode() + b"q2\xff\n")
+    with pytest.raises(DataFormatError) as err:
+        load(path)
+    assert f"{path}:2: not UTF-8 text (invalid start byte at byte {len(text) + 2})" \
+        == str(err.value)

@@ -54,7 +54,7 @@ def test_query_and_passage_share_network(encoder, vocab):
     ids = vocab.encode("alpha beta")
     q = encoder.encode_query(ids)
     p = encoder.encode_passage(ids)
-    assert ad.cosine_rows(q, ad.stack([p])).data[0] == pytest.approx(1.0, abs=1e-12)
+    assert ad.cosine_rows(q, encoder.batch_encode([ids])).data[0] == pytest.approx(1.0, abs=1e-12)
     np.testing.assert_array_equal(q.data, p.data)
 
 
@@ -79,13 +79,13 @@ def test_score_ordering_matches_reference_forward(encoder, vocab):
 
 class TestBatchEncode:
     def test_empty_list(self, encoder):
-        assert encoder.batch_encode([]) == []
+        assert encoder.batch_encode([]).shape == (0, encoder.config.d_model)
 
     def test_batch_of_one_equals_single(self, encoder, vocab):
         ids = vocab.encode("alpha beta")
         single = encoder.encode_passage(ids)
         batched = encoder.batch_encode([ids])
-        np.testing.assert_array_equal(single.data, batched[0].data)
+        np.testing.assert_array_equal(single.data, batched.data[0])
 
     def test_batch_of_ten_bit_identical_to_singles(self, encoder, vocab):
         rng = np.random.default_rng(8)
@@ -93,8 +93,8 @@ class TestBatchEncode:
         passages = [vocab.encode(" ".join(rng.choice(words, size=rng.integers(1, 6))))
                     for _ in range(10)]
         batched = encoder.batch_encode(passages)
-        for ids, e in zip(passages, batched):
-            np.testing.assert_array_equal(e.data, encoder.encode_passage(ids).data)
+        for ids, e in zip(passages, batched.data):
+            np.testing.assert_array_equal(e, encoder.encode_passage(ids).data)
 
     def test_length_buckets_bit_identical_in_input_order(self, encoder, vocab):
         """Mixed lengths, one length's passages filling more than two packs,
@@ -109,9 +109,9 @@ class TestBatchEncode:
         passages = same + mixed
         passages = [passages[i] for i in rng.permutation(len(passages))]
         batched = encoder.batch_encode(passages)
-        assert len(batched) == len(passages)
-        for ids, e in zip(passages, batched):
-            np.testing.assert_array_equal(e.data, encoder.encode_passage(ids).data)
+        assert batched.shape == (len(passages), encoder.config.d_model)
+        for ids, e in zip(passages, batched.data):
+            np.testing.assert_array_equal(e, encoder.encode_passage(ids).data)
 
     def test_passages_longer_than_the_token_budget_run_alone(self, encoder, vocab, monkeypatch):
         """With a budget of 4 rows, packs hold one to four passages, and the
@@ -119,15 +119,15 @@ class TestBatchEncode:
         monkeypatch.setattr(encoder_module, "TOKEN_BUDGET", 4)
         words = "alpha beta gamma delta epsilon zeta eta theta".split()
         passages = [vocab.encode(" ".join(words[:n])) for n in (6, 1, 3, 1, 8, 2, 5, 1)]
-        for ids, e in zip(passages, encoder.batch_encode(passages)):
-            np.testing.assert_array_equal(e.data, encoder.encode_passage(ids).data)
+        for ids, e in zip(passages, encoder.batch_encode(passages).data):
+            np.testing.assert_array_equal(e, encoder.encode_passage(ids).data)
 
     def test_gradients_flow_to_every_passage(self, tiny_models, vocab):
         """One backward through a packed batch gives the sum of the gradients
         of the passages encoded one at a time."""
         enc = tiny_models.encoder
         passages = [vocab.encode(t) for t in ("alpha beta", "gamma delta", "zeta eta theta")]
-        backward(ad.sum_all(ad.stack(enc.batch_encode(passages))))
+        backward(ad.sum_all(enc.batch_encode(passages)))
         batched = {k: t.grad.copy() for k, t in enc.parameters().items()}
         for t in enc.parameters().values():
             t.zero_grad()
@@ -150,9 +150,9 @@ class TestBatchEncode:
         a = vocab.encode("alpha beta gamma")
         b1 = vocab.encode("epsilon zeta")
         b2 = vocab.encode("kappa lambda mu theta")
-        first = encoder.batch_encode([a, b1])[0]
-        second = encoder.batch_encode([a, b2])[0]
-        np.testing.assert_array_equal(first.data, second.data)
+        first = encoder.batch_encode([a, b1])
+        second = encoder.batch_encode([a, b2])
+        np.testing.assert_array_equal(first.data[0], second.data[0])
 
     def test_error_carries_index(self, encoder, vocab):
         with pytest.raises(ShapeError) as err:

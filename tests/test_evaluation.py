@@ -129,6 +129,27 @@ class TestTrecRoundTrip:
         with pytest.raises(DataFormatError):
             read_trec_run(path)
 
+    def test_document_ranked_twice_rejected(self, tmp_path):
+        """Read, this run would give nDCG@10 1.6309 with d1 graded 1."""
+        path = tmp_path / "bad.trec"
+        path.write_text("q1 Q0 d1 1 0.9 t\nq1 Q0 d2 2 0.85 t\nq1 Q0 d1 3 0.8 t\n")
+        with pytest.raises(DataFormatError) as err:
+            read_trec_run(path)
+        assert str(err.value) == f"{path}:3: q1 ranks d1 twice"
+
+    def test_same_document_for_two_queries_is_fine(self, tmp_path):
+        path = tmp_path / "run.trec"
+        path.write_text("q1 Q0 d1 1 0.9 t\nq2 Q0 d1 1 0.8 t\n")
+        assert [r.doc_ids() for r in read_trec_run(path)] == [["d1"], ["d1"]]
+
+    @pytest.mark.parametrize("score", ["nan", "inf", "-Infinity"])
+    def test_non_finite_score_rejected(self, tmp_path, score):
+        path = tmp_path / "bad.trec"
+        path.write_text(f"q1 Q0 d1 1 0.9 t\nq1 Q0 d2 2 {score} t\n")
+        with pytest.raises(DataFormatError) as err:
+            read_trec_run(path)
+        assert str(err.value) == f"{path}:2: score {score!r} is not finite"
+
 
 class TestEfficiencyReport:
     def run_with(self, qid, proc, cands, gen=0):
@@ -225,9 +246,9 @@ class TestAblationStructure:
         qt = ds.vocab.encode(item.query.text)
         result = rerank_detailed(qt, item.candidates[:6], models, query_id="q")
         h = result.output.h_eos.data
-        for i, e in enumerate(result.embeddings):
-            expected = float(np.dot(h, e.data) /
-                             (np.sqrt(np.dot(h, h)) * np.sqrt(np.dot(e.data, e.data))))
+        for i, e in enumerate(result.embeddings.data):
+            expected = float(np.dot(h, e) /
+                             (np.sqrt(np.dot(h, h)) * np.sqrt(np.dot(e, e))))
             assert result.output.scores[i] == expected  # bitwise
 
     def test_without_residual_scores_are_pure_hidden_cosines(self, eval_setup):

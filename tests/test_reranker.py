@@ -17,7 +17,7 @@ def vocab(tiny_vocab):
 def random_embeddings(models, n, seed=0):
     rng = np.random.default_rng(seed)
     d = models.reranker.config.d_model
-    return [ad.tensor(rng.normal(size=d)) for _ in range(n)]
+    return ad.tensor(rng.normal(size=(n, d)))
 
 
 def docs_from(vocab, texts):
@@ -47,7 +47,7 @@ class TestAssembly:
         rin = tiny_models.reranker.assemble_input(inst, query, embs)
         pos_table = tiny_models.reranker.transformer.params["pos_emb"].data
         for i, p in enumerate(rin.passage_positions):
-            np.testing.assert_array_equal(rin.x.data[p], embs[i].data + pos_table[p])
+            np.testing.assert_array_equal(rin.x.data[p], embs.data[i] + pos_table[p])
 
     def test_positions_at_passage_slots_can_be_disabled(self, tiny_vocab):
         models = build_model_pair(tiny_vocab, seed=17, d_model=16, n_layers=1,
@@ -57,10 +57,10 @@ class TestAssembly:
         embs = random_embeddings(models, 2, seed=5)
         rin = models.reranker.assemble_input(inst, query, embs)
         for i, p in enumerate(rin.passage_positions):
-            np.testing.assert_array_equal(rin.x.data[p], embs[i].data)
+            np.testing.assert_array_equal(rin.x.data[p], embs.data[i])
 
     def test_wrong_embedding_dim_rejected(self, tiny_models, vocab):
-        bad = [ad.tensor(np.zeros(tiny_models.reranker.config.d_model + 1))]
+        bad = ad.tensor(np.zeros((1, tiny_models.reranker.config.d_model + 1)))
         with pytest.raises(ShapeError):
             tiny_models.reranker.assemble_input(tiny_models.instruction_ids(),
                                                 vocab.encode("alpha"), bad)
@@ -75,7 +75,8 @@ class TestAssembly:
     def test_zero_candidates_rejected(self, tiny_models, vocab):
         with pytest.raises(ShapeError):
             tiny_models.reranker.assemble_input(tiny_models.instruction_ids(),
-                                                vocab.encode("alpha"), [])
+                                                vocab.encode("alpha"),
+                                                random_embeddings(tiny_models, 0))
 
 
 class TestCausality:
@@ -85,13 +86,13 @@ class TestCausality:
         query = vocab.encode("alpha beta")
         rng = np.random.default_rng(11)
         d = tiny_models.reranker.config.d_model
-        base = [ad.tensor(rng.normal(size=d)) for _ in range(4)]
+        base = ad.tensor(rng.normal(size=(4, d)))
         rin = tiny_models.reranker.assemble_input(inst, query, base)
         h = tiny_models.reranker.contextualize(rin)
-        changed = list(base)
-        changed[2] = ad.tensor(rng.normal(size=d))
-        changed[3] = ad.tensor(rng.normal(size=d))
-        rin2 = tiny_models.reranker.assemble_input(inst, query, changed)
+        changed = base.data.copy()
+        changed[2] = rng.normal(size=d)
+        changed[3] = rng.normal(size=d)
+        rin2 = tiny_models.reranker.assemble_input(inst, query, ad.tensor(changed))
         h2 = tiny_models.reranker.contextualize(rin2)
         for p in rin.passage_positions[:2]:
             np.testing.assert_array_equal(h.data[p], h2.data[p])
@@ -101,13 +102,13 @@ class TestCausality:
         query = vocab.encode("alpha")
         rng = np.random.default_rng(12)
         d = tiny_models.reranker.config.d_model
-        base = [ad.tensor(rng.normal(size=d)) for _ in range(3)]
+        base = ad.tensor(rng.normal(size=(3, d)))
         rin = tiny_models.reranker.assemble_input(inst, query, base)
         h_eos = tiny_models.reranker.contextualize(rin).data[rin.eos_position]
         for i in range(3):
-            changed = list(base)
-            changed[i] = ad.tensor(rng.normal(size=d))
-            rin2 = tiny_models.reranker.assemble_input(inst, query, changed)
+            changed = base.data.copy()
+            changed[i] = rng.normal(size=d)
+            rin2 = tiny_models.reranker.assemble_input(inst, query, ad.tensor(changed))
             h_eos2 = tiny_models.reranker.contextualize(rin2).data[rin2.eos_position]
             assert np.max(np.abs(h_eos - h_eos2)) > 0.0
 
@@ -151,13 +152,13 @@ class TestFuseResidual:
         query = vocab.encode("alpha")
         rng = np.random.default_rng(13)
         d = tiny_models.reranker.config.d_model
-        e = ad.param(rng.normal(size=d))
-        rin = tiny_models.reranker.assemble_input(inst, query, [e])
+        e = ad.param(rng.normal(size=(1, d)))
+        rin = tiny_models.reranker.assemble_input(inst, query, e)
         hidden = tiny_models.reranker.contextualize(rin)
-        h_p = ad.pick(hidden, rin.passage_positions[0]).detach()
+        h_p = ad.take_rows(hidden, rin.passage_positions).detach()
         h_eos = ad.pick(hidden, rin.eos_position).detach()
         r = fuse_residual(h_p, e)
-        backward(ad.sum_all(ad.cosine_rows(h_eos, ad.stack([r]))))
+        backward(ad.sum_all(ad.cosine_rows(h_eos, r)))
         assert e.grad is not None and np.any(e.grad != 0.0)
 
 
@@ -224,7 +225,7 @@ class TestRerank:
         docs = docs_from(vocab, ["alpha beta", "epsilon zeta"])
         result = rerank_detailed(vocab.encode("alpha"), docs, tiny_models)
         assert result.output.score_tensor.shape == (2,)
-        assert len(result.embeddings) == 2
+        assert result.embeddings.shape == (2, tiny_models.reranker.config.d_model)
         assert result.output.h_eos.shape == (tiny_models.reranker.config.d_model,)
 
     def test_input_permutation_still_yields_valid_permutation(self, tiny_models, vocab):

@@ -394,6 +394,27 @@ class TestSlidingWindow:
         assert run.counters.generated_tokens == 0
         assert run.counters.processed_passage_tokens / run.counters.candidates == 1.8
 
+    def test_each_candidate_encoded_once(self, setup, encoded_sizes):
+        """40 candidates in 7 windows: one ``batch_encode`` of all 40."""
+        models, docs, query = setup
+        sliding_window_rerank(query, docs, models, window=10, stride=5, query_id="q")
+        assert encoded_sizes == [40]
+
+    def test_windows_rank_like_encoding_each_window(self, setup):
+        """Each window reranks the rows of its own candidates: the order equals
+        that of encoding every window's candidates afresh, bit for bit."""
+        models, docs, query = setup
+        work, start = list(docs), len(docs) - 10
+        while True:
+            piece = work[start:start + 10]
+            result = rerank_detailed(query, piece, models, query_id="q")
+            work[start:start + 10] = [piece[i] for i in result.output.permutation]
+            if start == 0:
+                break
+            start = max(0, start - 5)
+        run = sliding_window_rerank(query, docs, models, window=10, stride=5, query_id="q")
+        assert run.doc_ids() == [doc_id for doc_id, _ in work]
+
     def test_emitted_scores_strictly_descending(self, setup):
         models, docs, query = setup
         run = sliding_window_rerank(query, docs, models, window=10, stride=5, query_id="q")

@@ -20,61 +20,66 @@ RECORD_KEYS = ("infonce", "ranknet", "combined", "grad_norm")
 
 def unit(v):
     v = np.asarray(v, dtype=np.float64)
-    return ad.tensor(v / np.linalg.norm(v))
+    return v / np.linalg.norm(v)
+
+
+def rows(*vectors):
+    """The [n, d] matrix of the given vectors."""
+    return ad.tensor(np.array(vectors, dtype=np.float64))
 
 
 class TestInfoNCE:
     def test_uniform_similarities_three_negatives(self):
         """All cosines equal: softmax over 4 slots is uniform, loss = ln 4."""
-        v = ad.tensor([1.0, 0.0])
-        loss = infonce_loss([v], [v], [[v, v, v]], tau1=0.05)
+        v = [1.0, 0.0]
+        loss = infonce_loss(rows(v), [rows(v, v, v, v)], tau1=0.05)
         assert loss.item() == pytest.approx(math.log(4.0), abs=1e-10)
 
     def test_zero_negatives_gives_zero(self):
-        q = ad.tensor([0.3, 0.4])
-        p = ad.tensor([-1.0, 2.0])
-        loss = infonce_loss([q], [p], [[]], tau1=0.05)
+        q = [0.3, 0.4]
+        p = [-1.0, 2.0]
+        loss = infonce_loss(rows(q), [rows(p)], tau1=0.05)
         assert loss.item() == pytest.approx(0.0, abs=1e-15)
 
     def test_separated_closed_form(self):
         """s+ = 1, one negative at s- = 0, tau 0.05: loss = ln(1 + e^-20)."""
-        q = ad.tensor([1.0, 0.0])
-        pos = ad.tensor([2.0, 0.0])
-        neg = ad.tensor([0.0, 3.0])
-        loss = infonce_loss([q], [pos], [[neg]], tau1=0.05)
+        q = [1.0, 0.0]
+        pos = [2.0, 0.0]
+        neg = [0.0, 3.0]
+        loss = infonce_loss(rows(q), [rows(pos, neg)], tau1=0.05)
         assert loss.item() == pytest.approx(math.log1p(math.exp(-20.0)), rel=1e-10)
 
     def test_batch_average(self):
-        v = ad.tensor([1.0, 0.0])
-        single = infonce_loss([v], [v], [[v]], tau1=0.05).item()
-        double = infonce_loss([v, v], [v, v], [[v], [v]], tau1=0.05).item()
+        v = [1.0, 0.0]
+        single = infonce_loss(rows(v), [rows(v, v)], tau1=0.05).item()
+        double = infonce_loss(rows(v, v), [rows(v, v), rows(v, v)], tau1=0.05).item()
         assert double == pytest.approx(single, abs=1e-12)
 
     def test_monotone_in_positive_similarity(self):
-        q = ad.tensor([1.0, 0.0])
+        q = [1.0, 0.0]
         neg = unit([1.0, 1.0])
         angles = [0.2, 0.5, 1.0, 1.4]
-        losses = [infonce_loss([q], [unit([math.cos(a), math.sin(a)])], [[neg]]).item()
+        losses = [infonce_loss(rows(q), [rows(unit([math.cos(a), math.sin(a)]), neg)]).item()
                   for a in angles]
         assert losses == sorted(losses)  # larger angle -> smaller s+ -> larger loss
 
     def test_monotone_in_negative_similarity(self):
-        q = ad.tensor([1.0, 0.0])
+        q = [1.0, 0.0]
         pos = unit([1.0, 0.2])
         angles = [1.4, 1.0, 0.5, 0.2]
-        losses = [infonce_loss([q], [pos], [[unit([math.cos(a), math.sin(a)])]]).item()
+        losses = [infonce_loss(rows(q), [rows(pos, unit([math.cos(a), math.sin(a)]))]).item()
                   for a in angles]
         assert losses == sorted(losses)  # closer negative -> larger loss
 
     def test_zero_norm_embedding_rejected(self):
         with pytest.raises(DegenerateInputError):
-            infonce_loss([ad.tensor([0.0, 0.0])], [ad.tensor([1.0, 0.0])], [[]])
+            infonce_loss(rows([0.0, 0.0]), [rows([1.0, 0.0])])
 
     def test_gradient_reaches_query_embedding(self):
-        q = ad.param([0.5, 0.5])
-        pos = ad.tensor([1.0, 0.1])
-        neg = ad.tensor([-0.4, 0.8])
-        backward(infonce_loss([q], [pos], [[neg]], tau1=0.05))
+        q = ad.param([[0.5, 0.5]])
+        pos = [1.0, 0.1]
+        neg = [-0.4, 0.8]
+        backward(infonce_loss(q, [rows(pos, neg)], tau1=0.05))
         assert q.grad is not None and np.any(q.grad != 0.0)
 
 
@@ -147,9 +152,9 @@ class TestCombined:
 
         def forward_parts():
             embs = tiny_models.encoder.batch_encode(docs)
-            q = tiny_models.encoder.encode_query(query)
+            q = tiny_models.encoder.batch_encode([query])
             out = tiny_models.reranker.forward(tiny_models.instruction_ids(), query, embs)
-            inf = infonce_loss([q], [embs[0]], [[embs[1], embs[2]]], 0.05)
+            inf = infonce_loss(q, [embs], 0.05)
             rk = ranknet_loss(out.score_tensor, [0, 1, 2], 0.05)
             return inf, rk
 
@@ -307,17 +312,19 @@ def every_use_step(models, batch, doc_tokens, loss_cfg):
     query_ids = [models.vocab.encode(sample.query_text) for sample in batch]
     passages = [doc_tokens[c.doc_id] for sample in batch for c in sample.candidates]
     embeddings = models.encoder.batch_encode(passages + query_ids)
-    pos_embs, neg_embs, ranknet_terms, lo = [], [], [], 0
+    candidate_embs, ranknet_terms, lo = [], [], 0
     for sample, ids in zip(batch, query_ids):
-        embs = embeddings[lo:lo + len(sample.candidates)]
+        sample_rows = np.arange(lo, lo + len(sample.candidates))
         lo += len(sample.candidates)
-        output = models.reranker.forward(models.instruction_ids(), ids, embs)
-        pos_embs.append(embs[sample.positive_index])
-        neg_embs.append([embs[i] for i in sample.negative_indices])
+        output = models.reranker.forward(models.instruction_ids(), ids,
+                                         ad.take_rows(embeddings, sample_rows))
+        contrast = [sample.positive_index, *sample.negative_indices]
+        candidate_embs.append(ad.take_rows(embeddings, sample_rows[contrast]))
         ranknet_terms.append(ranknet_loss(output.score_tensor,
                                           [c.rank_label for c in sample.candidates],
                                           loss_cfg.tau2))
-    infonce = infonce_loss(embeddings[len(passages):], pos_embs, neg_embs, loss_cfg.tau1)
+    infonce = infonce_loss(ad.take_rows(embeddings, np.arange(lo, lo + len(batch))),
+                           candidate_embs, loss_cfg.tau1)
     ranknet = ranknet_terms[0]
     for term in ranknet_terms[1:]:
         ranknet = ad.add(ranknet, term)
