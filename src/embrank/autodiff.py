@@ -21,6 +21,10 @@ Conventions:
     as a C-ordered copy and later ones are added into it in place, so no two
     tensors share one (``add`` hands one array to both inputs) and every
     gradient has a fresh array's layout, whatever view an op passed back;
+  - a parameter's array is read-only: an in-place write raises
+    ``ValueError``, and an update gives the tensor a new array through
+    ``set_param_data``, so a weight state never changes under a fingerprint
+    taken of it;
   - inside ``with no_grad():`` no op records a tape node, so inference
     holds no closures and no references to intermediate results;
   - under strict mode (default) any op producing NaN/Inf raises
@@ -88,6 +92,9 @@ class Tensor:
     ``requires_grad`` reachable from the loss; contributions from
     multiple uses of the same tensor accumulate additively, into a
     C-contiguous array that this tensor alone owns.
+
+    ``data`` of a tensor made by ``param`` is read-only; replace it with
+    ``set_param_data`` instead of writing into it.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
@@ -169,8 +176,20 @@ def tensor(data, requires_grad: bool = False) -> Tensor:
 
 
 def param(data) -> Tensor:
-    """A trainable leaf tensor."""
-    return Tensor(data, requires_grad=True)
+    """A trainable leaf tensor over a read-only array.
+
+    An array of the default dtype is used as it is, not copied, and the
+    caller's handle on it turns read-only too.
+    """
+    t = Tensor(data, requires_grad=True)
+    t.data.flags.writeable = False
+    return t
+
+
+def set_param_data(t: Tensor, data: np.ndarray) -> None:
+    """Give parameter ``t`` the array ``data``, not copied, marked read-only."""
+    data.flags.writeable = False
+    t.data = data
 
 
 def _as_tensor(x) -> Tensor:

@@ -9,10 +9,12 @@ which is all a dense index depends on.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import asdict
 
 import numpy as np
 
+from . import autodiff as ad
 from .data import Vocabulary
 from .encoder import EncoderModel
 from .errors import DataFormatError
@@ -27,10 +29,36 @@ def parameter_checksum(models: ModelPair) -> str:
     return sha256_arrays({k: t.data for k, t in models.parameters().items()})
 
 
+# Weak references to the frozen arrays last hashed by ``encoder_checksum``, and
+# their digest. A reference never returns an array made after its own died, so
+# a recycled id cannot match, and a dropped encoder's weights are not kept.
+_last_fingerprint: tuple[dict[str, weakref.ref], str] | None = None
+
+
+def _frozen(a: np.ndarray) -> bool:
+    """True for an array nothing can write to: read-only and owning its memory."""
+    return not a.flags.writeable and a.base is None
+
+
 def encoder_checksum(encoder: EncoderModel) -> str:
     """Fingerprint of the encoder's weights only, so training the reranker
-    alone leaves it, and the dense indexes that record it, valid."""
-    return sha256_arrays({k: t.data for k, t in encoder.parameters().items()})
+    alone leaves it, and the dense indexes that record it, valid.
+
+    Hashed once per weight state: while every parameter still holds the frozen
+    array it held at the last hash, the last digest is returned. A replaced
+    array (an Adam step, a loaded checkpoint) is hashed once more; a writable
+    array or a view is hashed on every call.
+    """
+    global _last_fingerprint
+    arrays = {k: t.data for k, t in encoder.parameters().items()}
+    last = _last_fingerprint
+    if (last is not None and last[0].keys() == arrays.keys()
+            and all(last[0][k]() is a and _frozen(a) for k, a in arrays.items())):
+        return last[1]
+    digest = sha256_arrays(arrays)
+    _last_fingerprint = (({k: weakref.ref(a) for k, a in arrays.items()}, digest)
+                         if all(map(_frozen, arrays.values())) else None)
+    return digest
 
 
 def save_checkpoint(path, models: ModelPair, extra_meta: dict | None = None) -> None:
@@ -80,5 +108,5 @@ def load_checkpoint(path) -> ModelPair:
         if arrays[key].shape != tensor.data.shape:
             raise DataFormatError(f"{path}: shape mismatch for {key}: "
                                   f"{arrays[key].shape} vs {tensor.data.shape}")
-        tensor.data = arrays[key].astype(tensor.data.dtype)
+        ad.set_param_data(tensor, arrays[key].astype(tensor.data.dtype))
     return models

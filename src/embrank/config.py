@@ -1,7 +1,8 @@
 """Experiment configuration: explicit keys, strict parsing, JSON round-trips.
 
-Unknown keys are errors (named by their dotted path), so a typo in a config
-file cannot silently fall back to a default. Hyperparameters live only here;
+Unknown keys and values of the wrong type are errors, named by their dotted
+path, so a typo in a config file cannot silently fall back to a default or
+fail later inside training. Hyperparameters live only here;
 environment variables are expanded in CLI path arguments but never override
 config values.
 """
@@ -10,6 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import typing
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -90,14 +92,24 @@ class ExperimentConfig:
                 for i, s in enumerate(self.stages)]
 
 
+def _typed(value, kind: type, key: str):
+    """``value`` when it is of the field type ``kind`` (int, float or bool);
+    a bool is not an int, and an int is fine for a float."""
+    allowed = (int, float) if kind is float else kind
+    if not isinstance(value, allowed) or (kind is not bool and isinstance(value, bool)):
+        raise ConfigError(f"{key}: expected {kind.__name__}, got {type(value).__name__} "
+                          f"{value!r}")
+    return value
+
+
 def _parse_section(cls, data, path: str):
     if not isinstance(data, dict):
         raise ConfigError(f"{path}: expected an object")
-    names = {f.name for f in dataclasses.fields(cls)}
-    unknown = sorted(set(data) - names)
+    kinds = typing.get_type_hints(cls)
+    unknown = sorted(set(data) - set(kinds))
     if unknown:
         raise ConfigError(f"unknown config key(s): {', '.join(f'{path}.{k}' for k in unknown)}")
-    return cls(**data)
+    return cls(**{k: _typed(v, kinds[k], f"{path}.{k}") for k, v in data.items()})
 
 
 def config_from_dict(data: dict) -> ExperimentConfig:
@@ -109,7 +121,7 @@ def config_from_dict(data: dict) -> ExperimentConfig:
         raise ConfigError(f"unknown config key(s): {', '.join(unknown)}")
     cfg = ExperimentConfig()
     if "seed" in data:
-        cfg.seed = int(data["seed"])
+        cfg.seed = _typed(data["seed"], int, "seed")
     if "model" in data:
         cfg.model = _parse_section(ModelSettings, data["model"], "model")
     if "data" in data:
@@ -142,12 +154,16 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
 
 
 def load_config(path) -> ExperimentConfig:
+    """Parse a JSON config file; every ``ConfigError`` it raises names the file."""
     path = Path(path)
     try:
         data = json.loads(read_text(path, ConfigError))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON ({exc.msg} at line {exc.lineno})") from exc
-    return config_from_dict(data)
+    try:
+        return config_from_dict(data)
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
 
 
 def save_config(path, cfg: ExperimentConfig) -> None:

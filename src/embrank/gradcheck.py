@@ -50,8 +50,9 @@ def finite_diff_check(f: Callable[[Tensor], Tensor], x: Tensor,
                       name: str = "f") -> GradCheckReport:
     """Compare d f(x) / dx against central differences, coordinate by coordinate.
 
-    ``f`` must return a scalar tensor and must not cache state between calls;
-    ``x.data`` is perturbed in place and restored.
+    ``f`` must return a scalar tensor and must read ``x.data`` anew on every
+    call; ``x.data`` is swapped for a perturbed copy, and the original array
+    object is put back, also when ``f`` raises.
     """
     if not x.requires_grad:
         raise ValueError("finite_diff_check: x must have requires_grad=True")
@@ -64,7 +65,9 @@ def finite_diff_check_many(f: Callable[[], Tensor],
     """Check the gradient of a zero-argument scalar function w.r.t. several tensors.
 
     One analytic backward pass supplies all gradients; the numeric side then
-    sweeps every coordinate of every named tensor.
+    sweeps every coordinate of every named tensor, perturbing a writable copy
+    of its array (a parameter's own is read-only) and then putting the
+    original back, also when ``f`` raises.
     """
     if step <= 0.0:
         raise ValueError(f"step must be positive, got {step}")
@@ -79,17 +82,22 @@ def finite_diff_check_many(f: Callable[[], Tensor],
 
     reports = []
     for name, t in named.items():
-        numeric = np.zeros_like(t.data)
+        original = t.data
+        numeric = np.zeros_like(original)
+        t.data = original.copy()
         flat = t.data.reshape(-1)
         num_flat = numeric.reshape(-1)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + step
-            f_plus = f().item()
-            flat[i] = orig - step
-            f_minus = f().item()
-            flat[i] = orig
-            num_flat[i] = (f_plus - f_minus) / (2.0 * step)
+        try:
+            for i in range(flat.size):
+                orig = flat[i]
+                flat[i] = orig + step
+                f_plus = f().item()
+                flat[i] = orig - step
+                f_minus = f().item()
+                flat[i] = orig
+                num_flat[i] = (f_plus - f_minus) / (2.0 * step)
+        finally:
+            t.data = original
         max_err = float(relative_errors(analytic[name], numeric).max()) if flat.size else 0.0
         reports.append(GradCheckReport(name=name, n_coords=int(flat.size),
                                        max_rel_error=max_err, step=step, tol=tol,

@@ -426,8 +426,9 @@ def _live_rows(dense_index: DenseIndex | None, encoder) -> dict[str, int] | None
     """``dense_index.row_of`` when the index records the live encoder's
     fingerprint; None when there is no index or it records none.
 
-    The encoder is hashed on every call: training and tests update weights in
-    place, so no cheaper check proves the bytes unchanged.
+    The weights are read-only and every update replaces an array, so
+    ``encoder_checksum`` hashes them once per weight state (``build`` already
+    did for its own) and this check is a few identity tests per query.
     """
     recorded = dense_index.metadata.get("encoder_sha256") if dense_index is not None else None
     if not recorded:

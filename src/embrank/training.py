@@ -170,7 +170,7 @@ class Adam:
             update = (m / bias1) / (np.sqrt(v / bias2) + cfg.eps)
             if cfg.weight_decay:
                 update = update + cfg.weight_decay * t.data
-            t.data -= self.lr * update
+            ad.set_param_data(t, t.data - self.lr * update)
 
 
 # ---------------------------------------------------------------------------

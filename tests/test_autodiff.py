@@ -450,6 +450,25 @@ class TestNoGrad:
             ad.div(ad.param([1.0]), ad.tensor(0.0))
 
 
+class TestReadOnlyParameters:
+    def test_in_place_write_raises(self):
+        p = ad.param([1.0, 2.0])
+        with pytest.raises(ValueError):
+            p.data[0] = 3.0
+        with pytest.raises(ValueError):
+            p.data += 1.0
+        np.testing.assert_array_equal(p.data, [1.0, 2.0])
+
+    def test_set_param_data_swaps_in_a_read_only_array(self):
+        p = ad.param([1.0, 2.0])
+        new = np.array([3.0, 4.0])
+        ad.set_param_data(p, new)
+        assert p.data is new and not new.flags.writeable
+
+    def test_constants_stay_writable(self):
+        assert ad.tensor([1.0, 2.0]).data.flags.writeable
+
+
 class TestGatherConcatStack:
     def test_take_rows_gathers(self):
         table = ad.tensor([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])

@@ -73,6 +73,14 @@ class TestCheckpoint:
         assert [(e.doc_id, e.score) for e in original.entries] == \
                [(e.doc_id, e.score) for e in reloaded.entries]
 
+    def test_loaded_parameters_are_read_only(self, tiny_models, tmp_path):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, tiny_models)
+        for key, t in load_checkpoint(path).parameters().items():
+            with pytest.raises(ValueError):
+                t.data[...] = 0.0
+            assert t.data.base is None, key
+
     def test_flags_survive_round_trip(self, tiny_vocab, tmp_path):
         models = build_model_pair(tiny_vocab, seed=1, d_model=16, n_layers=1,
                                   n_heads=2, residual_enabled=False,

@@ -6,6 +6,7 @@ import shutil
 
 import pytest
 
+import embrank.autodiff as ad
 from embrank.checkpoint import (encoder_checksum, load_checkpoint, parameter_checksum,
                                 save_checkpoint)
 from embrank.cli import main
@@ -187,7 +188,10 @@ class TestEndToEndAndEvaluate:
         in one weight is refused only when that weight is the encoder's."""
         root, config, data, train, index = workdir
         models = load_checkpoint(train / "checkpoints/final.ckpt")
-        getattr(models, changed).parameters()["tok_emb"].data[0, 0] += 1e-3
+        tok_emb = getattr(models, changed).parameters()["tok_emb"]
+        changed_data = tok_emb.data.copy()
+        changed_data[0, 0] += 1e-3
+        ad.set_param_data(tok_emb, changed_data)
         changed_ckpt = tmp_path / "changed.ckpt"
         save_checkpoint(changed_ckpt, models)
         capsys.readouterr()
@@ -336,6 +340,16 @@ class TestErrors:
         code = main(["gen-data", "--config", str(config), "--out", str(tmp_path / "x")])
         assert code == 1
         assert "model.n_layerz" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("config_data, key", [({"seed": "x"}, "seed"),
+                                                  ({"model": {"d_model": "x"}}, "model.d_model")])
+    def test_config_value_of_another_type_names_the_key(self, tmp_path, capsys,
+                                                        config_data, key):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(config_data))
+        code = main(["gen-data", "--config", str(config), "--out", str(tmp_path / "x")])
+        assert code == 1
+        assert f"{config}: {key}: expected int, got str 'x'" in capsys.readouterr().err
 
     def test_missing_input_path_names_the_path(self, tmp_path, capsys):
         code = main(["evaluate", "--run", str(tmp_path / "missing.trec"),

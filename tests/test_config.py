@@ -78,3 +78,37 @@ def test_every_model_setting_reaches_build_model_pair(tiny_vocab):
     assert list(kwargs) == [f.name for f in dataclasses.fields(ModelSettings)]
     models = build_model_pair(tiny_vocab, 0, **kwargs)
     assert models.encoder.config.max_seq_len == 16 and models.reranker.config.ffn_mult == 2
+
+
+@pytest.mark.parametrize("seed", ["x", "3", True, 1.5, None])
+def test_seed_of_another_type_rejected(seed):
+    with pytest.raises(ConfigError) as err:
+        config_from_dict({"seed": seed})
+    assert str(err.value).startswith("seed: expected int")
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("model", "d_model", "x"),
+    ("model", "d_model", True),
+    ("model", "d_model", 64.0),
+    ("loss", "tau1", "0.05"),
+    ("loss", "tau1", False),
+    ("loss", "residual_enabled", 1),
+    ("retrieval", "top_k", None),
+    ("optim", "eps", [1e-8]),
+])
+def test_field_of_another_type_names_the_dotted_key(section, key, value):
+    with pytest.raises(ConfigError) as err:
+        config_from_dict({section: {key: value}})
+    assert str(err.value).startswith(f"{section}.{key}: expected ")
+
+
+def test_stage_field_of_another_type_names_the_index():
+    with pytest.raises(ConfigError) as err:
+        config_from_dict({"stages": [{}, {"batch_size": "8"}]})
+    assert str(err.value) == "stages[1].batch_size: expected int, got str '8'"
+
+
+def test_int_for_a_float_field_accepted():
+    cfg = config_from_dict({"loss": {"lam": 1}, "stages": [{"lr": 0}]})
+    assert cfg.loss.lam == 1 and cfg.stages[0].lr == 0

@@ -138,7 +138,10 @@ class TestBatchEncode:
 
     def test_numeric_error_names_the_passages_of_its_chunk(self, tiny_models, vocab):
         enc = tiny_models.encoder
-        enc.parameters()["tok_emb"].data[vocab.encode("zeta")[0]] = np.nan
+        tok_emb = enc.parameters()["tok_emb"]
+        poisoned = tok_emb.data.copy()
+        poisoned[vocab.encode("zeta")[0]] = np.nan
+        ad.set_param_data(tok_emb, poisoned)
         passages = [vocab.encode("alpha beta"), vocab.encode("gamma delta epsilon"),
                     vocab.encode("eta zeta")]
         with pytest.raises(NumericError) as err:

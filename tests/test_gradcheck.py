@@ -57,6 +57,22 @@ class TestFiniteDiffCheck:
         report = finite_diff_check(broken, x, name="broken")
         assert not report.passed
 
+    def test_weight_restored_when_f_raises(self):
+        x = ad.param([1.0, 2.0])
+        original = x.data
+        calls = []
+
+        def f(t):
+            calls.append(None)
+            if len(calls) == 2:  # the first perturbed call
+                raise RuntimeError("f failed")
+            return ad.sum_all(t)
+
+        with pytest.raises(RuntimeError):
+            finite_diff_check(f, x)
+        assert x.data is original and not x.data.flags.writeable
+        np.testing.assert_array_equal(x.data, [1.0, 2.0])
+
     def test_requires_scalar_function(self):
         x = ad.param([1.0, 2.0])
         with pytest.raises(ShapeError):

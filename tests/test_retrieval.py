@@ -1,11 +1,14 @@
 """BM25, dense retrieval, reciprocal rank fusion, sliding windows, end-to-end."""
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
 
 import embrank.autodiff as ad
+import embrank.checkpoint as checkpoint_module
 from embrank.checkpoint import encoder_checksum
 from embrank.data import Document, Vocabulary
 from embrank.encoder import EncoderModel
@@ -15,6 +18,7 @@ from embrank.retrieval import (RETRIEVAL_MODES, DenseIndex, InvertedIndex, end_t
 from embrank.reranker import build_model_pair, rerank_detailed
 from embrank.runs import RunEntry, RunList, sorted_entries
 from embrank.synthetic import generate_synthetic
+from embrank.training import Adam, LossConfig, OptimConfig, StageConfig, train_stage
 
 from helpers import naive_bm25_scores, naive_rrf
 
@@ -456,6 +460,14 @@ def unfingerprinted(index):
                                 if k != "encoder_sha256"})
 
 
+def nudge_first_weight(t):
+    """Add 1e-3 to ``t.data[0, 0]``; a parameter's array is read-only, so the
+    weight changes by replacing the array."""
+    data = t.data.copy()
+    data[0, 0] += 1e-3
+    ad.set_param_data(t, data)
+
+
 def hex_run(result):
     return [(e.doc_id, e.score.hex()) for e in result.reranked.entries]
 
@@ -471,6 +483,20 @@ def encoded_sizes(monkeypatch):
         return original(self, passages)
     monkeypatch.setattr(EncoderModel, "batch_encode", spy)
     return sizes
+
+
+@pytest.fixture
+def hashes(monkeypatch):
+    """The parameter count of every weight state ``encoder_checksum`` hashes
+    in the test."""
+    counts = []
+    original = checkpoint_module.sha256_arrays
+
+    def spy(arrays):
+        counts.append(len(arrays))
+        return original(arrays)
+    monkeypatch.setattr(checkpoint_module, "sha256_arrays", spy)
+    return counts
 
 
 class TestEndToEnd:
@@ -559,7 +585,7 @@ class TestEndToEnd:
     def test_index_from_another_encoder_state_rejected(self, small_dataset, mode):
         models, doc_tokens, bm25, dense = fresh_pipeline(small_dataset)
         recorded = dense.metadata["encoder_sha256"]
-        models.encoder.parameters()["tok_emb"].data[0, 0] += 1e-3
+        nudge_first_weight(models.encoder.parameters()["tok_emb"])
         live = encoder_checksum(models.encoder)
         with pytest.raises(ConfigError) as err:
             end_to_end(small_dataset.eval_queries[0].text, models, doc_tokens, bm25, dense,
@@ -568,7 +594,7 @@ class TestEndToEnd:
 
     def test_reranker_update_keeps_stored_rows(self, small_dataset, encoded_sizes):
         models, doc_tokens, bm25, dense = fresh_pipeline(small_dataset)
-        models.reranker.parameters()["tok_emb"].data[0, 0] += 1e-3
+        nudge_first_weight(models.reranker.parameters()["tok_emb"])
         encoded_sizes.clear()
         q = small_dataset.eval_queries[0]
         rows = end_to_end(q.text, models, doc_tokens, bm25, dense, "rrf", k=30)
@@ -589,3 +615,77 @@ class TestEndToEnd:
         result = end_to_end(q.text, models, doc_tokens, bm25, partial, "bm25", k=30)
         assert encoded_sizes == [len(full.first_stage)]
         assert hex_run(result) == hex_run(full)
+
+
+class TestEncoderFingerprint:
+    """``end_to_end`` checks the index against the live encoder on every query,
+    but hashes the weights once per weight state."""
+
+    def run(self, dataset, models, doc_tokens, bm25, dense, times=1):
+        q = dataset.eval_queries[0]
+        return [end_to_end(q.text, models, doc_tokens, bm25, dense, "rrf", k=30)
+                for _ in range(times)]
+
+    def test_no_hash_after_the_build(self, small_dataset, hashes):
+        models, doc_tokens, bm25, dense = fresh_pipeline(small_dataset)
+        assert len(hashes) == 1  # the build's own
+        hashes.clear()
+        results = self.run(small_dataset, models, doc_tokens, bm25, dense, times=20)
+        assert hashes == []
+        assert len({tuple(hex_run(r)) for r in results}) == 1
+
+    def test_adam_step_on_the_encoder_makes_the_index_stale(self, small_dataset, hashes):
+        models, doc_tokens, bm25, dense = fresh_pipeline(small_dataset)
+        params = models.encoder.parameters()
+        opt = Adam(params, lr=1e-3)
+        for t in params.values():
+            t.grad = np.ones_like(t.data)
+        opt.step()
+        hashes.clear()
+        for _ in range(2):
+            with pytest.raises(ConfigError) as err:
+                self.run(small_dataset, models, doc_tokens, bm25, dense)
+            assert dense.metadata["encoder_sha256"] in str(err.value)
+        assert len(hashes) == 1  # the new state is hashed once
+
+    def test_frozen_encoder_stage_keeps_the_digest_and_stored_rows(
+            self, small_dataset, hashes, encoded_sizes):
+        models, doc_tokens, bm25, dense = fresh_pipeline(small_dataset)
+        before = self.run(small_dataset, models, doc_tokens, bm25, dense)[0]
+        reranker_before = {k: t.data for k, t in models.reranker.parameters().items()}
+        train_stage(models, small_dataset.stage2_samples[:4], doc_tokens,
+                    StageConfig("stage2", epochs=1, batch_size=2, lr=1e-3),
+                    OptimConfig(), LossConfig(encoder_trainable=False), seed=0)
+        assert any(t.data is not reranker_before[k]
+                   for k, t in models.reranker.parameters().items())
+        hashes.clear()
+        encoded_sizes.clear()
+        after = self.run(small_dataset, models, doc_tokens, bm25, dense)[0]
+        assert hashes == [] and encoded_sizes == [1]
+        assert after.first_stage.doc_ids() == before.first_stage.doc_ids()
+
+    @pytest.mark.parametrize("swap", ["writable copy", "read-only view"])
+    def test_unfrozen_array_hashed_on_every_call(self, small_dataset, hashes, swap):
+        models, doc_tokens, bm25, dense = fresh_pipeline(small_dataset)
+        tok_emb = models.encoder.parameters()["tok_emb"]
+        tok_emb.data = tok_emb.data.copy() if swap == "writable copy" else tok_emb.data[:]
+        hashes.clear()
+        self.run(small_dataset, models, doc_tokens, bm25, dense, times=3)
+        assert len(hashes) == 3
+
+    def test_dropped_encoder_weights_are_freed(self, small_dataset):
+        """The fingerprint cache does not keep the last hashed arrays alive."""
+        models = fresh_pipeline(small_dataset)[0]
+        tok_emb = weakref.ref(models.encoder.parameters()["tok_emb"].data)
+        del models
+        gc.collect()
+        assert tok_emb() is None
+
+    def test_write_into_a_writable_array_is_seen(self, small_dataset):
+        models, doc_tokens, bm25, dense = fresh_pipeline(small_dataset)
+        tok_emb = models.encoder.parameters()["tok_emb"]
+        tok_emb.data = tok_emb.data.copy()
+        self.run(small_dataset, models, doc_tokens, bm25, dense)
+        tok_emb.data[0, 0] += 1e-3
+        with pytest.raises(ConfigError):
+            self.run(small_dataset, models, doc_tokens, bm25, dense)

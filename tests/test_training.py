@@ -194,6 +194,25 @@ class TestAdam:
         opt.step()
         assert p.data[0] < 1.0 < p.data[1]
 
+    def test_step_replaces_the_array_with_the_in_place_values(self):
+        """One step equals ``data -= lr * update`` bit for bit, in a new
+        read-only array."""
+        rng = np.random.default_rng(0)
+        p = ad.param(rng.normal(size=(3, 4)))
+        before, g = p.data, rng.normal(size=(3, 4))
+        cfg = OptimConfig()
+        opt = Adam({"p": p}, lr=0.1, config=cfg)
+        p.grad = g.copy()
+        opt.step()
+        m, v = (1.0 - cfg.beta1) * g, (1.0 - cfg.beta2) * g * g
+        update = (m / (1.0 - cfg.beta1)) / (np.sqrt(v / (1.0 - cfg.beta2)) + cfg.eps)
+        expected = before.copy()
+        expected -= 0.1 * update
+        assert p.data is not before
+        np.testing.assert_array_equal(p.data, expected)
+        with pytest.raises(ValueError):
+            p.data[0, 0] = 0.0
+
     def test_clip_bounds_global_norm(self):
         p = ad.param(np.zeros(4))
         opt = Adam({"p": p}, lr=0.1, config=OptimConfig(clip_norm=1.0))
