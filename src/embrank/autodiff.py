@@ -6,8 +6,7 @@ back to them. ``backward`` replays the tape in reverse topological order
 and then frees it, so graphs never outlive one forward/backward cycle.
 
 Conventions:
-  - double precision by default (``set_default_dtype`` switches builds
-    to float32 for speed at the cost of the tight test tolerances);
+  - every tensor holds float64 values;
   - the transformer ops are 2-D: several sequences run as one packed
     [ΣT, d] matrix, their rows end to end (the varlen layout of
     FlashAttention-2), and only ``causal_attention`` is told the sequence
@@ -15,8 +14,9 @@ Conventions:
     because every reduction runs along the last axis, attention keeps to
     each sequence's rows, and row i of a ``matmul`` product has the same bits
     whatever the row count;
-  - no broadcasting beyond scalar-with-tensor and a [d] row bias on [T, d];
-    anything else raises ``ShapeError`` naming both shapes;
+  - no broadcasting: ``add`` and ``sub`` take operands of one shape, and
+    ``mul`` also takes a scalar operand; anything else raises ``ShapeError``
+    naming both shapes;
   - each tensor owns its gradient array: the first contribution is stored
     as a C-ordered copy and later ones are added into it in place, so no two
     tensors share one (``add`` hands one array to both inputs) and every
@@ -43,31 +43,14 @@ import numpy as np
 
 from .errors import DegenerateInputError, NumericError, ShapeError
 
-_default_dtype = np.float64
 _strict_finite = True
 _grad_enabled = True
-
-
-def set_default_dtype(dtype) -> None:
-    """Set the dtype used for newly created tensors (float64 or float32)."""
-    global _default_dtype
-    if dtype not in (np.float64, np.float32):
-        raise ValueError(f"unsupported dtype {dtype!r}; use np.float64 or np.float32")
-    _default_dtype = dtype
-
-
-def default_dtype():
-    return _default_dtype
 
 
 def set_strict_finite(enabled: bool) -> None:
     """Toggle the NaN/Inf guard that runs after every forward op."""
     global _strict_finite
     _strict_finite = bool(enabled)
-
-
-def strict_finite() -> bool:
-    return _strict_finite
 
 
 @contextlib.contextmanager
@@ -100,7 +83,7 @@ class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
 
     def __init__(self, data, requires_grad: bool = False):
-        self.data = np.asarray(data, dtype=_default_dtype)
+        self.data = np.asarray(data, dtype=np.float64)
         self.requires_grad = bool(requires_grad)
         self.grad: np.ndarray | None = None
         self._parents: tuple[Tensor, ...] = ()
@@ -114,57 +97,11 @@ class Tensor:
     def ndim(self) -> int:
         return self.data.ndim
 
-    @property
-    def size(self) -> int:
-        return self.data.size
-
     def item(self) -> float:
         return float(self.data)
 
-    def detach(self) -> "Tensor":
-        """A view of the same values cut off from the gradient tape."""
-        return Tensor(self.data, requires_grad=False)
-
-    def zero_grad(self) -> None:
-        self.grad = None
-
     def sum(self) -> "Tensor":
         return sum_all(self)
-
-    def mean(self) -> "Tensor":
-        return mean_all(self)
-
-    # Operators lift plain numbers to constant tensors.
-    def __add__(self, other):
-        return add(self, _as_tensor(other))
-
-    def __radd__(self, other):
-        return add(_as_tensor(other), self)
-
-    def __sub__(self, other):
-        return sub(self, _as_tensor(other))
-
-    def __rsub__(self, other):
-        return sub(_as_tensor(other), self)
-
-    def __mul__(self, other):
-        return mul(self, _as_tensor(other))
-
-    def __rmul__(self, other):
-        return mul(_as_tensor(other), self)
-
-    def __truediv__(self, other):
-        return div(self, _as_tensor(other))
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, _as_tensor(other))
-
-    @property
-    def T(self) -> "Tensor":
-        return transpose(self)
 
     def __repr__(self) -> str:
         flag = ", requires_grad=True" if self.requires_grad else ""
@@ -178,8 +115,8 @@ def tensor(data, requires_grad: bool = False) -> Tensor:
 def param(data) -> Tensor:
     """A trainable leaf tensor over a read-only array.
 
-    An array of the default dtype is used as it is, not copied, and the
-    caller's handle on it turns read-only too.
+    A float64 array is used as it is, not copied, and the caller's handle
+    on it turns read-only too.
     """
     t = Tensor(data, requires_grad=True)
     t.data.flags.writeable = False
@@ -221,8 +158,8 @@ def _result(data: np.ndarray, op: str, inputs: tuple[Tensor, ...],
 
 def _accumulate(t: Tensor, g: np.ndarray) -> None:
     """Add ``g`` into ``t.grad``; the first contribution is copied in C order,
-    since a strided ``g`` (``transpose``'s) would round the next GEMM
-    differently. Unlike zeros + g, an exact -0.0 stays -0.0."""
+    since a strided ``g`` would round the next GEMM differently. Unlike
+    zeros + g, an exact -0.0 stays -0.0."""
     if not t.requires_grad:
         return
     if t.grad is None:
@@ -236,45 +173,26 @@ def _accumulate(t: Tensor, g: np.ndarray) -> None:
 # ---------------------------------------------------------------------------
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise sum; also scalar+tensor and a [d] row bias ``b`` on [T, d]."""
+    """Elementwise sum of two tensors of one shape."""
     a, b = _as_tensor(a), _as_tensor(b)
-    if a.shape == b.shape:
-        def bw(g):
-            _accumulate(a, g)
-            _accumulate(b, g)
-    elif a.shape == ():
-        def bw(g):
-            _accumulate(a, g.sum())
-            _accumulate(b, g)
-    elif b.shape == ():
-        def bw(g):
-            _accumulate(a, g)
-            _accumulate(b, g.sum())
-    elif a.ndim == 2 and b.shape == a.shape[1:]:
-        def bw(g):
-            _accumulate(a, g)
-            _accumulate(b, g.sum(axis=0))
-    else:
+    if a.shape != b.shape:
         raise ShapeError(f"add: incompatible shapes {a.shape} and {b.shape}")
+
+    def bw(g):
+        _accumulate(a, g)
+        _accumulate(b, g)
     return _result(a.data + b.data, "add", (a, b), bw)
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
+    """Elementwise difference of two tensors of one shape."""
     a, b = _as_tensor(a), _as_tensor(b)
-    if a.shape == b.shape:
-        def bw(g):
-            _accumulate(a, g)
-            _accumulate(b, -g)
-    elif a.shape == ():
-        def bw(g):
-            _accumulate(a, g.sum())
-            _accumulate(b, -g)
-    elif b.shape == ():
-        def bw(g):
-            _accumulate(a, g)
-            _accumulate(b, -g.sum())
-    else:
+    if a.shape != b.shape:
         raise ShapeError(f"sub: incompatible shapes {a.shape} and {b.shape}")
+
+    def bw(g):
+        _accumulate(a, g)
+        _accumulate(b, -g)
     return _result(a.data - b.data, "sub", (a, b), bw)
 
 
@@ -290,53 +208,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
         _accumulate(a, ga.sum() if a.shape == () and ga.shape != () else ga)
         _accumulate(b, gb.sum() if b.shape == () and gb.shape != () else gb)
     return _result(a.data * b.data, "mul", (a, b), bw)
-
-
-def div(a: Tensor, b: Tensor) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    if not (a.shape == b.shape or a.shape == () or b.shape == ()):
-        raise ShapeError(f"div: incompatible shapes {a.shape} and {b.shape}")
-
-    def bw(g):
-        ga = g / b.data
-        gb = -g * a.data / (b.data * b.data)
-        _accumulate(a, ga.sum() if a.shape == () and ga.shape != () else ga)
-        _accumulate(b, gb.sum() if b.shape == () and gb.shape != () else gb)
-    return _result(a.data / b.data, "div", (a, b), bw)
-
-
-def neg(a: Tensor) -> Tensor:
-    a = _as_tensor(a)
-
-    def bw(g):
-        _accumulate(a, -g)
-    return _result(-a.data, "neg", (a,), bw)
-
-
-def sqrt(a: Tensor) -> Tensor:
-    a = _as_tensor(a)
-    out_data = np.sqrt(a.data)
-
-    def bw(g):
-        _accumulate(a, g * 0.5 / out_data)
-    return _result(out_data, "sqrt", (a,), bw)
-
-
-def exp(a: Tensor) -> Tensor:
-    a = _as_tensor(a)
-    out_data = np.exp(a.data)
-
-    def bw(g):
-        _accumulate(a, g * out_data)
-    return _result(out_data, "exp", (a,), bw)
-
-
-def log(a: Tensor) -> Tensor:
-    a = _as_tensor(a)
-
-    def bw(g):
-        _accumulate(a, g / a.data)
-    return _result(np.log(a.data), "log", (a,), bw)
 
 
 def silu(a: Tensor) -> Tensor:
@@ -373,15 +244,6 @@ def sum_all(a: Tensor) -> Tensor:
     return _result(np.asarray(a.data.sum()), "sum", (a,), bw)
 
 
-def mean_all(a: Tensor) -> Tensor:
-    a = _as_tensor(a)
-    n = a.data.size
-
-    def bw(g):
-        _accumulate(a, np.full_like(a.data, float(g) / n))
-    return _result(np.asarray(a.data.mean()), "mean", (a,), bw)
-
-
 # ---------------------------------------------------------------------------
 # linear algebra
 # ---------------------------------------------------------------------------
@@ -404,27 +266,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     # every other row count, so one row runs as two.
     out = (a.data[[0, 0]] @ b.data)[:1] if a.shape[0] == 1 else a.data @ b.data
     return _result(out, "matmul", (a, b), bw)
-
-
-def transpose(a: Tensor) -> Tensor:
-    a = _as_tensor(a)
-    if a.ndim != 2:
-        raise ShapeError(f"transpose: expected 2-D operand, got {a.shape}")
-
-    def bw(g):
-        _accumulate(a, g.T)
-    return _result(a.data.T.copy(), "transpose", (a,), bw)
-
-
-def dot(a: Tensor, b: Tensor) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    if a.ndim != 1 or b.ndim != 1 or a.shape != b.shape:
-        raise ShapeError(f"dot: expected equal-length vectors, got {a.shape} and {b.shape}")
-
-    def bw(g):
-        _accumulate(a, float(g) * b.data)
-        _accumulate(b, float(g) * a.data)
-    return _result(np.asarray(a.data @ b.data), "dot", (a, b), bw)
 
 
 def cosine_rows(v: Tensor, m: Tensor) -> Tensor:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import typing
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -83,8 +84,10 @@ class ExperimentConfig:
             raise ConfigError("stages: the canonical run has one or two stages")
         self.loss.validate()
         for i, stage in enumerate(self.stages):
-            if stage.epochs < 0 or stage.batch_size < 1 or stage.lr < 0:
-                raise ConfigError(f"stages[{i}]: invalid epochs/batch_size/lr")
+            for name, low in (("epochs", 0), ("batch_size", 1), ("lr", 0)):
+                value = getattr(stage, name)
+                if not value >= low:
+                    raise ConfigError(f"stages[{i}].{name}: must be >= {low}, got {value!r}")
 
     def stage_configs(self) -> list[StageConfig]:
         names = ["stage1", "stage2"]
@@ -94,11 +97,14 @@ class ExperimentConfig:
 
 def _typed(value, kind: type, key: str):
     """``value`` when it is of the field type ``kind`` (int, float or bool);
-    a bool is not an int, and an int is fine for a float."""
+    a bool is not an int, an int is fine for a float, and a float is finite
+    (``json`` reads ``NaN`` and ``Infinity``)."""
     allowed = (int, float) if kind is float else kind
     if not isinstance(value, allowed) or (kind is not bool and isinstance(value, bool)):
         raise ConfigError(f"{key}: expected {kind.__name__}, got {type(value).__name__} "
                           f"{value!r}")
+    if kind is float and not math.isfinite(value):
+        raise ConfigError(f"{key}: must be finite, got {value!r}")
     return value
 
 

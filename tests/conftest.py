@@ -1,7 +1,6 @@
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
@@ -13,12 +12,10 @@ from embrank.synthetic import generate_synthetic
 
 
 @pytest.fixture(autouse=True)
-def _double_precision_strict():
-    """Every test runs the double-precision build with NaN/Inf guards on."""
-    ad.set_default_dtype(np.float64)
+def _strict_finite():
+    """Every test runs with the NaN/Inf guard on."""
     ad.set_strict_finite(True)
     yield
-    ad.set_default_dtype(np.float64)
     ad.set_strict_finite(True)
 
 

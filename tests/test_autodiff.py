@@ -263,15 +263,18 @@ class TestCosineSim:
         v, m = ad.param(v_data), ad.param(m_data)
         backward(ad.sum_all(ad.mul(ad.cosine_rows(v, m), ad.tensor(g))))
 
-        rv, rows = ad.param(v_data), [ad.param(r) for r in m_data]
-        total = None
-        for gi, r in zip(g, rows):
-            c = ad.div(ad.dot(rv, r), ad.mul(ad.sqrt(ad.dot(rv, rv)), ad.sqrt(ad.dot(r, r))))
-            term = ad.mul(c, float(gi))
-            total = term if total is None else ad.add(total, term)
-        backward(total)
-        np.testing.assert_allclose(v.grad, rv.grad, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(m.grad, np.stack([r.grad for r in rows]), rtol=0, atol=1e-12)
+        # The chain rule, node by node, through each row's
+        # dot(v, r) / (sqrt(dot(v, v)) * sqrt(dot(r, r))), times g_i.
+        gv, gm = np.zeros_like(v_data), np.zeros_like(m_data)
+        for i, (gi, r) in enumerate(zip(g, m_data)):
+            d, sv, sr = np.dot(v_data, r), np.sqrt(np.dot(v_data, v_data)), np.sqrt(np.dot(r, r))
+            gd = gi / (sv * sr)
+            gden = -gi * d / (sv * sr) ** 2
+            gvv, grr = gden * sr * 0.5 / sv, gden * sv * 0.5 / sr
+            gv += gd * r + 2.0 * gvv * v_data
+            gm[i] = gd * v_data + 2.0 * grr * r
+        np.testing.assert_allclose(v.grad, gv, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(m.grad, gm, rtol=0, atol=1e-12)
 
 
 class TestBackward:
@@ -316,14 +319,6 @@ class TestBackward:
         backward(loss)
         assert y._backward is None and y._parents == ()
 
-    def test_no_grad_through_detach(self):
-        x = ad.param([1.0, 2.0])
-        d = x.detach()
-        y = ad.param([3.0, 4.0])
-        backward(ad.sum_all(ad.mul(d, y)))
-        assert x.grad is None
-        np.testing.assert_allclose(y.grad, x.data, atol=1e-15)
-
     def test_tensors_never_share_a_gradient_array(self):
         """z's backward hands one array to y and to a. Had a kept it, a's
         second contribution would add into y's gradient too, and so into b's."""
@@ -339,8 +334,8 @@ class TestBackward:
         """By the time y1 passes its gradient on, y2 (held by no caller) and its
         values are freed; the whole tape used to live until the sweep ended."""
         x = ad.param([1.0, 2.0])
-        y1 = ad.exp(x)
-        y2 = ad.exp(y1)
+        y1 = ad.silu(x)
+        y2 = ad.silu(y1)
         loss = ad.sum_all(y2)
         y2_values = weakref.ref(y2.data)
         del y2
@@ -352,7 +347,12 @@ class TestBackward:
         y1._backward = spy
         backward(loss)
         assert freed == [True]
-        np.testing.assert_allclose(x.grad, np.exp(np.exp([1.0, 2.0])) * np.exp([1.0, 2.0]))
+
+        def silu_slope(z):
+            sig = 1.0 / (1.0 + np.exp(-z))
+            return sig * (1.0 + z * (1.0 - sig))
+        z = np.array([1.0, 2.0])
+        np.testing.assert_allclose(x.grad, silu_slope(z / (1.0 + np.exp(-z))) * silu_slope(z))
 
     def test_leaf_gradients_are_owned_c_ordered_arrays(self):
         """concat_rows hands each block a slice of its own gradient, and
@@ -367,16 +367,20 @@ class TestBackward:
 
 
 class TestShapePolicy:
-    """Only scalar-with-tensor and matrix+row-bias mix shapes; the rest are loud errors."""
+    """Only ``mul`` takes a scalar operand; every other shape mix is a loud error."""
 
-    def test_add_row_bias_allowed(self):
-        out = ad.add(ad.tensor(np.ones((2, 3))), ad.tensor([1.0, 2.0, 3.0]))
-        np.testing.assert_array_equal(out.data, [[2, 3, 4], [2, 3, 4]])
+    MISMATCHES = [((2, 3), (3, 2)), ((2, 3), (2,)), ((4,), (2,)), ((2, 3), ())]
 
-    @pytest.mark.parametrize("shape_a,shape_b", [((2, 3), (3, 2)), ((2, 3), (2,)), ((4,), (2,))])
+    @pytest.mark.parametrize("shape_a,shape_b", MISMATCHES)
     def test_add_mismatches_rejected(self, shape_a, shape_b):
         with pytest.raises(ShapeError):
             ad.add(ad.tensor(np.zeros(shape_a)), ad.tensor(np.zeros(shape_b)))
+
+    @pytest.mark.parametrize("shape_a,shape_b", MISMATCHES)
+    def test_sub_mismatches_rejected(self, shape_a, shape_b):
+        with pytest.raises(ShapeError) as err:
+            ad.sub(ad.tensor(np.zeros(shape_b)), ad.tensor(np.zeros(shape_a)))
+        assert str(shape_a) in str(err.value) and str(shape_b) in str(err.value)
 
     def test_mul_column_broadcast_rejected(self):
         with pytest.raises(ShapeError):
@@ -394,30 +398,26 @@ class TestDeterminismAndGuards:
 
     def test_overflow_guarded(self):
         with np.errstate(over="ignore"), pytest.raises(NumericError):
-            ad.exp(ad.tensor([1000.0]))
+            ad.mul(ad.tensor([1e308]), 10.0)
 
     def test_guard_can_be_disabled(self):
         ad.set_strict_finite(False)
         with np.errstate(over="ignore"):
-            out = ad.exp(ad.tensor([1000.0]))
+            out = ad.mul(ad.tensor([1e308]), 10.0)
         assert np.isinf(out.data[0])
         ad.set_strict_finite(True)
-
-    def test_division_by_zero_guarded(self):
-        with np.errstate(divide="ignore"), pytest.raises(NumericError):
-            ad.div(ad.tensor([1.0]), ad.tensor(0.0))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_one_non_finite_value_raises_naming_the_op(self, bad):
         x = np.zeros((16, 28, 256))
         x[3, 5, 7] = bad
         with pytest.raises(NumericError) as err:
-            ad.neg(ad.tensor(x))
-        assert "neg" in str(err.value)
+            ad.mul(ad.tensor(x), -1.0)
+        assert "mul" in str(err.value)
 
     def test_finite_values_whose_sum_overflows_pass(self):
         with np.errstate(over="ignore"):
-            out = ad.neg(ad.tensor([1e308, 1e308]))
+            out = ad.mul(ad.tensor([1e308, 1e308]), -1.0)
         np.testing.assert_array_equal(out.data, [-1e308, -1e308])
 
 
@@ -446,8 +446,8 @@ class TestNoGrad:
         assert ad.mul(w, w).requires_grad
 
     def test_strict_finite_guard_still_runs(self):
-        with ad.no_grad(), np.errstate(divide="ignore"), pytest.raises(NumericError):
-            ad.div(ad.param([1.0]), ad.tensor(0.0))
+        with ad.no_grad(), np.errstate(over="ignore"), pytest.raises(NumericError):
+            ad.mul(ad.param([1e308]), 10.0)
 
 
 class TestReadOnlyParameters:
@@ -508,8 +508,3 @@ class TestScalarHelpers:
     def test_softplus_extremes(self):
         out = ad.softplus(ad.tensor([-800.0, 0.0, 800.0]))
         np.testing.assert_allclose(out.data, [0.0, math.log(2.0), 800.0], atol=1e-12)
-
-    def test_operator_sugar(self):
-        x = ad.tensor([2.0, 4.0])
-        out = (-x + 1.0) * 3.0 / 2.0 - 0.5
-        np.testing.assert_allclose(out.data, [-2.0, -5.0], atol=1e-15)

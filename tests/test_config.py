@@ -112,3 +112,26 @@ def test_stage_field_of_another_type_names_the_index():
 def test_int_for_a_float_field_accepted():
     cfg = config_from_dict({"loss": {"lam": 1}, "stages": [{"lr": 0}]})
     assert cfg.loss.lam == 1 and cfg.stages[0].lr == 0
+
+
+@pytest.mark.parametrize("token, value", [("NaN", "nan"), ("Infinity", "inf"),
+                                          ("-Infinity", "-inf")])
+@pytest.mark.parametrize("text, key", [('{"stages": [{"lr": %s}]}', "stages[0].lr"),
+                                       ('{"loss": {"tau1": %s}}', "loss.tau1")],
+                         ids=["stage-lr", "loss-tau1"])
+def test_non_finite_number_names_file_key_and_value(tmp_path, token, value, text, key):
+    path = tmp_path / "config.json"
+    path.write_text(text % token, encoding="utf-8")
+    with pytest.raises(ConfigError) as err:
+        load_config(path)
+    assert str(err.value) == f"{path}: {key}: must be finite, got {value}"
+
+
+@pytest.mark.parametrize("field, value, low", [("epochs", -1, 0), ("batch_size", 0, 1),
+                                               ("lr", -1, 0)])
+def test_out_of_range_stage_field_names_file_key_and_value(tmp_path, field, value, low):
+    path = tmp_path / "config.json"
+    path.write_text(f'{{"stages": [{{}}, {{"{field}": {value}}}]}}', encoding="utf-8")
+    with pytest.raises(ConfigError) as err:
+        load_config(path)
+    assert str(err.value) == f"{path}: stages[1].{field}: must be >= {low}, got {value}"

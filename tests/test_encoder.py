@@ -130,7 +130,7 @@ class TestBatchEncode:
         backward(ad.sum_all(enc.batch_encode(passages)))
         batched = {k: t.grad.copy() for k, t in enc.parameters().items()}
         for t in enc.parameters().values():
-            t.zero_grad()
+            t.grad = None
         for ids in passages:
             backward(ad.sum_all(enc.encode_passage(ids)))
         for k, t in enc.parameters().items():
