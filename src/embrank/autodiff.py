@@ -17,16 +17,23 @@ Conventions:
   - no broadcasting: ``add`` and ``sub`` take operands of one shape, and
     ``mul`` also takes a scalar operand; anything else raises ``ShapeError``
     naming both shapes;
-  - each tensor owns its gradient array: the first contribution is stored
-    as a C-ordered copy and later ones are added into it in place, so no two
-    tensors share one (``add`` hands one array to both inputs) and every
-    gradient has a fresh array's layout, whatever view an op passed back;
+  - each tensor owns its gradient array, C-ordered, and later contributions
+    are added into it in place. A first contribution that the op has just
+    made and hands to no other tensor (a ``matmul`` product, ``silu``'s,
+    ``rms_norm``'s and ``causal_attention``'s gradients, ``sub``'s ``-g``)
+    is stored as it is; any other (``add`` hands one array to both inputs,
+    ``concat_rows`` hands out slices) is stored as a C-ordered copy. So no
+    two tensors share one, and every gradient has a fresh array's layout;
   - a parameter's array is read-only: an in-place write raises
     ``ValueError``, and an update gives the tensor a new array through
     ``set_param_data``, so a weight state never changes under a fingerprint
     taken of it;
-  - inside ``with no_grad():`` no op records a tape node, so inference
-    holds no closures and no references to intermediate results;
+  - inside ``with no_grad():``, or when no input requires grad, no op
+    records a tape node, so inference holds no closures and no references to
+    intermediate results; ``silu`` then writes its result into its sigmoid's
+    array and ``causal_attention`` drops each group's head copies once it is
+    done with them, so a tape-free forward allocates little beyond its
+    outputs;
   - under strict mode (default) any op producing NaN/Inf raises
     ``NumericError`` immediately instead of letting the values spread,
     with or without ``no_grad``.
@@ -146,24 +153,34 @@ def _guard(data: np.ndarray, op: str) -> np.ndarray:
     return data
 
 
+def _records(inputs: tuple[Tensor, ...]) -> bool:
+    """True when an op on ``inputs`` records a tape node."""
+    return _grad_enabled and any(t.requires_grad for t in inputs)
+
+
 def _result(data: np.ndarray, op: str, inputs: tuple[Tensor, ...],
             backward: Callable[[np.ndarray], None]) -> Tensor:
     out = Tensor(_guard(data, op))
-    if _grad_enabled and any(t.requires_grad for t in inputs):
+    if _records(inputs):
         out.requires_grad = True
         out._parents = inputs
         out._backward = backward
     return out
 
 
-def _accumulate(t: Tensor, g: np.ndarray) -> None:
-    """Add ``g`` into ``t.grad``; the first contribution is copied in C order,
-    since a strided ``g`` would round the next GEMM differently. Unlike
-    zeros + g, an exact -0.0 stays -0.0."""
+def _accumulate(t: Tensor, g: np.ndarray, owned: bool = False) -> None:
+    """Add ``g`` into ``t.grad``. Unlike zeros + g, an exact -0.0 stays -0.0.
+
+    ``owned`` says ``g`` is a new C-ordered float64 array that the calling op
+    has just made and hands to no other tensor: a first contribution is then
+    stored as it is. Any other first contribution is copied in C order, since
+    a shared ``g`` would take the next contribution to one tensor into the
+    other's gradient too, and a strided one would round the next GEMM
+    differently."""
     if not t.requires_grad:
         return
     if t.grad is None:
-        t.grad = np.array(g, dtype=t.data.dtype, order="C")
+        t.grad = g if owned else np.array(g, dtype=t.data.dtype, order="C")
     else:
         t.grad += g
 
@@ -192,7 +209,7 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
 
     def bw(g):
         _accumulate(a, g)
-        _accumulate(b, -g)
+        _accumulate(b, -g, owned=True)
     return _result(a.data - b.data, "sub", (a, b), bw)
 
 
@@ -211,9 +228,13 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def silu(a: Tensor) -> Tensor:
-    """x * sigmoid(x), the smooth gate used in the feed-forward blocks."""
+    """x * sigmoid(x), the smooth gate used in the feed-forward blocks. With no
+    tape the product is written into the sigmoid's array, the one new array."""
     a = _as_tensor(a)
-    sig = 1.0 / (1.0 + np.exp(-a.data))
+    sig = np.negative(a.data)  # 1 / (1 + exp(-x)), in place
+    np.exp(sig, out=sig)
+    sig += 1.0
+    np.divide(1.0, sig, out=sig)
 
     def bw(g):  # g * sig * (1 + x * (1 - sig)), in that rounding order, in place
         slope = 1.0 - sig
@@ -221,8 +242,11 @@ def silu(a: Tensor) -> Tensor:
         slope += 1.0
         ga = g * sig
         ga *= slope
-        _accumulate(a, ga)
-    return _result(a.data * sig, "silu", (a,), bw)
+        _accumulate(a, ga, owned=True)
+    if _records((a,)):
+        return _result(a.data * sig, "silu", (a,), bw)
+    sig *= a.data
+    return _result(sig, "silu", (a,), bw)
 
 
 def softplus(a: Tensor) -> Tensor:
@@ -260,8 +284,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"matmul: inner dimensions disagree: {a.shape} vs {b.shape}")
 
     def bw(g):
-        _accumulate(a, g @ b.data.T)
-        _accumulate(b, a.data.T @ g)
+        _accumulate(a, g @ b.data.T, owned=True)
+        _accumulate(b, a.data.T @ g, owned=True)
     # numpy hands a one-row product to gemv, which rounds unlike the GEMM of
     # every other row count, so one row runs as two.
     out = (a.data[[0, 0]] @ b.data)[:1] if a.shape[0] == 1 else a.data @ b.data
@@ -364,6 +388,20 @@ def concat_rows(tensors: Sequence[Tensor]) -> Tensor:
 
 MASK_VALUE = -1e9
 
+# The additive causal mask of the longest sequence seen so far, read-only;
+# a sequence of length T adds its [:T, :T] corner.
+_mask_triangle = np.zeros((0, 0))
+_mask_triangle.flags.writeable = False
+
+
+def _causal_mask(t: int) -> np.ndarray:
+    """A read-only [t, t] view equal to np.triu(np.full((t, t), MASK_VALUE), 1)."""
+    global _mask_triangle
+    if _mask_triangle.shape[0] < t:
+        _mask_triangle = np.triu(np.full((t, t), MASK_VALUE), k=1)
+        _mask_triangle.flags.writeable = False
+    return _mask_triangle[:t, :t]
+
 
 def causal_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int,
                      lengths: Sequence[int] | None = None) -> Tensor:
@@ -388,7 +426,9 @@ def causal_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int,
     arrays the 2-D slices make; ``np.matmul`` runs one BLAS product per
     (sequence, head), and the backward multiplies by transposed views of those
     copies, as ``matmul``'s backward does. Strided views in place of the copies
-    round differently in BLAS.
+    round differently in BLAS. The mask is a corner of one shared read-only
+    triangle (``_causal_mask``). With no tape no group's arrays outlive the
+    loop's next turn, and its q and kᵀ copies go once their product is made.
     """
     q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
     if q.ndim != 2 or k.shape != q.shape or v.shape != q.shape:
@@ -410,19 +450,22 @@ def causal_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int,
         return np.swapaxes(x, -1, -2)
 
     out, runs, hi = np.empty(q.shape, q.data.dtype), [], 0
+    record = _records((q, k, v))
     for t, group in itertools.groupby(lengths):
         rows = slice(hi, hi + t * len(list(group)))
         hi = rows.stop
         qh, kt = heads(q.data[rows], t).copy(), tr(heads(k.data[rows], t)).copy()
         vh = heads(v.data[rows], t).copy()
         w = np.matmul(qh, kt)  # the masked row softmax, in place, in the usual rounding order
+        if record:
+            runs.append((rows, t, qh, kt, vh, w))
+        del qh, kt
         w *= scale
-        w += np.triu(np.full((t, t), MASK_VALUE, q.data.dtype), k=1)
+        w += _causal_mask(t)
         w -= w.max(axis=-1, keepdims=True)
         np.exp(w, out=w)
         w /= w.sum(axis=-1, keepdims=True)
         heads(out[rows], t)[...] = np.matmul(w, vh)
-        runs.append((rows, t, qh, kt, vh, w))
 
     def bw(g):
         gq, gk, gv = (np.empty(g.shape, g.dtype) for _ in range(3))
@@ -433,9 +476,9 @@ def causal_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int,
             heads(gq[rows], t)[...] = np.matmul(gl, tr(kt))
             heads(gk[rows], t)[...] = tr(np.matmul(tr(qh), gl))
             heads(gv[rows], t)[...] = np.matmul(tr(w), gh)
-        _accumulate(q, gq)
-        _accumulate(k, gk)
-        _accumulate(v, gv)
+        _accumulate(q, gq, owned=True)
+        _accumulate(k, gk, owned=True)
+        _accumulate(v, gv, owned=True)
     return _result(out, "causal_attention", (q, k, v), bw)
 
 
@@ -469,7 +512,8 @@ def rms_norm(x: Tensor, weight: Tensor, eps: float = 1e-6) -> Tensor:
     d = x.shape[-1]
     ms = (x.data * x.data).mean(axis=-1, keepdims=True)
     r = 1.0 / np.sqrt(ms + eps)
-    y = x.data * r * weight.data
+    y = x.data * r
+    y *= weight.data
 
     def bw(g):
         # gw * r - x * (r^3 / d) * sum(gw * x), in that rounding order, in place
@@ -480,12 +524,12 @@ def rms_norm(x: Tensor, weight: Tensor, eps: float = 1e-6) -> Tensor:
         gx *= dot
         gw *= r
         np.subtract(gw, gx, out=gx)
-        _accumulate(x, gx)
+        _accumulate(x, gx, owned=True)
         gweight = g * x.data
         gweight *= r
         if gweight.ndim == 2:
             gweight = gweight.sum(axis=0)
-        _accumulate(weight, gweight)
+        _accumulate(weight, gweight, owned=True)
     return _result(y, "rms_norm", (x, weight), bw)
 
 

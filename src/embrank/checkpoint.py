@@ -108,5 +108,9 @@ def load_checkpoint(path) -> ModelPair:
         if arrays[key].shape != tensor.data.shape:
             raise DataFormatError(f"{path}: shape mismatch for {key}: "
                                   f"{arrays[key].shape} vs {tensor.data.shape}")
+        bad = np.argwhere(~np.isfinite(arrays[key]))
+        if bad.size:
+            raise DataFormatError(f"{path}: checkpoint parameter {key!r} holds NaN or an "
+                                  f"infinity at index {tuple(bad[0].tolist())}")
         ad.set_param_data(tensor, arrays[key].astype(tensor.data.dtype))
     return models

@@ -19,6 +19,10 @@ from .transformer import CausalTransformer, ModelConfig
 # 5000-passage dense index about as fast, 768 about 25% slower. Pack size also
 # sets glibc's dynamic malloc thresholds (from the largest block freed so far):
 # after 192-row packs the reranker's attention ran on freshly faulted pages.
+# Each op's fresh arrays are faulted in again once glibc has handed them back:
+# with the tape-free ops' temporaries cut, a 500-passage build faults in about
+# 15k pages (37k before) and the first 5000-passage build in a process about
+# 175k (380k before), most of them in ``silu`` and attention.
 TOKEN_BUDGET = 384
 
 

@@ -1,6 +1,8 @@
 """Forward/backward correctness of the tensor engine."""
 
+import itertools
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -9,6 +11,8 @@ import pytest
 import embrank.autodiff as ad
 from embrank.autodiff import Tensor, backward
 from embrank.errors import DegenerateInputError, NumericError, ShapeError
+from embrank.reranker import build_model_pair
+from embrank.training import Adam, LossConfig, train_step
 
 from helpers import highprec_softmax_row, naive_matmul, reference_causal_attention
 
@@ -364,6 +368,107 @@ class TestBackward:
         backward(ad.sum_all(ad.mul(out, ad.tensor(rng.normal(size=(9, 8))))))
         for t in (q, k, v, extra):
             assert t.grad.flags.c_contiguous and t.grad.flags.owndata
+
+
+class TestGradientOwnership:
+    """An op stores a gradient it has just made without a copy; what it shares
+    between inputs (``add``, ``sub``'s ``g``) or slices (``concat_rows``) is
+    copied. Had a fan-out stored the shared array, the second contribution
+    would have been added into the upstream gradient too."""
+
+    @staticmethod
+    def _backward_through(op):
+        rng = np.random.default_rng(31)
+        a = ad.param(rng.normal(size=(5, 8)))
+        y = op(a)
+        upstream = rng.normal(size=y.shape)
+        backward(ad.sum_all(ad.mul(y, ad.tensor(upstream))))
+        np.testing.assert_array_equal(y.grad, upstream)
+        return a, upstream
+
+    def test_add_to_itself(self):
+        a, g = self._backward_through(lambda a: ad.add(a, a))
+        np.testing.assert_array_equal(a.grad, g + g)
+
+    def test_sub_from_itself(self):
+        a, g = self._backward_through(lambda a: ad.sub(a, a))
+        np.testing.assert_array_equal(a.grad, np.zeros_like(g))
+
+    def test_concat_rows_of_one_tensor_twice(self):
+        a, g = self._backward_through(lambda a: ad.concat_rows([a, a]))
+        np.testing.assert_array_equal(a.grad, g[:5] + g[5:])
+
+    def test_attention_of_one_tensor_as_q_k_and_v(self):
+        a, g = self._backward_through(lambda a: ad.causal_attention(a, a, a, 2, [1, 4]))
+        want = [reference_causal_attention(a.data[rows], a.data[rows], a.data[rows], 2, g[rows])
+                for rows in (slice(0, 1), slice(1, 5))]
+        np.testing.assert_array_equal(a.grad, np.vstack([dq + dk + dv for _, dq, dk, dv in want]))
+
+    def test_parameter_gradients_after_a_train_step_are_owned_and_apart(
+            self, small_dataset, small_doc_tokens):
+        models = build_model_pair(small_dataset.vocab, seed=2, d_model=16,
+                                  n_layers=1, n_heads=2, reranker_max_len=64)
+        params = {k: t for k, t in models.parameters().items() if t.requires_grad}
+        train_step(models, small_dataset.stage2_samples[:2], small_doc_tokens,
+                   Adam(params, lr=1e-3), LossConfig(), 0, "s")
+        grads = {k: t.grad for k, t in params.items() if t.grad is not None}
+        assert len(grads) == len(params)
+        for key, g in grads.items():
+            assert g.flags.c_contiguous and g.base is None, key
+        for (k1, g1), (k2, g2) in itertools.combinations(grads.items(), 2):
+            assert not np.shares_memory(g1, g2), (k1, k2)
+
+
+class TestTapeFreeForward:
+    """With no tape, ``silu`` writes into its own sigmoid array, ``rms_norm``
+    scales in place and ``causal_attention`` keeps no group's copies: the
+    values must not move by a bit."""
+
+    def test_equals_the_taped_forward_bitwise(self):
+        rng = np.random.default_rng(23)
+        longest = ad._mask_triangle.shape[0] + 3  # the shared mask grows on this call
+        lengths = [1, 4, 4, 4, 1, 1, longest, 7, 2, 2]
+        d, n_heads = 16, 4
+        x, q, k, v = (ad.param(rng.normal(size=(sum(lengths), d))) for _ in range(4))
+        weight = ad.param(rng.normal(size=d))
+
+        def forward():
+            return (ad.silu(x), ad.rms_norm(x, weight),
+                    ad.causal_attention(q, k, v, n_heads, lengths))
+        with ad.no_grad():
+            free = forward()
+        assert ad._mask_triangle.shape[0] == longest
+        taped = forward()
+        assert all(t.requires_grad for t in taped)
+        for got, want in zip(free, taped):
+            np.testing.assert_array_equal(got.data, want.data)
+
+    def test_silu_leaves_its_input_alone(self):
+        data = np.linspace(-3.0, 3.0, 12).reshape(3, 4)
+        x = ad.tensor(data.copy())
+        with ad.no_grad():
+            ad.silu(x)
+        np.testing.assert_array_equal(x.data, data)
+
+    def test_silu_allocates_only_its_output(self):
+        """Its temporaries used to double the peak."""
+        x = ad.tensor(np.random.default_rng(3).normal(size=(384, 512)))
+        with ad.no_grad():
+            tracemalloc.start()
+            try:
+                out = ad.silu(x)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak <= 1.05 * out.data.nbytes
+
+    def test_shared_mask_is_read_only_and_equals_the_triangle(self):
+        for t in (1, 5, ad._mask_triangle.shape[0] + 2, 3):
+            mask = ad._causal_mask(t)
+            assert not mask.flags.writeable and not ad._mask_triangle.flags.writeable
+            np.testing.assert_array_equal(mask, np.triu(np.full((t, t), -1e9), 1))
+        with pytest.raises(ValueError):
+            mask[0, 1] = 0.0
 
 
 class TestShapePolicy:

@@ -109,6 +109,21 @@ class TestCheckpoint:
             load_checkpoint(path)
         assert "encoder_config" in str(err.value) and "attention_window" in str(err.value)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "minus-inf"])
+    def test_non_finite_parameter_names_file_and_key(self, tiny_models, tmp_path, bad):
+        """Such a checkpoint once loaded silently, and the first forward then
+        failed with a ``NumericError`` naming no file."""
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, tiny_models)
+        meta, arrays = read_record_file(path)
+        key = "reranker.layers.0.mlp.w1"
+        arrays[key] = _with(arrays[key], (3, 5), bad)
+        write_record_file(path, meta, arrays)
+        with pytest.raises(DataFormatError) as err:
+            load_checkpoint(path)
+        message = str(err.value)
+        assert str(path) in message and repr(key) in message and "(3, 5)" in message
+
     def test_non_checkpoint_rejected(self, tmp_path):
         path = tmp_path / "other.bin"
         write_record_file(path, {"kind": "something-else"}, {"x": np.ones(1)})

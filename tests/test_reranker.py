@@ -80,22 +80,33 @@ class TestAssembly:
 
 
 class TestCausality:
-    def test_earlier_hidden_states_ignore_later_passages(self, tiny_models, vocab):
-        """Bitwise: h at passage position i is invariant to any change in e_j, j > i."""
-        inst = tiny_models.instruction_ids()
+    @staticmethod
+    def _assert_earlier_states_ignore_later_passages(models, vocab):
+        inst = models.instruction_ids()
         query = vocab.encode("alpha beta")
         rng = np.random.default_rng(11)
-        d = tiny_models.reranker.config.d_model
+        d = models.reranker.config.d_model
         base = ad.tensor(rng.normal(size=(4, d)))
-        rin = tiny_models.reranker.assemble_input(inst, query, base)
-        h = tiny_models.reranker.contextualize(rin)
+        rin = models.reranker.assemble_input(inst, query, base)
+        h = models.reranker.contextualize(rin)
         changed = base.data.copy()
         changed[2] = rng.normal(size=d)
         changed[3] = rng.normal(size=d)
-        rin2 = tiny_models.reranker.assemble_input(inst, query, ad.tensor(changed))
-        h2 = tiny_models.reranker.contextualize(rin2)
+        rin2 = models.reranker.assemble_input(inst, query, ad.tensor(changed))
+        h2 = models.reranker.contextualize(rin2)
         for p in rin.passage_positions[:2]:
             np.testing.assert_array_equal(h.data[p], h2.data[p])
+        return h
+
+    def test_earlier_hidden_states_ignore_later_passages(self, tiny_models, vocab):
+        """Bitwise: h at passage position i is invariant to any change in e_j, j > i."""
+        assert self._assert_earlier_states_ignore_later_passages(tiny_models, vocab).requires_grad
+
+    def test_earlier_hidden_states_ignore_later_passages_without_a_tape(self, tiny_models, vocab):
+        """The same on the tape-free forward, whose attention keeps no head copies."""
+        with ad.no_grad():
+            h = self._assert_earlier_states_ignore_later_passages(tiny_models, vocab)
+        assert not h.requires_grad
 
     def test_eos_state_sees_every_passage(self, tiny_models, vocab):
         inst = tiny_models.instruction_ids()
