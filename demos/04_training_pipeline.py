@@ -15,7 +15,8 @@ from embrank.evaluation import (EvalItem, evaluate_reranker, mean_ndcg,
 from embrank.retrieval import InvertedIndex
 from embrank.reranker import build_model_pair
 from embrank.synthetic import generate_synthetic
-from embrank.training import LossConfig, OptimConfig, StageConfig, run_dual_stage
+from embrank.training import (LossConfig, OptimConfig, StageConfig, TrainReport,
+                              train_stages)
 
 SEED = 0
 ds = generate_synthetic(seed=SEED)  # 500 docs, 50 train + 10 eval queries
@@ -36,11 +37,11 @@ before = evaluate_reranker(models, items, ds.qrels, 10)
 print(f"untrained reranker nDCG@10: {before.mean:.4f}")
 
 t0 = time.time()
-report = run_dual_stage(
-    models, ds.stage1_samples, ds.stage2_samples, doc_tokens,
-    StageConfig("stage1", epochs=3, batch_size=8, lr=3e-4),
-    StageConfig("stage2", epochs=5, batch_size=8, lr=3e-4),
-    OptimConfig(), LossConfig(), seed=SEED)
+plan = [(StageConfig("stage1", epochs=3, batch_size=8, lr=3e-4), ds.stage1_samples),
+        (StageConfig("stage2", epochs=5, batch_size=8, lr=3e-4), ds.stage2_samples)]
+report = TrainReport()
+for stage in train_stages(models, plan, doc_tokens, OptimConfig(), LossConfig(), SEED, report):
+    print(f"  {stage.name}: {report.stages[-1]['steps']} steps")
 print(f"\ntrained {len(report.records)} steps in {time.time() - t0:.0f}s")
 for i in (0, len(report.records) // 2, -1):
     r = report.records[i]

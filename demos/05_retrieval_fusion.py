@@ -12,7 +12,8 @@ from embrank.retrieval import (DenseIndex, InvertedIndex, end_to_end,
                                sliding_window_rerank)
 from embrank.reranker import build_model_pair, rerank_detailed
 from embrank.synthetic import generate_synthetic
-from embrank.training import LossConfig, OptimConfig, StageConfig, run_dual_stage
+from embrank.training import (LossConfig, OptimConfig, StageConfig, TrainReport,
+                              train_stages)
 
 SEED = 1
 ds = generate_synthetic(seed=SEED)  # 500 docs, 50 train + 10 eval queries
@@ -21,10 +22,10 @@ doc_tokens = {d.doc_id: d.tokens for d in ds.documents}
 models = build_model_pair(ds.vocab, SEED)
 print("joint training (the contrastive term keeps the encoder usable as a retriever)...")
 t0 = time.time()
-run_dual_stage(models, ds.stage1_samples, ds.stage2_samples, doc_tokens,
-               StageConfig("stage1", epochs=3, batch_size=8, lr=3e-4),
-               StageConfig("stage2", epochs=5, batch_size=8, lr=3e-4),
-               OptimConfig(), LossConfig(), seed=SEED)
+plan = [(StageConfig("stage1", epochs=3, batch_size=8, lr=3e-4), ds.stage1_samples),
+        (StageConfig("stage2", epochs=5, batch_size=8, lr=3e-4), ds.stage2_samples)]
+for _ in train_stages(models, plan, doc_tokens, OptimConfig(), LossConfig(), SEED, TrainReport()):
+    pass
 print(f"trained in {time.time() - t0:.0f}s")
 
 bm25 = InvertedIndex.build(ds.documents)

@@ -26,6 +26,6 @@ from .retrieval import (DenseIndex, InvertedIndex, end_to_end, rrf_fuse,
                         sliding_window_rerank)
 from .runs import RunList, TokenCounter, read_trec_run, write_trec_run
 from .synthetic import SyntheticDataset, generate_synthetic
-from .training import (Adam, LossConfig, OptimConfig, StageConfig, combined_loss,
-                       infonce_loss, ranknet_loss, run_dual_stage, train_stage)
+from .training import (Adam, LossConfig, OptimConfig, StageConfig, TrainReport,
+                       combined_loss, infonce_loss, ranknet_loss, train_stages)
 from .transformer import CausalTransformer, ModelConfig

@@ -20,14 +20,14 @@ from .checkpoint import encoder_checksum, load_checkpoint, parameter_checksum, s
 from .config import ExperimentConfig, config_to_dict, load_config, save_config
 from .data import (load_corpus, load_qrels, load_queries, load_samples,
                    write_corpus, write_qrels, write_queries, write_samples)
-from .errors import ConfigError, EmbrankError
+from .errors import ConfigError, DataFormatError, EmbrankError
 from .evaluation import (EvalItem, ablation_suite, efficiency_report,
                          format_ablation_table, mean_ndcg, ndcg_at_k,
                          ordering_experiment, rerank_eval_set)
 from .retrieval import DenseIndex, InvertedIndex, end_to_end, sliding_window_rerank
 from .reranker import build_model_pair, rerank_detailed
 from .runs import RunList, TokenCounter, read_trec_run, write_trec_run
-from .serialization import sha256_file
+from .serialization import sha256_file, text_lines
 from .synthetic import generate_synthetic
 from .training import TrainReport, train_stages
 
@@ -200,8 +200,10 @@ def cmd_rerank(args) -> int:
         query_tokens = models.vocab.encode(queries[qid].text)
         if args.mode == "sliding":
             runs.append(sliding_window_rerank(
-                query_tokens, cands, models, window=args.window or cfg.retrieval.window,
-                stride=args.stride or cfg.retrieval.stride, query_id=qid))
+                query_tokens, cands, models,
+                window=cfg.retrieval.window if args.window is None else args.window,
+                stride=cfg.retrieval.stride if args.stride is None else args.stride,
+                query_id=qid))
         else:
             runs.append(rerank_detailed(query_tokens, cands, models, query_id=qid).run)
     write_trec_run(out / "run.trec", runs)
@@ -318,17 +320,21 @@ def cmd_ablate(args) -> int:
 def cmd_efficiency(args) -> int:
     trace_path = _path(args.trace)
     runs = []
-    with trace_path.open("r", encoding="utf-8") as fh:
-        for line in fh:
-            if not line.strip():
-                continue
+    for lineno, line in text_lines(trace_path):
+        if not line.strip():
+            continue
+        try:
             rec = json.loads(line)
-            run = RunList(query_id=rec["query_id"])
-            run.counters = TokenCounter(
-                processed_passage_tokens=rec["processed_passage_tokens"],
-                generated_tokens=rec["generated_tokens"],
-                candidates=rec["candidates"])
-            runs.append(run)
+        except json.JSONDecodeError as exc:
+            raise DataFormatError(f"{trace_path}:{lineno}: invalid JSON ({exc.msg})") from None
+        if not isinstance(rec, dict) or "query_id" not in rec:
+            raise DataFormatError(f"{trace_path}:{lineno}: expected an object with a query_id")
+        counts = {}
+        for key in ("processed_passage_tokens", "generated_tokens", "candidates"):
+            counts[key] = rec.get(key)
+            if type(counts[key]) is not int:
+                raise DataFormatError(f"{trace_path}:{lineno}: {key} must be an integer")
+        runs.append(RunList(query_id=rec["query_id"], counters=TokenCounter(**counts)))
     report = efficiency_report(runs)
     lines = [f"queries: {len(runs)}", report.table_row()]
     text = "\n".join(lines) + "\n"

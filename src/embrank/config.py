@@ -108,55 +108,34 @@ def _typed(value, kind: type, key: str):
     return value
 
 
-def _parse_section(cls, data, path: str):
-    if not isinstance(data, dict):
-        raise ConfigError(f"{path}: expected an object")
-    kinds = typing.get_type_hints(cls)
-    unknown = sorted(set(data) - set(kinds))
+def _parse(kind, value, path: str):
+    """``value`` as the config field type ``kind``: a settings section, a list
+    of sections or a scalar; ``path`` is its dotted key, empty at the root."""
+    if typing.get_origin(kind) is list:
+        if not isinstance(value, list):
+            raise ConfigError(f"{path}: expected a list")
+        (item,) = typing.get_args(kind)
+        return [_parse(item, v, f"{path}[{i}]") for i, v in enumerate(value)]
+    if not dataclasses.is_dataclass(kind):
+        return _typed(value, kind, path)
+    if not isinstance(value, dict):
+        raise ConfigError(f"{path or 'config root'}: expected an object")
+    kinds = typing.get_type_hints(kind)
+    keys = {k: f"{path}.{k}" if path else k for k in value}
+    unknown = sorted(keys[k] for k in set(value) - set(kinds))
     if unknown:
-        raise ConfigError(f"unknown config key(s): {', '.join(f'{path}.{k}' for k in unknown)}")
-    return cls(**{k: _typed(v, kinds[k], f"{path}.{k}") for k, v in data.items()})
+        raise ConfigError(f"unknown config key(s): {', '.join(unknown)}")
+    return kind(**{k: _parse(kinds[k], v, keys[k]) for k, v in value.items()})
 
 
 def config_from_dict(data: dict) -> ExperimentConfig:
-    if not isinstance(data, dict):
-        raise ConfigError("config root must be an object")
-    known = {"seed", "model", "data", "loss", "stages", "optim", "retrieval"}
-    unknown = sorted(set(data) - known)
-    if unknown:
-        raise ConfigError(f"unknown config key(s): {', '.join(unknown)}")
-    cfg = ExperimentConfig()
-    if "seed" in data:
-        cfg.seed = _typed(data["seed"], int, "seed")
-    if "model" in data:
-        cfg.model = _parse_section(ModelSettings, data["model"], "model")
-    if "data" in data:
-        cfg.data = _parse_section(DataSettings, data["data"], "data")
-    if "loss" in data:
-        cfg.loss = _parse_section(LossConfig, data["loss"], "loss")
-    if "optim" in data:
-        cfg.optim = _parse_section(OptimConfig, data["optim"], "optim")
-    if "retrieval" in data:
-        cfg.retrieval = _parse_section(RetrievalSettings, data["retrieval"], "retrieval")
-    if "stages" in data:
-        if not isinstance(data["stages"], list):
-            raise ConfigError("stages: expected a list")
-        cfg.stages = [_parse_section(StageSettings, s, f"stages[{i}]")
-                      for i, s in enumerate(data["stages"])]
+    cfg = _parse(ExperimentConfig, data, "")
     cfg.validate()
     return cfg
 
 
 def config_to_dict(cfg: ExperimentConfig) -> dict:
-    return {
-        "seed": cfg.seed,
-        "model": dataclasses.asdict(cfg.model),
-        "data": dataclasses.asdict(cfg.data),
-        "loss": dataclasses.asdict(cfg.loss),
-        "stages": [dataclasses.asdict(s) for s in cfg.stages],
-        "optim": dataclasses.asdict(cfg.optim),
-        "retrieval": dataclasses.asdict(cfg.retrieval),
-    }
+    return dataclasses.asdict(cfg)
 
 
 def load_config(path) -> ExperimentConfig:

@@ -17,8 +17,7 @@ from .data import Qrels, Query
 from .errors import ConfigError, DataFormatError
 from .reranker import ModelPair, build_model_pair, rerank_detailed
 from .runs import RunList, TokenCounter
-from .training import (LossConfig, OptimConfig, StageConfig, TrainReport,
-                       run_dual_stage)
+from .training import LossConfig, OptimConfig, StageConfig, TrainReport, train_stages
 
 
 def ndcg_at_k(run: RunList, qrels: Qrels, k: int = 10) -> float | None:
@@ -211,7 +210,8 @@ def ablation_suite(vocab, doc_tokens, stage1_samples, stage2_samples,
     """Train one variant per removed component from identical initialization.
 
     Every variant uses the same seed, so the initial weights are identical and
-    exactly one switch differs from the full model.
+    exactly one switch differs from the full model. ``wo_stage1`` and
+    ``wo_stage2`` give that stage 0 epochs, so the other stage keeps its seed.
     """
     rows = []
     for variant in variants:
@@ -219,11 +219,13 @@ def ablation_suite(vocab, doc_tokens, stage1_samples, stage2_samples,
             raise ConfigError(f"unknown ablation variant {variant!r}")
         flag = _ABLATION_FLAGS.get(variant)
         loss_cfg = dataclasses.replace(base_loss, **({flag: False} if flag else {}))
+        plan = [(dataclasses.replace(stage, epochs=0) if variant == f"wo_stage{n}" else stage,
+                 samples)
+                for n, stage, samples in ((1, stage1, stage1_samples), (2, stage2, stage2_samples))]
         models = build_model_pair(vocab, seed, **model_kwargs)
-        report = run_dual_stage(models, stage1_samples, stage2_samples, doc_tokens,
-                                stage1, stage2, optim, loss_cfg, seed=seed,
-                                skip_stage1=variant == "wo_stage1",
-                                skip_stage2=variant == "wo_stage2")
+        report = TrainReport()
+        for _ in train_stages(models, plan, doc_tokens, optim, loss_cfg, seed, report):
+            pass
         result = evaluate_reranker(models, items, qrels, k)
         rows.append(AblationRow(variant=variant, ndcg=result.mean,
                                 is_baseline=(variant == "full"), train_report=report))

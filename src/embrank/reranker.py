@@ -191,9 +191,7 @@ class RerankResult:
 
 
 def rerank_detailed(query_ids, documents, models: ModelPair, *,
-                    query_id: str = "q0", tag: str = "embrank",
-                    counter: TokenCounter | None = None,
-                    count_candidates: bool = True) -> RerankResult:
+                    query_id: str = "q0", tag: str = "embrank") -> RerankResult:
     """Single-pass listwise rerank of one candidate list; ``.run`` is the ordered run.
 
     ``documents`` is a list of (doc_id, token_ids). The encoder compresses the
@@ -204,30 +202,25 @@ def rerank_detailed(query_ids, documents, models: ModelPair, *,
     with ad.no_grad():
         embeddings = models.encoder.batch_encode([tokens for _, tokens in documents])
     return rerank_embeddings(query_ids, [doc_id for doc_id, _ in documents], embeddings,
-                             models, query_id=query_id, tag=tag, counter=counter,
-                             count_candidates=count_candidates)
+                             models, query_id=query_id, tag=tag)
 
 
 def rerank_embeddings(query_ids, doc_ids: list[str], embeddings: Tensor,
-                      models: ModelPair, *, query_id: str = "q0", tag: str = "embrank",
-                      counter: TokenCounter | None = None,
-                      count_candidates: bool = True) -> RerankResult:
+                      models: ModelPair, *, query_id: str = "q0",
+                      tag: str = "embrank") -> RerankResult:
     """Single-pass listwise rerank of candidates given as their encoder embeddings.
 
     Row i of ``embeddings`` [n, d] is the encoder output of ``doc_ids[i]``. One
     reranker forward pass over the assembled sequence scores them all, under
-    ``no_grad`` (no tape is recorded). The counter records one processed passage
-    token per injected embedding and never sees a generated token.
+    ``no_grad`` (no tape is recorded). The run's own counter records one
+    processed passage token per injected embedding and never sees a generated
+    token.
     """
     if not doc_ids:
         raise DegenerateInputError("rerank: documents must be nonempty")
-    if counter is None:
-        counter = TokenCounter()
     with ad.no_grad():
         output = models.reranker.forward(models.instruction_ids(), query_ids, embeddings)
-    counter.count_processed(len(doc_ids))
-    if count_candidates:
-        counter.candidates += len(doc_ids)
+    counter = TokenCounter(processed_passage_tokens=len(doc_ids), candidates=len(doc_ids))
     entries = [RunEntry(doc_id=doc_ids[i], score=output.scores[i])
                for i in output.permutation]
     run = RunList(query_id=query_id, entries=entries, tag=tag, counters=counter)

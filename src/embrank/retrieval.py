@@ -323,7 +323,8 @@ def sliding_window_rerank(query_tokens, candidates, models: ModelPair, *,
     the whole list fits one window this is bit-identical to the single-pass
     rerank, cosine scores included; with several windows the emitted scores
     are rank-derived (descending integers) because per-window cosines are
-    not comparable across windows.
+    not comparable across windows. The run's counter sums the windows' own
+    counts, overlap included, and counts each candidate once.
     """
     if not candidates:
         raise DegenerateInputError("sliding_window_rerank: candidates must be nonempty")
@@ -346,15 +347,15 @@ def sliding_window_rerank(query_tokens, candidates, models: ModelPair, *,
         piece = work[start:start + window]
         result = rerank_embeddings(query_tokens, [doc_ids[i] for i in piece],
                                    ad.take_rows(embeddings, piece), models,
-                                   query_id=query_id, tag=tag, counter=counter,
-                                   count_candidates=False)
+                                   query_id=query_id, tag=tag)
+        counter.merge(result.run.counters)
         work[start:start + window] = [piece[i] for i in result.output.permutation]
         if start == 0:
             break
         start = max(0, start - stride)
-    counter.candidates = m
     if m <= window:  # one window: the single-pass run, cosine scores included
         return result.run
+    counter.candidates = m
     entries = [RunEntry(doc_id=doc_ids[j], score=float(m - i)) for i, j in enumerate(work)]
     return RunList(query_id=query_id, entries=entries, tag=tag, counters=counter)
 

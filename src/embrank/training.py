@@ -1,10 +1,12 @@
-"""Ranking losses, Adam optimizer, and the dual-stage training loops.
+"""Ranking losses, Adam optimizer, the training step and the stage loop.
 
 The combined objective is lambda * contrastive retrieval loss + pairwise
 ranking loss. Temperatures default to 0.05 for both terms and the balance
 factor to 0.1. Stage 1 runs coarse alignment on larger noisy candidate
 lists, stage 2 fine refinement on 1-positive/15-negative samples; both
-stages optimize the same combined objective.
+stages optimize the same combined objective. ``train_stages`` runs any plan
+of stages; a stage given 0 epochs is removed from the run and trains
+nothing, which is how the stage-removal ablations are built.
 
 Reference hyperparameters for the full-scale setting (batch size 128,
 learning rate 6e-6) are documented here but deliberately not defaulted:
@@ -174,7 +176,7 @@ class Adam:
 
 
 # ---------------------------------------------------------------------------
-# training loops
+# training step and stage loop
 # ---------------------------------------------------------------------------
 
 @dataclass
@@ -244,85 +246,53 @@ def train_step(models: ModelPair, batch: list[RankingSample], doc_tokens,
     }
 
 
-def train_stage(models: ModelPair, samples: list[RankingSample], doc_tokens,
-                stage: StageConfig, optim: OptimConfig, loss_cfg: LossConfig,
-                seed: int, report: TrainReport | None = None,
-                start_step: int = 0) -> TrainReport:
-    """Run one stage of epochs over the sample set, deterministically under seed.
+def train_stages(models: ModelPair, plan, doc_tokens, optim: OptimConfig,
+                 loss_cfg: LossConfig, seed: int, report: TrainReport):
+    """Run the (StageConfig, samples) pairs of ``plan`` in order into ``report``.
 
-    Syncs the reranker's ablation flags and the encoder's trainability from
-    ``loss_cfg`` before building the optimizer, so a frozen encoder receives
-    neither gradients nor updates.
+    Stage i is seeded with ``seed + i``, and step numbers continue from the
+    records already in ``report``. A stage of 0 epochs trains nothing, so
+    ``dataclasses.replace(stage, epochs=0)`` removes a stage without moving
+    the seeds of those after it. Each stage syncs the reranker's ablation
+    flags and the encoder's trainability from ``loss_cfg`` before building
+    its own Adam, so a frozen encoder receives neither gradients nor updates.
+    Yields each stage as it finishes, so a caller can checkpoint between
+    stages.
     """
     loss_cfg.validate()
-    if stage.epochs < 0 or stage.batch_size < 1:
-        raise ConfigError(f"stage {stage.name}: invalid epochs/batch_size")
-    report = report if report is not None else TrainReport()
+    for i, (stage, samples) in enumerate(plan):
+        if stage.epochs < 0 or stage.batch_size < 1:
+            raise ConfigError(f"stage {stage.name}: invalid epochs/batch_size")
+        usable = []
+        for sample in samples:
+            validate_sample(sample)
+            if has_orderable_pair(sample):
+                usable.append(sample)
+            else:
+                report.skipped_samples += 1
+        if not usable:
+            raise ConfigError(f"stage {stage.name}: no sample has an orderable pair")
 
-    usable = []
-    for sample in samples:
-        validate_sample(sample)
-        if has_orderable_pair(sample):
-            usable.append(sample)
-        else:
-            report.skipped_samples += 1
-    if not usable:
-        raise ConfigError(f"stage {stage.name}: no sample has an orderable pair")
+        models.encoder.set_trainable(loss_cfg.encoder_trainable)
+        models.reranker.set_trainable(True)
+        models.reranker.residual_enabled = loss_cfg.residual_enabled
+        models.reranker.hidden_state_enabled = loss_cfg.hidden_state_enabled
 
-    models.encoder.set_trainable(loss_cfg.encoder_trainable)
-    models.reranker.set_trainable(True)
-    models.reranker.residual_enabled = loss_cfg.residual_enabled
-    models.reranker.hidden_state_enabled = loss_cfg.hidden_state_enabled
-
-    optimizer = Adam(_trainable_params(models), lr=stage.lr, config=optim)
-    rng = np.random.default_rng(seed)
-    step = start_step
-    for _ in range(stage.epochs):
-        order = rng.permutation(len(usable))
-        for lo in range(0, len(order), stage.batch_size):
-            batch = [usable[i] for i in order[lo:lo + stage.batch_size]]
-            record = train_step(models, batch, doc_tokens, optimizer, loss_cfg,
-                                step, stage.name)
-            report.records.append(record)
-            step += 1
-    report.stages.append({
-        "name": stage.name,
-        "samples": len(usable),
-        "epochs": stage.epochs,
-        "batch_size": stage.batch_size,
-        "lr": stage.lr,
-        "steps": step - start_step,
-    })
-    return report
-
-
-def train_stages(models: ModelPair, stages, doc_tokens, optim: OptimConfig,
-                 loss_cfg: LossConfig, seed: int, report: TrainReport):
-    """Run (StageConfig, samples) pairs in order into an empty ``report``; stage i
-    is seeded with ``seed + i`` and continues the step count. Yields each stage
-    as it finishes, so a caller can checkpoint between stages."""
-    for i, (stage, samples) in enumerate(stages):
-        train_stage(models, samples, doc_tokens, stage, optim, loss_cfg,
-                    seed=seed + i, report=report, start_step=len(report.records))
+        optimizer = Adam(_trainable_params(models), lr=stage.lr, config=optim)
+        rng = np.random.default_rng(seed + i)
+        first_step = len(report.records)
+        for _ in range(stage.epochs):
+            order = rng.permutation(len(usable))
+            for lo in range(0, len(order), stage.batch_size):
+                batch = [usable[j] for j in order[lo:lo + stage.batch_size]]
+                report.records.append(train_step(models, batch, doc_tokens, optimizer,
+                                                 loss_cfg, len(report.records), stage.name))
+        report.stages.append({
+            "name": stage.name,
+            "samples": len(usable),
+            "epochs": stage.epochs,
+            "batch_size": stage.batch_size,
+            "lr": stage.lr,
+            "steps": len(report.records) - first_step,
+        })
         yield stage
-
-
-def run_dual_stage(models: ModelPair, stage1_samples, stage2_samples, doc_tokens,
-                   stage1: StageConfig, stage2: StageConfig,
-                   optim: OptimConfig, loss_cfg: LossConfig, seed: int,
-                   skip_stage1: bool = False, skip_stage2: bool = False) -> TrainReport:
-    """Stage 1 (coarse) then stage 2 (fine), same combined objective throughout.
-
-    The skip flags implement the two stage-removal ablations; skipping both
-    leaves the models bit-identical to initialization. Stage 2 is seeded with
-    ``seed + 1`` whether or not stage 1 runs.
-    """
-    first = int(skip_stage1)
-    plan = [(stage1, stage1_samples), (stage2, stage2_samples)][first:2 - int(skip_stage2)]
-    for n, (_, samples) in enumerate(plan, start=first + 1):
-        if samples is None:
-            raise ConfigError(f"run_dual_stage: stage {n} requested but no samples given")
-    report = TrainReport()
-    for _ in train_stages(models, plan, doc_tokens, optim, loss_cfg, seed + first, report):
-        pass
-    return report

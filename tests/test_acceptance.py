@@ -25,10 +25,9 @@ from embrank.reranker import build_model_pair, rerank_detailed
 from embrank.retrieval import InvertedIndex, rrf_fuse
 from embrank.runs import RunEntry, RunList
 from embrank.synthetic import generate_synthetic
-from embrank.training import (Adam, LossConfig, OptimConfig, StageConfig,
+from embrank.training import (Adam, LossConfig, OptimConfig, StageConfig, TrainReport,
                               _trainable_params, combined_loss, infonce_loss,
-                              ranknet_loss, run_dual_stage, train_stage,
-                              train_step)
+                              ranknet_loss, train_stages, train_step)
 
 from helpers import naive_bm25_scores, naive_ndcg, naive_rrf, op_gradcheck_cases
 
@@ -219,10 +218,11 @@ def test_criterion_5_synthetic_end_to_end_gain():
     base = mean_ndcg(bm25_runs, ds.qrels, 10)
 
     models = build_model_pair(ds.vocab, GAIN_SEED)
-    run_dual_stage(models, ds.stage1_samples, ds.stage2_samples, doc_tokens,
-                   StageConfig("stage1", epochs=3, batch_size=8, lr=3e-4),
-                   StageConfig("stage2", epochs=5, batch_size=8, lr=3e-4),
-                   OptimConfig(), LossConfig(), seed=GAIN_SEED)
+    plan = [(StageConfig("stage1", epochs=3, batch_size=8, lr=3e-4), ds.stage1_samples),
+            (StageConfig("stage2", epochs=5, batch_size=8, lr=3e-4), ds.stage2_samples)]
+    for _ in train_stages(models, plan, doc_tokens, OptimConfig(), LossConfig(), GAIN_SEED,
+                          TrainReport()):
+        pass
     trained = evaluate_reranker(models, items, ds.qrels, 10)
     elapsed = time.time() - start
     gain = trained.mean - base.mean
@@ -269,9 +269,10 @@ def test_criterion_6_structural_ablations(small_dataset, small_doc_tokens):
     m3 = build_model_pair(ds.vocab, seed=601, d_model=16, n_layers=1, n_heads=2,
                           reranker_max_len=96)
     enc_before = {k: t.data.copy() for k, t in m3.encoder.parameters().items()}
-    train_stage(m3, ds.stage2_samples[:6], small_doc_tokens,
-                StageConfig("stage2", epochs=1, batch_size=3, lr=1e-3),
-                OptimConfig(), LossConfig(encoder_trainable=False), seed=0)
+    for _ in train_stages(m3, [(StageConfig("stage2", epochs=1, batch_size=3, lr=1e-3),
+                                ds.stage2_samples[:6])], small_doc_tokens,
+                          OptimConfig(), LossConfig(encoder_trainable=False), 0, TrainReport()):
+        pass
     for k, t in m3.encoder.parameters().items():
         assert np.array_equal(t.data, enc_before[k])
 

@@ -1,5 +1,6 @@
 """CLI surface: subcommand wiring, run-directory contract, reproducibility."""
 
+import dataclasses
 import json
 import hashlib
 import shutil
@@ -11,11 +12,11 @@ from embrank.checkpoint import (encoder_checksum, load_checkpoint, parameter_che
                                 save_checkpoint)
 from embrank.cli import main
 from embrank.config import load_config
-from embrank.data import load_corpus, load_samples
+from embrank.data import load_corpus, load_queries, load_samples
 from embrank.reranker import build_model_pair
 from embrank.runs import read_trec_run
 from embrank.serialization import read_record_file, write_record_file
-from embrank.training import run_dual_stage
+from embrank.training import TrainReport, train_stages
 
 MICRO_CONFIG = {
     "seed": 3,
@@ -88,10 +89,12 @@ class TestTrain:
         assert sha(again / "metrics.jsonl") == sha(train / "metrics.jsonl")
 
     @pytest.mark.parametrize("n_stages", [2, 1])
-    def test_same_training_as_run_dual_stage(self, workdir, tmp_path, n_stages):
-        """train runs run_dual_stage's stage loop: same seeds, steps and weights;
-        a one-stage config trains stage 1 only."""
+    def test_same_training_as_train_stages(self, workdir, tmp_path, n_stages):
+        """train runs train_stages over the config's stages: same seeds, steps and
+        weights; a one-stage config trains what the two-stage plan with stage 2
+        at 0 epochs trains."""
         root, config, data, train, index = workdir
+        stage_cfgs = load_config(config).stage_configs()
         if n_stages == 1:
             config = tmp_path / "one_stage.json"
             config.write_text(json.dumps({**MICRO_CONFIG, "stages": MICRO_CONFIG["stages"][:1]}))
@@ -99,15 +102,16 @@ class TestTrain:
             assert main(["train", "--config", str(config), "--data", str(data),
                          "--out", str(train)]) == 0
             assert not (train / "checkpoints/stage2.ckpt").exists()
+            stage_cfgs[1] = dataclasses.replace(stage_cfgs[1], epochs=0)
         cfg = load_config(config)
         docs, vocab = load_corpus(data / "corpus.jsonl")
         models = build_model_pair(vocab, cfg.seed, **cfg.model.build_kwargs())
-        stage_cfgs = cfg.stage_configs()
-        report = run_dual_stage(models, load_samples(data / "stage1.jsonl"),
-                                load_samples(data / "stage2.jsonl"),
-                                {d.doc_id: d.tokens for d in docs},
-                                stage_cfgs[0], stage_cfgs[-1], cfg.optim, cfg.loss,
-                                seed=cfg.seed, skip_stage2=n_stages == 1)
+        plan = list(zip(stage_cfgs, [load_samples(data / "stage1.jsonl"),
+                                     load_samples(data / "stage2.jsonl")]))
+        report = TrainReport()
+        for _ in train_stages(models, plan, {d.doc_id: d.tokens for d in docs}, cfg.optim,
+                              cfg.loss, cfg.seed, report):
+            pass
         final = load_checkpoint(train / "checkpoints/final.ckpt")
         assert parameter_checksum(final) == parameter_checksum(models)
         records = [json.loads(line) for line in (train / "metrics.jsonl").read_text().splitlines()]
@@ -296,6 +300,25 @@ class TestRerankCommand:
                      "--out", str(out)]) == 0
         assert (out / "run.trec").exists()
 
+    @pytest.mark.parametrize("flag", ["--window", "--stride"])
+    def test_sliding_flag_of_zero_is_rejected_not_replaced(self, workdir, tmp_path, capsys,
+                                                          flag):
+        """A 0 on the command line reaches sliding_window_rerank's check instead
+        of falling back to the config's window 20 / stride 10."""
+        root, config, data, train, index = workdir
+        qid = load_queries(data / "queries_eval.tsv")[0].query_id
+        doc_id = load_corpus(data / "corpus.jsonl")[0][0].doc_id
+        candidates = tmp_path / "first.trec"
+        candidates.write_text(f"{qid} Q0 {doc_id} 1 1.0 t\n")
+        code = main(["rerank", "--config", str(config),
+                     "--checkpoint", str(train / "checkpoints/final.ckpt"),
+                     "--corpus", str(data / "corpus.jsonl"),
+                     "--queries", str(data / "queries_eval.tsv"),
+                     "--candidates", str(candidates), "--mode", "sliding", flag, "0",
+                     "--out", str(tmp_path / "sw")])
+        assert code == 1
+        assert "need 1 <= stride <= window" in capsys.readouterr().err
+
 
 class TestAblate:
     def test_ablate_reports_all_variants(self, workdir, tmp_path):
@@ -319,6 +342,21 @@ class TestEfficiencyAndOrdering:
         assert main(["efficiency", "--trace", str(trace), "--out", str(out)]) == 0
         text = (out / "report.txt").read_text()
         assert "#Proc=100" in text and "#Gen=0" in text
+
+    @pytest.mark.parametrize("bad_line, message", [
+        (b'{"query_id": "q1", "processed_passage_tokens": 5, "generated_tokens": 0}',
+         "candidates must be an integer"),
+        (b'{"query_id": "q1", ', "invalid JSON"),
+        (b'{"query_id": "q\xff"}', "not UTF-8 text"),
+    ], ids=["missing key", "not JSON", "not UTF-8"])
+    def test_bad_trace_line_names_the_file_and_line(self, tmp_path, capsys, bad_line, message):
+        good = json.dumps({"query_id": "q0", "processed_passage_tokens": 100,
+                           "candidates": 100, "generated_tokens": 0}).encode()
+        trace = tmp_path / "trace.jsonl"
+        trace.write_bytes(good + b"\n" + bad_line + b"\n")
+        assert main(["efficiency", "--trace", str(trace)]) == 1
+        err = capsys.readouterr().err
+        assert f"{trace}:2: {message}" in err and "Traceback" not in err
 
     def test_order_exp(self, workdir, tmp_path):
         root, config, data, train, index = workdir

@@ -18,7 +18,8 @@ from embrank.retrieval import (RETRIEVAL_MODES, DenseIndex, InvertedIndex, end_t
 from embrank.reranker import build_model_pair, rerank_detailed
 from embrank.runs import RunEntry, RunList, sorted_entries
 from embrank.synthetic import generate_synthetic
-from embrank.training import Adam, LossConfig, OptimConfig, StageConfig, train_stage
+from embrank.training import (Adam, LossConfig, OptimConfig, StageConfig, TrainReport,
+                              train_stages)
 
 from helpers import naive_bm25_scores, naive_rrf
 
@@ -653,9 +654,11 @@ class TestEncoderFingerprint:
         models, doc_tokens, bm25, dense = fresh_pipeline(small_dataset)
         before = self.run(small_dataset, models, doc_tokens, bm25, dense)[0]
         reranker_before = {k: t.data for k, t in models.reranker.parameters().items()}
-        train_stage(models, small_dataset.stage2_samples[:4], doc_tokens,
-                    StageConfig("stage2", epochs=1, batch_size=2, lr=1e-3),
-                    OptimConfig(), LossConfig(encoder_trainable=False), seed=0)
+        for _ in train_stages(models, [(StageConfig("stage2", epochs=1, batch_size=2, lr=1e-3),
+                                        small_dataset.stage2_samples[:4])], doc_tokens,
+                              OptimConfig(), LossConfig(encoder_trainable=False), 0,
+                              TrainReport()):
+            pass
         assert any(t.data is not reranker_before[k]
                    for k, t in models.reranker.parameters().items())
         hashes.clear()

@@ -1,4 +1,4 @@
-"""Loss closed forms, optimizer behavior, and the dual-stage loops."""
+"""Loss closed forms, optimizer behavior, the training step and the stage loop."""
 
 import math
 
@@ -10,10 +10,10 @@ from embrank.autodiff import backward
 from embrank.checkpoint import parameter_checksum
 from embrank.errors import ConfigError, DegenerateInputError, TrainingError
 from embrank.reranker import build_model_pair
-from embrank.training import (Adam, LossConfig, OptimConfig, StageConfig,
+from embrank.training import (Adam, LossConfig, OptimConfig, StageConfig, TrainReport,
                               _ensure_finite_loss, _trainable_params,
                               combined_loss, infonce_loss, ranknet_loss,
-                              run_dual_stage, train_stage, train_step)
+                              train_stages, train_step)
 
 RECORD_KEYS = ("infonce", "ranknet", "combined", "grad_norm")
 
@@ -26,6 +26,15 @@ def unit(v):
 def rows(*vectors):
     """The [n, d] matrix of the given vectors."""
     return ad.tensor(np.array(vectors, dtype=np.float64))
+
+
+def run_plan(models, plan, doc_tokens, loss_cfg=None, seed=0) -> TrainReport:
+    """Every stage of ``plan`` trained by ``train_stages``; returns the report."""
+    report = TrainReport()
+    for _ in train_stages(models, plan, doc_tokens, OptimConfig(), loss_cfg or LossConfig(),
+                          seed, report):
+        pass
+    return report
 
 
 class TestInfoNCE:
@@ -239,10 +248,9 @@ class TestTrainingLoops:
                                   n_layers=1, n_heads=2, reranker_max_len=64)
         enc_before = {k: t.data.copy() for k, t in models.encoder.parameters().items()}
         rer_before = parameter_checksum(models)
-        cfg = LossConfig(encoder_trainable=False)
-        train_stage(models, small_dataset.stage2_samples[:4], small_doc_tokens,
-                    StageConfig("stage2", epochs=1, batch_size=2, lr=1e-3),
-                    OptimConfig(), cfg, seed=0)
+        run_plan(models, [(StageConfig("stage2", epochs=1, batch_size=2, lr=1e-3),
+                           small_dataset.stage2_samples[:4])],
+                 small_doc_tokens, LossConfig(encoder_trainable=False))
         for k, t in models.encoder.parameters().items():
             np.testing.assert_array_equal(t.data, enc_before[k])
         assert parameter_checksum(models) != rer_before  # reranker did move
@@ -251,34 +259,67 @@ class TestTrainingLoops:
         def run():
             models = build_model_pair(small_dataset.vocab, seed=5, d_model=16,
                                       n_layers=1, n_heads=2, reranker_max_len=64)
-            run_dual_stage(models, small_dataset.stage1_samples[:4],
-                           small_dataset.stage2_samples[:4], small_doc_tokens,
-                           StageConfig("stage1", epochs=1, batch_size=2, lr=1e-3),
-                           StageConfig("stage2", epochs=1, batch_size=2, lr=1e-3),
-                           OptimConfig(), LossConfig(), seed=5)
+            run_plan(models, [(StageConfig("stage1", epochs=1, batch_size=2, lr=1e-3),
+                               small_dataset.stage1_samples[:4]),
+                              (StageConfig("stage2", epochs=1, batch_size=2, lr=1e-3),
+                               small_dataset.stage2_samples[:4])],
+                     small_doc_tokens, seed=5)
             return parameter_checksum(models)
         assert run() == run()
+
+    # (stage 1 epochs, stage 2 epochs) -> the hex parameter checksum, the
+    # record count and the last combined loss, pinned from the two-stage
+    # driver with skip flags that this loop replaced.
+    PINNED_PLANS = {
+        (1, 2): ("af0a699ec3d5f4aaea33050919840a17ae3f6523c02910ce318192156985cac2", 6,
+                 "0x1.1acb6aab3d445p+6"),
+        (0, 2): ("8d77e0aefb6a8709a0c2b77215bc26d42e9400dad98b3781279567b9ca9729bc", 4,
+                 "0x1.993a5f0abf203p+5"),
+        (1, 0): ("d1e637f1d5687218561b6d163439f2991a6e0c1f143656efa6dd63a34864a0a6", 2,
+                 "0x1.cfd40861bd5a9p+7"),
+        (0, 0): ("83576550e81a67f20fde4b235119cc507046a5db8ba9710e3c31be2d52e1a5fb", 0, None),
+    }
+
+    @pytest.mark.parametrize("epochs", list(PINNED_PLANS),
+                             ids=["full", "wo_stage1", "wo_stage2", "no_stage"])
+    def test_zero_epoch_stage_is_removed_and_keeps_later_seeds(
+            self, small_dataset, small_doc_tokens, epochs):
+        """A stage of 0 epochs trains nothing and the other stage keeps seed + i,
+        so each plan lands on the weights and records pinned for it."""
+        checksum, n_records, last_combined = self.PINNED_PLANS[epochs]
+        models = build_model_pair(small_dataset.vocab, seed=5, d_model=16,
+                                  n_layers=1, n_heads=2, reranker_max_len=64)
+        report = run_plan(models, [(StageConfig("stage1", epochs=epochs[0], batch_size=2,
+                                                lr=1e-3), small_dataset.stage1_samples[:4]),
+                                   (StageConfig("stage2", epochs=epochs[1], batch_size=2,
+                                                lr=1e-3), small_dataset.stage2_samples[:4])],
+                          small_doc_tokens, seed=5)
+        assert parameter_checksum(models) == checksum
+        assert len(report.records) == n_records
+        assert [r["step"] for r in report.records] == list(range(n_records))
+        if n_records:
+            assert report.records[-1]["combined"].hex() == last_combined
+        assert [s["steps"] for s in report.stages] == [2 * epochs[0], 2 * epochs[1]]
 
     def test_skip_both_stages_leaves_models_at_init(self, small_dataset, small_doc_tokens):
         models = build_model_pair(small_dataset.vocab, seed=6, d_model=16,
                                   n_layers=1, n_heads=2, reranker_max_len=64)
         before = parameter_checksum(models)
-        report = run_dual_stage(models, small_dataset.stage1_samples,
-                                small_dataset.stage2_samples, small_doc_tokens,
-                                StageConfig("stage1"), StageConfig("stage2"),
-                                OptimConfig(), LossConfig(), seed=6,
-                                skip_stage1=True, skip_stage2=True)
+        report = run_plan(models, [(StageConfig("stage1", epochs=0), small_dataset.stage1_samples),
+                                   (StageConfig("stage2", epochs=0), small_dataset.stage2_samples)],
+                          small_doc_tokens, seed=6)
         assert parameter_checksum(models) == before
-        assert report.stages == [] and report.records == []
+        assert [(s["name"], s["steps"]) for s in report.stages] == [("stage1", 0), ("stage2", 0)]
+        assert report.records == []
 
     def test_stage_order_and_dataset_identity_recorded(self, small_dataset, small_doc_tokens):
         models = build_model_pair(small_dataset.vocab, seed=7, d_model=16,
                                   n_layers=1, n_heads=2, reranker_max_len=64)
-        report = run_dual_stage(models, small_dataset.stage1_samples[:2],
-                                small_dataset.stage2_samples[:2], small_doc_tokens,
-                                StageConfig("stage1", epochs=1, batch_size=2),
-                                StageConfig("stage2", epochs=1, batch_size=2),
-                                OptimConfig(), LossConfig(), seed=7)
+        report = run_plan(models, [(StageConfig("stage1", epochs=1, batch_size=2),
+                                    small_dataset.stage1_samples[:2]),
+                                   (StageConfig("stage2", epochs=1, batch_size=2),
+                                    small_dataset.stage2_samples[:2])],
+                          small_doc_tokens, seed=7)
         assert [s["name"] for s in report.stages] == ["stage1", "stage2"]
         assert report.stages[0]["samples"] == 2
         stages_in_records = [r["stage"] for r in report.records]
@@ -320,9 +361,7 @@ class TestTrainingLoops:
         for c in degenerate[0].candidates:
             c.rank_label = 0
         with pytest.raises(ConfigError):
-            train_stage(models, degenerate, small_doc_tokens,
-                        StageConfig("stage2", epochs=1), OptimConfig(), LossConfig(),
-                        seed=0)
+            run_plan(models, [(StageConfig("stage2", epochs=1), degenerate)], small_doc_tokens)
 
 
 def every_use_step(models, batch, doc_tokens, loss_cfg):
