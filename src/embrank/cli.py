@@ -17,13 +17,13 @@ from pathlib import Path
 
 from . import __version__
 from .checkpoint import encoder_checksum, load_checkpoint, parameter_checksum, save_checkpoint
-from .config import ExperimentConfig, config_to_dict, load_config, save_config
+from .config import ExperimentConfig, config_to_dict, load_config
 from .data import (load_corpus, load_qrels, load_queries, load_samples,
                    write_corpus, write_qrels, write_queries, write_samples)
 from .errors import ConfigError, DataFormatError, EmbrankError
 from .evaluation import (EvalItem, ablation_suite, efficiency_report,
                          format_ablation_table, mean_ndcg, ndcg_at_k,
-                         ordering_experiment, rerank_eval_set)
+                         ordering_experiment)
 from .retrieval import DenseIndex, InvertedIndex, end_to_end, sliding_window_rerank
 from .reranker import build_model_pair, rerank_detailed
 from .runs import RunList, TokenCounter, read_trec_run, write_trec_run

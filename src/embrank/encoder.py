@@ -20,9 +20,10 @@ from .transformer import CausalTransformer, ModelConfig
 # sets glibc's dynamic malloc thresholds (from the largest block freed so far):
 # after 192-row packs the reranker's attention ran on freshly faulted pages.
 # Each op's fresh arrays are faulted in again once glibc has handed them back:
-# with the tape-free ops' temporaries cut, a 500-passage build faults in about
-# 15k pages (37k before) and the first 5000-passage build in a process about
-# 175k (380k before), most of them in ``silu`` and attention.
+# with the tape-free ops' temporaries cut and the last block run past attention
+# on the pooled rows only, a 500-passage build faults in about 17k pages (37k
+# before either) and the first 5000-passage build in a process about 160k
+# (380k), most of them in ``silu`` and attention.
 TOKEN_BUDGET = 384
 
 
@@ -62,9 +63,11 @@ class EncoderModel:
         rows of [ΣT, d] forwards of at most ``TOKEN_BUDGET`` rows (a longer
         passage runs alone), with no padding. Every op is row-wise but
         attention, which keeps to each passage's rows (see ``autodiff``): that
-        keeps each passage's bits. Each pack's last rows are pooled by one
-        ``take_rows``, joined by one ``concat_rows`` and put back in input order
-        by one ``take_rows``; gradients flow back to every passage.
+        keeps each passage's bits. Each pack's forward is told its passages'
+        last rows, so its last block runs past attention on those rows only
+        and it returns just the pooled [len(pack), d]; the packs are joined by
+        one ``concat_rows`` and put back in input order by one ``take_rows``;
+        gradients flow back to every passage.
         """
         limit, d = self.config.max_seq_len, self.config.d_model
         order = sorted(range(len(passages)), key=lambda i: len(passages[i]))
@@ -88,8 +91,8 @@ class EncoderModel:
             lengths = [len(passages[i]) for i in pack]
             try:
                 x = self.transformer.embed_tokens([passages[i] for i in pack])
-                hidden = self.transformer.forward_embedded(x, lengths)
-                pooled.append(ad.take_rows(hidden, np.cumsum(lengths) - 1))
+                pooled.append(self.transformer.forward_embedded(x, lengths,
+                                                                np.cumsum(lengths) - 1))
             except EmbrankError as exc:
                 raise type(exc)(f"passages {sorted(pack)}: {exc}") from exc
         out = ad.concat_rows(pooled)

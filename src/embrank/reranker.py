@@ -111,9 +111,12 @@ class RerankerModel:
             eos_position=total - 1,
         )
 
-    def contextualize(self, rerank_input: RerankInput) -> Tensor:
-        """Causal forward pass; returns the final-layer hidden state per position."""
-        return self.transformer.forward_embedded(rerank_input.x)
+    def contextualize(self, rerank_input: RerankInput, rows=None) -> Tensor:
+        """Causal forward pass; returns the final-layer hidden state per
+        position, or [len(rows), d] holding only those at the positions
+        ``rows`` (the same bits; past attention, the last block runs on them
+        alone)."""
+        return self.transformer.forward_embedded(rerank_input.x, rows=rows)
 
     def score(self, h_eos: Tensor, fused: Tensor) -> tuple[list[float], Tensor, list[int]]:
         """Cosine of the EOS aggregation state against each fused row of ``fused`` [n, d].
@@ -126,11 +129,16 @@ class RerankerModel:
         return score_tensor.data.tolist(), score_tensor, permutation
 
     def forward(self, instruction_ids, query_ids, embeddings: Tensor) -> RerankOutput:
-        """Score the candidates whose encoder embeddings are the rows of ``embeddings`` [n, d]."""
+        """Score the candidates whose encoder embeddings are the rows of ``embeddings`` [n, d].
+
+        Only the n passage slots and EOS are read, so only those rows leave the
+        last block: ``hidden`` row i is slot i and row n is EOS.
+        """
         rin = self.assemble_input(instruction_ids, query_ids, embeddings)
-        hidden = self.contextualize(rin)
-        h_eos = ad.pick(hidden, rin.eos_position)
-        fused = fuse_residual(ad.take_rows(hidden, rin.passage_positions), embeddings,
+        n = len(rin.passage_positions)
+        hidden = self.contextualize(rin, rin.passage_positions + [rin.eos_position])
+        h_eos = ad.pick(hidden, n)
+        fused = fuse_residual(ad.take_rows(hidden, np.arange(n)), embeddings,
                               residual=self.residual_enabled,
                               hidden_state=self.hidden_state_enabled)
         scores, score_tensor, permutation = self.score(h_eos, fused)

@@ -256,23 +256,33 @@ def train_stages(models: ModelPair, plan, doc_tokens, optim: OptimConfig,
     the seeds of those after it. Each stage syncs the reranker's ablation
     flags and the encoder's trainability from ``loss_cfg`` before building
     its own Adam, so a frozen encoder receives neither gradients nor updates.
-    Yields each stage as it finishes, so a caller can checkpoint between
+
+    The loss config and every stage (epochs, batch size, samples) are checked
+    here, before anything trains: a bad plan raises ``ConfigError`` from the
+    call itself. The returned iterator trains the stages as it is driven and
+    yields each stage as it finishes, so a caller can checkpoint between
     stages.
     """
     loss_cfg.validate()
-    for i, (stage, samples) in enumerate(plan):
+    checked = []
+    for stage, samples in plan:
         if stage.epochs < 0 or stage.batch_size < 1:
-            raise ConfigError(f"stage {stage.name}: invalid epochs/batch_size")
-        usable = []
+            raise ConfigError(f"stage {stage.name}: invalid epochs={stage.epochs}/"
+                              f"batch_size={stage.batch_size}")
         for sample in samples:
             validate_sample(sample)
-            if has_orderable_pair(sample):
-                usable.append(sample)
-            else:
-                report.skipped_samples += 1
+        usable = [sample for sample in samples if has_orderable_pair(sample)]
         if not usable:
             raise ConfigError(f"stage {stage.name}: no sample has an orderable pair")
+        checked.append((stage, usable, len(samples) - len(usable)))
+    return _run_stages(models, checked, doc_tokens, optim, loss_cfg, seed, report)
 
+
+def _run_stages(models, checked, doc_tokens, optim, loss_cfg, seed, report):
+    """``train_stages``' loop over its checked (stage, usable samples, skipped
+    count) triples."""
+    for i, (stage, usable, skipped) in enumerate(checked):
+        report.skipped_samples += skipped
         models.encoder.set_trainable(loss_cfg.encoder_trainable)
         models.reranker.set_trainable(True)
         models.reranker.residual_enabled = loss_cfg.residual_enabled

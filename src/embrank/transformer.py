@@ -5,7 +5,9 @@ SiLU feed-forward, learned absolute positions, no biases. Sequences run packed
 end to end as the rows of one [ΣT, d] matrix; attention, the one
 ``autodiff.causal_attention`` op, is told their lengths, and its docstring
 states the additive -1e9 mask and the bitwise-causality contract it gives the
-hidden states.
+hidden states. A caller that reads only some rows (the encoder's pooled last
+tokens, the reranker's passage slots and EOS) names them, and the last block
+runs everything after attention on those rows only.
 """
 
 from __future__ import annotations
@@ -81,30 +83,41 @@ class CausalTransformer:
         return ad.add(ad.take_rows(self.params["tok_emb"], ids),
                       ad.take_rows(self.params["pos_emb"], positions))
 
-    def _attention(self, x: Tensor, layer: int, lengths: list[int]) -> Tensor:
-        q = ad.matmul(x, self.params[f"layers.{layer}.attn.wq"])
-        k = ad.matmul(x, self.params[f"layers.{layer}.attn.wk"])
-        v = ad.matmul(x, self.params[f"layers.{layer}.attn.wv"])
-        heads = ad.causal_attention(q, k, v, self.config.n_heads, lengths)
-        return ad.matmul(heads, self.params[f"layers.{layer}.attn.wo"])
+    def _block(self, x: Tensor, layer: int, lengths: list[int], rows=None) -> Tensor:
+        """One pre-norm block. Given ``rows``, attention still runs over every
+        row (its keys and values need them all), then the residual stream and
+        the attention output are gathered at ``rows`` and the rest of the block
+        runs on those rows only."""
+        cfg, p = self.config, self.params
+        a = ad.rms_norm(x, p[f"layers.{layer}.attn_norm.weight"], cfg.norm_eps)
+        q = ad.matmul(a, p[f"layers.{layer}.attn.wq"])
+        k = ad.matmul(a, p[f"layers.{layer}.attn.wk"])
+        v = ad.matmul(a, p[f"layers.{layer}.attn.wv"])
+        heads = ad.causal_attention(q, k, v, cfg.n_heads, lengths)
+        if rows is not None:
+            x, heads = ad.take_rows(x, rows), ad.take_rows(heads, rows)
+        x = ad.add(x, ad.matmul(heads, p[f"layers.{layer}.attn.wo"]))
+        m = ad.rms_norm(x, p[f"layers.{layer}.mlp_norm.weight"], cfg.norm_eps)
+        h = ad.silu(ad.matmul(m, p[f"layers.{layer}.mlp.w1"]))
+        return ad.add(x, ad.matmul(h, p[f"layers.{layer}.mlp.w2"]))
 
-    def _block(self, x: Tensor, layer: int, lengths: list[int]) -> Tensor:
-        cfg = self.config
-        a = ad.rms_norm(x, self.params[f"layers.{layer}.attn_norm.weight"], cfg.norm_eps)
-        x = ad.add(x, self._attention(a, layer, lengths))
-        m = ad.rms_norm(x, self.params[f"layers.{layer}.mlp_norm.weight"], cfg.norm_eps)
-        h = ad.silu(ad.matmul(m, self.params[f"layers.{layer}.mlp.w1"]))
-        return ad.add(x, ad.matmul(h, self.params[f"layers.{layer}.mlp.w2"]))
-
-    def forward_embedded(self, x: Tensor, lengths=None) -> Tensor:
+    def forward_embedded(self, x: Tensor, lengths=None, rows=None) -> Tensor:
         """Run the blocks over already-embedded sequences of ``lengths``, packed
         end to end as the rows of ``x`` [ΣT, d] (by default one sequence of
-        all rows); post-norm output of the same shape."""
+        all rows); post-norm output of the same shape.
+
+        ``rows``, if given, are the packed row indices the caller reads: the
+        output is then [len(rows), d], row j equal bit for bit to row
+        ``rows[j]`` of the full output, and the last block runs everything after
+        attention on those rows only. Every op after attention is row-wise, and
+        a matmul row keeps its bits whatever the row count (see ``ad.matmul``).
+        """
         if x.ndim != 2 or x.shape[1] != self.config.d_model:
             raise ShapeError(f"expected [T, {self.config.d_model}] input, got {x.shape}")
         lengths = [x.shape[0]] if lengths is None else list(lengths)
         if max(lengths, default=0) > self.config.max_seq_len:
             raise ShapeError(f"sequence length {max(lengths)} exceeds max_seq_len={self.config.max_seq_len}")
+        last = self.config.n_layers - 1
         for i in range(self.config.n_layers):
-            x = self._block(x, i, lengths)
+            x = self._block(x, i, lengths, rows if i == last else None)
         return ad.rms_norm(x, self.params["final_norm.weight"], self.config.norm_eps)

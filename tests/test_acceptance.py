@@ -11,11 +11,9 @@ import time
 import zlib
 
 import numpy as np
-import pytest
 
 import embrank.autodiff as ad
 from embrank.autodiff import backward
-from embrank.checkpoint import parameter_checksum
 from embrank.cli import main as cli_main
 from embrank.data import Vocabulary
 from embrank.evaluation import (EvalItem, efficiency_report, evaluate_reranker,

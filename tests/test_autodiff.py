@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import embrank.autodiff as ad
-from embrank.autodiff import Tensor, backward
+from embrank.autodiff import backward
 from embrank.errors import DegenerateInputError, NumericError, ShapeError
 from embrank.reranker import build_model_pair
 from embrank.training import Adam, LossConfig, train_step

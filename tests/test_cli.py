@@ -3,7 +3,6 @@
 import dataclasses
 import json
 import hashlib
-import shutil
 
 import pytest
 

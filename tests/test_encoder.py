@@ -197,3 +197,57 @@ def test_normalized_variant_unit_norm(tiny_vocab):
                               normalize_embeddings=True)
     e = models.encoder.encode_passage(tiny_vocab.encode("alpha beta"))
     assert float(np.linalg.norm(e.data)) == pytest.approx(1.0, abs=1e-12)
+
+
+class TestReadRows:
+    """``forward_embedded(x, lengths, rows)`` runs the last block past attention
+    on ``rows`` only, and row j of its output is row ``rows[j]`` of the full
+    forward, bit for bit."""
+
+    @staticmethod
+    def transformer(vocab, n_layers):
+        return build_model_pair(vocab, seed=29, d_model=16, n_layers=n_layers, n_heads=2,
+                                encoder_max_len=12, ffn_mult=2).encoder.transformer
+
+    @pytest.mark.parametrize("n_layers", [1, 2])
+    @pytest.mark.parametrize("texts, rows", [
+        # mixed lengths with a 1-token passage: each one's last row, then any rows
+        (("alpha beta gamma", "delta", "epsilon zeta eta theta iota", "kappa lambda"),
+         "last"),
+        (("alpha beta gamma", "delta", "epsilon zeta eta theta iota", "kappa lambda"),
+         [9, 0, 3, 3, 10]),
+        (("alpha",), "last"),  # a 1-row query
+        (("theta iota kappa alpha",), "last"),
+    ], ids=["mixed_last", "mixed_any", "one_row", "one_sequence"])
+    def test_read_rows_equal_the_full_forward(self, vocab, n_layers, texts, rows):
+        model = self.transformer(vocab, n_layers)
+        sequences = [vocab.encode(t) for t in texts]
+        lengths = [len(s) for s in sequences]
+        if rows == "last":
+            rows = np.cumsum(lengths) - 1
+        x = model.embed_tokens(sequences)
+        full = model.forward_embedded(x, lengths)
+        read = model.forward_embedded(x, lengths, rows)
+        assert read.shape == (len(rows), model.config.d_model)
+        np.testing.assert_array_equal(read.data, full.data[rows])
+        with ad.no_grad():
+            np.testing.assert_array_equal(model.forward_embedded(x, lengths, rows).data,
+                                          full.data[rows])
+
+    def test_batch_encode_is_the_full_forward_pooled(self, vocab):
+        """``batch_encode`` rows equal the last rows of the unpruned forward."""
+        enc = build_model_pair(vocab, seed=29, d_model=16, n_layers=2, n_heads=2,
+                               encoder_max_len=12, ffn_mult=2).encoder
+        model = enc.transformer
+        passages = [vocab.encode(t) for t in ("alpha beta", "gamma", "delta epsilon zeta")]
+        order = sorted(range(3), key=lambda i: len(passages[i]))
+        lengths = [len(passages[i]) for i in order]
+        full = model.forward_embedded(model.embed_tokens([passages[i] for i in order]), lengths)
+        pooled = full.data[np.cumsum(lengths) - 1][np.argsort(order)]
+        np.testing.assert_array_equal(enc.batch_encode(passages).data, pooled)
+
+    def test_out_of_range_row_rejected(self, vocab):
+        model = self.transformer(vocab, 1)
+        x = model.embed_tokens([vocab.encode("alpha beta")])
+        with pytest.raises(ShapeError):
+            model.forward_embedded(x, [2], [2])

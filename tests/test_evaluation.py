@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from embrank.data import Qrels, Query
+from embrank.data import Qrels
 from embrank.errors import ConfigError, DataFormatError
 from embrank.evaluation import (ABLATION_VARIANTS, EvalItem, ablation_suite,
                                 efficiency_report, evaluate_reranker,

@@ -9,6 +9,7 @@ import embrank.autodiff as ad
 from embrank.errors import ShapeError
 from embrank.gradcheck import (finite_diff_check, finite_diff_check_many,
                                relative_errors)
+from embrank.reranker import build_model_pair
 
 from helpers import op_gradcheck_cases
 
@@ -34,6 +35,24 @@ def test_every_tape_op_has_a_case():
     names = [name for name, _ in CASES]
     assert sorted(op for op in ops if not any(n.startswith(op) for n in names)) == []
     assert [n for n in names if not any(n.startswith(op) for op in ops)] == []
+
+
+def test_pruned_last_block_matches_finite_differences(tiny_vocab):
+    """Gradients through ``forward_embedded`` reading only some rows (the last
+    block past attention runs on those rows) match finite differences, for
+    the packed input and every block parameter of two layers."""
+    model = build_model_pair(tiny_vocab, seed=23, d_model=4, n_layers=2, n_heads=2,
+                             encoder_max_len=8, ffn_mult=2).encoder.transformer
+    rng = np.random.default_rng(zlib.crc32(b"forward_embedded_rows"))
+    x = ad.param(rng.normal(size=(5, 4)))
+    w = ad.tensor(rng.normal(size=(3, 4)))
+    named = {k: t for k, t in model.parameters().items() if k not in ("tok_emb", "pos_emb")}
+    named["x"] = x
+
+    def f():
+        return ad.sum_all(ad.mul(model.forward_embedded(x, [2, 3], [4, 1, 2]), w))
+    for report in finite_diff_check_many(f, named, step=1e-5, tol=1e-5):
+        assert report.passed, str(report)
 
 
 class TestFiniteDiffCheck:

@@ -250,3 +250,26 @@ class TestRerank:
             shuffled = [docs[i] for i in perm]
             run = rerank_detailed(vocab.encode("alpha"), shuffled, tiny_models).run
             assert sorted(run.doc_ids()) == sorted(d for d, _ in docs)
+
+
+class TestReadRows:
+    @pytest.mark.parametrize("n_layers", [1, 2])
+    @pytest.mark.parametrize("n", [1, 4])
+    def test_forward_equals_the_unpruned_forward(self, vocab, n_layers, n):
+        """``forward`` reads only the passage slots and EOS from the last block;
+        its hidden states, fused rows and scores equal those read from the
+        full ``contextualize`` output bit for bit, down to one candidate."""
+        models = build_model_pair(vocab, seed=31, d_model=16, n_layers=n_layers, n_heads=2,
+                                  reranker_max_len=64, ffn_mult=2)
+        rer, query = models.reranker, vocab.encode("alpha beta")
+        embeddings = random_embeddings(models, n, seed=n)
+        out = rer.forward(models.instruction_ids(), query, embeddings)
+        rin = rer.assemble_input(models.instruction_ids(), query, embeddings)
+        full = rer.contextualize(rin).data
+        np.testing.assert_array_equal(out.h_eos.data, full[rin.eos_position])
+        np.testing.assert_array_equal(out.fused.data,
+                                      full[rin.passage_positions] + embeddings.data)
+        scores, _, permutation = rer.score(ad.tensor(full[rin.eos_position]),
+                                           ad.tensor(full[rin.passage_positions]
+                                                     + embeddings.data))
+        assert out.scores == scores and out.permutation == permutation
