@@ -144,10 +144,11 @@ def _as_tensor(x) -> Tensor:
     raise TypeError(f"cannot interpret {type(x).__name__} as Tensor")
 
 
-def _guard(data: np.ndarray, op: str) -> np.ndarray:
-    """Raise on any NaN/Inf. Any of them makes the sum non-finite, so a finite
-    sum clears the array; a non-finite one is confirmed by the full scan,
-    which rules out a sum that merely overflowed."""
+def check_finite(data: np.ndarray, op: str) -> np.ndarray:
+    """Under strict mode, raise ``NumericError`` naming ``op`` on any NaN/Inf;
+    every op runs this on its output. Any of them makes the sum non-finite,
+    so a finite sum clears the array; a non-finite one is confirmed by the
+    full scan, which rules out a sum that merely overflowed."""
     if _strict_finite and not math.isfinite(data.sum()) and not np.all(np.isfinite(data)):
         raise NumericError(f"{op} produced non-finite values")
     return data
@@ -160,7 +161,7 @@ def _records(inputs: tuple[Tensor, ...]) -> bool:
 
 def _result(data: np.ndarray, op: str, inputs: tuple[Tensor, ...],
             backward: Callable[[np.ndarray], None]) -> Tensor:
-    out = Tensor(_guard(data, op))
+    out = Tensor(check_finite(data, op))
     if _records(inputs):
         out.requires_grad = True
         out._parents = inputs
@@ -297,8 +298,10 @@ def cosine_rows(v: Tensor, m: Tensor) -> Tensor:
 
     Entry i equals dot(v, m_i) / (sqrt(dot(v, v)) * sqrt(dot(m_i, m_i))) bit
     for bit, with ``np.dot`` and ``np.sqrt`` (``np.linalg.norm`` gives the
-    same norms), so external recomputations of that expression match exactly.
-    A zero-norm ``v`` or row raises ``DegenerateInputError`` naming it.
+    same norms), so external recomputations of that expression match exactly:
+    ``retrieval.DenseIndex.search`` is one, with each row's norm computed
+    once per index. A zero-norm ``v`` or row raises ``DegenerateInputError``
+    naming it.
     The dots are batched [1, d] @ [d, 1] products: unlike ``m @ v`` (gemv),
     those round each entry exactly as one ``np.dot`` does.
     """

@@ -4,16 +4,19 @@ BM25 runs over CSR postings of token ids, one layout in memory and on
 disk, with the ln(1 + .) idf form, so scores are non-negative; a query sums
 its terms with one bit-exact ``np.bincount``. Dense retrieval scores every
 one of the encoder's passage embeddings (no approximate structures at this
-scale). Scoring in both is an exact full scan; selecting the top k is
-partial and exact: ``top_entries`` sorts only the rows that score at least
-the k-th largest score, so the run equals a full sort's first k. The dense
-index records the fingerprint of the encoder that built it, and
-``end_to_end`` feeds the reranker those same stored embeddings while the
-live encoder still matches it, so a query encodes only itself. Reciprocal
-rank fusion combines two runs with 1/(K + rank), K defaulting to 60. The
-sliding-window protocol reranks fixed-size overlapping slices from the tail
-of the candidate list toward the head so strong candidates bubble upward
-across windows.
+scale) by cosine, with each row's norm computed once when the index is made
+and the matrix read-only from then on, so the scores equal
+``autodiff.cosine_rows`` bit for bit. Scoring in both is an exact full scan;
+selecting the top k is partial and exact: ``top_entries`` orders only the
+rows that score at least the k-th largest score, by score and then by each
+index's ``id_rank`` (its rows' positions in doc-id order, computed once), so
+the run equals a full sort's first k. The dense index records the
+fingerprint of the encoder that built it, and ``end_to_end`` feeds the
+reranker those same stored embeddings while the live encoder still matches
+it, so a query encodes only itself. Reciprocal rank fusion combines two runs
+with 1/(K + rank), K defaulting to 60. The sliding-window protocol reranks
+fixed-size overlapping slices from the tail of the candidate list toward the
+head so strong candidates bubble upward across windows.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from .checkpoint import encoder_checksum
 from .data import Document
 from .errors import ConfigError, DataFormatError, DegenerateInputError, ShapeError
 from .reranker import ModelPair, rerank_detailed, rerank_embeddings
-from .runs import RunEntry, RunList, TokenCounter, sorted_entries, top_entries
+from .runs import RunEntry, RunList, TokenCounter, rank_by_id, sorted_entries, top_entries
 from .serialization import read_record_file, require_keys, write_record_file
 
 RRF_K_DEFAULT = 60
@@ -71,6 +74,7 @@ class InvertedIndex:
         self.doc_ids = doc_ids
         self.doc_lengths = doc_lengths
         self.postings = postings
+        self.id_rank = rank_by_id(doc_ids)  # a loaded file's ids need not be sorted
         self.avgdl = sum(doc_lengths) / len(doc_lengths)
         self._norm = k1 * (1.0 - b + b * np.asarray(doc_lengths, dtype=np.int64) / self.avgdl)
 
@@ -115,8 +119,9 @@ class InvertedIndex:
         # bincount adds each document's terms in input order from 0.0.
         hit_docs = np.concatenate(docs)
         scores = np.bincount(hit_docs, np.concatenate(terms), minlength=n)
+        hit_rows = np.flatnonzero(np.bincount(hit_docs, minlength=n))
         return RunList(query_id=query_id, tag="bm25",
-                       entries=top_entries(self.doc_ids, scores, k, rows=np.unique(hit_docs)))
+                       entries=top_entries(self.doc_ids, self.id_rank, scores, k, rows=hit_rows))
 
     def save(self, path, corpus_checksum: str = "") -> None:
         p = self.postings
@@ -231,11 +236,30 @@ class DenseIndex:
     ``metadata["encoder_sha256"]`` is that state's ``encoder_checksum``;
     ``build`` always records it, and an index without it (built by hand, or
     written by an older version) never lends its rows to the reranker.
+
+    Construction (``build``, ``load`` or by hand) takes ``matrix`` as
+    ``ad.param`` takes a weight: a float64 array is used as it is, not
+    copied, and it turns read-only, so an in-place write raises
+    ``ValueError``. Construction also computes ``norms``, each row's norm as
+    ``ad.cosine_rows`` computes it, which the read-only matrix keeps true for
+    the index's life, and ``id_rank``, each row's position in sorted doc-id
+    order.
     """
 
     matrix: np.ndarray                       # [n_docs, d]
     doc_ids: list[str]
     metadata: dict = field(default_factory=dict)
+    norms: np.ndarray = field(init=False, repr=False, compare=False)     # [n_docs]
+    id_rank: np.ndarray = field(init=False, repr=False, compare=False)   # [n_docs]
+
+    def __post_init__(self):
+        self.matrix = np.asarray(self.matrix, dtype=np.float64)
+        self.matrix.flags.writeable = False
+        if self.matrix.ndim != 2:
+            raise ShapeError(f"dense index: expected an [n_docs, d] matrix, "
+                             f"got shape {self.matrix.shape}")
+        self.norms = np.sqrt(np.matmul(self.matrix[:, None, :], self.matrix[:, :, None])[:, 0, 0])
+        self.id_rank = rank_by_id(self.doc_ids)
 
     @classmethod
     def build(cls, documents: list[Document], encoder, *,
@@ -243,11 +267,12 @@ class DenseIndex:
         doc_ids = _distinct_ids(documents)
         with ad.no_grad():
             matrix = encoder.batch_encode([d.tokens for d in documents]).data
-        if np.any(np.linalg.norm(matrix, axis=1) == 0.0):
+        index = cls(matrix=matrix, doc_ids=doc_ids,
+                    metadata={"corpus_checksum": corpus_checksum,
+                              "encoder_sha256": encoder_checksum(encoder)})
+        if not index.norms.all():
             raise DegenerateInputError("dense index: a passage embedding has zero norm")
-        return cls(matrix=matrix, doc_ids=doc_ids,
-                   metadata={"corpus_checksum": corpus_checksum,
-                             "encoder_sha256": encoder_checksum(encoder)})
+        return index
 
     @functools.cached_property
     def row_of(self) -> dict[str, int]:
@@ -257,15 +282,35 @@ class DenseIndex:
     def search(self, query_embedding: np.ndarray, k: int, query_id: str = "q0") -> RunList:
         """Cosine similarity against every row, then a partial selection of the
         top k with the same result as sorting every row; ties break by doc id
-        ascending. A zero-norm query or row (from a damaged file) raises
-        ``DegenerateInputError``."""
+        ascending.
+
+        Score i is ``dot(v, m_i) / (sqrt(dot(v, v)) * norms[i])``, the IEEE
+        operations of ``ad.cosine_rows`` (which it equals bit for bit) with
+        the row norms read from the index. A query of the wrong width raises
+        ``ShapeError``; a zero-norm query or row (from a damaged file) raises
+        ``DegenerateInputError``, naming the row; a non-finite score raises
+        ``NumericError`` under strict mode.
+        """
         if len(self.doc_ids) == 0:
             raise DegenerateInputError("dense index is empty")
         if k < 1:
             raise ConfigError("dense search: k must be >= 1")
-        sims = ad.cosine_rows(ad.tensor(np.reshape(query_embedding, -1)), ad.tensor(self.matrix))
-        return RunList(query_id=query_id, entries=top_entries(self.doc_ids, sims.data, k),
-                       tag="dense")
+        v = np.asarray(query_embedding, dtype=np.float64).reshape(-1)
+        if len(v) != self.matrix.shape[1]:
+            raise ShapeError(f"dense search: query has {len(v)} values, "
+                             f"the index rows {self.matrix.shape[1]}")
+        vv = float(np.dot(v, v))
+        if vv == 0.0:
+            raise DegenerateInputError("dense search: query has zero norm")
+        if not self.norms.all():
+            row = int(np.flatnonzero(self.norms == 0.0)[0])
+            raise DegenerateInputError(
+                f"dense search: row {row} ({self.doc_ids[row]!r}) has zero norm")
+        # Batched [1, d] @ [d, 1] dots, as in cosine_rows: a gemv would round differently.
+        sims = np.matmul(self.matrix[:, None, :], v[:, None])[:, 0, 0] / (np.sqrt(vv) * self.norms)
+        ad.check_finite(sims, "dense search")
+        return RunList(query_id=query_id, tag="dense",
+                       entries=top_entries(self.doc_ids, self.id_rank, sims, k))
 
     def save(self, path) -> None:
         meta = {"kind": "embrank-dense-index", "doc_ids": self.doc_ids,

@@ -64,22 +64,33 @@ def sorted_entries(scored: dict[str, float]) -> list[RunEntry]:
             for doc_id, score in sorted(scored.items(), key=lambda kv: (-kv[1], kv[0]))]
 
 
-def top_entries(doc_ids: list[str], scores: np.ndarray, k: int,
+def rank_by_id(doc_ids: list[str]) -> np.ndarray:
+    """Each row's position in sorted doc-id order, for ``top_entries``."""
+    rank = np.empty(len(doc_ids), dtype=np.int64)
+    rank[sorted(range(len(doc_ids)), key=doc_ids.__getitem__)] = np.arange(len(doc_ids))
+    return rank
+
+
+def top_entries(doc_ids: list[str], id_rank: np.ndarray, scores: np.ndarray, k: int,
                 rows: np.ndarray | None = None) -> list[RunEntry]:
     """``sorted_entries({doc_ids[i]: scores[i] for i in rows})[:k]``, over every
-    row when ``rows`` is None, for distinct ``doc_ids``.
+    row when ``rows`` is None, for distinct ``doc_ids`` whose sorted positions
+    are ``id_rank`` (``rank_by_id(doc_ids)``).
 
     One ``np.partition`` finds the k-th largest score and only the rows scoring
-    at least that much are sorted, so every tie at the boundary survives to be
-    broken by doc id exactly as the full sort breaks it.
+    at least that much are ordered, so every tie at the boundary survives to be
+    broken by doc id exactly as the full sort breaks it. One ``np.lexsort`` on
+    (-score, id rank) orders them; as in the full sort, 0.0 and -0.0 tie.
     """
     rows = np.arange(len(scores)) if rows is None else rows
     candidates = scores[rows]
     if k < len(candidates):
         kth = np.partition(candidates, len(candidates) - k)[len(candidates) - k]
-        rows = rows[candidates >= kth]
-    return sorted_entries(dict(zip([doc_ids[i] for i in rows.tolist()],
-                                   scores[rows].tolist())))[:k]
+        keep = candidates >= kth
+        rows, candidates = rows[keep], candidates[keep]
+    order = np.lexsort((id_rank[rows], -candidates))[:k]
+    return [RunEntry(doc_ids[i], score)
+            for i, score in zip(rows[order].tolist(), candidates[order].tolist())]
 
 
 def write_trec_run(path, runs: list[RunList]) -> None:

@@ -12,11 +12,12 @@ import embrank.checkpoint as checkpoint_module
 from embrank.checkpoint import encoder_checksum
 from embrank.data import Document, Vocabulary
 from embrank.encoder import EncoderModel
-from embrank.errors import ConfigError, DataFormatError, DegenerateInputError, ShapeError
-from embrank.retrieval import (RETRIEVAL_MODES, DenseIndex, InvertedIndex, end_to_end,
+from embrank.errors import (ConfigError, DataFormatError, DegenerateInputError, NumericError,
+                            ShapeError)
+from embrank.retrieval import (RETRIEVAL_MODES, DenseIndex, InvertedIndex, Postings, end_to_end,
                                rrf_fuse, sliding_window_rerank)
 from embrank.reranker import build_model_pair, rerank_detailed
-from embrank.runs import RunEntry, RunList, sorted_entries
+from embrank.runs import RunEntry, RunList, rank_by_id, sorted_entries, top_entries
 from embrank.synthetic import generate_synthetic
 from embrank.training import (Adam, LossConfig, OptimConfig, StageConfig, TrainReport,
                               train_stages)
@@ -145,9 +146,12 @@ class TestBM25:
 
 
 class TestDenseSearch:
-    def make_index(self):
-        rng = np.random.default_rng(31)
-        matrix = rng.normal(size=(6, 8))
+    @staticmethod
+    def make_matrix():
+        return np.random.default_rng(31).normal(size=(6, 8))
+
+    def make_index(self, matrix=None):
+        matrix = self.make_matrix() if matrix is None else matrix
         return DenseIndex(matrix=matrix, doc_ids=[f"d{i}" for i in range(6)])
 
     def test_stored_row_scores_one_and_ranks_first(self):
@@ -184,8 +188,9 @@ class TestDenseSearch:
         assert loaded.metadata == index.metadata
 
     def test_loaded_zero_row_rejected_not_ranked_nan(self, tmp_path):
-        index = self.make_index()
-        index.matrix[2] = 0.0  # DenseIndex.build refuses this; a file can still hold it
+        matrix = self.make_matrix()
+        matrix[2] = 0.0  # DenseIndex.build refuses this; a file can still hold it
+        index = self.make_index(matrix)
         index.save(tmp_path / "dense.idx")
         loaded = DenseIndex.load(tmp_path / "dense.idx")
         with pytest.raises(DegenerateInputError, match="row 2"):
@@ -196,6 +201,38 @@ class TestDenseSearch:
         loaded = DenseIndex.load(tmp_path / "dense.idx")
         with pytest.raises(ShapeError):
             loaded.search(np.ones(7), k=2)
+
+    def test_hand_made_zero_row_rejected_naming_it(self):
+        matrix = self.make_matrix()
+        matrix[4] = 0.0
+        with pytest.raises(DegenerateInputError, match="row 4 .'d4'."):
+            self.make_index(matrix).search(np.ones(8), k=6)
+
+    def test_non_finite_query_rejected(self):
+        query = np.ones(8)
+        query[3] = np.nan
+        with pytest.raises(NumericError):
+            self.make_index().search(query, k=2)
+
+    @pytest.mark.parametrize("made_by", ["hand", "build", "load"])
+    def test_matrix_is_read_only(self, made_by, tiny_models, tmp_path):
+        """The row norms are computed once, when the index is made, so the
+        rows must not change under them."""
+        if made_by == "hand":
+            matrix = self.make_matrix()
+            index = self.make_index(matrix)
+            assert index.matrix is matrix  # used as it is, as ad.param uses a weight
+        else:
+            vocab = tiny_models.vocab
+            docs = [Document(f"d{i}", text, vocab.encode(text))
+                    for i, text in enumerate(["alpha beta", "gamma delta", "epsilon zeta"])]
+            index = DenseIndex.build(docs, tiny_models.encoder)
+            if made_by == "load":
+                index = reloaded(index, tmp_path / "dense.idx")
+        before = hex_entries(index.search(np.ones(index.matrix.shape[1]), k=3).entries)
+        with pytest.raises(ValueError):
+            index.matrix[0, 0] = 1.0
+        assert hex_entries(index.search(np.ones(index.matrix.shape[1]), k=3).entries) == before
 
 
 @pytest.mark.parametrize("which", ["bm25", "dense"])
@@ -291,7 +328,8 @@ class TestTopKSelection:
         for searched in (index, reloaded(index, tmp_path / "dense.idx")):
             self.check_dense(searched, queries)
 
-    def test_bm25_ties_straddle_the_boundary(self, tmp_path):
+    @staticmethod
+    def tie_corpus():
         """Documents with identical texts score alike; their ids are shuffled
         against the texts so ties break by id across the k-th place."""
         rng = np.random.default_rng(34)
@@ -299,10 +337,50 @@ class TestTopKSelection:
         vocab = Vocabulary.build(texts)
         docs = [Document(f"d{i:02d}", texts[t], vocab.encode(texts[t]))
                 for i, t in zip(rng.permutation(48), rng.integers(0, 4, size=48))]
-        index = InvertedIndex.build(docs)
         queries = [vocab.encode(q) for q in ("cat", "dog", "cat dog mat", "far away cat")]
+        return docs, queries
+
+    def test_bm25_ties_straddle_the_boundary(self, tmp_path):
+        docs, queries = self.tie_corpus()
+        index = InvertedIndex.build(docs)
         for searched in (index, reloaded(index, tmp_path / "bm25.idx")):
             self.check_bm25(searched, docs, queries)
+
+    def test_bm25_file_with_unsorted_doc_ids_breaks_ties_by_id(self, tmp_path):
+        """``build`` sorts the ids, but a BM25 file need not: the loaded index
+        must still break ties by doc id, not by row."""
+        docs, queries = self.tie_corpus()
+        built = InvertedIndex.build(docs)
+        order = np.random.default_rng(36).permutation(len(docs))  # new row -> built row
+        p = built.postings
+        doc_idx = np.argsort(order)[p.doc_idx]
+        token_of = np.repeat(np.arange(len(p.tokens)), np.diff(p.offsets))
+        keep_ascending = np.lexsort((doc_idx, token_of))
+        shuffled = InvertedIndex([built.doc_ids[i] for i in order],
+                                 [built.doc_lengths[i] for i in order],
+                                 Postings(p.tokens, p.offsets, doc_idx[keep_ascending],
+                                          p.tf[keep_ascending]))
+        loaded = reloaded(shuffled, tmp_path / "bm25.idx")
+        assert loaded.doc_ids == shuffled.doc_ids != sorted(shuffled.doc_ids)
+        self.check_bm25(loaded, docs, queries)
+
+    @pytest.mark.parametrize("subset", [False, True])
+    def test_top_entries_equals_the_full_sort(self, subset):
+        """Scores with many exact ties, 0.0 beside -0.0, ids in no sorted
+        order and of different lengths, over every row or an unsorted subset."""
+        rng = np.random.default_rng(35)
+        n = 60
+        scores = rng.integers(-2, 3, size=n) * 0.25
+        scores[rng.random(n) < 0.3] = -0.0
+        doc_ids = [f"d{i}" for i in rng.permutation(n)]
+        rows = rng.choice(n, size=37, replace=False) if subset else None
+        full = sorted_entries({doc_ids[i]: float(scores[i])
+                               for i in (range(n) if rows is None else rows)})
+        m = len(full)
+        assert {math.copysign(1.0, e.score) for e in full if e.score == 0.0} == {1.0, -1.0}
+        for k in (1, 7, m - 1, m, m + 5):
+            got = top_entries(doc_ids, rank_by_id(doc_ids), scores, k, rows=rows)
+            assert hex_entries(got) == hex_entries(full[:k])
 
 
 def run_of(qid, doc_ids, start=100.0):
