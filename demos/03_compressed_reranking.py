@@ -8,21 +8,23 @@ scored against the end-of-sequence state by cosine. No token is generated.
 import numpy as np
 
 import embrank.autodiff as ad
-from embrank.reranker import build_model_pair, fuse_residual, rerank_detailed
+from embrank.reranker import build_model_pair, fuse_residual, rerank_embeddings
+from embrank.retrieval import candidate_embeddings
 from embrank.synthetic import generate_synthetic
 
 ds = generate_synthetic(seed=3, n_topics=3, n_docs=60, n_queries=6, n_eval_queries=2)
 models = build_model_pair(ds.vocab, seed=3, d_model=32, n_layers=2, n_heads=4,
                           reranker_max_len=128)
-enc, rer = models.encoder, models.reranker
+rer = models.reranker
 
 query = ds.eval_queries[0]
 query_ids = ds.vocab.encode(query.text)
 docs = [(d.doc_id, d.tokens) for d in ds.documents[:8]]
+doc_ids = [doc_id for doc_id, _ in docs]
 print(f"query {query.query_id}: {query.text!r}; {len(docs)} candidates")
 
 print("\n== step 1: each passage compresses to one embedding ==")
-embeddings = enc.batch_encode([tokens for _, tokens in docs])  # [n, d], row i is passage i
+embeddings = candidate_embeddings(models, doc_ids, dict(docs))  # [n, d], row i is passage i
 print(f"{embeddings.shape[0]} embeddings, each shape {embeddings.shape[1:]} "
       f"(one token each, instead of {sum(len(t) for _, t in docs)} text tokens)")
 
@@ -50,7 +52,7 @@ print(f"|h_0| = {np.linalg.norm(h0.data):.3f}, |e_0| = {np.linalg.norm(e0.data):
       f"|r_0| = {np.linalg.norm(r0.data):.3f}")
 
 print("\n== step 5: cosine scoring against the EOS aggregation state ==")
-result = rerank_detailed(query_ids, docs, models, query_id=query.query_id)
+result = rerank_embeddings(query_ids, doc_ids, embeddings, models, query_id=query.query_id)
 for entry in result.run.entries[:5]:
     print(f"  {entry.score:+.4f}  {entry.doc_id}")
 c = result.run.counters

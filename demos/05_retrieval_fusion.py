@@ -8,9 +8,9 @@ to the single-pass default.
 import time
 
 from embrank.evaluation import efficiency_report, mean_ndcg
-from embrank.retrieval import (DenseIndex, InvertedIndex, end_to_end,
+from embrank.retrieval import (DenseIndex, InvertedIndex, candidate_embeddings, end_to_end,
                                sliding_window_rerank)
-from embrank.reranker import build_model_pair, rerank_detailed
+from embrank.reranker import build_model_pair, rerank_embeddings
 from embrank.synthetic import generate_synthetic
 from embrank.training import (LossConfig, OptimConfig, StageConfig, TrainReport,
                               train_stages)
@@ -50,10 +50,10 @@ print("the jointly trained encoder doubles as a dense retriever (that is what th
 print("\n== sliding window vs single pass on one query ==")
 q = ds.eval_queries[0]
 qt = ds.vocab.encode(q.text)
-candidates = [(e.doc_id, doc_tokens[e.doc_id])
-              for e in bm25.search(qt, 100, query_id=q.query_id).entries]
-single = rerank_detailed(qt, candidates, models, query_id=q.query_id).run
-windowed = sliding_window_rerank(qt, candidates, models, window=20, stride=10,
+candidates = bm25.search(qt, 100, query_id=q.query_id).doc_ids()
+rows = candidate_embeddings(models, candidates, doc_tokens, dense)  # the index's stored rows
+single = rerank_embeddings(qt, candidates, rows, models, query_id=q.query_id).run
+windowed = sliding_window_rerank(qt, candidates, rows, models, window=20, stride=10,
                                  query_id=q.query_id)
 print(f"  single pass : {efficiency_report([single]).table_row()}")
 print(f"  window 20/10: {efficiency_report([windowed]).table_row()}")

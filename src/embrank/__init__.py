@@ -21,9 +21,9 @@ from .evaluation import (EvalItem, ablation_suite, efficiency_report, mean_ndcg,
                          ndcg_at_k, ordering_experiment)
 from .gradcheck import finite_diff_check, finite_diff_check_many
 from .reranker import (ModelPair, RerankerModel, build_model_pair, fuse_residual,
-                       rerank_detailed, rerank_embeddings)
-from .retrieval import (DenseIndex, InvertedIndex, end_to_end, rrf_fuse,
-                        sliding_window_rerank)
+                       rerank_embeddings)
+from .retrieval import (DenseIndex, InvertedIndex, candidate_embeddings, end_to_end,
+                        rrf_fuse, sliding_window_rerank)
 from .runs import RunList, TokenCounter, read_trec_run, write_trec_run
 from .synthetic import SyntheticDataset, generate_synthetic
 from .training import (Adam, LossConfig, OptimConfig, StageConfig, TrainReport,

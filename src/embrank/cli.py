@@ -21,11 +21,11 @@ from .config import ExperimentConfig, config_to_dict, load_config
 from .data import (load_corpus, load_qrels, load_queries, load_samples,
                    write_corpus, write_qrels, write_queries, write_samples)
 from .errors import ConfigError, DataFormatError, EmbrankError
-from .evaluation import (EvalItem, ablation_suite, efficiency_report,
+from .evaluation import (EvalItem, ablation_suite, candidate_rows, efficiency_report,
                          format_ablation_table, mean_ndcg, ndcg_at_k,
-                         ordering_experiment)
+                         ordering_experiment, rerank_eval_set)
 from .retrieval import DenseIndex, InvertedIndex, end_to_end, sliding_window_rerank
-from .reranker import build_model_pair, rerank_detailed
+from .reranker import build_model_pair
 from .runs import RunList, TokenCounter, read_trec_run, write_trec_run
 from .serialization import sha256_file, text_lines
 from .synthetic import generate_synthetic
@@ -193,19 +193,20 @@ def cmd_rerank(args) -> int:
     queries = {q.query_id: q for q in load_queries(_path(args.queries))}
     lists = _load_candidate_lists(_path(args.candidates), doc_tokens, cfg.retrieval.top_k)
 
-    runs = []
+    items = []
     for qid, cands in lists.items():
         if qid not in queries:
             raise ConfigError(f"candidate run references unknown query {qid!r}")
-        query_tokens = models.vocab.encode(queries[qid].text)
-        if args.mode == "sliding":
-            runs.append(sliding_window_rerank(
-                query_tokens, cands, models,
-                window=cfg.retrieval.window if args.window is None else args.window,
-                stride=cfg.retrieval.stride if args.stride is None else args.stride,
-                query_id=qid))
-        else:
-            runs.append(rerank_detailed(query_tokens, cands, models, query_id=qid).run)
+        items.append(EvalItem(query=queries[qid], candidates=cands))
+    if args.mode == "sliding":
+        window = cfg.retrieval.window if args.window is None else args.window
+        stride = cfg.retrieval.stride if args.stride is None else args.stride
+        runs = [sliding_window_rerank(models.vocab.encode(item.query.text),
+                                      [doc_id for doc_id, _ in item.candidates], rows, models,
+                                      window=window, stride=stride, query_id=item.query.query_id)
+                for item, rows in zip(items, candidate_rows(models, items))]
+    else:
+        runs = rerank_eval_set(models, items)
     write_trec_run(out / "run.trec", runs)
     _write_trace(out, runs)
     report = efficiency_report(runs)

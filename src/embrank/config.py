@@ -149,8 +149,3 @@ def load_config(path) -> ExperimentConfig:
         return config_from_dict(data)
     except ConfigError as exc:
         raise ConfigError(f"{path}: {exc}") from None
-
-
-def save_config(path, cfg: ExperimentConfig) -> None:
-    Path(path).write_text(json.dumps(config_to_dict(cfg), indent=2, sort_keys=True) + "\n",
-                          encoding="utf-8")

@@ -13,9 +13,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import autodiff as ad
 from .data import Qrels, Query
 from .errors import ConfigError, DataFormatError
-from .reranker import ModelPair, build_model_pair, rerank_detailed
+from .reranker import ModelPair, build_model_pair, rerank_embeddings
+from .retrieval import candidate_embeddings
 from .runs import RunList, TokenCounter
 from .training import LossConfig, OptimConfig, StageConfig, TrainReport, train_stages
 
@@ -120,14 +122,23 @@ class EvalItem:
     candidates: list[tuple[str, list[int]]]
 
 
+def candidate_rows(models: ModelPair, items: list[EvalItem]) -> list[ad.Tensor]:
+    """Each item's [n_i, d] candidate rows, cut from one ``candidate_embeddings``
+    call over every item's candidates, so each distinct passage is encoded once."""
+    doc_tokens = dict(c for item in items for c in item.candidates)
+    row = {doc_id: i for i, doc_id in enumerate(doc_tokens)}
+    embeddings = candidate_embeddings(models, list(doc_tokens), doc_tokens)
+    return [ad.take_rows(embeddings, [row[d] for d, _ in item.candidates]) for item in items]
+
+
 def rerank_eval_set(models: ModelPair, items: list[EvalItem], *,
                     tag: str = "embrank") -> list[RunList]:
-    runs = []
-    for item in items:
-        query_tokens = models.vocab.encode(item.query.text)
-        runs.append(rerank_detailed(query_tokens, item.candidates, models,
-                                    query_id=item.query.query_id, tag=tag).run)
-    return runs
+    """Single-pass rerank of every item's candidate list by ``rerank_embeddings``,
+    from its ``candidate_rows`` (one encode for the whole set)."""
+    return [rerank_embeddings(models.vocab.encode(item.query.text),
+                              [doc_id for doc_id, _ in item.candidates], rows, models,
+                              query_id=item.query.query_id, tag=tag).run
+            for item, rows in zip(items, candidate_rows(models, items))]
 
 
 def evaluate_reranker(models: ModelPair, items: list[EvalItem], qrels: Qrels,
@@ -158,22 +169,26 @@ def ordering_experiment(models: ModelPair, items: list[EvalItem], qrels: Qrels,
     """Evaluate the same model and candidate sets under three input orders.
 
     The random permutation is drawn per query from a generator seeded with
-    (seed, query index) so the report is reproducible.
+    (seed, query index) so the report is reproducible. The candidates are
+    encoded once (``candidate_rows``), and each ordering permutes a list's
+    rows with the list.
     """
     ndcg: dict[str, float] = {}
     evaluated: dict[str, int] = {}
+    base_rows = candidate_rows(models, items)
     for ordering in ORDERINGS:
-        reordered_items = []
-        for qi, item in enumerate(items):
-            cands = list(item.candidates)
+        runs = []
+        for qi, (item, rows) in enumerate(zip(items, base_rows)):
+            order = np.arange(len(item.candidates))
             if ordering == "inverse":
-                cands = cands[::-1]
+                order = order[::-1]
             elif ordering == "random":
-                rng = np.random.default_rng([seed, qi])
-                cands = [cands[i] for i in rng.permutation(len(cands))]
-            reordered_items.append(EvalItem(query=item.query, candidates=cands))
-        runs = rerank_eval_set(models, reordered_items, tag=f"embrank-{ordering}")
-        for item, run in zip(reordered_items, runs):
+                order = np.random.default_rng([seed, qi]).permutation(len(order))
+            runs.append(rerank_embeddings(
+                models.vocab.encode(item.query.text), [item.candidates[i][0] for i in order],
+                ad.take_rows(rows, order), models, query_id=item.query.query_id,
+                tag=f"embrank-{ordering}").run)
+        for item, run in zip(items, runs):
             if sorted(run.doc_ids()) != sorted(d for d, _ in item.candidates):
                 raise ConfigError(f"ordering {ordering}: run is not a permutation "
                                   f"of the candidates for {item.query.query_id}")

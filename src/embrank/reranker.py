@@ -198,34 +198,22 @@ class RerankResult:
     embeddings: Tensor           # [n, d], row i is the encoder output of candidate i
 
 
-def rerank_detailed(query_ids, documents, models: ModelPair, *,
-                    query_id: str = "q0", tag: str = "embrank") -> RerankResult:
-    """Single-pass listwise rerank of one candidate list; ``.run`` is the ordered run.
-
-    ``documents`` is a list of (doc_id, token_ids). The encoder compresses the
-    passages into one [n, d] matrix in one ``batch_encode`` under ``no_grad``,
-    and ``rerank_embeddings`` scores its rows, so the reranker sees exactly what
-    a caller holding the same rows (a dense index's) would give it.
-    """
-    with ad.no_grad():
-        embeddings = models.encoder.batch_encode([tokens for _, tokens in documents])
-    return rerank_embeddings(query_ids, [doc_id for doc_id, _ in documents], embeddings,
-                             models, query_id=query_id, tag=tag)
-
-
 def rerank_embeddings(query_ids, doc_ids: list[str], embeddings: Tensor,
                       models: ModelPair, *, query_id: str = "q0",
                       tag: str = "embrank") -> RerankResult:
-    """Single-pass listwise rerank of candidates given as their encoder embeddings.
+    """Single-pass listwise rerank of candidates given as their encoder
+    embeddings, the scoring step of every rerank path; ``.run`` is the run.
 
-    Row i of ``embeddings`` [n, d] is the encoder output of ``doc_ids[i]``. One
-    reranker forward pass over the assembled sequence scores them all, under
-    ``no_grad`` (no tape is recorded). The run's own counter records one
-    processed passage token per injected embedding and never sees a generated
-    token.
+    Row i of ``embeddings`` [n, d] is ``doc_ids[i]``'s encoder output (from
+    ``retrieval.candidate_embeddings``). One reranker forward pass over the
+    assembled sequence scores them all, under ``no_grad`` (no tape is
+    recorded). The run's own counter records one processed passage token per
+    injected embedding and never sees a generated token.
     """
     if not doc_ids:
         raise DegenerateInputError("rerank: documents must be nonempty")
+    if embeddings.shape[0] != len(doc_ids):
+        raise ShapeError(f"rerank: {embeddings.shape[0]} embeddings for {len(doc_ids)} documents")
     with ad.no_grad():
         output = models.reranker.forward(models.instruction_ids(), query_ids, embeddings)
     counter = TokenCounter(processed_passage_tokens=len(doc_ids), candidates=len(doc_ids))

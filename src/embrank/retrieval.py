@@ -10,13 +10,14 @@ and the matrix read-only from then on, so the scores equal
 selecting the top k is partial and exact: ``top_entries`` orders only the
 rows that score at least the k-th largest score, by score and then by each
 index's ``id_rank`` (its rows' positions in doc-id order, computed once), so
-the run equals a full sort's first k. The dense index records the
-fingerprint of the encoder that built it, and ``end_to_end`` feeds the
-reranker those same stored embeddings while the live encoder still matches
-it, so a query encodes only itself. Reciprocal rank fusion combines two runs
-with 1/(K + rank), K defaulting to 60. The sliding-window protocol reranks
-fixed-size overlapping slices from the tail of the candidate list toward the
-head so strong candidates bubble upward across windows.
+the run equals a full sort's first k. Every rerank path takes its
+candidates' rows from ``candidate_embeddings``: the dense index's stored rows
+while the index records the live encoder's fingerprint (an ``end_to_end``
+query then encodes only itself), else one encode of the distinct candidates.
+Reciprocal rank fusion combines two runs with 1/(K + rank), K defaulting to
+60. The sliding-window protocol reranks fixed-size overlapping slices of
+those rows from the tail of the candidate list toward the head so strong
+candidates bubble upward across windows.
 """
 
 from __future__ import annotations
@@ -32,8 +33,9 @@ import numpy as np
 from . import autodiff as ad
 from .checkpoint import encoder_checksum
 from .data import Document
-from .errors import ConfigError, DataFormatError, DegenerateInputError, ShapeError
-from .reranker import ModelPair, rerank_detailed, rerank_embeddings
+from .errors import (ConfigError, DataFormatError, DegenerateInputError, NumericError,
+                     ShapeError)
+from .reranker import ModelPair, rerank_embeddings
 from .runs import RunEntry, RunList, TokenCounter, rank_by_id, sorted_entries, top_entries
 from .serialization import read_record_file, require_keys, write_record_file
 
@@ -287,9 +289,10 @@ class DenseIndex:
         Score i is ``dot(v, m_i) / (sqrt(dot(v, v)) * norms[i])``, the IEEE
         operations of ``ad.cosine_rows`` (which it equals bit for bit) with
         the row norms read from the index. A query of the wrong width raises
-        ``ShapeError``; a zero-norm query or row (from a damaged file) raises
-        ``DegenerateInputError``, naming the row; a non-finite score raises
-        ``NumericError`` under strict mode.
+        ``ShapeError``, and one whose ``dot(v, v)`` is not finite raises
+        ``NumericError`` before any division; a zero-norm query or row (from a
+        damaged file) raises ``DegenerateInputError``, naming the row; a
+        non-finite score raises ``NumericError`` under strict mode.
         """
         if len(self.doc_ids) == 0:
             raise DegenerateInputError("dense index is empty")
@@ -299,7 +302,10 @@ class DenseIndex:
         if len(v) != self.matrix.shape[1]:
             raise ShapeError(f"dense search: query has {len(v)} values, "
                              f"the index rows {self.matrix.shape[1]}")
-        vv = float(np.dot(v, v))
+        with np.errstate(over="ignore"):
+            vv = float(np.dot(v, v))
+        if not math.isfinite(vv):
+            raise NumericError("dense search: the query's squared norm is not finite")
         if vv == 0.0:
             raise DegenerateInputError("dense search: query has zero norm")
         if not self.norms.all():
@@ -357,21 +363,22 @@ def rrf_fuse(run_a: RunList, run_b: RunList, k_const: int = RRF_K_DEFAULT) -> Ru
     return RunList(query_id=run_a.query_id, entries=sorted_entries(scores), tag="rrf")
 
 
-def sliding_window_rerank(query_tokens, candidates, models: ModelPair, *,
-                          window: int = 20, stride: int = 10,
+def sliding_window_rerank(query_tokens, doc_ids: list[str], embeddings: ad.Tensor,
+                          models: ModelPair, *, window: int = 20, stride: int = 10,
                           query_id: str = "q0", tag: str = "embrank-sw") -> RunList:
     """Rerank overlapping windows from the tail of the list toward the head.
 
-    One ``batch_encode`` encodes each candidate once; a window reranks its
-    candidates' rows, and its order replaces that slice in place, so documents
-    promoted in a later (earlier-positioned) window can keep climbing. When
-    the whole list fits one window this is bit-identical to the single-pass
-    rerank, cosine scores included; with several windows the emitted scores
-    are rank-derived (descending integers) because per-window cosines are
-    not comparable across windows. The run's counter sums the windows' own
+    Row i of ``embeddings`` [n, d] is the encoder output of ``doc_ids[i]``
+    (``candidate_embeddings`` gives them); a window reranks its candidates'
+    rows, and its order replaces that slice in place, so documents promoted
+    in a later (earlier-positioned) window can keep climbing. When the whole
+    list fits one window this is bit-identical to the single-pass rerank,
+    cosine scores included; with several windows the emitted scores are
+    rank-derived (descending integers) because per-window cosines are not
+    comparable across windows. The run's counter sums the windows' own
     counts, overlap included, and counts each candidate once.
     """
-    if not candidates:
+    if not doc_ids:
         raise DegenerateInputError("sliding_window_rerank: candidates must be nonempty")
     if not 1 <= stride <= window:
         raise ConfigError(f"sliding_window_rerank: need 1 <= stride <= window, "
@@ -381,10 +388,7 @@ def sliding_window_rerank(query_tokens, candidates, models: ModelPair, *,
     if window > budget:
         raise ShapeError(f"window {window} exceeds the reranker sequence budget {budget}")
 
-    m = len(candidates)
-    doc_ids = [doc_id for doc_id, _ in candidates]
-    with ad.no_grad():
-        embeddings = models.encoder.batch_encode([tokens for _, tokens in candidates])
+    m = len(doc_ids)
     counter = TokenCounter()
     work = list(range(m))  # candidate indices, in the current order
     start = max(0, m - window)
@@ -422,22 +426,20 @@ def end_to_end(query_text: str, models: ModelPair, doc_tokens: dict[str, list[in
 
     Mode "rrf" fuses the BM25 and dense top-k lists first and takes the top-k
     of the fusion, so the candidate set is a subset of the union of the two.
-
-    When ``dense_index`` records the live encoder's fingerprint, the reranker
-    takes each candidate's embedding from its stored row and only the query is
-    encoded; a row holds the bits a fresh encode would give, so the run is the
-    same. A recorded fingerprint of another encoder state raises
-    ``ConfigError`` in every mode: the rows, and in "dense" or "rrf" mode the
-    retrieval too, are stale. An index recording no fingerprint, or one
-    missing a candidate, leaves every candidate to be encoded from
-    ``doc_tokens``. Either way ``doc_tokens`` must be the indexed corpus (the
+    The candidates' rows come from ``candidate_embeddings``: ``dense_index``'s
+    stored rows while it records the live encoder (only the query is
+    encoded), else one encode of the candidates from ``doc_tokens``; either
+    gives the same bits, so the run is the same. A recorded fingerprint of
+    another encoder state raises ``ConfigError`` in every mode, also for a
+    query with no candidates. ``doc_tokens`` must be the indexed corpus (the
     CLI checks the indexes' recorded ``corpus_checksum``).
     """
     if mode not in RETRIEVAL_MODES:
         raise ConfigError(f"unknown retrieval mode {mode!r}; choose from {RETRIEVAL_MODES}")
     if mode in ("dense", "rrf") and dense_index is None:
         raise ConfigError(f"retrieval mode {mode!r} requires a dense index")
-    rows = _live_rows(dense_index, models.encoder)
+    if dense_index is not None and dense_index.matrix.shape[1] != models.encoder.config.d_model:
+        candidate_embeddings(models, [], doc_tokens, dense_index)  # stale: ConfigError before search
     query_tokens = models.vocab.encode(query_text)
     if mode != "bm25":
         with ad.no_grad():
@@ -455,32 +457,34 @@ def end_to_end(query_text: str, models: ModelPair, doc_tokens: dict[str, list[in
 
     tag = f"embrank-{mode}"
     ids = first.doc_ids()
-    if not ids:
-        return EndToEndResult(first_stage=first,
-                              reranked=RunList(query_id=query_id, entries=[], tag=tag))
-    if rows is not None and all(doc_id in rows for doc_id in ids):
-        embeddings = ad.tensor(dense_index.matrix[[rows[doc_id] for doc_id in ids]])
-        reranked = rerank_embeddings(query_tokens, ids, embeddings, models,
-                                     query_id=query_id, tag=tag).run
-    else:
-        reranked = rerank_detailed(query_tokens, [(doc_id, doc_tokens[doc_id]) for doc_id in ids],
-                                   models, query_id=query_id, tag=tag).run
+    embeddings = candidate_embeddings(models, ids, doc_tokens, dense_index)
+    reranked = (rerank_embeddings(query_tokens, ids, embeddings, models,
+                                  query_id=query_id, tag=tag).run
+                if ids else RunList(query_id=query_id, entries=[], tag=tag))
     return EndToEndResult(first_stage=first, reranked=reranked)
 
 
-def _live_rows(dense_index: DenseIndex | None, encoder) -> dict[str, int] | None:
-    """``dense_index.row_of`` when the index records the live encoder's
-    fingerprint; None when there is no index or it records none.
+def candidate_embeddings(models: ModelPair, doc_ids: list[str], doc_tokens: dict[str, list[int]],
+                         dense_index: DenseIndex | None = None) -> ad.Tensor:
+    """The [n, d] encoder rows of ``doc_ids`` in order, for every rerank path.
 
-    The weights are read-only and every update replaces an array, so
-    ``encoder_checksum`` hashes them once per weight state (``build`` already
-    did for its own) and this check is a few identity tests per query.
+    While ``dense_index`` records the live encoder's fingerprint and holds
+    every id, its stored rows are gathered; else one ``no_grad``
+    ``batch_encode`` of the distinct ids' ``doc_tokens`` gives the same bits
+    (a row does not depend on its pack). An index recording another encoder
+    state raises ``ConfigError``. ``encoder_checksum`` hashes the read-only
+    weights once per weight state, so the check is a few identity tests.
     """
     recorded = dense_index.metadata.get("encoder_sha256") if dense_index is not None else None
-    if not recorded:
-        return None
-    live = encoder_checksum(encoder)
-    if recorded != live:
-        raise ConfigError(f"dense index was built by encoder {recorded}, but the live "
-                          f"encoder is {live}; rebuild the index")
-    return dense_index.row_of
+    if recorded:
+        live = encoder_checksum(models.encoder)
+        if recorded != live:
+            raise ConfigError(f"dense index was built by encoder {recorded}, but the live "
+                              f"encoder is {live}; rebuild the index")
+        rows = dense_index.row_of
+        if all(doc_id in rows for doc_id in doc_ids):
+            return ad.tensor(dense_index.matrix[[rows[doc_id] for doc_id in doc_ids]])
+    distinct = {doc_id: i for i, doc_id in enumerate(dict.fromkeys(doc_ids))}
+    with ad.no_grad():
+        embeddings = models.encoder.batch_encode([doc_tokens[doc_id] for doc_id in distinct])
+        return ad.take_rows(embeddings, [distinct[doc_id] for doc_id in doc_ids])

@@ -27,9 +27,6 @@ class TokenCounter:
     generated_tokens: int = 0
     candidates: int = 0
 
-    def count_generated(self, n: int) -> None:
-        self.generated_tokens += int(n)
-
     def merge(self, other: "TokenCounter") -> None:
         self.processed_passage_tokens += other.processed_passage_tokens
         self.generated_tokens += other.generated_tokens

@@ -7,8 +7,23 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 import embrank.autodiff as ad
 from embrank.data import Vocabulary
+from embrank.encoder import EncoderModel
 from embrank.reranker import build_model_pair
 from embrank.synthetic import generate_synthetic
+
+
+@pytest.fixture
+def encode_calls(monkeypatch):
+    """The passages of every ``EncoderModel.batch_encode`` call made in the
+    test, one list of token tuples per call."""
+    calls = []
+    original = EncoderModel.batch_encode
+
+    def spy(self, passages):
+        calls.append([tuple(p) for p in passages])
+        return original(self, passages)
+    monkeypatch.setattr(EncoderModel, "batch_encode", spy)
+    return calls
 
 
 @pytest.fixture(autouse=True)

@@ -3,7 +3,8 @@
 Nothing here calls into the library's forward/backward machinery: matmul is a
 triple loop, softmax goes through mpmath at 50 digits, the transformer forward
 is a standalone numpy transcription, and the metric/fusion oracles are direct
-definitional computations.
+definitional computations. The one exception, ``rerank_pairs``, is no oracle:
+it spells the library's own rerank call for ``(doc_id, tokens)`` pairs.
 """
 
 from __future__ import annotations
@@ -12,6 +13,17 @@ import math
 
 import mpmath
 import numpy as np
+
+from embrank.reranker import rerank_embeddings
+from embrank.retrieval import candidate_embeddings
+
+
+def rerank_pairs(query_ids, docs, models, **kwargs):
+    """``rerank_embeddings`` of ``(doc_id, tokens)`` pairs, their rows from one
+    ``candidate_embeddings`` encode; returns the ``RerankResult``."""
+    ids = [doc_id for doc_id, _ in docs]
+    return rerank_embeddings(query_ids, ids, candidate_embeddings(models, ids, dict(docs)),
+                             models, **kwargs)
 
 
 def naive_matmul(a, b):
@@ -106,6 +118,12 @@ def reference_causal_attention(q, k, v, n_heads, g):
         dk[:, lo:hi] += (qh.T @ gl).T
         dv[:, lo:hi] += w.T @ gh
     return np.concatenate(heads, axis=1), dq, dk, dv
+
+
+def distinct_tokens(candidate_lists) -> list[tuple]:
+    """The token tuples of the distinct doc ids of ``(doc_id, tokens)`` lists, sorted."""
+    return sorted(tuple(tokens) for tokens in
+                  dict(pair for pairs in candidate_lists for pair in pairs).values())
 
 
 def naive_ndcg(ranked_doc_ids, grades: dict, k: int):

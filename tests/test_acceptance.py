@@ -19,7 +19,7 @@ from embrank.data import Vocabulary
 from embrank.evaluation import (EvalItem, efficiency_report, evaluate_reranker,
                                 mean_ndcg, ndcg_at_k)
 from embrank.gradcheck import finite_diff_check_many
-from embrank.reranker import build_model_pair, rerank_detailed
+from embrank.reranker import build_model_pair
 from embrank.retrieval import InvertedIndex, rrf_fuse
 from embrank.runs import RunEntry, RunList
 from embrank.synthetic import generate_synthetic
@@ -27,7 +27,8 @@ from embrank.training import (Adam, LossConfig, OptimConfig, StageConfig, TrainR
                               _trainable_params, combined_loss, infonce_loss,
                               ranknet_loss, train_stages, train_step)
 
-from helpers import naive_bm25_scores, naive_ndcg, naive_rrf, op_gradcheck_cases
+from helpers import (naive_bm25_scores, naive_ndcg, naive_rrf, op_gradcheck_cases,
+                     rerank_pairs)
 
 
 def tiny_pair(seed=7):
@@ -182,7 +183,7 @@ def test_criterion_4_token_accounting_structural(tmp_path):
                               reranker_max_len=160)
     docs = [(d.doc_id, d.tokens) for d in ds.documents[:100]]
     query = ds.vocab.encode(ds.eval_queries[0].text)
-    run = rerank_detailed(query, docs, models, query_id="q").run
+    run = rerank_pairs(query, docs, models, query_id="q").run
     report = efficiency_report([run])
     assert report.processed_passage_tokens == 100
     assert report.avg_tokens_per_passage == 1.0
@@ -243,7 +244,7 @@ def test_criterion_6_structural_ablations(small_dataset, small_doc_tokens):
     # W/O Hidden State: score_i == cosine(h_eos, e_i), recomputed externally
     m1 = build_model_pair(ds.vocab, seed=600, d_model=16, n_layers=1, n_heads=2,
                           reranker_max_len=96, hidden_state_enabled=False)
-    r1 = rerank_detailed(qt, cands, m1, query_id=q.query_id)
+    r1 = rerank_pairs(qt, cands, m1, query_id=q.query_id)
     h = r1.output.h_eos.data
     for score, e in zip(r1.output.scores, r1.embeddings.data):
         ext = float(np.dot(h, e) /
@@ -253,7 +254,7 @@ def test_criterion_6_structural_ablations(small_dataset, small_doc_tokens):
     # W/O Residual: score_i == cosine(h_eos, h_i^p), recomputed externally
     m2 = build_model_pair(ds.vocab, seed=600, d_model=16, n_layers=1, n_heads=2,
                           reranker_max_len=96, residual_enabled=False)
-    r2 = rerank_detailed(qt, cands, m2, query_id=q.query_id)
+    r2 = rerank_pairs(qt, cands, m2, query_id=q.query_id)
     rin = m2.reranker.assemble_input(m2.instruction_ids(), qt, r2.embeddings)
     hidden = m2.reranker.contextualize(rin).data
     h2 = r2.output.h_eos.data
@@ -319,7 +320,7 @@ def test_criterion_7_causality_and_permutation_invariants():
             "random": [picked[i] for i in np.random.default_rng([trial, 1]).permutation(n)],
         }
         for name, ordered in orderings.items():
-            run = rerank_detailed(query, ordered, models, query_id="q").run
+            run = rerank_pairs(query, ordered, models, query_id="q").run
             assert sorted(run.doc_ids()) == sorted(d_ for d_, _ in picked), name
     print("\nACCEPTANCE 7 PASS: 100 causality trials bitwise, "
           "100 ordering trials valid permutations")

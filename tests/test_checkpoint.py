@@ -5,10 +5,12 @@ import pytest
 
 from embrank.checkpoint import load_checkpoint, parameter_checksum, save_checkpoint
 from embrank.errors import DataFormatError
-from embrank.reranker import build_model_pair, rerank_detailed
+from embrank.reranker import build_model_pair
 from embrank.retrieval import DenseIndex, InvertedIndex
 from embrank.serialization import (read_record_file, sha256_arrays, sha256_file,
                                    write_record_file)
+
+from helpers import rerank_pairs
 
 
 class TestRecordContainer:
@@ -68,8 +70,8 @@ class TestCheckpoint:
         docs = [("d0", tiny_vocab.encode("alpha beta")),
                 ("d1", tiny_vocab.encode("epsilon zeta"))]
         q = tiny_vocab.encode("alpha")
-        original = rerank_detailed(q, docs, tiny_models).run
-        reloaded = rerank_detailed(q, docs, loaded).run
+        original = rerank_pairs(q, docs, tiny_models).run
+        reloaded = rerank_pairs(q, docs, loaded).run
         assert [(e.doc_id, e.score) for e in original.entries] == \
                [(e.doc_id, e.score) for e in reloaded.entries]
 

@@ -17,6 +17,8 @@ from embrank.runs import read_trec_run
 from embrank.serialization import read_record_file, write_record_file
 from embrank.training import TrainReport, train_stages
 
+from helpers import distinct_tokens
+
 MICRO_CONFIG = {
     "seed": 3,
     "model": {"d_model": 16, "n_layers": 1, "n_heads": 2,
@@ -298,6 +300,29 @@ class TestRerankCommand:
                      "--mode", "sliding", "--window", "10", "--stride", "5",
                      "--out", str(out)]) == 0
         assert (out / "run.trec").exists()
+
+    @pytest.mark.parametrize("mode", ["single", "sliding"])
+    def test_each_candidate_encoded_once(self, workdir, tmp_path, encode_calls, mode):
+        """One ``batch_encode`` per command holds each distinct candidate of
+        every query once; the queries' lists overlap by half."""
+        root, config, data, train, index = workdir
+        vocab = load_checkpoint(train / "checkpoints/final.ckpt").vocab
+        docs = load_corpus(data / "corpus.jsonl", vocab=vocab)[0]
+        queries = load_queries(data / "queries_eval.tsv")
+        lists = [[(d.doc_id, d.tokens) for d in docs[6 * j:6 * j + 12]]
+                 for j in range(len(queries))]
+        candidates = tmp_path / "first.trec"
+        candidates.write_text("".join(f"{q.query_id} Q0 {doc_id} {rank} {-rank}.0 t\n"
+                                      for q, pairs in zip(queries, lists)
+                                      for rank, (doc_id, _) in enumerate(pairs, start=1)))
+        assert main(["rerank", "--config", str(config),
+                     "--checkpoint", str(train / "checkpoints/final.ckpt"),
+                     "--corpus", str(data / "corpus.jsonl"),
+                     "--queries", str(data / "queries_eval.tsv"),
+                     "--candidates", str(candidates),
+                     "--mode", mode, "--window", "10", "--stride", "5",
+                     "--out", str(tmp_path / "rerank")]) == 0
+        assert [sorted(call) for call in encode_calls] == [distinct_tokens(lists)]
 
     @pytest.mark.parametrize("flag", ["--window", "--stride"])
     def test_sliding_flag_of_zero_is_rejected_not_replaced(self, workdir, tmp_path, capsys,

@@ -1,11 +1,12 @@
 """Experiment config: defaults, strict keys, JSON round trip."""
 
 import dataclasses
+import json
 
 import pytest
 
 from embrank.config import (ExperimentConfig, ModelSettings, config_from_dict,
-                            config_to_dict, load_config, save_config)
+                            config_to_dict, load_config)
 from embrank.errors import ConfigError
 from embrank.reranker import build_model_pair
 
@@ -23,7 +24,7 @@ def test_round_trip(tmp_path):
     cfg.seed = 123
     cfg.model.d_model = 32
     path = tmp_path / "config.json"
-    save_config(path, cfg)
+    path.write_text(json.dumps(config_to_dict(cfg)), encoding="utf-8")
     loaded = load_config(path)
     assert config_to_dict(loaded) == config_to_dict(cfg)
 

@@ -11,13 +11,13 @@ from embrank.evaluation import (ABLATION_VARIANTS, EvalItem, ablation_suite,
                                 efficiency_report, evaluate_reranker,
                                 format_ablation_table, mean_ndcg, ndcg_at_k,
                                 ordering_experiment, rerank_eval_set)
-from embrank.reranker import build_model_pair, rerank_detailed
+from embrank.reranker import build_model_pair
 from embrank.retrieval import InvertedIndex
 from embrank.runs import (RunEntry, RunList, TokenCounter, read_trec_run,
                           write_trec_run)
 from embrank.training import LossConfig, OptimConfig, StageConfig
 
-from helpers import naive_ndcg
+from helpers import distinct_tokens, naive_ndcg, rerank_pairs
 
 
 def qrels_of(qid, grades: dict) -> Qrels:
@@ -184,8 +184,7 @@ class TestEfficiencyReport:
     def test_counts_come_from_instrumentation_not_config(self):
         """A reintroduced generation call would be caught: the counter moves only
         when code actually reports generated tokens."""
-        counter = TokenCounter()
-        counter.count_generated(7)
+        counter = TokenCounter(generated_tokens=7)
         run = RunList(query_id="q")
         run.counters = counter
         assert efficiency_report([run]).generated_tokens == 7
@@ -244,7 +243,7 @@ class TestAblationStructure:
                                   hidden_state_enabled=False)
         item = items[0]
         qt = ds.vocab.encode(item.query.text)
-        result = rerank_detailed(qt, item.candidates[:6], models, query_id="q")
+        result = rerank_pairs(qt, item.candidates[:6], models, query_id="q")
         h = result.output.h_eos.data
         for i, e in enumerate(result.embeddings.data):
             expected = float(np.dot(h, e) /
@@ -258,7 +257,7 @@ class TestAblationStructure:
                                   residual_enabled=False)
         item = items[0]
         qt = ds.vocab.encode(item.query.text)
-        result = rerank_detailed(qt, item.candidates[:6], models, query_id="q")
+        result = rerank_pairs(qt, item.candidates[:6], models, query_id="q")
         rin = models.reranker.assemble_input(models.instruction_ids(), qt,
                                              result.embeddings)
         hidden = models.reranker.contextualize(rin).data
@@ -312,3 +311,38 @@ def test_rerank_eval_set_counters_attached(eval_setup):
     ds, models, items = eval_setup
     runs = rerank_eval_set(models, items)
     assert all(r.counters is not None and r.counters.generated_tokens == 0 for r in runs)
+
+
+class TestEncodeOnce:
+    """Each distinct candidate is encoded once per call, in one ``batch_encode``."""
+
+    @pytest.fixture
+    def overlapping(self, eval_setup, small_doc_tokens):
+        """Each eval query with 12 candidates, half of them the next query's."""
+        ds, models, _ = eval_setup
+        ids = sorted(small_doc_tokens)
+        items = [EvalItem(query=q, candidates=[(d, small_doc_tokens[d])
+                                               for d in ids[6 * j:6 * j + 12]])
+                 for j, q in enumerate(ds.eval_queries)]
+        return ds, models, items
+
+    def test_rerank_eval_set(self, overlapping, encode_calls):
+        ds, models, items = overlapping
+        rerank_eval_set(models, items)
+        assert [sorted(call) for call in encode_calls] == \
+            [distinct_tokens([item.candidates for item in items])]
+
+    def test_ordering_experiment(self, overlapping, encode_calls):
+        ds, models, items = overlapping
+        ordering_experiment(models, items, ds.qrels, seed=5)
+        assert [sorted(call) for call in encode_calls] == \
+            [distinct_tokens([item.candidates for item in items])]
+
+    def test_same_runs_as_one_list_at_a_time(self, overlapping):
+        """One encode for the set ranks every list as encoding it alone does."""
+        ds, models, items = overlapping
+        for item, run in zip(items, rerank_eval_set(models, items)):
+            alone = rerank_pairs(models.vocab.encode(item.query.text), item.candidates,
+                                 models, query_id=item.query.query_id).run
+            assert [(e.doc_id, e.score.hex()) for e in run.entries] == \
+                [(e.doc_id, e.score.hex()) for e in alone.entries]

@@ -6,7 +6,9 @@ import pytest
 import embrank.autodiff as ad
 from embrank.autodiff import backward
 from embrank.errors import ConfigError, DegenerateInputError, ShapeError
-from embrank.reranker import build_model_pair, fuse_residual, rerank_detailed
+from embrank.reranker import build_model_pair, fuse_residual, rerank_embeddings
+
+from helpers import rerank_pairs
 
 
 @pytest.fixture
@@ -124,8 +126,8 @@ class TestCausality:
             assert np.max(np.abs(h_eos - h_eos2)) > 0.0
 
     def test_single_candidate_runs_end_to_end(self, tiny_models, vocab):
-        run = rerank_detailed(vocab.encode("alpha"), docs_from(vocab, ["epsilon zeta"]),
-                              tiny_models).run
+        run = rerank_pairs(vocab.encode("alpha"), docs_from(vocab, ["epsilon zeta"]),
+                           tiny_models).run
         assert run.doc_ids() == ["d0"]
 
 
@@ -212,30 +214,35 @@ class TestScore:
 class TestRerank:
     def test_counters_measure_single_pass(self, tiny_models, vocab):
         docs = docs_from(vocab, ["alpha beta", "epsilon zeta", "theta iota"])
-        run = rerank_detailed(vocab.encode("alpha"), docs, tiny_models).run
+        run = rerank_pairs(vocab.encode("alpha"), docs, tiny_models).run
         assert run.counters.processed_passage_tokens == 3
         assert run.counters.candidates == 3
         assert run.counters.generated_tokens == 0
 
     def test_output_is_permutation_of_inputs(self, tiny_models, vocab):
         texts = ["alpha beta", "epsilon zeta", "theta", "beta delta", "gamma mu"]
-        run = rerank_detailed(vocab.encode("alpha beta"), docs_from(vocab, texts),
-                              tiny_models).run
+        run = rerank_pairs(vocab.encode("alpha beta"), docs_from(vocab, texts),
+                           tiny_models).run
         assert sorted(run.doc_ids()) == [f"d{i}" for i in range(5)]
 
     def test_scores_sorted_descending_resort_is_noop(self, tiny_models, vocab):
         texts = ["alpha beta", "epsilon zeta", "theta iota kappa", "beta delta"]
-        run = rerank_detailed(vocab.encode("alpha"), docs_from(vocab, texts), tiny_models).run
+        run = rerank_pairs(vocab.encode("alpha"), docs_from(vocab, texts), tiny_models).run
         resorted = sorted(run.entries, key=lambda e: -e.score)
         assert [e.doc_id for e in resorted] == run.doc_ids()
 
     def test_empty_documents_rejected(self, tiny_models, vocab):
         with pytest.raises(DegenerateInputError):
-            rerank_detailed(vocab.encode("alpha"), [], tiny_models)
+            rerank_pairs(vocab.encode("alpha"), [], tiny_models)
+
+    def test_rows_and_ids_of_another_count_rejected(self, tiny_models, vocab):
+        with pytest.raises(ShapeError, match="3 embeddings for 2 documents"):
+            rerank_embeddings(vocab.encode("alpha"), ["d0", "d1"],
+                              random_embeddings(tiny_models, 3), tiny_models)
 
     def test_detailed_exposes_graph_tensors(self, tiny_models, vocab):
         docs = docs_from(vocab, ["alpha beta", "epsilon zeta"])
-        result = rerank_detailed(vocab.encode("alpha"), docs, tiny_models)
+        result = rerank_pairs(vocab.encode("alpha"), docs, tiny_models)
         assert result.output.score_tensor.shape == (2,)
         assert result.embeddings.shape == (2, tiny_models.reranker.config.d_model)
         assert result.output.h_eos.shape == (tiny_models.reranker.config.d_model,)
@@ -248,7 +255,7 @@ class TestRerank:
         for _ in range(5):
             perm = rng.permutation(len(docs))
             shuffled = [docs[i] for i in perm]
-            run = rerank_detailed(vocab.encode("alpha"), shuffled, tiny_models).run
+            run = rerank_pairs(vocab.encode("alpha"), shuffled, tiny_models).run
             assert sorted(run.doc_ids()) == sorted(d for d, _ in docs)
 
 

@@ -14,15 +14,16 @@ from embrank.data import Document, Vocabulary
 from embrank.encoder import EncoderModel
 from embrank.errors import (ConfigError, DataFormatError, DegenerateInputError, NumericError,
                             ShapeError)
-from embrank.retrieval import (RETRIEVAL_MODES, DenseIndex, InvertedIndex, Postings, end_to_end,
-                               rrf_fuse, sliding_window_rerank)
-from embrank.reranker import build_model_pair, rerank_detailed
+from embrank.retrieval import (RETRIEVAL_MODES, DenseIndex, InvertedIndex, Postings,
+                               candidate_embeddings, end_to_end, rrf_fuse,
+                               sliding_window_rerank)
+from embrank.reranker import build_model_pair
 from embrank.runs import RunEntry, RunList, rank_by_id, sorted_entries, top_entries
 from embrank.synthetic import generate_synthetic
 from embrank.training import (Adam, LossConfig, OptimConfig, StageConfig, TrainReport,
                               train_stages)
 
-from helpers import naive_bm25_scores, naive_rrf
+from helpers import naive_bm25_scores, naive_rrf, rerank_pairs
 
 TEXTS = {"d1": "cat sat mat", "d2": "cat cat dog", "d3": "dog runs far away"}
 
@@ -209,10 +210,15 @@ class TestDenseSearch:
             self.make_index(matrix).search(np.ones(8), k=6)
 
     def test_non_finite_query_rejected(self):
-        query = np.ones(8)
-        query[3] = np.nan
-        with pytest.raises(NumericError):
-            self.make_index().search(query, k=2)
+        """A query whose squared norm is not finite (NaN, an infinity, or
+        values whose squares overflow) raises ``NumericError`` before any
+        division, and no numpy warning escapes (Tier-1 turns a warning into
+        an error)."""
+        for value in (np.nan, np.inf, -np.inf, 1e200):
+            query = np.ones(8)
+            query[3] = query[5] = value
+            with pytest.raises(NumericError):
+                self.make_index().search(query, k=2)
 
     @pytest.mark.parametrize("made_by", ["hand", "build", "load"])
     def test_matrix_is_read_only(self, made_by, tiny_models, tmp_path):
@@ -431,6 +437,14 @@ class TestRRF:
             rrf_fuse(run_of("q1", ["a"]), run_of("q2", ["a"]), 60)
 
 
+def slide(query, docs, models, **kwargs):
+    """``sliding_window_rerank`` of ``(doc_id, tokens)`` pairs, their rows from
+    one ``candidate_embeddings`` encode."""
+    ids = [doc_id for doc_id, _ in docs]
+    return sliding_window_rerank(query, ids, candidate_embeddings(models, ids, dict(docs)),
+                                 models, **kwargs)
+
+
 class TestSlidingWindow:
     @pytest.fixture
     def setup(self, small_dataset):
@@ -442,16 +456,15 @@ class TestSlidingWindow:
 
     def test_single_window_bit_identical_to_single_pass(self, setup):
         models, docs, query = setup
-        single = rerank_detailed(query, docs[:12], models, query_id="q").run
-        windowed = sliding_window_rerank(query, docs[:12], models, window=20,
-                                         stride=10, query_id="q")
+        single = rerank_pairs(query, docs[:12], models, query_id="q").run
+        windowed = slide(query, docs[:12], models, window=20, stride=10, query_id="q")
         assert [(e.doc_id, e.score) for e in windowed.entries] == \
                [(e.doc_id, e.score) for e in single.entries]
 
     def test_window_and_counter_arithmetic(self, setup):
         """40 candidates, window 10, stride 5: 7 windows, 70 processed tokens."""
         models, docs, query = setup
-        run = sliding_window_rerank(query, docs, models, window=10, stride=5, query_id="q")
+        run = slide(query, docs, models, window=10, stride=5, query_id="q")
         assert run.counters.processed_passage_tokens == 70
         assert run.counters.candidates == 40
         assert run.counters.generated_tokens == 0
@@ -459,7 +472,7 @@ class TestSlidingWindow:
 
     def test_non_overlapping_windows_process_each_doc_once(self, setup):
         models, docs, query = setup
-        run = sliding_window_rerank(query, docs, models, window=10, stride=10, query_id="q")
+        run = slide(query, docs, models, window=10, stride=10, query_id="q")
         assert run.counters.processed_passage_tokens == 40
 
     def test_hundred_candidates_window_twenty_stride_ten(self, small_dataset):
@@ -470,8 +483,7 @@ class TestSlidingWindow:
         docs = [(d.doc_id, d.tokens) for d in ds.documents[:90]] + \
                [(f"x{i}", ds.documents[i].tokens) for i in range(10)]
         query = ds.vocab.encode(ds.eval_queries[0].text)
-        run = sliding_window_rerank(query, docs, models, window=20, stride=10,
-                                    query_id="q")
+        run = slide(query, docs, models, window=20, stride=10, query_id="q")
         assert run.counters.processed_passage_tokens == 180
         assert run.counters.candidates == 100
         assert run.counters.generated_tokens == 0
@@ -480,7 +492,7 @@ class TestSlidingWindow:
     def test_each_candidate_encoded_once(self, setup, encoded_sizes):
         """40 candidates in 7 windows: one ``batch_encode`` of all 40."""
         models, docs, query = setup
-        sliding_window_rerank(query, docs, models, window=10, stride=5, query_id="q")
+        slide(query, docs, models, window=10, stride=5, query_id="q")
         assert encoded_sizes == [40]
 
     def test_windows_rank_like_encoding_each_window(self, setup):
@@ -490,17 +502,17 @@ class TestSlidingWindow:
         work, start = list(docs), len(docs) - 10
         while True:
             piece = work[start:start + 10]
-            result = rerank_detailed(query, piece, models, query_id="q")
+            result = rerank_pairs(query, piece, models, query_id="q")
             work[start:start + 10] = [piece[i] for i in result.output.permutation]
             if start == 0:
                 break
             start = max(0, start - 5)
-        run = sliding_window_rerank(query, docs, models, window=10, stride=5, query_id="q")
+        run = slide(query, docs, models, window=10, stride=5, query_id="q")
         assert run.doc_ids() == [doc_id for doc_id, _ in work]
 
     def test_emitted_scores_strictly_descending(self, setup):
         models, docs, query = setup
-        run = sliding_window_rerank(query, docs, models, window=10, stride=5, query_id="q")
+        run = slide(query, docs, models, window=10, stride=5, query_id="q")
         scores = [e.score for e in run.entries]
         assert scores == sorted(scores, reverse=True)
         assert len(set(scores)) == len(scores)
@@ -508,12 +520,12 @@ class TestSlidingWindow:
     def test_invalid_stride_rejected(self, setup):
         models, docs, query = setup
         with pytest.raises(ConfigError):
-            sliding_window_rerank(query, docs, models, window=10, stride=11)
+            slide(query, docs, models, window=10, stride=11)
 
     def test_window_beyond_budget_rejected(self, setup):
         models, docs, query = setup
         with pytest.raises(ShapeError):
-            sliding_window_rerank(query, docs * 4, models, window=120, stride=10)
+            slide(query, docs * 4, models, window=120, stride=10)
 
 
 def fresh_pipeline(dataset, **model_kwargs):
@@ -587,7 +599,7 @@ class TestEndToEnd:
                             query_id=q.query_id)
         manual_first = bm25.search(ds.vocab.encode(q.text), 30, query_id=q.query_id)
         assert result.first_stage.doc_ids() == manual_first.doc_ids()
-        manual_rerank = rerank_detailed(
+        manual_rerank = rerank_pairs(
             ds.vocab.encode(q.text),
             [(e.doc_id, doc_tokens[e.doc_id]) for e in manual_first.entries],
             models, query_id=q.query_id).run
@@ -671,6 +683,24 @@ class TestEndToEnd:
                        mode, k=30)
         assert recorded != live and recorded in str(err.value) and live in str(err.value)
 
+    @pytest.mark.parametrize("mode", RETRIEVAL_MODES)
+    def test_index_of_another_width_rejected_before_the_search(self, pipeline, mode):
+        """An index built by an encoder of another width is stale too: the
+        fingerprint check runs before the dense search could fail on the width."""
+        ds, _, doc_tokens, bm25, dense = pipeline
+        wider = build_model_pair(ds.vocab, seed=42, d_model=32, n_layers=1, n_heads=2,
+                                 reranker_max_len=96)
+        with pytest.raises(ConfigError, match="rebuild the index"):
+            end_to_end(ds.eval_queries[0].text, wider, doc_tokens, bm25, dense, mode, k=30)
+
+    def test_stale_index_rejected_for_a_query_with_no_candidates(self, small_dataset):
+        models, doc_tokens, bm25, dense = fresh_pipeline(small_dataset)
+        live = end_to_end("zzz", models, doc_tokens, bm25, dense, "bm25", k=30)
+        assert live.first_stage.entries == live.reranked.entries == []
+        nudge_first_weight(models.encoder.parameters()["tok_emb"])
+        with pytest.raises(ConfigError, match="rebuild the index"):
+            end_to_end("zzz", models, doc_tokens, bm25, dense, "bm25", k=30)
+
     def test_reranker_update_keeps_stored_rows(self, small_dataset, encoded_sizes):
         models, doc_tokens, bm25, dense = fresh_pipeline(small_dataset)
         nudge_first_weight(models.reranker.parameters()["tok_emb"])
@@ -694,6 +724,36 @@ class TestEndToEnd:
         result = end_to_end(q.text, models, doc_tokens, bm25, partial, "bm25", k=30)
         assert encoded_sizes == [len(full.first_stage)]
         assert hex_run(result) == hex_run(full)
+
+
+class TestCandidateEmbeddings:
+    """The one source of candidate rows: stored rows while the index is live,
+    else one encode of the distinct ids; the same bits either way."""
+
+    def test_stored_rows_gathered_in_order(self, pipeline, encoded_sizes):
+        ds, models, doc_tokens, bm25, dense = pipeline
+        ids = [dense.doc_ids[i] for i in (5, 2, 5, 9)]
+        rows = candidate_embeddings(models, ids, doc_tokens, dense)
+        assert encoded_sizes == []
+        np.testing.assert_array_equal(rows.data, dense.matrix[[5, 2, 5, 9]])
+
+    @pytest.mark.parametrize("index", ["none", "unfingerprinted", "missing an id"])
+    def test_encode_of_the_distinct_ids(self, pipeline, encoded_sizes, index):
+        ds, models, doc_tokens, bm25, dense = pipeline
+        ids = [dense.doc_ids[i] for i in (5, 2, 5, 9, 2)]
+        source = {"none": None, "unfingerprinted": unfingerprinted(dense),
+                  "missing an id": DenseIndex(matrix=dense.matrix[:3], doc_ids=dense.doc_ids[:3],
+                                              metadata=dense.metadata)}[index]
+        rows = candidate_embeddings(models, ids, doc_tokens, source)
+        assert encoded_sizes == [3]
+        np.testing.assert_array_equal(rows.data, dense.matrix[[5, 2, 5, 9, 2]])
+
+    def test_index_from_another_encoder_state_rejected(self, small_dataset):
+        models, doc_tokens, bm25, dense = fresh_pipeline(small_dataset)
+        nudge_first_weight(models.encoder.parameters()["tok_emb"])
+        for ids in ([], dense.doc_ids[:3]):
+            with pytest.raises(ConfigError, match="rebuild the index"):
+                candidate_embeddings(models, ids, doc_tokens, dense)
 
 
 class TestEncoderFingerprint:
