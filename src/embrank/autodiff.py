@@ -31,9 +31,13 @@ Conventions:
   - inside ``with no_grad():``, or when no input requires grad, no op
     records a tape node, so inference holds no closures and no references to
     intermediate results; ``silu`` then writes its result into its sigmoid's
-    array and ``causal_attention`` drops each group's head copies once it is
-    done with them, so a tape-free forward allocates little beyond its
+    array and ``causal_attention`` drops each group's kᵀ copy once its
+    scores are made, so a tape-free forward allocates little beyond its
     outputs;
+  - ``causal_attention`` told the ``rows`` a caller reads returns only those
+    rows, with the bits of the full result, and softmaxes only them where
+    they are at most half of a large group's rows; its exp skips the masked
+    scores of large triangles;
   - under strict mode (default) any op producing NaN/Inf raises
     ``NumericError`` immediately instead of letting the values spread,
     with or without ``no_grad``.
@@ -148,8 +152,16 @@ def check_finite(data: np.ndarray, op: str) -> np.ndarray:
     """Under strict mode, raise ``NumericError`` naming ``op`` on any NaN/Inf;
     every op runs this on its output. Any of them makes the sum non-finite,
     so a finite sum clears the array; a non-finite one is confirmed by the
-    full scan, which rules out a sum that merely overflowed."""
-    if _strict_finite and not math.isfinite(data.sum()) and not np.all(np.isfinite(data)):
+    full scan, which clears an array whose sum merely overflowed. Where
+    warnings are errors, numpy's overflow warning for that sum is caught and
+    the scan runs; the finite path pays for no ``np.errstate``."""
+    if not _strict_finite:
+        return data
+    try:
+        finite = math.isfinite(data.sum())
+    except RuntimeWarning:  # the sum overflowed
+        finite = False
+    if not finite and not np.isfinite(data).all():
         raise NumericError(f"{op} produced non-finite values")
     return data
 
@@ -300,8 +312,10 @@ def cosine_rows(v: Tensor, m: Tensor) -> Tensor:
     for bit, with ``np.dot`` and ``np.sqrt`` (``np.linalg.norm`` gives the
     same norms), so external recomputations of that expression match exactly:
     ``retrieval.DenseIndex.search`` is one, with each row's norm computed
-    once per index. A zero-norm ``v`` or row raises ``DegenerateInputError``
-    naming it.
+    once per index. A ``v`` or row whose squared norm is not finite (an
+    infinity, a NaN, or values whose squares overflow) raises
+    ``NumericError`` before any division, and a zero-norm one raises
+    ``DegenerateInputError``; both name the row. Then no dot can overflow.
     The dots are batched [1, d] @ [d, 1] products: unlike ``m @ v`` (gemv),
     those round each entry exactly as one ``np.dot`` does.
     """
@@ -309,11 +323,17 @@ def cosine_rows(v: Tensor, m: Tensor) -> Tensor:
     if v.ndim != 1 or m.ndim != 2 or m.shape[1] != v.shape[0]:
         raise ShapeError(f"cosine_rows: expected a [d] vector and [n, d] rows, "
                          f"got {v.shape} and {m.shape}")
-    vv = float(np.dot(v.data, v.data))
+    rows = m.data[:, None, :]
+    with np.errstate(over="ignore"):
+        vv = float(np.dot(v.data, v.data))
+        mm = np.matmul(rows, m.data[:, :, None])[:, 0, 0]
+    if not math.isfinite(vv):
+        raise NumericError("cosine_rows: the vector's squared norm is not finite")
     if vv == 0.0:
         raise DegenerateInputError("cosine_rows: vector has zero norm")
-    rows = m.data[:, None, :]
-    mm = np.matmul(rows, m.data[:, :, None])[:, 0, 0]
+    bad = np.flatnonzero(~np.isfinite(mm))
+    if bad.size:
+        raise NumericError(f"cosine_rows: row {bad[0]}'s squared norm is not finite")
     zero = np.flatnonzero(mm == 0.0)
     if zero.size:
         raise DegenerateInputError(f"cosine_rows: row {zero[0]} has zero norm")
@@ -391,27 +411,53 @@ def concat_rows(tensors: Sequence[Tensor]) -> Tensor:
 
 MASK_VALUE = -1e9
 
-# The additive causal mask of the longest sequence seen so far, read-only;
-# a sequence of length T adds its [:T, :T] corner.
-_mask_triangle = np.zeros((0, 0))
+# The additive causal mask of the longest sequence seen so far, and the 0/1
+# mask keeping its zero entries, both read-only; a sequence of length T reads
+# their [:T, :T] corners.
+_mask_triangle = _keep_triangle = np.zeros((0, 0))
 _mask_triangle.flags.writeable = False
 
 
 def _causal_mask(t: int) -> np.ndarray:
-    """A read-only [t, t] view equal to np.triu(np.full((t, t), MASK_VALUE), 1)."""
-    global _mask_triangle
+    """A read-only [t, t] view equal to np.triu(np.full((t, t), MASK_VALUE), 1);
+    ``_keep_triangle[:t, :t]`` is then its keep mask."""
+    global _mask_triangle, _keep_triangle
     if _mask_triangle.shape[0] < t:
         _mask_triangle = np.triu(np.full((t, t), MASK_VALUE), k=1)
-        _mask_triangle.flags.writeable = False
+        _keep_triangle = (_mask_triangle == 0.0).astype(np.float64)
+        _mask_triangle.flags.writeable = _keep_triangle.flags.writeable = False
     return _mask_triangle[:t, :t]
 
 
+# The exp of a masked score (about -1e9) takes ``np.exp``'s slow underflow
+# path. ``causal_attention`` multiplies a full triangle of at least this many
+# scores by its 0/1 keep mask before the exp and after it, so the masked ones
+# exp a 0 and go back to the 0.0 their own exp gives. The two extra passes pay
+# from about here. Per call with 4 heads, keep-mask time over plain-exp time
+# read 3.8 at 100 scores (T = 5), 1.25 at 2000, 0.93 to 1.04 at 3072 to 4096,
+# 0.54 to 1.12 (mostly under 0.9) at 5800 to 16384, 0.71 to 0.79 at 26k to
+# 55k (encoder packs) and 0.45 at T = 118 (a reranker input). A query's
+# triangle has 36 to 100 scores.
+_KEEP_MASK_MIN_SCORES = 4096
+
+# ``causal_attention`` softmaxes only the rows a group reads when they are at
+# most half its rows and the group has at least this many scores. Below, the
+# gather and the scatter back cost more than the passes they save. Per call
+# with 4 heads and one read row per sequence, gathered time over every-row
+# time read 1.11 at 36 scores (T = 3), 1.08 at 100 (T = 5, a query), 1.03 at
+# 256, 0.96 at 576, 0.89 at 1024 and 0.32 to 0.46 at 10k to 55k (encoder
+# packs). The reranker reads 101 of its 118 rows and softmaxes them all.
+_GATHER_MIN_SCORES = 512
+
+
 def causal_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int,
-                     lengths: Sequence[int] | None = None) -> Tensor:
+                     lengths: Sequence[int] | None = None, rows=None) -> Tensor:
     """Multi-head causal self-attention over packed [N, d] query/key/value
     projections: the rows hold sequences of ``lengths`` end to end (by
     default one sequence of all N rows), and no row attends outside its own
-    sequence.
+    sequence. ``rows``, if given, are the packed rows the caller reads: the
+    result is then [len(rows), d], row j equal bit for bit to row ``rows[j]``
+    of the full [N, d] result (rows may repeat and come in any order).
 
     Head h owns columns [h*hd, (h+1)*hd) with hd = d / n_heads and computes
     softmax(q_h k_hᵀ / sqrt(hd) + M) v_h; the heads come back side by side as
@@ -419,19 +465,32 @@ def causal_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int,
     on the strictly-upper triangle, 0 elsewhere, and the row softmax subtracts
     the row max first. In double precision the masked weights underflow to
     exactly zero, so output row i is bitwise independent of every position
-    after i.
+    after i. Past ``_KEEP_MASK_MIN_SCORES`` scores the exp of a full triangle
+    skips the masked scores' slow path: the same +0.0 weights, from a fast exp.
 
     Forward and backward equal the per-head 2-D composition (column slices,
     matmul, scale, mask, row softmax, matmul, concatenation) of each sequence
     alone, bit for bit. Consecutive sequences of one length T run as one
-    [c, T, d] view of their rows, whose heads are contiguous [c, H, T, hd]
-    copies of q and v and a contiguous [c, H, hd, T] copy of kᵀ, the same
-    arrays the 2-D slices make; ``np.matmul`` runs one BLAS product per
-    (sequence, head), and the backward multiplies by transposed views of those
-    copies, as ``matmul``'s backward does. Strided views in place of the copies
-    round differently in BLAS. The mask is a corner of one shared read-only
+    [c, T, d] view of their rows. Their heads are [c, H, T, hd] views of q and
+    v and a contiguous [c, H, hd, T] copy of kᵀ: BLAS rounds a product of
+    those as it rounds the 2-D slices, while a strided kᵀ view rounds
+    differently. ``np.matmul`` runs one BLAS product per (sequence, head),
+    and the backward multiplies by transposed views of the same arrays, as
+    ``matmul``'s backward does. The mask is a corner of one shared read-only
     triangle (``_causal_mask``). With no tape no group's arrays outlive the
-    loop's next turn, and its q and kᵀ copies go once their product is made.
+    loop's next turn, and its kᵀ copy goes once the scores are made.
+
+    Given ``rows``, a group of at least ``_GATHER_MIN_SCORES`` scores whose
+    sequences read at most half their local rows (one row per passage in the
+    encoder's last block) softmaxes only their union U: its U rows of q kᵀ
+    are taken out, masked with the triangle's U rows, softmaxed and put
+    back, and the other rows keep their raw scores. The scores and the
+    product with v still run on every row, so each read row keeps its bits
+    at every width (OpenBLAS rounds the last columns of a product whose
+    width is 1 to 3 past a multiple of 8 by its row count). The backward is
+    the full-row one on the output gradient scattered to [N, d] as
+    ``take_rows`` scatters it: a row not read has a zero gradient, so its
+    raw scores add only zeros.
     """
     q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
     if q.ndim != 2 or k.shape != q.shape or v.shape != q.shape:
@@ -443,6 +502,13 @@ def causal_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int,
     lengths = [n] if lengths is None else list(lengths)
     if not lengths or min(lengths) < 1 or sum(lengths) != n:
         raise ShapeError(f"causal_attention: sequence lengths {lengths} do not split {n} rows")
+    if rows is not None:
+        read = np.asarray(rows, dtype=np.intp)
+        if read.ndim != 1 or (read.size and (read.min() < 0 or read.max() >= n)):
+            raise ShapeError(f"causal_attention: rows must be a 1-D array of indices "
+                             f"below {n}, got {rows!r}")
+        is_read = np.zeros(n, dtype=bool)
+        is_read[read] = True
     hd = d // n_heads
     scale = 1.0 / math.sqrt(hd)
 
@@ -455,30 +521,48 @@ def causal_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int,
     out, runs, hi = np.empty(q.shape, q.data.dtype), [], 0
     record = _records((q, k, v))
     for t, group in itertools.groupby(lengths):
-        rows = slice(hi, hi + t * len(list(group)))
-        hi = rows.stop
-        qh, kt = heads(q.data[rows], t).copy(), tr(heads(k.data[rows], t)).copy()
-        vh = heads(v.data[rows], t).copy()
+        span = slice(hi, hi + t * len(list(group)))
+        hi = span.stop
+        qh, kt, vh = heads(q.data[span], t), tr(heads(k.data[span], t)).copy(), heads(v.data[span], t)
         w = np.matmul(qh, kt)  # the masked row softmax, in place, in the usual rounding order
         if record:
-            runs.append((rows, t, qh, kt, vh, w))
-        del qh, kt
-        w *= scale
-        w += _causal_mask(t)
-        w -= w.max(axis=-1, keepdims=True)
-        np.exp(w, out=w)
-        w /= w.sum(axis=-1, keepdims=True)
-        heads(out[rows], t)[...] = np.matmul(w, vh)
+            runs.append((span, t, qh, kt, vh, w))
+        del kt
+        u = None  # the local rows softmaxed, if not every row
+        if rows is not None and w.size >= _GATHER_MIN_SCORES:
+            u = np.flatnonzero(is_read[span].reshape(-1, t).any(axis=0))
+            if 2 * len(u) > t:
+                u = None
+        s, mask = (w, _causal_mask(t)) if u is None else (w[:, :, u], _causal_mask(t)[u])
+        s *= scale
+        s += mask
+        s -= s.max(axis=-1, keepdims=True)
+        if u is None and s.size >= _KEEP_MASK_MIN_SCORES:
+            keep = _keep_triangle[:t, :t]
+            s *= keep
+            np.exp(s, out=s)
+            s *= keep
+        else:
+            np.exp(s, out=s)
+        s /= s.sum(axis=-1, keepdims=True)
+        if u is not None:
+            w[:, :, u] = s
+        np.matmul(w, vh, out=heads(out[span], t))
+    if rows is not None:
+        out = out[read]
 
     def bw(g):
+        if rows is not None:  # the gradient of the full [N, d] result
+            g, part = np.zeros((n, d)), g
+            np.add.at(g, read, part)
         gq, gk, gv = (np.empty(g.shape, g.dtype) for _ in range(3))
-        for rows, t, qh, kt, vh, w in runs:
-            gh = heads(g[rows], t)
+        for span, t, qh, kt, vh, w in runs:
+            gh = heads(g[span], t)
             gw = np.matmul(gh, tr(vh))
             gl = w * (gw - (gw * w).sum(axis=-1, keepdims=True)) * scale
-            heads(gq[rows], t)[...] = np.matmul(gl, tr(kt))
-            heads(gk[rows], t)[...] = tr(np.matmul(tr(qh), gl))
-            heads(gv[rows], t)[...] = np.matmul(tr(w), gh)
+            heads(gq[span], t)[...] = np.matmul(gl, tr(kt))
+            heads(gk[span], t)[...] = tr(np.matmul(tr(qh), gl))
+            heads(gv[span], t)[...] = np.matmul(tr(w), gh)
         _accumulate(q, gq, owned=True)
         _accumulate(k, gk, owned=True)
         _accumulate(v, gv, owned=True)

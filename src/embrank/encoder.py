@@ -20,10 +20,11 @@ from .transformer import CausalTransformer, ModelConfig
 # sets glibc's dynamic malloc thresholds (from the largest block freed so far):
 # after 192-row packs the reranker's attention ran on freshly faulted pages.
 # Each op's fresh arrays are faulted in again once glibc has handed them back:
-# with the tape-free ops' temporaries cut and the last block run past attention
-# on the pooled rows only, a 500-passage build faults in about 17k pages (37k
-# before either) and the first 5000-passage build in a process about 160k
-# (380k), most of them in ``silu`` and attention.
+# with the tape-free ops' temporaries cut and the last block run past its
+# attention scores on the pooled rows only, the first 500-passage build in a
+# process faults in about 18k pages (37k before these) and the first
+# 5000-passage build about 190k (380k), most of them in ``silu`` and attention
+# (seed-0 passages; ``ru_minflt`` of the process, one BLAS thread).
 TOKEN_BUDGET = 384
 
 

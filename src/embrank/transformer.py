@@ -6,8 +6,10 @@ end to end as the rows of one [ΣT, d] matrix; attention, the one
 ``autodiff.causal_attention`` op, is told their lengths, and its docstring
 states the additive -1e9 mask and the bitwise-causality contract it gives the
 hidden states. A caller that reads only some rows (the encoder's pooled last
-tokens, the reranker's passage slots and EOS) names them, and the last block
-runs everything after attention on those rows only.
+tokens, the reranker's passage slots and EOS) names them: the last block's
+attention then returns those rows only (its scores and values still come from
+every row, and where the rows read are few only they are softmaxed), and
+everything after it runs on them alone.
 """
 
 from __future__ import annotations
@@ -84,18 +86,18 @@ class CausalTransformer:
                       ad.take_rows(self.params["pos_emb"], positions))
 
     def _block(self, x: Tensor, layer: int, lengths: list[int], rows=None) -> Tensor:
-        """One pre-norm block. Given ``rows``, attention still runs over every
-        row (its keys and values need them all), then the residual stream and
-        the attention output are gathered at ``rows`` and the rest of the block
-        runs on those rows only."""
+        """One pre-norm block. Given ``rows``, the keys and values still come
+        from every row, attention returns only the rows read, the residual
+        stream is gathered at ``rows`` and the rest of the block runs on those
+        rows only."""
         cfg, p = self.config, self.params
         a = ad.rms_norm(x, p[f"layers.{layer}.attn_norm.weight"], cfg.norm_eps)
         q = ad.matmul(a, p[f"layers.{layer}.attn.wq"])
         k = ad.matmul(a, p[f"layers.{layer}.attn.wk"])
         v = ad.matmul(a, p[f"layers.{layer}.attn.wv"])
-        heads = ad.causal_attention(q, k, v, cfg.n_heads, lengths)
+        heads = ad.causal_attention(q, k, v, cfg.n_heads, lengths, rows)
         if rows is not None:
-            x, heads = ad.take_rows(x, rows), ad.take_rows(heads, rows)
+            x = ad.take_rows(x, rows)
         x = ad.add(x, ad.matmul(heads, p[f"layers.{layer}.attn.wo"]))
         m = ad.rms_norm(x, p[f"layers.{layer}.mlp_norm.weight"], cfg.norm_eps)
         h = ad.silu(ad.matmul(m, p[f"layers.{layer}.mlp.w1"]))
@@ -108,9 +110,11 @@ class CausalTransformer:
 
         ``rows``, if given, are the packed row indices the caller reads: the
         output is then [len(rows), d], row j equal bit for bit to row
-        ``rows[j]`` of the full output, and the last block runs everything after
-        attention on those rows only. Every op after attention is row-wise, and
-        a matmul row keeps its bits whatever the row count (see ``ad.matmul``).
+        ``rows[j]`` of the full output: the last block's attention returns
+        those rows only and everything after it runs on them. Attention keeps
+        each read row's bits (see ``ad.causal_attention``), every op after it
+        is row-wise, and a matmul row keeps its bits whatever the row count
+        (see ``ad.matmul``).
         """
         if x.ndim != 2 or x.shape[1] != self.config.d_model:
             raise ShapeError(f"expected [T, {self.config.d_model}] input, got {x.shape}")

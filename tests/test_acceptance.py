@@ -326,9 +326,37 @@ def test_criterion_7_causality_and_permutation_invariants():
           "100 ordering trials valid permutations")
 
 
+# sha256 of every artifact of the seeded pipeline below, except the config
+# echoes (they record the output paths). Pinned when the pipeline was made
+# to build the dense index and rerank from it; a change that moves one
+# re-pins it and says which artifact moved and why.
+PIPELINE_SHA256 = {
+    "data/corpus.jsonl": "7d27c294c185225304607c74850734882675fc7a55133882ac203c4965c548c0",
+    "data/qrels.txt": "fe66909c11fb5f69cbbc3419b88b5dbfd35c8f8440ec16a62e80a1f4d457a0a9",
+    "data/queries_eval.tsv": "71846169e2c8d648be744f1db6a828c841e3cb67a83fa502144118b91512bf8d",
+    "data/queries_train.tsv": "ef4692f9d2b5069795008df99bf0df3a00449a4f0ed642fcbb7265313747771f",
+    "data/stage1.jsonl": "ecd2bf1f267509e9492e735bbf3128c43aa77fdf96905797f6661512f7a328fa",
+    "data/stage2.jsonl": "8d066223c38f8d67d792ceaf86abca76faf1a4469b46f8b53dc9c4c2af12c0db",
+    "train/checkpoints/stage1.ckpt": "575a8e2192eefd793783a1f6b11f676be0dfcfb3453be43d64ccfcbfc53b197e",
+    "train/checkpoints/stage2.ckpt": "9d89affca91bdde328bded05e9fa11cfd4a2949cb7d03e3e8cde04b0eb859d76",
+    "train/checkpoints/final.ckpt": "d242ec9f2c94a8e080416a1d7d0a5ccb90dd8192b9762bc4caa4d23cadd6d247",
+    "train/metrics.jsonl": "5d7395d924ed4ab59139a5518ab17f81809b3453c209587501c5f4324527b13b",
+    "index/bm25.idx": "3ae05e4d3343b488e43cd3378424c7516de71de08898c967222230a142cecbac",
+    "index/dense.idx": "936bce6e072eaadb24105b5168c1dbce327f051e003a1d6788033389de96ba12",
+    "e2e/first_stage.trec": "abae6752e91d8cf627bf11760c6d1b65e0dfdfd002aca3a9545db451072f7f85",
+    "e2e/run.trec": "d328281d68d84906a6d6a2d73c77ee2db70c2e89bd5987663427496eb83b7ef2",
+    "e2e/report.txt": "8e3274359ddc3b18d15ed66b61447345e64a3d1bcf163d6c67c89fcdbe453ddf",
+    "e2e/trace.jsonl": "75b5cbe6998be86f53db82be40c4565bb1ff2abc7e5173b917ca0cb98a84dd5f",
+    "eval/report.txt": "5a949616c714c3c12990e28bb7dd54fc871ec05228b329578d9fa7a2bc57773c",
+    "eval/metrics.jsonl": "a2e6ace870a3eb7d67852fd9993bf46f328ad57bf42aa5c241ba09a09051ce5e",
+}
+
+
 def test_criterion_8_cli_pipeline_reproducibility(tmp_path):
-    """Two identical seeded CLI pipelines produce identical checkpoints, run
-    files, and metric reports, byte for byte."""
+    """A seeded CLI pipeline (gen-data, train, build-index with the dense
+    index, end-to-end in rrf mode from the stored rows, evaluate) writes
+    checkpoints, indexes, run files and metric reports whose bytes equal the
+    pinned digests, and no other file but the config echoes."""
     config = tmp_path / "config.json"
     config.write_text(json.dumps({
         "seed": 5,
@@ -340,34 +368,26 @@ def test_criterion_8_cli_pipeline_reproducibility(tmp_path):
                    {"epochs": 1, "batch_size": 3, "lr": 0.001}],
         "retrieval": {"top_k": 30},
     }))
-
-    def pipeline(root):
-        data, train, index, e2e, ev = (root / n for n in
-                                       ("data", "train", "index", "e2e", "eval"))
-        assert cli_main(["gen-data", "--config", str(config), "--out", str(data)]) == 0
-        assert cli_main(["train", "--config", str(config), "--data", str(data),
-                         "--out", str(train)]) == 0
-        assert cli_main(["build-index", "--config", str(config),
-                         "--corpus", str(data / "corpus.jsonl"),
-                         "--out", str(index)]) == 0
-        assert cli_main(["end-to-end", "--config", str(config),
-                         "--checkpoint", str(train / "checkpoints/final.ckpt"),
-                         "--corpus", str(data / "corpus.jsonl"),
-                         "--queries", str(data / "queries_eval.tsv"),
-                         "--bm25-index", str(index / "bm25.idx"),
-                         "--qrels", str(data / "qrels.txt"),
-                         "--mode", "bm25", "--out", str(e2e)]) == 0
-        assert cli_main(["evaluate", "--run", str(e2e / "run.trec"),
-                         "--qrels", str(data / "qrels.txt"), "--out", str(ev)]) == 0
-        tracked = ["train/checkpoints/final.ckpt", "train/checkpoints/stage1.ckpt",
-                   "train/metrics.jsonl", "e2e/run.trec", "e2e/first_stage.trec",
-                   "e2e/report.txt", "eval/report.txt", "eval/metrics.jsonl",
-                   "data/corpus.jsonl", "data/qrels.txt"]
-        return {name: hashlib.sha256((root / name).read_bytes()).hexdigest()
-                for name in tracked}
-
-    first = pipeline(tmp_path / "run1")
-    second = pipeline(tmp_path / "run2")
-    assert first == second
-    print("\nACCEPTANCE 8 PASS: two seeded pipelines byte-identical "
-          f"across {len(first)} artifacts")
+    root = tmp_path / "run"
+    data, train, index, e2e, ev = (root / n for n in ("data", "train", "index", "e2e", "eval"))
+    final = str(train / "checkpoints/final.ckpt")
+    assert cli_main(["gen-data", "--config", str(config), "--out", str(data)]) == 0
+    assert cli_main(["train", "--config", str(config), "--data", str(data),
+                     "--out", str(train)]) == 0
+    assert cli_main(["build-index", "--config", str(config),
+                     "--corpus", str(data / "corpus.jsonl"),
+                     "--dense", "--checkpoint", final, "--out", str(index)]) == 0
+    assert cli_main(["end-to-end", "--config", str(config), "--checkpoint", final,
+                     "--corpus", str(data / "corpus.jsonl"),
+                     "--queries", str(data / "queries_eval.tsv"),
+                     "--bm25-index", str(index / "bm25.idx"),
+                     "--dense-index", str(index / "dense.idx"),
+                     "--qrels", str(data / "qrels.txt"),
+                     "--mode", "rrf", "--out", str(e2e)]) == 0
+    assert cli_main(["evaluate", "--run", str(e2e / "run.trec"),
+                     "--qrels", str(data / "qrels.txt"), "--out", str(ev)]) == 0
+    written = {p.relative_to(root).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
+               for p in root.rglob("*") if p.is_file() and p.name != "config.json"}
+    assert written == PIPELINE_SHA256
+    print("\nACCEPTANCE 8 PASS: a seeded pipeline's "
+          f"{len(written)} artifacts equal their pinned digests")

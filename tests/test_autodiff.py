@@ -186,6 +186,131 @@ class TestCausalAttention:
                                 ad.tensor(np.zeros((3, 4))), n_heads=2)
 
 
+def bits(a):
+    """The IEEE bit patterns of a float64 array, so that -0.0 != 0.0."""
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.uint64)
+
+
+@pytest.fixture(params=["default", "no_size_floor"])
+def attention_paths(request, monkeypatch):
+    """Run a test with ``causal_attention``'s own size floors, and with none:
+    then every full triangle, however small, runs the keep-mask exp, and
+    every group that reads at most half its rows softmaxes only those."""
+    if request.param == "no_size_floor":
+        monkeypatch.setattr(ad, "_KEEP_MASK_MIN_SCORES", 0)
+        monkeypatch.setattr(ad, "_GATHER_MIN_SCORES", 0)
+
+
+@pytest.mark.usefixtures("attention_paths")
+class TestReadRowsAttention:
+    """``causal_attention(q, k, v, H, lengths, rows)`` equals ``take_rows`` of
+    the full result at ``rows``, bit for bit, in the forward and in the q, k
+    and v gradients. Lengths 9, 17 and 35 leave 1 to 3 score columns past a
+    multiple of 8, and head widths 9 and 17 one output column, where OpenBLAS
+    rounds a product of fewer rows otherwise. The cases read every row of a
+    group, at most half of them (softmaxed alone by default in the groups of
+    17 and 35, and in the group of 9 with 4 heads) or none."""
+
+    LENGTHS = [1, 3, 3, 5, 1, 1, 9, 9, 17, 2] + [35] * 8
+
+    @staticmethod
+    def last_rows(lengths):
+        return np.cumsum(lengths) - 1
+
+    CASES = {
+        # mixed lengths, 1-token sequences, and the 5-row group read by no row
+        "mixed": [0, 2, 3, 9, 12, 13, 20, 22, 35, 46, 47, 48, 81, 100, 150, 299, 330],
+        "unsorted_repeated": [48, 3, 3, 81, 0, 27, 27, 27, 12, 64, 290, 120, 290],
+        "one_per_sequence": "last",
+        "first_of_each_sequence": "first",
+        "one_row": [70],
+        "every_row": "all",
+        "every_row_shuffled": "shuffled",
+    }
+
+    def rows(self, case, rng):
+        lengths = self.LENGTHS
+        spec = self.CASES[case]
+        if spec == "last":
+            return self.last_rows(lengths)
+        if spec == "first":
+            return np.cumsum(lengths) - lengths
+        if spec == "all":
+            return np.arange(sum(lengths))
+        if spec == "shuffled":
+            return rng.permutation(sum(lengths))
+        return np.array(spec)
+
+    @pytest.mark.parametrize("n_heads,d", [(2, 16), (4, 64), (4, 36), (2, 34)],
+                             ids=["hd8", "hd16", "hd9", "hd17"])
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_equals_the_full_result_taken_at_rows(self, case, n_heads, d):
+        rng = np.random.default_rng(len(case) * d)
+        lengths = self.LENGTHS
+        rows = self.rows(case, rng)
+        data = [rng.normal(size=(sum(lengths), d)) for _ in range(3)]
+        g = rng.normal(size=(len(rows), d))
+
+        def run(read):
+            q, k, v = (ad.param(x) for x in data)
+            out = read(q, k, v)
+            backward(ad.sum_all(ad.mul(out, ad.tensor(g))))
+            return out.data, q.grad, k.grad, v.grad
+        got = run(lambda q, k, v: ad.causal_attention(q, k, v, n_heads, lengths, rows))
+        want = run(lambda q, k, v: ad.take_rows(ad.causal_attention(q, k, v, n_heads, lengths), rows))
+        for name, a, b in zip(("out", "dq", "dk", "dv"), got, want):
+            np.testing.assert_array_equal(bits(a), bits(b), err_msg=name)
+        with ad.no_grad():
+            free = ad.causal_attention(*(ad.tensor(x) for x in data), n_heads, lengths, rows)
+        np.testing.assert_array_equal(bits(free.data), bits(want[0]))
+
+    def test_no_row_gives_an_empty_result(self):
+        x = ad.param(np.ones((4, 8)))
+        out = ad.causal_attention(x, x, x, 2, [1, 3], [])
+        assert out.shape == (0, 8)
+        backward(ad.sum_all(out))
+        np.testing.assert_array_equal(x.grad, np.zeros((4, 8)))
+
+    @pytest.mark.parametrize("rows", [[4], [-1], [[0, 1]]])
+    def test_rows_out_of_range_rejected(self, rows):
+        x = ad.tensor(np.zeros((4, 8)))
+        with pytest.raises(ShapeError, match="rows"):
+            ad.causal_attention(x, x, x, 2, [1, 3], rows)
+
+
+@pytest.mark.usefixtures("attention_paths")
+class TestMaskedSoftmax:
+    """With one head of width T and v = I, attention returns its softmax
+    weights exactly. They equal the plain masked softmax (exp over the
+    -1e9-masked scores) bit for bit, for full and partial row reads, with the
+    op's own forms (plain exp up to T = 8, keep mask at T = 64 and 118, read
+    rows softmaxed alone from T = 23) and with both at every T. A masked
+    weight is +0.0."""
+
+    @staticmethod
+    def weights(q, k, rows=None):
+        t = q.shape[0]
+        out = ad.causal_attention(ad.tensor(q), ad.tensor(k), ad.tensor(np.eye(t)), 1, None, rows)
+        return out.data
+
+    @staticmethod
+    def plain(q, k):
+        t = q.shape[0]
+        logits = (q @ k.T.copy()) * (1.0 / math.sqrt(t)) + np.triu(np.full((t, t), -1e9), 1)
+        e = np.exp(logits - logits.max(axis=1, keepdims=True))
+        return e / e.sum(axis=1, keepdims=True)
+
+    @pytest.mark.parametrize("t", [1, 2, 8, 64, 118])
+    def test_equals_the_plain_masked_softmax(self, t):
+        rng = np.random.default_rng(t)
+        q, k = 3.0 * rng.normal(size=(t, t)), rng.normal(size=(t, t))
+        want = self.plain(q, k)
+        assert np.all(bits(np.triu(want, 1)) == 0)
+        np.testing.assert_array_equal(bits(self.weights(q, k)), bits(want))
+        for rows in ([0], [t - 1], [t // 2, 0], list(range(t // 3, t))):
+            np.testing.assert_array_equal(bits(self.weights(q, k, rows)), bits(want[rows]))
+
+
 class TestRmsNorm:
     def test_constant_vector_normalizes_to_ones(self):
         out = ad.rms_norm(ad.tensor([4.2, 4.2, 4.2]), ad.tensor([1.0, 1.0, 1.0]), 1e-12)
@@ -244,6 +369,16 @@ class TestCosineSim:
     def test_zero_norm_error_names_the_row(self):
         with pytest.raises(DegenerateInputError, match="row 1"):
             cos([1.0, 0.0], [[1.0, 1.0], [0.0, 0.0], [2.0, 0.0]])
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, 1e200])
+    def test_non_finite_squared_norm_raises_before_dividing(self, bad):
+        """An infinity, or values whose squares overflow, raise ``NumericError``
+        naming the vector or the row, with no numpy warning (Tier-1 turns
+        warnings into errors)."""
+        with pytest.raises(NumericError, match="vector"):
+            cos([bad, bad, 0.0], [[1.0, 0.0, 0.0]])
+        with pytest.raises(NumericError, match="row 1"):
+            cos([1.0, 0.0, 0.0], [[1.0, 1.0, 0.0], [bad, bad, 0.0], [0.0, 0.0, 0.0]])
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ShapeError):
@@ -519,6 +654,19 @@ class TestDeterminismAndGuards:
         with pytest.raises(NumericError) as err:
             ad.mul(ad.tensor(x), -1.0)
         assert "mul" in str(err.value)
+
+    @pytest.mark.parametrize("values", [[1e308] * 10, [1e308, 1e308, -1e308], [-1e308] * 3])
+    def test_finite_guard_clears_an_overflowing_sum_without_a_warning(self, values):
+        """The sum overflows; under Tier-1's warnings-as-errors the guard still
+        clears the array by the full scan."""
+        data = np.array(values)
+        assert ad.check_finite(data, "probe") is data
+        out = ad.mul(ad.tensor(values), 1.0)
+        np.testing.assert_array_equal(out.data, values)
+
+    def test_finite_guard_still_names_a_non_finite_value_after_an_overflow(self):
+        with pytest.raises(NumericError, match="probe"):
+            ad.check_finite(np.array([1e308, 1e308, np.nan]), "probe")
 
     def test_finite_values_whose_sum_overflows_pass(self):
         with np.errstate(over="ignore"):

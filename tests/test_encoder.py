@@ -251,3 +251,20 @@ class TestReadRows:
         x = model.embed_tokens([vocab.encode("alpha beta")])
         with pytest.raises(ShapeError):
             model.forward_embedded(x, [2], [2])
+
+
+@pytest.mark.parametrize("d_model,n_heads", [(36, 4), (136, 8)], ids=["hd9", "hd17"])
+def test_batch_encode_equals_encode_passage_at_odd_head_widths(vocab, d_model, n_heads):
+    """Head widths 9 and 17 are 1 past a multiple of 8, where OpenBLAS rounds
+    a product's last column by its row count. Packs hold three passages of
+    each length from 1 to 16 tokens, and in their last block the groups of
+    7 or more tokens softmax one row per passage; every row still equals its
+    passage's own ``encode_passage``, bit for bit."""
+    enc = build_model_pair(vocab, seed=31, d_model=d_model, n_layers=2, n_heads=n_heads,
+                           encoder_max_len=16, ffn_mult=2).encoder
+    rng = np.random.default_rng(d_model)
+    passages = [list(rng.integers(0, len(vocab), size=t)) for t in range(1, 17) for _ in range(3)]
+    batched = enc.batch_encode(passages).data
+    for ids, row in zip(passages, batched):
+        np.testing.assert_array_equal(row.view(np.uint64),
+                                      enc.encode_passage(ids).data.view(np.uint64))
