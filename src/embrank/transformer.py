@@ -114,7 +114,8 @@ class CausalTransformer:
         those rows only and everything after it runs on them. Attention keeps
         each read row's bits (see ``ad.causal_attention``), every op after it
         is row-wise, and a matmul row keeps its bits whatever the row count
-        (see ``ad.matmul``).
+        for the shapes the ``ad.matmul`` docstring names (the default size
+        among them; not, for one, ``d_model`` 36 with ``ffn_mult=4``).
         """
         if x.ndim != 2 or x.shape[1] != self.config.d_model:
             raise ShapeError(f"expected [T, {self.config.d_model}] input, got {x.shape}")

@@ -253,6 +253,15 @@ def op_gradcheck_cases(ad):
         red = _reducer(ad, (5,), rng)
         return lambda: red(ad.take_rows(vec, idx)), {"vec": vec}
 
+    def make_take_rows_twice(rng):
+        """One table gathered twice: the second scatter adds into a gradient
+        the first has filled."""
+        table = ad.param(rng.normal(size=(5, 3)))
+        i1, i2 = rng.integers(0, 5, size=4), rng.integers(0, 5, size=6)
+        red1, red2 = _reducer(ad, (4, 3), rng), _reducer(ad, (6, 3), rng)
+        return (lambda: ad.add(red1(ad.take_rows(table, i1)), red2(ad.take_rows(table, i2))),
+                {"table": table})
+
     def make_pick(rng):
         a = ad.param(rng.normal(size=(4, 3)))
         i = int(rng.integers(0, 4))
@@ -312,7 +321,8 @@ def op_gradcheck_cases(ad):
 
     makers = (make_add_same, make_sub, make_mul, make_mul_scalar, make_silu,
               make_softplus, make_sum_all, make_matmul, make_cosine_rows,
-              make_take_rows, make_take_rows_vector, make_pick, make_concat_rows,
+              make_take_rows, make_take_rows_vector, make_take_rows_twice, make_pick,
+              make_concat_rows,
               make_logsumexp, make_rms_norm, make_causal_attention,
               make_matmul_one_row, make_causal_attention_packed,
               make_causal_attention_rows)

@@ -278,6 +278,83 @@ class TestReadRowsAttention:
             ad.causal_attention(x, x, x, 2, [1, 3], rows)
 
 
+class TestScatterRows:
+    """``take_rows``' backward adds a gradient into rows by one 1-D
+    ``np.add.at`` over flat element indices. It gives the bits of the 2-D
+    ``np.add.at``, -0.0 included, for every index pattern and into a gradient
+    that already holds values; a ``bincount`` or sorted ``reduceat`` form does
+    not."""
+
+    @staticmethod
+    def run(shape, idx, g, grad=None):
+        """The gradient ``take_rows(table, idx)`` leaves for an output gradient
+        ``g``, into the table's gradient so far ``grad`` (None: none yet),
+        checked against the 2-D ``np.add.at``."""
+        table = ad.param(np.zeros(shape))
+        table.grad = None if grad is None else grad.copy()
+        out = ad.take_rows(table, idx)
+        backward(ad.sum_all(ad.mul(out, ad.tensor(g))))
+        want = np.zeros(shape) if grad is None else grad.copy()
+        np.add.at(want, idx, g)
+        np.testing.assert_array_equal(bits(table.grad), bits(want))
+        return table.grad
+
+    @staticmethod
+    def spread(rng, shape):
+        """Values over 16 decades, so the order of additions shows in the bits."""
+        return rng.normal(size=shape) * 10.0 ** rng.uniform(-8, 8, size=shape)
+
+    def test_unsorted_indices_with_one_repeated_200_times(self):
+        rng = np.random.default_rng(0)
+        idx = rng.permutation(np.concatenate([np.full(200, 3), rng.integers(0, 10, 60)]))
+        self.run((10, 7), idx, self.spread(rng, (len(idx), 7)))
+
+    def test_into_a_gradient_holding_values_and_negative_zeros(self):
+        rng = np.random.default_rng(1)
+        grad = self.spread(rng, (9, 5))
+        grad[[0, 4]] = -0.0
+        grad[2, 1] = 0.0
+        idx = np.array([4, 0, 8, 4, 2, 2, 7, 0])
+        self.run((9, 5), idx, self.spread(rng, (len(idx), 5)), grad)
+
+    def test_two_gathers_of_one_table_add_in_the_sweep_order(self):
+        """Two gathers of one table, as ``embed_tokens`` over several packs:
+        the second scatter adds into a gradient that already holds values
+        (the sweep reaches the first gather first)."""
+        rng = np.random.default_rng(5)
+        table = ad.param(np.zeros((6, 3)))
+        i1, i2 = np.array([4, 1, 1, 5, 0]), np.array([1, 4, 4, 2])
+        g1, g2 = rng.normal(size=(5, 3)) * 1e8, rng.normal(size=(4, 3))
+        g2[1] = -0.0
+        loss = ad.add(ad.sum_all(ad.mul(ad.take_rows(table, i1), ad.tensor(g1))),
+                      ad.sum_all(ad.mul(ad.take_rows(table, i2), ad.tensor(g2))))
+        backward(loss)
+        want = np.zeros((6, 3))
+        np.add.at(want, i1, g1)
+        np.add.at(want, i2, g2)
+        np.testing.assert_array_equal(bits(table.grad), bits(want))
+
+    def test_negative_zero_contributions(self):
+        idx = np.array([0, 1, 1, 2, 2])
+        g = np.array([[-0.0, 1.0], [-0.0, -0.0], [-0.0, 0.0], [-0.0, -0.0], [-0.0, -0.0]])
+        grad = np.array([[-0.0, -0.0], [-0.0, 0.0], [1.0, -0.0]])
+        self.run((3, 2), idx, g)
+        got = self.run((3, 2), idx, g, grad)
+        assert np.signbit(got).tolist() == [[True, False], [True, False], [False, True]]
+
+    def test_empty_index(self):
+        grad = np.array([[-0.0, 2.0], [3.0, -0.0]])
+        self.run((2, 2), np.array([], dtype=int), np.zeros((0, 2)), grad)
+
+    def test_vector_table(self):
+        rng = np.random.default_rng(2)
+        idx = rng.permutation(np.concatenate([np.full(50, 6), rng.integers(0, 8, 30)]))
+        self.run((8,), idx, self.spread(rng, len(idx)))
+        grad = self.spread(rng, 8)
+        grad[1] = -0.0
+        self.run((8,), idx, self.spread(rng, len(idx)), grad)
+
+
 @pytest.mark.usefixtures("attention_paths")
 class TestMaskedSoftmax:
     """With one head of width T and v = I, attention returns its softmax
@@ -761,3 +838,11 @@ class TestScalarHelpers:
     def test_softplus_extremes(self):
         out = ad.softplus(ad.tensor([-800.0, 0.0, 800.0]))
         np.testing.assert_allclose(out.data, [0.0, math.log(2.0), 800.0], atol=1e-12)
+
+    def test_softplus_backward_at_extremes_raises_no_overflow_warning(self):
+        """The gradient sigmoid(x) is 0 where exp(-x) overflows (x < -709):
+        no ``RuntimeWarning`` (an error under Tier-1's filter), and the bits
+        of 1/(1+inf)."""
+        x = ad.param([-1000.0, 0.0, 1000.0])
+        backward(ad.sum_all(ad.softplus(x)))
+        np.testing.assert_array_equal(bits(x.grad), bits(np.array([0.0, 0.5, 1.0])))

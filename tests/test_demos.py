@@ -1,7 +1,7 @@
 """The fast demos run to completion against the current API, and the slow
 ones import only names that exist.
 
-Demos 04 and 05 train the full synthetic setting (about 12 s each on a
+Demos 04 and 05 train the full synthetic setting (about 10 s each on a
 2-CPU machine), so they run as their own CI step rather than here; their
 imports are checked here without running them.
 """

@@ -6,9 +6,11 @@ tag`` lines of every rerank path: ``end_to_end`` in each retrieval mode, from
 a dense index's stored rows and by encoding (an index recording no encoder
 fingerprint); a sliding-window run (window 8, stride 4); ``rerank_eval_set``;
 and the three runs of ``ordering_experiment``. The first ``train_step``'s
-losses and gradient norm are pinned in hex. Hex, because TREC text rounds a
-score to 6 decimals. A change that must keep every bit, such as one
-embedding source for every path, moves none of them.
+losses and gradient norm are pinned in hex, and the gradients it leaves
+(clipped, every parameter's in ``ModelPair.parameters()`` order) by one
+sha256. Hex, because TREC text rounds a score to 6 decimals. A change that
+must keep every bit, such as one embedding source for every path or a
+faster backward, moves none of them.
 """
 
 import hashlib
@@ -42,6 +44,7 @@ DIGESTS = {
         "order_ndcg": ["0x1.06b522f02199cp-1", "0x1.074fd9671f16fp-1", "0x1.09c2e4eb1be0dp-1"],
         "train_step": ["0x1.863a776dc334dp+1", "0x1.8c3e9f2cb037ep+7",
                        "0x1.8cdab68fa8ec6p+7", "0x1.2b6c2b997ecb2p+12"],
+        "train_step_grads": "2dabbc257e54976c78c0af1c53ec23ee31df6ef8c66b23b49a049c6daf9c7241",
     },
     104729: {
         "batch_encode": "d06913ad09cdfd1594ae7b08597eb84c8295c9e6ba34b7bfc4096fe4eba64cfd",
@@ -56,6 +59,7 @@ DIGESTS = {
         "order_ndcg": ["0x1.e9d8b6c2c7006p-2", "0x1.e970e77dbede2p-2", "0x1.eb4a851ca47e7p-2"],
         "train_step": ["0x1.cb0f49e2c8448p+2", "0x1.11af9450e7c8bp+7",
                        "0x1.131ed3bf36cf5p+7", "0x1.dadef29686c03p+11"],
+        "train_step_grads": "a8474f42f4b08c75c9589a387f1f72cbb8fabd7ef0d2bdf55f87e658b6c7bbc4",
     },
 }
 
@@ -144,3 +148,7 @@ def test_first_train_step(setting):
                config=OptimConfig())
     record = train_step(models, s.ds.stage1_samples[:4], s.doc_tokens, opt, LossConfig(), 0, "s")
     assert [record[k].hex() for k in STEP_KEYS] == s.digests["train_step"]
+    grads = hashlib.sha256()
+    for t in models.parameters().values():
+        grads.update(t.grad.tobytes())
+    assert grads.hexdigest() == s.digests["train_step_grads"]

@@ -135,6 +135,16 @@ class TestRankNet:
                                 [labels[i] for i in perm], tau2=0.05).item()
             assert loss == pytest.approx(base, abs=1e-9)
 
+    def test_backward_at_a_small_tau_raises_no_overflow_warning(self):
+        """At tau2 = 1e-3 the pair's (s_k - s_j)/tau2 is -1800, where
+        softplus's gradient takes exp(1800): the gradient is 0, and no
+        ``RuntimeWarning`` (an error under Tier-1's filter) escapes."""
+        s = ad.param([0.9, -0.9])
+        loss = ranknet_loss(s, [0, 1], tau2=1e-3)
+        backward(loss)
+        assert loss.item() == 0.0
+        np.testing.assert_array_equal(s.grad, [0.0, 0.0])
+
     def test_no_orderable_pair_is_an_error(self):
         with pytest.raises(DegenerateInputError):
             ranknet_loss([0.5, 0.1], [1, 1], tau2=0.05)
