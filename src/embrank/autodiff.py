@@ -53,6 +53,7 @@ from __future__ import annotations
 import contextlib
 import itertools
 import math
+import threading
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -155,18 +156,15 @@ def _as_tensor(x) -> Tensor:
 
 def check_finite(data: np.ndarray, op: str) -> np.ndarray:
     """Under strict mode, raise ``NumericError`` naming ``op`` on any NaN/Inf;
-    every op runs this on its output. Any of them makes the sum non-finite,
-    so a finite sum clears the array; a non-finite one is confirmed by the
-    full scan, which clears an array whose sum merely overflowed. Where
-    warnings are errors, numpy's overflow warning for that sum is caught and
-    the scan runs; the finite path pays for no ``np.errstate``."""
+    every op runs this on its output. The sum of squares (``np.vdot`` of the
+    array with itself, one BLAS pass) is finite when every element is; a
+    non-finite one is confirmed by the full scan, which clears an array whose
+    squares merely overflowed (an element above about 1.3e154). ``np.vdot``
+    raises no floating-point warning, so neither case warns under any warning
+    filter, and no call pays for an ``np.errstate``."""
     if not _strict_finite:
         return data
-    try:
-        finite = math.isfinite(data.sum())
-    except RuntimeWarning:  # the sum overflowed
-        finite = False
-    if not finite and not np.isfinite(data).all():
+    if not math.isfinite(np.vdot(data, data)) and not np.isfinite(data).all():
         raise NumericError(f"{op} produced non-finite values")
     return data
 
@@ -445,22 +443,29 @@ def concat_rows(tensors: Sequence[Tensor]) -> Tensor:
 
 MASK_VALUE = -1e9
 
-# The additive causal mask of the longest sequence seen so far, and the 0/1
-# mask keeping its zero entries, both read-only; a sequence of length T reads
-# their [:T, :T] corners.
-_mask_triangle = _keep_triangle = np.zeros((0, 0))
-_mask_triangle.flags.writeable = False
+# The additive causal mask of the longest sequence seen so far and the 0/1
+# mask keeping its zero entries, both read-only, published together as one
+# pair; a sequence of length T reads their [:T, :T] corners.
+_triangles = (np.zeros((0, 0)), np.zeros((0, 0)))
+_triangles_lock = threading.Lock()
 
 
-def _causal_mask(t: int) -> np.ndarray:
-    """A read-only [t, t] view equal to np.triu(np.full((t, t), MASK_VALUE), 1);
-    ``_keep_triangle[:t, :t]`` is then its keep mask."""
-    global _mask_triangle, _keep_triangle
-    if _mask_triangle.shape[0] < t:
-        _mask_triangle = np.triu(np.full((t, t), MASK_VALUE), k=1)
-        _keep_triangle = (_mask_triangle == 0.0).astype(np.float64)
-        _mask_triangle.flags.writeable = _keep_triangle.flags.writeable = False
-    return _mask_triangle[:t, :t]
+def _causal_masks(t: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only [t, t] views of np.triu(np.full((t, t), MASK_VALUE), 1) and of
+    its keep mask (1.0 where it is 0), both from one snapshot of the shared
+    pair. A longer pair is built into locals and published only if it is still
+    longer than the shared one, so a thread never sees the pair shrink or the
+    two masks come from different sizes."""
+    global _triangles
+    mask, keep = _triangles
+    if mask.shape[0] < t:
+        mask = np.triu(np.full((t, t), MASK_VALUE), k=1)
+        keep = (mask == 0.0).astype(np.float64)
+        mask.flags.writeable = keep.flags.writeable = False
+        with _triangles_lock:
+            if _triangles[0].shape[0] < t:
+                _triangles = (mask, keep)
+    return mask[:t, :t], keep[:t, :t]
 
 
 # The exp of a masked score (about -1e9) takes ``np.exp``'s slow underflow
@@ -511,7 +516,7 @@ def causal_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int,
     differently. ``np.matmul`` runs one BLAS product per (sequence, head),
     and the backward multiplies by transposed views of the same arrays, as
     ``matmul``'s backward does. The mask is a corner of one shared read-only
-    triangle (``_causal_mask``). With no tape no group's arrays outlive the
+    triangle (``_causal_masks``). With no tape no group's arrays outlive the
     loop's next turn, and its kᵀ copy goes once the scores are made.
 
     Given ``rows``, a group of at least ``_GATHER_MIN_SCORES`` scores whose
@@ -567,12 +572,12 @@ def causal_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int,
             u = np.flatnonzero(is_read[span].reshape(-1, t).any(axis=0))
             if 2 * len(u) > t:
                 u = None
-        s, mask = (w, _causal_mask(t)) if u is None else (w[:, :, u], _causal_mask(t)[u])
+        mask, keep = _causal_masks(t)
+        s, mask = (w, mask) if u is None else (w[:, :, u], mask[u])
         s *= scale
         s += mask
         s -= s.max(axis=-1, keepdims=True)
         if u is None and s.size >= _KEEP_MASK_MIN_SCORES:
-            keep = _keep_triangle[:t, :t]
             s *= keep
             np.exp(s, out=s)
             s *= keep

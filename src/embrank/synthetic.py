@@ -51,16 +51,26 @@ class SyntheticDataset:
         return self.train_queries + self.eval_queries
 
 
-def _sample_words(rng, pools_and_probs, length) -> list[str]:
+def _word_mix(*pools_and_probs) -> tuple[list[list[str]], np.ndarray, np.ndarray]:
+    """Word pools with their normalised draw probabilities and their sizes."""
     pools = [p for p, _ in pools_and_probs]
     probs = np.array([pr for _, pr in pools_and_probs], dtype=np.float64)
-    probs = probs / probs.sum()
+    return pools, probs / probs.sum(), np.array([len(p) for p in pools])
+
+
+def _sample_words(rng, mix, length) -> list[str]:
+    pools, probs, sizes = mix
     choices = rng.choice(len(pools), size=length, p=probs)
-    return [pools[c][rng.integers(0, len(pools[c]))] for c in choices]
+    # one bounded draw per word, below its pool's size: the same stream as one
+    # scalar ``rng.integers(0, size)`` call per word
+    picks = rng.integers(0, sizes[choices])
+    return [pools[c][i] for c, i in zip(choices.tolist(), picks.tolist())]
 
 
-def _pick(rng, pool: list[str], k: int) -> list[str]:
-    return [str(x) for x in rng.choice(pool, size=k, replace=False)] if k else []
+def _pick(rng, pool: list, k: int) -> list:
+    """``k`` distinct items of ``pool``: the draws of ``rng.choice(pool, k,
+    replace=False)``, made on positions so the pool is never copied to an array."""
+    return [pool[i] for i in rng.choice(len(pool), k, replace=False).tolist()] if k else []
 
 
 def generate_synthetic(seed: int,
@@ -81,6 +91,12 @@ def generate_synthetic(seed: int,
     """
     if min(n_topics, n_docs, n_queries) < 1:
         raise ConfigError("n_topics, n_docs and n_queries must all be >= 1")
+    if stage1_candidates < 1:
+        raise ConfigError(f"stage1_candidates must be >= 1, got {stage1_candidates}")
+    if n_negatives < 0:
+        raise ConfigError(f"n_negatives must be >= 0, got {n_negatives}")
+    if stage1_per_query < 0:
+        raise ConfigError(f"stage1_per_query must be >= 0, got {stage1_per_query}")
     if not 0 <= n_eval_queries < n_queries:
         raise ConfigError("n_eval_queries must leave at least one training query")
     if n_docs < n_negatives + 2:
@@ -119,27 +135,27 @@ def generate_synthetic(seed: int,
         docs_raw.append((kind, topic, f"d{idx:04d}", words))
         by_kind[kind][topic].append(idx)
 
+    filler_mix = _word_mix((common, 0.6), (distractor, 0.4))
     for t in range(n_topics):
+        core_mix = _word_mix((popular[t], 0.45), (rest[t], 0.25), (common, 0.3))
+        related_mix = _word_mix((topic_words[t], 0.25), (common, 0.75))
+        decoy_mix = _word_mix((popular[t], 0.35), (distractor, 0.65))
         for _ in range(n_core):
             length = int(rng.integers(28, 37))
-            add_doc("core", t, _sample_words(
-                rng, [(popular[t], 0.45), (rest[t], 0.25), (common, 0.3)], length))
+            add_doc("core", t, _sample_words(rng, core_mix, length))
         for _ in range(n_related):
             length = int(rng.integers(24, 33))
-            add_doc("related", t, _sample_words(
-                rng, [(topic_words[t], 0.25), (common, 0.75)], length))
+            add_doc("related", t, _sample_words(rng, related_mix, length))
         for _ in range(n_decoy):
             length = int(rng.integers(18, 27))
-            add_doc("decoy", t, _sample_words(
-                rng, [(popular[t], 0.35), (distractor, 0.65)], length))
+            add_doc("decoy", t, _sample_words(rng, decoy_mix, length))
         for _ in range(n_filler):
             length = int(rng.integers(20, 31))
-            add_doc("filler", t, _sample_words(
-                rng, [(common, 0.6), (distractor, 0.4)], length))
+            add_doc("filler", t, _sample_words(rng, filler_mix, length))
     # leftover docs (n_docs not divisible by n_topics) become filler in topic 0
     while len(docs_raw) < n_docs:
         length = int(rng.integers(20, 31))
-        add_doc("filler", 0, _sample_words(rng, [(common, 0.6), (distractor, 0.4)], length))
+        add_doc("filler", 0, _sample_words(rng, filler_mix, length))
 
     texts = [" ".join(words) for _, _, _, words in docs_raw]
     vocab = Vocabulary.build(texts)
@@ -150,7 +166,7 @@ def generate_synthetic(seed: int,
 
     # queries: round-robin over topics, each anchored to a core source document
     queries: list[Query] = []
-    source_of: dict[str, str] = {}
+    source_of: dict[str, int] = {}  # query id -> the source's document position
     query_topic: dict[str, int] = {}
     for qi in range(n_queries):
         t = qi % n_topics
@@ -164,51 +180,51 @@ def generate_synthetic(seed: int,
         picked = _pick(rng, shared, min(k, len(shared)))
         qid = f"q{qi:03d}"
         queries.append(Query(query_id=qid, text=" ".join(picked)))
-        source_of[qid] = docs_raw[source_idx][2]
+        source_of[qid] = source_idx
         query_topic[qid] = t
 
+    doc_ids = [doc_id for _, _, doc_id, _ in docs_raw]
     qrels = Qrels()
     for q in queries:
         t = query_topic[q.query_id]
         source = source_of[q.query_id]
         for idx in by_kind["core"][t]:
-            doc_id = docs_raw[idx][2]
-            qrels.set(q.query_id, doc_id, 3 if doc_id == source else 2)
+            qrels.set(q.query_id, doc_ids[idx], 3 if idx == source else 2)
         for idx in by_kind["related"][t]:
-            qrels.set(q.query_id, docs_raw[idx][2], 1)
+            qrels.set(q.query_id, doc_ids[idx], 1)
 
     train_queries = queries[:n_queries - n_eval_queries]
     eval_queries = queries[n_queries - n_eval_queries:]
-    all_ids = [d.doc_id for d in documents]
+    # cross-topic cores are the hard negatives for topic matching: without
+    # them the reranker learns a query-independent "looks relevant" prior
+    other_cores = [[i for ot in range(n_topics) if ot != t for i in by_kind["core"][ot]]
+                   for t in range(n_topics)]
 
     def build_sample(q: Query, n_cands: int, noise: float) -> RankingSample:
+        # candidates are document positions until the list is complete
         t = query_topic[q.query_id]
         source = source_of[q.query_id]
-        # cross-topic cores are the hard negatives for topic matching: without
-        # them the reranker learns a query-independent "looks relevant" prior
-        other_cores = [docs_raw[i][2]
-                       for ot in range(n_topics) if ot != t
-                       for i in by_kind["core"][ot]]
         pools = [
-            ([docs_raw[i][2] for i in by_kind["core"][t] if docs_raw[i][2] != source], 4),
-            ([docs_raw[i][2] for i in by_kind["related"][t]], 3),
-            ([docs_raw[i][2] for i in by_kind["decoy"][t]], 4),
-            (other_cores, 2),
+            ([i for i in by_kind["core"][t] if i != source], 4),
+            (by_kind["related"][t], 3),
+            (by_kind["decoy"][t], 4),
+            (other_cores[t], 2),
         ]
-        chosen: list[str] = []
+        chosen: list[int] = []
         for pool, want in pools:
             chosen.extend(_pick(rng, pool, min(want, len(pool), n_cands - 1 - len(chosen))))
         remaining = n_cands - 1 - len(chosen)
         if remaining > 0:
-            taken = {source, *chosen}
-            leftovers = [d for d in all_ids if d not in taken]
-            if remaining > len(leftovers):
-                raise ConfigError("corpus too small to complete a candidate list")
-            chosen.extend(_pick(rng, leftovers, remaining))
-        doc_ids = [source] + chosen
-        order = rng.permutation(len(doc_ids))
-        doc_ids = [doc_ids[i] for i in order]
-        grades = [qrels.grade(q.query_id, d) for d in doc_ids]
+            free = np.ones(n_docs, dtype=bool)
+            free[[source, *chosen]] = False
+            leftovers = np.flatnonzero(free)  # never fewer: n_cands <= n_docs
+            # drawn as ``_pick`` draws, on the positions left in document order
+            chosen.extend(leftovers[rng.choice(len(leftovers), remaining,
+                                               replace=False)].tolist())
+        positions = [source] + chosen
+        order = rng.permutation(len(positions))
+        cand_ids = [doc_ids[positions[i]] for i in order]
+        grades = [qrels.grade(q.query_id, d) for d in cand_ids]
         label_grades = list(grades)
         if noise > 0.0:
             for i in range(len(label_grades)):
@@ -216,13 +232,13 @@ def generate_synthetic(seed: int,
                     bump = 1 if noise_rng.random() < 0.5 else -1
                     label_grades[i] = min(3, max(0, label_grades[i] + bump))
         labels = rank_labels_from_grades(label_grades)
-        positive = doc_ids.index(source)
+        positive = cand_ids.index(doc_ids[source])
         sample = RankingSample(
             query_id=q.query_id,
             query_text=q.text,
-            candidates=[Candidate(d, g, r) for d, g, r in zip(doc_ids, grades, labels)],
+            candidates=[Candidate(d, g, r) for d, g, r in zip(cand_ids, grades, labels)],
             positive_index=positive,
-            negative_indices=[i for i in range(len(doc_ids)) if i != positive],
+            negative_indices=[i for i in range(len(cand_ids)) if i != positive],
         )
         validate_sample(sample)
         return sample

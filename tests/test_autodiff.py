@@ -2,7 +2,9 @@
 
 import itertools
 import math
+import threading
 import tracemalloc
+import warnings
 import weakref
 
 import numpy as np
@@ -638,7 +640,7 @@ class TestTapeFreeForward:
 
     def test_equals_the_taped_forward_bitwise(self):
         rng = np.random.default_rng(23)
-        longest = ad._mask_triangle.shape[0] + 3  # the shared mask grows on this call
+        longest = ad._triangles[0].shape[0] + 3  # the shared mask grows on this call
         lengths = [1, 4, 4, 4, 1, 1, longest, 7, 2, 2]
         d, n_heads = 16, 4
         x, q, k, v = (ad.param(rng.normal(size=(sum(lengths), d))) for _ in range(4))
@@ -649,7 +651,7 @@ class TestTapeFreeForward:
                     ad.causal_attention(q, k, v, n_heads, lengths))
         with ad.no_grad():
             free = forward()
-        assert ad._mask_triangle.shape[0] == longest
+        assert ad._triangles[0].shape[0] == longest
         taped = forward()
         assert all(t.requires_grad for t in taped)
         for got, want in zip(free, taped):
@@ -675,12 +677,68 @@ class TestTapeFreeForward:
         assert peak <= 1.05 * out.data.nbytes
 
     def test_shared_mask_is_read_only_and_equals_the_triangle(self):
-        for t in (1, 5, ad._mask_triangle.shape[0] + 2, 3):
-            mask = ad._causal_mask(t)
-            assert not mask.flags.writeable and not ad._mask_triangle.flags.writeable
+        for t in (1, 5, ad._triangles[0].shape[0] + 2, 3):
+            mask, keep = ad._causal_masks(t)
+            assert not any(m.flags.writeable for m in (mask, keep, *ad._triangles))
             np.testing.assert_array_equal(mask, np.triu(np.full((t, t), -1e9), 1))
+            np.testing.assert_array_equal(keep, np.tril(np.ones((t, t))))
         with pytest.raises(ValueError):
             mask[0, 1] = 0.0
+
+
+class TestSharedMaskThreads:
+    """Threads share one cached mask pair; growing it must never hand a
+    caller a mask or a keep mask of another size, nor shrink the cache."""
+
+    @pytest.fixture(autouse=True)
+    def empty_cache(self, monkeypatch):
+        monkeypatch.setattr(ad, "_triangles", (np.zeros((0, 0)), np.zeros((0, 0))))
+
+    def test_a_larger_pair_published_mid_build_is_kept(self, monkeypatch):
+        """The interleaving a second thread can cause, forced: while the call
+        for 34 builds its triangle, a call for 35 grows the shared pair."""
+        real_triu, inner = np.triu, {}
+
+        def triu_growing_the_cache(m, k=0):
+            monkeypatch.setattr(np, "triu", real_triu)
+            inner["pair"] = ad._causal_masks(35)
+            return real_triu(m, k)
+
+        monkeypatch.setattr(np, "triu", triu_growing_the_cache)
+        mask, keep = ad._causal_masks(34)
+        assert mask.shape == keep.shape == (34, 34)
+        assert [m.shape for m in inner["pair"]] == [(35, 35), (35, 35)]
+        assert ad._triangles[0].shape == ad._triangles[1].shape == (35, 35)
+        np.testing.assert_array_equal(mask, np.triu(np.full((34, 34), -1e9), 1))
+        np.testing.assert_array_equal(keep, np.tril(np.ones((34, 34))))
+
+    def test_two_threads_growing_the_cache_agree_with_one(self):
+        rng = np.random.default_rng(4)
+        qkv = rng.normal(size=(3, 80, 16))
+        lengths = [[33, 47], [34, 46]]  # 47 * 47 * 4 heads takes the keep-mask exp
+        with ad.no_grad():
+            want = [ad.causal_attention(*qkv, 4, ls).data for ls in lengths]
+        errors, got = [], [[], []]
+
+        def run(i):
+            try:
+                for _ in range(20):
+                    got[i].append(ad.causal_attention(*qkv, 4, lengths[i]).data)
+            except Exception as exc:  # pragma: no cover - reported below
+                errors.append(exc)
+
+        with ad.no_grad():  # the grad flag is one process-wide switch: set it here
+            for _ in range(5):
+                ad._triangles = (np.zeros((0, 0)), np.zeros((0, 0)))
+                threads = [threading.Thread(target=run, args=(i,)) for i in range(2)]
+                for th in threads:
+                    th.start()
+                for th in threads:
+                    th.join()
+        assert not errors
+        for i in range(2):
+            for out in got[i]:
+                np.testing.assert_array_equal(out, want[i])
 
 
 class TestShapePolicy:
@@ -740,6 +798,19 @@ class TestDeterminismAndGuards:
         assert ad.check_finite(data, "probe") is data
         out = ad.mul(ad.tensor(values), 1.0)
         np.testing.assert_array_equal(out.data, values)
+
+    @pytest.mark.parametrize("action", ["default", "error"])
+    def test_finite_guard_never_warns(self, action):
+        """Neither a finite array whose squares overflow nor a NaN or an
+        infinity among such values makes numpy warn."""
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter(action)
+            data = np.full(10, 1e308)
+            assert ad.check_finite(data, "probe") is data
+            for bad in (np.nan, np.inf, -np.inf):
+                with pytest.raises(NumericError, match="probe"):
+                    ad.check_finite(np.array([1e308, bad, 1e308]), "probe")
+        assert caught == []
 
     def test_finite_guard_still_names_a_non_finite_value_after_an_overflow(self):
         with pytest.raises(NumericError, match="probe"):

@@ -413,6 +413,15 @@ class TestErrors:
         assert code == 1
         assert f"{config}: {key}: expected int, got str 'x'" in capsys.readouterr().err
 
+    def test_gen_data_with_no_stage1_candidates_names_the_key(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"data": {"stage1_candidates": 0}}))
+        code = main(["gen-data", "--config", str(config), "--out", str(tmp_path / "x")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "embrank gen-data: error: stage1_candidates must be >= 1, got 0" in err
+        assert "Traceback" not in err
+
     def test_missing_input_path_names_the_path(self, tmp_path, capsys):
         code = main(["evaluate", "--run", str(tmp_path / "missing.trec"),
                      "--qrels", str(tmp_path / "missing.txt")])

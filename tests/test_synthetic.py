@@ -1,5 +1,7 @@
 """Synthetic generator: reproducibility, structure, and retrievability."""
 
+import hashlib
+
 import pytest
 
 from embrank.data import split_words, validate_sample
@@ -105,3 +107,61 @@ class TestErrors:
         with pytest.raises(ConfigError):
             generate_synthetic(seed=0, n_topics=2, n_docs=60, n_queries=5,
                                n_eval_queries=1, grade_noise=1.5)
+
+    @pytest.mark.parametrize("bad", [{"stage1_candidates": 0}, {"stage1_candidates": -3},
+                                     {"n_negatives": -2}, {"stage1_per_query": -1}])
+    def test_bad_counts_rejected_naming_the_argument(self, bad):
+        [(name, value)] = bad.items()
+        with pytest.raises(ConfigError, match=f"{name} must be >= .*got {value}"):
+            generate_synthetic(seed=0, n_topics=2, n_docs=60, n_queries=5,
+                               n_eval_queries=1, **bad)
+
+    def test_smallest_counts_accepted(self):
+        ds = generate_synthetic(seed=0, n_topics=2, n_docs=60, n_queries=5, n_eval_queries=1,
+                                stage1_candidates=1, n_negatives=0, stage1_per_query=0)
+        assert ds.stage1_samples == []
+        assert all(len(s.candidates) == 1 for s in ds.stage2_samples)
+
+
+def canonical_dump(ds) -> str:
+    """Every field of a dataset as text: documents with topic and kind, both
+    query splits, qrels and both sample stages."""
+    lines = [f"doc\t{d.doc_id}\t{ds.doc_topic[d.doc_id]}\t{ds.doc_kind[d.doc_id]}\t{d.text}"
+             for d in ds.documents]
+    lines += [f"{split}\t{q.query_id}\t{q.text}"
+              for split, qs in (("train", ds.train_queries), ("eval", ds.eval_queries))
+              for q in qs]
+    lines += [f"qrel\t{qid}\t{doc}\t{grade}" for qid in ds.qrels.query_ids()
+              for doc, grade in sorted(ds.qrels.doc_grades(qid).items())]
+    for stage, samples in (("stage1", ds.stage1_samples), ("stage2", ds.stage2_samples)):
+        lines += [f"{stage}\t{s.query_id}\t{s.positive_index}\t"
+                  + " ".join(f"{c.doc_id}:{c.grade}:{c.rank_label}" for c in s.candidates)
+                  for s in samples]
+    return "\n".join(lines) + "\n"
+
+
+# The datasets the benchmark workloads and the demos generate, pinned at two
+# seeds: (arguments, {seed: sha256 of canonical_dump}). A faster generator
+# must draw the same stream in the same order and move none of them.
+PINNED_DATASETS = {
+    "5000 docs, 300 queries": (dict(n_docs=5000, n_queries=300), {
+        0: "c439b0eb9e15eaee88574075178ccefe71dabc594191508ac3f0b806376b9663",
+        104729: "1e94b56a61fe6b8356422764ddef28902e0887b1698f79fdbd19affa8725bd76"}),
+    "500 docs, 60 queries": (dict(n_docs=500), {
+        0: "faf388764c4d7b51e8c7736af7ae7d883a3e36afd574b1ad9a231e5a91b56c9d",
+        104729: "e7afdcefb9ffb5b76a987f699ae5a56978b3c501d566f8c9e0e91ac09b7e6074"}),
+    "500 docs, 20 queries, 4 eval": (dict(n_docs=500, n_queries=20, n_eval_queries=4), {
+        0: "598d71af52ea45f7112429e7b613d69fb3542ea978ec7369ed0a5e13ad9ad9e6",
+        104729: "b90ae0857a0f39f4e4d2f8928575803b89b8b6a987153224924e6f08b286f018"}),
+    "500 docs, grade noise 0.2": (dict(n_docs=500, grade_noise=0.2), {
+        0: "d67d7645ca5b767021dcdc6b014b3986ba80e36ebe046f4a98367ec54ba04493",
+        104729: "acc4256898fd8633fdb3c32e450177a2046bc754eef78e2627618a251b774aa0"}),
+}
+
+
+@pytest.mark.parametrize("case, seed", [(case, seed) for case, (_, pins) in PINNED_DATASETS.items()
+                                        for seed in pins])
+def test_pinned_dataset(case, seed):
+    kwargs, pins = PINNED_DATASETS[case]
+    dump = canonical_dump(generate_synthetic(seed, **kwargs))
+    assert hashlib.sha256(dump.encode()).hexdigest() == pins[seed]
