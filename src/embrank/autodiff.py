@@ -51,6 +51,7 @@ Conventions:
 from __future__ import annotations
 
 import contextlib
+import contextvars
 import itertools
 import math
 import threading
@@ -60,14 +61,16 @@ import numpy as np
 
 from .errors import DegenerateInputError, NumericError, ShapeError
 
-_strict_finite = True
-_grad_enabled = True
+# Context-local, so one thread's (or task's) setting never leaks into another's;
+# a new thread starts from the defaults.
+_strict_finite = contextvars.ContextVar("strict_finite", default=True)
+_grad_enabled = contextvars.ContextVar("grad_enabled", default=True)
 
 
 def set_strict_finite(enabled: bool) -> None:
-    """Toggle the NaN/Inf guard that runs after every forward op."""
-    global _strict_finite
-    _strict_finite = bool(enabled)
+    """Toggle, in the current context, the NaN/Inf guard that runs after every
+    forward op."""
+    _strict_finite.set(bool(enabled))
 
 
 @contextlib.contextmanager
@@ -76,13 +79,11 @@ def no_grad():
 
     Nests, and restores the previous state on exit, also after an exception.
     """
-    global _grad_enabled
-    previous = _grad_enabled
-    _grad_enabled = False
+    token = _grad_enabled.set(False)
     try:
         yield
     finally:
-        _grad_enabled = previous
+        _grad_enabled.reset(token)
 
 
 class Tensor:
@@ -162,7 +163,7 @@ def check_finite(data: np.ndarray, op: str) -> np.ndarray:
     squares merely overflowed (an element above about 1.3e154). ``np.vdot``
     raises no floating-point warning, so neither case warns under any warning
     filter, and no call pays for an ``np.errstate``."""
-    if not _strict_finite:
+    if not _strict_finite.get():
         return data
     if not math.isfinite(np.vdot(data, data)) and not np.isfinite(data).all():
         raise NumericError(f"{op} produced non-finite values")
@@ -171,7 +172,7 @@ def check_finite(data: np.ndarray, op: str) -> np.ndarray:
 
 def _records(inputs: tuple[Tensor, ...]) -> bool:
     """True when an op on ``inputs`` records a tape node."""
-    return _grad_enabled and any(t.requires_grad for t in inputs)
+    return _grad_enabled.get() and any(t.requires_grad for t in inputs)
 
 
 def _result(data: np.ndarray, op: str, inputs: tuple[Tensor, ...],

@@ -27,7 +27,7 @@ from .evaluation import (EvalItem, ablation_suite, candidate_rows, efficiency_re
 from .retrieval import DenseIndex, InvertedIndex, end_to_end, sliding_window_rerank
 from .reranker import build_model_pair
 from .runs import RunList, TokenCounter, read_trec_run, write_trec_run
-from .serialization import sha256_file, text_lines
+from .serialization import jsonl_records, sha256_file, write_jsonl
 from .synthetic import generate_synthetic
 from .training import TrainReport, train_stages
 
@@ -58,20 +58,6 @@ def _echo_config(out: Path, cfg: ExperimentConfig, command: str, extra: dict | N
                                      encoding="utf-8")
 
 
-def _write_trace(out: Path, runs: list[RunList]) -> None:
-    with (out / "trace.jsonl").open("w", encoding="utf-8") as fh:
-        for run in runs:
-            c = run.counters
-            if c is None:
-                continue
-            fh.write(json.dumps({
-                "query_id": run.query_id,
-                "processed_passage_tokens": c.processed_passage_tokens,
-                "candidates": c.candidates,
-                "generated_tokens": c.generated_tokens,
-            }, sort_keys=True) + "\n")
-
-
 def _load_candidate_lists(run_path: Path, doc_tokens: dict, k: int) -> dict[str, list]:
     lists: dict[str, list] = {}
     for run in read_trec_run(run_path):
@@ -82,6 +68,14 @@ def _load_candidate_lists(run_path: Path, doc_tokens: dict, k: int) -> dict[str,
             cands.append((entry.doc_id, doc_tokens[entry.doc_id]))
         lists[run.query_id] = cands
     return lists
+
+
+def _load_gen_data(data_dir: Path):
+    """A ``gen-data`` directory's documents, vocabulary, tokens by doc id, and
+    stage-1 and stage-2 samples."""
+    docs, vocab = load_corpus(data_dir / "corpus.jsonl")
+    return (docs, vocab, {d.doc_id: d.tokens for d in docs},
+            load_samples(data_dir / "stage1.jsonl"), load_samples(data_dir / "stage2.jsonl"))
 
 
 def _load_model_and_corpus(args):
@@ -141,8 +135,9 @@ def cmd_build_index(args) -> int:
     corpus_path = _path(args.corpus)
     docs, vocab = load_corpus(corpus_path)
     checksum = sha256_file(corpus_path)
-    index = InvertedIndex.build(docs, k1=cfg.retrieval.k1, b=cfg.retrieval.b)
-    index.save(out / "bm25.idx", corpus_checksum=checksum)
+    index = InvertedIndex.build(docs, k1=cfg.retrieval.k1, b=cfg.retrieval.b,
+                                corpus_checksum=checksum)
+    index.save(out / "bm25.idx")
     built = ["bm25.idx"]
     if args.dense:
         if not args.checkpoint:
@@ -161,10 +156,7 @@ def cmd_train(args) -> int:
     cfg = _effective_config(args)
     out = _outdir(args.out)
     data_dir = _path(args.data)
-    docs, vocab = load_corpus(data_dir / "corpus.jsonl")
-    doc_tokens = {d.doc_id: d.tokens for d in docs}
-    stage1 = load_samples(data_dir / "stage1.jsonl")
-    stage2 = load_samples(data_dir / "stage2.jsonl")
+    _, vocab, doc_tokens, stage1, stage2 = _load_gen_data(data_dir)
     models = build_model_pair(vocab, cfg.seed, **cfg.model.build_kwargs())
 
     ckpt_dir = out / "checkpoints"
@@ -177,9 +169,7 @@ def cmd_train(args) -> int:
                         {"stage": stage_cfg.name})
     save_checkpoint(ckpt_dir / "final.ckpt", models, {"stage": "final"})
 
-    with (out / "metrics.jsonl").open("w", encoding="utf-8") as fh:
-        for record in report.records:
-            fh.write(json.dumps(record, sort_keys=True) + "\n")
+    write_jsonl(out / "metrics.jsonl", report.records)
     _echo_config(out, cfg, "train", {"data": str(data_dir),
                                      "final_checksum": parameter_checksum(models)})
     print(f"train: {len(report.records)} steps recorded, checkpoints in {ckpt_dir}")
@@ -208,8 +198,8 @@ def cmd_rerank(args) -> int:
     else:
         runs = rerank_eval_set(models, items)
     write_trec_run(out / "run.trec", runs)
-    _write_trace(out, runs)
     report = efficiency_report(runs)
+    write_jsonl(out / "trace.jsonl", report.per_query)
     (out / "report.txt").write_text(
         f"reranked {len(runs)} queries ({args.mode})\n{report.table_row()}\n",
         encoding="utf-8")
@@ -235,10 +225,9 @@ def cmd_evaluate(args) -> int:
     if args.out:
         out = _outdir(args.out)
         (out / "report.txt").write_text(text, encoding="utf-8")
-        with (out / "metrics.jsonl").open("w", encoding="utf-8") as fh:
-            fh.write(json.dumps({"metric": f"ndcg@{args.k}", "mean": result.mean,
-                                 "evaluated": result.evaluated,
-                                 "excluded": result.excluded}, sort_keys=True) + "\n")
+        write_jsonl(out / "metrics.jsonl", [{"metric": f"ndcg@{args.k}", "mean": result.mean,
+                                             "evaluated": result.evaluated,
+                                             "excluded": result.excluded}])
     print(text, end="")
     return 0
 
@@ -270,7 +259,8 @@ def cmd_end_to_end(args) -> int:
         reranked_runs.append(result.reranked)
     write_trec_run(out / "first_stage.trec", first_runs)
     write_trec_run(out / "run.trec", reranked_runs)
-    _write_trace(out, reranked_runs)
+    report = efficiency_report(reranked_runs)
+    write_jsonl(out / "trace.jsonl", report.per_query)
 
     lines = [f"end-to-end mode={args.mode}, {len(queries)} queries, "
              f"top_k={cfg.retrieval.top_k}"]
@@ -280,7 +270,7 @@ def cmd_end_to_end(args) -> int:
         rer = mean_ndcg(reranked_runs, qrels, k=10)
         lines.append(f"first-stage nDCG@10: {base.mean:.6f}")
         lines.append(f"reranked    nDCG@10: {rer.mean:.6f}")
-    lines.append(efficiency_report(reranked_runs).table_row())
+    lines.append(report.table_row())
     (out / "report.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
     _echo_config(out, cfg, "end-to-end", {"mode": args.mode,
                                           "checkpoint": str(args.checkpoint)})
@@ -292,10 +282,7 @@ def cmd_ablate(args) -> int:
     cfg = _effective_config(args)
     out = _outdir(args.out)
     data_dir = _path(args.data)
-    docs, vocab = load_corpus(data_dir / "corpus.jsonl")
-    doc_tokens = {d.doc_id: d.tokens for d in docs}
-    stage1 = load_samples(data_dir / "stage1.jsonl")
-    stage2 = load_samples(data_dir / "stage2.jsonl")
+    docs, vocab, doc_tokens, stage1, stage2 = _load_gen_data(data_dir)
     qrels = load_qrels(data_dir / "qrels.txt")
     eval_queries = load_queries(data_dir / "queries_eval.tsv")
 
@@ -309,10 +296,8 @@ def cmd_ablate(args) -> int:
                           optim=cfg.optim, base_loss=cfg.loss, seed=cfg.seed)
     table = format_ablation_table(rows)
     (out / "report.txt").write_text(table + "\n", encoding="utf-8")
-    with (out / "metrics.jsonl").open("w", encoding="utf-8") as fh:
-        for row in rows:
-            fh.write(json.dumps({"variant": row.variant, "ndcg": row.ndcg,
-                                 "baseline": row.is_baseline}, sort_keys=True) + "\n")
+    write_jsonl(out / "metrics.jsonl", ({"variant": row.variant, "ndcg": row.ndcg,
+                                         "baseline": row.is_baseline} for row in rows))
     _echo_config(out, cfg, "ablate", {"data": str(data_dir)})
     print(table)
     return 0
@@ -321,13 +306,7 @@ def cmd_ablate(args) -> int:
 def cmd_efficiency(args) -> int:
     trace_path = _path(args.trace)
     runs = []
-    for lineno, line in text_lines(trace_path):
-        if not line.strip():
-            continue
-        try:
-            rec = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise DataFormatError(f"{trace_path}:{lineno}: invalid JSON ({exc.msg})") from None
+    for lineno, rec in jsonl_records(trace_path):
         if not isinstance(rec, dict) or "query_id" not in rec:
             raise DataFormatError(f"{trace_path}:{lineno}: expected an object with a query_id")
         counts = {}
@@ -355,10 +334,8 @@ def cmd_order_exp(args) -> int:
     report = ordering_experiment(models, items, qrels, seed=cfg.seed)
     text = "\n".join(report.rows()) + f"\nseed: {report.seed}\n"
     (out / "report.txt").write_text(text, encoding="utf-8")
-    with (out / "metrics.jsonl").open("w", encoding="utf-8") as fh:
-        for name, value in report.ndcg.items():
-            fh.write(json.dumps({"ordering": name, "ndcg": value,
-                                 "seed": report.seed}, sort_keys=True) + "\n")
+    write_jsonl(out / "metrics.jsonl", ({"ordering": name, "ndcg": value, "seed": report.seed}
+                                        for name, value in report.ndcg.items()))
     _echo_config(out, cfg, "order-exp", {"checkpoint": str(args.checkpoint)})
     print(text, end="")
     return 0

@@ -9,14 +9,13 @@ File formats (all line-oriented, UTF-8):
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
 
 from .errors import DataFormatError
-from .serialization import text_lines
+from .serialization import jsonl_records, text_lines, write_jsonl
 
 PAD_TOKEN = "<pad>"
 UNK_TOKEN = "<unk>"
@@ -52,16 +51,16 @@ class Vocabulary:
 
     @classmethod
     def build(cls, texts: Iterable[str]) -> "Vocabulary":
+        return cls.from_words(map(split_words, texts))
+
+    @classmethod
+    def from_words(cls, word_lists: Iterable[Iterable[str]]) -> "Vocabulary":
+        """``build`` over texts already split by ``split_words``."""
         reserved = [PAD_TOKEN, UNK_TOKEN, EOS_TOKEN]
         for word in split_words(INSTRUCTION_TEXT):
             if word not in reserved:
                 reserved.append(word)
-        seen = set(reserved)
-        corpus_tokens = set()
-        for text in texts:
-            corpus_tokens.update(split_words(text))
-        ordered = reserved + sorted(corpus_tokens - seen)
-        return cls(ordered)
+        return cls(reserved + sorted(set().union(*word_lists) - set(reserved)))
 
     def __len__(self) -> int:
         return len(self.id_to_token)
@@ -178,14 +177,7 @@ def load_corpus(path, vocab: Vocabulary | None = None) -> tuple[list[Document], 
     path = Path(path)
     raw: list[tuple[str, str]] = []
     seen_ids: set[str] = set()
-    for lineno, line in text_lines(path):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise DataFormatError(f"{path}:{lineno}: invalid JSON ({exc.msg})") from exc
+    for lineno, record in jsonl_records(path):
         if not isinstance(record, dict) or "id" not in record or "text" not in record:
             raise DataFormatError(f"{path}:{lineno}: record must have 'id' and 'text' fields")
         doc_id = str(record["id"])
@@ -207,9 +199,7 @@ def load_corpus(path, vocab: Vocabulary | None = None) -> tuple[list[Document], 
 
 
 def write_corpus(path, documents: Iterable[Document]) -> None:
-    with Path(path).open("w", encoding="utf-8") as fh:
-        for doc in documents:
-            fh.write(json.dumps({"id": doc.doc_id, "text": doc.text}, sort_keys=True) + "\n")
+    write_jsonl(path, ({"id": doc.doc_id, "text": doc.text} for doc in documents))
 
 
 def load_queries(path) -> list[Query]:
@@ -267,32 +257,20 @@ def write_qrels(path, qrels: Qrels) -> None:
 
 
 def write_samples(path, samples: Iterable[RankingSample]) -> None:
-    with Path(path).open("w", encoding="utf-8") as fh:
-        for s in samples:
-            record = {
-                "query_id": s.query_id,
-                "query": s.query_text,
-                "candidates": [
-                    {"doc_id": c.doc_id, "grade": c.grade, "rank_label": c.rank_label}
-                    for c in s.candidates
-                ],
-                "positive_index": s.positive_index,
-                "negative_indices": s.negative_indices,
-            }
-            fh.write(json.dumps(record, sort_keys=True) + "\n")
+    write_jsonl(path, ({
+        "query_id": s.query_id,
+        "query": s.query_text,
+        "candidates": [{"doc_id": c.doc_id, "grade": c.grade, "rank_label": c.rank_label}
+                       for c in s.candidates],
+        "positive_index": s.positive_index,
+        "negative_indices": s.negative_indices,
+    } for s in samples))
 
 
 def load_samples(path) -> list[RankingSample]:
     path = Path(path)
     samples = []
-    for lineno, line in text_lines(path):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise DataFormatError(f"{path}:{lineno}: invalid JSON ({exc.msg})") from exc
+    for lineno, record in jsonl_records(path):
         try:
             sample = RankingSample(
                 query_id=record["query_id"],

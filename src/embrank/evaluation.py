@@ -86,7 +86,8 @@ def efficiency_report(runs: list[RunList]) -> EfficiencyReport:
 
     The numbers come from the counters the inference path incremented, never
     from configuration arithmetic, so a code path that started generating
-    tokens again would surface here as a nonzero #Gen.
+    tokens again would surface here as a nonzero #Gen. Each run's counters
+    are one ``per_query`` record, the line the CLI writes to ``trace.jsonl``.
     """
     total = TokenCounter()
     per_query = []
@@ -95,14 +96,7 @@ def efficiency_report(runs: list[RunList]) -> EfficiencyReport:
         if c is None:
             raise ConfigError(f"run for {run.query_id!r} carries no counters")
         total.merge(c)
-        per_query.append({
-            "query_id": run.query_id,
-            "processed_passage_tokens": c.processed_passage_tokens,
-            "candidates": c.candidates,
-            "generated_tokens": c.generated_tokens,
-            "avg_tokens_per_passage": (c.processed_passage_tokens / c.candidates
-                                       if c.candidates else 0.0),
-        })
+        per_query.append({"query_id": run.query_id, **dataclasses.asdict(c)})
     avg = (total.processed_passage_tokens / total.candidates) if total.candidates else 0.0
     return EfficiencyReport(processed_passage_tokens=total.processed_passage_tokens,
                             avg_tokens_per_passage=avg,
@@ -125,10 +119,10 @@ class EvalItem:
 def candidate_rows(models: ModelPair, items: list[EvalItem]) -> list[ad.Tensor]:
     """Each item's [n_i, d] candidate rows, cut from one ``candidate_embeddings``
     call over every item's candidates, so each distinct passage is encoded once."""
-    doc_tokens = dict(c for item in items for c in item.candidates)
-    row = {doc_id: i for i, doc_id in enumerate(doc_tokens)}
-    embeddings = candidate_embeddings(models, list(doc_tokens), doc_tokens)
-    return [ad.take_rows(embeddings, [row[d] for d, _ in item.candidates]) for item in items]
+    pairs = [c for item in items for c in item.candidates]
+    embeddings = candidate_embeddings(models, [d for d, _ in pairs], dict(pairs))
+    bounds = np.cumsum([0] + [len(item.candidates) for item in items]).tolist()
+    return [ad.take_rows(embeddings, range(lo, hi)) for lo, hi in zip(bounds, bounds[1:])]
 
 
 def rerank_eval_set(models: ModelPair, items: list[EvalItem], *,

@@ -72,7 +72,7 @@ class InvertedIndex:
         if k1 < 0 or not 0.0 <= b <= 1.0:
             raise ConfigError(f"invalid BM25 parameters k1={k1}, b={b}")
         self.k1, self.b = k1, b
-        self.corpus_checksum = corpus_checksum  # as recorded in a loaded index file; "" when unknown
+        self.corpus_checksum = corpus_checksum  # sha256 of the indexed corpus file; "" when unknown
         self.doc_ids = doc_ids
         self.doc_lengths = doc_lengths
         self.postings = postings
@@ -81,7 +81,8 @@ class InvertedIndex:
         self._norm = k1 * (1.0 - b + b * np.asarray(doc_lengths, dtype=np.int64) / self.avgdl)
 
     @classmethod
-    def build(cls, documents: list[Document], k1: float = 1.2, b: float = 0.75) -> "InvertedIndex":
+    def build(cls, documents: list[Document], k1: float = 1.2, b: float = 0.75,
+              corpus_checksum: str = "") -> "InvertedIndex":
         ordered = sorted(documents, key=lambda d: d.doc_id)
         doc_ids = _distinct_ids(ordered)
         lengths = [len(d.tokens) for d in ordered]
@@ -96,7 +97,7 @@ class InvertedIndex:
         tokens, starts = np.unique(posting_token, return_index=True)
         postings = Postings(tokens, np.append(starts, len(keys)).astype(np.int64),
                             doc_idx, tf.astype(np.int64))
-        return cls(doc_ids, lengths, postings, k1=k1, b=b)
+        return cls(doc_ids, lengths, postings, k1=k1, b=b, corpus_checksum=corpus_checksum)
 
     def search(self, query_tokens, k: int, query_id: str = "q0") -> RunList:
         """Top-k by BM25; each query-token occurrence contributes its own term.
@@ -125,11 +126,11 @@ class InvertedIndex:
         return RunList(query_id=query_id, tag="bm25",
                        entries=top_entries(self.doc_ids, self.id_rank, scores, k, rows=hit_rows))
 
-    def save(self, path, corpus_checksum: str = "") -> None:
+    def save(self, path) -> None:
         p = self.postings
         meta = {"kind": "embrank-bm25-index", "k1": self.k1, "b": self.b,
                 "doc_ids": self.doc_ids, "tokens": p.tokens.tolist(),
-                "corpus_checksum": corpus_checksum}
+                "corpus_checksum": self.corpus_checksum}
         arrays = {"offsets": p.offsets, "doc_idx": p.doc_idx, "tf": p.tf,
                   "doc_lengths": np.asarray(self.doc_lengths, dtype=np.int64)}
         write_record_file(path, meta, arrays)
@@ -275,6 +276,19 @@ class DenseIndex:
         if not index.norms.all():
             raise DegenerateInputError("dense index: a passage embedding has zero norm")
         return index
+
+    def encoder_matches(self, encoder) -> bool:
+        """True when the index records ``encoder``'s fingerprint (its rows are that
+        encoder's), False when it records none; ``ConfigError`` when it records
+        another encoder state. Read-only weights are hashed once per state."""
+        recorded = self.metadata.get("encoder_sha256")
+        if not recorded:
+            return False
+        live = encoder_checksum(encoder)
+        if recorded != live:
+            raise ConfigError(f"dense index was built by encoder {recorded}, but the live "
+                              f"encoder is {live}; rebuild the index")
+        return True
 
     @functools.cached_property
     def row_of(self) -> dict[str, int]:
@@ -426,20 +440,20 @@ def end_to_end(query_text: str, models: ModelPair, doc_tokens: dict[str, list[in
 
     Mode "rrf" fuses the BM25 and dense top-k lists first and takes the top-k
     of the fusion, so the candidate set is a subset of the union of the two.
-    The candidates' rows come from ``candidate_embeddings``: ``dense_index``'s
+    The candidates' rows come as from ``candidate_embeddings``: ``dense_index``'s
     stored rows while it records the live encoder (only the query is
     encoded), else one encode of the candidates from ``doc_tokens``; either
-    gives the same bits, so the run is the same. A recorded fingerprint of
-    another encoder state raises ``ConfigError`` in every mode, also for a
-    query with no candidates. ``doc_tokens`` must be the indexed corpus (the
-    CLI checks the indexes' recorded ``corpus_checksum``).
+    gives the same bits, so the run is the same. The index is checked once,
+    before any search, so one of another encoder state raises ``ConfigError``
+    in every mode. A query with no candidates gets an empty run with zero
+    counters. ``doc_tokens`` must be the indexed corpus (the CLI checks the
+    indexes' recorded ``corpus_checksum``).
     """
     if mode not in RETRIEVAL_MODES:
         raise ConfigError(f"unknown retrieval mode {mode!r}; choose from {RETRIEVAL_MODES}")
     if mode in ("dense", "rrf") and dense_index is None:
         raise ConfigError(f"retrieval mode {mode!r} requires a dense index")
-    if dense_index is not None and dense_index.matrix.shape[1] != models.encoder.config.d_model:
-        candidate_embeddings(models, [], doc_tokens, dense_index)  # stale: ConfigError before search
+    live = dense_index is not None and dense_index.encoder_matches(models.encoder)
     query_tokens = models.vocab.encode(query_text)
     if mode != "bm25":
         with ad.no_grad():
@@ -457,10 +471,10 @@ def end_to_end(query_text: str, models: ModelPair, doc_tokens: dict[str, list[in
 
     tag = f"embrank-{mode}"
     ids = first.doc_ids()
-    embeddings = candidate_embeddings(models, ids, doc_tokens, dense_index)
-    reranked = (rerank_embeddings(query_tokens, ids, embeddings, models,
-                                  query_id=query_id, tag=tag).run
-                if ids else RunList(query_id=query_id, entries=[], tag=tag))
+    reranked = (rerank_embeddings(query_tokens, ids,
+                                  _rows(models, ids, doc_tokens, dense_index if live else None),
+                                  models, query_id=query_id, tag=tag).run
+                if ids else RunList(query_id=query_id, tag=tag, counters=TokenCounter()))
     return EndToEndResult(first_stage=first, reranked=reranked)
 
 
@@ -472,18 +486,20 @@ def candidate_embeddings(models: ModelPair, doc_ids: list[str], doc_tokens: dict
     every id, its stored rows are gathered; else one ``no_grad``
     ``batch_encode`` of the distinct ids' ``doc_tokens`` gives the same bits
     (a row does not depend on its pack). An index recording another encoder
-    state raises ``ConfigError``. ``encoder_checksum`` hashes the read-only
-    weights once per weight state, so the check is a few identity tests.
+    state raises ``ConfigError`` (``DenseIndex.encoder_matches``).
     """
-    recorded = dense_index.metadata.get("encoder_sha256") if dense_index is not None else None
-    if recorded:
-        live = encoder_checksum(models.encoder)
-        if recorded != live:
-            raise ConfigError(f"dense index was built by encoder {recorded}, but the live "
-                              f"encoder is {live}; rebuild the index")
-        rows = dense_index.row_of
+    live = dense_index is not None and dense_index.encoder_matches(models.encoder)
+    return _rows(models, doc_ids, doc_tokens, dense_index if live else None)
+
+
+def _rows(models: ModelPair, doc_ids: list[str], doc_tokens: dict[str, list[int]],
+          live_index: DenseIndex | None) -> ad.Tensor:
+    """``candidate_embeddings`` past its check: ``live_index`` holds the live
+    encoder's rows, or is None."""
+    if live_index is not None:
+        rows = live_index.row_of
         if all(doc_id in rows for doc_id in doc_ids):
-            return ad.tensor(dense_index.matrix[[rows[doc_id] for doc_id in doc_ids]])
+            return ad.tensor(live_index.matrix[[rows[doc_id] for doc_id in doc_ids]])
     distinct = {doc_id: i for i, doc_id in enumerate(dict.fromkeys(doc_ids))}
     with ad.no_grad():
         embeddings = models.encoder.batch_encode([doc_tokens[doc_id] for doc_id in distinct])

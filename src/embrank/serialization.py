@@ -5,7 +5,8 @@ array as (name, dtype, shape, raw little-endian C-order bytes) in sorted
 name order. The bytes written depend only on the content, never on wall
 time, so identical states produce identical files (unlike zip-based
 formats, whose embedded timestamps differ run to run). The UTF-8 text
-reader that every line-oriented loader shares lives here too.
+reader that every line-oriented loader shares lives here too, with the one
+JSON-lines reader and writer.
 """
 
 from __future__ import annotations
@@ -123,6 +124,26 @@ def text_lines(path):
     """(line number from 1, line) for each line of the UTF-8 text file ``path``,
     split as reading it in text mode splits it (at \\n, \\r\\n and \\r)."""
     return enumerate(io.StringIO(read_text(path), newline=None), start=1)
+
+
+def jsonl_records(path):
+    """(line number, decoded value) for each nonblank line of the JSON-lines file
+    ``path``; a line that is not JSON raises ``DataFormatError`` naming the line."""
+    for lineno, line in text_lines(path):
+        line = line.strip()
+        if line:
+            try:
+                value = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise DataFormatError(f"{path}:{lineno}: invalid JSON ({exc.msg})") from None
+            yield lineno, value
+
+
+def write_jsonl(path, records) -> None:
+    """One sorted-key ``json.dumps`` line per record."""
+    with Path(path).open("w", encoding="utf-8") as fh:
+        for record in records:
+            fh.write(json.dumps(record, sort_keys=True) + "\n")
 
 
 def require_keys(path, meta: dict, arrays: dict, meta_keys=(), array_keys=()) -> None:

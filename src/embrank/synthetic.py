@@ -157,10 +157,11 @@ def generate_synthetic(seed: int,
         length = int(rng.integers(20, 31))
         add_doc("filler", 0, _sample_words(rng, filler_mix, length))
 
-    texts = [" ".join(words) for _, _, _, words in docs_raw]
-    vocab = Vocabulary.build(texts)
-    documents = [Document(doc_id=doc_id, text=text, tokens=vocab.encode(text))
-                 for (_, _, doc_id, _), text in zip(docs_raw, texts)]
+    # every word is t*w*, c* or x*, so split_words of the joined text gives the words back
+    vocab = Vocabulary.from_words(words for *_, words in docs_raw)
+    documents = [Document(doc_id=doc_id, text=" ".join(words),
+                          tokens=[vocab.token_to_id[w] for w in words])
+                 for _, _, doc_id, words in docs_raw]
     doc_topic = {doc_id: topic for _, topic, doc_id, _ in docs_raw}
     doc_kind = {doc_id: kind for kind, _, doc_id, _ in docs_raw}
 

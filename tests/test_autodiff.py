@@ -722,19 +722,19 @@ class TestSharedMaskThreads:
 
         def run(i):
             try:
-                for _ in range(20):
-                    got[i].append(ad.causal_attention(*qkv, 4, lengths[i]).data)
+                with ad.no_grad():  # the grad flag is context-local: each thread sets its own
+                    for _ in range(20):
+                        got[i].append(ad.causal_attention(*qkv, 4, lengths[i]).data)
             except Exception as exc:  # pragma: no cover - reported below
                 errors.append(exc)
 
-        with ad.no_grad():  # the grad flag is one process-wide switch: set it here
-            for _ in range(5):
-                ad._triangles = (np.zeros((0, 0)), np.zeros((0, 0)))
-                threads = [threading.Thread(target=run, args=(i,)) for i in range(2)]
-                for th in threads:
-                    th.start()
-                for th in threads:
-                    th.join()
+        for _ in range(5):
+            ad._triangles = (np.zeros((0, 0)), np.zeros((0, 0)))
+            threads = [threading.Thread(target=run, args=(i,)) for i in range(2)]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join()
         assert not errors
         for i in range(2):
             for out in got[i]:
@@ -849,6 +849,35 @@ class TestNoGrad:
     def test_strict_finite_guard_still_runs(self):
         with ad.no_grad(), np.errstate(over="ignore"), pytest.raises(NumericError):
             ad.mul(ad.param([1e308]), 10.0)
+
+    def test_interleaved_threads_leave_gradients_on(self):
+        """Thread A enters no_grad, B enters, A exits, B exits: each thread
+        restores its own state, so gradients stay off inside B until B exits
+        and stay on here."""
+        w = ad.param(np.ones(2))
+        a_in, b_in, a_out = threading.Event(), threading.Event(), threading.Event()
+        waited, b_records = [], []
+
+        def a():
+            with ad.no_grad():
+                a_in.set()
+                waited.append(b_in.wait(10))
+            a_out.set()
+
+        def b():
+            waited.append(a_in.wait(10))
+            with ad.no_grad():
+                b_in.set()
+                waited.append(a_out.wait(10))
+                b_records.append(ad.mul(w, w).requires_grad)
+
+        threads = [threading.Thread(target=f) for f in (a, b)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(20)
+        assert waited == [True, True, True] and b_records == [False]
+        assert ad.mul(w, w).requires_grad
 
 
 class TestReadOnlyParameters:

@@ -13,6 +13,7 @@ from embrank.cli import main
 from embrank.config import load_config
 from embrank.data import load_corpus, load_queries, load_samples
 from embrank.reranker import build_model_pair
+from embrank.retrieval import InvertedIndex
 from embrank.runs import read_trec_run
 from embrank.serialization import read_record_file, write_record_file
 from embrank.training import TrainReport, train_stages
@@ -233,7 +234,9 @@ class TestEndToEndAndEvaluate:
             assert code == 1
             assert recorded in err and parameter_checksum(load_checkpoint(final)) in err
 
-    def test_bm25_index_over_another_corpus_rejected(self, workdir, tmp_path, capsys):
+    def refused_over_fewer_docs(self, workdir, tmp_path, capsys, bm25_index) -> str:
+        """The stderr of end-to-end over the first 40 documents of the corpus
+        ``bm25_index`` was built from, once it exits 1 naming both checksums."""
         root, config, data, train, index = workdir
         corpus = data / "corpus.jsonl"
         fewer = tmp_path / "fewer_docs.jsonl"
@@ -241,11 +244,45 @@ class TestEndToEndAndEvaluate:
         code = main(["end-to-end", "--config", str(config),
                      "--checkpoint", str(train / "checkpoints/final.ckpt"),
                      "--corpus", str(fewer), "--queries", str(data / "queries_eval.tsv"),
-                     "--bm25-index", str(index / "bm25.idx"),
+                     "--bm25-index", str(bm25_index),
                      "--mode", "bm25", "--out", str(tmp_path / "e2e")])
         err = capsys.readouterr().err
         assert code == 1
         assert sha(corpus) in err and sha(fewer) in err
+        return err
+
+    def test_bm25_index_over_another_corpus_rejected(self, workdir, tmp_path, capsys):
+        self.refused_over_fewer_docs(workdir, tmp_path, capsys, workdir[4] / "bm25.idx")
+
+    def test_re_saved_bm25_index_over_another_corpus_rejected(self, workdir, tmp_path, capsys):
+        """A copy made by ``load`` and ``save`` keeps the checksum of the corpus
+        it was built from, so it is checked as the original is."""
+        copy = tmp_path / "copy.idx"
+        InvertedIndex.load(workdir[4] / "bm25.idx").save(copy)
+        assert str(copy) in self.refused_over_fewer_docs(workdir, tmp_path, capsys, copy)
+
+    def test_query_retrieving_nothing_gets_a_zero_trace_record(self, workdir, tmp_path):
+        root, config, data, train, index = workdir
+        queries = tmp_path / "queries.tsv"
+        queries.write_text((data / "queries_eval.tsv").read_text() + "q900\tzzz qqq\n")
+        common = ["--config", str(config), "--checkpoint", str(train / "checkpoints/final.ckpt"),
+                  "--corpus", str(data / "corpus.jsonl"), "--bm25-index", str(index / "bm25.idx"),
+                  "--mode", "bm25"]
+        with_empty, without = tmp_path / "with_empty", tmp_path / "without"
+        assert main(["end-to-end", *common, "--queries", str(queries),
+                     "--out", str(with_empty)]) == 0
+        assert main(["end-to-end", *common, "--queries", str(data / "queries_eval.tsv"),
+                     "--out", str(without)]) == 0
+        trace = [json.loads(l) for l in (with_empty / "trace.jsonl").read_text().splitlines()]
+        assert trace[-1] == {"query_id": "q900", "processed_passage_tokens": 0,
+                             "candidates": 0, "generated_tokens": 0}
+        assert (with_empty / "trace.jsonl").read_text().startswith(
+            (without / "trace.jsonl").read_text())
+        proc = sum(rec["processed_passage_tokens"] for rec in trace)
+        assert proc > 0
+        report = (with_empty / "report.txt").read_text()
+        assert f"#Proc={proc} " in report
+        assert report.splitlines()[-1] == (without / "report.txt").read_text().splitlines()[-1]
 
     def test_evaluate_perfect_run_scores_one(self, tmp_path):
         qrels = tmp_path / "qrels.txt"

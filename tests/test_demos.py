@@ -26,6 +26,7 @@ def test_demo_exits_cleanly(name):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
                                                       env.get("PYTHONPATH")]))
+    env["PYTHONWARNINGS"] = "error::RuntimeWarning"  # as CI runs the slow demos
     proc = subprocess.run([sys.executable, str(ROOT / "demos" / name)], cwd=ROOT, env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr

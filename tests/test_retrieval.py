@@ -18,7 +18,9 @@ from embrank.retrieval import (RETRIEVAL_MODES, DenseIndex, InvertedIndex, Posti
                                candidate_embeddings, end_to_end, rrf_fuse,
                                sliding_window_rerank)
 from embrank.reranker import build_model_pair
-from embrank.runs import RunEntry, RunList, rank_by_id, sorted_entries, top_entries
+from embrank.runs import (RunEntry, RunList, TokenCounter, rank_by_id, sorted_entries,
+                          top_entries)
+from embrank.serialization import read_record_file
 from embrank.synthetic import generate_synthetic
 from embrank.training import (Adam, LossConfig, OptimConfig, StageConfig, TrainReport,
                               train_stages)
@@ -137,13 +139,15 @@ class TestBM25:
 
     def test_save_load_round_trip(self, corpus, tmp_path):
         docs, vocab = corpus
-        index = InvertedIndex.build(docs)
-        index.save(tmp_path / "bm25.idx", corpus_checksum="abc")
+        index = InvertedIndex.build(docs, corpus_checksum="abc")
+        index.save(tmp_path / "bm25.idx")
         loaded = InvertedIndex.load(tmp_path / "bm25.idx")
         q = vocab.encode("cat dog")
         original = [(e.doc_id, e.score) for e in index.search(q, 3).entries]
         reloaded = [(e.doc_id, e.score) for e in loaded.search(q, 3).entries]
         assert original == reloaded
+        loaded.save(tmp_path / "copy.idx")  # a re-saved index keeps its corpus checksum
+        assert read_record_file(tmp_path / "copy.idx")[0]["corpus_checksum"] == "abc"
 
 
 class TestDenseSearch:
@@ -692,6 +696,13 @@ class TestEndToEnd:
                                  reranker_max_len=96)
         with pytest.raises(ConfigError, match="rebuild the index"):
             end_to_end(ds.eval_queries[0].text, wider, doc_tokens, bm25, dense, mode, k=30)
+
+    def test_query_with_no_candidates_has_zero_counters(self, pipeline):
+        ds, models, doc_tokens, bm25, dense = pipeline
+        result = end_to_end("zzz", models, doc_tokens, bm25, None, "bm25", k=30,
+                            query_id="q900")
+        assert result.reranked.entries == [] and result.reranked.query_id == "q900"
+        assert result.reranked.counters == TokenCounter()
 
     def test_stale_index_rejected_for_a_query_with_no_candidates(self, small_dataset):
         models, doc_tokens, bm25, dense = fresh_pipeline(small_dataset)
