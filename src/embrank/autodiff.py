@@ -36,8 +36,8 @@ Conventions:
     outputs;
   - ``causal_attention`` told the ``rows`` a caller reads returns only those
     rows, with the bits of the full result, and softmaxes only them where
-    they are at most half of a large group's rows; its exp skips the masked
-    scores of large triangles;
+    they are at most half of a group's rows; its exp skips the masked
+    scores' slow underflow path;
   - a gradient added into gathered rows (``take_rows``' backward, and
     attention's for its read rows) goes in by one 1-D ``np.add.at`` over
     flat element indices: the 2-D ``np.add.at``'s additions in its order, so
@@ -469,27 +469,6 @@ def _causal_masks(t: int) -> tuple[np.ndarray, np.ndarray]:
     return mask[:t, :t], keep[:t, :t]
 
 
-# The exp of a masked score (about -1e9) takes ``np.exp``'s slow underflow
-# path. ``causal_attention`` multiplies a full triangle of at least this many
-# scores by its 0/1 keep mask before the exp and after it, so the masked ones
-# exp a 0 and go back to the 0.0 their own exp gives. The two extra passes pay
-# from about here. Per call with 4 heads, keep-mask time over plain-exp time
-# read 3.8 at 100 scores (T = 5), 1.25 at 2000, 0.93 to 1.04 at 3072 to 4096,
-# 0.54 to 1.12 (mostly under 0.9) at 5800 to 16384, 0.71 to 0.79 at 26k to
-# 55k (encoder packs) and 0.45 at T = 118 (a reranker input). A query's
-# triangle has 36 to 100 scores.
-_KEEP_MASK_MIN_SCORES = 4096
-
-# ``causal_attention`` softmaxes only the rows a group reads when they are at
-# most half its rows and the group has at least this many scores. Below, the
-# gather and the scatter back cost more than the passes they save. Per call
-# with 4 heads and one read row per sequence, gathered time over every-row
-# time read 1.11 at 36 scores (T = 3), 1.08 at 100 (T = 5, a query), 1.03 at
-# 256, 0.96 at 576, 0.89 at 1024 and 0.32 to 0.46 at 10k to 55k (encoder
-# packs). The reranker reads 101 of its 118 rows and softmaxes them all.
-_GATHER_MIN_SCORES = 512
-
-
 def causal_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int,
                      lengths: Sequence[int] | None = None, rows=None) -> Tensor:
     """Multi-head causal self-attention over packed [N, d] query/key/value
@@ -505,8 +484,9 @@ def causal_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int,
     on the strictly-upper triangle, 0 elsewhere, and the row softmax subtracts
     the row max first. In double precision the masked weights underflow to
     exactly zero, so output row i is bitwise independent of every position
-    after i. Past ``_KEEP_MASK_MIN_SCORES`` scores the exp of a full triangle
-    skips the masked scores' slow path: the same +0.0 weights, from a fast exp.
+    after i. The softmax multiplies the scores by the 0/1 keep mask before
+    the exp and after it, so a masked score exps -0.0 instead of taking
+    ``np.exp``'s slow underflow path and still ends as the +0.0 weight.
 
     Forward and backward equal the per-head 2-D composition (column slices,
     matmul, scale, mask, row softmax, matmul, concatenation) of each sequence
@@ -516,21 +496,20 @@ def causal_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int,
     those as it rounds the 2-D slices, while a strided kᵀ view rounds
     differently. ``np.matmul`` runs one BLAS product per (sequence, head),
     and the backward multiplies by transposed views of the same arrays, as
-    ``matmul``'s backward does. The mask is a corner of one shared read-only
-    triangle (``_causal_masks``). With no tape no group's arrays outlive the
+    ``matmul``'s backward does. The masks are corners of one shared read-only
+    pair (``_causal_masks``). With no tape no group's arrays outlive the
     loop's next turn, and its kᵀ copy goes once the scores are made.
 
-    Given ``rows``, a group of at least ``_GATHER_MIN_SCORES`` scores whose
-    sequences read at most half their local rows (one row per passage in the
-    encoder's last block) softmaxes only their union U: its U rows of q kᵀ
-    are taken out, masked with the triangle's U rows, softmaxed and put
-    back, and the other rows keep their raw scores. The scores and the
-    product with v still run on every row, so each read row keeps its bits
-    at every width (OpenBLAS rounds the last columns of a product whose
-    width is 1 to 3 past a multiple of 8 by its row count). The backward is
-    the full-row one on the output gradient scattered to [N, d] as
-    ``take_rows`` scatters it: a row not read has a zero gradient, so its
-    raw scores add only zeros.
+    Given ``rows``, a group whose sequences read at most half their local
+    rows (one row per passage or query in the encoder's last block)
+    softmaxes only their union U: its U rows of q kᵀ are taken out, masked
+    with the U rows of both masks, softmaxed and put back, and the other
+    rows keep their raw scores. The scores and the product with v still run
+    on every row, so each read row keeps its bits at every width (OpenBLAS
+    rounds the last columns of a product whose width is 1 to 3 past a
+    multiple of 8 by its row count). The backward is the full-row one on the
+    output gradient scattered to [N, d] as ``take_rows`` scatters it: a row
+    not read has a zero gradient, so its raw scores add only zeros.
     """
     q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
     if q.ndim != 2 or k.shape != q.shape or v.shape != q.shape:
@@ -569,21 +548,18 @@ def causal_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int,
             runs.append((span, t, qh, kt, vh, w))
         del kt
         u = None  # the local rows softmaxed, if not every row
-        if rows is not None and w.size >= _GATHER_MIN_SCORES:
+        if rows is not None:
             u = np.flatnonzero(is_read[span].reshape(-1, t).any(axis=0))
             if 2 * len(u) > t:
                 u = None
         mask, keep = _causal_masks(t)
-        s, mask = (w, mask) if u is None else (w[:, :, u], mask[u])
+        s, mask, keep = (w, mask, keep) if u is None else (w[:, :, u], mask[u], keep[u])
         s *= scale
         s += mask
         s -= s.max(axis=-1, keepdims=True)
-        if u is None and s.size >= _KEEP_MASK_MIN_SCORES:
-            s *= keep
-            np.exp(s, out=s)
-            s *= keep
-        else:
-            np.exp(s, out=s)
+        s *= keep
+        np.exp(s, out=s)
+        s *= keep
         s /= s.sum(axis=-1, keepdims=True)
         if u is not None:
             w[:, :, u] = s

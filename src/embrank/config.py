@@ -83,6 +83,10 @@ class ExperimentConfig:
         if not 1 <= len(self.stages) <= 2:
             raise ConfigError("stages: the canonical run has one or two stages")
         self.loss.validate()
+        try:
+            self.optim.validate()
+        except ConfigError as exc:
+            raise ConfigError(f"optim.{exc}") from None
         for i, stage in enumerate(self.stages):
             for name, low in (("epochs", 0), ("batch_size", 1), ("lr", 0)):
                 value = getattr(stage, name)

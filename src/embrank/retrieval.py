@@ -390,17 +390,15 @@ def sliding_window_rerank(query_tokens, doc_ids: list[str], embeddings: ad.Tenso
     cosine scores included; with several windows the emitted scores are
     rank-derived (descending integers) because per-window cosines are not
     comparable across windows. The run's counter sums the windows' own
-    counts, overlap included, and counts each candidate once.
+    counts, overlap included, and counts each candidate once. A window whose
+    candidates overflow the reranker's sequence raises ``ShapeError`` from
+    ``assemble_input``.
     """
     if not doc_ids:
         raise DegenerateInputError("sliding_window_rerank: candidates must be nonempty")
     if not 1 <= stride <= window:
         raise ConfigError(f"sliding_window_rerank: need 1 <= stride <= window, "
                           f"got stride={stride}, window={window}")
-    overhead = len(models.instruction_ids()) + 2 * len(query_tokens) + 1
-    budget = models.reranker.config.max_seq_len - overhead
-    if window > budget:
-        raise ShapeError(f"window {window} exceeds the reranker sequence budget {budget}")
 
     m = len(doc_ids)
     counter = TokenCounter()

@@ -68,6 +68,17 @@ class OptimConfig:
     weight_decay: float = 0.0
     clip_norm: float = 1.0
 
+    def validate(self) -> None:
+        """Adam divides by 1 - beta**t and by sqrt(v) + eps: a beta of 1 makes
+        every first update 0/0, and an eps of 0 that of a zero gradient."""
+        for name, ok, rule in (("beta1", 0 <= self.beta1 < 1, "in [0, 1)"),
+                               ("beta2", 0 <= self.beta2 < 1, "in [0, 1)"),
+                               ("eps", self.eps > 0, "> 0"),
+                               ("weight_decay", self.weight_decay >= 0, ">= 0"),
+                               ("clip_norm", self.clip_norm >= 0, ">= 0")):
+            if not ok:
+                raise ConfigError(f"{name}: must be {rule}, got {getattr(self, name)!r}")
+
 
 # ---------------------------------------------------------------------------
 # losses
@@ -257,13 +268,14 @@ def train_stages(models: ModelPair, plan, doc_tokens, optim: OptimConfig,
     flags and the encoder's trainability from ``loss_cfg`` before building
     its own Adam, so a frozen encoder receives neither gradients nor updates.
 
-    The loss config and every stage (epochs, batch size, samples) are checked
-    here, before anything trains: a bad plan raises ``ConfigError`` from the
-    call itself. The returned iterator trains the stages as it is driven and
-    yields each stage as it finishes, so a caller can checkpoint between
-    stages.
+    The loss and optimizer configs and every stage (epochs, batch size,
+    samples) are checked here, before anything trains: a bad plan raises
+    ``ConfigError`` from the call itself. The returned iterator trains the
+    stages as it is driven and yields each stage as it finishes, so a caller
+    can checkpoint between stages.
     """
     loss_cfg.validate()
+    optim.validate()
     checked = []
     for stage, samples in plan:
         if stage.epochs < 0 or stage.batch_size < 1:

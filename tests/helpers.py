@@ -305,19 +305,13 @@ def op_gradcheck_cases(ad):
 
     def make_causal_attention_rows(rng):
         """Read rows, unsorted and one repeated, that skip the 2-row sequence.
-        With no size floor on the gather, three of the four length groups
-        softmax only the rows read; the backward scatters into every row."""
+        Three of the four length groups softmax only the rows read; the
+        backward scatters into every row."""
         lengths, rows, n_heads = [1, 3, 3, 2, 4], [12, 0, 5, 5, 9, 2], 2
         q, k, v = (ad.param(rng.normal(size=(sum(lengths), 4))) for _ in range(3))
         red = _reducer(ad, (len(rows), 4), rng)
-
-        def f():
-            saved, ad._GATHER_MIN_SCORES = ad._GATHER_MIN_SCORES, 0
-            try:
-                return red(ad.causal_attention(q, k, v, n_heads, lengths, rows))
-            finally:
-                ad._GATHER_MIN_SCORES = saved
-        return f, {"q": q, "k": k, "v": v}
+        return (lambda: red(ad.causal_attention(q, k, v, n_heads, lengths, rows)),
+                {"q": q, "k": k, "v": v})
 
     makers = (make_add_same, make_sub, make_mul, make_mul_scalar, make_silu,
               make_softplus, make_sum_all, make_matmul, make_cosine_rows,

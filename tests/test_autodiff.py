@@ -193,25 +193,13 @@ def bits(a):
     return np.ascontiguousarray(a, dtype=np.float64).view(np.uint64)
 
 
-@pytest.fixture(params=["default", "no_size_floor"])
-def attention_paths(request, monkeypatch):
-    """Run a test with ``causal_attention``'s own size floors, and with none:
-    then every full triangle, however small, runs the keep-mask exp, and
-    every group that reads at most half its rows softmaxes only those."""
-    if request.param == "no_size_floor":
-        monkeypatch.setattr(ad, "_KEEP_MASK_MIN_SCORES", 0)
-        monkeypatch.setattr(ad, "_GATHER_MIN_SCORES", 0)
-
-
-@pytest.mark.usefixtures("attention_paths")
 class TestReadRowsAttention:
     """``causal_attention(q, k, v, H, lengths, rows)`` equals ``take_rows`` of
     the full result at ``rows``, bit for bit, in the forward and in the q, k
     and v gradients. Lengths 9, 17 and 35 leave 1 to 3 score columns past a
     multiple of 8, and head widths 9 and 17 one output column, where OpenBLAS
     rounds a product of fewer rows otherwise. The cases read every row of a
-    group, at most half of them (softmaxed alone by default in the groups of
-    17 and 35, and in the group of 9 with 4 heads) or none."""
+    group, at most half of them (softmaxed alone) or none."""
 
     LENGTHS = [1, 3, 3, 5, 1, 1, 9, 9, 17, 2] + [35] * 8
 
@@ -357,14 +345,12 @@ class TestScatterRows:
         self.run((8,), idx, self.spread(rng, len(idx)), grad)
 
 
-@pytest.mark.usefixtures("attention_paths")
 class TestMaskedSoftmax:
     """With one head of width T and v = I, attention returns its softmax
     weights exactly. They equal the plain masked softmax (exp over the
-    -1e9-masked scores) bit for bit, for full and partial row reads, with the
-    op's own forms (plain exp up to T = 8, keep mask at T = 64 and 118, read
-    rows softmaxed alone from T = 23) and with both at every T. A masked
-    weight is +0.0."""
+    -1e9-masked scores) bit for bit at every T, for full row reads and for
+    partial ones (softmaxed alone where they are at most half the rows): the
+    op's keep-mask exp gives a masked weight +0.0, as the plain exp does."""
 
     @staticmethod
     def weights(q, k, rows=None):
@@ -715,7 +701,7 @@ class TestSharedMaskThreads:
     def test_two_threads_growing_the_cache_agree_with_one(self):
         rng = np.random.default_rng(4)
         qkv = rng.normal(size=(3, 80, 16))
-        lengths = [[33, 47], [34, 46]]  # 47 * 47 * 4 heads takes the keep-mask exp
+        lengths = [[33, 47], [34, 46]]
         with ad.no_grad():
             want = [ad.causal_attention(*qkv, 4, ls).data for ls in lengths]
         errors, got = [], [[], []]

@@ -459,6 +459,21 @@ class TestErrors:
         assert "embrank gen-data: error: stage1_candidates must be >= 1, got 0" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("optim", [{"beta1": 1.0}, {"beta2": 1.0}, {"eps": 0.0}])
+    def test_train_with_a_degenerate_optimizer_writes_no_checkpoint(self, workdir, tmp_path,
+                                                                     capsys, optim):
+        """Each of these makes Adam's first update 0/0: ``train`` exits 1
+        naming the key instead of saving NaN weights."""
+        root, config, data, train, index = workdir
+        bad = tmp_path / "config.json"
+        bad.write_text(json.dumps({**MICRO_CONFIG, "optim": optim}))
+        out = tmp_path / "train"
+        assert main(["train", "--config", str(bad), "--data", str(data),
+                     "--out", str(out)]) == 1
+        (key,) = optim
+        assert f"optim.{key}: must be" in capsys.readouterr().err
+        assert not list(tmp_path.rglob("*.ckpt"))
+
     def test_missing_input_path_names_the_path(self, tmp_path, capsys):
         code = main(["evaluate", "--run", str(tmp_path / "missing.trec"),
                      "--qrels", str(tmp_path / "missing.txt")])

@@ -136,3 +136,18 @@ def test_out_of_range_stage_field_names_file_key_and_value(tmp_path, field, valu
     with pytest.raises(ConfigError) as err:
         load_config(path)
     assert str(err.value) == f"{path}: stages[1].{field}: must be >= {low}, got {value}"
+
+
+@pytest.mark.parametrize("field, value, rule", [("beta1", 1.0, "in [0, 1)"),
+                                               ("beta2", -0.5, "in [0, 1)"),
+                                               ("eps", 0.0, "> 0"),
+                                               ("weight_decay", -0.1, ">= 0"),
+                                               ("clip_norm", -1.0, ">= 0")])
+def test_out_of_range_optim_field_names_file_key_and_value(tmp_path, field, value, rule):
+    """A beta of 1 or an eps of 0 would train NaN weights into a checkpoint
+    that ``load_checkpoint`` refuses."""
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"optim": {field: value}}), encoding="utf-8")
+    with pytest.raises(ConfigError) as err:
+        load_config(path)
+    assert str(err.value) == f"{path}: optim.{field}: must be {rule}, got {value}"

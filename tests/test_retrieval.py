@@ -531,6 +531,16 @@ class TestSlidingWindow:
         with pytest.raises(ShapeError):
             slide(query, docs * 4, models, window=120, stride=10)
 
+    def test_window_beyond_budget_over_a_list_that_fits_is_the_single_pass(self, setup):
+        """Only the candidates a window holds must fit the reranker's sequence:
+        a list that fits runs as one window, whatever the window size."""
+        models, docs, query = setup
+        single = rerank_pairs(query, docs[:12], models, query_id="q").run
+        windowed = slide(query, docs[:12], models, window=120, stride=10, query_id="q")
+        assert [(e.doc_id, e.score) for e in windowed.entries] == \
+               [(e.doc_id, e.score) for e in single.entries]
+        assert windowed.counters == single.counters
+
 
 def fresh_pipeline(dataset, **model_kwargs):
     """A model pair, doc tokens and both indexes; tests that change weights

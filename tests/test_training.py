@@ -315,14 +315,17 @@ class TestTrainingLoops:
             assert report.records[-1]["combined"].hex() == last_combined
         assert [s["steps"] for s in report.stages] == [2 * epochs[0], 2 * epochs[1]]
 
-    @pytest.mark.parametrize("stage2, loss_cfg", [
-        (dict(epochs=-1), LossConfig()),
-        (dict(batch_size=0), LossConfig()),
-        (dict(), LossConfig(tau1=0.0)),
-    ], ids=["negative_epochs", "zero_batch_size", "bad_loss_config"])
-    def test_bad_plan_raises_at_call(self, small_dataset, small_doc_tokens, stage2, loss_cfg):
+    @pytest.mark.parametrize("stage2, loss_cfg, optim", [
+        (dict(epochs=-1), LossConfig(), OptimConfig()),
+        (dict(batch_size=0), LossConfig(), OptimConfig()),
+        (dict(), LossConfig(tau1=0.0), OptimConfig()),
+        (dict(), LossConfig(), OptimConfig(eps=0.0)),
+    ], ids=["negative_epochs", "zero_batch_size", "bad_loss_config", "bad_optim_config"])
+    def test_bad_plan_raises_at_call(self, small_dataset, small_doc_tokens, stage2, loss_cfg,
+                                     optim):
         """The plan is checked when ``train_stages`` is called: a bad later
-        stage or loss config raises with no iteration, and nothing trains."""
+        stage, loss config or optimizer config raises with no iteration, and
+        nothing trains."""
         models = build_model_pair(small_dataset.vocab, seed=5, d_model=16,
                                   n_layers=1, n_heads=2, reranker_max_len=64)
         before = parameter_checksum(models)
@@ -330,7 +333,7 @@ class TestTrainingLoops:
         plan = [(StageConfig("stage1", epochs=1, batch_size=2), small_dataset.stage1_samples[:2]),
                 (StageConfig("stage2", **stage2), small_dataset.stage2_samples[:2])]
         with pytest.raises(ConfigError):
-            train_stages(models, plan, small_doc_tokens, OptimConfig(), loss_cfg, 0, report)
+            train_stages(models, plan, small_doc_tokens, optim, loss_cfg, 0, report)
         assert report.records == [] and report.stages == []
         assert parameter_checksum(models) == before
 
