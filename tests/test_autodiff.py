@@ -218,6 +218,22 @@ class TestReadRowsAttention:
         "every_row_shuffled": "shuffled",
     }
 
+    @staticmethod
+    def check(data, n_heads, lengths, rows, g):
+        """Assert that reading ``rows`` gives the full result's bits at them,
+        forward and q, k, v gradients under the output gradient ``g``;
+        returns the full result's (out, dq, dk, dv)."""
+        def run(read):
+            q, k, v = (ad.param(x) for x in data)
+            out = read(q, k, v)
+            backward(ad.sum_all(ad.mul(out, ad.tensor(g))))
+            return out.data, q.grad, k.grad, v.grad
+        got = run(lambda q, k, v: ad.causal_attention(q, k, v, n_heads, lengths, rows))
+        want = run(lambda q, k, v: ad.take_rows(ad.causal_attention(q, k, v, n_heads, lengths), rows))
+        for name, a, b in zip(("out", "dq", "dk", "dv"), got, want):
+            np.testing.assert_array_equal(bits(a), bits(b), err_msg=name)
+        return want
+
     def rows(self, case, rng):
         lengths = self.LENGTHS
         spec = self.CASES[case]
@@ -240,19 +256,27 @@ class TestReadRowsAttention:
         rows = self.rows(case, rng)
         data = [rng.normal(size=(sum(lengths), d)) for _ in range(3)]
         g = rng.normal(size=(len(rows), d))
-
-        def run(read):
-            q, k, v = (ad.param(x) for x in data)
-            out = read(q, k, v)
-            backward(ad.sum_all(ad.mul(out, ad.tensor(g))))
-            return out.data, q.grad, k.grad, v.grad
-        got = run(lambda q, k, v: ad.causal_attention(q, k, v, n_heads, lengths, rows))
-        want = run(lambda q, k, v: ad.take_rows(ad.causal_attention(q, k, v, n_heads, lengths), rows))
-        for name, a, b in zip(("out", "dq", "dk", "dv"), got, want):
-            np.testing.assert_array_equal(bits(a), bits(b), err_msg=name)
+        want = self.check(data, n_heads, lengths, rows, g)
         with ad.no_grad():
             free = ad.causal_attention(*(ad.tensor(x) for x in data), n_heads, lengths, rows)
         np.testing.assert_array_equal(bits(free.data), bits(want[0]))
+
+    @pytest.mark.parametrize("side", ["half", "past_half"])
+    @pytest.mark.parametrize("t", [2, 3, 4, 5, 8, 9, 17, 35])
+    def test_either_side_of_the_half_rule(self, t, side):
+        """A group softmaxes only the local rows its sequences read when
+        they are at most half of its T rows, and all T rows past that. The
+        three sequences of length T read T // 2 (or one more) distinct local
+        rows between them, no one sequence more than a third, so only their
+        union decides; the bits match the full result on either side."""
+        rng = np.random.default_rng(10 * t + len(side))
+        lengths, n_heads, d = [1, t, t, t], 2, 18
+        k = t // 2 + (side == "past_half")
+        local = rng.permutation(t)[:k]
+        rows = np.concatenate([[0]] + [1 + i * t + local[i::3] for i in range(3)])
+        rows = rng.permutation(rows)
+        data = [rng.normal(size=(sum(lengths), d)) for _ in range(3)]
+        self.check(data, n_heads, lengths, rows, rng.normal(size=(len(rows), d)))
 
     def test_no_row_gives_an_empty_result(self):
         x = ad.param(np.ones((4, 8)))

@@ -242,6 +242,39 @@ class TestAdam:
         assert float(np.linalg.norm(p.grad)) == pytest.approx(1.0, rel=1e-12)
 
 
+class TestOptimConfigRange:
+    """``OptimConfig.validate`` accepts exactly the configs whose Adam steps
+    stay finite: each edge of the range takes a finite first step, a zero
+    gradient included, and each value past an edge (NaN too) is refused
+    naming its field."""
+
+    @pytest.mark.parametrize("field, value", [
+        ("beta1", 0.0), ("beta2", 0.0), ("beta1", 0.999999), ("beta2", 0.999999),
+        ("eps", 1e-300), ("weight_decay", 0.0), ("clip_norm", 0.0),
+    ])
+    def test_edge_of_the_range_takes_a_finite_first_step(self, field, value):
+        cfg = OptimConfig(**{field: value})
+        cfg.validate()
+        p = ad.param(np.array([1.0, -2.0, 0.5]))
+        opt = Adam({"p": p}, lr=0.1, config=cfg)
+        p.grad = np.array([0.0, 1e-3, -4.0])
+        opt.clip_gradients()
+        opt.step()
+        assert np.all(np.isfinite(p.data))
+        assert p.data[1] < -2.0 and p.data[2] > 0.5
+
+    @pytest.mark.parametrize("field, value", [
+        ("beta1", 1.0), ("beta1", -0.1), ("beta1", math.nan),
+        ("beta2", 1.0), ("beta2", math.nan),
+        ("eps", 0.0), ("eps", -1e-8), ("eps", math.nan),
+        ("weight_decay", -0.1), ("weight_decay", math.nan),
+        ("clip_norm", -1.0), ("clip_norm", math.nan),
+    ])
+    def test_past_the_range_is_refused_naming_the_field(self, field, value):
+        with pytest.raises(ConfigError, match=f"^{field}: must be "):
+            OptimConfig(**{field: value}).validate()
+
+
 class TestTrainingLoops:
     def test_loss_decreases_on_repeated_sample(self, small_dataset, small_doc_tokens):
         models = build_model_pair(small_dataset.vocab, seed=2, d_model=16,
