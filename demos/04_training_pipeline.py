@@ -5,7 +5,7 @@ coarse candidate lists; stage 2 refines on 1-positive/15-negative samples.
 Both stages optimize lambda * contrastive + pairwise ranking. Afterwards the
 input-ordering sensitivity experiment runs on the trained model.
 
-Takes roughly a minute on one CPU core.
+Takes about 10 s on one CPU core.
 """
 
 import time

@@ -11,7 +11,7 @@ evaluation utilities complete the pipeline.
 
 __version__ = "0.1.0"
 
-from .autodiff import Tensor, backward, cosine_rows, set_strict_finite, tensor
+from .autodiff import Tensor, backward, cosine_rows, tensor
 from .data import (Document, Qrels, Query, RankingSample, Vocabulary,
                    load_corpus, load_qrels, load_queries)
 from .encoder import EncoderModel

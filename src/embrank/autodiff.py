@@ -43,9 +43,8 @@ Conventions:
     flat element indices: the 2-D ``np.add.at``'s additions in its order, so
     its bits, about 4x faster from numpy 1.25 (with numpy 1.24, which
     ``pyproject.toml`` still allows, as exact but not faster);
-  - under strict mode (default) any op producing NaN/Inf raises
-    ``NumericError`` immediately instead of letting the values spread,
-    with or without ``no_grad``.
+  - any op producing NaN/Inf raises ``NumericError`` immediately instead
+    of letting the values spread, with or without ``no_grad``.
 """
 
 from __future__ import annotations
@@ -62,15 +61,8 @@ import numpy as np
 from .errors import DegenerateInputError, NumericError, ShapeError
 
 # Context-local, so one thread's (or task's) setting never leaks into another's;
-# a new thread starts from the defaults.
-_strict_finite = contextvars.ContextVar("strict_finite", default=True)
+# a new thread starts from the default.
 _grad_enabled = contextvars.ContextVar("grad_enabled", default=True)
-
-
-def set_strict_finite(enabled: bool) -> None:
-    """Toggle, in the current context, the NaN/Inf guard that runs after every
-    forward op."""
-    _strict_finite.set(bool(enabled))
 
 
 @contextlib.contextmanager
@@ -156,15 +148,13 @@ def _as_tensor(x) -> Tensor:
 
 
 def check_finite(data: np.ndarray, op: str) -> np.ndarray:
-    """Under strict mode, raise ``NumericError`` naming ``op`` on any NaN/Inf;
-    every op runs this on its output. The sum of squares (``np.vdot`` of the
-    array with itself, one BLAS pass) is finite when every element is; a
+    """Raise ``NumericError`` naming ``op`` on any NaN/Inf; every op runs
+    this on its output. The sum of squares (``np.vdot`` of the array with
+    itself, one BLAS pass) is finite when every element is; a
     non-finite one is confirmed by the full scan, which clears an array whose
     squares merely overflowed (an element above about 1.3e154). ``np.vdot``
     raises no floating-point warning, so neither case warns under any warning
     filter, and no call pays for an ``np.errstate``."""
-    if not _strict_finite.get():
-        return data
     if not math.isfinite(np.vdot(data, data)) and not np.isfinite(data).all():
         raise NumericError(f"{op} produced non-finite values")
     return data

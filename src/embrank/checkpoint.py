@@ -15,14 +15,21 @@ from dataclasses import asdict
 import numpy as np
 
 from . import autodiff as ad
+from .config import parse_as
 from .data import Vocabulary
 from .encoder import EncoderModel
-from .errors import DataFormatError
+from .errors import ConfigError, DataFormatError
 from .reranker import ModelPair, RerankerModel
-from .serialization import read_record_file, require_keys, sha256_arrays, write_record_file
+from .serialization import (field_checker, read_record_file, require_keys, sha256_arrays,
+                            write_record_file)
 from .transformer import ModelConfig
 
 CHECKPOINT_KIND = "embrank-model-pair"
+
+# Header keys of options that are gone, with the one value each can still hold:
+# every checkpoint records them, and one holding another value names a model
+# this version cannot run.
+RETIRED_FLAGS = {"normalize_embeddings": False, "passage_position_embeddings": True}
 
 
 def parameter_checksum(models: ModelPair) -> str:
@@ -66,10 +73,9 @@ def save_checkpoint(path, models: ModelPair, extra_meta: dict | None = None) -> 
         "kind": CHECKPOINT_KIND,
         "encoder_config": asdict(models.encoder.config),
         "reranker_config": asdict(models.reranker.config),
-        "normalize_embeddings": models.encoder.normalize_output,
+        **RETIRED_FLAGS,
         "residual_enabled": models.reranker.residual_enabled,
         "hidden_state_enabled": models.reranker.hidden_state_enabled,
-        "passage_position_embeddings": models.reranker.passage_position_embeddings,
         "eos_id": models.reranker.eos_id,
         "vocab": models.vocab.id_to_token,
         "extra": extra_meta or {},
@@ -77,30 +83,52 @@ def save_checkpoint(path, models: ModelPair, extra_meta: dict | None = None) -> 
     write_record_file(path, meta, {k: t.data for k, t in models.parameters().items()})
 
 
-def _model_config(path, meta: dict, key: str) -> ModelConfig:
+def _model_config(check, meta: dict, key: str, vocab: Vocabulary) -> ModelConfig:
+    """The header's ``key`` as a valid ``ModelConfig`` over ``vocab``."""
     try:
-        return ModelConfig(**meta[key])
-    except (KeyError, TypeError) as exc:
-        raise DataFormatError(f"{path}: checkpoint {key} is missing or has an unknown "
-                              f"or missing field: {exc}") from None
+        config = parse_as(ModelConfig, meta[key], key)
+        config.validate()
+    except (ConfigError, TypeError) as exc:  # TypeError: a required field is missing
+        check(False, key, f"is not a model configuration: {exc}")
+    check(config.vocab_size == len(vocab), key,
+          f"has vocab_size {config.vocab_size} for a vocabulary of {len(vocab)} tokens")
+    return config
 
 
 def load_checkpoint(path) -> ModelPair:
+    """The model pair a checkpoint holds. A header entry that does not
+    describe a model this version runs raises ``DataFormatError`` naming the
+    file and the key, as a damaged parameter does naming the parameter."""
     meta, arrays = read_record_file(path)
     if meta.get("kind") != CHECKPOINT_KIND:
         raise DataFormatError(f"{path}: not a model checkpoint")
-    require_keys(path, meta, arrays, ("vocab", "eos_id", "normalize_embeddings",
-                                      "residual_enabled", "hidden_state_enabled",
-                                      "passage_position_embeddings"))
-    vocab = Vocabulary(meta["vocab"])
-    enc_cfg = _model_config(path, meta, "encoder_config")
-    rer_cfg = _model_config(path, meta, "reranker_config")
+    require_keys(path, meta, arrays, ("vocab", "eos_id", *RETIRED_FLAGS, "residual_enabled",
+                                      "hidden_state_enabled", "encoder_config",
+                                      "reranker_config"))
+    check = field_checker(path, "checkpoint")
+    for key, value in RETIRED_FLAGS.items():
+        check(meta[key] is value, key, f"is {meta[key]!r}; this version runs only {value!r}")
+    flags = {key: meta[key] for key in ("residual_enabled", "hidden_state_enabled")}
+    for key, value in flags.items():
+        check(isinstance(value, bool), key, f"is {value!r}, not true or false")
+    check(any(flags.values()), "hidden_state_enabled", "and 'residual_enabled' are both false")
+    tokens = meta["vocab"]
+    check(isinstance(tokens, list) and all(isinstance(t, str) for t in tokens), "vocab",
+          "is not a list of strings")
+    try:
+        vocab = Vocabulary(tokens)
+    except DataFormatError as exc:
+        check(False, "vocab", f"is not a vocabulary: {exc}")
+    eos_id = meta["eos_id"]
+    check(type(eos_id) is int and eos_id == vocab.eos_id, "eos_id",
+          f"is {eos_id!r}, not the vocabulary's end token {vocab.eos_id}")
+    enc_cfg = _model_config(check, meta, "encoder_config", vocab)
+    rer_cfg = _model_config(check, meta, "reranker_config", vocab)
+    check(rer_cfg.d_model == enc_cfg.d_model, "reranker_config",
+          f"has d_model {rer_cfg.d_model}, the encoder {enc_cfg.d_model}")
     rng = np.random.default_rng(0)  # placeholder weights, overwritten below
-    encoder = EncoderModel(enc_cfg, rng, normalize_output=meta["normalize_embeddings"])
-    reranker = RerankerModel(rer_cfg, rng, eos_id=meta["eos_id"],
-                             residual_enabled=meta["residual_enabled"],
-                             hidden_state_enabled=meta["hidden_state_enabled"],
-                             passage_position_embeddings=meta["passage_position_embeddings"])
+    encoder = EncoderModel(enc_cfg, rng)
+    reranker = RerankerModel(rer_cfg, rng, eos_id=eos_id, **flags)
     models = ModelPair(encoder=encoder, reranker=reranker, vocab=vocab)
     for key, tensor in models.parameters().items():
         if key not in arrays:

@@ -29,8 +29,6 @@ class ModelSettings:
     encoder_max_len: int = 64
     reranker_max_len: int = 256
     ffn_mult: int = 4
-    normalize_embeddings: bool = False
-    passage_position_embeddings: bool = True
 
     def build_kwargs(self) -> dict:
         """Every field, as the keyword arguments of ``build_model_pair``."""
@@ -112,14 +110,14 @@ def _typed(value, kind: type, key: str):
     return value
 
 
-def _parse(kind, value, path: str):
+def parse_as(kind, value, path: str):
     """``value`` as the config field type ``kind``: a settings section, a list
     of sections or a scalar; ``path`` is its dotted key, empty at the root."""
     if typing.get_origin(kind) is list:
         if not isinstance(value, list):
             raise ConfigError(f"{path}: expected a list")
         (item,) = typing.get_args(kind)
-        return [_parse(item, v, f"{path}[{i}]") for i, v in enumerate(value)]
+        return [parse_as(item, v, f"{path}[{i}]") for i, v in enumerate(value)]
     if not dataclasses.is_dataclass(kind):
         return _typed(value, kind, path)
     if not isinstance(value, dict):
@@ -129,11 +127,11 @@ def _parse(kind, value, path: str):
     unknown = sorted(keys[k] for k in set(value) - set(kinds))
     if unknown:
         raise ConfigError(f"unknown config key(s): {', '.join(unknown)}")
-    return kind(**{k: _parse(kinds[k], v, keys[k]) for k, v in value.items()})
+    return kind(**{k: parse_as(kinds[k], v, keys[k]) for k, v in value.items()})
 
 
 def config_from_dict(data: dict) -> ExperimentConfig:
-    cfg = _parse(ExperimentConfig, data, "")
+    cfg = parse_as(ExperimentConfig, data, "")
     cfg.validate()
     return cfg
 

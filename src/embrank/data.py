@@ -45,6 +45,9 @@ class Vocabulary:
         self.token_to_id: dict[str, int] = {t: i for i, t in enumerate(self.id_to_token)}
         if len(self.token_to_id) != len(self.id_to_token):
             raise DataFormatError("vocabulary contains duplicate tokens")
+        missing = [t for t in (PAD_TOKEN, UNK_TOKEN, EOS_TOKEN) if t not in self.token_to_id]
+        if missing:
+            raise DataFormatError(f"vocabulary lacks the reserved token {missing[0]!r}")
         self.pad_id = self.token_to_id[PAD_TOKEN]
         self.unk_id = self.token_to_id[UNK_TOKEN]
         self.eos_id = self.token_to_id[EOS_TOKEN]

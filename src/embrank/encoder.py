@@ -29,13 +29,11 @@ TOKEN_BUDGET = 384
 
 
 class EncoderModel:
-    """``normalize_output`` rescales embeddings to unit norm before use; the
-    default (off) feeds raw hidden states into the residual fusion downstream."""
+    """Pools each passage to its raw last hidden state, the embedding the
+    residual fusion downstream takes unnormalized."""
 
-    def __init__(self, config: ModelConfig, rng: np.random.Generator,
-                 normalize_output: bool = False):
+    def __init__(self, config: ModelConfig, rng: np.random.Generator):
         self.transformer = CausalTransformer(config, rng)
-        self.normalize_output = normalize_output
 
     @property
     def config(self) -> ModelConfig:
@@ -103,6 +101,4 @@ class EncoderModel:
         out = ad.concat_rows(pooled)
         if order != list(range(len(order))):
             out = ad.take_rows(out, np.argsort(order))
-        if self.normalize_output:  # x / sqrt(mean(x^2)) / sqrt(d) is x / |x|
-            out = ad.rms_norm(out, ad.tensor(np.full(d, d ** -0.5)), eps=0.0)
         return out

@@ -14,7 +14,7 @@ class DegenerateInputError(EmbrankError, ValueError):
 
 
 class NumericError(EmbrankError, FloatingPointError):
-    """A forward operation produced (or received) NaN/Inf under strict checks."""
+    """A forward operation produced (or received) NaN/Inf."""
 
 
 class DataFormatError(EmbrankError, ValueError):

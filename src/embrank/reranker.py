@@ -56,15 +56,13 @@ def fuse_residual(h: Tensor, e: Tensor, *, residual: bool = True,
 class RerankerModel:
     def __init__(self, config: ModelConfig, rng: np.random.Generator, eos_id: int, *,
                  residual_enabled: bool = True,
-                 hidden_state_enabled: bool = True,
-                 passage_position_embeddings: bool = True):
+                 hidden_state_enabled: bool = True):
         if not residual_enabled and not hidden_state_enabled:
             raise ConfigError("residual_enabled and hidden_state_enabled cannot both be off")
         self.transformer = CausalTransformer(config, rng)
         self.eos_id = eos_id
         self.residual_enabled = residual_enabled
         self.hidden_state_enabled = hidden_state_enabled
-        self.passage_position_embeddings = passage_position_embeddings
 
     @property
     def config(self) -> ModelConfig:
@@ -81,8 +79,8 @@ class RerankerModel:
 
         Vocabulary tokens pass through the reranker's own embedding table; the
         passage slots hold the rows of the [n, d] encoder output ``embeddings``
-        verbatim (plus the positional embedding unless
-        ``passage_position_embeddings`` is off).
+        verbatim; every slot, passage slots included, gets its position's
+        embedding.
         """
         d = self.config.d_model
         if embeddings.ndim != 2 or embeddings.shape[1] != d:
@@ -101,10 +99,6 @@ class RerankerModel:
         x = ad.concat_rows([ad.take_rows(tok, prefix_ids), embeddings,
                             ad.take_rows(tok, suffix_ids)])
         pos = ad.take_rows(self.transformer.params["pos_emb"], np.arange(total))
-        if not self.passage_position_embeddings:
-            keep = np.ones((total, d))
-            keep[len(prefix_ids):len(prefix_ids) + n] = 0.0
-            pos = ad.mul(pos, ad.tensor(keep))
         return RerankInput(
             x=ad.add(x, pos),
             passage_positions=list(range(len(prefix_ids), len(prefix_ids) + n)),
@@ -173,21 +167,18 @@ def build_model_pair(vocab: Vocabulary, seed: int, *,
                      d_model: int = 64, n_layers: int = 2, n_heads: int = 4,
                      encoder_max_len: int = 64, reranker_max_len: int = 256,
                      ffn_mult: int = 4,
-                     normalize_embeddings: bool = False,
                      residual_enabled: bool = True,
-                     hidden_state_enabled: bool = True,
-                     passage_position_embeddings: bool = True) -> ModelPair:
+                     hidden_state_enabled: bool = True) -> ModelPair:
     """Deterministic paired initialization: same seed, same weights, flags aside."""
     rng = np.random.default_rng(seed)
     enc_cfg = ModelConfig(vocab_size=len(vocab), d_model=d_model, n_layers=n_layers,
                           n_heads=n_heads, max_seq_len=encoder_max_len, ffn_mult=ffn_mult)
     rer_cfg = ModelConfig(vocab_size=len(vocab), d_model=d_model, n_layers=n_layers,
                           n_heads=n_heads, max_seq_len=reranker_max_len, ffn_mult=ffn_mult)
-    encoder = EncoderModel(enc_cfg, rng, normalize_output=normalize_embeddings)
+    encoder = EncoderModel(enc_cfg, rng)
     reranker = RerankerModel(rer_cfg, rng, eos_id=vocab.eos_id,
                              residual_enabled=residual_enabled,
-                             hidden_state_enabled=hidden_state_enabled,
-                             passage_position_embeddings=passage_position_embeddings)
+                             hidden_state_enabled=hidden_state_enabled)
     return ModelPair(encoder=encoder, reranker=reranker, vocab=vocab)
 
 

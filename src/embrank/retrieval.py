@@ -37,7 +37,7 @@ from .errors import (ConfigError, DataFormatError, DegenerateInputError, Numeric
                      ShapeError)
 from .reranker import ModelPair, rerank_embeddings
 from .runs import RunEntry, RunList, TokenCounter, rank_by_id, sorted_entries, top_entries
-from .serialization import read_record_file, require_keys, write_record_file
+from .serialization import field_checker, read_record_file, require_keys, write_record_file
 
 RRF_K_DEFAULT = 60
 
@@ -163,15 +163,6 @@ def _int_array(path, name: str, values) -> np.ndarray:
     return arr.astype(np.int64, copy=False)
 
 
-def _checker(path, kind: str):
-    """``check(ok, name, what)``, which raises ``DataFormatError`` naming the
-    file and the field ``name`` unless ``ok``."""
-    def check(ok, name: str, what: str) -> None:
-        if not ok:
-            raise DataFormatError(f"{path}: {kind} index {name!r} {what}")
-    return check
-
-
 def _is_number(value) -> bool:
     """A finite JSON number: not a bool, NaN, an infinity or an int past float range."""
     return type(value) in (int, float) and abs(value) <= sys.float_info.max
@@ -211,7 +202,7 @@ def _check_doc_ids(check, doc_ids) -> None:
 def _check_index(path, k1, b, doc_ids, doc_lengths: np.ndarray, p: Postings) -> None:
     """Raise ``DataFormatError`` naming the file and the field unless the loaded
     index is consistent; ``search`` relies on every one of these."""
-    check = _checker(path, "BM25")
+    check = field_checker(path, "BM25 index")
     check(_is_number(k1) and k1 >= 0, "k1", f"is {k1!r}, not a finite number >= 0")
     check(_is_number(b) and 0 <= b <= 1, "b", f"is {b!r}, not a number in [0, 1]")
     _check_doc_ids(check, doc_ids)
@@ -243,7 +234,10 @@ class DenseIndex:
     Construction (``build``, ``load`` or by hand) takes ``matrix`` as
     ``ad.param`` takes a weight: a float64 array is used as it is, not
     copied, and it turns read-only, so an in-place write raises
-    ``ValueError``. Construction also computes ``norms``, each row's norm as
+    ``ValueError``. It needs one distinct doc id per row of a 2-D matrix of
+    finite values, and raises ``DataFormatError`` naming the field otherwise:
+    search and the reranker both take row i as the embedding of
+    ``doc_ids[i]``. Construction also computes ``norms``, each row's norm as
     ``ad.cosine_rows`` computes it, which the read-only matrix keeps true for
     the index's life, and ``id_rank``, each row's position in sorted doc-id
     order.
@@ -256,11 +250,20 @@ class DenseIndex:
     id_rank: np.ndarray = field(init=False, repr=False, compare=False)   # [n_docs]
 
     def __post_init__(self):
-        self.matrix = np.asarray(self.matrix, dtype=np.float64)
-        self.matrix.flags.writeable = False
-        if self.matrix.ndim != 2:
-            raise ShapeError(f"dense index: expected an [n_docs, d] matrix, "
-                             f"got shape {self.matrix.shape}")
+        check = field_checker(None, "dense index")
+        _check_doc_ids(check, self.doc_ids)
+        matrix = self.matrix = np.asarray(self.matrix, dtype=np.float64)
+        matrix.flags.writeable = False
+        check(matrix.ndim == 2 and matrix.shape[1] >= 1, "matrix",
+              f"has shape {matrix.shape}, not [documents, d >= 1]")
+        check(len(matrix) == len(self.doc_ids), "matrix",
+              f"holds {len(matrix)} rows for {len(self.doc_ids)} documents")
+        if not math.isfinite(np.vdot(matrix, matrix)):  # as ad.check_finite: no temporaries
+            bad = np.flatnonzero(~np.isfinite(matrix).all(axis=1))
+            if bad.size:
+                check(False, "matrix",
+                      f"row {bad[0]} ({self.doc_ids[bad[0]]!r}) holds NaN or an infinity")
+        check(isinstance(self.metadata, dict), "metadata", "is not a JSON object")
         self.norms = np.sqrt(np.matmul(self.matrix[:, None, :], self.matrix[:, :, None])[:, 0, 0])
         self.id_rank = rank_by_id(self.doc_ids)
 
@@ -306,10 +309,8 @@ class DenseIndex:
         ``ShapeError``, and one whose ``dot(v, v)`` is not finite raises
         ``NumericError`` before any division; a zero-norm query or row (from a
         damaged file) raises ``DegenerateInputError``, naming the row; a
-        non-finite score raises ``NumericError`` under strict mode.
+        non-finite score raises ``NumericError``.
         """
-        if len(self.doc_ids) == 0:
-            raise DegenerateInputError("dense index is empty")
         if k < 1:
             raise ConfigError("dense search: k must be >= 1")
         v = np.asarray(query_embedding, dtype=np.float64).reshape(-1)
@@ -343,19 +344,13 @@ class DenseIndex:
         if meta.get("kind") != "embrank-dense-index":
             raise DataFormatError(f"{path}: not a dense index file")
         require_keys(path, meta, arrays, ("doc_ids",), ("matrix",))
-        doc_ids, matrix, metadata = meta["doc_ids"], arrays["matrix"], meta.get("metadata", {})
-        # search and the reranker both take row i as the embedding of doc_ids[i].
-        check = _checker(path, "dense")
-        _check_doc_ids(check, doc_ids)
-        check(matrix.ndim == 2 and matrix.dtype.kind == "f" and matrix.shape[1] >= 1, "matrix",
-              f"has shape {matrix.shape} and dtype {matrix.dtype}, not [documents, d >= 1] floats")
-        check(len(matrix) == len(doc_ids), "matrix",
-              f"holds {len(matrix)} rows for {len(doc_ids)} documents")
-        bad = np.flatnonzero(~np.isfinite(matrix).all(axis=1))
-        if bad.size:
-            check(False, "matrix", f"row {bad[0]} ({doc_ids[bad[0]]!r}) holds NaN or an infinity")
-        check(isinstance(metadata, dict), "metadata", "is not a JSON object")
-        return cls(matrix=matrix, doc_ids=doc_ids, metadata=metadata)
+        matrix = arrays["matrix"]
+        field_checker(path, "dense index")(matrix.dtype.kind == "f", "matrix",
+                                           f"has dtype {matrix.dtype}, not floats")
+        try:
+            return cls(matrix=matrix, doc_ids=meta["doc_ids"], metadata=meta.get("metadata", {}))
+        except DataFormatError as exc:
+            raise DataFormatError(f"{path}: {exc}") from None
 
 
 def rrf_fuse(run_a: RunList, run_b: RunList, k_const: int = RRF_K_DEFAULT) -> RunList:

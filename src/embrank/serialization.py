@@ -146,6 +146,18 @@ def write_jsonl(path, records) -> None:
             fh.write(json.dumps(record, sort_keys=True) + "\n")
 
 
+def field_checker(path, kind: str):
+    """``check(ok, name, what)``, which raises ``DataFormatError`` naming the
+    file ``path`` (unless None), the ``kind`` of record and its field ``name``
+    unless ``ok``."""
+    where = "" if path is None else f"{path}: "
+
+    def check(ok, name: str, what: str) -> None:
+        if not ok:
+            raise DataFormatError(f"{where}{kind} {name!r} {what}")
+    return check
+
+
 def require_keys(path, meta: dict, arrays: dict, meta_keys=(), array_keys=()) -> None:
     """Raise ``DataFormatError`` naming the file and the first listed key that
     the record file's header or arrays lack."""

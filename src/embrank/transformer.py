@@ -38,8 +38,8 @@ class ModelConfig:
     def validate(self) -> None:
         if self.vocab_size < 1:
             raise ConfigError("vocab_size must be >= 1")
-        if self.d_model < 1 or self.n_layers < 1 or self.n_heads < 1:
-            raise ConfigError("d_model, n_layers and n_heads must be >= 1")
+        if min(self.d_model, self.n_layers, self.n_heads, self.ffn_mult) < 1:
+            raise ConfigError("d_model, n_layers, n_heads and ffn_mult must be >= 1")
         if self.d_model % self.n_heads != 0:
             raise ConfigError(f"d_model={self.d_model} not divisible by n_heads={self.n_heads}")
         if self.max_seq_len < 1:

@@ -85,15 +85,11 @@ class TestCheckpoint:
 
     def test_flags_survive_round_trip(self, tiny_vocab, tmp_path):
         models = build_model_pair(tiny_vocab, seed=1, d_model=16, n_layers=1,
-                                  n_heads=2, residual_enabled=False,
-                                  normalize_embeddings=True,
-                                  passage_position_embeddings=False)
+                                  n_heads=2, residual_enabled=False)
         path = tmp_path / "model.ckpt"
         save_checkpoint(path, models)
         loaded = load_checkpoint(path)
         assert loaded.reranker.residual_enabled is False
-        assert loaded.encoder.normalize_output is True
-        assert loaded.reranker.passage_position_embeddings is False
 
     def test_checkpoint_bytes_deterministic(self, tiny_models, tmp_path):
         p1, p2 = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
@@ -251,6 +247,54 @@ def test_damaged_dense_index_names_file_and_field(tmp_path, small_dataset, damag
     write_record_file(path, meta, arrays)
     with pytest.raises(DataFormatError) as err:
         DenseIndex.load(path)
+    field, *details = key if isinstance(key, tuple) else (key,)
+    message = str(err.value)
+    assert str(path) in message and repr(field) in message
+    assert all(detail in message for detail in details)
+
+
+def _config_field(name, field, value):
+    def damage(meta, arrays):
+        meta[name][field] = value
+    return damage
+
+
+@pytest.mark.parametrize("damage,key", [
+    (_set("vocab", lambda m, a: m["vocab"][1:]), ("vocab", "'<pad>'")),
+    (_set("vocab", lambda m, a: 7), "vocab"),
+    (_set("vocab", lambda m, a: m["vocab"][:-1] + m["vocab"][3:4]), ("vocab", "duplicate")),
+    (_set("eos_id", lambda m, a: 5), "eos_id"),
+    (_set("eos_id", lambda m, a: "x"), "eos_id"),
+    (_set("eos_id", lambda m, a: 1000000), "eos_id"),
+    (_set("vocab", lambda m, a: m["vocab"][:-3]), ("encoder_config", "vocab_size")),
+    (_set("residual_enabled", lambda m, a: "no"), "residual_enabled"),
+    (_config_field("encoder_config", "d_model", "8"), ("encoder_config", "d_model")),
+    (_config_field("encoder_config", "ffn_mult", -1), ("encoder_config", "ffn_mult")),
+    (_config_field("reranker_config", "d_model", 16), ("reranker_config", "d_model")),
+    (lambda m, a: m.update(residual_enabled=False, hidden_state_enabled=False),
+     ("hidden_state_enabled", "'residual_enabled'")),
+    (_set("normalize_embeddings", lambda m, a: True), "normalize_embeddings"),
+    (_set("passage_position_embeddings", lambda m, a: False), "passage_position_embeddings"),
+], ids=["vocab-without-pad", "vocab-not-a-list", "vocab-repeated-token", "eos_id-another-token",
+        "eos_id-not-a-number", "eos_id-past-vocab", "vocab-shorter-than-config",
+        "residual_enabled-not-a-bool", "encoder_config-field-a-string",
+        "encoder_config-ffn_mult-negative", "reranker_config-another-width",
+        "both-fusion-flags-off",
+        "retired-normalize_embeddings", "retired-passage_position_embeddings"])
+def test_damaged_checkpoint_header_names_file_and_key(tmp_path, small_dataset, damage, key):
+    """Each header once loaded a model that reranked silently wrong (another
+    end token, too short a vocabulary, a string flag read as on, an option
+    this version no longer runs), failed at the first rerank, or raised a raw
+    ``KeyError``, ``TypeError`` or ``ValueError`` or an error naming no file.
+    A key may carry more text the message must hold."""
+    path = tmp_path / "model.ckpt"
+    models = build_model_pair(small_dataset.vocab, seed=0, d_model=8, n_layers=1, n_heads=2)
+    save_checkpoint(path, models)
+    meta, arrays = read_record_file(path)
+    damage(meta, arrays)
+    write_record_file(path, meta, arrays)
+    with pytest.raises(DataFormatError) as err:
+        load_checkpoint(path)
     field, *details = key if isinstance(key, tuple) else (key,)
     message = str(err.value)
     assert str(path) in message and repr(field) in message

@@ -35,10 +35,16 @@ def test_unknown_top_level_key():
     assert "sead" in str(err.value)
 
 
-def test_unknown_nested_key_names_dotted_path():
+@pytest.mark.parametrize("data, dotted", [
+    ({"loss": {"tau1": 0.1, "tau3": 0.2}}, "loss.tau3"),
+    ({"model": {"normalize_embeddings": True}}, "model.normalize_embeddings"),
+    ({"model": {"passage_position_embeddings": False}}, "model.passage_position_embeddings"),
+], ids=["typo", "retired-normalize_embeddings", "retired-passage_position_embeddings"])
+def test_unknown_nested_key_names_dotted_path(data, dotted):
+    """The two retired model options are unknown keys like any typo."""
     with pytest.raises(ConfigError) as err:
-        config_from_dict({"loss": {"tau1": 0.1, "tau3": 0.2}})
-    assert "loss.tau3" in str(err.value)
+        config_from_dict(data)
+    assert f"unknown config key(s): {dotted}" in str(err.value)
 
 
 def test_unknown_stage_key_names_index():

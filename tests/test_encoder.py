@@ -192,13 +192,6 @@ class TestGradientFlow:
         assert any(g is not None and np.any(g != 0) for g in grads)
 
 
-def test_normalized_variant_unit_norm(tiny_vocab):
-    models = build_model_pair(tiny_vocab, seed=3, d_model=16, n_layers=1, n_heads=2,
-                              normalize_embeddings=True)
-    e = models.encoder.encode_passage(tiny_vocab.encode("alpha beta"))
-    assert float(np.linalg.norm(e.data)) == pytest.approx(1.0, abs=1e-12)
-
-
 class TestReadRows:
     """``forward_embedded(x, lengths, rows)`` runs the last block past attention
     on ``rows`` only, and row j of its output is row ``rows[j]`` of the full

@@ -51,16 +51,6 @@ class TestAssembly:
         for i, p in enumerate(rin.passage_positions):
             np.testing.assert_array_equal(rin.x.data[p], embs.data[i] + pos_table[p])
 
-    def test_positions_at_passage_slots_can_be_disabled(self, tiny_vocab):
-        models = build_model_pair(tiny_vocab, seed=17, d_model=16, n_layers=1,
-                                  n_heads=2, passage_position_embeddings=False)
-        inst = models.instruction_ids()
-        query = tiny_vocab.encode("alpha")
-        embs = random_embeddings(models, 2, seed=5)
-        rin = models.reranker.assemble_input(inst, query, embs)
-        for i, p in enumerate(rin.passage_positions):
-            np.testing.assert_array_equal(rin.x.data[p], embs.data[i])
-
     def test_wrong_embedding_dim_rejected(self, tiny_models, vocab):
         bad = ad.tensor(np.zeros((1, tiny_models.reranker.config.d_model + 1)))
         with pytest.raises(ShapeError):

@@ -179,6 +179,14 @@ class TestDenseSearch:
         expected = sorted(brute.items(), key=lambda kv: (-kv[1], kv[0]))
         assert [(e.doc_id, e.score) for e in run.entries] == expected
 
+    @pytest.mark.parametrize("doc_ids", [["a", "b", "c", "d"], ["a", "a", "b"], ["a", "b"]],
+                             ids=["more-ids-than-rows", "repeated-id", "fewer-ids-than-rows"])
+    def test_hand_built_needs_one_distinct_id_per_row(self, doc_ids):
+        """Each once constructed: search then never ranked ``d``, named ``a``
+        twice, or raised a raw ``IndexError``."""
+        with pytest.raises(DataFormatError, match="dense index 'doc_ids'|dense index 'matrix'"):
+            DenseIndex(matrix=self.make_matrix()[:3], doc_ids=doc_ids)
+
     def test_zero_norm_query_rejected(self):
         with pytest.raises(DegenerateInputError):
             self.make_index().search(np.zeros(8), k=2)
@@ -542,11 +550,11 @@ class TestSlidingWindow:
         assert windowed.counters == single.counters
 
 
-def fresh_pipeline(dataset, **model_kwargs):
+def fresh_pipeline(dataset):
     """A model pair, doc tokens and both indexes; tests that change weights
     call it for a private copy."""
     models = build_model_pair(dataset.vocab, seed=42, d_model=16, n_layers=1, n_heads=2,
-                              reranker_max_len=96, **model_kwargs)
+                              reranker_max_len=96)
     docs = dataset.documents
     return (models, {d.doc_id: d.tokens for d in docs}, InvertedIndex.build(docs),
             DenseIndex.build(docs, models.encoder))
@@ -654,13 +662,11 @@ class TestEndToEnd:
         with pytest.raises(ConfigError):
             end_to_end("anything", models, doc_tokens, bm25, None, "dense", k=5)
 
-    @pytest.mark.parametrize("normalize", [False, True], ids=["raw", "normalized"])
     @pytest.mark.parametrize("reload", [False, True], ids=["built", "loaded"])
     @pytest.mark.parametrize("mode", RETRIEVAL_MODES)
     def test_stored_rows_rerank_bit_for_bit_like_encoding(self, small_dataset, tmp_path,
-                                                          mode, reload, normalize):
-        models, doc_tokens, bm25, dense = fresh_pipeline(small_dataset,
-                                                         normalize_embeddings=normalize)
+                                                          mode, reload):
+        models, doc_tokens, bm25, dense = fresh_pipeline(small_dataset)
         if reload:
             dense.save(tmp_path / "dense.idx")
             dense = DenseIndex.load(tmp_path / "dense.idx")
