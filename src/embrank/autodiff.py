@@ -1,9 +1,10 @@
 """Dense-tensor reverse-mode automatic differentiation.
 
-A tape is recorded implicitly while ops execute: every op result keeps
-references to its inputs and a closure that routes the output gradient
-back to them. ``backward`` replays the tape in reverse topological order
-and then frees it, so graphs never outlive one forward/backward cycle.
+A tape is recorded implicitly while ops execute: every op result that
+records gets a node holding its inputs' nodes and a closure that routes the
+output gradient back to them. ``backward`` replays the tape in reverse
+topological order and then frees it, so graphs never outlive one
+forward/backward cycle.
 
 Conventions:
   - every tensor holds float64 values;
@@ -17,9 +18,18 @@ Conventions:
   - no broadcasting: ``add`` and ``sub`` take operands of one shape, and
     ``mul`` also takes a scalar operand; anything else raises ``ShapeError``
     naming both shapes;
-  - each tensor owns its gradient array, C-ordered, and later contributions
+  - a tensor is its values plus, once it takes part in the tape, a node: its
+    gradient, whether it takes one, its inputs' nodes and its op's backward.
+    The tape links nodes, never values: a backward closure gets the parent
+    nodes as arguments and captures only the arrays its rule reads
+    (``matmul`` both inputs, ``rms_norm`` ``x``, ``weight`` and ``r``,
+    ``silu`` its input and sigmoid, ``causal_attention`` the q/v views, kᵀ
+    copies and weights; ``take_rows`` and ``pick`` only the shape, ``add``,
+    ``sub`` and ``concat_rows`` nothing). So a result that no backward reads
+    is freed as soon as the forward code drops its tensor;
+  - each node owns its gradient array, C-ordered, and later contributions
     are added into it in place. A first contribution that the op has just
-    made and hands to no other tensor (a ``matmul`` product, ``silu``'s,
+    made and hands to no other node (a ``matmul`` product, ``silu``'s,
     ``rms_norm``'s and ``causal_attention``'s gradients, ``sub``'s ``-g``)
     is stored as it is; any other (``add`` hands one array to both inputs,
     ``concat_rows`` hands out slices) is stored as a C-ordered copy. So no
@@ -29,7 +39,7 @@ Conventions:
     ``set_param_data``, so a weight state never changes under a fingerprint
     taken of it;
   - inside ``with no_grad():``, or when no input requires grad, no op
-    records a tape node, so inference holds no closures and no references to
+    makes a node, so inference holds no closures and no references to
     intermediate results; ``silu`` then writes its result into its sigmoid's
     array and ``causal_attention`` drops each group's kᵀ copy once its
     scores are made, so a tape-free forward allocates little beyond its
@@ -78,26 +88,63 @@ def no_grad():
         _grad_enabled.reset(token)
 
 
+class _Node:
+    """A tensor's slot in the tape: its gradient, whether it takes one, the
+    nodes of its op's inputs (None for an input with no node) and the op's
+    ``backward(g, *parents)``, which adds ``g`` into the parents' gradients."""
+
+    __slots__ = ("grad", "requires_grad", "parents", "backward")
+
+    def __init__(self, requires_grad: bool, parents: tuple = (),
+                 backward: Callable[..., None] | None = None):
+        self.grad: np.ndarray | None = None
+        self.requires_grad = requires_grad
+        self.parents: tuple[_Node | None, ...] = parents
+        self.backward = backward
+
+
 class Tensor:
-    """A dense array plus its slot in the gradient tape.
+    """A dense array plus, if it takes part in the tape, its node.
 
     ``grad`` is populated by ``backward`` for every tensor with
     ``requires_grad`` reachable from the loss; contributions from
     multiple uses of the same tensor accumulate additively, into a
-    C-contiguous array that this tensor alone owns.
+    C-contiguous array that this tensor alone owns. Both live on the node.
 
     ``data`` of a tensor made by ``param`` is read-only; replace it with
     ``set_param_data`` instead of writing into it.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
+    __slots__ = ("data", "node")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
-        self.requires_grad = bool(requires_grad)
-        self.grad: np.ndarray | None = None
-        self._parents: tuple[Tensor, ...] = ()
-        self._backward: Callable[[np.ndarray], None] | None = None
+        self.node: _Node | None = _Node(True) if requires_grad else None
+
+    @property
+    def requires_grad(self) -> bool:
+        return self.node is not None and self.node.requires_grad
+
+    @requires_grad.setter
+    def requires_grad(self, value: bool) -> None:
+        if self.node is None:
+            self.node = _Node(False)
+        self.node.requires_grad = bool(value)
+
+    @property
+    def grad(self) -> np.ndarray | None:
+        return None if self.node is None else self.node.grad
+
+    @grad.setter
+    def grad(self, value: np.ndarray | None) -> None:
+        if self.node is None:
+            self.node = _Node(False)
+        self.node.grad = value
+
+    @property
+    def _backward(self) -> Callable[..., None] | None:
+        """The recorded backward closure, None for a leaf or a tape-free result."""
+        return None if self.node is None else self.node.backward
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -161,35 +208,41 @@ def check_finite(data: np.ndarray, op: str) -> np.ndarray:
 
 
 def _records(inputs: tuple[Tensor, ...]) -> bool:
-    """True when an op on ``inputs`` records a tape node."""
-    return _grad_enabled.get() and any(t.requires_grad for t in inputs)
+    """True when an op on ``inputs`` makes a node: grad is on and an input
+    takes a gradient. A plain loop, as this runs on every op."""
+    if _grad_enabled.get():
+        for t in inputs:
+            if t.node is not None and t.node.requires_grad:
+                return True
+    return False
 
 
 def _result(data: np.ndarray, op: str, inputs: tuple[Tensor, ...],
-            backward: Callable[[np.ndarray], None]) -> Tensor:
+            backward: Callable[..., None]) -> Tensor:
+    """The op's result; when it records, a node whose parents are the
+    ``inputs``' nodes, in order, and which ``backward`` gets as arguments."""
     out = Tensor(check_finite(data, op))
     if _records(inputs):
-        out.requires_grad = True
-        out._parents = inputs
-        out._backward = backward
+        out.node = _Node(True, tuple([t.node for t in inputs]), backward)
     return out
 
 
-def _accumulate(t: Tensor, g: np.ndarray, owned: bool = False) -> None:
-    """Add ``g`` into ``t.grad``. Unlike zeros + g, an exact -0.0 stays -0.0.
+def _accumulate(node: _Node | None, g: np.ndarray, owned: bool = False) -> None:
+    """Add ``g`` into ``node.grad``; a parent with no node, or one that takes
+    no gradient, is skipped. Unlike zeros + g, an exact -0.0 stays -0.0.
 
     ``owned`` says ``g`` is a new C-ordered float64 array that the calling op
-    has just made and hands to no other tensor: a first contribution is then
+    has just made and hands to no other node: a first contribution is then
     stored as it is. Any other first contribution is copied in C order, since
-    a shared ``g`` would take the next contribution to one tensor into the
+    a shared ``g`` would take the next contribution to one node into the
     other's gradient too, and a strided one would round the next GEMM
     differently."""
-    if not t.requires_grad:
+    if node is None or not node.requires_grad:
         return
-    if t.grad is None:
-        t.grad = g if owned else np.array(g, dtype=t.data.dtype, order="C")
+    if node.grad is None:
+        node.grad = g if owned else np.array(g, dtype=np.float64, order="C")
     else:
-        t.grad += g
+        node.grad += g
 
 
 # ---------------------------------------------------------------------------
@@ -202,9 +255,9 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     if a.shape != b.shape:
         raise ShapeError(f"add: incompatible shapes {a.shape} and {b.shape}")
 
-    def bw(g):
-        _accumulate(a, g)
-        _accumulate(b, g)
+    def bw(g, na, nb):
+        _accumulate(na, g)
+        _accumulate(nb, g)
     return _result(a.data + b.data, "add", (a, b), bw)
 
 
@@ -214,9 +267,9 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
     if a.shape != b.shape:
         raise ShapeError(f"sub: incompatible shapes {a.shape} and {b.shape}")
 
-    def bw(g):
-        _accumulate(a, g)
-        _accumulate(b, -g, owned=True)
+    def bw(g, na, nb):
+        _accumulate(na, g)
+        _accumulate(nb, -g, owned=True)
     return _result(a.data - b.data, "sub", (a, b), bw)
 
 
@@ -226,33 +279,36 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     if not (a.shape == b.shape or a.shape == () or b.shape == ()):
         raise ShapeError(f"mul: incompatible shapes {a.shape} and {b.shape}")
 
-    def bw(g):
-        ga = g * b.data
-        gb = g * a.data
-        _accumulate(a, ga.sum() if a.shape == () and ga.shape != () else ga)
-        _accumulate(b, gb.sum() if b.shape == () and gb.shape != () else gb)
-    return _result(a.data * b.data, "mul", (a, b), bw)
+    x, y = a.data, b.data
+
+    def bw(g, na, nb):
+        ga = g * y
+        gb = g * x
+        _accumulate(na, ga.sum() if x.shape == () and ga.shape != () else ga)
+        _accumulate(nb, gb.sum() if y.shape == () and gb.shape != () else gb)
+    return _result(x * y, "mul", (a, b), bw)
 
 
 def silu(a: Tensor) -> Tensor:
     """x * sigmoid(x), the smooth gate used in the feed-forward blocks. With no
     tape the product is written into the sigmoid's array, the one new array."""
     a = _as_tensor(a)
-    sig = np.negative(a.data)  # 1 / (1 + exp(-x)), in place
+    x = a.data
+    sig = np.negative(x)  # 1 / (1 + exp(-x)), in place
     np.exp(sig, out=sig)
     sig += 1.0
     np.divide(1.0, sig, out=sig)
 
-    def bw(g):  # g * sig * (1 + x * (1 - sig)), in that rounding order, in place
+    def bw(g, na):  # g * sig * (1 + x * (1 - sig)), in that rounding order, in place
         slope = 1.0 - sig
-        slope *= a.data
+        slope *= x
         slope += 1.0
         ga = g * sig
         ga *= slope
-        _accumulate(a, ga, owned=True)
+        _accumulate(na, ga, owned=True)
     if _records((a,)):
-        return _result(a.data * sig, "silu", (a,), bw)
-    sig *= a.data
+        return _result(x * sig, "silu", (a,), bw)
+    sig *= x
     return _result(sig, "silu", (a,), bw)
 
 
@@ -262,18 +318,19 @@ def softplus(a: Tensor) -> Tensor:
     x = a.data
     out_data = np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
 
-    def bw(g):  # g * sigmoid(x); exp(-x) overflows to inf below x = -709, where 1/(1+inf) = 0
+    def bw(g, na):  # g * sigmoid(x); exp(-x) overflows to inf below x = -709, where 1/(1+inf) = 0
         with np.errstate(over="ignore"):
             e = np.exp(-x)
-        _accumulate(a, g / (1.0 + e))
+        _accumulate(na, g / (1.0 + e))
     return _result(out_data, "softplus", (a,), bw)
 
 
 def sum_all(a: Tensor) -> Tensor:
     a = _as_tensor(a)
+    shape = a.shape
 
-    def bw(g):
-        _accumulate(a, np.full_like(a.data, float(g)))
+    def bw(g, na):
+        _accumulate(na, np.full(shape, float(g)), owned=True)
     return _result(np.asarray(a.data.sum()), "sum", (a,), bw)
 
 
@@ -302,12 +359,14 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul: inner dimensions disagree: {a.shape} vs {b.shape}")
 
-    def bw(g):
-        _accumulate(a, g @ b.data.T, owned=True)
-        _accumulate(b, a.data.T @ g, owned=True)
+    x, w = a.data, b.data
+
+    def bw(g, na, nb):
+        _accumulate(na, g @ w.T, owned=True)
+        _accumulate(nb, x.T @ g, owned=True)
     # numpy hands a one-row product to gemv, which rounds unlike the GEMM of
     # every other row count, so one row runs as two.
-    out = (a.data[[0, 0]] @ b.data)[:1] if a.shape[0] == 1 else a.data @ b.data
+    out = (x[[0, 0]] @ w)[:1] if x.shape[0] == 1 else x @ w
     return _result(out, "matmul", (a, b), bw)
 
 
@@ -346,10 +405,12 @@ def cosine_rows(v: Tensor, m: Tensor) -> Tensor:
     denom = np.sqrt(vv) * np.sqrt(mm)
     out_data = np.matmul(rows, v.data[:, None])[:, 0, 0] / denom
 
-    def bw(g):
+    vd, md = v.data, m.data
+
+    def bw(g, nv, nm):
         gd = g / denom
-        _accumulate(v, gd @ m.data - (g @ out_data / vv) * v.data)
-        _accumulate(m, np.outer(gd, v.data) - (g * out_data / mm)[:, None] * m.data)
+        _accumulate(nv, gd @ md - (g @ out_data / vv) * vd)
+        _accumulate(nm, np.outer(gd, vd) - (g * out_data / mm)[:, None] * md)
     return _result(out_data, "cosine_rows", (v, m), bw)
 
 
@@ -370,11 +431,13 @@ def take_rows(a: Tensor, indices) -> Tensor:
     if idx.size and (idx.min() < 0 or idx.max() >= a.shape[0]):
         raise ShapeError(f"take_rows: index out of range for table with {a.shape[0]} rows")
 
-    def bw(g):
-        if a.requires_grad:
-            if a.grad is None:
-                a.grad = np.zeros(a.shape)
-            _scatter_rows(a.grad, idx, g)
+    shape = a.shape
+
+    def bw(g, na):
+        if na is not None and na.requires_grad:
+            if na.grad is None:
+                na.grad = np.zeros(shape)
+            _scatter_rows(na.grad, idx, g)
     return _result(a.data[idx], "take_rows", (a,), bw)
 
 
@@ -401,11 +464,13 @@ def pick(a: Tensor, i: int) -> Tensor:
     if a.ndim == 0 or not 0 <= i < a.shape[0]:
         raise ShapeError(f"pick: index {i} out of range for shape {a.shape}")
 
-    def bw(g):
-        if a.requires_grad:
-            if a.grad is None:
-                a.grad = np.zeros_like(a.data)
-            a.grad[i] += g
+    shape = a.shape
+
+    def bw(g, na):
+        if na is not None and na.requires_grad:
+            if na.grad is None:
+                na.grad = np.zeros(shape)
+            na.grad[i] += g
     return _result(np.array(a.data[i]), "pick", (a,), bw)
 
 
@@ -420,10 +485,10 @@ def concat_rows(tensors: Sequence[Tensor]) -> Tensor:
             raise ShapeError(f"concat_rows: blocks must be 2-D with equal width, got {[t.shape for t in ts]}")
     sizes = [t.shape[0] for t in ts]
 
-    def bw(g):
+    def bw(g, *nodes):
         offset = 0
-        for t, n in zip(ts, sizes):
-            _accumulate(t, g[offset:offset + n])
+        for node, n in zip(nodes, sizes):
+            _accumulate(node, g[offset:offset + n])
             offset += n
     return _result(np.concatenate([t.data for t in ts], axis=0), "concat_rows", tuple(ts), bw)
 
@@ -557,7 +622,7 @@ def causal_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int,
     if rows is not None:
         out = out[read]
 
-    def bw(g):
+    def bw(g, nq, nk, nv):
         if rows is not None:  # the gradient of the full [N, d] result
             g, part = np.zeros((n, d)), g
             _scatter_rows(g, read, part)
@@ -569,9 +634,9 @@ def causal_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int,
             heads(gq[span], t)[...] = np.matmul(gl, tr(kt))
             heads(gk[span], t)[...] = tr(np.matmul(tr(qh), gl))
             heads(gv[span], t)[...] = np.matmul(tr(w), gh)
-        _accumulate(q, gq, owned=True)
-        _accumulate(k, gk, owned=True)
-        _accumulate(v, gv, owned=True)
+        _accumulate(nq, gq, owned=True)
+        _accumulate(nk, gk, owned=True)
+        _accumulate(nv, gv, owned=True)
     return _result(out, "causal_attention", (q, k, v), bw)
 
 
@@ -584,8 +649,8 @@ def logsumexp(x: Tensor) -> Tensor:
     e = np.exp(x.data - m)
     s = e.sum()
 
-    def bw(g):
-        _accumulate(x, float(g) * e / s)
+    def bw(g, nx):
+        _accumulate(nx, float(g) * e / s)
     return _result(np.asarray(m + np.log(s)), "logsumexp", (x,), bw)
 
 
@@ -602,27 +667,28 @@ def rms_norm(x: Tensor, weight: Tensor, eps: float = 1e-6) -> Tensor:
         raise ShapeError(f"rms_norm: weight must be 1-D, got {weight.shape}")
     if x.ndim not in (1, 2) or x.shape[-1] != weight.shape[0]:
         raise ShapeError(f"rms_norm: input {x.shape} does not end in weight length {weight.shape}")
-    d = x.shape[-1]
-    ms = (x.data * x.data).mean(axis=-1, keepdims=True)
+    xd, wd = x.data, weight.data
+    d = xd.shape[-1]
+    ms = (xd * xd).mean(axis=-1, keepdims=True)
     r = 1.0 / np.sqrt(ms + eps)
-    y = x.data * r
-    y *= weight.data
+    y = xd * r
+    y *= wd
 
-    def bw(g):
+    def bw(g, nx, nw):
         # gw * r - x * (r^3 / d) * sum(gw * x), in that rounding order, in place
-        gw = g * weight.data
-        gx = gw * x.data
+        gw = g * wd
+        gx = gw * xd
         dot = gx.sum(axis=-1, keepdims=True)
-        np.multiply(x.data, r ** 3 / d, out=gx)
+        np.multiply(xd, r ** 3 / d, out=gx)
         gx *= dot
         gw *= r
         np.subtract(gw, gx, out=gx)
-        _accumulate(x, gx, owned=True)
-        gweight = g * x.data
+        _accumulate(nx, gx, owned=True)
+        gweight = g * xd
         gweight *= r
         if gweight.ndim == 2:
             gweight = gweight.sum(axis=0)
-        _accumulate(weight, gweight, owned=True)
+        _accumulate(nw, gweight, owned=True)
     return _result(y, "rms_norm", (x, weight), bw)
 
 
@@ -635,17 +701,18 @@ def backward(loss: Tensor) -> None:
 
     The loss must be scalar. The recorded tape is traversed exactly once in
     reverse execution order and then freed; a second backward through the
-    same graph is not possible. Each node is let go once it has passed its
-    gradient on, so intermediate results nothing else holds free early.
+    same graph is not possible. Each node lets go of its closure, and so of
+    the arrays that closure read, once it has passed its gradient on.
     """
     if not isinstance(loss, Tensor):
         raise TypeError("backward expects a Tensor")
     if loss.shape != ():
         raise ShapeError(f"backward requires a scalar loss, got shape {loss.shape}")
 
-    topo: list[Tensor] = []
+    loss.grad = np.ones_like(loss.data)
+    topo: list[_Node] = []
     visited: set[int] = set()
-    stack: list[tuple[Tensor, bool]] = [(loss, False)]
+    stack: list[tuple[_Node, bool]] = [(loss.node, False)]
     while stack:
         node, processed = stack.pop()
         if processed:
@@ -655,17 +722,16 @@ def backward(loss: Tensor) -> None:
             continue
         visited.add(id(node))
         stack.append((node, True))
-        for parent in node._parents:
-            if id(parent) not in visited:
+        for parent in node.parents:
+            if parent is not None and id(parent) not in visited:
                 stack.append((parent, False))
 
-    loss.grad = np.ones_like(loss.data)
     while topo:
         node = topo.pop()
-        if node._backward is not None:
-            node._backward(node.grad)
-            node._backward = None
-            node._parents = ()
+        if node.backward is not None:
+            node.backward(node.grad, *node.parents)
+            node.backward = None
+            node.parents = ()
 
 
 def global_grad_norm(tensors: Iterable[Tensor]) -> float:

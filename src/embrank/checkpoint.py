@@ -126,19 +126,27 @@ def load_checkpoint(path) -> ModelPair:
     rer_cfg = _model_config(check, meta, "reranker_config", vocab)
     check(rer_cfg.d_model == enc_cfg.d_model, "reranker_config",
           f"has d_model {rer_cfg.d_model}, the encoder {enc_cfg.d_model}")
+    # Every stored array is checked against its config before either model is
+    # built, so the placeholder weights are no larger than the file's arrays.
+    check_array = field_checker(path, "checkpoint parameter")
+    names = set()
+    for prefix, config in (("encoder", enc_cfg), ("reranker", rer_cfg)):
+        for name, shape in config.parameter_shapes():
+            key = f"{prefix}.{name}"
+            check_array(key in arrays, key, "is missing")
+            check_array(arrays[key].shape == shape, key,
+                        f"has shape {arrays[key].shape}, its config {shape}")
+            bad = np.argwhere(~np.isfinite(arrays[key]))
+            if bad.size:
+                check_array(False, key, f"holds NaN or an infinity at index "
+                                        f"{tuple(bad[0].tolist())}")
+            names.add(key)
+    for key in sorted(arrays.keys() - names):
+        check_array(False, key, "is in neither model's configuration")
     rng = np.random.default_rng(0)  # placeholder weights, overwritten below
     encoder = EncoderModel(enc_cfg, rng)
     reranker = RerankerModel(rer_cfg, rng, eos_id=eos_id, **flags)
     models = ModelPair(encoder=encoder, reranker=reranker, vocab=vocab)
     for key, tensor in models.parameters().items():
-        if key not in arrays:
-            raise DataFormatError(f"{path}: checkpoint missing parameter {key}")
-        if arrays[key].shape != tensor.data.shape:
-            raise DataFormatError(f"{path}: shape mismatch for {key}: "
-                                  f"{arrays[key].shape} vs {tensor.data.shape}")
-        bad = np.argwhere(~np.isfinite(arrays[key]))
-        if bad.size:
-            raise DataFormatError(f"{path}: checkpoint parameter {key!r} holds NaN or an "
-                                  f"infinity at index {tuple(bad[0].tolist())}")
-        ad.set_param_data(tensor, arrays[key].astype(tensor.data.dtype))
+        ad.set_param_data(tensor, arrays[key].astype(np.float64, copy=False))
     return models

@@ -19,12 +19,13 @@ from .transformer import CausalTransformer, ModelConfig
 # 5000-passage dense index about as fast, 768 about 25% slower. Pack size also
 # sets glibc's dynamic malloc thresholds (from the largest block freed so far):
 # after 192-row packs the reranker's attention ran on freshly faulted pages.
-# Each op's fresh arrays are faulted in again once glibc has handed them back:
-# with the tape-free ops' temporaries cut and the last block run past its
-# attention scores on the pooled rows only, the first 500-passage build in a
-# process faults in about 18k pages (37k before these) and the first
-# 5000-passage build about 190k (380k), most of them in ``silu`` and attention
-# (seed-0 passages; ``ru_minflt`` of the process, one BLAS thread).
+# Each op's fresh arrays are faulted in again once glibc has handed them back.
+# The first 5000-passage build in a process faults in about 190k pages, and
+# about 100k after a BM25 build of the same passages whose index is still
+# held (190k again once that index is dropped). Every caller (``build-index``,
+# the benchmark's ``retrieve-5k``, demo 05) builds BM25 first and holds it. A
+# second build faults about 1k (seed-0 passages; ``ru_minflt`` of the
+# process, one BLAS thread).
 TOKEN_BUDGET = 384
 
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -46,6 +47,24 @@ class ModelConfig:
             raise ConfigError("max_seq_len must be >= 1")
         if self.norm_eps < 0:
             raise ConfigError("norm_eps must be >= 0")
+        if self.init_scale < 0:
+            raise ConfigError("init_scale must be >= 0")
+
+    def parameter_shapes(self) -> Iterator[tuple[str, tuple[int, ...]]]:
+        """Each parameter's name and shape, in the order the model makes them.
+        A generator, so a reader checking a file against it stops at the first
+        parameter the file lacks, however many layers the config names."""
+        d, f = self.d_model, self.d_model * self.ffn_mult
+        yield "tok_emb", (self.vocab_size, d)
+        yield "pos_emb", (self.max_seq_len, d)
+        for i in range(self.n_layers):
+            yield f"layers.{i}.attn_norm.weight", (d,)
+            for w in ("wq", "wk", "wv", "wo"):
+                yield f"layers.{i}.attn.{w}", (d, d)
+            yield f"layers.{i}.mlp_norm.weight", (d,)
+            yield f"layers.{i}.mlp.w1", (d, f)
+            yield f"layers.{i}.mlp.w2", (f, d)
+        yield "final_norm.weight", (d,)
 
 
 class CausalTransformer:
@@ -54,20 +73,10 @@ class CausalTransformer:
     def __init__(self, config: ModelConfig, rng: np.random.Generator):
         config.validate()
         self.config = config
-        s = config.init_scale
-        d, f = config.d_model, config.d_model * config.ffn_mult
-        p: dict[str, Tensor] = {}
-        p["tok_emb"] = ad.param(rng.normal(0.0, s, (config.vocab_size, d)))
-        p["pos_emb"] = ad.param(rng.normal(0.0, s, (config.max_seq_len, d)))
-        for i in range(config.n_layers):
-            p[f"layers.{i}.attn_norm.weight"] = ad.param(np.ones(d))
-            for w in ("wq", "wk", "wv", "wo"):
-                p[f"layers.{i}.attn.{w}"] = ad.param(rng.normal(0.0, s, (d, d)))
-            p[f"layers.{i}.mlp_norm.weight"] = ad.param(np.ones(d))
-            p[f"layers.{i}.mlp.w1"] = ad.param(rng.normal(0.0, s, (d, f)))
-            p[f"layers.{i}.mlp.w2"] = ad.param(rng.normal(0.0, s, (f, d)))
-        p["final_norm.weight"] = ad.param(np.ones(d))
-        self.params = p
+        self.params: dict[str, Tensor] = {
+            name: ad.param(np.ones(shape) if name.endswith("norm.weight")
+                           else rng.normal(0.0, config.init_scale, shape))
+            for name, shape in config.parameter_shapes()}
 
     def parameters(self) -> dict[str, Tensor]:
         return self.params

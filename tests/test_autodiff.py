@@ -15,6 +15,7 @@ from embrank.autodiff import backward
 from embrank.errors import DegenerateInputError, NumericError, ShapeError
 from embrank.reranker import build_model_pair
 from embrank.training import Adam, LossConfig, train_step
+from embrank.transformer import CausalTransformer, ModelConfig
 
 from helpers import highprec_softmax_row, naive_matmul, reference_causal_attention
 
@@ -545,7 +546,7 @@ class TestBackward:
         y = ad.mul(x, x)
         loss = ad.sum_all(y)
         backward(loss)
-        assert y._backward is None and y._parents == ()
+        assert y._backward is None and y.node.parents == ()
 
     def test_tensors_never_share_a_gradient_array(self):
         """z's backward hands one array to y and to a. Had a kept it, a's
@@ -567,12 +568,12 @@ class TestBackward:
         loss = ad.sum_all(y2)
         y2_values = weakref.ref(y2.data)
         del y2
-        inner, freed = y1._backward, []
+        inner, freed = y1.node.backward, []
 
-        def spy(g):
+        def spy(g, *parents):
             freed.append(y2_values() is None)
-            inner(g)
-        y1._backward = spy
+            inner(g, *parents)
+        y1.node.backward = spy
         backward(loss)
         assert freed == [True]
 
@@ -641,6 +642,87 @@ class TestGradientOwnership:
             assert g.flags.c_contiguous and g.base is None, key
         for (k1, g1), (k2, g2) in itertools.combinations(grads.items(), 2):
             assert not np.shares_memory(g1, g2), (k1, k2)
+
+
+class TestTapeKeepsOnlyWhatBackwardReads:
+    """A node holds no values: a result that no backward reads is freed as
+    soon as the forward code drops its tensor, not when the sweep reaches it."""
+
+    @staticmethod
+    def _record_values(monkeypatch, name, of=lambda args, out: out):
+        """Patch ``ad.<name>`` to keep a weak reference to the array ``of``
+        picks from each call's arguments and result."""
+        op, refs = getattr(ad, name), []
+
+        def spy(*args, **kwargs):
+            out = op(*args, **kwargs)
+            refs.append(weakref.ref(of(args, out).data))
+            return out
+        monkeypatch.setattr(ad, name, spy)
+        return refs
+
+    @staticmethod
+    def _model():
+        config = ModelConfig(vocab_size=11, d_model=8, n_layers=2, n_heads=2, max_seq_len=8)
+        return CausalTransformer(config, np.random.default_rng(4))
+
+    def test_a_product_under_an_add_is_freed_before_backward(self):
+        rng = np.random.default_rng(8)
+        x, w, r = (ad.param(rng.normal(size=shape)) for shape in ((3, 4), (4, 2), (3, 2)))
+        product = ad.matmul(x, w)
+        values = weakref.ref(product.data)
+        y = ad.add(r, product)
+        del product
+        assert values() is None
+        backward(ad.sum_all(y))
+        np.testing.assert_array_equal(x.grad, np.ones((3, 2)) @ w.data.T)
+        np.testing.assert_array_equal(r.grad, np.ones((3, 2)))
+
+    def test_embedding_gathers_are_freed_once_added(self, monkeypatch):
+        model = self._model()
+        gathers = self._record_values(monkeypatch, "take_rows")
+        x = model.embed_tokens([[1, 2, 3], [4, 5]])
+        assert len(gathers) == 2 and all(ref() is None for ref in gathers)
+        backward(ad.sum_all(x))
+        np.testing.assert_array_equal(model.params["pos_emb"].grad[:3].sum(axis=1),
+                                      [16.0, 16.0, 8.0])
+
+    def test_attention_keys_and_residual_products_are_freed_after_the_forward(self, monkeypatch):
+        """Each block's six products come as q, k, v, wo, w1, w2: attention
+        keeps its own kᵀ copy, and a residual ``add`` reads neither operand."""
+        model = self._model()
+        products = self._record_values(monkeypatch, "matmul")
+        keys = self._record_values(monkeypatch, "causal_attention", lambda args, out: args[1])
+        x = model.embed_tokens([[1, 2, 3, 4], [5, 6]])
+        out = model.forward_embedded(x, lengths=[4, 2])
+        assert len(products) == 12 and len(keys) == 2
+        assert all(ref() is None for ref in keys)
+        for block in (products[:6], products[6:]):
+            assert [block[i]() is None for i in (1, 3, 5)] == [True] * 3
+        backward(ad.sum_all(out))
+        assert all(t.grad is not None for t in model.params.values())
+
+    def test_silu_input_lives_until_its_own_backward_has_run(self):
+        rng = np.random.default_rng(9)
+        x, w = ad.param(rng.normal(size=(2, 3))), ad.param(rng.normal(size=(3, 3)))
+        h = ad.matmul(x, w)
+        h_values = weakref.ref(h.data)
+        y = ad.silu(h)
+        del h
+        loss = ad.sum_all(y)
+        inner, alive = y.node.backward, []
+
+        def spy(g, *parents):
+            alive.append(h_values() is not None)
+            inner(g, *parents)
+        y.node.backward = spy
+        assert h_values() is not None
+        backward(loss)
+        del inner  # the sweep has let go of the closure; only this test held it
+        assert alive == [True] and h_values() is None
+        z = x.data @ w.data
+        sig = 1.0 / (1.0 + np.exp(-z))
+        np.testing.assert_allclose(x.grad, (sig * (1.0 + z * (1.0 - sig))) @ w.data.T, rtol=1e-14)
 
 
 class TestTapeFreeForward:
@@ -831,7 +913,7 @@ class TestNoGrad:
         with ad.no_grad():
             out = ad.matmul(ad.tensor(np.eye(3)), w)
         assert not out.requires_grad
-        assert out._backward is None and out._parents == ()
+        assert out.node is None
         np.testing.assert_array_equal(out.data, np.ones((3, 3)))
 
     def test_flag_restored_after_exception(self):

@@ -275,18 +275,25 @@ def _config_field(name, field, value):
      ("hidden_state_enabled", "'residual_enabled'")),
     (_set("normalize_embeddings", lambda m, a: True), "normalize_embeddings"),
     (_set("passage_position_embeddings", lambda m, a: False), "passage_position_embeddings"),
+    (_config_field("reranker_config", "max_seq_len", 10**12), ("reranker.pos_emb", "(256, 8)")),
+    (_set("reranker_config", lambda m, a: {**m["reranker_config"], "n_layers": 2}),
+     ("reranker.layers.1.attn_norm.weight", "missing")),
+    (lambda m, a: a.update({"encoder.extra": np.zeros(2)}), ("encoder.extra", "neither")),
 ], ids=["vocab-without-pad", "vocab-not-a-list", "vocab-repeated-token", "eos_id-another-token",
         "eos_id-not-a-number", "eos_id-past-vocab", "vocab-shorter-than-config",
         "residual_enabled-not-a-bool", "encoder_config-field-a-string",
         "encoder_config-ffn_mult-negative", "reranker_config-another-width",
         "both-fusion-flags-off",
-        "retired-normalize_embeddings", "retired-passage_position_embeddings"])
+        "retired-normalize_embeddings", "retired-passage_position_embeddings",
+        "reranker_config-max_seq_len-past-the-file", "reranker_config-more-layers-than-stored",
+        "an-array-no-config-names"])
 def test_damaged_checkpoint_header_names_file_and_key(tmp_path, small_dataset, damage, key):
     """Each header once loaded a model that reranked silently wrong (another
     end token, too short a vocabulary, a string flag read as on, an option
-    this version no longer runs), failed at the first rerank, or raised a raw
-    ``KeyError``, ``TypeError`` or ``ValueError`` or an error naming no file.
-    A key may carry more text the message must hold."""
+    this version no longer runs, an array left unread), failed at the first
+    rerank, or raised a raw ``KeyError``, ``TypeError``, ``ValueError`` or
+    ``MemoryError`` or an error naming no file or no quoted parameter. A key
+    may carry more text the message must hold."""
     path = tmp_path / "model.ckpt"
     models = build_model_pair(small_dataset.vocab, seed=0, d_model=8, n_layers=1, n_heads=2)
     save_checkpoint(path, models)

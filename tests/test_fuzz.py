@@ -1,17 +1,28 @@
-"""Seeded fuzzing of the line-oriented readers.
+"""Seeded fuzzing of the line-oriented readers and of the checkpoint header.
 
 Valid TREC-run, qrels, queries, corpus and samples files are damaged with a
 fixed seed: one flipped bit, a truncation, a duplicated line, an inserted
 byte that is not UTF-8, or a number replaced by a non-finite one. Each damaged
 file must either raise an ``EmbrankError`` naming the file, or load into
 objects that write back and reload equal.
+
+Each header value of a valid checkpoint, every model config field included,
+is replaced by 0, -1, 10**12, a string, a seeded integer, or removed. Each
+damaged checkpoint must either raise ``DataFormatError`` naming the file, or
+load the same weights, and no load may allocate much more than the file holds.
 """
 
+import copy
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from embrank.checkpoint import load_checkpoint, parameter_checksum, save_checkpoint
+from embrank.errors import DataFormatError
+from embrank.reranker import build_model_pair
+from embrank.serialization import read_record_file, write_record_file
 from embrank.data import (Candidate, Document, Qrels, Query, RankingSample,
                           load_corpus, load_qrels, load_queries, load_samples,
                           write_corpus, write_qrels, write_queries, write_samples)
@@ -104,4 +115,63 @@ def test_damaged_files_raise_naming_the_file_or_round_trip(kind, tmp_path):
             write(again, loaded)
             assert read(again) == loaded, f"{how} case {case}: {path.read_bytes()!r}"
             outcomes["loaded"] += 1
+    assert outcomes["rejected"] > 0 and outcomes["loaded"] > 0, outcomes
+
+
+MISSING, SEEDED = object(), object()
+
+
+def _header_values(meta):
+    """Key paths of each header value: every top-level entry, and every field
+    of the two model configs."""
+    for key, value in meta.items():
+        if key.endswith("_config"):
+            yield from ((key, field) for field in value)
+        yield (key,)
+
+
+def test_damaged_checkpoint_header_raises_naming_the_file_or_loads_equal(tmp_path, tiny_vocab):
+    """A header whose config asked for more than the file held once built its
+    placeholder weights first: a ``max_seq_len`` of 10**12 was a raw
+    ``MemoryError``. Each array is now checked against its config before
+    either model is built."""
+    valid = tmp_path / "valid.ckpt"
+    models = build_model_pair(tiny_vocab, seed=0, d_model=8, n_layers=2, n_heads=2,
+                              encoder_max_len=8, reranker_max_len=16)
+    save_checkpoint(valid, models)
+    want, limit = parameter_checksum(models), 4 * valid.stat().st_size
+    meta, arrays = read_record_file(valid)
+    rng = np.random.default_rng([SEED, len(FORMATS)])
+    path = tmp_path / "damaged.ckpt"
+    outcomes = {"rejected": 0, "loaded": 0}
+    # Each value runs over every key before the next one does: a loader that
+    # builds its models before checking shapes then fails at -1 (a negative
+    # init_scale) before a 10**12 layer count can allocate layer by layer.
+    cases = [(where, value) for value in (0, -1, 10**12, "x", SEEDED, MISSING)
+             for where in _header_values(meta)]
+    tracemalloc.start()
+    try:
+        for where, value in cases:
+            damaged = copy.deepcopy(meta)
+            holder = damaged[where[0]] if len(where) == 2 else damaged
+            if value is MISSING:
+                del holder[where[-1]]
+            else:
+                holder[where[-1]] = int(rng.integers(-2**40, 2**40)) if value is SEEDED else value
+            write_record_file(path, damaged, arrays)
+            case = f"{'.'.join(where)} = {holder.get(where[-1], 'missing')!r}"
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            try:
+                loaded = load_checkpoint(path)
+            except DataFormatError as exc:
+                assert str(path) in str(exc), f"{case}: {exc}"
+                outcomes["rejected"] += 1
+            else:
+                assert parameter_checksum(loaded) == want, case
+                outcomes["loaded"] += 1
+                del loaded
+            assert tracemalloc.get_traced_memory()[1] - before < limit, case
+    finally:
+        tracemalloc.stop()
     assert outcomes["rejected"] > 0 and outcomes["loaded"] > 0, outcomes

@@ -75,15 +75,11 @@ class TestFiniteDiffCheck:
         x = ad.param([1.0, 2.0, 3.0])
 
         def broken(t):
-            out_data = t.data * t.data
+            x = t.data
 
-            def bw(g):
-                t.grad = (t.grad if t.grad is not None else 0) + g * 3.0 * t.data  # wrong factor
-            wrapped = ad.Tensor(out_data)
-            wrapped.requires_grad = True
-            wrapped._parents = (t,)
-            wrapped._backward = bw
-            return ad.sum_all(wrapped)
+            def bw(g, node):
+                ad._accumulate(node, g * 3.0 * x)  # wrong factor
+            return ad.sum_all(ad._result(x * x, "square", (t,), bw))
 
         report = finite_diff_check(broken, x, name="broken")
         assert not report.passed
