@@ -15,9 +15,9 @@ rng = np.random.default_rng(0)
 print("== basic ops record a tape ==")
 x = ad.param(rng.normal(size=(3, 4)))
 w = ad.param(rng.normal(size=(4, 2)))
-y = ad.silu(ad.matmul(x, w))
+y = ad.silu_matmul(x, w)  # the FFN's gate and down projection: its tape keeps only x and w
 loss = y.sum()
-print(f"x{x.shape} @ w{w.shape} -> silu -> sum = {loss.item():.4f}")
+print(f"silu(x{x.shape}) @ w{w.shape} -> sum = {loss.item():.4f}")
 
 backward(loss)
 print(f"grad shapes: x {x.grad.shape}, w {w.grad.shape}")
@@ -42,6 +42,8 @@ reports = [
     finite_diff_check(lambda t: ad.sum_all(ad.mul(ad.causal_attention(t, t, t, n_heads=2), mix)),
                       ad.param(rng.normal(size=(3, 4))), name="causal_attention"),
     finite_diff_check(lambda t: ad.sum_all(ad.cosine_rows(t, rows)), a, name="cosine_rows"),
+    finite_diff_check(lambda t: ad.sum_all(ad.silu_matmul(t, w)),  # sigmoid made again in backward
+                      ad.param(rng.normal(size=(3, 4))), name="silu_matmul"),
     finite_diff_check(lambda t: ad.sum_all(ad.rms_norm(t, ad.tensor(np.ones(4)), 1e-6)),
                       ad.param(rng.normal(size=(3, 4))), name="rms_norm"),
 ]

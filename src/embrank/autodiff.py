@@ -22,14 +22,15 @@ Conventions:
     gradient, whether it takes one, its inputs' nodes and its op's backward.
     The tape links nodes, never values: a backward closure gets the parent
     nodes as arguments and captures only the arrays its rule reads
-    (``matmul`` both inputs, ``rms_norm`` ``x``, ``weight`` and ``r``,
-    ``silu`` its input and sigmoid, ``causal_attention`` the q/v views, kᵀ
+    (``matmul`` and ``silu_matmul`` both inputs, which ``silu_matmul``'s
+    backward makes its sigmoid and gated product from again, ``rms_norm``
+    ``x``, ``weight`` and ``r``, ``causal_attention`` the q/v views, kᵀ
     copies and weights; ``take_rows`` and ``pick`` only the shape, ``add``,
     ``sub`` and ``concat_rows`` nothing). So a result that no backward reads
     is freed as soon as the forward code drops its tensor;
   - each node owns its gradient array, C-ordered, and later contributions
     are added into it in place. A first contribution that the op has just
-    made and hands to no other node (a ``matmul`` product, ``silu``'s,
+    made and hands to no other node (``matmul``'s and ``silu_matmul``'s,
     ``rms_norm``'s and ``causal_attention``'s gradients, ``sub``'s ``-g``)
     is stored as it is; any other (``add`` hands one array to both inputs,
     ``concat_rows`` hands out slices) is stored as a C-ordered copy. So no
@@ -40,10 +41,10 @@ Conventions:
     taken of it;
   - inside ``with no_grad():``, or when no input requires grad, no op
     makes a node, so inference holds no closures and no references to
-    intermediate results; ``silu`` then writes its result into its sigmoid's
-    array and ``causal_attention`` drops each group's kᵀ copy once its
-    scores are made, so a tape-free forward allocates little beyond its
-    outputs;
+    intermediate results; ``causal_attention`` then drops each group's kᵀ
+    copy once its scores are made, so a tape-free forward allocates little
+    beyond its outputs (``silu_matmul``'s gate goes into its sigmoid's array
+    with or without a tape);
   - ``causal_attention`` told the ``rows`` a caller reads returns only those
     rows, with the bits of the full result, and softmaxes only them where
     they are at most half of a group's rows; its exp skips the masked
@@ -289,29 +290,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     return _result(x * y, "mul", (a, b), bw)
 
 
-def silu(a: Tensor) -> Tensor:
-    """x * sigmoid(x), the smooth gate used in the feed-forward blocks. With no
-    tape the product is written into the sigmoid's array, the one new array."""
-    a = _as_tensor(a)
-    x = a.data
-    sig = np.negative(x)  # 1 / (1 + exp(-x)), in place
-    np.exp(sig, out=sig)
-    sig += 1.0
-    np.divide(1.0, sig, out=sig)
-
-    def bw(g, na):  # g * sig * (1 + x * (1 - sig)), in that rounding order, in place
-        slope = 1.0 - sig
-        slope *= x
-        slope += 1.0
-        ga = g * sig
-        ga *= slope
-        _accumulate(na, ga, owned=True)
-    if _records((a,)):
-        return _result(x * sig, "silu", (a,), bw)
-    sig *= x
-    return _result(sig, "silu", (a,), bw)
-
-
 def softplus(a: Tensor) -> Tensor:
     """log(1 + e^x), computed in the overflow-safe form."""
     a = _as_tensor(a)
@@ -338,6 +316,30 @@ def sum_all(a: Tensor) -> Tensor:
 # linear algebra
 # ---------------------------------------------------------------------------
 
+def _sigmoid(x: np.ndarray) -> np.ndarray:
+    """1 / (1 + exp(-x)) as a new array, made in place in that rounding
+    order; ``silu_matmul``'s forward and its backward's recompute both call
+    this, so the two give the same bits."""
+    sig = np.negative(x)
+    np.exp(sig, out=sig)
+    sig += 1.0
+    np.divide(1.0, sig, out=sig)
+    return sig
+
+
+def _product(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """x @ w. numpy hands a one-row product to gemv, which rounds unlike the
+    GEMM of every other row count, so one row runs as two."""
+    return (x[[0, 0]] @ w)[:1] if x.shape[0] == 1 else x @ w
+
+
+def _check_matmul_shapes(op: str, a: Tensor, b: Tensor) -> None:
+    if a.ndim != 2 or b.ndim != 2:
+        raise ShapeError(f"{op}: expected [T, k] times [k, n], got {a.shape} and {b.shape}")
+    if a.shape[1] != b.shape[0]:
+        raise ShapeError(f"{op}: inner dimensions disagree: {a.shape} vs {b.shape}")
+
+
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """[T, k] @ [k, n] with the standard transpose backward rules.
 
@@ -354,20 +356,42 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     ``ffn_mult=4``, and in none at either with ``ffn_mult=2`` or at the
     default 64 with either."""
     a, b = _as_tensor(a), _as_tensor(b)
-    if a.ndim != 2 or b.ndim != 2:
-        raise ShapeError(f"matmul: expected [T, k] times [k, n], got {a.shape} and {b.shape}")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul: inner dimensions disagree: {a.shape} vs {b.shape}")
-
+    _check_matmul_shapes("matmul", a, b)
     x, w = a.data, b.data
 
     def bw(g, na, nb):
         _accumulate(na, g @ w.T, owned=True)
         _accumulate(nb, x.T @ g, owned=True)
-    # numpy hands a one-row product to gemv, which rounds unlike the GEMM of
-    # every other row count, so one row runs as two.
-    out = (x[[0, 0]] @ w)[:1] if x.shape[0] == 1 else x @ w
-    return _result(out, "matmul", (a, b), bw)
+    return _result(_product(x, w), "matmul", (a, b), bw)
+
+
+def silu_matmul(a: Tensor, b: Tensor) -> Tensor:
+    """silu(a) @ b, with silu(x) = x * sigmoid(x): the feed-forward block's
+    gate and down projection as one op, with the bits of the two run apart.
+
+    The tape keeps ``a`` and ``b`` only. The sigmoid and the gated h go once
+    the product is made, and the backward makes them again from ``a`` with
+    the forward's own sequence (``_sigmoid``), so they are the same bits;
+    it then runs ``matmul``'s rule on h and silu's,
+    g * sig * (1 + x * (1 - sig)), in their rounding order. The finite guard
+    runs on h, naming ``silu``, and on the product."""
+    a, b = _as_tensor(a), _as_tensor(b)
+    _check_matmul_shapes("silu_matmul", a, b)
+    x, w = a.data, b.data
+    h = _sigmoid(x)
+    h *= x
+
+    def bw(g, na, nb):
+        sig = _sigmoid(x)
+        _accumulate(nb, (x * sig).T @ g, owned=True)
+        ga = g @ w.T
+        ga *= sig
+        np.subtract(1.0, sig, out=sig)  # the slope 1 + x * (1 - sig), in place
+        sig *= x
+        sig += 1.0
+        ga *= sig
+        _accumulate(na, ga, owned=True)
+    return _result(_product(check_finite(h, "silu"), w), "silu_matmul", (a, b), bw)
 
 
 def cosine_rows(v: Tensor, m: Tensor) -> Tensor:
@@ -629,11 +653,14 @@ def causal_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int,
         gq, gk, gv = (np.empty(g.shape, g.dtype) for _ in range(3))
         for span, t, qh, kt, vh, w in runs:
             gh = heads(g[span], t)
-            gw = np.matmul(gh, tr(vh))
-            gl = w * (gw - (gw * w).sum(axis=-1, keepdims=True)) * scale
-            heads(gq[span], t)[...] = np.matmul(gl, tr(kt))
-            heads(gk[span], t)[...] = tr(np.matmul(tr(qh), gl))
-            heads(gv[span], t)[...] = np.matmul(tr(w), gh)
+            gw = np.matmul(gh, tr(vh))  # w * (gw - sum(gw * w)) * scale, in place
+            gw -= (gw * w).sum(axis=-1, keepdims=True)
+            gw *= w
+            gw *= scale
+            np.matmul(gw, tr(kt), out=heads(gq[span], t))
+            # a transposed out is not BLAS-able, so gk's product is copied in
+            heads(gk[span], t)[...] = tr(np.matmul(tr(qh), gw))
+            np.matmul(tr(w), gh, out=heads(gv[span], t))
         _accumulate(nq, gq, owned=True)
         _accumulate(nk, gk, owned=True)
         _accumulate(nv, gv, owned=True)

@@ -14,7 +14,6 @@ from dataclasses import asdict
 
 import numpy as np
 
-from . import autodiff as ad
 from .config import parse_as
 from .data import Vocabulary
 from .encoder import EncoderModel
@@ -127,9 +126,9 @@ def load_checkpoint(path) -> ModelPair:
     check(rer_cfg.d_model == enc_cfg.d_model, "reranker_config",
           f"has d_model {rer_cfg.d_model}, the encoder {enc_cfg.d_model}")
     # Every stored array is checked against its config before either model is
-    # built, so the placeholder weights are no larger than the file's arrays.
+    # built from them.
     check_array = field_checker(path, "checkpoint parameter")
-    names = set()
+    weights = {"encoder": {}, "reranker": {}}
     for prefix, config in (("encoder", enc_cfg), ("reranker", rer_cfg)):
         for name, shape in config.parameter_shapes():
             key = f"{prefix}.{name}"
@@ -140,13 +139,9 @@ def load_checkpoint(path) -> ModelPair:
             if bad.size:
                 check_array(False, key, f"holds NaN or an infinity at index "
                                         f"{tuple(bad[0].tolist())}")
-            names.add(key)
-    for key in sorted(arrays.keys() - names):
+            weights[prefix][name] = arrays.pop(key)
+    for key in sorted(arrays):
         check_array(False, key, "is in neither model's configuration")
-    rng = np.random.default_rng(0)  # placeholder weights, overwritten below
-    encoder = EncoderModel(enc_cfg, rng)
-    reranker = RerankerModel(rer_cfg, rng, eos_id=eos_id, **flags)
-    models = ModelPair(encoder=encoder, reranker=reranker, vocab=vocab)
-    for key, tensor in models.parameters().items():
-        ad.set_param_data(tensor, arrays[key].astype(np.float64, copy=False))
-    return models
+    encoder = EncoderModel(enc_cfg, weights["encoder"])
+    reranker = RerankerModel(rer_cfg, weights["reranker"], eos_id=eos_id, **flags)
+    return ModelPair(encoder=encoder, reranker=reranker, vocab=vocab)

@@ -33,8 +33,9 @@ class EncoderModel:
     """Pools each passage to its raw last hidden state, the embedding the
     residual fusion downstream takes unnormalized."""
 
-    def __init__(self, config: ModelConfig, rng: np.random.Generator):
-        self.transformer = CausalTransformer(config, rng)
+    def __init__(self, config: ModelConfig, weights):
+        """``weights``: as ``CausalTransformer`` takes them."""
+        self.transformer = CausalTransformer(config, weights)
 
     @property
     def config(self) -> ModelConfig:

@@ -54,12 +54,13 @@ def fuse_residual(h: Tensor, e: Tensor, *, residual: bool = True,
 
 
 class RerankerModel:
-    def __init__(self, config: ModelConfig, rng: np.random.Generator, eos_id: int, *,
+    def __init__(self, config: ModelConfig, weights, eos_id: int, *,
                  residual_enabled: bool = True,
                  hidden_state_enabled: bool = True):
+        """``weights``: as ``CausalTransformer`` takes them."""
         if not residual_enabled and not hidden_state_enabled:
             raise ConfigError("residual_enabled and hidden_state_enabled cannot both be off")
-        self.transformer = CausalTransformer(config, rng)
+        self.transformer = CausalTransformer(config, weights)
         self.eos_id = eos_id
         self.residual_enabled = residual_enabled
         self.hidden_state_enabled = hidden_state_enabled

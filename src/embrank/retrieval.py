@@ -258,13 +258,14 @@ class DenseIndex:
               f"has shape {matrix.shape}, not [documents, d >= 1]")
         check(len(matrix) == len(self.doc_ids), "matrix",
               f"holds {len(matrix)} rows for {len(self.doc_ids)} documents")
-        if not math.isfinite(np.vdot(matrix, matrix)):  # as ad.check_finite: no temporaries
-            bad = np.flatnonzero(~np.isfinite(matrix).all(axis=1))
-            if bad.size:
-                check(False, "matrix",
-                      f"row {bad[0]} ({self.doc_ids[bad[0]]!r}) holds NaN or an infinity")
+        with np.errstate(over="ignore", invalid="ignore"):
+            squares = np.matmul(matrix[:, None, :], matrix[:, :, None])[:, 0, 0]
+        bad = np.flatnonzero(~np.isfinite(squares))
+        if bad.size:
+            check(False, "matrix", f"row {bad[0]} ({self.doc_ids[bad[0]]!r}) holds NaN, "
+                                   f"an infinity or values whose squared norm overflows")
         check(isinstance(self.metadata, dict), "metadata", "is not a JSON object")
-        self.norms = np.sqrt(np.matmul(self.matrix[:, None, :], self.matrix[:, :, None])[:, 0, 0])
+        self.norms = np.sqrt(squares)
         self.id_rank = rank_by_id(self.doc_ids)
 
     @classmethod

@@ -71,11 +71,16 @@ def read_record_file(path) -> tuple[dict, dict[str, np.ndarray]]:
     with path.open("rb") as fh:
         size = os.fstat(fh.fileno()).st_size
 
-        def read(n: int, what: str, decode=bytes):
+        def room(n: int, what: str) -> int:
+            """The offset, once ``n`` bytes are known to be left there."""
             offset = fh.tell()
             if n > size - offset:
                 raise DataFormatError(f"{path}: truncated at byte {offset}: {what} needs "
                                       f"{n} bytes, {size - offset} left")
+            return offset
+
+        def read(n: int, what: str, decode=bytes):
+            offset = room(n, what)
             try:
                 return decode(fh.read(n))
             except (ValueError, TypeError) as exc:
@@ -104,8 +109,11 @@ def read_record_file(path) -> tuple[dict, dict[str, np.ndarray]]:
             if nbytes != math.prod(shape) * dtype.itemsize:
                 raise DataFormatError(f"{path}: bad {name!r} byte count at byte {offset}: "
                                       f"{nbytes} bytes cannot hold shape {shape} of {dtype.str}")
-            raw = read(nbytes, f"{name!r} data")
-            arrays[name] = np.frombuffer(raw, dtype=dtype).reshape(shape).copy()
+            offset = room(nbytes, f"{name!r} data")
+            arrays[name] = np.empty(shape, dtype)  # read once, into an array that owns it
+            if fh.readinto(arrays[name]) != nbytes:
+                raise DataFormatError(f"{path}: {name!r} data at byte {offset} was cut short "
+                                      f"while reading")
     return meta, arrays
 
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, Mapping
 
 import numpy as np
 
@@ -70,13 +70,21 @@ class ModelConfig:
 class CausalTransformer:
     """Parameter container plus the forward pass; training mutates parameters in place."""
 
-    def __init__(self, config: ModelConfig, rng: np.random.Generator):
+    def __init__(self, config: ModelConfig,
+                 weights: np.random.Generator | Mapping[str, np.ndarray]):
+        """``weights`` is a generator to draw the parameters from (norm
+        weights ones, the rest normal with ``init_scale``, in the order of
+        ``parameter_shapes``) or the arrays themselves by name, each of the
+        config's shape, which become the parameters uncopied."""
         config.validate()
         self.config = config
-        self.params: dict[str, Tensor] = {
-            name: ad.param(np.ones(shape) if name.endswith("norm.weight")
-                           else rng.normal(0.0, config.init_scale, shape))
-            for name, shape in config.parameter_shapes()}
+        if isinstance(weights, np.random.Generator):
+            rng = weights
+            weights = {name: np.ones(shape) if name.endswith("norm.weight")
+                       else rng.normal(0.0, config.init_scale, shape)
+                       for name, shape in config.parameter_shapes()}
+        self.params: dict[str, Tensor] = {name: ad.param(weights[name])
+                                          for name, _ in config.parameter_shapes()}
 
     def parameters(self) -> dict[str, Tensor]:
         return self.params
@@ -109,8 +117,8 @@ class CausalTransformer:
             x = ad.take_rows(x, rows)
         x = ad.add(x, ad.matmul(heads, p[f"layers.{layer}.attn.wo"]))
         m = ad.rms_norm(x, p[f"layers.{layer}.mlp_norm.weight"], cfg.norm_eps)
-        h = ad.silu(ad.matmul(m, p[f"layers.{layer}.mlp.w1"]))
-        return ad.add(x, ad.matmul(h, p[f"layers.{layer}.mlp.w2"]))
+        return ad.add(x, ad.silu_matmul(ad.matmul(m, p[f"layers.{layer}.mlp.w1"]),
+                                        p[f"layers.{layer}.mlp.w2"]))
 
     def forward_embedded(self, x: Tensor, lengths=None, rows=None) -> Tensor:
         """Run the blocks over already-embedded sequences of ``lengths``, packed

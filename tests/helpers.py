@@ -3,12 +3,14 @@
 Nothing here calls into the library's forward/backward machinery: matmul is a
 triple loop, softmax goes through mpmath at 50 digits, the transformer forward
 is a standalone numpy transcription, and the metric/fusion oracles are direct
-definitional computations. The one exception, ``rerank_pairs``, is no oracle:
-it spells the library's own rerank call for ``(doc_id, tokens)`` pairs.
+definitional computations. Two helpers are no oracles: ``rerank_pairs``
+spells the library's own rerank call for ``(doc_id, tokens)`` pairs, and
+``tape_bytes`` measures what a recorded tape holds.
 """
 
 from __future__ import annotations
 
+import collections
 import math
 
 import mpmath
@@ -24,6 +26,45 @@ def rerank_pairs(query_ids, docs, models, **kwargs):
     ids = [doc_id for doc_id, _ in docs]
     return rerank_embeddings(query_ids, ids, candidate_embeddings(models, ids, dict(docs)),
                              models, **kwargs)
+
+
+def tape_bytes(loss) -> dict[str, int]:
+    """Bytes of the arrays that the tape reachable from ``loss`` holds, by op:
+    each distinct writable buffer that a backward closure captures (itself, or
+    inside a list or tuple), counted once at its full size (the array owning
+    the memory of a view) under the op of the first closure found holding it.
+    Read-only arrays, the parameters and the shared causal masks, are not
+    counted. Called when ``backward`` starts, it measures what the forward
+    leaves on the tape."""
+    held, nodes, buffers, stack = collections.Counter(), set(), set(), [loss.node]
+    while stack:
+        node = stack.pop()
+        if node is None or id(node) in nodes:
+            continue
+        nodes.add(id(node))
+        stack.extend(node.parents)
+        if node.backward is None:
+            continue
+        op = node.backward.__qualname__.split(".")[0]
+        values = [_cell_value(cell) for cell in node.backward.__closure__ or ()]
+        while values:
+            value = values.pop()
+            if isinstance(value, (list, tuple)):
+                values.extend(value)
+            elif isinstance(value, np.ndarray):
+                owner = value if value.base is None else value.base
+                if owner.flags.writeable and id(owner) not in buffers:
+                    buffers.add(id(owner))
+                    held[op] += owner.nbytes
+    return dict(sorted(held.items()))
+
+
+def _cell_value(cell):
+    """A closure cell's value; None for a variable deleted after capture."""
+    try:
+        return cell.cell_contents
+    except ValueError:
+        return None
 
 
 def naive_matmul(a, b):
@@ -215,10 +256,15 @@ def op_gradcheck_cases(ad):
         red = _reducer(ad, (3, 3), rng)
         return lambda: red(ad.mul(a, s)), {"a": a, "s": s}
 
-    def make_silu(rng):
-        a = ad.param(rng.normal(size=(2, 4)))
-        red = _reducer(ad, (2, 4), rng)
-        return lambda: red(ad.silu(a)), {"a": a}
+    def make_silu_matmul(rng):
+        a, b = ad.param(rng.normal(size=(3, 4))), ad.param(rng.normal(size=(4, 2)))
+        red = _reducer(ad, (3, 2), rng)
+        return lambda: red(ad.silu_matmul(a, b)), {"a": a, "b": b}
+
+    def make_silu_matmul_one_row(rng):
+        a, b = ad.param(rng.normal(size=(1, 4))), ad.param(rng.normal(size=(4, 2)))
+        red = _reducer(ad, (1, 2), rng)
+        return lambda: red(ad.silu_matmul(a, b)), {"a": a, "b": b}
 
     def make_softplus(rng):
         a = ad.param(rng.normal(size=6) * 3.0)
@@ -313,11 +359,11 @@ def op_gradcheck_cases(ad):
         return (lambda: red(ad.causal_attention(q, k, v, n_heads, lengths, rows)),
                 {"q": q, "k": k, "v": v})
 
-    makers = (make_add_same, make_sub, make_mul, make_mul_scalar, make_silu,
+    makers = (make_add_same, make_sub, make_mul, make_mul_scalar, make_silu_matmul,
               make_softplus, make_sum_all, make_matmul, make_cosine_rows,
               make_take_rows, make_take_rows_vector, make_take_rows_twice, make_pick,
               make_concat_rows,
               make_logsumexp, make_rms_norm, make_causal_attention,
-              make_matmul_one_row, make_causal_attention_packed,
+              make_matmul_one_row, make_silu_matmul_one_row, make_causal_attention_packed,
               make_causal_attention_rows)
     return [(fn.__name__.removeprefix("make_"), fn) for fn in makers]

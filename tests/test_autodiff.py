@@ -11,13 +11,17 @@ import numpy as np
 import pytest
 
 import embrank.autodiff as ad
+import embrank.training
 from embrank.autodiff import backward
+from embrank.data import has_orderable_pair
 from embrank.errors import DegenerateInputError, NumericError, ShapeError
 from embrank.reranker import build_model_pair
+from embrank.synthetic import generate_synthetic
 from embrank.training import Adam, LossConfig, train_step
 from embrank.transformer import CausalTransformer, ModelConfig
 
-from helpers import highprec_softmax_row, naive_matmul, reference_causal_attention
+from helpers import (highprec_softmax_row, naive_matmul, reference_causal_attention,
+                     tape_bytes)
 
 
 class TestMatmul:
@@ -72,6 +76,35 @@ class TestMatmul:
         with pytest.raises(ShapeError) as err:
             ad.matmul(ad.tensor(np.zeros((2, 3))), ad.tensor(np.zeros((4, 2))))
         assert "(2, 3)" in str(err.value) and "(4, 2)" in str(err.value)
+
+
+class TestSiluMatmul:
+    @pytest.mark.parametrize("t", [1, 2, 13])
+    def test_equals_silu_then_matmul_bitwise(self, t):
+        """Forward and both gradients have the bits of x * sigmoid(x) and a
+        ``matmul`` of it run apart, with one row run as two as ``matmul``
+        runs it, and the silu gradient g * sig * (1 + x * (1 - sig))."""
+        rng = np.random.default_rng(40 + t)
+        x, w = rng.normal(size=(t, 96)) * 3.0, rng.normal(size=(96, 24))
+        g = rng.normal(size=(t, 24))
+        a, b = ad.param(x), ad.param(w)
+        out = ad.silu_matmul(a, b)
+        backward(ad.sum_all(ad.mul(out, ad.tensor(g))))
+        sig = 1.0 / (1.0 + np.exp(-x))
+        h = x * sig
+        np.testing.assert_array_equal(out.data, (h[[0, 0]] @ w)[:1] if t == 1 else h @ w)
+        np.testing.assert_array_equal(b.grad, h.T @ g)
+        np.testing.assert_array_equal(a.grad, (g @ w.T) * sig * (1.0 + x * (1.0 - sig)))
+
+    def test_non_finite_gate_raises_naming_silu(self):
+        x = ad.tensor([[np.nan, 1.0]])
+        with pytest.raises(NumericError, match="silu"):
+            ad.silu_matmul(x, ad.tensor(np.ones((2, 2))))
+
+    def test_shape_error_names_both_shapes(self):
+        with pytest.raises(ShapeError) as err:
+            ad.silu_matmul(ad.tensor(np.zeros((2, 3))), ad.tensor(np.zeros((4, 2))))
+        assert "silu_matmul" in str(err.value) and "(2, 3)" in str(err.value)
 
 
 def softmax_via_attention(rows):
@@ -562,9 +595,9 @@ class TestBackward:
     def test_sweep_lets_go_of_results_it_is_done_with(self):
         """By the time y1 passes its gradient on, y2 (held by no caller) and its
         values are freed; the whole tape used to live until the sweep ended."""
-        x = ad.param([1.0, 2.0])
-        y1 = ad.silu(x)
-        y2 = ad.silu(y1)
+        x, eye = ad.param([[1.0, 2.0]]), ad.tensor(np.eye(2))
+        y1 = ad.silu_matmul(x, eye)
+        y2 = ad.silu_matmul(y1, eye)
         loss = ad.sum_all(y2)
         y2_values = weakref.ref(y2.data)
         del y2
@@ -580,7 +613,7 @@ class TestBackward:
         def silu_slope(z):
             sig = 1.0 / (1.0 + np.exp(-z))
             return sig * (1.0 + z * (1.0 - sig))
-        z = np.array([1.0, 2.0])
+        z = np.array([[1.0, 2.0]])
         np.testing.assert_allclose(x.grad, silu_slope(z / (1.0 + np.exp(-z))) * silu_slope(z))
 
     def test_leaf_gradients_are_owned_c_ordered_arrays(self):
@@ -688,47 +721,93 @@ class TestTapeKeepsOnlyWhatBackwardReads:
                                       [16.0, 16.0, 8.0])
 
     def test_attention_keys_and_residual_products_are_freed_after_the_forward(self, monkeypatch):
-        """Each block's six products come as q, k, v, wo, w1, w2: attention
-        keeps its own kᵀ copy, and a residual ``add`` reads neither operand."""
+        """Each block's six products come as q, k, v, wo, w1 (``matmul``) and
+        w2 (``silu_matmul``): attention keeps its own kᵀ copy, and a residual
+        ``add`` reads neither operand."""
         model = self._model()
         products = self._record_values(monkeypatch, "matmul")
+        down = self._record_values(monkeypatch, "silu_matmul")
         keys = self._record_values(monkeypatch, "causal_attention", lambda args, out: args[1])
         x = model.embed_tokens([[1, 2, 3, 4], [5, 6]])
         out = model.forward_embedded(x, lengths=[4, 2])
-        assert len(products) == 12 and len(keys) == 2
+        assert len(products) + len(down) == 12 and len(keys) == 2
         assert all(ref() is None for ref in keys)
-        for block in (products[:6], products[6:]):
+        for block in (products[:5] + down[:1], products[5:] + down[1:]):
             assert [block[i]() is None for i in (1, 3, 5)] == [True] * 3
         backward(ad.sum_all(out))
         assert all(t.grad is not None for t in model.params.values())
 
-    def test_silu_input_lives_until_its_own_backward_has_run(self):
+    def test_silu_matmul_keeps_only_its_gate_input_until_its_own_backward_has_run(
+            self, monkeypatch):
+        """The sigmoid and the gated product h (made in the sigmoid's array)
+        are freed once the forward has its product; the gate input lives
+        until the op's own backward has made them again from it, then goes."""
+        sigmoids = []
+
+        def spy(x, sigmoid=ad._sigmoid):
+            sig = sigmoid(x)
+            sigmoids.append(weakref.ref(sig))
+            return sig
+        monkeypatch.setattr(ad, "_sigmoid", spy)
         rng = np.random.default_rng(9)
-        x, w = ad.param(rng.normal(size=(2, 3))), ad.param(rng.normal(size=(3, 3)))
-        h = ad.matmul(x, w)
-        h_values = weakref.ref(h.data)
-        y = ad.silu(h)
-        del h
+        x, w1, w2 = (ad.param(rng.normal(size=shape)) for shape in ((2, 3), (3, 4), (4, 3)))
+        gate = ad.matmul(x, w1)
+        gate_values = weakref.ref(gate.data)
+        y = ad.silu_matmul(gate, w2)
+        del gate
+        assert len(sigmoids) == 1 and sigmoids[0]() is None
         loss = ad.sum_all(y)
         inner, alive = y.node.backward, []
 
-        def spy(g, *parents):
-            alive.append(h_values() is not None)
+        def bw_spy(g, *parents):
+            alive.append(gate_values() is not None)
             inner(g, *parents)
-        y.node.backward = spy
-        assert h_values() is not None
+        y.node.backward = bw_spy
+        assert gate_values() is not None
         backward(loss)
         del inner  # the sweep has let go of the closure; only this test held it
-        assert alive == [True] and h_values() is None
-        z = x.data @ w.data
+        assert alive == [True] and gate_values() is None
+        assert len(sigmoids) == 2 and sigmoids[1]() is None
+        z = x.data @ w1.data
         sig = 1.0 / (1.0 + np.exp(-z))
-        np.testing.assert_allclose(x.grad, (sig * (1.0 + z * (1.0 - sig))) @ w.data.T, rtol=1e-14)
+        np.testing.assert_allclose(w2.grad, (z * sig).T @ np.ones((2, 3)), rtol=1e-14)
+        np.testing.assert_allclose(
+            x.grad, (np.ones((2, 3)) @ w2.data.T * sig * (1.0 + z * (1.0 - sig))) @ w1.data.T,
+            rtol=1e-14)
+
+
+    # The bytes each op's closures hold when ``backward`` starts at the first
+    # stage-1 step of perfbench's ``train-dual`` (seed 0): 57.8 MB in all
+    # before ``silu_matmul`` replaced ``silu`` + ``matmul`` (16.6 + 16.3 MB).
+    FIRST_STEP_TAPE_BYTES = {
+        "causal_attention": 18382384, "cosine_rows": 178432, "logsumexp": 1280,
+        "matmul": 8011776, "mul": 8880, "rms_norm": 6181240, "silu_matmul": 8321024,
+        "softplus": 7424, "take_rows": 80064,
+    }
+
+    def test_first_training_step_tape_bytes_are_pinned(self, monkeypatch):
+        """Array sizes do not depend on the values, so the pin is exact: a
+        change that keeps more on the tape fails it."""
+        ds = generate_synthetic(0, n_docs=500, n_queries=20, n_eval_queries=4)
+        models = build_model_pair(ds.vocab, 0)
+        usable = [s for s in ds.stage1_samples if has_orderable_pair(s)]
+        batch = [usable[j] for j in np.random.default_rng(0).permutation(len(usable))[:8]]
+        params = {k: t for k, t in models.parameters().items() if t.requires_grad}
+        held = []
+
+        def spy(loss, backward=embrank.training.backward):
+            held.append(tape_bytes(loss))
+            backward(loss)
+        monkeypatch.setattr(embrank.training, "backward", spy)
+        train_step(models, batch, {d.doc_id: d.tokens for d in ds.documents},
+                   Adam(params, lr=1e-4), LossConfig(), 0, "stage1")
+        assert held == [self.FIRST_STEP_TAPE_BYTES]
 
 
 class TestTapeFreeForward:
-    """With no tape, ``silu`` writes into its own sigmoid array, ``rms_norm``
-    scales in place and ``causal_attention`` keeps no group's copies: the
-    values must not move by a bit."""
+    """With no tape, ``silu_matmul`` gates into its own sigmoid array,
+    ``rms_norm`` scales in place and ``causal_attention`` keeps no group's
+    copies: the values must not move by a bit."""
 
     def test_equals_the_taped_forward_bitwise(self):
         rng = np.random.default_rng(23)
@@ -736,10 +815,10 @@ class TestTapeFreeForward:
         lengths = [1, 4, 4, 4, 1, 1, longest, 7, 2, 2]
         d, n_heads = 16, 4
         x, q, k, v = (ad.param(rng.normal(size=(sum(lengths), d))) for _ in range(4))
-        weight = ad.param(rng.normal(size=d))
+        weight, w = ad.param(rng.normal(size=d)), ad.param(rng.normal(size=(d, d)))
 
         def forward():
-            return (ad.silu(x), ad.rms_norm(x, weight),
+            return (ad.silu_matmul(x, w), ad.rms_norm(x, weight),
                     ad.causal_attention(q, k, v, n_heads, lengths))
         with ad.no_grad():
             free = forward()
@@ -749,24 +828,26 @@ class TestTapeFreeForward:
         for got, want in zip(free, taped):
             np.testing.assert_array_equal(got.data, want.data)
 
-    def test_silu_leaves_its_input_alone(self):
+    def test_silu_matmul_leaves_its_input_alone(self):
         data = np.linspace(-3.0, 3.0, 12).reshape(3, 4)
         x = ad.tensor(data.copy())
         with ad.no_grad():
-            ad.silu(x)
+            ad.silu_matmul(x, ad.tensor(np.ones((4, 2))))
         np.testing.assert_array_equal(x.data, data)
 
-    def test_silu_allocates_only_its_output(self):
-        """Its temporaries used to double the peak."""
-        x = ad.tensor(np.random.default_rng(3).normal(size=(384, 512)))
+    def test_silu_matmul_allocates_only_its_gate_and_output(self):
+        """The gate is made in its sigmoid's array; separate temporaries
+        used to double that part of the peak."""
+        rng = np.random.default_rng(3)
+        x, w = ad.tensor(rng.normal(size=(384, 512))), ad.tensor(rng.normal(size=(512, 64)))
         with ad.no_grad():
             tracemalloc.start()
             try:
-                out = ad.silu(x)
+                out = ad.silu_matmul(x, w)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-        assert peak <= 1.05 * out.data.nbytes
+        assert peak <= 1.05 * (x.data.nbytes + out.data.nbytes)
 
     def test_shared_mask_is_read_only_and_equals_the_triangle(self):
         for t in (1, 5, ad._triangles[0].shape[0] + 2, 3):

@@ -1,5 +1,7 @@
 """Binary record container and model checkpoint round-trips."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -24,6 +26,21 @@ class TestRecordContainer:
         assert meta2 == meta
         np.testing.assert_array_equal(arrays2["a"], arrays["a"])
         np.testing.assert_array_equal(arrays2["b"], arrays["b"])
+
+    def test_each_array_is_read_once_into_an_array_it_owns(self, tmp_path):
+        """Each array was read into bytes and then copied, twice its size."""
+        path = tmp_path / "file.bin"
+        want = np.arange(1 << 17, dtype=np.float64).reshape(512, 256)
+        write_record_file(path, {"kind": "test"}, {"w": want})
+        tracemalloc.start()
+        try:
+            _, arrays = read_record_file(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * path.stat().st_size
+        assert arrays["w"].base is None and arrays["w"].flags.c_contiguous
+        np.testing.assert_array_equal(arrays["w"], want)
 
     def test_bytes_depend_only_on_content(self, tmp_path):
         meta = {"x": 1}
@@ -82,6 +99,22 @@ class TestCheckpoint:
             with pytest.raises(ValueError):
                 t.data[...] = 0.0
             assert t.data.base is None, key
+
+    def test_load_allocates_about_the_file_once(self, small_dataset, tmp_path):
+        """Each array is read once into the array the model keeps; the load
+        once drew placeholder weights for both models and read each array
+        through a bytes copy (about 2x the file)."""
+        models = build_model_pair(small_dataset.vocab, seed=3)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, models)
+        tracemalloc.start()
+        try:
+            loaded = load_checkpoint(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * path.stat().st_size
+        assert parameter_checksum(loaded) == parameter_checksum(models)
 
     def test_flags_survive_round_trip(self, tiny_vocab, tmp_path):
         models = build_model_pair(tiny_vocab, seed=1, d_model=16, n_layers=1,
@@ -230,15 +263,18 @@ def test_damaged_bm25_index_names_file_and_array(tmp_path, small_dataset, damage
     (_set("matrix", lambda m, a: _with(a["matrix"], (2, 3), np.nan)), ("matrix", "row 2")),
     (_set("matrix", lambda m, a: _with(a["matrix"], (2, 0), np.inf)), ("matrix", "row 2")),
     (_set("matrix", lambda m, a: _with(a["matrix"], (2, 7), -np.inf)), ("matrix", "row 2")),
+    (_set("matrix", lambda m, a: _with(a["matrix"], (2, 5), 1e200)), ("matrix", "row 2")),
 ], ids=["matrix-fewer-rows", "matrix-more-rows", "matrix-1d", "matrix-no-columns",
         "matrix-integers", "doc_ids-repeated", "doc_ids-not-strings", "doc_ids-not-a-list",
         "no-documents", "metadata-not-an-object", "matrix-nan", "matrix-inf",
-        "matrix-minus-inf"])
+        "matrix-minus-inf", "matrix-squares-overflow"])
 def test_damaged_dense_index_names_file_and_field(tmp_path, small_dataset, damage, key):
     """Each damage once loaded: search then ranked fewer documents, or one
     document for many, or failed later naming no file (a NaN or infinite row
     failed at the first search with a ``NumericError`` naming neither the file
-    nor the row). A key may carry more text the message must hold."""
+    nor the row; a row whose squares overflow loaded with an infinite norm,
+    and under warnings-as-errors raised numpy's raw ``RuntimeWarning``). A key
+    may carry more text the message must hold."""
     path = tmp_path / "dense.idx"
     models = build_model_pair(small_dataset.vocab, seed=0, d_model=8, n_layers=1, n_heads=2)
     _save_dense(path, models, small_dataset.documents[:5])

@@ -10,6 +10,10 @@ Each header value of a valid checkpoint, every model config field included,
 is replaced by 0, -1, 10**12, a string, a seeded integer, or removed. Each
 damaged checkpoint must either raise ``DataFormatError`` naming the file, or
 load the same weights, and no load may allocate much more than the file holds.
+
+Valid BM25 and dense index files take one flipped bit or a truncation. Each
+damaged index must either raise an ``EmbrankError`` naming the file, or load
+into an index that saves and reloads to the same bytes.
 """
 
 import copy
@@ -22,6 +26,7 @@ import pytest
 from embrank.checkpoint import load_checkpoint, parameter_checksum, save_checkpoint
 from embrank.errors import DataFormatError
 from embrank.reranker import build_model_pair
+from embrank.retrieval import DenseIndex, InvertedIndex
 from embrank.serialization import read_record_file, write_record_file
 from embrank.data import (Candidate, Document, Qrels, Query, RankingSample,
                           load_corpus, load_qrels, load_queries, load_samples,
@@ -174,4 +179,35 @@ def test_damaged_checkpoint_header_raises_naming_the_file_or_loads_equal(tmp_pat
             assert tracemalloc.get_traced_memory()[1] - before < limit, case
     finally:
         tracemalloc.stop()
+    assert outcomes["rejected"] > 0 and outcomes["loaded"] > 0, outcomes
+
+
+@pytest.mark.parametrize("kind", ["bm25", "dense"])
+def test_damaged_index_raises_naming_the_file_or_round_trips(kind, tmp_path, small_dataset):
+    docs = small_dataset.documents[:5]
+    if kind == "bm25":
+        index, load = InvertedIndex.build(docs), InvertedIndex.load
+    else:
+        models = build_model_pair(small_dataset.vocab, seed=0, d_model=8, n_layers=1, n_heads=2)
+        index, load = DenseIndex.build(docs, models.encoder), DenseIndex.load
+    valid = tmp_path / f"valid.{kind}"
+    index.save(valid)
+    data = valid.read_bytes()
+    rng = np.random.default_rng([SEED, len(FORMATS) + 1 + (kind == "dense")])
+    outcomes = {"rejected": 0, "loaded": 0}
+    for how in ("bit_flip", "truncate"):
+        for case in range(CASES_PER_MUTATION):
+            path = tmp_path / f"{how}-{case}.{kind}"
+            path.write_bytes(_mutate(data, how, rng))
+            try:
+                loaded = load(path)
+            except EmbrankError as exc:
+                assert str(path) in str(exc), f"{how} case {case}: {exc}"
+                outcomes["rejected"] += 1
+                continue
+            once, twice = tmp_path / "once", tmp_path / "twice"
+            loaded.save(once)
+            load(once).save(twice)
+            assert once.read_bytes() == twice.read_bytes(), f"{how} case {case}"
+            outcomes["loaded"] += 1
     assert outcomes["rejected"] > 0 and outcomes["loaded"] > 0, outcomes
