@@ -18,42 +18,21 @@ Conventions:
   - no broadcasting: ``add`` and ``sub`` take operands of one shape, and
     ``mul`` also takes a scalar operand; anything else raises ``ShapeError``
     naming both shapes;
-  - a tensor is its values plus, once it takes part in the tape, a node: its
-    gradient, whether it takes one, its inputs' nodes and its op's backward.
-    The tape links nodes, never values: a backward closure gets the parent
-    nodes as arguments and captures only the arrays its rule reads
-    (``matmul`` and ``silu_matmul`` both inputs, which ``silu_matmul``'s
-    backward makes its sigmoid and gated product from again, ``rms_norm``
-    ``x``, ``weight`` and ``r``, ``causal_attention`` the q/v views, kᵀ
-    copies and weights; ``take_rows`` and ``pick`` only the shape, ``add``,
-    ``sub`` and ``concat_rows`` nothing). So a result that no backward reads
+  - the tape links nodes (``_Node``), never values: a backward closure gets
+    the parent nodes as arguments and captures only the arrays its rule
+    reads, as each op's docstring states, so a result that no backward reads
     is freed as soon as the forward code drops its tensor;
   - each node owns its gradient array, C-ordered, and later contributions
-    are added into it in place. A first contribution that the op has just
-    made and hands to no other node (``matmul``'s and ``silu_matmul``'s,
-    ``rms_norm``'s and ``causal_attention``'s gradients, ``sub``'s ``-g``)
-    is stored as it is; any other (``add`` hands one array to both inputs,
-    ``concat_rows`` hands out slices) is stored as a C-ordered copy. So no
-    two tensors share one, and every gradient has a fresh array's layout;
+    are added into it in place; a first one is stored uncopied only where the
+    op has just made it for that node alone (``_accumulate``'s ``owned``), so
+    no two tensors share one, and every gradient has a fresh array's layout;
   - a parameter's array is read-only: an in-place write raises
     ``ValueError``, and an update gives the tensor a new array through
     ``set_param_data``, so a weight state never changes under a fingerprint
     taken of it;
   - inside ``with no_grad():``, or when no input requires grad, no op
     makes a node, so inference holds no closures and no references to
-    intermediate results; ``causal_attention`` then drops each group's kᵀ
-    copy once its scores are made, so a tape-free forward allocates little
-    beyond its outputs (``silu_matmul``'s gate goes into its sigmoid's array
-    with or without a tape);
-  - ``causal_attention`` told the ``rows`` a caller reads returns only those
-    rows, with the bits of the full result, and softmaxes only them where
-    they are at most half of a group's rows; its exp skips the masked
-    scores' slow underflow path;
-  - a gradient added into gathered rows (``take_rows``' backward, and
-    attention's for its read rows) goes in by one 1-D ``np.add.at`` over
-    flat element indices: the 2-D ``np.add.at``'s additions in its order, so
-    its bits, about 4x faster from numpy 1.25 (with numpy 1.24, which
-    ``pyproject.toml`` still allows, as exact but not faster);
+    intermediate results;
   - any op producing NaN/Inf raises ``NumericError`` immediately instead
     of letting the values spread, with or without ``no_grad``.
 """
@@ -91,10 +70,13 @@ def no_grad():
 
 class _Node:
     """A tensor's slot in the tape: its gradient, whether it takes one, the
-    nodes of its op's inputs (None for an input with no node) and the op's
-    ``backward(g, *parents)``, which adds ``g`` into the parents' gradients."""
+    nodes of its op's inputs (None for an input with no node), the op's
+    ``backward(g, *parents)``, which adds ``g`` into the parents' gradients,
+    and, where the value is cheap to make again (``rms_norm``), ``remake()``:
+    the value with its forward bits, so the backwards reading it need not
+    keep it."""
 
-    __slots__ = ("grad", "requires_grad", "parents", "backward")
+    __slots__ = ("grad", "requires_grad", "parents", "backward", "remake")
 
     def __init__(self, requires_grad: bool, parents: tuple = (),
                  backward: Callable[..., None] | None = None):
@@ -102,6 +84,7 @@ class _Node:
         self.requires_grad = requires_grad
         self.parents: tuple[_Node | None, ...] = parents
         self.backward = backward
+        self.remake: Callable[[], np.ndarray] | None = None
 
 
 class Tensor:
@@ -228,6 +211,17 @@ def _result(data: np.ndarray, op: str, inputs: tuple[Tensor, ...],
     return out
 
 
+def _kept(t: Tensor) -> np.ndarray | None:
+    """The array of input ``t`` for a backward to keep: None where ``t``'s node
+    can remake it, so the tape does not hold it (``_read`` then remakes it)."""
+    return None if t.node is not None and t.node.remake is not None else t.data
+
+
+def _read(kept: np.ndarray | None, node: _Node) -> np.ndarray:
+    """In a backward, the values of an input that ``_kept`` gave ``kept``."""
+    return node.remake() if kept is None else kept
+
+
 def _accumulate(node: _Node | None, g: np.ndarray, owned: bool = False) -> None:
     """Add ``g`` into ``node.grad``; a parent with no node, or one that takes
     no gradient, is skipped. Unlike zeros + g, an exact -0.0 stays -0.0.
@@ -251,7 +245,7 @@ def _accumulate(node: _Node | None, g: np.ndarray, owned: bool = False) -> None:
 # ---------------------------------------------------------------------------
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise sum of two tensors of one shape."""
+    """Elementwise sum of two tensors of one shape; the node keeps nothing."""
     a, b = _as_tensor(a), _as_tensor(b)
     if a.shape != b.shape:
         raise ShapeError(f"add: incompatible shapes {a.shape} and {b.shape}")
@@ -263,7 +257,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise difference of two tensors of one shape."""
+    """Elementwise difference of two tensors of one shape; the node keeps nothing."""
     a, b = _as_tensor(a), _as_tensor(b)
     if a.shape != b.shape:
         raise ShapeError(f"sub: incompatible shapes {a.shape} and {b.shape}")
@@ -275,7 +269,7 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise product; also scalar*tensor."""
+    """Elementwise product; also scalar*tensor. The node keeps both inputs."""
     a, b = _as_tensor(a), _as_tensor(b)
     if not (a.shape == b.shape or a.shape == () or b.shape == ()):
         raise ShapeError(f"mul: incompatible shapes {a.shape} and {b.shape}")
@@ -291,7 +285,7 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def softplus(a: Tensor) -> Tensor:
-    """log(1 + e^x), computed in the overflow-safe form."""
+    """log(1 + e^x), computed in the overflow-safe form; the node keeps x."""
     a = _as_tensor(a)
     x = a.data
     out_data = np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
@@ -304,6 +298,7 @@ def softplus(a: Tensor) -> Tensor:
 
 
 def sum_all(a: Tensor) -> Tensor:
+    """The sum of every element; the node keeps only the shape."""
     a = _as_tensor(a)
     shape = a.shape
 
@@ -354,34 +349,38 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     differs from ``encode_passage`` in 40 of 40 seed-0 passages at
     ``d_model`` 36 (4 heads) and 30 of 40 at 136 (8 heads) with the default
     ``ffn_mult=4``, and in none at either with ``ffn_mult=2`` or at the
-    default 64 with either."""
+    default 64 with either.
+
+    The node keeps both inputs, ``a`` only where its node cannot remake it
+    (an ``rms_norm`` result, remade in the backward)."""
     a, b = _as_tensor(a), _as_tensor(b)
     _check_matmul_shapes("matmul", a, b)
-    x, w = a.data, b.data
+    x, w = _kept(a), b.data
 
     def bw(g, na, nb):
         _accumulate(na, g @ w.T, owned=True)
-        _accumulate(nb, x.T @ g, owned=True)
-    return _result(_product(x, w), "matmul", (a, b), bw)
+        _accumulate(nb, _read(x, na).T @ g, owned=True)
+    return _result(_product(a.data, w), "matmul", (a, b), bw)
 
 
 def silu_matmul(a: Tensor, b: Tensor) -> Tensor:
     """silu(a) @ b, with silu(x) = x * sigmoid(x): the feed-forward block's
     gate and down projection as one op, with the bits of the two run apart.
 
-    The tape keeps ``a`` and ``b`` only. The sigmoid and the gated h go once
-    the product is made, and the backward makes them again from ``a`` with
-    the forward's own sequence (``_sigmoid``), so they are the same bits;
-    it then runs ``matmul``'s rule on h and silu's,
-    g * sig * (1 + x * (1 - sig)), in their rounding order. The finite guard
-    runs on h, naming ``silu``, and on the product."""
+    The node keeps ``a`` and ``b`` only, ``a`` as ``matmul`` keeps it. The
+    sigmoid and the gated h go once the product is made, and the backward
+    makes them again from ``a`` with the forward's own sequence
+    (``_sigmoid``), so they are the same bits; it then runs ``matmul``'s rule
+    on h and silu's, g * sig * (1 + x * (1 - sig)), in their rounding order.
+    The finite guard runs on h, naming ``silu``, and on the product."""
     a, b = _as_tensor(a), _as_tensor(b)
     _check_matmul_shapes("silu_matmul", a, b)
-    x, w = a.data, b.data
-    h = _sigmoid(x)
-    h *= x
+    kept, w = _kept(a), b.data
+    h = _sigmoid(a.data)
+    h *= a.data
 
     def bw(g, na, nb):
+        x = _read(kept, na)
         sig = _sigmoid(x)
         _accumulate(nb, (x * sig).T @ g, owned=True)
         ga = g @ w.T
@@ -406,7 +405,8 @@ def cosine_rows(v: Tensor, m: Tensor) -> Tensor:
     ``NumericError`` before any division, and a zero-norm one raises
     ``DegenerateInputError``; both name the row. Then no dot can overflow.
     The dots are batched [1, d] @ [d, 1] products: unlike ``m @ v`` (gemv),
-    those round each entry exactly as one ``np.dot`` does.
+    those round each entry exactly as one ``np.dot`` does. The node keeps
+    both inputs, the result and the norms.
     """
     v, m = _as_tensor(v), _as_tensor(m)
     if v.ndim != 1 or m.ndim != 2 or m.shape[1] != v.shape[0]:
@@ -445,7 +445,7 @@ def cosine_rows(v: Tensor, m: Tensor) -> Tensor:
 def take_rows(a: Tensor, indices) -> Tensor:
     """Row gather (embedding-table lookup), or element gather from a vector;
     backward scatter-adds, in ``np.add.at``'s order and with its bits, as one
-    flat pass (``_scatter_rows``)."""
+    flat pass (``_scatter_rows``). The node keeps the shape and indices."""
     a = _as_tensor(a)
     if a.ndim not in (1, 2):
         raise ShapeError(f"take_rows: expected a 1-D or 2-D table, got {a.shape}")
@@ -483,7 +483,7 @@ def _scatter_rows(target: np.ndarray, idx: np.ndarray, g: np.ndarray) -> None:
 
 def pick(a: Tensor, i: int) -> Tensor:
     """Row ``i`` of a matrix or element ``i`` of a vector. The result is a copy,
-    so it does not keep ``a``'s whole buffer alive."""
+    so it does not keep ``a``'s whole buffer alive; the node keeps the shape."""
     a = _as_tensor(a)
     if a.ndim == 0 or not 0 <= i < a.shape[0]:
         raise ShapeError(f"pick: index {i} out of range for shape {a.shape}")
@@ -499,7 +499,8 @@ def pick(a: Tensor, i: int) -> Tensor:
 
 
 def concat_rows(tensors: Sequence[Tensor]) -> Tensor:
-    """Concatenate 2-D blocks along the sequence (row) axis."""
+    """Concatenate 2-D blocks along the sequence (row) axis; the node keeps
+    their row counts."""
     ts = [_as_tensor(t) for t in tensors]
     if not ts:
         raise ShapeError("concat_rows: need at least one tensor")
@@ -576,7 +577,8 @@ def causal_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int,
     differently. ``np.matmul`` runs one BLAS product per (sequence, head),
     and the backward multiplies by transposed views of the same arrays, as
     ``matmul``'s backward does. The masks are corners of one shared read-only
-    pair (``_causal_masks``). With no tape no group's arrays outlive the
+    pair (``_causal_masks``). The node keeps each group's q and v views, kᵀ
+    copy and softmax weights; with no tape no group's arrays outlive the
     loop's next turn, and its kᵀ copy goes once the scores are made.
 
     Given ``rows``, a group whose sequences read at most half their local
@@ -668,7 +670,8 @@ def causal_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int,
 
 
 def logsumexp(x: Tensor) -> Tensor:
-    """log(sum(exp(x))) of a vector, stabilized; backward is softmax(x)."""
+    """log(sum(exp(x))) of a vector, stabilized; backward is softmax(x), from
+    the exps and their sum, which the node keeps."""
     x = _as_tensor(x)
     if x.ndim != 1:
         raise ShapeError(f"logsumexp: expected 1-D operand, got {x.shape}")
@@ -681,11 +684,23 @@ def logsumexp(x: Tensor) -> Tensor:
     return _result(np.asarray(m + np.log(s)), "logsumexp", (x,), bw)
 
 
+def _rms_scaled(xd: np.ndarray, r: np.ndarray, wd: np.ndarray) -> np.ndarray:
+    """x * r * weight as a new array, in that rounding order; ``rms_norm``'s
+    forward and its node's ``remake`` both call this, so the two give the
+    same bits."""
+    y = xd * r
+    y *= wd
+    return y
+
+
 def rms_norm(x: Tensor, weight: Tensor, eps: float = 1e-6) -> Tensor:
     """Scale a [d] input, or each row of a [T, d] one, by
     1/sqrt(mean(x^2) + eps), then by ``weight``.
 
-    ``eps`` may be zero (exact root-mean-square) but not negative.
+    ``eps`` may be zero (exact root-mean-square) but not negative. The node
+    keeps ``x``, ``weight`` and the row scales r; its ``remake`` makes the
+    output again (``_rms_scaled``) once however many backwards read it, and
+    ``backward`` drops it once the norm's own backward has run.
     """
     x, weight = _as_tensor(x), _as_tensor(weight)
     if eps < 0.0:
@@ -698,8 +713,12 @@ def rms_norm(x: Tensor, weight: Tensor, eps: float = 1e-6) -> Tensor:
     d = xd.shape[-1]
     ms = (xd * xd).mean(axis=-1, keepdims=True)
     r = 1.0 / np.sqrt(ms + eps)
-    y = xd * r
-    y *= wd
+    made = []
+
+    def remake():
+        if not made:
+            made.append(_rms_scaled(xd, r, wd))
+        return made[0]
 
     def bw(g, nx, nw):
         # gw * r - x * (r^3 / d) * sum(gw * x), in that rounding order, in place
@@ -711,12 +730,13 @@ def rms_norm(x: Tensor, weight: Tensor, eps: float = 1e-6) -> Tensor:
         gw *= r
         np.subtract(gw, gx, out=gx)
         _accumulate(nx, gx, owned=True)
-        gweight = g * xd
-        gweight *= r
-        if gweight.ndim == 2:
-            gweight = gweight.sum(axis=0)
-        _accumulate(nw, gweight, owned=True)
-    return _result(y, "rms_norm", (x, weight), bw)
+        np.multiply(g, xd, out=gw)  # the weight's gradient g * x * r, in gw's array
+        gw *= r
+        _accumulate(nw, gw.sum(axis=0) if gw.ndim == 2 else gw, owned=True)
+    out = _result(_rms_scaled(xd, r, wd), "rms_norm", (x, weight), bw)
+    if out.node is not None:
+        out.node.remake = remake
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -728,8 +748,9 @@ def backward(loss: Tensor) -> None:
 
     The loss must be scalar. The recorded tape is traversed exactly once in
     reverse execution order and then freed; a second backward through the
-    same graph is not possible. Each node lets go of its closure, and so of
-    the arrays that closure read, once it has passed its gradient on.
+    same graph is not possible. Each node lets go of its closure and its
+    ``remake``, and so of the arrays they read, once it has passed its
+    gradient on.
     """
     if not isinstance(loss, Tensor):
         raise TypeError("backward expects a Tensor")
@@ -757,7 +778,7 @@ def backward(loss: Tensor) -> None:
         node = topo.pop()
         if node.backward is not None:
             node.backward(node.grad, *node.parents)
-            node.backward = None
+            node.backward = node.remake = None
             node.parents = ()
 
 

@@ -135,10 +135,9 @@ def load_checkpoint(path) -> ModelPair:
             check_array(key in arrays, key, "is missing")
             check_array(arrays[key].shape == shape, key,
                         f"has shape {arrays[key].shape}, its config {shape}")
-            bad = np.argwhere(~np.isfinite(arrays[key]))
-            if bad.size:
-                check_array(False, key, f"holds NaN or an infinity at index "
-                                        f"{tuple(bad[0].tolist())}")
+            if not np.isfinite(arrays[key]).all():
+                bad = np.argwhere(~np.isfinite(arrays[key]))[0]
+                check_array(False, key, f"holds NaN or an infinity at index {tuple(bad.tolist())}")
             weights[prefix][name] = arrays.pop(key)
     for key in sorted(arrays):
         check_array(False, key, "is in neither model's configuration")

@@ -10,6 +10,7 @@ config values.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import math
 import typing
@@ -110,6 +111,10 @@ def _typed(value, kind: type, key: str):
     return value
 
 
+# A section's field types, its string annotations resolved once per class.
+_field_types = functools.cache(typing.get_type_hints)
+
+
 def parse_as(kind, value, path: str):
     """``value`` as the config field type ``kind``: a settings section, a list
     of sections or a scalar; ``path`` is its dotted key, empty at the root."""
@@ -122,7 +127,7 @@ def parse_as(kind, value, path: str):
         return _typed(value, kind, path)
     if not isinstance(value, dict):
         raise ConfigError(f"{path or 'config root'}: expected an object")
-    kinds = typing.get_type_hints(kind)
+    kinds = _field_types(kind)
     keys = {k: f"{path}.{k}" if path else k for k in value}
     unknown = sorted(keys[k] for k in set(value) - set(kinds))
     if unknown:

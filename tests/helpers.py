@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import collections
 import math
+import types
 
 import mpmath
 import numpy as np
@@ -30,12 +31,13 @@ def rerank_pairs(query_ids, docs, models, **kwargs):
 
 def tape_bytes(loss) -> dict[str, int]:
     """Bytes of the arrays that the tape reachable from ``loss`` holds, by op:
-    each distinct writable buffer that a backward closure captures (itself, or
-    inside a list or tuple), counted once at its full size (the array owning
-    the memory of a view) under the op of the first closure found holding it.
-    Read-only arrays, the parameters and the shared causal masks, are not
-    counted. Called when ``backward`` starts, it measures what the forward
-    leaves on the tape."""
+    each distinct writable buffer that a node's backward closure or its
+    ``remake`` captures (itself, inside a list or tuple, or inside a function
+    it holds, through that function's own closure), counted once at its full
+    size (the array owning the memory of a view) under the op of the first
+    node found holding it. Read-only arrays, the parameters and the shared
+    causal masks, are not counted. Called when ``backward`` starts, it
+    measures what the forward leaves on the tape."""
     held, nodes, buffers, stack = collections.Counter(), set(), set(), [loss.node]
     while stack:
         node = stack.pop()
@@ -46,11 +48,14 @@ def tape_bytes(loss) -> dict[str, int]:
         if node.backward is None:
             continue
         op = node.backward.__qualname__.split(".")[0]
-        values = [_cell_value(cell) for cell in node.backward.__closure__ or ()]
+        values, functions = [node.backward, node.remake], set()
         while values:
             value = values.pop()
             if isinstance(value, (list, tuple)):
                 values.extend(value)
+            elif isinstance(value, types.FunctionType) and id(value) not in functions:
+                functions.add(id(value))
+                values.extend(_cell_value(cell) for cell in value.__closure__ or ())
             elif isinstance(value, np.ndarray):
                 owner = value if value.base is None else value.base
                 if owner.flags.writeable and id(owner) not in buffers:
@@ -329,6 +334,20 @@ def op_gradcheck_cases(ad):
         red = _reducer(ad, (3, 4), rng)
         return lambda: red(ad.rms_norm(x, w, 1e-6)), {"x": x, "w": w}
 
+    def make_rms_norm_shared(rng):
+        """One norm output read by two products and a ``silu_matmul``: each
+        backward reads the output its node remakes once."""
+        x = ad.param(rng.normal(size=(3, 4)) + 0.1)
+        w = ad.param(rng.normal(size=4))
+        w1, w2, w3 = (ad.param(rng.normal(size=(4, 2))) for _ in range(3))
+        reds = [_reducer(ad, (3, 2), rng) for _ in range(3)]
+
+        def f():
+            n = ad.rms_norm(x, w, 1e-6)
+            return ad.add(ad.add(reds[0](ad.matmul(n, w1)), reds[1](ad.matmul(n, w2))),
+                          reds[2](ad.silu_matmul(n, w3)))
+        return f, {"x": x, "w": w, "w1": w1, "w2": w2, "w3": w3}
+
     def make_causal_attention(rng):
         t, n_heads = int(rng.integers(3, 6)), 2
         q, k, v = (ad.param(rng.normal(size=(t, 4))) for _ in range(3))
@@ -363,7 +382,7 @@ def op_gradcheck_cases(ad):
               make_softplus, make_sum_all, make_matmul, make_cosine_rows,
               make_take_rows, make_take_rows_vector, make_take_rows_twice, make_pick,
               make_concat_rows,
-              make_logsumexp, make_rms_norm, make_causal_attention,
+              make_logsumexp, make_rms_norm, make_rms_norm_shared, make_causal_attention,
               make_matmul_one_row, make_silu_matmul_one_row, make_causal_attention_packed,
               make_causal_attention_rows)
     return [(fn.__name__.removeprefix("make_"), fn) for fn in makers]

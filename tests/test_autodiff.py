@@ -775,13 +775,92 @@ class TestTapeKeepsOnlyWhatBackwardReads:
             x.grad, (np.ones((2, 3)) @ w2.data.T * sig * (1.0 + z * (1.0 - sig))) @ w1.data.T,
             rtol=1e-14)
 
+    def test_both_norm_outputs_of_every_block_are_freed_after_the_forward(self, monkeypatch):
+        """The products that read a block's two norm outputs keep neither: each
+        is remade from the norm's own x and r in the backward. Only the final
+        norm's output, the forward's result, is left."""
+        model = self._model()
+        norms = self._record_values(monkeypatch, "rms_norm")
+        x = model.embed_tokens([[1, 2, 3, 4], [5, 6]])
+        out = model.forward_embedded(x, lengths=[4, 2])
+        assert len(norms) == 5 and norms[-1]() is out.data
+        assert [ref() is None for ref in norms[:4]] == [True] * 4
+        backward(ad.sum_all(out))
+        assert all(t.grad is not None for t in model.params.values())
+
+    @staticmethod
+    def _shared_norm_graph(remake: bool):
+        """A norm output read by two products and a ``silu_matmul``; returns
+        the loss, the norm's tensor and the parameters."""
+        rng = np.random.default_rng(31)
+        x, w1, w2, w3 = (ad.param(rng.normal(size=shape))
+                         for shape in ((5, 4), (4, 3), (4, 3), (4, 3)))
+        weight = ad.param(rng.normal(size=4))
+        n = ad.rms_norm(x, weight)
+        if not remake:
+            n.node.remake = None
+        loss = ad.sum_all(ad.add(ad.add(ad.matmul(n, w1), ad.matmul(n, w2)),
+                                 ad.silu_matmul(n, w3)))
+        return loss, n, (x, weight, w1, w2, w3)
+
+    def test_a_norm_output_is_remade_once_with_its_forward_bits_and_freed_after_its_backward(
+            self, monkeypatch):
+        made = []
+
+        def spy(*args, scaled=ad._rms_scaled):
+            y = scaled(*args)
+            made.append((weakref.ref(y), y.copy()))
+            return y
+        monkeypatch.setattr(ad, "_rms_scaled", spy)
+        loss, n, params = self._shared_norm_graph(remake=True)
+        node, forward = n.node, made[0][0]
+        del n
+        assert len(made) == 1 and forward() is None
+        inner, alive = node.backward, []
+
+        def bw_spy(g, *parents):
+            alive.append([ref() is not None for ref, _ in made[1:]])
+            inner(g, *parents)
+        node.backward = bw_spy
+        backward(loss)
+        del inner
+        assert alive == [[True]] and made[1][0]() is None
+        np.testing.assert_array_equal(made[1][1], made[0][1])
+        monkeypatch.undo()
+        want, _, kept = self._shared_norm_graph(remake=False)
+        backward(want)
+        for got, expected in zip(params, kept):
+            np.testing.assert_array_equal(got.grad, expected.grad)
+
+    def test_tape_bytes_counts_arrays_inside_functions_a_closure_holds(self):
+        """Through a nested function's own closure, and through a node's
+        ``remake``: a remade norm output counts against ``rms_norm``."""
+        held = np.zeros((4, 5))
+
+        def op():
+            def read():
+                return held
+
+            def bw(g):
+                read()
+            return bw
+        loss = ad.Tensor(0.0)
+        loss.node = ad._Node(True, (), op())
+        assert list(tape_bytes(loss).values()) == [held.nbytes]
+        x = ad.tensor(np.ones((4, 8)), requires_grad=True)
+        n = ad.rms_norm(x, ad.param(np.ones(8)))
+        loss = ad.sum_all(n)
+        assert tape_bytes(loss) == {"rms_norm": x.data.nbytes + 4 * 8}
+        n.node.remake()
+        assert tape_bytes(loss) == {"rms_norm": 2 * x.data.nbytes + 4 * 8}
 
     # The bytes each op's closures hold when ``backward`` starts at the first
     # stage-1 step of perfbench's ``train-dual`` (seed 0): 57.8 MB in all
-    # before ``silu_matmul`` replaced ``silu`` + ``matmul`` (16.6 + 16.3 MB).
+    # before ``silu_matmul`` replaced ``silu`` + ``matmul`` (16.6 + 16.3 MB),
+    # and ``matmul`` held 8.0 MB before the norms' outputs were remade.
     FIRST_STEP_TAPE_BYTES = {
         "causal_attention": 18382384, "cosine_rows": 178432, "logsumexp": 1280,
-        "matmul": 8011776, "mul": 8880, "rms_norm": 6181240, "silu_matmul": 8321024,
+        "matmul": 2080256, "mul": 8880, "rms_norm": 6181240, "silu_matmul": 8321024,
         "softplus": 7424, "take_rows": 80064,
     }
 

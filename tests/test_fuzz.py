@@ -17,7 +17,9 @@ into an index that saves and reloads to the same bytes.
 """
 
 import copy
+import json
 import re
+import struct
 import tracemalloc
 
 import numpy as np
@@ -27,7 +29,7 @@ from embrank.checkpoint import load_checkpoint, parameter_checksum, save_checkpo
 from embrank.errors import DataFormatError
 from embrank.reranker import build_model_pair
 from embrank.retrieval import DenseIndex, InvertedIndex
-from embrank.serialization import read_record_file, write_record_file
+from embrank.serialization import FORMAT_VERSION, MAGIC, read_record_file
 from embrank.data import (Candidate, Document, Qrels, Query, RankingSample,
                           load_corpus, load_qrels, load_queries, load_samples,
                           write_corpus, write_qrels, write_queries, write_samples)
@@ -139,13 +141,25 @@ def test_damaged_checkpoint_header_raises_naming_the_file_or_loads_equal(tmp_pat
     """A header whose config asked for more than the file held once built its
     placeholder weights first: a ``max_seq_len`` of 10**12 was a raw
     ``MemoryError``. Each array is now checked against its config before
-    either model is built."""
+    either model is built.
+
+    Allocations are traced during each load only: tracing makes every
+    allocation several times dearer. Each damaged header is written over the
+    valid file's array bytes, which follow the header unchanged."""
     valid = tmp_path / "valid.ckpt"
     models = build_model_pair(tiny_vocab, seed=0, d_model=8, n_layers=2, n_heads=2,
                               encoder_max_len=8, reranker_max_len=16)
     save_checkpoint(valid, models)
     want, limit = parameter_checksum(models), 4 * valid.stat().st_size
-    meta, arrays = read_record_file(valid)
+    meta = read_record_file(valid)[0]
+    data = valid.read_bytes()  # magic, version, header length, header, arrays
+    tail = data[16 + struct.unpack_from("<Q", data, 8)[0]:]
+
+    def with_header(header: dict) -> bytes:
+        """The file ``write_record_file`` writes for ``header`` and the arrays."""
+        raw = json.dumps(header, sort_keys=True).encode()
+        return b"".join((MAGIC, struct.pack("<IQ", FORMAT_VERSION, len(raw)), raw, tail))
+    assert with_header(meta) == data
     rng = np.random.default_rng([SEED, len(FORMATS)])
     path = tmp_path / "damaged.ckpt"
     outcomes = {"rejected": 0, "loaded": 0}
@@ -154,31 +168,30 @@ def test_damaged_checkpoint_header_raises_naming_the_file_or_loads_equal(tmp_pat
     # init_scale) before a 10**12 layer count can allocate layer by layer.
     cases = [(where, value) for value in (0, -1, 10**12, "x", SEEDED, MISSING)
              for where in _header_values(meta)]
-    tracemalloc.start()
-    try:
-        for where, value in cases:
-            damaged = copy.deepcopy(meta)
-            holder = damaged[where[0]] if len(where) == 2 else damaged
-            if value is MISSING:
-                del holder[where[-1]]
-            else:
-                holder[where[-1]] = int(rng.integers(-2**40, 2**40)) if value is SEEDED else value
-            write_record_file(path, damaged, arrays)
-            case = f"{'.'.join(where)} = {holder.get(where[-1], 'missing')!r}"
-            tracemalloc.reset_peak()
-            before = tracemalloc.get_traced_memory()[0]
-            try:
-                loaded = load_checkpoint(path)
-            except DataFormatError as exc:
-                assert str(path) in str(exc), f"{case}: {exc}"
-                outcomes["rejected"] += 1
-            else:
-                assert parameter_checksum(loaded) == want, case
-                outcomes["loaded"] += 1
-                del loaded
-            assert tracemalloc.get_traced_memory()[1] - before < limit, case
-    finally:
-        tracemalloc.stop()
+    for where, value in cases:
+        damaged = copy.deepcopy(meta)
+        holder = damaged[where[0]] if len(where) == 2 else damaged
+        if value is MISSING:
+            del holder[where[-1]]
+        else:
+            holder[where[-1]] = int(rng.integers(-2**40, 2**40)) if value is SEEDED else value
+        path.write_bytes(with_header(damaged))
+        case = f"{'.'.join(where)} = {holder.get(where[-1], 'missing')!r}"
+        loaded = None
+        tracemalloc.start()
+        try:
+            loaded = load_checkpoint(path)
+        except DataFormatError as exc:
+            assert str(path) in str(exc), f"{case}: {exc}"
+            outcomes["rejected"] += 1
+        finally:
+            peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+        assert peak < limit, case
+        if loaded is not None:
+            assert parameter_checksum(loaded) == want, case
+            outcomes["loaded"] += 1
+            del loaded
     assert outcomes["rejected"] > 0 and outcomes["loaded"] > 0, outcomes
 
 
