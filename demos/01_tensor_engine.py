@@ -14,13 +14,15 @@ rng = np.random.default_rng(0)
 
 print("== basic ops record a tape ==")
 x = ad.param(rng.normal(size=(3, 4)))
-w = ad.param(rng.normal(size=(4, 2)))
-y = ad.silu_matmul(x, w)  # the FFN's gate and down projection: its tape keeps only x and w
+w1 = ad.param(rng.normal(size=(4, 6)))
+w2 = ad.param(rng.normal(size=(6, 2)))
+# the whole FFN as one op: its tape keeps x, the weights and the gate input
+y = ad.silu_matmul(x, w1, w2)
 loss = y.sum()
-print(f"silu(x{x.shape}) @ w{w.shape} -> sum = {loss.item():.4f}")
+print(f"silu(x{x.shape} @ w1{w1.shape}) @ w2{w2.shape} -> sum = {loss.item():.4f}")
 
 backward(loss)
-print(f"grad shapes: x {x.grad.shape}, w {w.grad.shape}")
+print(f"grad shapes: x {x.grad.shape}, w1 {w1.grad.shape}, w2 {w2.grad.shape}")
 print(f"|dL/dx| max = {np.abs(x.grad).max():.4f}")
 
 print("\n== gradients accumulate over fan-out ==")
@@ -42,7 +44,8 @@ reports = [
     finite_diff_check(lambda t: ad.sum_all(ad.mul(ad.causal_attention(t, t, t, n_heads=2), mix)),
                       ad.param(rng.normal(size=(3, 4))), name="causal_attention"),
     finite_diff_check(lambda t: ad.sum_all(ad.cosine_rows(t, rows)), a, name="cosine_rows"),
-    finite_diff_check(lambda t: ad.sum_all(ad.silu_matmul(t, w)),  # sigmoid made again in backward
+    # the sigmoid is made again in the backward
+    finite_diff_check(lambda t: ad.sum_all(ad.silu_matmul(t, w1, w2)),
                       ad.param(rng.normal(size=(3, 4))), name="silu_matmul"),
     finite_diff_check(lambda t: ad.sum_all(ad.rms_norm(t, ad.tensor(np.ones(4)), 1e-6)),
                       ad.param(rng.normal(size=(3, 4))), name="rms_norm"),

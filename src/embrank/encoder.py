@@ -19,12 +19,17 @@ from .transformer import CausalTransformer, ModelConfig
 # 5000-passage dense index about as fast, 768 about 25% slower. Pack size also
 # sets glibc's dynamic malloc thresholds (from the largest block freed so far):
 # after 192-row packs the reranker's attention ran on freshly faulted pages.
-# Each op's fresh arrays are faulted in again once glibc has handed them back.
-# The first 5000-passage build in a process faults in about 190k pages, and
-# about 100k after a BM25 build of the same passages whose index is still
-# held (190k again once that index is dropped). Every caller (``build-index``,
-# the benchmark's ``retrieve-5k``, demo 05) builds BM25 first and holds it. A
-# second build faults about 1k (seed-0 passages; ``ru_minflt`` of the
+# A no-tape 384-row pack's arrays peak at 1.4-1.9 MB (six 64-token passages,
+# where attention's scores are largest, make the top), about what glibc keeps
+# at the heap top between packs, since each block drops its temporaries at
+# their last reader and the FFN gates in place. So a pack mostly reuses the
+# pages the one before it faulted in. The first 5000-passage build in a
+# process, after the BM25 build of the same passages that every caller
+# (``build-index``, the benchmark's ``retrieve-5k``, demo 05) makes first and
+# holds, faults in about 2k pages, and a 500-passage build 0.4k-1.3k from the
+# third in a process. With a pack's arrays near 3 MB, glibc trimmed the freed
+# top after each pack and those builds faulted about 130k and 15k-18k (seed 0
+# for 5000 passages, seeds 0 and 104729 for 500; ``ru_minflt`` of the
 # process, one BLAS thread).
 TOKEN_BUDGET = 384
 

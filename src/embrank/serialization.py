@@ -27,6 +27,8 @@ MAGIC = b"EMBR"
 FORMAT_VERSION = 1
 
 _ALLOWED_DTYPES = {"<f8", "<f4", "<i8"}
+# The header's integer fields, written and read through these alone.
+_U8, _U32, _U64 = struct.Struct("<B"), struct.Struct("<I"), struct.Struct("<Q")
 
 
 def _canonical(arr: np.ndarray) -> np.ndarray:
@@ -40,24 +42,23 @@ def write_record_file(path, meta: dict, arrays: dict[str, np.ndarray]) -> None:
     meta_bytes = json.dumps(meta, sort_keys=True).encode("utf-8")
     with Path(path).open("wb") as fh:
         fh.write(MAGIC)
-        fh.write(struct.pack("<I", FORMAT_VERSION))
-        fh.write(struct.pack("<Q", len(meta_bytes)))
+        fh.write(_U32.pack(FORMAT_VERSION))
+        fh.write(_U64.pack(len(meta_bytes)))
         fh.write(meta_bytes)
-        fh.write(struct.pack("<I", len(arrays)))
+        fh.write(_U32.pack(len(arrays)))
         for name in sorted(arrays):
             arr = _canonical(np.asarray(arrays[name]))
             name_bytes = name.encode("utf-8")
             dtype_bytes = arr.dtype.str.encode("ascii")
-            fh.write(struct.pack("<I", len(name_bytes)))
+            fh.write(_U32.pack(len(name_bytes)))
             fh.write(name_bytes)
-            fh.write(struct.pack("<I", len(dtype_bytes)))
+            fh.write(_U32.pack(len(dtype_bytes)))
             fh.write(dtype_bytes)
-            fh.write(struct.pack("<B", arr.ndim))
+            fh.write(_U8.pack(arr.ndim))
             for dim in arr.shape:
-                fh.write(struct.pack("<Q", dim))
-            raw = arr.tobytes(order="C")
-            fh.write(struct.pack("<Q", len(raw)))
-            fh.write(raw)
+                fh.write(_U64.pack(dim))
+            fh.write(_U64.pack(arr.nbytes))
+            fh.write(arr)  # its C-ordered buffer, not a copy of it
 
 
 def read_record_file(path) -> tuple[dict, dict[str, np.ndarray]]:
@@ -71,45 +72,51 @@ def read_record_file(path) -> tuple[dict, dict[str, np.ndarray]]:
     with path.open("rb") as fh:
         size = os.fstat(fh.fileno()).st_size
 
-        def room(n: int, what: str) -> int:
-            """The offset, once ``n`` bytes are known to be left there."""
-            offset = fh.tell()
-            if n > size - offset:
-                raise DataFormatError(f"{path}: truncated at byte {offset}: {what} needs "
-                                      f"{n} bytes, {size - offset} left")
-            return offset
+        # A field's label ``what`` holds ``{!r}`` where its array's name goes;
+        # it is formatted only for an error.
+        def room(n: int, what: str, name: str = "") -> int:
+            """The field's offset, once ``n`` bytes are known to be left there."""
+            nonlocal pos
+            if n > size - pos:
+                raise DataFormatError(f"{path}: truncated at byte {pos}: {what.format(name)} "
+                                      f"needs {n} bytes, {size - pos} left")
+            pos += n
+            return pos - n
 
-        def read(n: int, what: str, decode=bytes):
-            offset = room(n, what)
+        def read(n: int, what: str, decode, name: str = ""):
+            offset = room(n, what, name)
             try:
                 return decode(fh.read(n))
             except (ValueError, TypeError) as exc:
-                raise DataFormatError(f"{path}: bad {what} at byte {offset}: {exc}") from None
+                raise DataFormatError(f"{path}: bad {what.format(name)} at byte {offset}: "
+                                      f"{exc}") from None
 
-        def number(fmt: str, what: str) -> int:
-            return read(struct.calcsize(fmt), what, lambda b: struct.unpack(fmt, b)[0])
+        def number(field: struct.Struct, what: str, name: str = "") -> int:
+            room(field.size, what, name)
+            return field.unpack(fh.read(field.size))[0]
 
         if fh.read(4) != MAGIC:
             raise DataFormatError(f"{path}: not a record file (bad magic)")
-        version = number("<I", "format version")
+        pos = len(MAGIC)  # the offset of the next byte to read
+        version = number(_U32, "format version")
         if version != FORMAT_VERSION:
             raise DataFormatError(f"{path}: unsupported format version {version}")
-        meta = read(number("<Q", "metadata length"), "metadata",
+        meta = read(number(_U64, "metadata length"), "metadata",
                     lambda b: json.loads(b.decode("utf-8")))
         if not isinstance(meta, dict):
             raise DataFormatError(f"{path}: metadata is not a JSON object")
         arrays: dict[str, np.ndarray] = {}
-        for _ in range(number("<I", "array count")):
-            name = read(number("<I", "name length"), "array name", lambda b: b.decode("utf-8"))
-            dtype = read(number("<I", f"{name!r} dtype length"), f"{name!r} dtype", _dtype)
-            shape = tuple(number("<Q", f"{name!r} shape")
-                          for _ in range(number("<B", f"{name!r} ndim")))
-            offset = fh.tell()
-            nbytes = number("<Q", f"{name!r} byte count")
+        for _ in range(number(_U32, "array count")):
+            name = read(number(_U32, "name length"), "array name", lambda b: b.decode("utf-8"))
+            dtype = read(number(_U32, "{!r} dtype length", name), "{!r} dtype", _dtype, name)
+            shape = tuple(number(_U64, "{!r} shape", name)
+                          for _ in range(number(_U8, "{!r} ndim", name)))
+            offset = pos
+            nbytes = number(_U64, "{!r} byte count", name)
             if nbytes != math.prod(shape) * dtype.itemsize:
                 raise DataFormatError(f"{path}: bad {name!r} byte count at byte {offset}: "
                                       f"{nbytes} bytes cannot hold shape {shape} of {dtype.str}")
-            offset = room(nbytes, f"{name!r} data")
+            offset = room(nbytes, "{!r} data", name)
             arrays[name] = np.empty(shape, dtype)  # read once, into an array that owns it
             if fh.readinto(arrays[name]) != nbytes:
                 raise DataFormatError(f"{path}: {name!r} data at byte {offset} was cut short "
@@ -197,5 +204,5 @@ def sha256_arrays(arrays: dict[str, np.ndarray]) -> str:
         arr = _canonical(np.asarray(arrays[name]))
         digest.update(name.encode("utf-8"))
         digest.update(str(arr.shape).encode("ascii"))
-        digest.update(arr.tobytes(order="C"))
+        digest.update(arr)  # its C-ordered buffer, not a copy of it
     return digest.hexdigest()

@@ -112,12 +112,15 @@ class CausalTransformer:
         q = ad.matmul(a, p[f"layers.{layer}.attn.wq"])
         k = ad.matmul(a, p[f"layers.{layer}.attn.wk"])
         v = ad.matmul(a, p[f"layers.{layer}.attn.wv"])
+        del a
         heads = ad.causal_attention(q, k, v, cfg.n_heads, lengths, rows)
+        del q, k, v
         if rows is not None:
             x = ad.take_rows(x, rows)
         x = ad.add(x, ad.matmul(heads, p[f"layers.{layer}.attn.wo"]))
+        del heads
         m = ad.rms_norm(x, p[f"layers.{layer}.mlp_norm.weight"], cfg.norm_eps)
-        return ad.add(x, ad.silu_matmul(ad.matmul(m, p[f"layers.{layer}.mlp.w1"]),
+        return ad.add(x, ad.silu_matmul(m, p[f"layers.{layer}.mlp.w1"],
                                         p[f"layers.{layer}.mlp.w2"]))
 
     def forward_embedded(self, x: Tensor, lengths=None, rows=None) -> Tensor:

@@ -262,14 +262,14 @@ def op_gradcheck_cases(ad):
         return lambda: red(ad.mul(a, s)), {"a": a, "s": s}
 
     def make_silu_matmul(rng):
-        a, b = ad.param(rng.normal(size=(3, 4))), ad.param(rng.normal(size=(4, 2)))
+        a, b, c = (ad.param(rng.normal(size=shape)) for shape in ((3, 3), (3, 4), (4, 2)))
         red = _reducer(ad, (3, 2), rng)
-        return lambda: red(ad.silu_matmul(a, b)), {"a": a, "b": b}
+        return lambda: red(ad.silu_matmul(a, b, c)), {"a": a, "b": b, "c": c}
 
     def make_silu_matmul_one_row(rng):
-        a, b = ad.param(rng.normal(size=(1, 4))), ad.param(rng.normal(size=(4, 2)))
+        a, b, c = (ad.param(rng.normal(size=shape)) for shape in ((1, 3), (3, 4), (4, 2)))
         red = _reducer(ad, (1, 2), rng)
-        return lambda: red(ad.silu_matmul(a, b)), {"a": a, "b": b}
+        return lambda: red(ad.silu_matmul(a, b, c)), {"a": a, "b": b, "c": c}
 
     def make_softplus(rng):
         a = ad.param(rng.normal(size=6) * 3.0)
@@ -340,13 +340,14 @@ def op_gradcheck_cases(ad):
         x = ad.param(rng.normal(size=(3, 4)) + 0.1)
         w = ad.param(rng.normal(size=4))
         w1, w2, w3 = (ad.param(rng.normal(size=(4, 2))) for _ in range(3))
+        w4 = ad.param(rng.normal(size=(2, 2)))
         reds = [_reducer(ad, (3, 2), rng) for _ in range(3)]
 
         def f():
             n = ad.rms_norm(x, w, 1e-6)
             return ad.add(ad.add(reds[0](ad.matmul(n, w1)), reds[1](ad.matmul(n, w2))),
-                          reds[2](ad.silu_matmul(n, w3)))
-        return f, {"x": x, "w": w, "w1": w1, "w2": w2, "w3": w3}
+                          reds[2](ad.silu_matmul(n, w3, w4)))
+        return f, {"x": x, "w": w, "w1": w1, "w2": w2, "w3": w3, "w4": w4}
 
     def make_causal_attention(rng):
         t, n_heads = int(rng.integers(3, 6)), 2

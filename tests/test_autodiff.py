@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import embrank.autodiff as ad
+import embrank.encoder
 import embrank.training
 from embrank.autodiff import backward
 from embrank.data import has_orderable_pair
@@ -80,31 +81,53 @@ class TestMatmul:
 
 class TestSiluMatmul:
     @pytest.mark.parametrize("t", [1, 2, 13])
-    def test_equals_silu_then_matmul_bitwise(self, t):
-        """Forward and both gradients have the bits of x * sigmoid(x) and a
-        ``matmul`` of it run apart, with one row run as two as ``matmul``
-        runs it, and the silu gradient g * sig * (1 + x * (1 - sig))."""
+    def test_equals_matmul_silu_then_matmul_bitwise(self, t):
+        """Forward and every gradient have the bits of ``matmul``, x *
+        sigmoid(x) and a ``matmul`` of it run apart, with one row run as two
+        as ``matmul`` runs it, and the silu gradient g * sig * (1 + z * (1 -
+        sig))."""
         rng = np.random.default_rng(40 + t)
-        x, w = rng.normal(size=(t, 96)) * 3.0, rng.normal(size=(96, 24))
+        x, w1, w2 = rng.normal(size=(t, 24)), rng.normal(size=(24, 96)) / 2.0, rng.normal(size=(96, 24))
         g = rng.normal(size=(t, 24))
-        a, b = ad.param(x), ad.param(w)
-        out = ad.silu_matmul(a, b)
+        m, a, b = ad.param(x), ad.param(w1), ad.param(w2)
+        out = ad.silu_matmul(m, a, b)
         backward(ad.sum_all(ad.mul(out, ad.tensor(g))))
-        sig = 1.0 / (1.0 + np.exp(-x))
-        h = x * sig
-        np.testing.assert_array_equal(out.data, (h[[0, 0]] @ w)[:1] if t == 1 else h @ w)
-        np.testing.assert_array_equal(b.grad, h.T @ g)
-        np.testing.assert_array_equal(a.grad, (g @ w.T) * sig * (1.0 + x * (1.0 - sig)))
 
-    def test_non_finite_gate_raises_naming_silu(self):
-        x = ad.tensor([[np.nan, 1.0]])
-        with pytest.raises(NumericError, match="silu"):
-            ad.silu_matmul(x, ad.tensor(np.ones((2, 2))))
+        def product(u, w):
+            return (u[[0, 0]] @ w)[:1] if t == 1 else u @ w
+        z = product(x, w1)
+        sig = 1.0 / (1.0 + np.exp(-z))
+        h = z * sig
+        gz = (g @ w2.T) * sig * (1.0 + z * (1.0 - sig))
+        np.testing.assert_array_equal(out.data, product(h, w2))
+        np.testing.assert_array_equal(b.grad, h.T @ g)
+        np.testing.assert_array_equal(a.grad, x.T @ gz)
+        np.testing.assert_array_equal(m.grad, gz @ w1.T)
+
+    @pytest.mark.parametrize("taped", [False, True])
+    def test_non_finite_gate_raises_naming_silu(self, taped):
+        """A NaN gate input raises before it is gated, with a tape or with none."""
+        m = ad.tensor([[np.nan, 1.0]], requires_grad=taped)
+        with pytest.raises(NumericError, match=r"matmul \(silu gate\)"):
+            ad.silu_matmul(m, ad.tensor(np.ones((2, 3))), ad.tensor(np.ones((3, 2))))
+
+    @pytest.mark.parametrize("taped", [False, True])
+    def test_non_finite_gated_values_raise_naming_silu(self, monkeypatch, taped):
+        """The gated h is guarded too, also where it is made in place."""
+        monkeypatch.setattr(ad, "_sigmoid", lambda x: np.full_like(x, np.nan))
+        m = ad.tensor(np.ones((70, 2)), requires_grad=taped)
+        with pytest.raises(NumericError, match=r"^silu produced"):
+            ad.silu_matmul(m, ad.tensor(np.ones((2, 3))), ad.tensor(np.ones((3, 2))))
 
     def test_shape_error_names_both_shapes(self):
         with pytest.raises(ShapeError) as err:
-            ad.silu_matmul(ad.tensor(np.zeros((2, 3))), ad.tensor(np.zeros((4, 2))))
+            ad.silu_matmul(ad.tensor(np.zeros((2, 3))), ad.tensor(np.zeros((4, 2))),
+                           ad.tensor(np.zeros((2, 2))))
         assert "silu_matmul" in str(err.value) and "(2, 3)" in str(err.value)
+        with pytest.raises(ShapeError) as err:
+            ad.silu_matmul(ad.tensor(np.zeros((2, 3))), ad.tensor(np.zeros((3, 4))),
+                           ad.tensor(np.zeros((2, 2))))
+        assert "silu_matmul" in str(err.value) and "(2, 4)" in str(err.value)
 
 
 def softmax_via_attention(rows):
@@ -596,8 +619,8 @@ class TestBackward:
         """By the time y1 passes its gradient on, y2 (held by no caller) and its
         values are freed; the whole tape used to live until the sweep ended."""
         x, eye = ad.param([[1.0, 2.0]]), ad.tensor(np.eye(2))
-        y1 = ad.silu_matmul(x, eye)
-        y2 = ad.silu_matmul(y1, eye)
+        y1 = ad.silu_matmul(x, eye, eye)
+        y2 = ad.silu_matmul(y1, eye, eye)
         loss = ad.sum_all(y2)
         y2_values = weakref.ref(y2.data)
         del y2
@@ -721,8 +744,8 @@ class TestTapeKeepsOnlyWhatBackwardReads:
                                       [16.0, 16.0, 8.0])
 
     def test_attention_keys_and_residual_products_are_freed_after_the_forward(self, monkeypatch):
-        """Each block's six products come as q, k, v, wo, w1 (``matmul``) and
-        w2 (``silu_matmul``): attention keeps its own kᵀ copy, and a residual
+        """Each block's products come as q, k, v, wo (``matmul``) and the FFN
+        (``silu_matmul``): attention keeps its own kᵀ copy, and a residual
         ``add`` reads neither operand."""
         model = self._model()
         products = self._record_values(monkeypatch, "matmul")
@@ -730,31 +753,36 @@ class TestTapeKeepsOnlyWhatBackwardReads:
         keys = self._record_values(monkeypatch, "causal_attention", lambda args, out: args[1])
         x = model.embed_tokens([[1, 2, 3, 4], [5, 6]])
         out = model.forward_embedded(x, lengths=[4, 2])
-        assert len(products) + len(down) == 12 and len(keys) == 2
+        assert len(products) == 8 and len(down) == 2 and len(keys) == 2
         assert all(ref() is None for ref in keys)
-        for block in (products[:5] + down[:1], products[5:] + down[1:]):
-            assert [block[i]() is None for i in (1, 3, 5)] == [True] * 3
+        for block in (products[:4] + down[:1], products[4:] + down[1:]):
+            assert [block[i]() is None for i in (1, 3, 4)] == [True] * 3
         backward(ad.sum_all(out))
         assert all(t.grad is not None for t in model.params.values())
 
     def test_silu_matmul_keeps_only_its_gate_input_until_its_own_backward_has_run(
             self, monkeypatch):
         """The sigmoid and the gated product h (made in the sigmoid's array)
-        are freed once the forward has its product; the gate input lives
-        until the op's own backward has made them again from it, then goes."""
-        sigmoids = []
+        are freed once the forward has its product; the gate input z = x @ w1
+        lives until the op's own backward has made them again from it, then
+        goes."""
+        sigmoids, products = [], []
 
         def spy(x, sigmoid=ad._sigmoid):
             sig = sigmoid(x)
             sigmoids.append(weakref.ref(sig))
             return sig
+
+        def product_spy(x, w, product=ad._product):
+            out = product(x, w)
+            products.append(weakref.ref(out if out.base is None else out.base))
+            return out
         monkeypatch.setattr(ad, "_sigmoid", spy)
+        monkeypatch.setattr(ad, "_product", product_spy)
         rng = np.random.default_rng(9)
         x, w1, w2 = (ad.param(rng.normal(size=shape)) for shape in ((2, 3), (3, 4), (4, 3)))
-        gate = ad.matmul(x, w1)
-        gate_values = weakref.ref(gate.data)
-        y = ad.silu_matmul(gate, w2)
-        del gate
+        y = ad.silu_matmul(x, w1, w2)
+        gate_values = products[0]
         assert len(sigmoids) == 1 and sigmoids[0]() is None
         loss = ad.sum_all(y)
         inner, alive = y.node.backward, []
@@ -793,15 +821,15 @@ class TestTapeKeepsOnlyWhatBackwardReads:
         """A norm output read by two products and a ``silu_matmul``; returns
         the loss, the norm's tensor and the parameters."""
         rng = np.random.default_rng(31)
-        x, w1, w2, w3 = (ad.param(rng.normal(size=shape))
-                         for shape in ((5, 4), (4, 3), (4, 3), (4, 3)))
+        x, w1, w2, w3, w4 = (ad.param(rng.normal(size=shape))
+                             for shape in ((5, 4), (4, 3), (4, 3), (4, 3), (3, 3)))
         weight = ad.param(rng.normal(size=4))
         n = ad.rms_norm(x, weight)
         if not remake:
             n.node.remake = None
         loss = ad.sum_all(ad.add(ad.add(ad.matmul(n, w1), ad.matmul(n, w2)),
-                                 ad.silu_matmul(n, w3)))
-        return loss, n, (x, weight, w1, w2, w3)
+                                 ad.silu_matmul(n, w3, w4)))
+        return loss, n, (x, weight, w1, w2, w3, w4)
 
     def test_a_norm_output_is_remade_once_with_its_forward_bits_and_freed_after_its_backward(
             self, monkeypatch):
@@ -884,7 +912,7 @@ class TestTapeKeepsOnlyWhatBackwardReads:
 
 
 class TestTapeFreeForward:
-    """With no tape, ``silu_matmul`` gates into its own sigmoid array,
+    """With no tape, ``silu_matmul`` gates its own gate input in place,
     ``rms_norm`` scales in place and ``causal_attention`` keeps no group's
     copies: the values must not move by a bit."""
 
@@ -897,7 +925,7 @@ class TestTapeFreeForward:
         weight, w = ad.param(rng.normal(size=d)), ad.param(rng.normal(size=(d, d)))
 
         def forward():
-            return (ad.silu_matmul(x, w), ad.rms_norm(x, weight),
+            return (ad.silu_matmul(x, w, w), ad.rms_norm(x, weight),
                     ad.causal_attention(q, k, v, n_heads, lengths))
         with ad.no_grad():
             free = forward()
@@ -907,26 +935,68 @@ class TestTapeFreeForward:
         for got, want in zip(free, taped):
             np.testing.assert_array_equal(got.data, want.data)
 
+    @pytest.mark.parametrize("d_model", [36, 136])
+    @pytest.mark.parametrize("ffn_mult", [2, 4])
+    def test_ffn_gated_in_place_equals_the_taped_ffn_bitwise(self, d_model, ffn_mult):
+        """Row counts below, at and past one gate row block, and a full pack,
+        at widths where a product row's bits depend on the row count: both
+        forwards run each product on the same rows, so they agree."""
+        rng = np.random.default_rng(d_model + ffn_mult)
+        block = ad._GATE_ROWS
+        w1 = ad.param(rng.normal(size=(d_model, d_model * ffn_mult)) / np.sqrt(d_model))
+        w2 = ad.param(rng.normal(size=(d_model * ffn_mult, d_model)) / np.sqrt(d_model))
+        for rows in (1, 2, block - 1, block, block + 1, 3 * block + 5, 384):
+            m = ad.tensor(rng.normal(size=(rows, d_model)) * 2.0, requires_grad=True)
+            with ad.no_grad():
+                free = ad.silu_matmul(m, w1, w2)
+            taped = ad.silu_matmul(m, w1, w2)
+            assert taped.requires_grad and not free.requires_grad
+            np.testing.assert_array_equal(free.data, taped.data)
+
     def test_silu_matmul_leaves_its_input_alone(self):
         data = np.linspace(-3.0, 3.0, 12).reshape(3, 4)
         x = ad.tensor(data.copy())
         with ad.no_grad():
-            ad.silu_matmul(x, ad.tensor(np.ones((4, 2))))
+            ad.silu_matmul(x, ad.tensor(np.eye(4)), ad.tensor(np.ones((4, 2))))
         np.testing.assert_array_equal(x.data, data)
 
-    def test_silu_matmul_allocates_only_its_gate_and_output(self):
-        """The gate is made in its sigmoid's array; separate temporaries
-        used to double that part of the peak."""
+    def test_silu_matmul_allocates_only_its_gate_one_block_and_output(self):
+        """The gate input is gated in place, a row block at a time: a
+        separate gated array would double that part of the peak."""
         rng = np.random.default_rng(3)
-        x, w = ad.tensor(rng.normal(size=(384, 512))), ad.tensor(rng.normal(size=(512, 64)))
+        m, w1, w2 = (ad.tensor(rng.normal(size=shape) / 8.0)
+                     for shape in ((384, 64), (64, 512), (512, 64)))
         with ad.no_grad():
             tracemalloc.start()
             try:
-                out = ad.silu_matmul(x, w)
+                out = ad.silu_matmul(m, w1, w2)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-        assert peak <= 1.05 * (x.data.nbytes + out.data.nbytes)
+        gate = 384 * 512 * 8
+        assert peak <= 1.05 * (gate + out.data.nbytes) + gate * ad._GATE_ROWS // 384
+
+    def test_a_full_pack_holds_less_than_two_gate_arrays(self):
+        """One 384-row pack of the default encoder, with no tape, peaks below
+        two [rows, d * ffn_mult] arrays: each block lets go of its norm
+        output, q, k, v and attention's output at their last reader, and the
+        FFN gates in place. Holding them to the block's end and gating into a
+        new array, the pack peaks near 3 MB."""
+        config = ModelConfig(vocab_size=50, max_seq_len=64)
+        model = CausalTransformer(config, np.random.default_rng(5))
+        rng = np.random.default_rng(6)
+        lengths = [64, 64, 60, 50, 40, 30, 30, 20, 10, 10, 6]
+        assert sum(lengths) == embrank.encoder.TOKEN_BUDGET == 384
+        passages = [list(rng.integers(0, 50, size=n)) for n in lengths]
+        with ad.no_grad():
+            x = model.embed_tokens(passages)
+            tracemalloc.start()
+            try:
+                model.forward_embedded(x, lengths, np.cumsum(lengths) - 1)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak < 2 * 384 * config.d_model * config.ffn_mult * 8
 
     def test_shared_mask_is_read_only_and_equals_the_triangle(self):
         for t in (1, 5, ad._triangles[0].shape[0] + 2, 3):
