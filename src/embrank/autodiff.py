@@ -70,19 +70,17 @@ def no_grad():
 
 
 class _Node:
-    """A tensor's slot in the tape: its gradient, whether it takes one, the
-    nodes of its op's inputs (None for an input with no node), the op's
-    ``backward(g, *parents)``, which adds ``g`` into the parents' gradients,
-    and, where the value is cheap to make again (``rms_norm``), ``remake()``:
-    the value with its forward bits, so the backwards reading it need not
-    keep it."""
+    """A tensor's slot in the tape, which it has exactly while it takes a
+    gradient: that gradient, the nodes of its op's inputs (None for an input
+    with no node), the op's ``backward(g, *parents)``, which adds ``g`` into
+    the parents' gradients, and, where the value is cheap to make again
+    (``rms_norm``), ``remake()``: the value with its forward bits, so the
+    backwards reading it need not keep it."""
 
-    __slots__ = ("grad", "requires_grad", "parents", "backward", "remake")
+    __slots__ = ("grad", "parents", "backward", "remake")
 
-    def __init__(self, requires_grad: bool, parents: tuple = (),
-                 backward: Callable[..., None] | None = None):
+    def __init__(self, parents: tuple = (), backward: Callable[..., None] | None = None):
         self.grad: np.ndarray | None = None
-        self.requires_grad = requires_grad
         self.parents: tuple[_Node | None, ...] = parents
         self.backward = backward
         self.remake: Callable[[], np.ndarray] | None = None
@@ -104,17 +102,15 @@ class Tensor:
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
-        self.node: _Node | None = _Node(True) if requires_grad else None
+        self.node: _Node | None = _Node() if requires_grad else None
 
     @property
     def requires_grad(self) -> bool:
-        return self.node is not None and self.node.requires_grad
+        return self.node is not None
 
     @requires_grad.setter
     def requires_grad(self, value: bool) -> None:
-        if self.node is None:
-            self.node = _Node(False)
-        self.node.requires_grad = bool(value)
+        self.node = (self.node or _Node()) if value else None
 
     @property
     def grad(self) -> np.ndarray | None:
@@ -122,9 +118,10 @@ class Tensor:
 
     @grad.setter
     def grad(self, value: np.ndarray | None) -> None:
-        if self.node is None:
-            self.node = _Node(False)
-        self.node.grad = value
+        if self.node is not None:
+            self.node.grad = value
+        elif value is not None:
+            raise ValueError("grad: this tensor takes no gradient")
 
     @property
     def _backward(self) -> Callable[..., None] | None:
@@ -197,7 +194,7 @@ def _records(inputs: tuple[Tensor, ...]) -> bool:
     takes a gradient. A plain loop, as this runs on every op."""
     if _grad_enabled.get():
         for t in inputs:
-            if t.node is not None and t.node.requires_grad:
+            if t.node is not None:
                 return True
     return False
 
@@ -208,7 +205,7 @@ def _result(data: np.ndarray, op: str, inputs: tuple[Tensor, ...],
     ``inputs``' nodes, in order, and which ``backward`` gets as arguments."""
     out = Tensor(check_finite(data, op))
     if _records(inputs):
-        out.node = _Node(True, tuple([t.node for t in inputs]), backward)
+        out.node = _Node(tuple([t.node for t in inputs]), backward)
     return out
 
 
@@ -224,8 +221,8 @@ def _read(kept: np.ndarray | None, node: _Node) -> np.ndarray:
 
 
 def _accumulate(node: _Node | None, g: np.ndarray, owned: bool = False) -> None:
-    """Add ``g`` into ``node.grad``; a parent with no node, or one that takes
-    no gradient, is skipped. Unlike zeros + g, an exact -0.0 stays -0.0.
+    """Add ``g`` into ``node.grad``; a parent with no node is skipped. Unlike
+    zeros + g, an exact -0.0 stays -0.0.
 
     ``owned`` says ``g`` is a new C-ordered float64 array that the calling op
     has just made and hands to no other node: a first contribution is then
@@ -233,7 +230,7 @@ def _accumulate(node: _Node | None, g: np.ndarray, owned: bool = False) -> None:
     a shared ``g`` would take the next contribution to one node into the
     other's gradient too, and a strided one would round the next GEMM
     differently."""
-    if node is None or not node.requires_grad:
+    if node is None:
         return
     if node.grad is None:
         node.grad = g if owned else np.array(g, dtype=np.float64, order="C")
@@ -414,46 +411,57 @@ def silu_matmul(m: Tensor, w1: Tensor, w2: Tensor) -> Tensor:
     return _result(_product(h, v2), "silu_matmul", (m, w1, w2), bw)
 
 
+def row_squares(m: np.ndarray) -> np.ndarray:
+    """dot(m_i, m_i) of each row of [n, d] ``m``; inf, unwarned, where it overflows."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.matmul(m[:, None, :], m[:, :, None])[:, 0, 0]
+
+
+def cosines(v: np.ndarray, m: np.ndarray, norms: np.ndarray, op: str) -> tuple[np.ndarray, float]:
+    """dot(v, m_i) / (sqrt(dot(v, v)) * norms[i]) for each row of ``m``, and
+    dot(v, v), whose not being finite raises ``NumericError`` and being 0
+    ``DegenerateInputError``, naming ``op``. Here and in ``row_squares`` the
+    dots are batched [1, d] @ [d, 1] products: unlike ``m @ v`` (gemv), those
+    round each entry exactly as one ``np.dot`` does."""
+    with np.errstate(over="ignore"):
+        vv = float(np.dot(v, v))
+    if not math.isfinite(vv):
+        raise NumericError(f"{op}: the vector's squared norm is not finite")
+    if vv == 0.0:
+        raise DegenerateInputError(f"{op}: the vector has zero norm")
+    return np.matmul(m[:, None, :], v[:, None])[:, 0, 0] / (np.sqrt(vv) * norms), vv
+
+
 def cosine_rows(v: Tensor, m: Tensor) -> Tensor:
     """Cosine similarity of a nonzero vector ``v`` [d] against each row of ``m`` [n, d].
 
     Entry i equals dot(v, m_i) / (sqrt(dot(v, v)) * sqrt(dot(m_i, m_i))) bit
     for bit, with ``np.dot`` and ``np.sqrt`` (``np.linalg.norm`` gives the
-    same norms), so external recomputations of that expression match exactly:
-    ``retrieval.DenseIndex.search`` is one, with each row's norm computed
+    same norms): ``row_squares`` and ``cosines`` compute it, and
+    ``retrieval.DenseIndex`` calls them too, with each row's norm computed
     once per index. A ``v`` or row whose squared norm is not finite (an
     infinity, a NaN, or values whose squares overflow) raises
     ``NumericError`` before any division, and a zero-norm one raises
     ``DegenerateInputError``; both name the row. Then no dot can overflow.
-    The dots are batched [1, d] @ [d, 1] products: unlike ``m @ v`` (gemv),
-    those round each entry exactly as one ``np.dot`` does. The node keeps
-    both inputs, the result and the norms.
+    The node keeps both inputs, the result and the norms and their squares.
     """
     v, m = _as_tensor(v), _as_tensor(m)
     if v.ndim != 1 or m.ndim != 2 or m.shape[1] != v.shape[0]:
         raise ShapeError(f"cosine_rows: expected a [d] vector and [n, d] rows, "
                          f"got {v.shape} and {m.shape}")
-    rows = m.data[:, None, :]
-    with np.errstate(over="ignore"):
-        vv = float(np.dot(v.data, v.data))
-        mm = np.matmul(rows, m.data[:, :, None])[:, 0, 0]
-    if not math.isfinite(vv):
-        raise NumericError("cosine_rows: the vector's squared norm is not finite")
-    if vv == 0.0:
-        raise DegenerateInputError("cosine_rows: vector has zero norm")
+    vd, md = v.data, m.data
+    mm = row_squares(md)
     bad = np.flatnonzero(~np.isfinite(mm))
     if bad.size:
         raise NumericError(f"cosine_rows: row {bad[0]}'s squared norm is not finite")
     zero = np.flatnonzero(mm == 0.0)
     if zero.size:
         raise DegenerateInputError(f"cosine_rows: row {zero[0]} has zero norm")
-    denom = np.sqrt(vv) * np.sqrt(mm)
-    out_data = np.matmul(rows, v.data[:, None])[:, 0, 0] / denom
-
-    vd, md = v.data, m.data
+    norms = np.sqrt(mm)
+    out_data, vv = cosines(vd, md, norms, "cosine_rows")
 
     def bw(g, nv, nm):
-        gd = g / denom
+        gd = g / (np.sqrt(vv) * norms)
         _accumulate(nv, gd @ md - (g @ out_data / vv) * vd)
         _accumulate(nm, np.outer(gd, vd) - (g * out_data / mm)[:, None] * md)
     return _result(out_data, "cosine_rows", (v, m), bw)
@@ -479,7 +487,7 @@ def take_rows(a: Tensor, indices) -> Tensor:
     shape = a.shape
 
     def bw(g, na):
-        if na is not None and na.requires_grad:
+        if na is not None:
             if na.grad is None:
                 na.grad = np.zeros(shape)
             _scatter_rows(na.grad, idx, g)
@@ -512,7 +520,7 @@ def pick(a: Tensor, i: int) -> Tensor:
     shape = a.shape
 
     def bw(g, na):
-        if na is not None and na.requires_grad:
+        if na is not None:
             if na.grad is None:
                 na.grad = np.zeros(shape)
             na.grad[i] += g
@@ -781,7 +789,9 @@ def backward(loss: Tensor) -> None:
     if loss.shape != ():
         raise ShapeError(f"backward requires a scalar loss, got shape {loss.shape}")
 
-    loss.grad = np.ones_like(loss.data)
+    if loss.node is None:
+        return
+    loss.node.grad = np.ones_like(loss.data)
     topo: list[_Node] = []
     visited: set[int] = set()
     stack: list[tuple[_Node, bool]] = [(loss.node, False)]

@@ -86,11 +86,8 @@ class ExperimentConfig:
             self.optim.validate()
         except ConfigError as exc:
             raise ConfigError(f"optim.{exc}") from None
-        for i, stage in enumerate(self.stages):
-            for name, low in (("epochs", 0), ("batch_size", 1), ("lr", 0)):
-                value = getattr(stage, name)
-                if not value >= low:
-                    raise ConfigError(f"stages[{i}].{name}: must be >= {low}, got {value!r}")
+        for i, stage in enumerate(self.stage_configs()):
+            stage.validate(f"stages[{i}]")
 
     def stage_configs(self) -> list[StageConfig]:
         names = ["stage1", "stage2"]

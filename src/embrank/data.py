@@ -72,9 +72,6 @@ class Vocabulary:
         """Deterministic text -> ids; unknown words map to the UNK id."""
         return [self.token_to_id.get(w, self.unk_id) for w in split_words(text)]
 
-    def decode(self, ids: Sequence[int]) -> list[str]:
-        return [self.id_to_token[i] for i in ids]
-
     def instruction_ids(self) -> list[int]:
         return self.encode(INSTRUCTION_TEXT)
 

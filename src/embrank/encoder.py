@@ -13,7 +13,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import EmbrankError, ShapeError
-from .transformer import CausalTransformer, ModelConfig
+from .transformer import CausalTransformer
 
 # Token rows per packed forward, chosen by measurement: 192-512 rows build the
 # 5000-passage dense index about as fast, 768 about 25% slower. Pack size also
@@ -34,23 +34,9 @@ from .transformer import CausalTransformer, ModelConfig
 TOKEN_BUDGET = 384
 
 
-class EncoderModel:
+class EncoderModel(CausalTransformer):
     """Pools each passage to its raw last hidden state, the embedding the
     residual fusion downstream takes unnormalized."""
-
-    def __init__(self, config: ModelConfig, weights):
-        """``weights``: as ``CausalTransformer`` takes them."""
-        self.transformer = CausalTransformer(config, weights)
-
-    @property
-    def config(self) -> ModelConfig:
-        return self.transformer.config
-
-    def parameters(self) -> dict[str, Tensor]:
-        return self.transformer.parameters()
-
-    def set_trainable(self, trainable: bool) -> None:
-        self.transformer.set_trainable(trainable)
 
     def encode_passage(self, token_ids) -> Tensor:
         """Compress one token sequence to a single [d] embedding (last-token
@@ -100,9 +86,8 @@ class EncoderModel:
         for pack in packs:
             lengths = [len(passages[i]) for i in pack]
             try:
-                x = self.transformer.embed_tokens([passages[i] for i in pack])
-                pooled.append(self.transformer.forward_embedded(x, lengths,
-                                                                np.cumsum(lengths) - 1))
+                x = self.embed_tokens([passages[i] for i in pack])
+                pooled.append(self.forward_embedded(x, lengths, np.cumsum(lengths) - 1))
             except EmbrankError as exc:
                 raise type(exc)(f"passages {sorted(pack)}: {exc}") from exc
         out = ad.concat_rows(pooled)

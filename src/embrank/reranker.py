@@ -12,7 +12,7 @@ a single forward pass: no token is ever generated.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -36,8 +36,7 @@ class RerankInput:
 class RerankOutput:
     fused: Tensor                # [n, d], row i is r_i
     h_eos: Tensor
-    score_tensor: Tensor         # [n] graph-connected scores, for training
-    scores: list[float]
+    score_tensor: Tensor         # [n] scores, graph-connected for training
     permutation: list[int]       # doc indices by descending score, ties -> earlier input
 
 
@@ -53,27 +52,15 @@ def fuse_residual(h: Tensor, e: Tensor, *, residual: bool = True,
     return ad.add(h, e)
 
 
-class RerankerModel:
-    def __init__(self, config: ModelConfig, weights, eos_id: int, *,
-                 residual_enabled: bool = True,
-                 hidden_state_enabled: bool = True):
-        """``weights``: as ``CausalTransformer`` takes them."""
-        if not residual_enabled and not hidden_state_enabled:
-            raise ConfigError("residual_enabled and hidden_state_enabled cannot both be off")
-        self.transformer = CausalTransformer(config, weights)
+class RerankerModel(CausalTransformer):
+    """The listwise reranker. Its two fusion switches, ``residual_enabled``
+    and ``hidden_state_enabled``, start on; ``fuse_residual`` refuses both off."""
+
+    def __init__(self, config: ModelConfig, weights, eos_id: int):
+        super().__init__(config, weights)
         self.eos_id = eos_id
-        self.residual_enabled = residual_enabled
-        self.hidden_state_enabled = hidden_state_enabled
-
-    @property
-    def config(self) -> ModelConfig:
-        return self.transformer.config
-
-    def parameters(self) -> dict[str, Tensor]:
-        return self.transformer.parameters()
-
-    def set_trainable(self, trainable: bool) -> None:
-        self.transformer.set_trainable(trainable)
+        self.residual_enabled = True
+        self.hidden_state_enabled = True
 
     def assemble_input(self, instruction_ids, query_ids, embeddings: Tensor) -> RerankInput:
         """Lay out [instruction; query; e_1..e_n; query anchor; EOS] and add positions.
@@ -96,10 +83,10 @@ class RerankerModel:
         if total > self.config.max_seq_len:
             raise ShapeError(f"assemble_input: sequence of {total} exceeds "
                              f"max_seq_len={self.config.max_seq_len}")
-        tok = self.transformer.params["tok_emb"]
+        tok = self.params["tok_emb"]
         x = ad.concat_rows([ad.take_rows(tok, prefix_ids), embeddings,
                             ad.take_rows(tok, suffix_ids)])
-        pos = ad.take_rows(self.transformer.params["pos_emb"], np.arange(total))
+        pos = ad.take_rows(self.params["pos_emb"], np.arange(total))
         return RerankInput(
             x=ad.add(x, pos),
             passage_positions=list(range(len(prefix_ids), len(prefix_ids) + n)),
@@ -111,9 +98,9 @@ class RerankerModel:
         position, or [len(rows), d] holding only those at the positions
         ``rows`` (the same bits; past attention, the last block runs on them
         alone)."""
-        return self.transformer.forward_embedded(rerank_input.x, rows=rows)
+        return self.forward_embedded(rerank_input.x, rows=rows)
 
-    def score(self, h_eos: Tensor, fused: Tensor) -> tuple[list[float], Tensor, list[int]]:
+    def score(self, h_eos: Tensor, fused: Tensor) -> tuple[Tensor, list[int]]:
         """Cosine of the EOS aggregation state against each fused row of ``fused`` [n, d].
 
         The permutation is a stable descending argsort: score ties resolve to
@@ -121,7 +108,7 @@ class RerankerModel:
         """
         score_tensor = ad.cosine_rows(h_eos, fused)
         permutation = [int(i) for i in np.argsort(-score_tensor.data, kind="stable")]
-        return score_tensor.data.tolist(), score_tensor, permutation
+        return score_tensor, permutation
 
     def forward(self, instruction_ids, query_ids, embeddings: Tensor) -> RerankOutput:
         """Score the candidates whose encoder embeddings are the rows of ``embeddings`` [n, d].
@@ -136,9 +123,7 @@ class RerankerModel:
         fused = fuse_residual(ad.take_rows(hidden, np.arange(n)), embeddings,
                               residual=self.residual_enabled,
                               hidden_state=self.hidden_state_enabled)
-        scores, score_tensor, permutation = self.score(h_eos, fused)
-        return RerankOutput(fused=fused, h_eos=h_eos, score_tensor=score_tensor,
-                            scores=scores, permutation=permutation)
+        return RerankOutput(fused, h_eos, *self.score(h_eos, fused))
 
 
 @dataclass
@@ -148,10 +133,6 @@ class ModelPair:
     encoder: EncoderModel
     reranker: RerankerModel
     vocab: Vocabulary
-
-    def __post_init__(self):
-        if self.encoder.config.d_model != self.reranker.config.d_model:
-            raise ConfigError("encoder and reranker must share the hidden dimension")
 
     def instruction_ids(self) -> list[int]:
         return self.vocab.instruction_ids()
@@ -167,19 +148,14 @@ class ModelPair:
 def build_model_pair(vocab: Vocabulary, seed: int, *,
                      d_model: int = 64, n_layers: int = 2, n_heads: int = 4,
                      encoder_max_len: int = 64, reranker_max_len: int = 256,
-                     ffn_mult: int = 4,
-                     residual_enabled: bool = True,
-                     hidden_state_enabled: bool = True) -> ModelPair:
-    """Deterministic paired initialization: same seed, same weights, flags aside."""
+                     ffn_mult: int = 4) -> ModelPair:
+    """Deterministic paired initialization: same seed, same weights."""
     rng = np.random.default_rng(seed)
     enc_cfg = ModelConfig(vocab_size=len(vocab), d_model=d_model, n_layers=n_layers,
                           n_heads=n_heads, max_seq_len=encoder_max_len, ffn_mult=ffn_mult)
-    rer_cfg = ModelConfig(vocab_size=len(vocab), d_model=d_model, n_layers=n_layers,
-                          n_heads=n_heads, max_seq_len=reranker_max_len, ffn_mult=ffn_mult)
+    rer_cfg = replace(enc_cfg, max_seq_len=reranker_max_len)
     encoder = EncoderModel(enc_cfg, rng)
-    reranker = RerankerModel(rer_cfg, rng, eos_id=vocab.eos_id,
-                             residual_enabled=residual_enabled,
-                             hidden_state_enabled=hidden_state_enabled)
+    reranker = RerankerModel(rer_cfg, rng, eos_id=vocab.eos_id)
     return ModelPair(encoder=encoder, reranker=reranker, vocab=vocab)
 
 
@@ -209,7 +185,7 @@ def rerank_embeddings(query_ids, doc_ids: list[str], embeddings: Tensor,
     with ad.no_grad():
         output = models.reranker.forward(models.instruction_ids(), query_ids, embeddings)
     counter = TokenCounter(processed_passage_tokens=len(doc_ids), candidates=len(doc_ids))
-    entries = [RunEntry(doc_id=doc_ids[i], score=output.scores[i])
-               for i in output.permutation]
+    scores = output.score_tensor.data.tolist()
+    entries = [RunEntry(doc_id=doc_ids[i], score=scores[i]) for i in output.permutation]
     run = RunList(query_id=query_id, entries=entries, tag=tag, counters=counter)
     return RerankResult(run=run, output=output, embeddings=embeddings)

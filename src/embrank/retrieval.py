@@ -33,8 +33,7 @@ import numpy as np
 from . import autodiff as ad
 from .checkpoint import encoder_checksum
 from .data import Document
-from .errors import (ConfigError, DataFormatError, DegenerateInputError, NumericError,
-                     ShapeError)
+from .errors import ConfigError, DataFormatError, DegenerateInputError, ShapeError
 from .reranker import ModelPair, rerank_embeddings
 from .runs import RunEntry, RunList, TokenCounter, rank_by_id, sorted_entries, top_entries
 from .serialization import field_checker, read_record_file, require_keys, write_record_file
@@ -258,8 +257,7 @@ class DenseIndex:
               f"has shape {matrix.shape}, not [documents, d >= 1]")
         check(len(matrix) == len(self.doc_ids), "matrix",
               f"holds {len(matrix)} rows for {len(self.doc_ids)} documents")
-        with np.errstate(over="ignore", invalid="ignore"):
-            squares = np.matmul(matrix[:, None, :], matrix[:, :, None])[:, 0, 0]
+        squares = ad.row_squares(matrix)
         bad = np.flatnonzero(~np.isfinite(squares))
         if bad.size:
             check(False, "matrix", f"row {bad[0]} ({self.doc_ids[bad[0]]!r}) holds NaN, "
@@ -304,9 +302,9 @@ class DenseIndex:
         top k with the same result as sorting every row; ties break by doc id
         ascending.
 
-        Score i is ``dot(v, m_i) / (sqrt(dot(v, v)) * norms[i])``, the IEEE
-        operations of ``ad.cosine_rows`` (which it equals bit for bit) with
-        the row norms read from the index. A query of the wrong width raises
+        Score i is ``ad.cosines``' ``dot(v, m_i) / (sqrt(dot(v, v)) *
+        norms[i])``, as ``ad.cosine_rows`` computes it (bit for bit) with the
+        row norms read from the index. A query of the wrong width raises
         ``ShapeError``, and one whose ``dot(v, v)`` is not finite raises
         ``NumericError`` before any division; a zero-norm query or row (from a
         damaged file) raises ``DegenerateInputError``, naming the row; a
@@ -318,19 +316,12 @@ class DenseIndex:
         if len(v) != self.matrix.shape[1]:
             raise ShapeError(f"dense search: query has {len(v)} values, "
                              f"the index rows {self.matrix.shape[1]}")
-        with np.errstate(over="ignore"):
-            vv = float(np.dot(v, v))
-        if not math.isfinite(vv):
-            raise NumericError("dense search: the query's squared norm is not finite")
-        if vv == 0.0:
-            raise DegenerateInputError("dense search: query has zero norm")
         if not self.norms.all():
             row = int(np.flatnonzero(self.norms == 0.0)[0])
             raise DegenerateInputError(
                 f"dense search: row {row} ({self.doc_ids[row]!r}) has zero norm")
-        # Batched [1, d] @ [d, 1] dots, as in cosine_rows: a gemv would round differently.
-        sims = np.matmul(self.matrix[:, None, :], v[:, None])[:, 0, 0] / (np.sqrt(vv) * self.norms)
-        ad.check_finite(sims, "dense search")
+        sims = ad.check_finite(ad.cosines(v, self.matrix, self.norms, "dense search")[0],
+                               "dense search")
         return RunList(query_id=query_id, tag="dense",
                        entries=top_entries(self.doc_ids, self.id_rank, sims, k))
 

@@ -17,6 +17,7 @@ so the toy default is lr 3e-4 with per-step batches of 8.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -58,6 +59,16 @@ class StageConfig:
     epochs: int = 3
     batch_size: int = 8
     lr: float = 3e-4
+
+    def validate(self, key: str = "") -> None:
+        """Epochs >= 0, a batch size >= 1 and a finite lr >= 0, or a
+        ``ConfigError`` naming ``key`` (by default the stage's name)."""
+        for name, low in (("epochs", 0), ("batch_size", 1), ("lr", 0)):
+            value = getattr(self, name)
+            if not value >= low:
+                raise ConfigError(f"{key or self.name}.{name}: must be >= {low}, got {value!r}")
+        if not math.isfinite(self.lr):
+            raise ConfigError(f"{key or self.name}.lr: must be finite, got {self.lr!r}")
 
 
 @dataclass
@@ -268,8 +279,8 @@ def train_stages(models: ModelPair, plan, doc_tokens, optim: OptimConfig,
     flags and the encoder's trainability from ``loss_cfg`` before building
     its own Adam, so a frozen encoder receives neither gradients nor updates.
 
-    The loss and optimizer configs and every stage (epochs, batch size,
-    samples) are checked here, before anything trains: a bad plan raises
+    The loss and optimizer configs and every stage (``StageConfig.validate``
+    and its samples) are checked here, before anything trains: a bad plan raises
     ``ConfigError`` from the call itself. The returned iterator trains the
     stages as it is driven and yields each stage as it finishes, so a caller
     can checkpoint between stages.
@@ -278,9 +289,7 @@ def train_stages(models: ModelPair, plan, doc_tokens, optim: OptimConfig,
     optim.validate()
     checked = []
     for stage, samples in plan:
-        if stage.epochs < 0 or stage.batch_size < 1:
-            raise ConfigError(f"stage {stage.name}: invalid epochs={stage.epochs}/"
-                              f"batch_size={stage.batch_size}")
+        stage.validate()
         for sample in samples:
             validate_sample(sample)
         usable = [sample for sample in samples if has_orderable_pair(sample)]

@@ -1,4 +1,5 @@
-"""Toy causal transformer shared by the passage encoder and the listwise reranker.
+"""The toy causal transformer that the passage encoder and the listwise reranker
+each are: ``EncoderModel`` and ``RerankerModel`` subclass it.
 
 Pre-norm blocks with RMS normalization, multi-head causal self-attention and a
 SiLU feed-forward, learned absolute positions, no biases. Sequences run packed
@@ -90,6 +91,7 @@ class CausalTransformer:
         return self.params
 
     def set_trainable(self, trainable: bool) -> None:
+        """Frozen parameters drop their tape nodes: no op on them records."""
         for t in self.params.values():
             t.requires_grad = bool(trainable)
 

@@ -243,22 +243,24 @@ def test_criterion_6_structural_ablations(small_dataset, small_doc_tokens):
 
     # W/O Hidden State: score_i == cosine(h_eos, e_i), recomputed externally
     m1 = build_model_pair(ds.vocab, seed=600, d_model=16, n_layers=1, n_heads=2,
-                          reranker_max_len=96, hidden_state_enabled=False)
+                          reranker_max_len=96)
+    m1.reranker.hidden_state_enabled = False
     r1 = rerank_pairs(qt, cands, m1, query_id=q.query_id)
     h = r1.output.h_eos.data
-    for score, e in zip(r1.output.scores, r1.embeddings.data):
+    for score, e in zip(r1.output.score_tensor.data, r1.embeddings.data):
         ext = float(np.dot(h, e) /
                     (np.sqrt(np.dot(h, h)) * np.sqrt(np.dot(e, e))))
         assert score == ext
 
     # W/O Residual: score_i == cosine(h_eos, h_i^p), recomputed externally
     m2 = build_model_pair(ds.vocab, seed=600, d_model=16, n_layers=1, n_heads=2,
-                          reranker_max_len=96, residual_enabled=False)
+                          reranker_max_len=96)
+    m2.reranker.residual_enabled = False
     r2 = rerank_pairs(qt, cands, m2, query_id=q.query_id)
     rin = m2.reranker.assemble_input(m2.instruction_ids(), qt, r2.embeddings)
     hidden = m2.reranker.contextualize(rin).data
     h2 = r2.output.h_eos.data
-    for score, p in zip(r2.output.scores, rin.passage_positions):
+    for score, p in zip(r2.output.score_tensor.data, rin.passage_positions):
         hp = hidden[p]
         ext = float(np.dot(h2, hp) /
                     (np.sqrt(np.dot(h2, h2)) * np.sqrt(np.dot(hp, hp))))

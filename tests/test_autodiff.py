@@ -873,7 +873,7 @@ class TestTapeKeepsOnlyWhatBackwardReads:
                 read()
             return bw
         loss = ad.Tensor(0.0)
-        loss.node = ad._Node(True, (), op())
+        loss.node = ad._Node((), op())
         assert list(tape_bytes(loss).values()) == [held.nbytes]
         x = ad.tensor(np.ones((4, 8)), requires_grad=True)
         n = ad.rms_norm(x, ad.param(np.ones(8)))
@@ -1160,6 +1160,29 @@ class TestNoGrad:
                 assert not ad.mul(w, w).requires_grad
             assert not ad.mul(w, w).requires_grad
         assert ad.mul(w, w).requires_grad
+
+    def test_a_frozen_parameter_has_no_node(self):
+        """A tensor has a node exactly while it takes a gradient: after
+        ``set_trainable(False)`` no parameter has one and ``grad`` reads None,
+        no op on them records, and ``backward`` from a loss with no node
+        returns at once. A gradient cannot be set on such a tensor."""
+        model = CausalTransformer(ModelConfig(vocab_size=5, d_model=4, n_layers=1, n_heads=2),
+                                  np.random.default_rng(0))
+        w = model.params["tok_emb"]
+        w.grad = np.ones_like(w.data)
+        model.set_trainable(False)
+        assert all(t.node is None and t.grad is None for t in model.parameters().values())
+        loss = ad.sum_all(ad.take_rows(w, [1, 2]))
+        assert loss.node is None
+        backward(loss)
+        assert w.grad is None and loss.grad is None
+        with pytest.raises(ValueError):
+            w.grad = np.ones_like(w.data)
+        w.grad = None
+        model.set_trainable(True)
+        assert w.node is not None and w.grad is None
+        backward(ad.sum_all(ad.take_rows(w, [1, 2])))
+        assert w.grad[1:3].sum() == 8.0
 
     def test_finite_guard_still_runs(self):
         with ad.no_grad(), np.errstate(over="ignore"), pytest.raises(NumericError):

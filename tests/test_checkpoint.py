@@ -117,8 +117,8 @@ class TestCheckpoint:
         assert parameter_checksum(loaded) == parameter_checksum(models)
 
     def test_flags_survive_round_trip(self, tiny_vocab, tmp_path):
-        models = build_model_pair(tiny_vocab, seed=1, d_model=16, n_layers=1,
-                                  n_heads=2, residual_enabled=False)
+        models = build_model_pair(tiny_vocab, seed=1, d_model=16, n_layers=1, n_heads=2)
+        models.reranker.residual_enabled = False
         path = tmp_path / "model.ckpt"
         save_checkpoint(path, models)
         loaded = load_checkpoint(path)

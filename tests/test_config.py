@@ -2,10 +2,11 @@
 
 import dataclasses
 import json
+import math
 
 import pytest
 
-from embrank.config import (ExperimentConfig, ModelSettings, config_from_dict,
+from embrank.config import (ExperimentConfig, ModelSettings, StageSettings, config_from_dict,
                             config_to_dict, load_config)
 from embrank.errors import ConfigError
 from embrank.reranker import build_model_pair
@@ -142,6 +143,18 @@ def test_out_of_range_stage_field_names_file_key_and_value(tmp_path, field, valu
     with pytest.raises(ConfigError) as err:
         load_config(path)
     assert str(err.value) == f"{path}: stages[1].{field}: must be >= {low}, got {value}"
+
+
+@pytest.mark.parametrize("lr, message", [(math.inf, "must be finite, got inf"),
+                                         (math.nan, "must be >= 0, got nan")],
+                         ids=["inf", "nan"])
+def test_non_finite_stage_lr_built_in_code_rejected(lr, message):
+    """JSON cannot carry these past ``parse_as``, but a config built in code
+    could: ``validate`` checks each stage by ``StageConfig``'s one rule."""
+    cfg = ExperimentConfig(stages=[StageSettings(), StageSettings(lr=lr)])
+    with pytest.raises(ConfigError) as err:
+        cfg.validate()
+    assert str(err.value) == f"stages[1].lr: {message}"
 
 
 @pytest.mark.parametrize("field, value, rule", [("beta1", 1.0, "in [0, 1)"),

@@ -46,7 +46,7 @@ def test_pooling_is_final_position_hidden_state(encoder, vocab):
     no projection head sits between the encoder and what gets injected."""
     ids = vocab.encode("alpha beta gamma delta")
     e = encoder.encode_passage(ids)
-    ref = reference_transformer_forward(encoder.transformer, token_ids=ids)
+    ref = reference_transformer_forward(encoder, token_ids=ids)
     np.testing.assert_allclose(e.data, ref[-1], atol=1e-12)
 
 
@@ -70,8 +70,8 @@ def test_score_ordering_matches_reference_forward(encoder, vocab):
         ids = vocab.encode(text)
         e = encoder.encode_passage(ids).data
         lib_scores.append(float(q @ e / (np.linalg.norm(q) * np.linalg.norm(e))))
-        r = reference_transformer_forward(encoder.transformer, token_ids=ids)[-1]
-        qr = reference_transformer_forward(encoder.transformer, token_ids=query)[-1]
+        r = reference_transformer_forward(encoder, token_ids=ids)[-1]
+        qr = reference_transformer_forward(encoder, token_ids=query)[-1]
         ref_scores.append(float(qr @ r / (np.linalg.norm(qr) * np.linalg.norm(r))))
     assert np.argsort(lib_scores).tolist() == np.argsort(ref_scores).tolist()
     np.testing.assert_allclose(lib_scores, ref_scores, atol=1e-10)
@@ -200,7 +200,7 @@ class TestReadRows:
     @staticmethod
     def transformer(vocab, n_layers):
         return build_model_pair(vocab, seed=29, d_model=16, n_layers=n_layers, n_heads=2,
-                                encoder_max_len=12, ffn_mult=2).encoder.transformer
+                                encoder_max_len=12, ffn_mult=2).encoder
 
     @pytest.mark.parametrize("n_layers", [1, 2])
     @pytest.mark.parametrize("texts, rows", [
@@ -231,7 +231,7 @@ class TestReadRows:
         """``batch_encode`` rows equal the last rows of the unpruned forward."""
         enc = build_model_pair(vocab, seed=29, d_model=16, n_layers=2, n_heads=2,
                                encoder_max_len=12, ffn_mult=2).encoder
-        model = enc.transformer
+        model = enc
         passages = [vocab.encode(t) for t in ("alpha beta", "gamma", "delta epsilon zeta")]
         order = sorted(range(3), key=lambda i: len(passages[i]))
         lengths = [len(passages[i]) for i in order]

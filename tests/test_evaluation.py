@@ -239,8 +239,8 @@ class TestAblationStructure:
     def test_without_hidden_state_scores_are_pure_embedding_cosines(self, eval_setup):
         ds, _, items = eval_setup
         models = build_model_pair(ds.vocab, seed=61, d_model=16, n_layers=1,
-                                  n_heads=2, reranker_max_len=96,
-                                  hidden_state_enabled=False)
+                                  n_heads=2, reranker_max_len=96)
+        models.reranker.hidden_state_enabled = False
         item = items[0]
         qt = ds.vocab.encode(item.query.text)
         result = rerank_pairs(qt, item.candidates[:6], models, query_id="q")
@@ -248,13 +248,13 @@ class TestAblationStructure:
         for i, e in enumerate(result.embeddings.data):
             expected = float(np.dot(h, e) /
                              (np.sqrt(np.dot(h, h)) * np.sqrt(np.dot(e, e))))
-            assert result.output.scores[i] == expected  # bitwise
+            assert result.output.score_tensor.data[i] == expected  # bitwise
 
     def test_without_residual_scores_are_pure_hidden_cosines(self, eval_setup):
         ds, _, items = eval_setup
         models = build_model_pair(ds.vocab, seed=61, d_model=16, n_layers=1,
-                                  n_heads=2, reranker_max_len=96,
-                                  residual_enabled=False)
+                                  n_heads=2, reranker_max_len=96)
+        models.reranker.residual_enabled = False
         item = items[0]
         qt = ds.vocab.encode(item.query.text)
         result = rerank_pairs(qt, item.candidates[:6], models, query_id="q")
@@ -266,7 +266,7 @@ class TestAblationStructure:
             hp = hidden[p]
             expected = float(np.dot(h, hp) /
                              (np.sqrt(np.dot(h, h)) * np.sqrt(np.dot(hp, hp))))
-            assert result.output.scores[i] == expected  # bitwise
+            assert result.output.score_tensor.data[i] == expected  # bitwise
 
     def test_suite_runs_all_variants_from_identical_init(self, small_dataset,
                                                          small_doc_tokens, eval_setup):

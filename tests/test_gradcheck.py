@@ -42,7 +42,7 @@ def test_pruned_last_block_matches_finite_differences(tiny_vocab):
     block past attention runs on those rows) match finite differences, for
     the packed input and every block parameter of two layers."""
     model = build_model_pair(tiny_vocab, seed=23, d_model=4, n_layers=2, n_heads=2,
-                             encoder_max_len=8, ffn_mult=2).encoder.transformer
+                             encoder_max_len=8, ffn_mult=2).encoder
     rng = np.random.default_rng(zlib.crc32(b"forward_embedded_rows"))
     x = ad.param(rng.normal(size=(5, 4)))
     w = ad.tensor(rng.normal(size=(3, 4)))

@@ -47,7 +47,7 @@ class TestAssembly:
         query = vocab.encode("alpha beta")
         embs = random_embeddings(tiny_models, 3, seed=4)
         rin = tiny_models.reranker.assemble_input(inst, query, embs)
-        pos_table = tiny_models.reranker.transformer.params["pos_emb"].data
+        pos_table = tiny_models.reranker.params["pos_emb"].data
         for i, p in enumerate(rin.passage_positions):
             np.testing.assert_array_equal(rin.x.data[p], embs.data[i] + pos_table[p])
 
@@ -170,30 +170,30 @@ class TestScore:
     def test_parallel_scores_one_and_ranks_first(self, tiny_models):
         h_eos = ad.tensor([1.0, 2.0, 3.0, 0.0])
         fused = ad.tensor([[-3.0, 1.0, 0.0, 2.0], [2.0, 4.0, 6.0, 0.0]])
-        scores, _, perm = tiny_models.reranker.score(h_eos, fused)
-        assert scores[1] == pytest.approx(1.0, abs=1e-12)
+        scores, perm = tiny_models.reranker.score(h_eos, fused)
+        assert scores.data[1] == pytest.approx(1.0, abs=1e-12)
         assert perm[0] == 1
 
     def test_antiparallel_scores_minus_one_and_ranks_last(self, tiny_models):
         h_eos = ad.tensor([1.0, 0.0])
         fused = ad.tensor([[-1.0, 0.0], [0.5, 0.5]])
-        scores, _, perm = tiny_models.reranker.score(h_eos, fused)
-        assert scores[0] == pytest.approx(-1.0, abs=1e-12)
+        scores, perm = tiny_models.reranker.score(h_eos, fused)
+        assert scores.data[0] == pytest.approx(-1.0, abs=1e-12)
         assert perm[-1] == 0
 
     def test_permutation_invariant_to_eos_rescaling(self, tiny_models):
         rng = np.random.default_rng(14)
         h = rng.normal(size=6)
         fused = ad.tensor(rng.normal(size=(5, 6)))
-        _, _, perm1 = tiny_models.reranker.score(ad.tensor(h), fused)
-        _, _, perm5 = tiny_models.reranker.score(ad.tensor(5.0 * h), fused)
+        _, perm1 = tiny_models.reranker.score(ad.tensor(h), fused)
+        _, perm5 = tiny_models.reranker.score(ad.tensor(5.0 * h), fused)
         assert perm1 == perm5
 
     def test_ties_break_by_input_position(self, tiny_models):
         h_eos = ad.tensor([1.0, 0.0])
         same = ad.tensor([[2.0, 0.0], [3.0, 0.0], [0.0, 1.0]])
-        scores, _, perm = tiny_models.reranker.score(h_eos, same)
-        assert scores[0] == scores[1] == pytest.approx(1.0, abs=1e-12)
+        scores, perm = tiny_models.reranker.score(h_eos, same)
+        assert scores.data[0] == scores.data[1] == pytest.approx(1.0, abs=1e-12)
         assert perm == [0, 1, 2]
 
     def test_zero_norm_fused_rejected(self, tiny_models):
@@ -224,6 +224,15 @@ class TestRerank:
     def test_empty_documents_rejected(self, tiny_models, vocab):
         with pytest.raises(DegenerateInputError):
             rerank_pairs(vocab.encode("alpha"), [], tiny_models)
+
+    def test_both_fusion_switches_off_rejected(self, tiny_models, vocab):
+        """The switches are plain attributes; ``fuse_residual`` is their one
+        runtime guard, and a rerank with both off reaches it."""
+        tiny_models.reranker.residual_enabled = False
+        tiny_models.reranker.hidden_state_enabled = False
+        with pytest.raises(ConfigError, match="cannot both be disabled"):
+            rerank_embeddings(vocab.encode("alpha"), ["d0", "d1"],
+                              random_embeddings(tiny_models, 2), tiny_models)
 
     def test_rows_and_ids_of_another_count_rejected(self, tiny_models, vocab):
         with pytest.raises(ShapeError, match="3 embeddings for 2 documents"):
@@ -266,7 +275,8 @@ class TestReadRows:
         np.testing.assert_array_equal(out.h_eos.data, full[rin.eos_position])
         np.testing.assert_array_equal(out.fused.data,
                                       full[rin.passage_positions] + embeddings.data)
-        scores, _, permutation = rer.score(ad.tensor(full[rin.eos_position]),
-                                           ad.tensor(full[rin.passage_positions]
-                                                     + embeddings.data))
-        assert out.scores == scores and out.permutation == permutation
+        scores, permutation = rer.score(ad.tensor(full[rin.eos_position]),
+                                        ad.tensor(full[rin.passage_positions]
+                                                  + embeddings.data))
+        assert out.score_tensor.data.tolist() == scores.data.tolist()
+        assert out.permutation == permutation

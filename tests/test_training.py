@@ -370,6 +370,26 @@ class TestTrainingLoops:
         assert report.records == [] and report.stages == []
         assert parameter_checksum(models) == before
 
+    @pytest.mark.parametrize("lr, rule", [(-1.0, ">= 0, got -1.0"), (math.nan, ">= 0, got nan"),
+                                          (math.inf, "finite, got inf"),
+                                          (-math.inf, ">= 0, got -inf")],
+                             ids=["minus-one", "nan", "inf", "minus-inf"])
+    def test_bad_stage_lr_raises_at_call_naming_the_stage(self, small_dataset, small_doc_tokens,
+                                                          lr, rule):
+        """An lr of -1 once trained uphill, and NaN or inf left non-finite
+        weights; ``StageConfig.validate`` now refuses each before any step."""
+        models = build_model_pair(small_dataset.vocab, seed=5, d_model=16,
+                                  n_layers=1, n_heads=2, reranker_max_len=64)
+        before = parameter_checksum(models)
+        plan = [(StageConfig("stage1", epochs=1, batch_size=2), small_dataset.stage1_samples[:2]),
+                (StageConfig("stage2", epochs=1, batch_size=2, lr=lr),
+                 small_dataset.stage2_samples[:2])]
+        with pytest.raises(ConfigError) as err:
+            train_stages(models, plan, small_doc_tokens, OptimConfig(), LossConfig(), 0,
+                         TrainReport())
+        assert str(err.value) == f"stage2.lr: must be {rule}"
+        assert parameter_checksum(models) == before
+
     def test_skip_both_stages_leaves_models_at_init(self, small_dataset, small_doc_tokens):
         models = build_model_pair(small_dataset.vocab, seed=6, d_model=16,
                                   n_layers=1, n_heads=2, reranker_max_len=64)
