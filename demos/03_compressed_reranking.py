@@ -29,7 +29,7 @@ print(f"{embeddings.shape[0]} embeddings, each shape {embeddings.shape[1:]} "
       f"(one token each, instead of {sum(len(t) for _, t in docs)} text tokens)")
 
 print("\n== step 2: assembly [instruction; query; e_1..e_n; query anchor; EOS] ==")
-rin = rer.assemble_input(models.instruction_ids(), query_ids, embeddings)
+rin = rer.assemble_input(query_ids, embeddings)
 print(f"sequence length {rin.x.shape[0]}, passage slots {rin.passage_positions[0]}.."
       f"{rin.passage_positions[-1]}, EOS at {rin.eos_position}")
 
@@ -38,8 +38,7 @@ hidden = rer.contextualize(rin)
 h_first = hidden.data[rin.passage_positions[0]].copy()
 changed = embeddings.data.copy()
 changed[-1] = np.random.default_rng(9).normal(size=32)
-hidden2 = rer.contextualize(rer.assemble_input(models.instruction_ids(), query_ids,
-                                               ad.tensor(changed)))
+hidden2 = rer.contextualize(rer.assemble_input(query_ids, ad.tensor(changed)))
 same = np.array_equal(h_first, hidden2.data[rin.passage_positions[0]])
 print(f"changing the LAST passage leaves the FIRST passage's hidden state "
       f"bit-identical: {same} (causal mask)")

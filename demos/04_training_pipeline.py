@@ -10,8 +10,7 @@ Takes about 10 s on one CPU core.
 
 import time
 
-from embrank.evaluation import (EvalItem, evaluate_reranker, mean_ndcg,
-                                ordering_experiment)
+from embrank.evaluation import EvalItem, mean_ndcg, ordering_experiment, rerank_eval_set
 from embrank.retrieval import InvertedIndex
 from embrank.reranker import build_model_pair
 from embrank.synthetic import generate_synthetic
@@ -33,7 +32,7 @@ baseline = mean_ndcg(bm25_runs, ds.qrels, 10)
 print(f"BM25 ordering nDCG@10: {baseline.mean:.4f}")
 
 models = build_model_pair(ds.vocab, SEED)
-before = evaluate_reranker(models, items, ds.qrels, 10)
+before = mean_ndcg(rerank_eval_set(models, items), ds.qrels, 10)
 print(f"untrained reranker nDCG@10: {before.mean:.4f}")
 
 t0 = time.time()
@@ -48,7 +47,7 @@ for i in (0, len(report.records) // 2, -1):
     print(f"  step {r['step']:>3} [{r['stage']}]  contrastive {r['infonce']:7.3f}  "
           f"pairwise {r['ranknet']:8.3f}  combined {r['combined']:8.3f}")
 
-after = evaluate_reranker(models, items, ds.qrels, 10)
+after = mean_ndcg(rerank_eval_set(models, items), ds.qrels, 10)
 print(f"\ntrained reranker nDCG@10: {after.mean:.4f} "
       f"(gain over BM25 {after.mean - baseline.mean:+.4f})")
 

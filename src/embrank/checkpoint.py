@@ -142,6 +142,6 @@ def load_checkpoint(path) -> ModelPair:
     for key in sorted(arrays):
         check_array(False, key, "is in neither model's configuration")
     encoder = EncoderModel(enc_cfg, weights["encoder"])
-    reranker = RerankerModel(rer_cfg, weights["reranker"], eos_id=eos_id)
+    reranker = RerankerModel(rer_cfg, weights["reranker"], vocab)
     reranker.residual_enabled, reranker.hidden_state_enabled = flags.values()
     return ModelPair(encoder=encoder, reranker=reranker, vocab=vocab)

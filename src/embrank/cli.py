@@ -157,7 +157,7 @@ def cmd_train(args) -> int:
     out = _outdir(args.out)
     data_dir = _path(args.data)
     _, vocab, doc_tokens, stage1, stage2 = _load_gen_data(data_dir)
-    models = build_model_pair(vocab, cfg.seed, **cfg.model.build_kwargs())
+    models = build_model_pair(vocab, cfg.seed, **dataclasses.asdict(cfg.model))
 
     ckpt_dir = out / "checkpoints"
     ckpt_dir.mkdir(exist_ok=True)
@@ -291,7 +291,7 @@ def cmd_ablate(args) -> int:
     if len(stage_cfgs) != 2:
         raise ConfigError("ablate requires a two-stage config")
     rows = ablation_suite(vocab, doc_tokens, stage1, stage2, items, qrels,
-                          model_kwargs=cfg.model.build_kwargs(),
+                          model_kwargs=dataclasses.asdict(cfg.model),
                           stage1=stage_cfgs[0], stage2=stage_cfgs[1],
                           optim=cfg.optim, base_loss=cfg.loss, seed=cfg.seed)
     table = format_ablation_table(rows)

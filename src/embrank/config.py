@@ -31,10 +31,6 @@ class ModelSettings:
     reranker_max_len: int = 256
     ffn_mult: int = 4
 
-    def build_kwargs(self) -> dict:
-        """Every field, as the keyword arguments of ``build_model_pair``."""
-        return dataclasses.asdict(self)
-
 
 @dataclass
 class DataSettings:
@@ -71,10 +67,8 @@ class ExperimentConfig:
     model: ModelSettings = field(default_factory=ModelSettings)
     data: DataSettings = field(default_factory=DataSettings)
     loss: LossConfig = field(default_factory=LossConfig)
-    stages: list[StageSettings] = field(default_factory=lambda: [
-        StageSettings(epochs=3, batch_size=8, lr=3e-4),
-        StageSettings(epochs=5, batch_size=8, lr=3e-4),
-    ])
+    stages: list[StageSettings] = field(
+        default_factory=lambda: [StageSettings(), StageSettings(epochs=5)])
     optim: OptimConfig = field(default_factory=OptimConfig)
     retrieval: RetrievalSettings = field(default_factory=RetrievalSettings)
 

@@ -33,11 +33,16 @@ def split_words(text: str) -> list[str]:
     return _WORD_RE.findall(text.lower())
 
 
+_RESERVED = list(dict.fromkeys([PAD_TOKEN, UNK_TOKEN, EOS_TOKEN, *split_words(INSTRUCTION_TEXT)]))
+
+
 class Vocabulary:
     """Bijective token/id map with reserved ids for PAD, UNK, EOS and the instruction words.
 
-    Built deterministically from a corpus: reserved tokens first, then the
-    corpus tokens in sorted order, so the same corpus always yields the same ids.
+    Every vocabulary holds all of them, so any can spell the reranker's
+    instruction. Built deterministically from a corpus: reserved tokens
+    first, then the corpus tokens in sorted order, so the same corpus always
+    yields the same ids.
     """
 
     def __init__(self, tokens: Sequence[str]):
@@ -45,7 +50,7 @@ class Vocabulary:
         self.token_to_id: dict[str, int] = {t: i for i, t in enumerate(self.id_to_token)}
         if len(self.token_to_id) != len(self.id_to_token):
             raise DataFormatError("vocabulary contains duplicate tokens")
-        missing = [t for t in (PAD_TOKEN, UNK_TOKEN, EOS_TOKEN) if t not in self.token_to_id]
+        missing = [t for t in _RESERVED if t not in self.token_to_id]
         if missing:
             raise DataFormatError(f"vocabulary lacks the reserved token {missing[0]!r}")
         self.pad_id = self.token_to_id[PAD_TOKEN]
@@ -59,11 +64,7 @@ class Vocabulary:
     @classmethod
     def from_words(cls, word_lists: Iterable[Iterable[str]]) -> "Vocabulary":
         """``build`` over texts already split by ``split_words``."""
-        reserved = [PAD_TOKEN, UNK_TOKEN, EOS_TOKEN]
-        for word in split_words(INSTRUCTION_TEXT):
-            if word not in reserved:
-                reserved.append(word)
-        return cls(reserved + sorted(set().union(*word_lists) - set(reserved)))
+        return cls(_RESERVED + sorted(set().union(*word_lists) - set(_RESERVED)))
 
     def __len__(self) -> int:
         return len(self.id_to_token)

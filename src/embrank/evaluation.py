@@ -135,11 +135,6 @@ def rerank_eval_set(models: ModelPair, items: list[EvalItem], *,
             for item, rows in zip(items, candidate_rows(models, items))]
 
 
-def evaluate_reranker(models: ModelPair, items: list[EvalItem], qrels: Qrels,
-                      k: int = 10) -> MeanNdcg:
-    return mean_ndcg(rerank_eval_set(models, items), qrels, k)
-
-
 # ---------------------------------------------------------------------------
 # input-ordering experiment
 # ---------------------------------------------------------------------------
@@ -150,7 +145,6 @@ ORDERINGS = ("original", "inverse", "random")
 @dataclass
 class OrderingReport:
     ndcg: dict[str, float]
-    evaluated: dict[str, int]
     seed: int
     k: int
 
@@ -168,7 +162,6 @@ def ordering_experiment(models: ModelPair, items: list[EvalItem], qrels: Qrels,
     rows with the list.
     """
     ndcg: dict[str, float] = {}
-    evaluated: dict[str, int] = {}
     base_rows = candidate_rows(models, items)
     for ordering in ORDERINGS:
         runs = []
@@ -182,10 +175,8 @@ def ordering_experiment(models: ModelPair, items: list[EvalItem], qrels: Qrels,
                 models.vocab.encode(item.query.text), [item.candidates[i][0] for i in order],
                 ad.take_rows(rows, order), models, query_id=item.query.query_id,
                 tag=f"embrank-{ordering}").run)
-        result = mean_ndcg(runs, qrels, k)
-        ndcg[ordering] = result.mean
-        evaluated[ordering] = result.evaluated
-    return OrderingReport(ndcg=ndcg, evaluated=evaluated, seed=seed, k=k)
+        ndcg[ordering] = mean_ndcg(runs, qrels, k).mean
+    return OrderingReport(ndcg=ndcg, seed=seed, k=k)
 
 
 # ---------------------------------------------------------------------------
@@ -231,7 +222,7 @@ def ablation_suite(vocab, doc_tokens, stage1_samples, stage2_samples,
         report = TrainReport()
         for _ in train_stages(models, plan, doc_tokens, optim, loss_cfg, seed, report):
             pass
-        result = evaluate_reranker(models, items, qrels, k)
+        result = mean_ndcg(rerank_eval_set(models, items), qrels, k)
         rows.append(AblationRow(variant=variant, ndcg=result.mean,
                                 is_baseline=(variant == "full"), train_report=report))
     return rows

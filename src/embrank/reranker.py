@@ -2,7 +2,8 @@
 
 The input sequence interleaves vocabulary tokens and injected encoder
 embeddings: instruction tokens, query tokens, one embedding slot per
-candidate passage, a repeated query anchor, and the EOS token. Causal
+candidate passage, a repeated query anchor, and the EOS token; the
+instruction and EOS ids are the reranker's own, from its vocabulary. Causal
 attention contextualizes the sequence; each passage representation is
 the (optional) residual sum of its hidden state and its original
 encoder embedding; relevance is the cosine similarity between the EOS
@@ -53,16 +54,19 @@ def fuse_residual(h: Tensor, e: Tensor, *, residual: bool = True,
 
 
 class RerankerModel(CausalTransformer):
-    """The listwise reranker. Its two fusion switches, ``residual_enabled``
-    and ``hidden_state_enabled``, start on; ``fuse_residual`` refuses both off."""
+    """The listwise reranker. Its prompt's fixed ids, ``instruction_ids`` and
+    ``eos_id``, come from ``vocab`` once. Its two fusion switches,
+    ``residual_enabled`` and ``hidden_state_enabled``, start on;
+    ``fuse_residual`` refuses both off."""
 
-    def __init__(self, config: ModelConfig, weights, eos_id: int):
+    def __init__(self, config: ModelConfig, weights, vocab: Vocabulary):
         super().__init__(config, weights)
-        self.eos_id = eos_id
+        self.instruction_ids = vocab.instruction_ids()
+        self.eos_id = vocab.eos_id
         self.residual_enabled = True
         self.hidden_state_enabled = True
 
-    def assemble_input(self, instruction_ids, query_ids, embeddings: Tensor) -> RerankInput:
+    def assemble_input(self, query_ids, embeddings: Tensor) -> RerankInput:
         """Lay out [instruction; query; e_1..e_n; query anchor; EOS] and add positions.
 
         Vocabulary tokens pass through the reranker's own embedding table; the
@@ -77,7 +81,7 @@ class RerankerModel(CausalTransformer):
         n = embeddings.shape[0]
         if n < 1:
             raise ShapeError("assemble_input: need at least one passage embedding")
-        prefix_ids = list(instruction_ids) + list(query_ids)
+        prefix_ids = self.instruction_ids + list(query_ids)
         suffix_ids = list(query_ids) + [self.eos_id]
         total = len(prefix_ids) + n + len(suffix_ids)
         if total > self.config.max_seq_len:
@@ -110,13 +114,13 @@ class RerankerModel(CausalTransformer):
         permutation = [int(i) for i in np.argsort(-score_tensor.data, kind="stable")]
         return score_tensor, permutation
 
-    def forward(self, instruction_ids, query_ids, embeddings: Tensor) -> RerankOutput:
+    def forward(self, query_ids, embeddings: Tensor) -> RerankOutput:
         """Score the candidates whose encoder embeddings are the rows of ``embeddings`` [n, d].
 
         Only the n passage slots and EOS are read, so only those rows leave the
         last block: ``hidden`` row i is slot i and row n is EOS.
         """
-        rin = self.assemble_input(instruction_ids, query_ids, embeddings)
+        rin = self.assemble_input(query_ids, embeddings)
         n = len(rin.passage_positions)
         hidden = self.contextualize(rin, rin.passage_positions + [rin.eos_position])
         h_eos = ad.pick(hidden, n)
@@ -133,9 +137,6 @@ class ModelPair:
     encoder: EncoderModel
     reranker: RerankerModel
     vocab: Vocabulary
-
-    def instruction_ids(self) -> list[int]:
-        return self.vocab.instruction_ids()
 
     def parameters(self) -> dict[str, Tensor]:
         """Both models' parameters under their checkpoint names, ``encoder.*``
@@ -155,7 +156,7 @@ def build_model_pair(vocab: Vocabulary, seed: int, *,
                           n_heads=n_heads, max_seq_len=encoder_max_len, ffn_mult=ffn_mult)
     rer_cfg = replace(enc_cfg, max_seq_len=reranker_max_len)
     encoder = EncoderModel(enc_cfg, rng)
-    reranker = RerankerModel(rer_cfg, rng, eos_id=vocab.eos_id)
+    reranker = RerankerModel(rer_cfg, rng, vocab)
     return ModelPair(encoder=encoder, reranker=reranker, vocab=vocab)
 
 
@@ -183,7 +184,7 @@ def rerank_embeddings(query_ids, doc_ids: list[str], embeddings: Tensor,
     if embeddings.shape[0] != len(doc_ids):
         raise ShapeError(f"rerank: {embeddings.shape[0]} embeddings for {len(doc_ids)} documents")
     with ad.no_grad():
-        output = models.reranker.forward(models.instruction_ids(), query_ids, embeddings)
+        output = models.reranker.forward(query_ids, embeddings)
     counter = TokenCounter(processed_passage_tokens=len(doc_ids), candidates=len(doc_ids))
     scores = output.score_tensor.data.tolist()
     entries = [RunEntry(doc_id=doc_ids[i], score=scores[i]) for i in output.permutation]

@@ -28,9 +28,6 @@ from .data import RankingSample, has_orderable_pair, validate_sample
 from .errors import ConfigError, DegenerateInputError, TrainingError
 from .reranker import ModelPair
 
-REFERENCE_FULL_SCALE = {"batch_size": 128, "learning_rate": 6e-6}
-
-
 @dataclass
 class LossConfig:
     tau1: float = 0.05
@@ -182,7 +179,7 @@ class Adam:
         bias1 = 1.0 - cfg.beta1 ** self._t
         bias2 = 1.0 - cfg.beta2 ** self._t
         for name, t in self.params.items():
-            if t.grad is None or not t.requires_grad:
+            if t.grad is None:
                 continue
             g = t.grad
             m = self._m[name]
@@ -205,7 +202,6 @@ class Adam:
 class TrainReport:
     records: list[dict] = field(default_factory=list)
     stages: list[dict] = field(default_factory=list)
-    skipped_samples: int = 0
 
 
 def _ensure_finite_loss(value: float, step: int) -> None:
@@ -243,8 +239,7 @@ def train_step(models: ModelPair, batch: list[RankingSample], doc_tokens,
     for sample, ids in zip(batch, query_ids):
         sample_rows = rows[lo:lo + len(sample.candidates)]
         lo += len(sample.candidates)
-        output = models.reranker.forward(models.instruction_ids(), ids,
-                                         ad.take_rows(embeddings, sample_rows))
+        output = models.reranker.forward(ids, ad.take_rows(embeddings, sample_rows))
         contrast = [sample.positive_index, *sample.negative_indices]
         candidate_embs.append(ad.take_rows(embeddings, sample_rows[contrast]))
         labels = [c.rank_label for c in sample.candidates]
@@ -295,15 +290,13 @@ def train_stages(models: ModelPair, plan, doc_tokens, optim: OptimConfig,
         usable = [sample for sample in samples if has_orderable_pair(sample)]
         if not usable:
             raise ConfigError(f"stage {stage.name}: no sample has an orderable pair")
-        checked.append((stage, usable, len(samples) - len(usable)))
+        checked.append((stage, usable))
     return _run_stages(models, checked, doc_tokens, optim, loss_cfg, seed, report)
 
 
 def _run_stages(models, checked, doc_tokens, optim, loss_cfg, seed, report):
-    """``train_stages``' loop over its checked (stage, usable samples, skipped
-    count) triples."""
-    for i, (stage, usable, skipped) in enumerate(checked):
-        report.skipped_samples += skipped
+    """``train_stages``' loop over its checked (stage, usable samples) pairs."""
+    for i, (stage, usable) in enumerate(checked):
         models.encoder.set_trainable(loss_cfg.encoder_trainable)
         models.reranker.set_trainable(True)
         models.reranker.residual_enabled = loss_cfg.residual_enabled

@@ -16,8 +16,8 @@ import embrank.autodiff as ad
 from embrank.autodiff import backward
 from embrank.cli import main as cli_main
 from embrank.data import Vocabulary
-from embrank.evaluation import (EvalItem, efficiency_report, evaluate_reranker,
-                                mean_ndcg, ndcg_at_k)
+from embrank.evaluation import (EvalItem, efficiency_report, mean_ndcg, ndcg_at_k,
+                                rerank_eval_set)
 from embrank.gradcheck import finite_diff_check_many
 from embrank.reranker import build_model_pair
 from embrank.retrieval import InvertedIndex, rrf_fuse
@@ -60,7 +60,7 @@ def test_criterion_1_gradient_suite():
     def full_loss():
         embs = models.encoder.batch_encode(doc_tokens)
         q = models.encoder.batch_encode([query_ids])
-        out = models.reranker.forward(vocab.instruction_ids(), query_ids, embs)
+        out = models.reranker.forward(query_ids, embs)
         inf = infonce_loss(q, [embs], 0.05)
         rk = ranknet_loss(out.score_tensor, [0, 1, 2], 0.05)
         return combined_loss(inf, rk, 0.1)
@@ -97,7 +97,7 @@ def test_criterion_2_loss_closed_forms():
     def parts():
         embs = models.encoder.batch_encode(docs)
         q = models.encoder.batch_encode([query])
-        out = models.reranker.forward(vocab.instruction_ids(), query, embs)
+        out = models.reranker.forward(query, embs)
         inf = infonce_loss(q, [embs], 0.05)
         rk = ranknet_loss(out.score_tensor, [0, 1, 2], 0.05)
         return inf, rk
@@ -222,7 +222,7 @@ def test_criterion_5_synthetic_end_to_end_gain():
     for _ in train_stages(models, plan, doc_tokens, OptimConfig(), LossConfig(), GAIN_SEED,
                           TrainReport()):
         pass
-    trained = evaluate_reranker(models, items, ds.qrels, 10)
+    trained = mean_ndcg(rerank_eval_set(models, items), ds.qrels, 10)
     elapsed = time.time() - start
     gain = trained.mean - base.mean
     assert gain >= 0.05, f"gain {gain:+.4f} below 0.05 (bm25 {base.mean:.4f}, trained {trained.mean:.4f})"
@@ -257,7 +257,7 @@ def test_criterion_6_structural_ablations(small_dataset, small_doc_tokens):
                           reranker_max_len=96)
     m2.reranker.residual_enabled = False
     r2 = rerank_pairs(qt, cands, m2, query_id=q.query_id)
-    rin = m2.reranker.assemble_input(m2.instruction_ids(), qt, r2.embeddings)
+    rin = m2.reranker.assemble_input(qt, r2.embeddings)
     hidden = m2.reranker.contextualize(rin).data
     h2 = r2.output.h_eos.data
     for score, p in zip(r2.output.score_tensor.data, rin.passage_positions):
@@ -294,7 +294,6 @@ def test_criterion_7_causality_and_permutation_invariants():
     to later embeddings; all three input orderings yield valid permutations."""
     vocab, models, texts = tiny_pair(seed=77)
     rer = models.reranker
-    inst = models.instruction_ids()
     d = rer.config.d_model
     rng = np.random.default_rng(700)
     query = vocab.encode("alpha beta")
@@ -302,13 +301,13 @@ def test_criterion_7_causality_and_permutation_invariants():
     for _ in range(100):
         n = int(rng.integers(2, 6))
         base = ad.tensor(rng.normal(size=(n, d)))
-        rin = rer.assemble_input(inst, query, base)
+        rin = rer.assemble_input(query, base)
         h = rer.contextualize(rin)
         j = int(rng.integers(1, n))  # change embeddings from position j onward
         changed = base.data.copy()
         for t in range(j, n):
             changed[t] = rng.normal(size=d)
-        h2 = rer.contextualize(rer.assemble_input(inst, query, ad.tensor(changed)))
+        h2 = rer.contextualize(rer.assemble_input(query, ad.tensor(changed)))
         for p in rin.passage_positions[:j]:
             assert np.array_equal(h.data[p], h2.data[p])
 

@@ -299,6 +299,8 @@ def _config_field(name, field, value):
     (_set("vocab", lambda m, a: m["vocab"][1:]), ("vocab", "'<pad>'")),
     (_set("vocab", lambda m, a: 7), "vocab"),
     (_set("vocab", lambda m, a: m["vocab"][:-1] + m["vocab"][3:4]), ("vocab", "duplicate")),
+    (_set("vocab", lambda m, a: ["rank!" if t == "rank" else t for t in m["vocab"]]),
+     ("vocab", "'rank'")),
     (_set("eos_id", lambda m, a: 5), "eos_id"),
     (_set("eos_id", lambda m, a: "x"), "eos_id"),
     (_set("eos_id", lambda m, a: 1000000), "eos_id"),
@@ -315,7 +317,8 @@ def _config_field(name, field, value):
     (_set("reranker_config", lambda m, a: {**m["reranker_config"], "n_layers": 2}),
      ("reranker.layers.1.attn_norm.weight", "missing")),
     (lambda m, a: a.update({"encoder.extra": np.zeros(2)}), ("encoder.extra", "neither")),
-], ids=["vocab-without-pad", "vocab-not-a-list", "vocab-repeated-token", "eos_id-another-token",
+], ids=["vocab-without-pad", "vocab-not-a-list", "vocab-repeated-token",
+        "vocab-without-an-instruction-word", "eos_id-another-token",
         "eos_id-not-a-number", "eos_id-past-vocab", "vocab-shorter-than-config",
         "residual_enabled-not-a-bool", "encoder_config-field-a-string",
         "encoder_config-ffn_mult-negative", "reranker_config-another-width",
@@ -325,11 +328,12 @@ def _config_field(name, field, value):
         "an-array-no-config-names"])
 def test_damaged_checkpoint_header_names_file_and_key(tmp_path, small_dataset, damage, key):
     """Each header once loaded a model that reranked silently wrong (another
-    end token, too short a vocabulary, a string flag read as on, an option
-    this version no longer runs, an array left unread), failed at the first
-    rerank, or raised a raw ``KeyError``, ``TypeError``, ``ValueError`` or
-    ``MemoryError`` or an error naming no file or no quoted parameter. A key
-    may carry more text the message must hold."""
+    end token, an instruction spelt with ``<unk>``, too short a vocabulary, a
+    string flag read as on, an option this version no longer runs, an array
+    left unread), failed at the first rerank, or raised a raw ``KeyError``,
+    ``TypeError``, ``ValueError`` or ``MemoryError`` or an error naming no
+    file or no quoted parameter. A key may carry more text the message must
+    hold."""
     path = tmp_path / "model.ckpt"
     models = build_model_pair(small_dataset.vocab, seed=0, d_model=8, n_layers=1, n_heads=2)
     save_checkpoint(path, models)

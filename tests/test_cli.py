@@ -107,7 +107,7 @@ class TestTrain:
             stage_cfgs[1] = dataclasses.replace(stage_cfgs[1], epochs=0)
         cfg = load_config(config)
         docs, vocab = load_corpus(data / "corpus.jsonl")
-        models = build_model_pair(vocab, cfg.seed, **cfg.model.build_kwargs())
+        models = build_model_pair(vocab, cfg.seed, **dataclasses.asdict(cfg.model))
         plan = list(zip(stage_cfgs, [load_samples(data / "stage1.jsonl"),
                                      load_samples(data / "stage2.jsonl")]))
         report = TrainReport()

@@ -82,7 +82,7 @@ def test_non_utf8_config_names_the_file(tmp_path):
 def test_every_model_setting_reaches_build_model_pair(tiny_vocab):
     settings = ModelSettings(d_model=8, n_layers=1, n_heads=2, encoder_max_len=16,
                              reranker_max_len=32, ffn_mult=2)
-    kwargs = settings.build_kwargs()
+    kwargs = dataclasses.asdict(settings)
     assert list(kwargs) == [f.name for f in dataclasses.fields(ModelSettings)]
     models = build_model_pair(tiny_vocab, 0, **kwargs)
     assert models.encoder.config.max_seq_len == 16 and models.reranker.config.ffn_mult == 2

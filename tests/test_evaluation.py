@@ -8,8 +8,7 @@ import pytest
 from embrank.data import Qrels
 from embrank.errors import ConfigError, DataFormatError
 from embrank.evaluation import (ABLATION_VARIANTS, EvalItem, ablation_suite,
-                                efficiency_report, evaluate_reranker,
-                                format_ablation_table, mean_ndcg, ndcg_at_k,
+                                efficiency_report, format_ablation_table, mean_ndcg, ndcg_at_k,
                                 ordering_experiment, rerank_eval_set)
 from embrank.reranker import build_model_pair
 from embrank.retrieval import InvertedIndex
@@ -258,8 +257,7 @@ class TestAblationStructure:
         item = items[0]
         qt = ds.vocab.encode(item.query.text)
         result = rerank_pairs(qt, item.candidates[:6], models, query_id="q")
-        rin = models.reranker.assemble_input(models.instruction_ids(), qt,
-                                             result.embeddings)
+        rin = models.reranker.assemble_input(qt, result.embeddings)
         hidden = models.reranker.contextualize(rin).data
         h = result.output.h_eos.data
         for i, p in enumerate(rin.passage_positions):
@@ -300,9 +298,9 @@ class TestAblationStructure:
                    for r in records)
 
 
-def test_evaluate_reranker_returns_mean(eval_setup):
+def test_mean_ndcg_of_the_reranked_eval_set(eval_setup):
     ds, models, items = eval_setup
-    result = evaluate_reranker(models, items, ds.qrels, k=10)
+    result = mean_ndcg(rerank_eval_set(models, items), ds.qrels, k=10)
     assert 0.0 <= result.mean <= 1.0
     assert result.evaluated == len(items)
 

@@ -5,6 +5,7 @@ import pytest
 
 import embrank.autodiff as ad
 from embrank.autodiff import backward
+from embrank.checkpoint import load_checkpoint, save_checkpoint
 from embrank.errors import ConfigError, DegenerateInputError, ShapeError
 from embrank.reranker import build_model_pair, fuse_residual, rerank_embeddings
 
@@ -28,63 +29,77 @@ def docs_from(vocab, texts):
 
 class TestAssembly:
     def test_sequence_length_counts(self, tiny_models, vocab):
-        inst = tiny_models.instruction_ids()
+        inst = vocab.instruction_ids()
         query = vocab.encode("alpha beta")
-        rin = tiny_models.reranker.assemble_input(inst, query, random_embeddings(tiny_models, 1))
+        rin = tiny_models.reranker.assemble_input(query, random_embeddings(tiny_models, 1))
         assert rin.x.shape[0] == len(inst) + len(query) + 1 + len(query) + 1
         assert rin.eos_position == rin.x.shape[0] - 1
 
     def test_passage_positions_contiguous(self, tiny_models, vocab):
-        inst = tiny_models.instruction_ids()
+        inst = vocab.instruction_ids()
         query = vocab.encode("alpha")
-        rin = tiny_models.reranker.assemble_input(inst, query, random_embeddings(tiny_models, 5))
+        rin = tiny_models.reranker.assemble_input(query, random_embeddings(tiny_models, 5))
         start = len(inst) + len(query)
         assert rin.passage_positions == list(range(start, start + 5))
 
     def test_injected_slot_is_embedding_plus_position(self, tiny_models, vocab):
         """Each passage slot holds e_i + positional embedding, bit for bit."""
-        inst = tiny_models.instruction_ids()
         query = vocab.encode("alpha beta")
         embs = random_embeddings(tiny_models, 3, seed=4)
-        rin = tiny_models.reranker.assemble_input(inst, query, embs)
+        rin = tiny_models.reranker.assemble_input(query, embs)
         pos_table = tiny_models.reranker.params["pos_emb"].data
         for i, p in enumerate(rin.passage_positions):
             np.testing.assert_array_equal(rin.x.data[p], embs.data[i] + pos_table[p])
 
+    @pytest.mark.parametrize("reload", [False, True], ids=["built", "reloaded"])
+    def test_token_slots_spell_the_prompt(self, tiny_models, vocab, tmp_path, reload):
+        """Every token slot holds tok_emb[id] + pos_emb[p] bit for bit, the ids
+        being the vocabulary's instruction, the query twice and its EOS; a
+        checkpoint's pair spells the same prompt."""
+        models = tiny_models
+        if reload:
+            save_checkpoint(tmp_path / "model.ckpt", models)
+            models = load_checkpoint(tmp_path / "model.ckpt")
+        query = vocab.encode("alpha beta")
+        rin = models.reranker.assemble_input(query, random_embeddings(models, 3))
+        ids = vocab.instruction_ids() + query + query + [vocab.eos_id]
+        slots = [p for p in range(rin.x.shape[0]) if p not in rin.passage_positions]
+        assert len(slots) == len(ids)
+        tok = models.reranker.params["tok_emb"].data
+        pos = models.reranker.params["pos_emb"].data
+        for p, i in zip(slots, ids):
+            np.testing.assert_array_equal(rin.x.data[p], tok[i] + pos[p])
+
     def test_wrong_embedding_dim_rejected(self, tiny_models, vocab):
         bad = ad.tensor(np.zeros((1, tiny_models.reranker.config.d_model + 1)))
         with pytest.raises(ShapeError):
-            tiny_models.reranker.assemble_input(tiny_models.instruction_ids(),
-                                                vocab.encode("alpha"), bad)
+            tiny_models.reranker.assemble_input(vocab.encode("alpha"), bad)
 
     def test_budget_overflow_rejected(self, tiny_models, vocab):
         n = tiny_models.reranker.config.max_seq_len  # cannot also fit query/eos
         with pytest.raises(ShapeError):
-            tiny_models.reranker.assemble_input(tiny_models.instruction_ids(),
-                                                vocab.encode("alpha"),
+            tiny_models.reranker.assemble_input(vocab.encode("alpha"),
                                                 random_embeddings(tiny_models, n))
 
     def test_zero_candidates_rejected(self, tiny_models, vocab):
         with pytest.raises(ShapeError):
-            tiny_models.reranker.assemble_input(tiny_models.instruction_ids(),
-                                                vocab.encode("alpha"),
+            tiny_models.reranker.assemble_input(vocab.encode("alpha"),
                                                 random_embeddings(tiny_models, 0))
 
 
 class TestCausality:
     @staticmethod
     def _assert_earlier_states_ignore_later_passages(models, vocab):
-        inst = models.instruction_ids()
         query = vocab.encode("alpha beta")
         rng = np.random.default_rng(11)
         d = models.reranker.config.d_model
         base = ad.tensor(rng.normal(size=(4, d)))
-        rin = models.reranker.assemble_input(inst, query, base)
+        rin = models.reranker.assemble_input(query, base)
         h = models.reranker.contextualize(rin)
         changed = base.data.copy()
         changed[2] = rng.normal(size=d)
         changed[3] = rng.normal(size=d)
-        rin2 = models.reranker.assemble_input(inst, query, ad.tensor(changed))
+        rin2 = models.reranker.assemble_input(query, ad.tensor(changed))
         h2 = models.reranker.contextualize(rin2)
         for p in rin.passage_positions[:2]:
             np.testing.assert_array_equal(h.data[p], h2.data[p])
@@ -101,17 +116,16 @@ class TestCausality:
         assert not h.requires_grad
 
     def test_eos_state_sees_every_passage(self, tiny_models, vocab):
-        inst = tiny_models.instruction_ids()
         query = vocab.encode("alpha")
         rng = np.random.default_rng(12)
         d = tiny_models.reranker.config.d_model
         base = ad.tensor(rng.normal(size=(3, d)))
-        rin = tiny_models.reranker.assemble_input(inst, query, base)
+        rin = tiny_models.reranker.assemble_input(query, base)
         h_eos = tiny_models.reranker.contextualize(rin).data[rin.eos_position]
         for i in range(3):
             changed = base.data.copy()
             changed[i] = rng.normal(size=d)
-            rin2 = tiny_models.reranker.assemble_input(inst, query, ad.tensor(changed))
+            rin2 = tiny_models.reranker.assemble_input(query, ad.tensor(changed))
             h_eos2 = tiny_models.reranker.contextualize(rin2).data[rin2.eos_position]
             assert np.max(np.abs(h_eos - h_eos2)) > 0.0
 
@@ -151,12 +165,11 @@ class TestFuseResidual:
     def test_residual_gradient_shortcut(self, tiny_models, vocab):
         """With the hidden path cut (run under ``no_grad``), e_i still receives
         gradient through the direct residual term."""
-        inst = tiny_models.instruction_ids()
         query = vocab.encode("alpha")
         rng = np.random.default_rng(13)
         d = tiny_models.reranker.config.d_model
         e = ad.param(rng.normal(size=(1, d)))
-        rin = tiny_models.reranker.assemble_input(inst, query, e)
+        rin = tiny_models.reranker.assemble_input(query, e)
         with ad.no_grad():
             hidden = tiny_models.reranker.contextualize(rin)
         h_p = ad.take_rows(hidden, rin.passage_positions)
@@ -269,8 +282,8 @@ class TestReadRows:
                                   reranker_max_len=64, ffn_mult=2)
         rer, query = models.reranker, vocab.encode("alpha beta")
         embeddings = random_embeddings(models, n, seed=n)
-        out = rer.forward(models.instruction_ids(), query, embeddings)
-        rin = rer.assemble_input(models.instruction_ids(), query, embeddings)
+        out = rer.forward(query, embeddings)
+        rin = rer.assemble_input(query, embeddings)
         full = rer.contextualize(rin).data
         np.testing.assert_array_equal(out.h_eos.data, full[rin.eos_position])
         np.testing.assert_array_equal(out.fused.data,

@@ -173,7 +173,7 @@ class TestCombined:
         def forward_parts():
             embs = tiny_models.encoder.batch_encode(docs)
             q = tiny_models.encoder.batch_encode([query])
-            out = tiny_models.reranker.forward(tiny_models.instruction_ids(), query, embs)
+            out = tiny_models.reranker.forward(query, embs)
             inf = infonce_loss(q, [embs], 0.05)
             rk = ranknet_loss(out.score_tensor, [0, 1, 2], 0.05)
             return inf, rk
@@ -421,7 +421,7 @@ class TestTrainingLoops:
         docs = [vocab.encode(t) for t in ("alpha beta", "epsilon zeta", "theta iota")]
         query = vocab.encode("alpha")
         embs = tiny_models.encoder.batch_encode(docs)
-        out = tiny_models.reranker.forward(tiny_models.instruction_ids(), query, embs)
+        out = tiny_models.reranker.forward(query, embs)
         backward(ranknet_loss(out.score_tensor, [0, 1, 2], 0.05))
         grads = [t.grad for t in tiny_models.encoder.parameters().values()]
         assert any(g is not None and np.any(g != 0.0) for g in grads)
@@ -463,8 +463,7 @@ def every_use_step(models, batch, doc_tokens, loss_cfg):
     for sample, ids in zip(batch, query_ids):
         sample_rows = np.arange(lo, lo + len(sample.candidates))
         lo += len(sample.candidates)
-        output = models.reranker.forward(models.instruction_ids(), ids,
-                                         ad.take_rows(embeddings, sample_rows))
+        output = models.reranker.forward(ids, ad.take_rows(embeddings, sample_rows))
         contrast = [sample.positive_index, *sample.negative_indices]
         candidate_embs.append(ad.take_rows(embeddings, sample_rows[contrast]))
         ranknet_terms.append(ranknet_loss(output.score_tensor,
