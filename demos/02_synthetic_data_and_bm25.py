@@ -23,7 +23,8 @@ print(f"doc kinds: {kinds}")
 
 q = ds.eval_queries[0]
 print(f"\nexample query {q.query_id}: {q.text!r}")
-source = max(ds.qrels.doc_grades(q.query_id), key=lambda d: ds.qrels.grade(q.query_id, d))
+grades = ds.qrels[q.query_id]  # judged docs only; an absent doc has grade 0
+source = max(grades, key=grades.get)
 doc_text = {d.doc_id: d.text for d in ds.documents}
 print(f"its grade-3 source doc ({source}): {doc_text[source][:70]}...")
 
@@ -31,7 +32,7 @@ index = InvertedIndex.build(ds.documents)
 run = index.search(ds.vocab.encode(q.text), 10, query_id=q.query_id)
 print("\nBM25 top 10 (grade | kind | doc):")
 for e in run.entries:
-    grade = ds.qrels.grade(q.query_id, e.doc_id)
+    grade = grades.get(e.doc_id, 0)
     print(f"  {e.score:7.3f}  grade {grade}  {ds.doc_kind[e.doc_id]:<8} {e.doc_id}")
 print("note the grade-0 decoys: stuffed with query words, lexically strong, irrelevant")
 

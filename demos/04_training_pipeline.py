@@ -26,13 +26,12 @@ items, bm25_runs = [], []
 for q in ds.eval_queries:
     run = index.search(ds.vocab.encode(q.text), 100, query_id=q.query_id)
     bm25_runs.append(run)
-    items.append(EvalItem(query=q, candidates=[(e.doc_id, doc_tokens[e.doc_id])
-                                               for e in run.entries]))
+    items.append(EvalItem(query=q, doc_ids=[e.doc_id for e in run.entries]))
 baseline = mean_ndcg(bm25_runs, ds.qrels, 10)
 print(f"BM25 ordering nDCG@10: {baseline.mean:.4f}")
 
 models = build_model_pair(ds.vocab, SEED)
-before = mean_ndcg(rerank_eval_set(models, items), ds.qrels, 10)
+before = mean_ndcg(rerank_eval_set(models, items, doc_tokens), ds.qrels, 10)
 print(f"untrained reranker nDCG@10: {before.mean:.4f}")
 
 t0 = time.time()
@@ -47,12 +46,12 @@ for i in (0, len(report.records) // 2, -1):
     print(f"  step {r['step']:>3} [{r['stage']}]  contrastive {r['infonce']:7.3f}  "
           f"pairwise {r['ranknet']:8.3f}  combined {r['combined']:8.3f}")
 
-after = mean_ndcg(rerank_eval_set(models, items), ds.qrels, 10)
+after = mean_ndcg(rerank_eval_set(models, items, doc_tokens), ds.qrels, 10)
 print(f"\ntrained reranker nDCG@10: {after.mean:.4f} "
       f"(gain over BM25 {after.mean - baseline.mean:+.4f})")
 
 print("\n== input-ordering sensitivity (trained model) ==")
-ordering = ordering_experiment(models, items, ds.qrels, seed=SEED)
+ordering = ordering_experiment(models, items, doc_tokens, ds.qrels, seed=SEED)
 for row in ordering.rows():
     print(f"  {row}")
 print("causal attention makes listwise scores order-dependent; the outputs stay "

@@ -58,15 +58,13 @@ def _echo_config(out: Path, cfg: ExperimentConfig, command: str, extra: dict | N
                                      encoding="utf-8")
 
 
-def _load_candidate_lists(run_path: Path, doc_tokens: dict, k: int) -> dict[str, list]:
-    lists: dict[str, list] = {}
+def _load_candidate_lists(run_path: Path, doc_tokens: dict, k: int) -> dict[str, list[str]]:
+    lists: dict[str, list[str]] = {}
     for run in read_trec_run(run_path):
-        cands = []
-        for entry in run.entries[:k]:
-            if entry.doc_id not in doc_tokens:
-                raise ConfigError(f"candidate {entry.doc_id!r} not present in the corpus")
-            cands.append((entry.doc_id, doc_tokens[entry.doc_id]))
-        lists[run.query_id] = cands
+        lists[run.query_id] = [entry.doc_id for entry in run.entries[:k]]
+        for doc_id in lists[run.query_id]:
+            if doc_id not in doc_tokens:
+                raise ConfigError(f"candidate {doc_id!r} not present in the corpus")
     return lists
 
 
@@ -86,15 +84,13 @@ def _load_model_and_corpus(args):
     return models, docs, {d.doc_id: d.tokens for d in docs}
 
 
-def _bm25_eval_items(cfg: ExperimentConfig, docs, doc_tokens: dict, vocab,
-                     queries) -> list[EvalItem]:
+def _bm25_eval_items(cfg: ExperimentConfig, docs, vocab, queries) -> list[EvalItem]:
     """Each query with its BM25 top-k candidates from an index over ``docs``."""
     index = InvertedIndex.build(docs, k1=cfg.retrieval.k1, b=cfg.retrieval.b)
     items = []
     for q in queries:
         run = index.search(vocab.encode(q.text), cfg.retrieval.top_k, query_id=q.query_id)
-        items.append(EvalItem(query=q, candidates=[(e.doc_id, doc_tokens[e.doc_id])
-                                                   for e in run.entries]))
+        items.append(EvalItem(query=q, doc_ids=[e.doc_id for e in run.entries]))
     return items
 
 
@@ -187,16 +183,14 @@ def cmd_rerank(args) -> int:
     for qid, cands in lists.items():
         if qid not in queries:
             raise ConfigError(f"candidate run references unknown query {qid!r}")
-        items.append(EvalItem(query=queries[qid], candidates=cands))
+        items.append(EvalItem(query=queries[qid], doc_ids=cands))
     if args.mode == "sliding":
-        window = cfg.retrieval.window if args.window is None else args.window
-        stride = cfg.retrieval.stride if args.stride is None else args.stride
-        runs = [sliding_window_rerank(models.vocab.encode(item.query.text),
-                                      [doc_id for doc_id, _ in item.candidates], rows, models,
-                                      window=window, stride=stride, query_id=item.query.query_id)
-                for item, rows in zip(items, candidate_rows(models, items))]
+        runs = [sliding_window_rerank(models.vocab.encode(item.query.text), item.doc_ids, rows,
+                                      models, window=cfg.retrieval.window,
+                                      stride=cfg.retrieval.stride, query_id=item.query.query_id)
+                for item, rows in zip(items, candidate_rows(models, items, doc_tokens))]
     else:
-        runs = rerank_eval_set(models, items)
+        runs = rerank_eval_set(models, items, doc_tokens)
     write_trec_run(out / "run.trec", runs)
     report = efficiency_report(runs)
     write_jsonl(out / "trace.jsonl", report.per_query)
@@ -286,13 +280,12 @@ def cmd_ablate(args) -> int:
     qrels = load_qrels(data_dir / "qrels.txt")
     eval_queries = load_queries(data_dir / "queries_eval.tsv")
 
-    items = _bm25_eval_items(cfg, docs, doc_tokens, vocab, eval_queries)
-    stage_cfgs = cfg.stage_configs()
-    if len(stage_cfgs) != 2:
+    items = _bm25_eval_items(cfg, docs, vocab, eval_queries)
+    plan = list(zip(cfg.stage_configs(), [stage1, stage2]))
+    if len(plan) != 2:
         raise ConfigError("ablate requires a two-stage config")
-    rows = ablation_suite(vocab, doc_tokens, stage1, stage2, items, qrels,
+    rows = ablation_suite(vocab, doc_tokens, plan, items, qrels,
                           model_kwargs=dataclasses.asdict(cfg.model),
-                          stage1=stage_cfgs[0], stage2=stage_cfgs[1],
                           optim=cfg.optim, base_loss=cfg.loss, seed=cfg.seed)
     table = format_ablation_table(rows)
     (out / "report.txt").write_text(table + "\n", encoding="utf-8")
@@ -330,8 +323,8 @@ def cmd_order_exp(args) -> int:
     models, docs, doc_tokens = _load_model_and_corpus(args)
     queries = load_queries(_path(args.queries))
     qrels = load_qrels(_path(args.qrels))
-    items = _bm25_eval_items(cfg, docs, doc_tokens, models.vocab, queries)
-    report = ordering_experiment(models, items, qrels, seed=cfg.seed)
+    items = _bm25_eval_items(cfg, docs, models.vocab, queries)
+    report = ordering_experiment(models, items, doc_tokens, qrels, seed=cfg.seed)
     text = "\n".join(report.rows()) + f"\nseed: {report.seed}\n"
     (out / "report.txt").write_text(text, encoding="utf-8")
     write_jsonl(out / "metrics.jsonl", ({"ordering": name, "ndcg": value, "seed": report.seed}
@@ -382,9 +375,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus", required=True)
     p.add_argument("--queries", required=True)
     p.add_argument("--candidates", required=True, help="first-stage TREC run file")
-    p.add_argument("--mode", choices=["single", "sliding"], default="single")
-    p.add_argument("--window", type=int)
-    p.add_argument("--stride", type=int)
+    p.add_argument("--mode", choices=["single", "sliding"], default="single",
+                   help="sliding takes its window and stride from the config's retrieval section")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_rerank)
 

@@ -90,31 +90,9 @@ class Query:
     text: str
 
 
-class Qrels:
-    """Graded relevance judgments; pairs absent from the map have grade 0."""
-
-    def __init__(self):
-        self._grades: dict[str, dict[str, int]] = {}
-
-    def set(self, query_id: str, doc_id: str, grade: int) -> None:
-        if grade < 0:
-            raise DataFormatError(f"negative grade {grade} for ({query_id}, {doc_id})")
-        self._grades.setdefault(query_id, {})[doc_id] = grade
-
-    def grade(self, query_id: str, doc_id: str) -> int:
-        return self._grades.get(query_id, {}).get(doc_id, 0)
-
-    def has_query(self, query_id: str) -> bool:
-        return query_id in self._grades
-
-    def query_ids(self) -> list[str]:
-        return sorted(self._grades)
-
-    def doc_grades(self, query_id: str) -> dict[str, int]:
-        return dict(self._grades.get(query_id, {}))
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Qrels) and self._grades == other._grades
+# Graded relevance judgments, query id -> doc id -> grade; a pair absent from
+# the map has grade 0.
+Qrels = dict[str, dict[str, int]]
 
 
 @dataclass
@@ -173,6 +151,15 @@ def rank_labels_from_grades(grades: Sequence[int]) -> list[int]:
 # file loaders / writers
 # ---------------------------------------------------------------------------
 
+def _exact(value, kind: type, key: str):
+    """``value`` when its type is exactly ``kind``, else ``DataFormatError``
+    naming ``key``: no JSON ``null`` or list is a string, and no ``2.9``,
+    ``"0"`` or ``true`` an integer."""
+    if type(value) is not kind:
+        raise DataFormatError(f"{key}: expected {kind.__name__}, got {value!r}")
+    return value
+
+
 def load_corpus(path, vocab: Vocabulary | None = None) -> tuple[list[Document], Vocabulary]:
     """Read a nonempty JSONL corpus; builds the vocabulary from it unless one is given."""
     path = Path(path)
@@ -181,17 +168,17 @@ def load_corpus(path, vocab: Vocabulary | None = None) -> tuple[list[Document], 
     for lineno, record in jsonl_records(path):
         if not isinstance(record, dict) or "id" not in record or "text" not in record:
             raise DataFormatError(f"{path}:{lineno}: record must have 'id' and 'text' fields")
-        doc_id = str(record["id"])
+        doc_id, text = (_exact(record[k], str, f"{path}:{lineno}: {k}") for k in ("id", "text"))
         if doc_id in seen_ids:
             raise DataFormatError(f"{path}:{lineno}: duplicate doc id {doc_id!r}")
         seen_ids.add(doc_id)
-        raw.append((doc_id, str(record["text"])))
+        raw.append((doc_id, text))
     if not raw:
         raise DataFormatError(f"{path}: corpus holds no documents")
     if vocab is None:
         vocab = Vocabulary.build(text for _, text in raw)
     docs = []
-    for lineno, (doc_id, text) in enumerate(raw, start=1):
+    for doc_id, text in raw:
         tokens = vocab.encode(text)
         if not tokens:
             raise DataFormatError(f"{path}: document {doc_id!r} has no tokens")
@@ -228,7 +215,7 @@ def write_queries(path, queries: Iterable[Query]) -> None:
 
 def load_qrels(path) -> Qrels:
     path = Path(path)
-    qrels = Qrels()
+    qrels: Qrels = {}
     seen: set[tuple[str, str]] = set()
     for lineno, line in text_lines(path):
         if not line.strip():
@@ -246,14 +233,14 @@ def load_qrels(path) -> Qrels:
         if (qid, doc_id) in seen:
             raise DataFormatError(f"{path}:{lineno}: duplicate pair ({qid}, {doc_id})")
         seen.add((qid, doc_id))
-        qrels.set(qid, doc_id, grade)
+        qrels.setdefault(qid, {})[doc_id] = grade
     return qrels
 
 
 def write_qrels(path, qrels: Qrels) -> None:
     with Path(path).open("w", encoding="utf-8") as fh:
-        for qid in qrels.query_ids():
-            for doc_id, grade in sorted(qrels.doc_grades(qid).items()):
+        for qid in sorted(qrels):
+            for doc_id, grade in sorted(qrels[qid].items()):
                 fh.write(f"{qid} 0 {doc_id} {grade}\n")
 
 
@@ -274,18 +261,18 @@ def load_samples(path) -> list[RankingSample]:
     for lineno, record in jsonl_records(path):
         try:
             sample = RankingSample(
-                query_id=record["query_id"],
-                query_text=record["query"],
-                candidates=[Candidate(c["doc_id"], int(c["grade"]), int(c["rank_label"]))
-                            for c in record["candidates"]],
-                positive_index=int(record["positive_index"]),
-                negative_indices=[int(i) for i in record["negative_indices"]],
+                query_id=_exact(record["query_id"], str, "query_id"),
+                query_text=_exact(record["query"], str, "query"),
+                candidates=[Candidate(_exact(c["doc_id"], str, f"candidates[{i}].doc_id"),
+                                      _exact(c["grade"], int, f"candidates[{i}].grade"),
+                                      _exact(c["rank_label"], int, f"candidates[{i}].rank_label"))
+                            for i, c in enumerate(record["candidates"])],
+                positive_index=_exact(record["positive_index"], int, "positive_index"),
+                negative_indices=[_exact(v, int, "negative_indices")
+                                  for v in record["negative_indices"]],
             )
-            if not all(isinstance(v, str) for v in (sample.query_id, sample.query_text,
-                                                     *(c.doc_id for c in sample.candidates))):
-                raise TypeError("query_id, query and every doc_id must be strings")
             validate_sample(sample)
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        except (KeyError, TypeError, DataFormatError) as exc:
             raise DataFormatError(f"{path}:{lineno}: malformed sample record ({exc})") from exc
         samples.append(sample)
     return samples

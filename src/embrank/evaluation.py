@@ -19,7 +19,7 @@ from .errors import ConfigError, DataFormatError
 from .reranker import ModelPair, build_model_pair, rerank_embeddings
 from .retrieval import candidate_embeddings
 from .runs import RunList, TokenCounter
-from .training import LossConfig, OptimConfig, StageConfig, TrainReport, train_stages
+from .training import LossConfig, OptimConfig, TrainReport, train_stages
 
 
 def ndcg_at_k(run: RunList, qrels: Qrels, k: int = 10) -> float | None:
@@ -30,9 +30,9 @@ def ndcg_at_k(run: RunList, qrels: Qrels, k: int = 10) -> float | None:
     """
     if k < 1:
         raise ConfigError("ndcg_at_k: k must be >= 1")
-    if not qrels.has_query(run.query_id):
+    if run.query_id not in qrels:
         raise DataFormatError(f"ndcg_at_k: query {run.query_id!r} not present in qrels")
-    grades = qrels.doc_grades(run.query_id)
+    grades = qrels[run.query_id]
     ideal = sorted(grades.values(), reverse=True)[:k]
     idcg = sum((2.0 ** g - 1.0) / math.log2(i + 2) for i, g in enumerate(ideal))
     if idcg == 0.0:
@@ -110,29 +110,28 @@ def efficiency_report(runs: list[RunList]) -> EfficiencyReport:
 
 @dataclass
 class EvalItem:
-    """One evaluation query with its candidate list in first-stage order."""
+    """One evaluation query with its candidate doc ids in first-stage order."""
 
     query: Query
-    candidates: list[tuple[str, list[int]]]
+    doc_ids: list[str]
 
 
-def candidate_rows(models: ModelPair, items: list[EvalItem]) -> list[ad.Tensor]:
+def candidate_rows(models: ModelPair, items: list[EvalItem], doc_tokens) -> list[ad.Tensor]:
     """Each item's [n_i, d] candidate rows, cut from one ``candidate_embeddings``
     call over every item's candidates, so each distinct passage is encoded once."""
-    pairs = [c for item in items for c in item.candidates]
-    embeddings = candidate_embeddings(models, [d for d, _ in pairs], dict(pairs))
-    bounds = np.cumsum([0] + [len(item.candidates) for item in items]).tolist()
+    embeddings = candidate_embeddings(models, [d for item in items for d in item.doc_ids],
+                                      doc_tokens)
+    bounds = np.cumsum([0] + [len(item.doc_ids) for item in items]).tolist()
     return [ad.take_rows(embeddings, range(lo, hi)) for lo, hi in zip(bounds, bounds[1:])]
 
 
-def rerank_eval_set(models: ModelPair, items: list[EvalItem], *,
+def rerank_eval_set(models: ModelPair, items: list[EvalItem], doc_tokens, *,
                     tag: str = "embrank") -> list[RunList]:
     """Single-pass rerank of every item's candidate list by ``rerank_embeddings``,
     from its ``candidate_rows`` (one encode for the whole set)."""
-    return [rerank_embeddings(models.vocab.encode(item.query.text),
-                              [doc_id for doc_id, _ in item.candidates], rows, models,
+    return [rerank_embeddings(models.vocab.encode(item.query.text), item.doc_ids, rows, models,
                               query_id=item.query.query_id, tag=tag).run
-            for item, rows in zip(items, candidate_rows(models, items))]
+            for item, rows in zip(items, candidate_rows(models, items, doc_tokens))]
 
 
 # ---------------------------------------------------------------------------
@@ -152,7 +151,7 @@ class OrderingReport:
         return [f"{name:<9} nDCG@{self.k} = {self.ndcg[name]:.4f}" for name in ORDERINGS]
 
 
-def ordering_experiment(models: ModelPair, items: list[EvalItem], qrels: Qrels,
+def ordering_experiment(models: ModelPair, items: list[EvalItem], doc_tokens, qrels: Qrels,
                         seed: int, k: int = 10) -> OrderingReport:
     """Evaluate the same model and candidate sets under three input orders.
 
@@ -162,17 +161,17 @@ def ordering_experiment(models: ModelPair, items: list[EvalItem], qrels: Qrels,
     rows with the list.
     """
     ndcg: dict[str, float] = {}
-    base_rows = candidate_rows(models, items)
+    base_rows = candidate_rows(models, items, doc_tokens)
     for ordering in ORDERINGS:
         runs = []
         for qi, (item, rows) in enumerate(zip(items, base_rows)):
-            order = np.arange(len(item.candidates))
+            order = np.arange(len(item.doc_ids))
             if ordering == "inverse":
                 order = order[::-1]
             elif ordering == "random":
                 order = np.random.default_rng([seed, qi]).permutation(len(order))
             runs.append(rerank_embeddings(
-                models.vocab.encode(item.query.text), [item.candidates[i][0] for i in order],
+                models.vocab.encode(item.query.text), [item.doc_ids[i] for i in order],
                 ad.take_rows(rows, order), models, query_id=item.query.query_id,
                 tag=f"embrank-{ordering}").run)
         ndcg[ordering] = mean_ndcg(runs, qrels, k).mean
@@ -185,9 +184,10 @@ def ordering_experiment(models: ModelPair, items: list[EvalItem], qrels: Qrels,
 
 ABLATION_VARIANTS = ("full", "wo_stage1", "wo_stage2", "wo_hidden_state",
                      "wo_residual", "wo_encoder_sft", "wo_encoder_loss")
-# The ``LossConfig`` flag each component-removal variant turns off.
-_ABLATION_FLAGS = {"wo_hidden_state": "hidden_state_enabled", "wo_residual": "residual_enabled",
-                   "wo_encoder_sft": "encoder_trainable", "wo_encoder_loss": "encoder_loss_enabled"}
+# The ``LossConfig`` change of each component-removal variant.
+_ABLATION_CHANGES = {
+    "wo_hidden_state": {"hidden_state_enabled": False}, "wo_residual": {"residual_enabled": False},
+    "wo_encoder_sft": {"encoder_trainable": False}, "wo_encoder_loss": {"lam": 0.0}}
 
 
 @dataclass
@@ -198,31 +198,28 @@ class AblationRow:
     train_report: TrainReport
 
 
-def ablation_suite(vocab, doc_tokens, stage1_samples, stage2_samples,
-                   items: list[EvalItem], qrels: Qrels, *,
-                   model_kwargs: dict, stage1: StageConfig, stage2: StageConfig,
-                   optim: OptimConfig, base_loss: LossConfig, seed: int,
+def ablation_suite(vocab, doc_tokens, plan, items: list[EvalItem], qrels: Qrels, *,
+                   model_kwargs: dict, optim: OptimConfig, base_loss: LossConfig, seed: int,
                    k: int = 10, variants=ABLATION_VARIANTS) -> list[AblationRow]:
     """Train one variant per removed component from identical initialization.
 
-    Every variant uses the same seed, so the initial weights are identical and
-    exactly one switch differs from the full model. ``wo_stage1`` and
-    ``wo_stage2`` give that stage 0 epochs, so the other stage keeps its seed.
+    ``plan`` is the (StageConfig, samples) list ``train_stages`` takes. Every
+    variant uses the same seed, so the initial weights are identical and
+    exactly one switch differs from the full model. ``wo_stage{n}`` gives plan
+    entry n 0 epochs, so every other stage keeps its seed.
     """
     rows = []
     for variant in variants:
         if variant not in ABLATION_VARIANTS:
             raise ConfigError(f"unknown ablation variant {variant!r}")
-        flag = _ABLATION_FLAGS.get(variant)
-        loss_cfg = dataclasses.replace(base_loss, **({flag: False} if flag else {}))
-        plan = [(dataclasses.replace(stage, epochs=0) if variant == f"wo_stage{n}" else stage,
-                 samples)
-                for n, stage, samples in ((1, stage1, stage1_samples), (2, stage2, stage2_samples))]
+        loss_cfg = dataclasses.replace(base_loss, **_ABLATION_CHANGES.get(variant, {}))
+        stages = [(dataclasses.replace(stage, epochs=0) if variant == f"wo_stage{n}" else stage,
+                   samples) for n, (stage, samples) in enumerate(plan, start=1)]
         models = build_model_pair(vocab, seed, **model_kwargs)
         report = TrainReport()
-        for _ in train_stages(models, plan, doc_tokens, optim, loss_cfg, seed, report):
+        for _ in train_stages(models, stages, doc_tokens, optim, loss_cfg, seed, report):
             pass
-        result = mean_ndcg(rerank_eval_set(models, items), qrels, k)
+        result = mean_ndcg(rerank_eval_set(models, items, doc_tokens), qrels, k)
         rows.append(AblationRow(variant=variant, ndcg=result.mean,
                                 is_baseline=(variant == "full"), train_report=report))
     return rows

@@ -185,14 +185,15 @@ def generate_synthetic(seed: int,
         query_topic[qid] = t
 
     doc_ids = [doc_id for _, _, doc_id, _ in docs_raw]
-    qrels = Qrels()
+    qrels: Qrels = {}
     for q in queries:
         t = query_topic[q.query_id]
         source = source_of[q.query_id]
+        grades = qrels[q.query_id] = {}
         for idx in by_kind["core"][t]:
-            qrels.set(q.query_id, doc_ids[idx], 3 if idx == source else 2)
+            grades[doc_ids[idx]] = 3 if idx == source else 2
         for idx in by_kind["related"][t]:
-            qrels.set(q.query_id, doc_ids[idx], 1)
+            grades[doc_ids[idx]] = 1
 
     train_queries = queries[:n_queries - n_eval_queries]
     eval_queries = queries[n_queries - n_eval_queries:]
@@ -225,7 +226,7 @@ def generate_synthetic(seed: int,
         positions = [source] + chosen
         order = rng.permutation(len(positions))
         cand_ids = [doc_ids[positions[i]] for i in order]
-        grades = [qrels.grade(q.query_id, d) for d in cand_ids]
+        grades = [qrels[q.query_id].get(d, 0) for d in cand_ids]
         label_grades = list(grades)
         if noise > 0.0:
             for i in range(len(label_grades)):

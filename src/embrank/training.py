@@ -33,7 +33,6 @@ class LossConfig:
     tau1: float = 0.05
     tau2: float = 0.05
     lam: float = 0.1
-    encoder_loss_enabled: bool = True
     residual_enabled: bool = True
     hidden_state_enabled: bool = True
     encoder_trainable: bool = True
@@ -45,9 +44,6 @@ class LossConfig:
             raise ConfigError("lambda must be >= 0")
         if not self.residual_enabled and not self.hidden_state_enabled:
             raise ConfigError("residual_enabled and hidden_state_enabled cannot both be off")
-
-    def effective_lambda(self) -> float:
-        return self.lam if self.encoder_loss_enabled else 0.0
 
 
 @dataclass
@@ -246,8 +242,7 @@ def train_step(models: ModelPair, batch: list[RankingSample], doc_tokens,
         ranknet_terms.append(ranknet_loss(output.score_tensor, labels, loss_cfg.tau2))
     infonce = infonce_loss(ad.take_rows(embeddings, rows[lo:]), candidate_embs, loss_cfg.tau1)
     ranknet = ad.mul(functools.reduce(ad.add, ranknet_terms), 1.0 / len(batch))
-    lam_eff = loss_cfg.effective_lambda()
-    combined = combined_loss(infonce, ranknet, lam_eff)
+    combined = combined_loss(infonce, ranknet, loss_cfg.lam)
     _ensure_finite_loss(combined.item(), step)
     backward(combined)
     grad_norm = optimizer.clip_gradients()
@@ -259,7 +254,7 @@ def train_step(models: ModelPair, batch: list[RankingSample], doc_tokens,
         "ranknet": ranknet.item(),
         "combined": combined.item(),
         "grad_norm": grad_norm,
-        "lambda_effective": lam_eff,
+        "lambda_effective": loss_cfg.lam,
     }
 
 

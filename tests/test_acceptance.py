@@ -129,10 +129,7 @@ def test_criterion_3_metric_and_fusion_oracles():
         n = int(rng.integers(1, 11))
         doc_ids = [f"d{i}" for i in range(n)]
         grades = {d: int(rng.integers(0, 4)) for d in doc_ids}
-        from embrank.data import Qrels
-        qrels = Qrels()
-        for d, g in grades.items():
-            qrels.set("q", d, g)
+        qrels = {"q": grades}
         order = [doc_ids[i] for i in rng.permutation(n)]
         run = RunList("q", [RunEntry(d, float(n - i)) for i, d in enumerate(order)])
         got = ndcg_at_k(run, qrels, 10)
@@ -212,8 +209,7 @@ def test_criterion_5_synthetic_end_to_end_gain():
     for q in ds.eval_queries:
         run = index.search(ds.vocab.encode(q.text), 100, query_id=q.query_id)
         bm25_runs.append(run)
-        items.append(EvalItem(query=q, candidates=[
-            (e.doc_id, doc_tokens[e.doc_id]) for e in run.entries]))
+        items.append(EvalItem(query=q, doc_ids=[e.doc_id for e in run.entries]))
     base = mean_ndcg(bm25_runs, ds.qrels, 10)
 
     models = build_model_pair(ds.vocab, GAIN_SEED)
@@ -222,7 +218,7 @@ def test_criterion_5_synthetic_end_to_end_gain():
     for _ in train_stages(models, plan, doc_tokens, OptimConfig(), LossConfig(), GAIN_SEED,
                           TrainReport()):
         pass
-    trained = mean_ndcg(rerank_eval_set(models, items), ds.qrels, 10)
+    trained = mean_ndcg(rerank_eval_set(models, items, doc_tokens), ds.qrels, 10)
     elapsed = time.time() - start
     gain = trained.mean - base.mean
     assert gain >= 0.05, f"gain {gain:+.4f} below 0.05 (bm25 {base.mean:.4f}, trained {trained.mean:.4f})"
@@ -280,7 +276,7 @@ def test_criterion_6_structural_ablations(small_dataset, small_doc_tokens):
     # W/O Encoder Loss: the trace shows the contrastive term weighted by zero
     m4 = build_model_pair(ds.vocab, seed=602, d_model=16, n_layers=1, n_heads=2,
                           reranker_max_len=96)
-    cfg = LossConfig(encoder_loss_enabled=False)
+    cfg = LossConfig(lam=0.0)
     opt = Adam(_trainable_params(m4), lr=1e-3)
     rec = train_step(m4, ds.stage2_samples[:2], small_doc_tokens, opt, cfg, 0, "s")
     assert rec["lambda_effective"] == 0.0

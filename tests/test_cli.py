@@ -36,6 +36,13 @@ def sha(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+def retrieval_config(path, **retrieval):
+    """MICRO_CONFIG with ``retrieval`` set in its retrieval section, written to ``path``."""
+    path.write_text(json.dumps({**MICRO_CONFIG,
+                                "retrieval": {**MICRO_CONFIG["retrieval"], **retrieval}}))
+    return path
+
+
 @pytest.fixture(scope="module")
 def workdir(tmp_path_factory):
     """gen-data + build-index + train, shared by the read-only CLI tests."""
@@ -329,13 +336,13 @@ class TestRerankCommand:
               "--bm25-index", str(index / "bm25.idx"),
               "--mode", "bm25", "--out", str(e2e)])
         out = tmp_path / "sw"
-        assert main(["rerank", "--config", str(config),
+        sliding = retrieval_config(tmp_path / "sliding.json", window=10, stride=5)
+        assert main(["rerank", "--config", str(sliding),
                      "--checkpoint", str(train / "checkpoints/final.ckpt"),
                      "--corpus", str(data / "corpus.jsonl"),
                      "--queries", str(data / "queries_eval.tsv"),
                      "--candidates", str(e2e / "first_stage.trec"),
-                     "--mode", "sliding", "--window", "10", "--stride", "5",
-                     "--out", str(out)]) == 0
+                     "--mode", "sliding", "--out", str(out)]) == 0
         assert (out / "run.trec").exists()
 
     @pytest.mark.parametrize("mode", ["single", "sliding"])
@@ -352,21 +359,21 @@ class TestRerankCommand:
         candidates.write_text("".join(f"{q.query_id} Q0 {doc_id} {rank} {-rank}.0 t\n"
                                       for q, pairs in zip(queries, lists)
                                       for rank, (doc_id, _) in enumerate(pairs, start=1)))
-        assert main(["rerank", "--config", str(config),
+        sliding = retrieval_config(tmp_path / "sliding.json", window=10, stride=5)
+        assert main(["rerank", "--config", str(sliding),
                      "--checkpoint", str(train / "checkpoints/final.ckpt"),
                      "--corpus", str(data / "corpus.jsonl"),
                      "--queries", str(data / "queries_eval.tsv"),
                      "--candidates", str(candidates),
-                     "--mode", mode, "--window", "10", "--stride", "5",
-                     "--out", str(tmp_path / "rerank")]) == 0
+                     "--mode", mode, "--out", str(tmp_path / "rerank")]) == 0
         assert [sorted(call) for call in encode_calls] == [distinct_tokens(lists)]
 
-    @pytest.mark.parametrize("flag", ["--window", "--stride"])
-    def test_sliding_flag_of_zero_is_rejected_not_replaced(self, workdir, tmp_path, capsys,
-                                                          flag):
-        """A 0 on the command line reaches sliding_window_rerank's check instead
-        of falling back to the config's window 20 / stride 10."""
+    @pytest.mark.parametrize("key", ["window", "stride"])
+    def test_sliding_config_of_zero_is_rejected(self, workdir, tmp_path, capsys, key):
+        """A config window or stride of 0 reaches sliding_window_rerank's check:
+        the command exits 1 with its message."""
         root, config, data, train, index = workdir
+        config = retrieval_config(tmp_path / "zero.json", **{key: 0})
         qid = load_queries(data / "queries_eval.tsv")[0].query_id
         doc_id = load_corpus(data / "corpus.jsonl")[0][0].doc_id
         candidates = tmp_path / "first.trec"
@@ -375,7 +382,7 @@ class TestRerankCommand:
                      "--checkpoint", str(train / "checkpoints/final.ckpt"),
                      "--corpus", str(data / "corpus.jsonl"),
                      "--queries", str(data / "queries_eval.tsv"),
-                     "--candidates", str(candidates), "--mode", "sliding", flag, "0",
+                     "--candidates", str(candidates), "--mode", "sliding",
                      "--out", str(tmp_path / "sw")])
         assert code == 1
         assert "need 1 <= stride <= window" in capsys.readouterr().err

@@ -40,9 +40,12 @@ def test_unknown_top_level_key():
     ({"loss": {"tau1": 0.1, "tau3": 0.2}}, "loss.tau3"),
     ({"model": {"normalize_embeddings": True}}, "model.normalize_embeddings"),
     ({"model": {"passage_position_embeddings": False}}, "model.passage_position_embeddings"),
-], ids=["typo", "retired-normalize_embeddings", "retired-passage_position_embeddings"])
+    ({"loss": {"encoder_loss_enabled": False}}, "loss.encoder_loss_enabled"),
+], ids=["typo", "retired-normalize_embeddings", "retired-passage_position_embeddings",
+        "retired-encoder_loss_enabled"])
 def test_unknown_nested_key_names_dotted_path(data, dotted):
-    """The two retired model options are unknown keys like any typo."""
+    """The retired options are unknown keys like any typo: the two model
+    options, and the encoder-loss switch that ``loss.lam = 0`` replaces."""
     with pytest.raises(ConfigError) as err:
         config_from_dict(data)
     assert f"unknown config key(s): {dotted}" in str(err.value)

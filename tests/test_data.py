@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from embrank.data import (Candidate, Qrels, Query, RankingSample, Vocabulary,
+from embrank.data import (Candidate, Query, RankingSample, Vocabulary,
                           has_orderable_pair, load_corpus, load_qrels,
                           load_queries, load_samples, rank_labels_from_grades,
                           split_words, validate_sample, write_corpus,
@@ -96,6 +96,20 @@ class TestCorpusIO:
             load_corpus(path)
         assert "duplicate" in str(err.value)
 
+    @pytest.mark.parametrize("record, key", [
+        ({"id": "d2", "text": None}, "text"),
+        ({"id": "d2", "text": ["more", "text"]}, "text"),
+        ({"id": 2, "text": "more text"}, "id"),
+    ], ids=["null-text", "list-text", "int-id"])
+    def test_non_string_field_names_the_file_line_and_field(self, tmp_path, record, key):
+        """``str()`` would load these as the text "None", the text "['more',
+        'text']" and the id "2"."""
+        path = tmp_path / "corpus.jsonl"
+        path.write_text('{"id": "d1", "text": "ok"}\n' + json.dumps(record) + "\n")
+        with pytest.raises(DataFormatError) as err:
+            load_corpus(path)
+        assert str(err.value).startswith(f"{path}:2: {key}: expected str, got ")
+
 
 class TestQueriesIO:
     def test_round_trip(self, tmp_path):
@@ -123,20 +137,10 @@ class TestQrels:
     def test_parse_line(self, tmp_path):
         path = tmp_path / "qrels.txt"
         path.write_text("q1 0 d7 3\n")
-        qrels = load_qrels(path)
-        assert qrels.grade("q1", "d7") == 3
-
-    def test_absent_pair_is_zero(self):
-        qrels = Qrels()
-        qrels.set("q1", "d1", 2)
-        assert qrels.grade("q1", "nope") == 0
-        assert qrels.grade("q9", "d1") == 0
+        assert load_qrels(path) == {"q1": {"d7": 3}}
 
     def test_round_trip_identical(self, tmp_path):
-        qrels = Qrels()
-        qrels.set("q2", "d1", 1)
-        qrels.set("q1", "d3", 3)
-        qrels.set("q1", "d2", 0)
+        qrels = {"q2": {"d1": 1}, "q1": {"d3": 3, "d2": 0}}
         path = tmp_path / "qrels.txt"
         write_qrels(path, qrels)
         assert load_qrels(path) == qrels
@@ -217,6 +221,29 @@ class TestSamples:
         with pytest.raises(DataFormatError) as err:
             load_samples(path)
         assert f"{path}:1: malformed sample record" in str(err.value)
+
+    @pytest.mark.parametrize("valid, damaged, key", [
+        ('"grade": 1', '"grade": 2.9', "candidates[0].grade"),
+        ('"rank_label": 1', '"rank_label": "0"', "candidates[1].rank_label"),
+        ('"rank_label": 1', '"rank_label": true', "candidates[1].rank_label"),
+        ('"positive_index": 0', '"positive_index": 0.7', "positive_index"),
+        ('"negative_indices": [1]', '"negative_indices": ["1"]', "negative_indices"),
+    ], ids=["float-grade", "string-rank_label", "bool-rank_label", "float-positive_index",
+            "string-negative_index"])
+    def test_non_integer_field_names_the_file_line_and_field(self, tmp_path, valid, damaged,
+                                                             key):
+        """``int()`` would load each of these as a valid sample: grade 2, rank
+        label 0 or 1, positive index 0 and negative index 1."""
+        record = json.dumps({"query_id": "q0", "query": "x", "positive_index": 0,
+                             "negative_indices": [1],
+                             "candidates": [{"doc_id": "d0", "grade": 1, "rank_label": 0},
+                                            {"doc_id": "d1", "grade": 0, "rank_label": 1}]})
+        path = tmp_path / "samples.jsonl"
+        path.write_text(record + "\n" + record.replace(valid, damaged, 1) + "\n")
+        assert record.replace(valid, damaged, 1) != record
+        with pytest.raises(DataFormatError) as err:
+            load_samples(path)
+        assert f"{path}:2: malformed sample record ({key}: expected int, got " in str(err.value)
 
     def test_invalid_sample_file_rejected(self, tmp_path):
         path = tmp_path / "samples.jsonl"

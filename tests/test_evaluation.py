@@ -5,7 +5,6 @@ import math
 import numpy as np
 import pytest
 
-from embrank.data import Qrels
 from embrank.errors import ConfigError, DataFormatError
 from embrank.evaluation import (ABLATION_VARIANTS, EvalItem, ablation_suite,
                                 efficiency_report, format_ablation_table, mean_ndcg, ndcg_at_k,
@@ -19,11 +18,8 @@ from embrank.training import LossConfig, OptimConfig, StageConfig
 from helpers import distinct_tokens, naive_ndcg, rerank_pairs
 
 
-def qrels_of(qid, grades: dict) -> Qrels:
-    qrels = Qrels()
-    for doc_id, grade in grades.items():
-        qrels.set(qid, doc_id, grade)
-    return qrels
+def qrels_of(qid, grades: dict) -> dict:
+    return {qid: dict(grades)}
 
 
 def run_of(qid, doc_ids):
@@ -56,7 +52,7 @@ class TestNdcg:
     def test_zero_relevant_query_returns_none_and_is_excluded(self):
         qrels = qrels_of("q1", {"a": 0})
         assert ndcg_at_k(run_of("q1", ["a"]), qrels, 10) is None
-        qrels.set("q2", "b", 2)
+        qrels["q2"] = {"b": 2}
         result = mean_ndcg([run_of("q1", ["a"]), run_of("q2", ["b"])], qrels, 10)
         assert result.evaluated == 1 and result.excluded == 1
         assert result.mean == pytest.approx(1.0)
@@ -194,69 +190,72 @@ class TestEfficiencyReport:
 
 
 @pytest.fixture(scope="module")
-def eval_setup(small_dataset, small_doc_tokens):
+def eval_setup(small_dataset):
     models = build_model_pair(small_dataset.vocab, seed=60, d_model=16,
                               n_layers=1, n_heads=2, reranker_max_len=96)
     index = InvertedIndex.build(small_dataset.documents)
     items = []
     for q in small_dataset.eval_queries:
-        run = index.search(small_dataset.vocab.encode(q.text), 20,
-                           query_id=q.query_id)
-        items.append(EvalItem(query=q, candidates=[
-            (e.doc_id, small_doc_tokens[e.doc_id]) for e in run.entries]))
+        run = index.search(small_dataset.vocab.encode(q.text), 20, query_id=q.query_id)
+        items.append(EvalItem(query=q, doc_ids=[e.doc_id for e in run.entries]))
     return small_dataset, models, items
 
 
 class TestOrderingExperiment:
-    def test_involution_and_identity(self, eval_setup):
+    def test_involution_and_identity(self, eval_setup, small_doc_tokens):
         """Reversing twice reproduces the original-order nDCG exactly."""
         ds, models, items = eval_setup
-        report = ordering_experiment(models, items, ds.qrels, seed=5)
-        double_reversed = [EvalItem(query=i.query, candidates=i.candidates[::-1][::-1])
+        report = ordering_experiment(models, items, small_doc_tokens, ds.qrels, seed=5)
+        double_reversed = [EvalItem(query=i.query, doc_ids=i.doc_ids[::-1][::-1])
                            for i in items]
-        report2 = ordering_experiment(models, double_reversed, ds.qrels, seed=5)
+        report2 = ordering_experiment(models, double_reversed, small_doc_tokens, ds.qrels,
+                                      seed=5)
         assert report.ndcg["original"] == report2.ndcg["original"]
 
-    def test_all_orderings_reported_with_seed(self, eval_setup):
+    def test_all_orderings_reported_with_seed(self, eval_setup, small_doc_tokens):
         ds, models, items = eval_setup
-        report = ordering_experiment(models, items, ds.qrels, seed=9)
+        report = ordering_experiment(models, items, small_doc_tokens, ds.qrels, seed=9)
         assert set(report.ndcg) == {"original", "inverse", "random"}
         assert report.seed == 9
         for value in report.ndcg.values():
             assert 0.0 <= value <= 1.0
 
-    def test_random_ordering_reproducible(self, eval_setup):
+    def test_random_ordering_reproducible(self, eval_setup, small_doc_tokens):
         ds, models, items = eval_setup
-        a = ordering_experiment(models, items, ds.qrels, seed=13)
-        b = ordering_experiment(models, items, ds.qrels, seed=13)
+        a = ordering_experiment(models, items, small_doc_tokens, ds.qrels, seed=13)
+        b = ordering_experiment(models, items, small_doc_tokens, ds.qrels, seed=13)
         assert a.ndcg == b.ndcg
 
 
 class TestAblationStructure:
     """Bitwise scoring-path checks for the component-removal variants."""
 
-    def test_without_hidden_state_scores_are_pure_embedding_cosines(self, eval_setup):
+    def test_without_hidden_state_scores_are_pure_embedding_cosines(self, eval_setup,
+                                                                    small_doc_tokens):
         ds, _, items = eval_setup
         models = build_model_pair(ds.vocab, seed=61, d_model=16, n_layers=1,
                                   n_heads=2, reranker_max_len=96)
         models.reranker.hidden_state_enabled = False
         item = items[0]
         qt = ds.vocab.encode(item.query.text)
-        result = rerank_pairs(qt, item.candidates[:6], models, query_id="q")
+        docs = [(d, small_doc_tokens[d]) for d in item.doc_ids[:6]]
+        result = rerank_pairs(qt, docs, models, query_id="q")
         h = result.output.h_eos.data
         for i, e in enumerate(result.embeddings.data):
             expected = float(np.dot(h, e) /
                              (np.sqrt(np.dot(h, h)) * np.sqrt(np.dot(e, e))))
             assert result.output.score_tensor.data[i] == expected  # bitwise
 
-    def test_without_residual_scores_are_pure_hidden_cosines(self, eval_setup):
+    def test_without_residual_scores_are_pure_hidden_cosines(self, eval_setup,
+                                                             small_doc_tokens):
         ds, _, items = eval_setup
         models = build_model_pair(ds.vocab, seed=61, d_model=16, n_layers=1,
                                   n_heads=2, reranker_max_len=96)
         models.reranker.residual_enabled = False
         item = items[0]
         qt = ds.vocab.encode(item.query.text)
-        result = rerank_pairs(qt, item.candidates[:6], models, query_id="q")
+        docs = [(d, small_doc_tokens[d]) for d in item.doc_ids[:6]]
+        result = rerank_pairs(qt, docs, models, query_id="q")
         rin = models.reranker.assemble_input(qt, result.embeddings)
         hidden = models.reranker.contextualize(rin).data
         h = result.output.h_eos.data
@@ -269,12 +268,11 @@ class TestAblationStructure:
     def test_suite_runs_all_variants_from_identical_init(self, small_dataset,
                                                          small_doc_tokens, eval_setup):
         ds, _, items = eval_setup
+        plan = [(StageConfig("stage1", epochs=1, batch_size=2, lr=1e-3), ds.stage1_samples[:4]),
+                (StageConfig("stage2", epochs=1, batch_size=2, lr=1e-3), ds.stage2_samples[:4])]
         rows = ablation_suite(
-            ds.vocab, small_doc_tokens,
-            ds.stage1_samples[:4], ds.stage2_samples[:4], items[:2], ds.qrels,
+            ds.vocab, small_doc_tokens, plan, items[:2], ds.qrels,
             model_kwargs=dict(d_model=16, n_layers=1, n_heads=2, reranker_max_len=96),
-            stage1=StageConfig("stage1", epochs=1, batch_size=2, lr=1e-3),
-            stage2=StageConfig("stage2", epochs=1, batch_size=2, lr=1e-3),
             optim=OptimConfig(), base_loss=LossConfig(), seed=62)
         assert [r.variant for r in rows] == list(ABLATION_VARIANTS)
         assert rows[0].is_baseline and not any(r.is_baseline for r in rows[1:])
@@ -284,12 +282,11 @@ class TestAblationStructure:
     def test_wo_encoder_loss_zeroes_trace_multiplier(self, small_dataset,
                                                      small_doc_tokens, eval_setup):
         ds, _, items = eval_setup
+        plan = [(StageConfig("stage1", epochs=1, batch_size=2, lr=1e-3), ds.stage1_samples[:2]),
+                (StageConfig("stage2", epochs=1, batch_size=2, lr=1e-3), ds.stage2_samples[:2])]
         rows = ablation_suite(
-            ds.vocab, small_doc_tokens,
-            ds.stage1_samples[:2], ds.stage2_samples[:2], items[:1], ds.qrels,
+            ds.vocab, small_doc_tokens, plan, items[:1], ds.qrels,
             model_kwargs=dict(d_model=16, n_layers=1, n_heads=2, reranker_max_len=96),
-            stage1=StageConfig("stage1", epochs=1, batch_size=2, lr=1e-3),
-            stage2=StageConfig("stage2", epochs=1, batch_size=2, lr=1e-3),
             optim=OptimConfig(), base_loss=LossConfig(), seed=63,
             variants=("wo_encoder_loss",))
         records = rows[0].train_report.records
@@ -298,16 +295,16 @@ class TestAblationStructure:
                    for r in records)
 
 
-def test_mean_ndcg_of_the_reranked_eval_set(eval_setup):
+def test_mean_ndcg_of_the_reranked_eval_set(eval_setup, small_doc_tokens):
     ds, models, items = eval_setup
-    result = mean_ndcg(rerank_eval_set(models, items), ds.qrels, k=10)
+    result = mean_ndcg(rerank_eval_set(models, items, small_doc_tokens), ds.qrels, k=10)
     assert 0.0 <= result.mean <= 1.0
     assert result.evaluated == len(items)
 
 
-def test_rerank_eval_set_counters_attached(eval_setup):
+def test_rerank_eval_set_counters_attached(eval_setup, small_doc_tokens):
     ds, models, items = eval_setup
-    runs = rerank_eval_set(models, items)
+    runs = rerank_eval_set(models, items, small_doc_tokens)
     assert all(r.counters is not None and r.counters.generated_tokens == 0 for r in runs)
 
 
@@ -319,28 +316,26 @@ class TestEncodeOnce:
         """Each eval query with 12 candidates, half of them the next query's."""
         ds, models, _ = eval_setup
         ids = sorted(small_doc_tokens)
-        items = [EvalItem(query=q, candidates=[(d, small_doc_tokens[d])
-                                               for d in ids[6 * j:6 * j + 12]])
+        items = [EvalItem(query=q, doc_ids=ids[6 * j:6 * j + 12])
                  for j, q in enumerate(ds.eval_queries)]
-        return ds, models, items
+        pairs = [[(d, small_doc_tokens[d]) for d in item.doc_ids] for item in items]
+        return ds, models, items, small_doc_tokens, pairs
 
     def test_rerank_eval_set(self, overlapping, encode_calls):
-        ds, models, items = overlapping
-        rerank_eval_set(models, items)
-        assert [sorted(call) for call in encode_calls] == \
-            [distinct_tokens([item.candidates for item in items])]
+        ds, models, items, doc_tokens, pairs = overlapping
+        rerank_eval_set(models, items, doc_tokens)
+        assert [sorted(call) for call in encode_calls] == [distinct_tokens(pairs)]
 
     def test_ordering_experiment(self, overlapping, encode_calls):
-        ds, models, items = overlapping
-        ordering_experiment(models, items, ds.qrels, seed=5)
-        assert [sorted(call) for call in encode_calls] == \
-            [distinct_tokens([item.candidates for item in items])]
+        ds, models, items, doc_tokens, pairs = overlapping
+        ordering_experiment(models, items, doc_tokens, ds.qrels, seed=5)
+        assert [sorted(call) for call in encode_calls] == [distinct_tokens(pairs)]
 
     def test_same_runs_as_one_list_at_a_time(self, overlapping):
         """One encode for the set ranks every list as encoding it alone does."""
-        ds, models, items = overlapping
-        for item, run in zip(items, rerank_eval_set(models, items)):
-            alone = rerank_pairs(models.vocab.encode(item.query.text), item.candidates,
+        ds, models, items, doc_tokens, pairs = overlapping
+        for item, item_pairs, run in zip(items, pairs, rerank_eval_set(models, items, doc_tokens)):
+            alone = rerank_pairs(models.vocab.encode(item.query.text), item_pairs,
                                  models, query_id=item.query.query_id).run
             assert [(e.doc_id, e.score.hex()) for e in run.entries] == \
                 [(e.doc_id, e.score.hex()) for e in alone.entries]

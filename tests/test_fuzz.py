@@ -30,7 +30,7 @@ from embrank.errors import DataFormatError
 from embrank.reranker import build_model_pair
 from embrank.retrieval import DenseIndex, InvertedIndex
 from embrank.serialization import FORMAT_VERSION, MAGIC, read_record_file
-from embrank.data import (Candidate, Document, Qrels, Query, RankingSample,
+from embrank.data import (Candidate, Document, Query, RankingSample,
                           load_corpus, load_qrels, load_queries, load_samples,
                           write_corpus, write_qrels, write_queries, write_samples)
 from embrank.errors import EmbrankError
@@ -38,14 +38,6 @@ from embrank.runs import RunEntry, RunList, read_trec_run, write_trec_run
 
 SEED = 2024
 CASES_PER_MUTATION = 60
-
-
-def _qrels():
-    qrels = Qrels()
-    for qid, doc_id, grade in (("q1", "d1", 2), ("q1", "d2", 0), ("q2", "d3", 1),
-                               ("q2", "d1", 3), ("q3", "d2", 1)):
-        qrels.set(qid, doc_id, grade)
-    return qrels
 
 
 def _samples():
@@ -63,7 +55,8 @@ FORMATS = {
                      tag="bm25"),
              RunList("q2", [RunEntry("d3", 12.0), RunEntry("d1", 3.141593)], tag="bm25")],
             write_trec_run, read_trec_run),
-    "qrels": (_qrels(), write_qrels, load_qrels),
+    "qrels": ({"q1": {"d1": 2, "d2": 0}, "q2": {"d3": 1, "d1": 3}, "q3": {"d2": 1}},
+              write_qrels, load_qrels),
     "queries": ([Query("q1", "the dog barks"), Query("q2", "a cat, naps!"), Query("q3", "7 dogs")],
                 write_queries, load_queries),
     "corpus": ([Document("d1", "the dog barks", []), Document("d2", "a cat naps 42", []),

@@ -79,8 +79,8 @@ def setting(request):
     models = build_model_pair(ds.vocab, seed)
     bm25 = InvertedIndex.build(ds.documents)
     dense = DenseIndex.build(ds.documents, models.encoder)
-    items = [EvalItem(query=q, candidates=[(e.doc_id, doc_tokens[e.doc_id]) for e in
-                                           bm25.search(ds.vocab.encode(q.text), K).entries])
+    items = [EvalItem(query=q, doc_ids=[e.doc_id for e in
+                                        bm25.search(ds.vocab.encode(q.text), K).entries])
              for q in ds.eval_queries]
     return SimpleNamespace(seed=seed, ds=ds, doc_tokens=doc_tokens, models=models, bm25=bm25,
                            dense=dense, items=items, digests=DIGESTS[seed])
@@ -110,9 +110,9 @@ def test_sliding_window(setting):
     s = setting
     runs = []
     for item in s.items:
-        ids = [doc_id for doc_id, _ in item.candidates]
-        rows = candidate_embeddings(s.models, ids, s.doc_tokens)
-        runs.append(sliding_window_rerank(s.models.vocab.encode(item.query.text), ids, rows,
+        rows = candidate_embeddings(s.models, item.doc_ids, s.doc_tokens)
+        runs.append(sliding_window_rerank(s.models.vocab.encode(item.query.text), item.doc_ids,
+                                          rows,
                                           s.models, window=8, stride=4,
                                           query_id=item.query.query_id))
     assert lines_digest(runs) == s.digests["sliding"]
@@ -120,7 +120,7 @@ def test_sliding_window(setting):
 
 def test_rerank_eval_set(setting):
     s = setting
-    assert lines_digest(rerank_eval_set(s.models, s.items)) == s.digests["eval_set"]
+    assert lines_digest(rerank_eval_set(s.models, s.items, s.doc_tokens)) == s.digests["eval_set"]
 
 
 def test_ordering_experiment(setting, monkeypatch):
@@ -134,7 +134,7 @@ def test_ordering_experiment(setting, monkeypatch):
         runs.append(ordering_runs)
         return real(ordering_runs, qrels, k)
     monkeypatch.setattr(evaluation, "mean_ndcg", spy)
-    report = ordering_experiment(s.models, s.items, s.ds.qrels, seed=s.seed)
+    report = ordering_experiment(s.models, s.items, s.doc_tokens, s.ds.qrels, seed=s.seed)
     assert [lines_digest(r) for r in runs] == [s.digests[f"order_{name}"]
                                               for name in evaluation.ORDERINGS]
     assert [report.ndcg[name].hex() for name in evaluation.ORDERINGS] == \

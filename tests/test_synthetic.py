@@ -17,8 +17,7 @@ def dataset_fingerprint(ds):
          tuple((c.doc_id, c.grade, c.rank_label) for c in s.candidates))
         for s in ds.stage1_samples + ds.stage2_samples)
     qrels = tuple(sorted((qid, doc, grade)
-                         for qid in ds.qrels.query_ids()
-                         for doc, grade in ds.qrels.doc_grades(qid).items()))
+                         for qid in ds.qrels for doc, grade in ds.qrels[qid].items()))
     return (docs, queries, samples, qrels)
 
 
@@ -70,12 +69,11 @@ class TestStructure:
 
     def test_every_query_has_relevant_docs(self, ds):
         for q in ds.queries:
-            grades = ds.qrels.doc_grades(q.query_id)
-            assert max(grades.values()) == 3
+            assert max(ds.qrels[q.query_id].values()) == 3
 
     def test_grades_stay_in_range(self, ds):
-        for qid in ds.qrels.query_ids():
-            for grade in ds.qrels.doc_grades(qid).values():
+        for grades in ds.qrels.values():
+            for grade in grades.values():
                 assert 0 <= grade <= 3
 
     def test_stage1_noise_only_perturbs_labels(self):
@@ -86,7 +84,7 @@ class TestStructure:
         # stored grades are always true construction grades
         for s in noisy.stage1_samples + noisy.stage2_samples:
             for c in s.candidates:
-                assert c.grade == noisy.qrels.grade(s.query_id, c.doc_id)
+                assert c.grade == noisy.qrels[s.query_id].get(c.doc_id, 0)
         # stage-2 labels are clean: same label derivation as the noise-free run
         assert ([c.rank_label for s in clean.stage2_samples for c in s.candidates] ==
                 [c.rank_label for s in noisy.stage2_samples for c in s.candidates])
@@ -131,8 +129,8 @@ def canonical_dump(ds) -> str:
     lines += [f"{split}\t{q.query_id}\t{q.text}"
               for split, qs in (("train", ds.train_queries), ("eval", ds.eval_queries))
               for q in qs]
-    lines += [f"qrel\t{qid}\t{doc}\t{grade}" for qid in ds.qrels.query_ids()
-              for doc, grade in sorted(ds.qrels.doc_grades(qid).items())]
+    lines += [f"qrel\t{qid}\t{doc}\t{grade}" for qid in sorted(ds.qrels)
+              for doc, grade in sorted(ds.qrels[qid].items())]
     for stage, samples in (("stage1", ds.stage1_samples), ("stage2", ds.stage2_samples)):
         lines += [f"{stage}\t{s.query_id}\t{s.positive_index}\t"
                   + " ".join(f"{c.doc_id}:{c.grade}:{c.rank_label}" for c in s.candidates)

@@ -429,7 +429,7 @@ class TestTrainingLoops:
     def test_encoder_loss_disabled_traces_zero_multiplier(self, small_dataset, small_doc_tokens):
         models = build_model_pair(small_dataset.vocab, seed=8, d_model=16,
                                   n_layers=1, n_heads=2, reranker_max_len=64)
-        cfg = LossConfig(encoder_loss_enabled=False)
+        cfg = LossConfig(lam=0.0)
         opt = Adam(_trainable_params(models), lr=1e-3)
         record = train_step(models, [small_dataset.stage2_samples[0]],
                             small_doc_tokens, opt, cfg, 0, "s")
@@ -475,7 +475,7 @@ def every_use_step(models, batch, doc_tokens, loss_cfg):
     for term in ranknet_terms[1:]:
         ranknet = ad.add(ranknet, term)
     ranknet = ad.mul(ranknet, 1.0 / len(batch))
-    combined = combined_loss(infonce, ranknet, loss_cfg.effective_lambda())
+    combined = combined_loss(infonce, ranknet, loss_cfg.lam)
     backward(combined)
     norm = ad.global_grad_norm(_trainable_params(models).values())
     return dict(zip(RECORD_KEYS, (infonce.item(), ranknet.item(), combined.item(), norm)))
