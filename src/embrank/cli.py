@@ -135,9 +135,7 @@ def cmd_build_index(args) -> int:
                                 corpus_checksum=checksum)
     index.save(out / "bm25.idx")
     built = ["bm25.idx"]
-    if args.dense:
-        if not args.checkpoint:
-            raise ConfigError("--dense requires --checkpoint for the encoder")
+    if args.checkpoint:
         models = load_checkpoint(_path(args.checkpoint))
         dense = DenseIndex.build(docs, models.encoder, corpus_checksum=checksum)
         dense.save(out / "dense.idx")
@@ -359,8 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--corpus", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--dense", action="store_true")
-    p.add_argument("--checkpoint", help="encoder checkpoint for the dense index")
+    p.add_argument("--checkpoint", help="encoder checkpoint; builds the dense index too")
     p.set_defaults(func=cmd_build_index)
 
     p = sub.add_parser("train", help="dual-stage training on generated data")

@@ -63,13 +63,14 @@ class InvertedIndex:
 
     Scores are bit-identical to the definitional per-document sum, from 0.0
     in query order, of ``idf * tf * (k1 + 1) / (tf + k1 * (1 - b + b * |d| / avgdl))``
-    with ``idf = math.log(1 + (N - df + 0.5) / (df + 0.5))``.
+    with ``idf = math.log(1 + (N - df + 0.5) / (df + 0.5))``. Construction
+    (``build``, ``load`` or by hand) runs ``_check_index``.
     """
 
     def __init__(self, doc_ids: list[str], doc_lengths: list[int], postings: Postings,
                  k1: float = 1.2, b: float = 0.75, corpus_checksum: str = ""):
-        if k1 < 0 or not 0.0 <= b <= 1.0:
-            raise ConfigError(f"invalid BM25 parameters k1={k1}, b={b}")
+        lengths = np.asarray(doc_lengths, dtype=np.int64)
+        _check_index(k1, b, doc_ids, lengths, postings)
         self.k1, self.b = k1, b
         self.corpus_checksum = corpus_checksum  # sha256 of the indexed corpus file; "" when unknown
         self.doc_ids = doc_ids
@@ -77,16 +78,13 @@ class InvertedIndex:
         self.postings = postings
         self.id_rank = rank_by_id(doc_ids)  # a loaded file's ids need not be sorted
         self.avgdl = sum(doc_lengths) / len(doc_lengths)
-        self._norm = k1 * (1.0 - b + b * np.asarray(doc_lengths, dtype=np.int64) / self.avgdl)
+        self._norm = k1 * (1.0 - b + b * lengths / self.avgdl)
 
     @classmethod
     def build(cls, documents: list[Document], k1: float = 1.2, b: float = 0.75,
               corpus_checksum: str = "") -> "InvertedIndex":
         ordered = sorted(documents, key=lambda d: d.doc_id)
-        doc_ids = _distinct_ids(ordered)
         lengths = [len(d.tokens) for d in ordered]
-        if any(n == 0 for n in lengths):
-            raise DataFormatError("cannot index a document with no tokens")
         n = len(ordered)
         token = np.fromiter(itertools.chain.from_iterable(d.tokens for d in ordered),
                             dtype=np.int64, count=sum(lengths))
@@ -96,7 +94,8 @@ class InvertedIndex:
         tokens, starts = np.unique(posting_token, return_index=True)
         postings = Postings(tokens, np.append(starts, len(keys)).astype(np.int64),
                             doc_idx, tf.astype(np.int64))
-        return cls(doc_ids, lengths, postings, k1=k1, b=b, corpus_checksum=corpus_checksum)
+        return cls([d.doc_id for d in ordered], lengths, postings, k1=k1, b=b,
+                   corpus_checksum=corpus_checksum)
 
     def search(self, query_tokens, k: int, query_id: str = "q0") -> RunList:
         """Top-k by BM25; each query-token occurrence contributes its own term.
@@ -141,14 +140,15 @@ class InvertedIndex:
             raise DataFormatError(f"{path}: not a BM25 index file")
         require_keys(path, meta, arrays, ("k1", "b", "doc_ids", "tokens"),
                      ("offsets", "doc_idx", "tf", "doc_lengths"))
-        doc_ids = meta["doc_ids"]
         doc_lengths = _int_array(path, "doc_lengths", arrays["doc_lengths"])
         postings = Postings(_int_array(path, "tokens", meta["tokens"]),
                             *(_int_array(path, name, arrays[name])
                               for name in ("offsets", "doc_idx", "tf")))
-        _check_index(path, meta["k1"], meta["b"], doc_ids, doc_lengths, postings)
-        return cls(doc_ids, doc_lengths.tolist(), postings, k1=meta["k1"], b=meta["b"],
-                   corpus_checksum=meta.get("corpus_checksum", ""))
+        try:
+            return cls(meta["doc_ids"], doc_lengths.tolist(), postings, k1=meta["k1"],
+                       b=meta["b"], corpus_checksum=meta.get("corpus_checksum", ""))
+        except DataFormatError as exc:
+            raise DataFormatError(f"{path}: {exc}") from None
 
 
 def _int_array(path, name: str, values) -> np.ndarray:
@@ -167,41 +167,24 @@ def _is_number(value) -> bool:
     return type(value) in (int, float) and abs(value) <= sys.float_info.max
 
 
-def _repeated_id(doc_ids: list[str]) -> str | None:
-    """The first id that occurs twice in ``doc_ids``, or None."""
+def _check_doc_ids(check, doc_ids) -> None:
+    """Both indexes' check that ``doc_ids`` is a nonempty list of distinct
+    strings: each index holds one row per document, and search ranks one
+    entry each."""
+    check(isinstance(doc_ids, list) and all(isinstance(d, str) for d in doc_ids),
+          "doc_ids", "is not a list of document ids")
+    check(doc_ids, "doc_ids", "holds no documents (an empty corpus)")
     seen: set[str] = set()
     for doc_id in doc_ids:
         if doc_id in seen:
-            return doc_id
+            check(False, "doc_ids", f"repeats the document id {doc_id!r}")
         seen.add(doc_id)
-    return None
 
 
-def _distinct_ids(documents: list[Document]) -> list[str]:
-    """The documents' ids, or ``DataFormatError`` for no documents or naming
-    one that repeats: each index holds one row per document, and search ranks
-    one entry each."""
-    if not documents:
-        raise DataFormatError("cannot index an empty corpus")
-    doc_ids = [d.doc_id for d in documents]
-    repeated = _repeated_id(doc_ids)
-    if repeated is not None:
-        raise DataFormatError(f"cannot index two documents with the id {repeated!r}")
-    return doc_ids
-
-
-def _check_doc_ids(check, doc_ids) -> None:
-    """Both loaders' check that ``doc_ids`` is a nonempty list of distinct strings."""
-    check(isinstance(doc_ids, list) and doc_ids and all(isinstance(d, str) for d in doc_ids),
-          "doc_ids", "is not a nonempty list of document ids")
-    repeated = _repeated_id(doc_ids)
-    check(repeated is None, "doc_ids", f"repeats the document id {repeated!r}")
-
-
-def _check_index(path, k1, b, doc_ids, doc_lengths: np.ndarray, p: Postings) -> None:
-    """Raise ``DataFormatError`` naming the file and the field unless the loaded
-    index is consistent; ``search`` relies on every one of these."""
-    check = field_checker(path, "BM25 index")
+def _check_index(k1, b, doc_ids, doc_lengths: np.ndarray, p: Postings) -> None:
+    """Raise ``DataFormatError`` naming the field unless the index is
+    consistent; ``search`` relies on every one of these."""
+    check = field_checker(None, "BM25 index")
     check(_is_number(k1) and k1 >= 0, "k1", f"is {k1!r}, not a finite number >= 0")
     check(_is_number(b) and 0 <= b <= 1, "b", f"is {b!r}, not a number in [0, 1]")
     _check_doc_ids(check, doc_ids)
@@ -234,12 +217,12 @@ class DenseIndex:
     ``ad.param`` takes a weight: a float64 array is used as it is, not
     copied, and it turns read-only, so an in-place write raises
     ``ValueError``. It needs one distinct doc id per row of a 2-D matrix of
-    finite values, and raises ``DataFormatError`` naming the field otherwise:
-    search and the reranker both take row i as the embedding of
-    ``doc_ids[i]``. Construction also computes ``norms``, each row's norm as
-    ``ad.cosine_rows`` computes it, which the read-only matrix keeps true for
-    the index's life, and ``id_rank``, each row's position in sorted doc-id
-    order.
+    finite values, and raises ``DataFormatError`` naming the field otherwise
+    (``DegenerateInputError`` naming a zero-norm row): search and the reranker
+    both take row i as the embedding of ``doc_ids[i]``. It also computes
+    ``norms``, each row's nonzero norm as ``ad.cosine_rows`` computes it, kept
+    true by the read-only matrix, and ``id_rank``, each row's position in
+    sorted doc-id order.
     """
 
     matrix: np.ndarray                       # [n_docs, d]
@@ -264,20 +247,20 @@ class DenseIndex:
                                    f"an infinity or values whose squared norm overflows")
         check(isinstance(self.metadata, dict), "metadata", "is not a JSON object")
         self.norms = np.sqrt(squares)
+        if not self.norms.all():
+            row = int(np.flatnonzero(self.norms == 0.0)[0])
+            raise DegenerateInputError(
+                f"dense index 'matrix' row {row} ({self.doc_ids[row]!r}) has zero norm")
         self.id_rank = rank_by_id(self.doc_ids)
 
     @classmethod
     def build(cls, documents: list[Document], encoder, *,
               corpus_checksum: str = "") -> "DenseIndex":
-        doc_ids = _distinct_ids(documents)
         with ad.no_grad():
             matrix = encoder.batch_encode([d.tokens for d in documents]).data
-        index = cls(matrix=matrix, doc_ids=doc_ids,
-                    metadata={"corpus_checksum": corpus_checksum,
-                              "encoder_sha256": encoder_checksum(encoder)})
-        if not index.norms.all():
-            raise DegenerateInputError("dense index: a passage embedding has zero norm")
-        return index
+        return cls(matrix=matrix, doc_ids=[d.doc_id for d in documents],
+                   metadata={"corpus_checksum": corpus_checksum,
+                             "encoder_sha256": encoder_checksum(encoder)})
 
     def encoder_matches(self, encoder) -> bool:
         """True when the index records ``encoder``'s fingerprint (its rows are that
@@ -306,9 +289,9 @@ class DenseIndex:
         norms[i])``, as ``ad.cosine_rows`` computes it (bit for bit) with the
         row norms read from the index. A query of the wrong width raises
         ``ShapeError``, and one whose ``dot(v, v)`` is not finite raises
-        ``NumericError`` before any division; a zero-norm query or row (from a
-        damaged file) raises ``DegenerateInputError``, naming the row; a
-        non-finite score raises ``NumericError``.
+        ``NumericError`` before any division; a zero-norm query raises
+        ``DegenerateInputError`` (the rows' norms were checked when the index
+        was made); a non-finite score raises ``NumericError``.
         """
         if k < 1:
             raise ConfigError("dense search: k must be >= 1")
@@ -316,10 +299,6 @@ class DenseIndex:
         if len(v) != self.matrix.shape[1]:
             raise ShapeError(f"dense search: query has {len(v)} values, "
                              f"the index rows {self.matrix.shape[1]}")
-        if not self.norms.all():
-            row = int(np.flatnonzero(self.norms == 0.0)[0])
-            raise DegenerateInputError(
-                f"dense search: row {row} ({self.doc_ids[row]!r}) has zero norm")
         sims = ad.check_finite(ad.cosines(v, self.matrix, self.norms, "dense search")[0],
                                "dense search")
         return RunList(query_id=query_id, tag="dense",
@@ -341,7 +320,7 @@ class DenseIndex:
                                            f"has dtype {matrix.dtype}, not floats")
         try:
             return cls(matrix=matrix, doc_ids=meta["doc_ids"], metadata=meta.get("metadata", {}))
-        except DataFormatError as exc:
+        except (DataFormatError, DegenerateInputError) as exc:
             raise DataFormatError(f"{path}: {exc}") from None
 
 

@@ -69,7 +69,6 @@ class OptimConfig:
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
-    weight_decay: float = 0.0
     clip_norm: float = 1.0
 
     def validate(self) -> None:
@@ -78,7 +77,6 @@ class OptimConfig:
         for name, ok, rule in (("beta1", 0 <= self.beta1 < 1, "in [0, 1)"),
                                ("beta2", 0 <= self.beta2 < 1, "in [0, 1)"),
                                ("eps", self.eps > 0, "> 0"),
-                               ("weight_decay", self.weight_decay >= 0, ">= 0"),
                                ("clip_norm", self.clip_norm >= 0, ">= 0")):
             if not ok:
                 raise ConfigError(f"{name}: must be {rule}, got {getattr(self, name)!r}")
@@ -144,7 +142,7 @@ def combined_loss(infonce: Tensor, ranknet: Tensor, lam: float = 0.1) -> Tensor:
 # ---------------------------------------------------------------------------
 
 class Adam:
-    """Adam with decoupled weight decay and global-norm gradient clipping."""
+    """Adam with global-norm gradient clipping."""
 
     def __init__(self, params: dict[str, Tensor], lr: float, config: OptimConfig | None = None):
         self.params = dict(params)
@@ -185,8 +183,6 @@ class Adam:
             v *= cfg.beta2
             v += (1.0 - cfg.beta2) * g * g
             update = (m / bias1) / (np.sqrt(v / bias2) + cfg.eps)
-            if cfg.weight_decay:
-                update = update + cfg.weight_decay * t.data
             ad.set_param_data(t, t.data - self.lr * update)
 
 

@@ -373,7 +373,7 @@ def test_criterion_8_cli_pipeline_reproducibility(tmp_path):
                      "--out", str(train)]) == 0
     assert cli_main(["build-index", "--config", str(config),
                      "--corpus", str(data / "corpus.jsonl"),
-                     "--dense", "--checkpoint", final, "--out", str(index)]) == 0
+                     "--checkpoint", final, "--out", str(index)]) == 0
     assert cli_main(["end-to-end", "--config", str(config), "--checkpoint", final,
                      "--corpus", str(data / "corpus.jsonl"),
                      "--queries", str(data / "queries_eval.tsv"),

@@ -264,10 +264,11 @@ def test_damaged_bm25_index_names_file_and_array(tmp_path, small_dataset, damage
     (_set("matrix", lambda m, a: _with(a["matrix"], (2, 0), np.inf)), ("matrix", "row 2")),
     (_set("matrix", lambda m, a: _with(a["matrix"], (2, 7), -np.inf)), ("matrix", "row 2")),
     (_set("matrix", lambda m, a: _with(a["matrix"], (2, 5), 1e200)), ("matrix", "row 2")),
+    (_set("matrix", lambda m, a: _with(a["matrix"], 2, 0.0)), ("matrix", "row 2")),
 ], ids=["matrix-fewer-rows", "matrix-more-rows", "matrix-1d", "matrix-no-columns",
         "matrix-integers", "doc_ids-repeated", "doc_ids-not-strings", "doc_ids-not-a-list",
         "no-documents", "metadata-not-an-object", "matrix-nan", "matrix-inf",
-        "matrix-minus-inf", "matrix-squares-overflow"])
+        "matrix-minus-inf", "matrix-squares-overflow", "matrix-zero-row"])
 def test_damaged_dense_index_names_file_and_field(tmp_path, small_dataset, damage, key):
     """Each damage once loaded: search then ranked fewer documents, or one
     document for many, or failed later naming no file (a NaN or infinite row

@@ -57,7 +57,7 @@ def workdir(tmp_path_factory):
     index = root / "index"
     assert main(["build-index", "--config", str(config),
                  "--corpus", str(data / "corpus.jsonl"), "--out", str(index),
-                 "--dense", "--checkpoint", str(train / "checkpoints/final.ckpt")]) == 0
+                 "--checkpoint", str(train / "checkpoints/final.ckpt")]) == 0
     return root, config, data, train, index
 
 
@@ -174,7 +174,7 @@ class TestEndToEndAndEvaluate:
             recorded, actual = sha(built_corpus), sha(corpus)
         other = tmp_path / "other_index"
         assert main(["build-index", "--config", str(config), "--corpus", str(built_corpus),
-                     "--out", str(other), "--dense", "--checkpoint", str(built_ckpt)]) == 0
+                     "--out", str(other), "--checkpoint", str(built_ckpt)]) == 0
         capsys.readouterr()
         code = main(["end-to-end", "--config", str(config), "--checkpoint", str(final),
                      "--corpus", str(corpus), "--queries", str(data / "queries_eval.tsv"),

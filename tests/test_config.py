@@ -41,11 +41,13 @@ def test_unknown_top_level_key():
     ({"model": {"normalize_embeddings": True}}, "model.normalize_embeddings"),
     ({"model": {"passage_position_embeddings": False}}, "model.passage_position_embeddings"),
     ({"loss": {"encoder_loss_enabled": False}}, "loss.encoder_loss_enabled"),
+    ({"optim": {"weight_decay": 0.0}}, "optim.weight_decay"),
 ], ids=["typo", "retired-normalize_embeddings", "retired-passage_position_embeddings",
-        "retired-encoder_loss_enabled"])
+        "retired-encoder_loss_enabled", "retired-weight_decay"])
 def test_unknown_nested_key_names_dotted_path(data, dotted):
     """The retired options are unknown keys like any typo: the two model
-    options, and the encoder-loss switch that ``loss.lam = 0`` replaces."""
+    options, the encoder-loss switch that ``loss.lam = 0`` replaces, and
+    Adam's weight decay, which no run turned on."""
     with pytest.raises(ConfigError) as err:
         config_from_dict(data)
     assert f"unknown config key(s): {dotted}" in str(err.value)
@@ -163,7 +165,6 @@ def test_non_finite_stage_lr_built_in_code_rejected(lr, message):
 @pytest.mark.parametrize("field, value, rule", [("beta1", 1.0, "in [0, 1)"),
                                                ("beta2", -0.5, "in [0, 1)"),
                                                ("eps", 0.0, "> 0"),
-                                               ("weight_decay", -0.1, ">= 0"),
                                                ("clip_norm", -1.0, ">= 0")])
 def test_out_of_range_optim_field_names_file_key_and_value(tmp_path, field, value, rule):
     """A beta of 1 or an eps of 0 would train NaN weights into a checkpoint

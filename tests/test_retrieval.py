@@ -20,7 +20,7 @@ from embrank.retrieval import (RETRIEVAL_MODES, DenseIndex, InvertedIndex, Posti
 from embrank.reranker import build_model_pair
 from embrank.runs import (RunEntry, RunList, TokenCounter, rank_by_id, sorted_entries,
                           top_entries)
-from embrank.serialization import read_record_file
+from embrank.serialization import read_record_file, write_record_file
 from embrank.synthetic import generate_synthetic
 from embrank.training import (Adam, LossConfig, OptimConfig, StageConfig, TrainReport,
                               train_stages)
@@ -201,13 +201,16 @@ class TestDenseSearch:
         assert loaded.metadata == index.metadata
 
     def test_loaded_zero_row_rejected_not_ranked_nan(self, tmp_path):
-        matrix = self.make_matrix()
-        matrix[2] = 0.0  # DenseIndex.build refuses this; a file can still hold it
-        index = self.make_index(matrix)
-        index.save(tmp_path / "dense.idx")
-        loaded = DenseIndex.load(tmp_path / "dense.idx")
-        with pytest.raises(DegenerateInputError, match="row 2"):
-            loaded.search(np.ones(8), k=6)
+        """No construction accepts a zero row, but a file can still hold one:
+        load refuses it, naming the file and the row, before any search."""
+        path = tmp_path / "dense.idx"
+        self.make_index().save(path)
+        meta, arrays = read_record_file(path)
+        arrays["matrix"][2] = 0.0
+        write_record_file(path, meta, arrays)
+        with pytest.raises(DataFormatError, match="row 2") as err:
+            DenseIndex.load(path)
+        assert str(path) in str(err.value)
 
     def test_loaded_index_rejects_wrong_length_query(self, tmp_path):
         self.make_index().save(tmp_path / "dense.idx")
@@ -276,6 +279,27 @@ def test_build_rejects_an_empty_corpus(which, tiny_models):
             InvertedIndex.build([])
         else:
             DenseIndex.build([], tiny_models.encoder)
+
+
+@pytest.mark.parametrize("param,value", [("k1", math.nan), ("k1", math.inf), ("k1", True),
+                                         ("b", 1.5)],
+                         ids=["k1-nan", "k1-inf", "k1-bool", "b-above-one"])
+def test_bm25_build_rejects_what_load_rejects(param, value, corpus):
+    """Each once built: nan and inf ranked every document with a NaN score,
+    and all wrote a file that their own load refused."""
+    with pytest.raises(DataFormatError, match=f"BM25 index '{param}'"):
+        InvertedIndex.build(corpus[0], **{param: value})
+
+
+@pytest.mark.parametrize("doc_ids,doc_idx,field", [([], 0, "doc_ids"), (["d1", "d2"], 2, "doc_idx")],
+                         ids=["no-documents", "doc_idx-past-last-doc"])
+def test_hand_built_bm25_index_is_checked(doc_ids, doc_idx, field):
+    """A hand-built index was once not checked: with no documents it raised a
+    raw ZeroDivisionError, and a doc_idx past the last document made search
+    raise a raw IndexError."""
+    postings = Postings(np.array([7]), np.array([0, 1]), np.array([doc_idx]), np.array([1]))
+    with pytest.raises(DataFormatError, match=f"BM25 index '{field}'"):
+        InvertedIndex(doc_ids, [1] * len(doc_ids), postings)
 
 
 def hex_entries(entries):
