@@ -64,20 +64,24 @@ class InvertedIndex:
     Scores are bit-identical to the definitional per-document sum, from 0.0
     in query order, of ``idf * tf * (k1 + 1) / (tf + k1 * (1 - b + b * |d| / avgdl))``
     with ``idf = math.log(1 + (N - df + 0.5) / (df + 0.5))``. Construction
-    (``build``, ``load`` or by hand) runs ``_check_index``.
+    (``build``, ``load`` or by hand) takes ``doc_lengths`` and each
+    ``Postings`` field as int64 arrays, or raises ``DataFormatError`` naming
+    the field, and then runs ``_check_index``.
     """
 
     def __init__(self, doc_ids: list[str], doc_lengths: list[int], postings: Postings,
                  k1: float = 1.2, b: float = 0.75, corpus_checksum: str = ""):
-        lengths = np.asarray(doc_lengths, dtype=np.int64)
+        lengths = _int_array("doc_lengths", doc_lengths)
+        postings = Postings(*(_int_array(name, getattr(postings, name))
+                              for name in ("tokens", "offsets", "doc_idx", "tf")))
         _check_index(k1, b, doc_ids, lengths, postings)
         self.k1, self.b = k1, b
         self.corpus_checksum = corpus_checksum  # sha256 of the indexed corpus file; "" when unknown
         self.doc_ids = doc_ids
-        self.doc_lengths = doc_lengths
+        self.doc_lengths = lengths.tolist()
         self.postings = postings
         self.id_rank = rank_by_id(doc_ids)  # a loaded file's ids need not be sorted
-        self.avgdl = sum(doc_lengths) / len(doc_lengths)
+        self.avgdl = sum(self.doc_lengths) / len(self.doc_lengths)
         self._norm = k1 * (1.0 - b + b * lengths / self.avgdl)
 
     @classmethod
@@ -140,25 +144,22 @@ class InvertedIndex:
             raise DataFormatError(f"{path}: not a BM25 index file")
         require_keys(path, meta, arrays, ("k1", "b", "doc_ids", "tokens"),
                      ("offsets", "doc_idx", "tf", "doc_lengths"))
-        doc_lengths = _int_array(path, "doc_lengths", arrays["doc_lengths"])
-        postings = Postings(_int_array(path, "tokens", meta["tokens"]),
-                            *(_int_array(path, name, arrays[name])
-                              for name in ("offsets", "doc_idx", "tf")))
+        postings = Postings(meta["tokens"], arrays["offsets"], arrays["doc_idx"], arrays["tf"])
         try:
-            return cls(meta["doc_ids"], doc_lengths.tolist(), postings, k1=meta["k1"],
+            return cls(meta["doc_ids"], arrays["doc_lengths"], postings, k1=meta["k1"],
                        b=meta["b"], corpus_checksum=meta.get("corpus_checksum", ""))
         except DataFormatError as exc:
             raise DataFormatError(f"{path}: {exc}") from None
 
 
-def _int_array(path, name: str, values) -> np.ndarray:
-    """``values`` as a 1-D int64 array, or ``DataFormatError`` naming the file and ``name``."""
+def _int_array(name: str, values) -> np.ndarray:
+    """``values`` as a 1-D int64 array, or ``DataFormatError`` naming the field ``name``."""
     try:
         arr = np.asarray(values)
     except (ValueError, TypeError):
         arr = None
     if arr is None or arr.ndim != 1 or (arr.size and arr.dtype.kind != "i"):
-        raise DataFormatError(f"{path}: BM25 index {name!r} is not a 1-D integer array")
+        raise DataFormatError(f"BM25 index {name!r} is not a 1-D integer array")
     return arr.astype(np.int64, copy=False)
 
 

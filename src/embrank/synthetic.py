@@ -52,15 +52,26 @@ class SyntheticDataset:
 
 
 def _word_mix(*pools_and_probs) -> tuple[list[list[str]], np.ndarray, np.ndarray]:
-    """Word pools with their normalised draw probabilities and their sizes."""
+    """Word pools, the cumulative weights of their draw and their sizes. The
+    weights must be finite and positive; they are normalised and accumulated
+    once per mix, as ``Generator.choice(len(pools), p=probs)`` does per call."""
     pools = [p for p, _ in pools_and_probs]
-    probs = np.array([pr for _, pr in pools_and_probs], dtype=np.float64)
-    return pools, probs / probs.sum(), np.array([len(p) for p in pools])
+    weights = np.array([w for _, w in pools_and_probs], dtype=np.float64)
+    if not np.all(np.isfinite(weights) & (weights > 0)):
+        raise ValueError(f"word-mix weights must be finite and positive, got {weights}")
+    cdf = (weights / weights.sum()).cumsum()
+    cdf /= cdf[-1]
+    return pools, cdf, np.array([len(p) for p in pools])
 
 
 def _sample_words(rng, mix, length) -> list[str]:
-    pools, probs, sizes = mix
-    choices = rng.choice(len(pools), size=length, p=probs)
+    """``length`` words of ``mix``: each word's pool by inverse CDF (the first
+    cumulative weight above a uniform draw), then its position in the pool.
+    The pools and the stream after them are ``rng.choice(len(pools),
+    size=length, p=probs)``'s, which searches the same weights with the same
+    uniforms; ``test_synthetic.py::test_pool_draw_is_generator_choice`` pins it."""
+    pools, cdf, sizes = mix
+    choices = cdf.searchsorted(rng.random(length), side="right")
     # one bounded draw per word, below its pool's size: the same stream as one
     # scalar ``rng.integers(0, size)`` call per word
     picks = rng.integers(0, sizes[choices])
@@ -185,15 +196,15 @@ def generate_synthetic(seed: int,
         query_topic[qid] = t
 
     doc_ids = [doc_id for _, _, doc_id, _ in docs_raw]
+    # a topic's grades, its cores then its related docs; each query copies
+    # them and grades its source 3 in place, so the key order stays
+    topic_grades = [{**dict.fromkeys((doc_ids[i] for i in by_kind["core"][t]), 2),
+                     **dict.fromkeys((doc_ids[i] for i in by_kind["related"][t]), 1)}
+                    for t in range(n_topics)]
     qrels: Qrels = {}
     for q in queries:
-        t = query_topic[q.query_id]
-        source = source_of[q.query_id]
-        grades = qrels[q.query_id] = {}
-        for idx in by_kind["core"][t]:
-            grades[doc_ids[idx]] = 3 if idx == source else 2
-        for idx in by_kind["related"][t]:
-            grades[doc_ids[idx]] = 1
+        grades = qrels[q.query_id] = topic_grades[query_topic[q.query_id]].copy()
+        grades[doc_ids[source_of[q.query_id]]] = 3
 
     train_queries = queries[:n_queries - n_eval_queries]
     eval_queries = queries[n_queries - n_eval_queries:]

@@ -14,10 +14,17 @@ load the same weights, and no load may allocate much more than the file holds.
 Valid BM25 and dense index files take one flipped bit or a truncation. Each
 damaged index must either raise an ``EmbrankError`` naming the file, or load
 into an index that saves and reloads to the same bytes.
+
+A valid config file takes one flipped bit, a truncation, one value replaced
+by ``NaN``, ``1e999``, a string or a list, or one key removed. Each damaged
+config must either raise a ``ConfigError`` that starts with the file's path,
+or load into a config that validates and round-trips equal through
+``config_to_dict`` and ``config_from_dict``.
 """
 
 import copy
 import json
+import math
 import re
 import struct
 import tracemalloc
@@ -26,7 +33,8 @@ import numpy as np
 import pytest
 
 from embrank.checkpoint import load_checkpoint, parameter_checksum, save_checkpoint
-from embrank.errors import DataFormatError
+from embrank.config import ExperimentConfig, config_from_dict, config_to_dict, load_config
+from embrank.errors import ConfigError, DataFormatError
 from embrank.reranker import build_model_pair
 from embrank.retrieval import DenseIndex, InvertedIndex
 from embrank.serialization import FORMAT_VERSION, MAGIC, read_record_file
@@ -215,5 +223,56 @@ def test_damaged_index_raises_naming_the_file_or_round_trips(kind, tmp_path, sma
             loaded.save(once)
             load(once).save(twice)
             assert once.read_bytes() == twice.read_bytes(), f"{how} case {case}"
+            outcomes["loaded"] += 1
+    assert outcomes["rejected"] > 0 and outcomes["loaded"] > 0, outcomes
+
+
+def _key_paths(value, path=()):
+    """The path of every key of a config dict, through its sections and the
+    items of its lists."""
+    items = value.items() if isinstance(value, dict) else \
+        enumerate(value) if isinstance(value, list) else ()
+    for key, inner in items:
+        if isinstance(key, str):
+            yield path + (key,)
+        yield from _key_paths(inner, path + (key,))
+
+
+HUGE = "1e999 in place"  # a string no config holds, written out as the number 1e999
+CONFIG_DAMAGES = ("bit_flip", "truncate", "nan", "1e999", "string", "list", "remove")
+
+
+def _damaged_config(config: dict, how: str, rng) -> bytes:
+    if how in ("bit_flip", "truncate"):
+        return _mutate(json.dumps(config, indent=2).encode(), how, rng)
+    config = copy.deepcopy(config)
+    paths = list(_key_paths(config))
+    *parents, key = paths[int(rng.integers(len(paths)))]
+    holder = config
+    for parent in parents:
+        holder = holder[parent]
+    if how == "remove":
+        del holder[key]
+    else:
+        holder[key] = {"nan": math.nan, "1e999": HUGE, "string": "x", "list": [holder[key]]}[how]
+    return json.dumps(config, indent=2).replace(json.dumps(HUGE), "1e999").encode()
+
+
+def test_damaged_config_raises_naming_the_file_or_round_trips(tmp_path):
+    config = config_to_dict(ExperimentConfig())
+    rng = np.random.default_rng([SEED, len(FORMATS) + 3])
+    outcomes = {"rejected": 0, "loaded": 0}
+    for how in CONFIG_DAMAGES:
+        for case in range(CASES_PER_MUTATION):
+            path = tmp_path / f"{how}-{case}.json"
+            path.write_bytes(_damaged_config(config, how, rng))
+            try:
+                loaded = load_config(path)
+            except ConfigError as exc:
+                assert str(exc).startswith(str(path)), f"{how} case {case}: {exc}"
+                outcomes["rejected"] += 1
+                continue
+            loaded.validate()
+            assert config_from_dict(config_to_dict(loaded)) == loaded, f"{how} case {case}"
             outcomes["loaded"] += 1
     assert outcomes["rejected"] > 0 and outcomes["loaded"] > 0, outcomes

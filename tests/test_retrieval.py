@@ -291,15 +291,34 @@ def test_bm25_build_rejects_what_load_rejects(param, value, corpus):
         InvertedIndex.build(corpus[0], **{param: value})
 
 
-@pytest.mark.parametrize("doc_ids,doc_idx,field", [([], 0, "doc_ids"), (["d1", "d2"], 2, "doc_idx")],
-                         ids=["no-documents", "doc_idx-past-last-doc"])
-def test_hand_built_bm25_index_is_checked(doc_ids, doc_idx, field):
+@pytest.mark.parametrize("doc_ids,doc_lengths,postings,field", [
+    ([], [], Postings(np.array([7]), np.array([0, 1]), np.array([0]), np.array([1])), "doc_ids"),
+    (["d1", "d2"], [1, 1], Postings(np.array([7]), np.array([0, 1]), np.array([2]), np.array([1])),
+     "doc_idx"),
+    (["d1", "d2"], [1.5, 2], Postings(np.array([7]), np.array([0, 1]), np.array([0]), np.array([1])),
+     "doc_lengths"),
+    (["d1", "d2"], [1, 2], Postings([7], [0, 1], [0], [1.5]), "tf"),
+], ids=["no-documents", "doc_idx-past-last-doc", "doc_lengths-float", "postings-lists-float-tf"])
+def test_hand_built_bm25_index_is_checked(doc_ids, doc_lengths, postings, field):
     """A hand-built index was once not checked: with no documents it raised a
     raw ZeroDivisionError, and a doc_idx past the last document made search
-    raise a raw IndexError."""
-    postings = Postings(np.array([7]), np.array([0, 1]), np.array([doc_idx]), np.array([1]))
+    raise a raw IndexError. Float lengths once built an index whose avgdl
+    averaged them while its norms used them cut to integers, and postings
+    of lists raised a raw TypeError."""
     with pytest.raises(DataFormatError, match=f"BM25 index '{field}'"):
-        InvertedIndex(doc_ids, [1] * len(doc_ids), postings)
+        InvertedIndex(doc_ids, doc_lengths, postings)
+
+
+def test_hand_built_bm25_index_takes_lists():
+    """Lengths and postings given as lists of integers are the int64 arrays
+    they hold: the same index, ranking to the bit."""
+    fields = ([7, 9], [0, 2, 3], [0, 1, 1], [1, 2, 1])
+    listed = InvertedIndex(["d1", "d2"], [1, 3], Postings(*fields))
+    arrays = InvertedIndex(["d1", "d2"], np.array([1, 3]), Postings(*map(np.array, fields)))
+    assert listed.postings == arrays.postings and listed.doc_lengths == arrays.doc_lengths == [1, 3]
+    assert listed.avgdl == arrays.avgdl == 2.0
+    assert hex_entries(listed.search([7, 9], k=2).entries) == \
+        hex_entries(arrays.search([7, 9], k=2).entries)
 
 
 def hex_entries(entries):

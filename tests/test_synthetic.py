@@ -2,8 +2,10 @@
 
 import hashlib
 
+import numpy as np
 import pytest
 
+from embrank import synthetic
 from embrank.data import split_words, validate_sample
 from embrank.errors import ConfigError
 from embrank.synthetic import generate_synthetic
@@ -163,3 +165,39 @@ def test_pinned_dataset(case, seed):
     kwargs, pins = PINNED_DATASETS[case]
     dump = canonical_dump(generate_synthetic(seed, **kwargs))
     assert hashlib.sha256(dump.encode()).hexdigest() == pins[seed]
+
+
+def choice_words(rng, pools_and_probs, length):
+    """The reference draw: each word's pool from ``Generator.choice`` over
+    the normalised weights, then its position by one bounded draw."""
+    pools = [pool for pool, _ in pools_and_probs]
+    probs = np.array([w for _, w in pools_and_probs], dtype=np.float64)
+    choices = rng.choice(len(pools), size=length, p=probs / probs.sum())
+    picks = rng.integers(0, np.array([len(p) for p in pools])[choices])
+    return choices.tolist(), [pools[c][i] for c, i in zip(choices.tolist(), picks.tolist())]
+
+
+def test_pool_draw_is_generator_choice(monkeypatch):
+    """Every mix ``generate_synthetic`` builds (filler, and core, related and
+    decoy per topic) draws, at each seed and length, the pools and words that
+    ``Generator.choice`` draws, element by element, and leaves the generator
+    in the same state."""
+    mixes, word_mix = [], synthetic._word_mix
+
+    def recorded(*pools_and_probs):
+        mixes.append((pools_and_probs, word_mix(*pools_and_probs)))
+        return mixes[-1][1]
+    monkeypatch.setattr(synthetic, "_word_mix", recorded)
+    generate_synthetic(seed=0, n_topics=2, n_docs=60, n_queries=5, n_eval_queries=1)
+    assert len(mixes) == 1 + 3 * 2
+    for pools_and_probs, mix in mixes:
+        pool_of = {w: k for k, (pool, _) in enumerate(pools_and_probs) for w in pool}
+        assert len(pool_of) == sum(len(pool) for pool, _ in pools_and_probs)  # disjoint pools
+        for seed in range(50):
+            for length in (1, 18, 37):
+                rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+                words = synthetic._sample_words(rng, mix, length)
+                want_pools, want_words = choice_words(ref, pools_and_probs, length)
+                assert [pool_of[w] for w in words] == want_pools
+                assert words == want_words
+                assert rng.bit_generator.state == ref.bit_generator.state
