@@ -22,10 +22,8 @@ Conventions:
     the parent nodes as arguments and captures only the arrays its rule
     reads, as each op's docstring states, so a result that no backward reads
     is freed as soon as the forward code drops its tensor;
-  - each node owns its gradient array, C-ordered, and later contributions
-    are added into it in place; a first one is stored uncopied only where the
-    op has just made it for that node alone (``_accumulate``'s ``owned``), so
-    no two tensors share one, and every gradient has a fresh array's layout;
+  - each node's gradient is its own C-ordered copy of the first
+    contribution, and later ones are added into it in place;
   - a parameter's array is read-only: an in-place write raises
     ``ValueError``, and an update gives the tensor a new array through
     ``set_param_data``, so a weight state never changes under a fingerprint
@@ -220,20 +218,15 @@ def _read(kept: np.ndarray | None, node: _Node) -> np.ndarray:
     return node.remake() if kept is None else kept
 
 
-def _accumulate(node: _Node | None, g: np.ndarray, owned: bool = False) -> None:
+def _accumulate(node: _Node | None, g: np.ndarray) -> None:
     """Add ``g`` into ``node.grad``; a parent with no node is skipped. Unlike
-    zeros + g, an exact -0.0 stays -0.0.
-
-    ``owned`` says ``g`` is a new C-ordered float64 array that the calling op
-    has just made and hands to no other node: a first contribution is then
-    stored as it is. Any other first contribution is copied in C order, since
-    a shared ``g`` would take the next contribution to one node into the
-    other's gradient too, and a strided one would round the next GEMM
-    differently."""
+    zeros + g, an exact -0.0 stays -0.0. A first contribution is copied in C
+    order: a shared ``g`` would take the next contribution to one node into the
+    other's gradient too, and a strided one would round the next GEMM differently."""
     if node is None:
         return
     if node.grad is None:
-        node.grad = g if owned else np.array(g, dtype=np.float64, order="C")
+        node.grad = np.array(g, dtype=np.float64, order="C")
     else:
         node.grad += g
 
@@ -262,7 +255,7 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
 
     def bw(g, na, nb):
         _accumulate(na, g)
-        _accumulate(nb, -g, owned=True)
+        _accumulate(nb, -g)
     return _result(a.data - b.data, "sub", (a, b), bw)
 
 
@@ -301,7 +294,7 @@ def sum_all(a: Tensor) -> Tensor:
     shape = a.shape
 
     def bw(g, na):
-        _accumulate(na, np.full(shape, float(g)), owned=True)
+        _accumulate(na, np.full(shape, float(g)))
     return _result(np.asarray(a.data.sum()), "sum", (a,), bw)
 
 
@@ -356,8 +349,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     x, w = _kept(a), b.data
 
     def bw(g, na, nb):
-        _accumulate(na, g @ w.T, owned=True)
-        _accumulate(nb, _read(x, na).T @ g, owned=True)
+        _accumulate(na, g @ w.T)
+        _accumulate(nb, _read(x, na).T @ g)
     return _result(_product(a.data, w), "matmul", (a, b), bw)
 
 
@@ -399,15 +392,15 @@ def silu_matmul(m: Tensor, w1: Tensor, w2: Tensor) -> Tensor:
 
     def bw(g, nm, n1, n2):
         sig = _sigmoid(gate)
-        _accumulate(n2, (gate * sig).T @ g, owned=True)
+        _accumulate(n2, (gate * sig).T @ g)
         ga = g @ v2.T
         ga *= sig
         np.subtract(1.0, sig, out=sig)  # the slope 1 + z * (1 - sig), in place
         sig *= gate
         sig += 1.0
         ga *= sig
-        _accumulate(nm, ga @ v1.T, owned=True)
-        _accumulate(n1, _read(kept, nm).T @ ga, owned=True)
+        _accumulate(nm, ga @ v1.T)
+        _accumulate(n1, _read(kept, nm).T @ ga)
     return _result(_product(h, v2), "silu_matmul", (m, w1, w2), bw)
 
 
@@ -692,9 +685,9 @@ def causal_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int,
             # a transposed out is not BLAS-able, so gk's product is copied in
             heads(gk[span], t)[...] = tr(np.matmul(tr(qh), gw))
             np.matmul(tr(w), gh, out=heads(gv[span], t))
-        _accumulate(nq, gq, owned=True)
-        _accumulate(nk, gk, owned=True)
-        _accumulate(nv, gv, owned=True)
+        _accumulate(nq, gq)
+        _accumulate(nk, gk)
+        _accumulate(nv, gv)
     return _result(out, "causal_attention", (q, k, v), bw)
 
 
@@ -761,10 +754,10 @@ def rms_norm(x: Tensor, weight: Tensor, eps: float = 1e-6) -> Tensor:
         gx *= dot
         gw *= r
         np.subtract(gw, gx, out=gx)
-        _accumulate(nx, gx, owned=True)
+        _accumulate(nx, gx)
         np.multiply(g, xd, out=gw)  # the weight's gradient g * x * r, in gw's array
         gw *= r
-        _accumulate(nw, gw.sum(axis=0) if gw.ndim == 2 else gw, owned=True)
+        _accumulate(nw, gw.sum(axis=0) if gw.ndim == 2 else gw)
     out = _result(_rms_scaled(xd, r, wd), "rms_norm", (x, weight), bw)
     if out.node is not None:
         out.node.remake = remake

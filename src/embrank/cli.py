@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -40,22 +41,6 @@ def _outdir(value: str) -> Path:
     out = _path(value)
     out.mkdir(parents=True, exist_ok=True)
     return out
-
-
-def _effective_config(args) -> ExperimentConfig:
-    cfg = load_config(args.config) if getattr(args, "config", None) else ExperimentConfig()
-    if getattr(args, "seed", None) is not None:
-        cfg.seed = args.seed
-    cfg.validate()
-    return cfg
-
-
-def _echo_config(out: Path, cfg: ExperimentConfig, command: str, extra: dict | None = None) -> None:
-    payload = {"command": command, "version": __version__, "config": config_to_dict(cfg)}
-    if extra:
-        payload["inputs"] = extra
-    (out / "config.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",
-                                     encoding="utf-8")
 
 
 def _load_candidate_lists(run_path: Path, doc_tokens: dict, k: int) -> dict[str, list[str]]:
@@ -108,9 +93,23 @@ def _check_provenance(index_path, recorded: dict, actual: dict) -> None:
 # subcommands
 # ---------------------------------------------------------------------------
 
-def cmd_gen_data(args) -> int:
-    cfg = _effective_config(args)
+def _run_configured(command, args) -> int:
+    """Load the config with the ``--seed`` override, make ``--out``, run
+    ``command(args, cfg, out)``, then echo the config and its inputs."""
+    cfg = load_config(args.config) if args.config else ExperimentConfig()
+    if args.seed is not None:
+        cfg.seed = args.seed
     out = _outdir(args.out)
+    inputs = command(args, cfg, out)
+    payload = {"command": args.command, "version": __version__, "config": config_to_dict(cfg)}
+    if inputs:
+        payload["inputs"] = inputs
+    (out / "config.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",
+                                     encoding="utf-8")
+    return 0
+
+
+def cmd_gen_data(args, cfg: ExperimentConfig, out: Path) -> dict:
     dataset = generate_synthetic(seed=cfg.seed, **dataclasses.asdict(cfg.data))
     write_corpus(out / "corpus.jsonl", dataset.documents)
     write_queries(out / "queries_train.tsv", dataset.train_queries)
@@ -118,16 +117,13 @@ def cmd_gen_data(args) -> int:
     write_qrels(out / "qrels.txt", dataset.qrels)
     write_samples(out / "stage1.jsonl", dataset.stage1_samples)
     write_samples(out / "stage2.jsonl", dataset.stage2_samples)
-    _echo_config(out, cfg, "gen-data")
     print(f"gen-data: {len(dataset.documents)} docs, "
           f"{len(dataset.train_queries)} train / {len(dataset.eval_queries)} eval queries "
           f"-> {out}")
-    return 0
+    return {}
 
 
-def cmd_build_index(args) -> int:
-    cfg = _effective_config(args)
-    out = _outdir(args.out)
+def cmd_build_index(args, cfg: ExperimentConfig, out: Path) -> dict:
     corpus_path = _path(args.corpus)
     docs, vocab = load_corpus(corpus_path)
     checksum = sha256_file(corpus_path)
@@ -140,15 +136,11 @@ def cmd_build_index(args) -> int:
         dense = DenseIndex.build(docs, models.encoder, corpus_checksum=checksum)
         dense.save(out / "dense.idx")
         built.append("dense.idx")
-    _echo_config(out, cfg, "build-index", {"corpus": str(corpus_path),
-                                           "corpus_checksum": checksum})
     print(f"build-index: {', '.join(built)} over {len(docs)} docs -> {out}")
-    return 0
+    return {"corpus": str(corpus_path), "corpus_checksum": checksum}
 
 
-def cmd_train(args) -> int:
-    cfg = _effective_config(args)
-    out = _outdir(args.out)
+def cmd_train(args, cfg: ExperimentConfig, out: Path) -> dict:
     data_dir = _path(args.data)
     _, vocab, doc_tokens, stage1, stage2 = _load_gen_data(data_dir)
     models = build_model_pair(vocab, cfg.seed, **dataclasses.asdict(cfg.model))
@@ -164,15 +156,11 @@ def cmd_train(args) -> int:
     save_checkpoint(ckpt_dir / "final.ckpt", models, {"stage": "final"})
 
     write_jsonl(out / "metrics.jsonl", report.records)
-    _echo_config(out, cfg, "train", {"data": str(data_dir),
-                                     "final_checksum": parameter_checksum(models)})
     print(f"train: {len(report.records)} steps recorded, checkpoints in {ckpt_dir}")
-    return 0
+    return {"data": str(data_dir), "final_checksum": parameter_checksum(models)}
 
 
-def cmd_rerank(args) -> int:
-    cfg = _effective_config(args)
-    out = _outdir(args.out)
+def cmd_rerank(args, cfg: ExperimentConfig, out: Path) -> dict:
     models, _, doc_tokens = _load_model_and_corpus(args)
     queries = {q.query_id: q for q in load_queries(_path(args.queries))}
     lists = _load_candidate_lists(_path(args.candidates), doc_tokens, cfg.retrieval.top_k)
@@ -195,11 +183,8 @@ def cmd_rerank(args) -> int:
     (out / "report.txt").write_text(
         f"reranked {len(runs)} queries ({args.mode})\n{report.table_row()}\n",
         encoding="utf-8")
-    _echo_config(out, cfg, "rerank", {"checkpoint": str(args.checkpoint),
-                                      "candidates": str(args.candidates),
-                                      "mode": args.mode})
     print(f"rerank: {len(runs)} queries ({args.mode}) -> {out / 'run.trec'}")
-    return 0
+    return {"checkpoint": args.checkpoint, "candidates": args.candidates, "mode": args.mode}
 
 
 def cmd_evaluate(args) -> int:
@@ -224,9 +209,7 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
-def cmd_end_to_end(args) -> int:
-    cfg = _effective_config(args)
-    out = _outdir(args.out)
+def cmd_end_to_end(args, cfg: ExperimentConfig, out: Path) -> dict:
     models, _, doc_tokens = _load_model_and_corpus(args)
     queries = load_queries(_path(args.queries))
     bm25 = InvertedIndex.load(_path(args.bm25_index))
@@ -264,15 +247,11 @@ def cmd_end_to_end(args) -> int:
         lines.append(f"reranked    nDCG@10: {rer.mean:.6f}")
     lines.append(report.table_row())
     (out / "report.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
-    _echo_config(out, cfg, "end-to-end", {"mode": args.mode,
-                                          "checkpoint": str(args.checkpoint)})
     print("\n".join(lines))
-    return 0
+    return {"mode": args.mode, "checkpoint": args.checkpoint}
 
 
-def cmd_ablate(args) -> int:
-    cfg = _effective_config(args)
-    out = _outdir(args.out)
+def cmd_ablate(args, cfg: ExperimentConfig, out: Path) -> dict:
     data_dir = _path(args.data)
     docs, vocab, doc_tokens, stage1, stage2 = _load_gen_data(data_dir)
     qrels = load_qrels(data_dir / "qrels.txt")
@@ -289,9 +268,8 @@ def cmd_ablate(args) -> int:
     (out / "report.txt").write_text(table + "\n", encoding="utf-8")
     write_jsonl(out / "metrics.jsonl", ({"variant": row.variant, "ndcg": row.ndcg,
                                          "baseline": row.is_baseline} for row in rows))
-    _echo_config(out, cfg, "ablate", {"data": str(data_dir)})
     print(table)
-    return 0
+    return {"data": str(data_dir)}
 
 
 def cmd_efficiency(args) -> int:
@@ -315,9 +293,7 @@ def cmd_efficiency(args) -> int:
     return 0
 
 
-def cmd_order_exp(args) -> int:
-    cfg = _effective_config(args)
-    out = _outdir(args.out)
+def cmd_order_exp(args, cfg: ExperimentConfig, out: Path) -> dict:
     models, docs, doc_tokens = _load_model_and_corpus(args)
     queries = load_queries(_path(args.queries))
     qrels = load_qrels(_path(args.qrels))
@@ -327,9 +303,8 @@ def cmd_order_exp(args) -> int:
     (out / "report.txt").write_text(text, encoding="utf-8")
     write_jsonl(out / "metrics.jsonl", ({"ordering": name, "ndcg": value, "seed": report.seed}
                                         for name, value in report.ndcg.items()))
-    _echo_config(out, cfg, "order-exp", {"checkpoint": str(args.checkpoint)})
     print(text, end="")
-    return 0
+    return {"checkpoint": args.checkpoint}
 
 
 # ---------------------------------------------------------------------------
@@ -343,39 +318,32 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"embrank {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, seed=True):
+    def common(p, command):
         p.add_argument("--config", help="JSON experiment config")
-        if seed:
-            p.add_argument("--seed", type=int, help="override the config seed")
+        p.add_argument("--seed", type=int, help="override the config seed")
+        p.add_argument("--out", required=True)
+        p.set_defaults(func=functools.partial(_run_configured, command))
 
     p = sub.add_parser("gen-data", help="generate a synthetic corpus and training samples")
-    common(p)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_gen_data)
+    common(p, cmd_gen_data)
 
     p = sub.add_parser("build-index", help="build BM25 (and optionally dense) indexes")
-    common(p)
+    common(p, cmd_build_index)
     p.add_argument("--corpus", required=True)
-    p.add_argument("--out", required=True)
     p.add_argument("--checkpoint", help="encoder checkpoint; builds the dense index too")
-    p.set_defaults(func=cmd_build_index)
 
     p = sub.add_parser("train", help="dual-stage training on generated data")
-    common(p)
+    common(p, cmd_train)
     p.add_argument("--data", required=True, help="gen-data output directory")
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("rerank", help="rerank candidate lists from a first-stage run")
-    common(p)
+    common(p, cmd_rerank)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--corpus", required=True)
     p.add_argument("--queries", required=True)
     p.add_argument("--candidates", required=True, help="first-stage TREC run file")
     p.add_argument("--mode", choices=["single", "sliding"], default="single",
                    help="sliding takes its window and stride from the config's retrieval section")
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_rerank)
 
     p = sub.add_parser("evaluate", help="nDCG@k of a TREC run against qrels")
     p.add_argument("--run", required=True)
@@ -385,7 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("end-to-end", help="retrieve (bm25|dense|rrf) then rerank")
-    common(p)
+    common(p, cmd_end_to_end)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--corpus", required=True)
     p.add_argument("--queries", required=True)
@@ -393,14 +361,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dense-index")
     p.add_argument("--qrels")
     p.add_argument("--mode", choices=["bm25", "dense", "rrf"], default="bm25")
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_end_to_end)
 
     p = sub.add_parser("ablate", help="train and evaluate every ablation variant")
-    common(p)
+    common(p, cmd_ablate)
     p.add_argument("--data", required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_ablate)
 
     p = sub.add_parser("efficiency", help="aggregate token counters from a trace file")
     p.add_argument("--trace", required=True)
@@ -408,13 +372,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_efficiency)
 
     p = sub.add_parser("order-exp", help="nDCG under original/inverse/random input order")
-    common(p)
+    common(p, cmd_order_exp)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--corpus", required=True)
     p.add_argument("--queries", required=True)
     p.add_argument("--qrels", required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_order_exp)
 
     return parser
 

@@ -1,10 +1,10 @@
 """Experiment configuration: explicit keys, strict parsing, JSON round-trips.
 
-Unknown keys and values of the wrong type are errors, named by their dotted
-path, so a typo in a config file cannot silently fall back to a default or
-fail later inside training. Hyperparameters live only here;
-environment variables are expanded in CLI path arguments but never override
-config values.
+Unknown keys, values of the wrong type and values out of range are errors,
+named by their dotted path, so a typo in a config file cannot silently fall
+back to a default or fail later inside training. Hyperparameters live only
+here; environment variables are expanded in CLI path arguments but never
+override config values.
 """
 
 from __future__ import annotations
@@ -19,7 +19,9 @@ from pathlib import Path
 
 from .errors import ConfigError
 from .serialization import read_text
+from .synthetic import check_synthetic_args
 from .training import LossConfig, OptimConfig, StageConfig
+from .transformer import ModelConfig
 
 
 @dataclass
@@ -73,6 +75,8 @@ class ExperimentConfig:
     retrieval: RetrievalSettings = field(default_factory=RetrievalSettings)
 
     def validate(self) -> None:
+        """Range-check each section by its users' rules; ``retrieval``'s stay in
+        the index, search, fusion and window functions that use them."""
         if not 1 <= len(self.stages) <= 2:
             raise ConfigError("stages: the canonical run has one or two stages")
         self.loss.validate()
@@ -80,6 +84,17 @@ class ExperimentConfig:
             self.optim.validate()
         except ConfigError as exc:
             raise ConfigError(f"optim.{exc}") from None
+        try:
+            check_synthetic_args(**dataclasses.asdict(self.data))
+        except ConfigError as exc:
+            raise ConfigError(f"data.{exc}") from None
+        m = self.model
+        for key in ("encoder_max_len", "reranker_max_len"):
+            try:
+                ModelConfig(1, m.d_model, m.n_layers, m.n_heads, getattr(m, key),
+                            m.ffn_mult).validate()
+            except ConfigError as exc:
+                raise ConfigError(f"model.{exc}".replace("max_seq_len", key)) from None
         for i, stage in enumerate(self.stage_configs()):
             stage.validate(f"stages[{i}]")
 

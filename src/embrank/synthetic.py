@@ -84,6 +84,35 @@ def _pick(rng, pool: list, k: int) -> list:
     return [pool[i] for i in rng.choice(len(pool), k, replace=False).tolist()] if k else []
 
 
+def check_synthetic_args(n_topics, n_docs, n_queries, n_eval_queries, grade_noise,
+                         stage1_candidates, stage1_per_query, n_negatives):
+    """Refuse ``generate_synthetic``'s arguments by name, first; returns the
+    core, related, decoy and filler documents per topic."""
+    for name, value, low in (("n_topics", n_topics, 1), ("n_docs", n_docs, 1),
+                             ("n_queries", n_queries, 1),
+                             ("stage1_candidates", stage1_candidates, 1),
+                             ("n_negatives", n_negatives, 0),
+                             ("stage1_per_query", stage1_per_query, 0)):
+        if value < low:
+            raise ConfigError(f"{name} must be >= {low}, got {value}")
+    if not 0 <= n_eval_queries < n_queries:
+        raise ConfigError("n_eval_queries must leave at least one training query")
+    if n_docs < n_negatives + 2:
+        raise ConfigError(
+            f"n_docs={n_docs} cannot supply {n_negatives} negatives plus a positive")
+    if not 0.0 <= grade_noise <= 1.0:
+        raise ConfigError("grade_noise must be within [0, 1]")
+    if stage1_candidates > n_docs:
+        raise ConfigError("stage1_candidates exceeds the corpus size")
+    per_topic = n_docs // n_topics
+    n_core = max(1, round(per_topic * 0.12))
+    n_related = max(1, round(per_topic * 0.18))
+    n_decoy = max(1, round(per_topic * 0.18))
+    if n_core + n_related + n_decoy > per_topic:
+        raise ConfigError(f"n_docs={n_docs} is too small for {n_topics} topics")
+    return n_core, n_related, n_decoy, per_topic - n_core - n_related - n_decoy
+
+
 def generate_synthetic(seed: int,
                        n_topics: int = 5,
                        n_docs: int = 500,
@@ -100,24 +129,9 @@ def generate_synthetic(seed: int,
     carry the true construction grades. Identical arguments (including seed)
     reproduce the dataset bit for bit.
     """
-    if min(n_topics, n_docs, n_queries) < 1:
-        raise ConfigError("n_topics, n_docs and n_queries must all be >= 1")
-    if stage1_candidates < 1:
-        raise ConfigError(f"stage1_candidates must be >= 1, got {stage1_candidates}")
-    if n_negatives < 0:
-        raise ConfigError(f"n_negatives must be >= 0, got {n_negatives}")
-    if stage1_per_query < 0:
-        raise ConfigError(f"stage1_per_query must be >= 0, got {stage1_per_query}")
-    if not 0 <= n_eval_queries < n_queries:
-        raise ConfigError("n_eval_queries must leave at least one training query")
-    if n_docs < n_negatives + 2:
-        raise ConfigError(
-            f"n_docs={n_docs} cannot supply {n_negatives} negatives plus a positive")
-    if not 0.0 <= grade_noise <= 1.0:
-        raise ConfigError("grade_noise must be within [0, 1]")
-    if stage1_candidates > n_docs:
-        raise ConfigError("stage1_candidates exceeds the corpus size")
-
+    n_core, n_related, n_decoy, n_filler = check_synthetic_args(
+        n_topics, n_docs, n_queries, n_eval_queries, grade_noise, stage1_candidates,
+        stage1_per_query, n_negatives)
     rng = np.random.default_rng(seed)
     # label noise draws from its own stream so the corpus and candidate draws
     # are identical across grade_noise settings
@@ -128,14 +142,6 @@ def generate_synthetic(seed: int,
     rest = [tw[QUERY_POPULAR:] for tw in topic_words]
     common = [f"c{j}" for j in range(COMMON_WORDS)]
     distractor = [f"x{j}" for j in range(DISTRACTOR_WORDS)]
-
-    per_topic = n_docs // n_topics
-    n_core = max(1, round(per_topic * 0.12))
-    n_related = max(1, round(per_topic * 0.18))
-    n_decoy = max(1, round(per_topic * 0.18))
-    if n_core + n_related + n_decoy > per_topic:
-        raise ConfigError(f"n_docs={n_docs} is too small for {n_topics} topics")
-    n_filler = per_topic - n_core - n_related - n_decoy
 
     docs_raw: list[tuple[str, int, str, list[str]]] = []  # (kind, topic, doc_id, words)
     by_kind: dict[str, list[list[int]]] = {k: [[] for _ in range(n_topics)]

@@ -38,14 +38,11 @@ class ModelConfig:
     init_scale: float = 0.02
 
     def validate(self) -> None:
-        if self.vocab_size < 1:
-            raise ConfigError("vocab_size must be >= 1")
-        if min(self.d_model, self.n_layers, self.n_heads, self.ffn_mult) < 1:
-            raise ConfigError("d_model, n_layers, n_heads and ffn_mult must be >= 1")
+        for name in ("vocab_size", "d_model", "n_layers", "n_heads", "ffn_mult", "max_seq_len"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.d_model % self.n_heads != 0:
-            raise ConfigError(f"d_model={self.d_model} not divisible by n_heads={self.n_heads}")
-        if self.max_seq_len < 1:
-            raise ConfigError("max_seq_len must be >= 1")
+            raise ConfigError(f"n_heads={self.n_heads} does not divide d_model={self.d_model}")
         if self.norm_eps < 0:
             raise ConfigError("norm_eps must be >= 0")
         if self.init_scale < 0:

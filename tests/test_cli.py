@@ -7,10 +7,11 @@ import hashlib
 import pytest
 
 import embrank.autodiff as ad
+from embrank import __version__
 from embrank.checkpoint import (encoder_checksum, load_checkpoint, parameter_checksum,
                                 save_checkpoint)
 from embrank.cli import main
-from embrank.config import load_config
+from embrank.config import config_to_dict, load_config
 from embrank.data import load_corpus, load_queries, load_samples
 from embrank.reranker import build_model_pair
 from embrank.retrieval import InvertedIndex
@@ -439,6 +440,60 @@ class TestEfficiencyAndOrdering:
         assert {r["ordering"] for r in rows} == {"original", "inverse", "random"}
 
 
+class TestConfigEcho:
+    @staticmethod
+    def configured_runs(workdir, tmp_path) -> dict:
+        """Each configured subcommand's flags besides --config and --out on the
+        workdir pipeline, the inputs its config.json echoes, and one flag with
+        a value that makes the run fail: a missing input path, or for gen-data
+        a config whose head count does not divide the model width."""
+        root, config, data, train, index = workdir
+        ckpt, corpus = str(train / "checkpoints/final.ckpt"), str(data / "corpus.jsonl")
+        queries, missing = str(data / "queries_eval.tsv"), str(tmp_path / "missing")
+        candidates = tmp_path / "first.trec"
+        candidates.write_text(f"{load_queries(data / 'queries_eval.tsv')[0].query_id} Q0 "
+                              f"{load_corpus(data / 'corpus.jsonl')[0][0].doc_id} 1 1.0 t\n")
+        bad_model = tmp_path / "bad_model.json"
+        bad_model.write_text(json.dumps({**MICRO_CONFIG, "model": {"n_heads": 3}}))
+        model_io = ["--checkpoint", ckpt, "--corpus", corpus, "--queries", queries]
+        final = parameter_checksum(load_checkpoint(train / "checkpoints/final.ckpt"))
+        return {
+            "gen-data": ([], None, ("--config", str(bad_model))),
+            "build-index": (["--corpus", corpus, "--checkpoint", ckpt],
+                            {"corpus": corpus, "corpus_checksum": sha(data / "corpus.jsonl")},
+                            ("--corpus", missing)),
+            "train": (["--data", str(data)], {"data": str(data), "final_checksum": final},
+                      ("--data", missing)),
+            "rerank": ([*model_io, "--candidates", str(candidates)],
+                       {"checkpoint": ckpt, "candidates": str(candidates), "mode": "single"},
+                       ("--candidates", missing)),
+            "end-to-end": ([*model_io, "--bm25-index", str(index / "bm25.idx")],
+                           {"mode": "bm25", "checkpoint": ckpt}, ("--bm25-index", missing)),
+            "ablate": (["--data", str(data)], {"data": str(data)}, ("--data", missing)),
+            "order-exp": ([*model_io, "--qrels", str(data / "qrels.txt")],
+                          {"checkpoint": ckpt}, ("--qrels", missing)),
+        }
+
+    @pytest.mark.parametrize("command", ["gen-data", "build-index", "train", "rerank",
+                                         "end-to-end", "ablate", "order-exp"])
+    def test_config_json_echoes_the_run_and_a_failed_run_writes_none(self, workdir, tmp_path,
+                                                                     command):
+        root, config, data, train, index = workdir
+        flags, inputs, (bad_flag, bad_value) = self.configured_runs(workdir, tmp_path)[command]
+        argv = [command, "--config", str(config), *flags, "--out", str(tmp_path / "run")]
+        assert main(argv) == 0
+        expected = {"command": command, "version": __version__,
+                    "config": config_to_dict(load_config(config))}
+        if inputs:
+            expected["inputs"] = inputs
+        assert json.loads((tmp_path / "run/config.json").read_text()) == expected
+
+        argv[-1] = str(tmp_path / "failed")
+        argv[argv.index(bad_flag) + 1] = bad_value
+        assert main(argv) == 1
+        assert not (tmp_path / "failed/config.json").exists()
+
+
 class TestErrors:
     def test_unknown_config_key_is_key_level_error(self, tmp_path, capsys):
         config = tmp_path / "config.json"
@@ -463,7 +518,8 @@ class TestErrors:
         code = main(["gen-data", "--config", str(config), "--out", str(tmp_path / "x")])
         assert code == 1
         err = capsys.readouterr().err
-        assert "embrank gen-data: error: stage1_candidates must be >= 1, got 0" in err
+        assert (f"embrank gen-data: error: {config}: data.stage1_candidates must be >= 1, got 0"
+                in err)
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("optim", [{"beta1": 1.0}, {"beta2": 1.0}, {"eps": 0.0}])

@@ -174,3 +174,28 @@ def test_out_of_range_optim_field_names_file_key_and_value(tmp_path, field, valu
     with pytest.raises(ConfigError) as err:
         load_config(path)
     assert str(err.value) == f"{path}: optim.{field}: must be {rule}, got {value}"
+
+
+@pytest.mark.parametrize("section, fields, message", [
+    ("model", {"n_heads": 3}, "model.n_heads=3 does not divide d_model=64"),
+    ("model", {"d_model": 0}, "model.d_model must be >= 1, got 0"),
+    ("model", {"ffn_mult": 0}, "model.ffn_mult must be >= 1, got 0"),
+    ("model", {"encoder_max_len": 0}, "model.encoder_max_len must be >= 1, got 0"),
+    ("model", {"reranker_max_len": -1}, "model.reranker_max_len must be >= 1, got -1"),
+    ("data", {"n_docs": 0}, "data.n_docs must be >= 1, got 0"),
+    ("data", {"stage1_candidates": 0}, "data.stage1_candidates must be >= 1, got 0"),
+    ("data", {"n_eval_queries": 60}, "data.n_eval_queries must leave at least one"),
+    ("data", {"grade_noise": 1.5}, "data.grade_noise must be within [0, 1]"),
+    ("data", {"n_docs": 10, "stage1_candidates": 5}, "data.n_docs=10 cannot supply 15"),
+    ("data", {"n_docs": 10, "n_negatives": 2, "stage1_candidates": 5},
+     "data.n_docs=10 is too small for 5 topics"),
+], ids=lambda v: "-".join(v) if isinstance(v, dict) else None)
+def test_out_of_range_model_or_data_field_names_file_and_key(tmp_path, section, fields,
+                                                             message):
+    """Refused when the config loads, by the rules of ``ModelConfig`` and
+    ``generate_synthetic``, not by ``gen-data`` or ``train`` after it."""
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({section: fields}), encoding="utf-8")
+    with pytest.raises(ConfigError) as err:
+        load_config(path)
+    assert str(err.value).startswith(f"{path}: {message}")
